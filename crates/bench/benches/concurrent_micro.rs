@@ -33,7 +33,6 @@ use paralog_lifeguards::{
     LifeguardKind, LockSetConcurrent, LockedConcurrent, MemCheckConcurrent,
 };
 use paralog_meta::ConcurrentVersionTable;
-use std::time::Duration;
 
 const HEAP: AddrRange = AddrRange {
     start: 0x1000_0000,
@@ -334,7 +333,7 @@ fn bench_concurrent_versions(c: &mut Criterion) {
                                 black_box(v);
                                 break;
                             }
-                            t.wait_available(vid(0, r), Duration::from_micros(50));
+                            std::thread::yield_now();
                         }
                     }
                 });
@@ -374,7 +373,7 @@ fn bench_concurrent_versions(c: &mut Criterion) {
                                     black_box(v);
                                     break;
                                 }
-                                t.wait_available(cvid(c), Duration::from_micros(50));
+                                std::thread::yield_now();
                             }
                             if c % SWEEP_EPOCH == 0 {
                                 t.advance_epoch(ThreadId(0));

@@ -43,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config;
-pub mod exec_threaded;
 pub mod experiment;
 pub mod metrics;
 pub mod platform;
@@ -51,7 +50,6 @@ pub mod reference;
 pub mod session;
 
 pub use config::{CaMode, MonitorConfig, MonitoringMode};
-pub use exec_threaded::{run_threaded_taintcheck, AtomicShadow, ThreadedOutcome};
 pub use metrics::{AppBuckets, LgBuckets, PhaseBreakdown, RunMetrics, TRANSPORT_BYTES_PER_CYCLE};
 pub use paralog_lifeguards::{SessionEvent, SessionEventObserver};
 pub use platform::{Platform, RunOutcome};

@@ -10,13 +10,15 @@
 //!   lifeguard-only, enforcing the captured dependence arcs but without
 //!   timing (externally captured logs have no machine to time);
 //! * [`ThreadedBackend`] — real OS threads replaying the streams against the
-//!   lifeguard's `Send + Sync` concurrent form, enforcing arcs by spinning
-//!   on an atomic progress table (§5.2), policing the §5.4 syscall range
-//!   table per worker, and resolving §5.5 TSO version annotations against a
-//!   shared [`ConcurrentVersionTable`](paralog_meta::ConcurrentVersionTable)
-//!   (producers snapshot pre-store metadata, consumers park until it is
-//!   published). A workload input is first captured deterministically;
-//!   the deterministic fingerprint is recorded as
+//!   lifeguard's `Send + Sync` concurrent form: one
+//!   [`CoopLane`] per thread, each driven to completion by
+//!   a small wait loop. The ordering rules (§5.2 arcs on the atomic
+//!   progress table, the §5.4 range table and ConflictAlert serialisation,
+//!   §5.5 versions produced and consumed through the shared
+//!   [`ConcurrentVersionTable`](paralog_meta::ConcurrentVersionTable)) are
+//!   the lane's; this backend only decides how a thread waits. A workload
+//!   input is first captured deterministically; the deterministic
+//!   fingerprint is recorded as
 //!   [`RunMetrics::reference_fingerprint`](crate::RunMetrics) so
 //!   `matches_reference()` states whether genuine concurrency reproduced the
 //!   deterministic metadata.
@@ -25,10 +27,11 @@
 //! from each thread's [`RecordStream`] in bounded batches and delivered as
 //! they arrive, so ingestion is online and source-side memory stays within
 //! the source's chunk budget. A thread whose next record has not been
-//! produced yet ([`StreamStatus::Blocked`]) parks the session; only when
-//! *every* stream is exhausted and some delivered-gated record still waits
+//! produced yet ([`StreamStatus::Blocked`]) is retried, never a failure;
+//! only when no thread can pull or deliver and some head record still waits
 //! on an unmet arc is the run declared a [`SessionError::Deadlock`].
 
+use super::coop::{CoopLane, CoopSession, LaneStep};
 use super::source::{RecordStream, StreamStatus};
 use super::{SessionError, SessionPlan};
 use crate::config::{MonitorConfig, MonitoringMode};
@@ -37,17 +40,15 @@ use crate::platform::lg::deliver_ingested;
 use crate::platform::{RunOutcome, Sim};
 use crate::reference::Reference;
 use crate::session::SourceInput;
-use paralog_events::{EventRecord, Rid, ThreadId};
+use paralog_events::{EventRecord, ThreadId};
 use paralog_lifeguards::{
     ConcurrentLifeguard, CostModel, DeltaLifeguard, Lifeguard, LifeguardFactory, LifeguardFamily,
     LifeguardKind, ReplayMode, Violation,
 };
-use paralog_order::{Gate, OrderEnforcer, ProgressTable, RangeTable, SharedProgressTable};
+use paralog_order::{Gate, OrderEnforcer, ProgressTable, RangeTable};
 use paralog_workloads::Workload;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Records pulled from a stream per refill — the backend-side buffering
 /// bound (each thread holds at most one batch).
@@ -171,6 +172,18 @@ pub(crate) fn ca_gate_unmet(
         return false; // flush-only classes order via data arcs (§5.4)
     }
     !satisfied(ca.issuer, ca.issuer_rid)
+}
+
+/// One wait on a lagging producer: yield at first, then back off to short
+/// sleeps so an idle feed does not burn a core. The caller zeroes
+/// `idle_polls` once records flow again, resuming eagerly.
+fn wait_for_producer(idle_polls: &mut u32) {
+    if *idle_polls < 64 {
+        *idle_polls += 1;
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
 }
 
 /// One thread's ingestion state in the streaming replay loop.
@@ -313,14 +326,7 @@ fn replay_streams(
             if producer_pending {
                 // Streams blocked on live producers: park and retry — this
                 // is online ingestion waiting for input, not a deadlock.
-                // Back off to short sleeps so an idle feed does not burn a
-                // core; resume eagerly once records flow again.
-                if idle_rounds < 64 {
-                    idle_rounds += 1;
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
+                wait_for_producer(&mut idle_rounds);
                 continue;
             }
             let stuck: Vec<String> = lanes
@@ -362,8 +368,8 @@ fn replay_streams(
     })
 }
 
-/// The real-thread backend: one OS thread per stream, lock-free shared
-/// metadata, order enforced purely by spinning on an atomic progress table.
+/// The real-thread backend: one OS thread per stream, each driving that
+/// stream's [`CoopLane`] over lock-free shared metadata.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedBackend;
 
@@ -487,97 +493,10 @@ pub(crate) fn resolve_replay_form(
     }
 }
 
-/// How long the no-global-progress detectors tolerate a completely flat
-/// run (no record applied anywhere, no worker inside its stream pull)
-/// before declaring [`SessionError::Deadlock`]. Shared by the §5.2 arc
-/// spin and the §5.5 version wait.
-const NO_PROGRESS_GRACE: std::time::Duration = std::time::Duration::from_secs(2);
-
-/// The much shorter flat-run window used once the input is severed (every
-/// worker finished or parked in a wait — see
-/// [`ThreadedRun::input_severed`]). At that point nothing can ever wake
-/// the run from outside, so the only latencies left are internal
-/// scheduling ones (a peer noticing its gate cleared, a 200µs
-/// version-wait slice): a dropped producer resolves to
-/// [`SessionError::Deadlock`] in a quarter second instead of parking
-/// workers for the full grace window. Still a window rather than an
-/// instant check because a parked peer whose gate *just* cleared may yet
-/// resume and advertise further progress.
-const SEVERED_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
-
-/// Shared worker coordination for one threaded replay.
-struct ThreadedRun {
-    threads: usize,
-    progress: SharedProgressTable,
-    /// §5.5 versioned metadata shared by all workers: producers publish
-    /// pre-store snapshots, consumers park on them.
-    versions: paralog_meta::ConcurrentVersionTable,
-    arc_spins: AtomicU64,
-    /// Records applied across all workers — the liveness signal deadlock
-    /// detection watches.
-    applied: AtomicU64,
-    /// Workers currently parked on a `Blocked` stream (a live producer that
-    /// has not caught up). While nonzero, a flat `applied` counter is *not*
-    /// evidence of deadlock.
-    producers_blocked: AtomicUsize,
-    /// Workers parked inside an arc spin or a §5.5 version wait.
-    waiting_workers: AtomicUsize,
-    /// Workers whose replay loop has returned (drained, failed or aborted).
-    finished_workers: AtomicUsize,
-    /// Set on the first failure (deadlock, malformed stream, unsupported
-    /// record); every worker bails out promptly once set.
-    abort: AtomicBool,
-    failure: Mutex<Option<SessionError>>,
-}
-
-impl ThreadedRun {
-    fn new(threads: usize) -> Self {
-        ThreadedRun {
-            threads,
-            progress: SharedProgressTable::new(threads),
-            versions: paralog_meta::ConcurrentVersionTable::new(threads),
-            arc_spins: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            producers_blocked: AtomicUsize::new(0),
-            waiting_workers: AtomicUsize::new(0),
-            finished_workers: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            failure: Mutex::new(None),
-        }
-    }
-
-    /// Records the first failure and tells every worker to stop.
-    fn fail(&self, err: SessionError) {
-        let mut failure = self.failure.lock().expect("poisoned");
-        if failure.is_none() {
-            *failure = Some(err);
-        }
-        self.abort.store(true, Ordering::Release);
-    }
-
-    fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
-    }
-
-    /// Whether the run's input is severed: every worker is either finished
-    /// or parked in a wait (an arc spin or a §5.5 version wait). Waits are
-    /// only ever resolved by a *peer worker* advertising progress, and with
-    /// no worker left pulling or applying, nothing ever will — only a
-    /// parked peer noticing its gate already cleared can — so the flat-run
-    /// detector drops from [`NO_PROGRESS_GRACE`] to [`SEVERED_GRACE`]: a
-    /// dropped producer resolves to `Deadlock` fast instead of parking
-    /// workers for the full grace window. Stream exhaustion is deliberately
-    /// *not* part of the condition: a worker parked mid-pending never
-    /// re-polls its stream, so a dropped producer behind a gated record
-    /// would otherwise go unnoticed. (A worker waiting on a *live* lagging
-    /// producer sits in `producers_blocked`, not here, and
-    /// [`FlatRunDetector::check`] refuses to arm at all while any worker
-    /// does.)
-    fn input_severed(&self) -> bool {
-        self.waiting_workers.load(Ordering::SeqCst) + self.finished_workers.load(Ordering::SeqCst)
-            >= self.threads
-    }
-}
+/// Gated polls a lane's thread spins through before yielding its core: a
+/// peer usually advertises the awaited progress within microseconds, and a
+/// yield on an oversubscribed box hands that peer the processor.
+const GATED_SPINS: u32 = 1 << 10;
 
 impl Backend for ThreadedBackend {
     fn name(&self) -> &'static str {
@@ -606,418 +525,58 @@ impl Backend for ThreadedBackend {
             }
             SourceInput::Streams(s) => (s, None),
         };
-        if streams.is_empty() {
-            return Err(SessionError::EmptySource);
-        }
-        let k = streams.len();
-        let form = resolve_replay_form(&*plan.factory, plan.heap, k, plan.mode)?;
-        let conc = form.conc();
-        if let Some(observer) = plan.observer {
-            conc.set_event_observer(observer);
-        }
-        let ca_policy = conc.ca_policy();
-
-        let run = ThreadedRun::new(k);
+        let (session, lanes) = CoopSession::start_with_mode(
+            &*plan.factory,
+            plan.heap,
+            streams,
+            plan.observer,
+            plan.mode,
+        )?;
         std::thread::scope(|scope| {
-            for (tid, stream) in streams.into_iter().enumerate() {
-                let form = &form;
-                let run = &run;
-                let ca_policy = &ca_policy;
-                scope.spawn(move || {
-                    let tid = ThreadId(tid as u16);
-                    replay_worker(tid, stream, form, ca_policy, run, k);
-                    run.finished_workers.fetch_add(1, Ordering::SeqCst);
-                    // However the worker exited (drained, failed, aborted),
-                    // it stops gating quiescence and flushes its shard's
-                    // retire queue.
-                    form.conc().stream_done(tid);
-                    run.versions.advance_epoch(tid);
-                });
+            for lane in lanes {
+                scope.spawn(move || drive_lane(lane));
             }
         });
-        if let Some(err) = run.failure.into_inner().expect("poisoned") {
-            return Err(err);
-        }
-
-        let mut violations = conc.violations();
-        // Worker interleaving is scheduler-dependent; a canonical order keeps
-        // the report deterministic.
-        violations.sort_by_key(|v| (v.tid.0, v.rid.0));
-        let total = run.applied.load(Ordering::Relaxed);
+        let metrics = session
+            .report()
+            .expect("every lane ran to a terminal state")?;
         Ok(RunOutcome {
             metrics: RunMetrics {
-                app_threads: k,
-                records: total,
-                delivered_ops: total,
-                dependence_stalls: run.arc_spins.load(Ordering::Relaxed),
-                versions_produced: run.versions.produced(),
-                versions_consumed: run.versions.consumed(),
-                violations,
-                fingerprint: conc.fingerprint(),
                 reference_fingerprint: expected,
-                events: conc.session_events(),
-                ..RunMetrics::default()
+                // The modelled order-wait phase counts gated polls, and a
+                // spinning thread's poll count measures this driver rather
+                // than the capture: no phase breakdown here.
+                lg_finish: 0,
+                phases: None,
+                ..metrics
             },
         })
     }
 }
 
-/// Publishes a delta-mode worker's buffered window: flush the private
-/// shadow delta into the shared tables, then advertise the deferred
-/// progress watermark. Advertisement is monotone, so only the *last*
-/// applied rid needs publishing — peers' `satisfies(src, rid)` checks are
-/// `progress[src] >= rid`. A CAS-per-access lane passes `delta: None` and
-/// an always-`None` watermark, making this a no-op.
-fn flush_lane(
-    delta: Option<&dyn DeltaLifeguard>,
-    run: &ThreadedRun,
-    tid: ThreadId,
-    unadvertised: &mut Option<Rid>,
-) {
-    if let Some(d) = delta {
-        d.flush_delta(tid);
-    }
-    if let Some(rid) = unadvertised.take() {
-        run.progress.advertise(tid, rid);
-    }
-}
-
-/// One worker of the threaded replay: pulls its stream in bounded batches,
-/// enforces arcs by spinning on the shared progress table (§5.2), polices
-/// the §5.4 range table, and applies each record to the concurrent
-/// lifeguard.
-///
-/// Under [`BackendMode::DeltaMerge`] the worker applies records to its
-/// private overlay and defers both the metadata publish and the progress
-/// advertisement to *flush points*: before any ordered interaction (an arc
-/// spin, a §5.4 CA gate, a §5.5 produce or consume point) and at every
-/// batch boundary — including before parking on a lagging producer, so a
-/// peer spinning on this worker's progress always sees the published
-/// watermark before this worker blocks. Liveness follows: a delta worker
-/// either keeps applying (bumping `run.applied`, which arc spinners watch)
-/// or flushes before it waits.
-fn replay_worker(
-    tid: ThreadId,
-    mut stream: Box<dyn RecordStream>,
-    form: &ReplayForm,
-    ca_policy: &paralog_order::CaPolicy,
-    run: &ThreadedRun,
-    threads: usize,
-) {
-    let conc = form.conc();
-    let delta = form.delta();
-    // Delta mode's deferred-advertisement watermark; always `None` in CAS
-    // mode (progress is advertised per record there).
-    let mut unadvertised: Option<Rid> = None;
-    let mut pending: VecDeque<EventRecord> = VecDeque::new();
-    let mut batch: Vec<EventRecord> = Vec::with_capacity(INGEST_BATCH);
-    let mut range_table = RangeTable::new(threads);
+/// One lane on its own OS thread: step until terminal, waiting out what the
+/// lane cannot — spin briefly then yield while gated on a peer, back off
+/// while the producer lags.
+fn drive_lane(mut lane: CoopLane) {
+    let mut gated_polls = 0u32;
     let mut idle_polls = 0u32;
     loop {
-        if run.aborted() {
-            return;
-        }
-        if pending.is_empty() {
-            // Batch boundary: publish the buffered window *before* the pull
-            // — the pull may park on a lagging producer, and peers must not
-            // wait out that park for progress already made.
-            flush_lane(delta, run, tid, &mut unadvertised);
-            // The pull itself may block inside the transport (a pipe or
-            // socket read *is* the producer wait), so the whole call is
-            // bracketed by the producers_blocked counter — arc spinners
-            // must not read a flat applied count as deadlock meanwhile.
-            run.producers_blocked.fetch_add(1, Ordering::Relaxed);
-            let pulled = stream.next_batch(&mut batch, INGEST_BATCH);
-            run.producers_blocked.fetch_sub(1, Ordering::Relaxed);
-            // Drain whatever arrived regardless of status (a stream may
-            // deliver a partial batch and *then* report Blocked).
-            let got_records = !batch.is_empty();
-            pending.extend(batch.drain(..));
-            match pulled {
-                Ok(StreamStatus::Yielded) | Ok(StreamStatus::Blocked) if got_records => {}
-                Ok(StreamStatus::Yielded) | Ok(StreamStatus::Blocked) => {
-                    // A live producer that has not caught up: park, backing
-                    // off to short sleeps so an idle feed does not burn a
-                    // core.
-                    run.producers_blocked.fetch_add(1, Ordering::Relaxed);
-                    if idle_polls < 64 {
-                        idle_polls += 1;
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    run.producers_blocked.fetch_sub(1, Ordering::Relaxed);
-                    continue;
-                }
-                // Exhausted-with-records: deliver the tail now; the next
-                // (sticky) pull returns Exhausted again with nothing.
-                Ok(StreamStatus::Exhausted) => {
-                    if !got_records {
-                        return;
-                    }
-                }
-                Err(err) => {
-                    run.fail(err);
-                    return;
+        match lane.step(INGEST_BATCH) {
+            LaneStep::Progressed => {
+                gated_polls = 0;
+                idle_polls = 0;
+            }
+            LaneStep::Gated => {
+                gated_polls += 1;
+                if gated_polls < GATED_SPINS {
+                    std::hint::spin_loop();
+                } else {
+                    gated_polls = 0;
+                    std::thread::yield_now();
                 }
             }
-            idle_polls = 0;
-            // Batch boundary: no record application is in flight on this
-            // worker, so stale fast-path reads are dead — the quiescence
-            // point epoch-based reclamation (version-table chunks, interned
-            // lockset masks) keys off.
-            conc.epoch_boundary(tid);
-            run.versions.advance_epoch(tid);
-        }
-        while let Some(rec) = pending.pop_front() {
-            // Delta flush point: any ordered interaction — a wait (arc
-            // spin, CA gate, §5.5 consume) or a publish peers read (§5.5
-            // produce snapshot, CA metadata update) — must observe this
-            // worker's buffered window and its advertised watermark first.
-            if delta.is_some()
-                && (!rec.arcs.is_empty()
-                    || rec.consume_version.is_some()
-                    || !rec.produce_versions.is_empty()
-                    || matches!(rec.payload, paralog_events::EventPayload::Ca(_)))
-            {
-                flush_lane(delta, run, tid, &mut unadvertised);
-            }
-            // §5.2 enforcement: spin until every arc is satisfied.
-            for arc in &rec.arcs {
-                match spin_until(run, || run.progress.satisfies(arc.src, arc.src_rid)) {
-                    SpinOutcome::Ready { spun } => {
-                        if spun {
-                            run.arc_spins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    SpinOutcome::Stuck => {
-                        run.fail(SessionError::Deadlock(
-                            "threaded replay made no progress; a stream carries arcs \
-                             its producer never satisfies"
-                                .into(),
-                        ));
-                        return;
-                    }
-                    SpinOutcome::Aborted => return,
-                }
-            }
-            // §5.4 serialization: a remote barrier/range-class CA copy waits
-            // for the issuer's metadata update (see `ca_gate_unmet`).
-            if ca_gate_unmet(&rec, tid.index(), ca_policy, |src, rid| {
-                run.progress.satisfies(src, rid)
-            }) {
-                match spin_until(run, || {
-                    !ca_gate_unmet(&rec, tid.index(), ca_policy, |src, rid| {
-                        run.progress.satisfies(src, rid)
-                    })
-                }) {
-                    SpinOutcome::Ready { spun } => {
-                        if spun {
-                            run.arc_spins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    SpinOutcome::Stuck => {
-                        run.fail(SessionError::Deadlock(
-                            "threaded replay made no progress; a ConflictAlert's issuer \
-                             never applies its update (truncated capture?)"
-                                .into(),
-                        ));
-                        return;
-                    }
-                    SpinOutcome::Aborted => return,
-                }
-            }
-            // §5.5 produce points: publish the pre-store snapshot *before*
-            // this record's own effect, waking any parked consumer.
-            for (vid, mem, consumers) in &rec.produce_versions {
-                let range = mem.range();
-                let snapshot = conc.snapshot_meta(range);
-                // A structurally invalid annotation (duplicate id, zero
-                // consumers, out-of-range consumer thread) means the wire
-                // stream is corrupt: report it, don't panic a worker.
-                if let Err(err) = run.versions.try_produce(*vid, range, snapshot, *consumers) {
-                    run.fail(SessionError::MalformedStream(format!(
-                        "thread {} stream carries an invalid produce annotation: {err}",
-                        tid.0
-                    )));
-                    return;
-                }
-            }
-            // §5.5 consume points: unlike the deterministic paths, a missing
-            // version is *not* a bypass here — reading the live shadow would
-            // race the producer's store on real threads — so the worker
-            // parks until the producer publishes.
-            let versioned: Option<paralog_lifeguards::VersionedMeta> = match rec.consume_version {
-                Some((vid, _)) => match wait_consume_version(vid, run) {
-                    Some(v) => Some(v),
-                    None => return, // aborted, or deadlock already reported
-                },
-                None => None,
-            };
-            // §5.4: police the range table before applying, mirroring the
-            // deterministic delivery order.
-            if let paralog_events::EventPayload::Instr(instr) = &rec.payload {
-                if let Some((mem, _)) = instr.mem_access() {
-                    if let Some(entry) = range_table.check(tid, mem.range()) {
-                        conc.on_syscall_race(tid, mem.range(), &entry, rec.rid);
-                    }
-                }
-            }
-            match delta {
-                Some(d) => d.apply_delta(tid, &rec, versioned.as_ref()),
-                None => conc.apply(tid, &rec, versioned.as_ref()),
-            }
-            if let paralog_events::EventPayload::Ca(ca) = &rec.payload {
-                let actions = ca_policy.actions(ca.what, ca.phase);
-                if actions.track_range {
-                    match (ca.phase, ca.range) {
-                        (paralog_events::CaPhase::Begin, Some(range)) => {
-                            range_table.insert(ca.issuer, ca.what, range)
-                        }
-                        (paralog_events::CaPhase::End, _) => range_table.remove(ca.issuer),
-                        _ => {}
-                    }
-                }
-            }
-            if delta.is_none() || matches!(rec.payload, paralog_events::EventPayload::Ca(_)) {
-                // CAS mode advertises per record; a delta lane still
-                // advertises CA copies immediately — remote copies gate on
-                // the issuer's advertised progress, and the CA apply
-                // self-flushed.
-                run.progress.advertise(tid, rec.rid);
-            } else {
-                unadvertised = Some(rec.rid);
-            }
-            run.applied.fetch_add(1, Ordering::Relaxed);
+            LaneStep::Idle => wait_for_producer(&mut idle_polls),
+            LaneStep::Finished | LaneStep::Failed => return,
         }
     }
-}
-
-/// The no-global-progress detector shared by the §5.2 arc spin and the
-/// §5.5 version wait: a stalled worker is only deadlocked once the *whole*
-/// run has been flat — no record applied anywhere, and no peer inside a
-/// stream pull (a live producer that has not caught up) — for the full
-/// grace window. A thread parked on an unproduced version therefore never
-/// trips the detector while its producer is still making progress.
-struct FlatRunDetector {
-    last_applied: u64,
-    flat_since: Option<std::time::Instant>,
-}
-
-impl FlatRunDetector {
-    fn new(run: &ThreadedRun) -> Self {
-        FlatRunDetector {
-            last_applied: run.applied.load(Ordering::Relaxed),
-            flat_since: None,
-        }
-    }
-
-    /// Re-reads the liveness signals; `true` means the grace window elapsed
-    /// with the run completely flat (declare deadlock).
-    fn check(&mut self, run: &ThreadedRun) -> bool {
-        let now = run.applied.load(Ordering::Relaxed);
-        if now != self.last_applied {
-            self.last_applied = now;
-            self.flat_since = None;
-            return false;
-        }
-        if run.producers_blocked.load(Ordering::Relaxed) > 0 {
-            // A peer is waiting on its producer: the run is starved for
-            // input, not deadlocked.
-            self.flat_since = None;
-            return false;
-        }
-        let t0 = *self.flat_since.get_or_insert_with(std::time::Instant::now);
-        let grace = if run.input_severed() {
-            SEVERED_GRACE
-        } else {
-            NO_PROGRESS_GRACE
-        };
-        t0.elapsed() > grace
-    }
-}
-
-/// How a [`spin_until`] wait ended.
-enum SpinOutcome {
-    /// The condition holds; `spun` reports whether we waited at all.
-    Ready { spun: bool },
-    /// The flat-run detector's grace window elapsed (caller reports the
-    /// deadlock).
-    Stuck,
-    /// Another worker failed the run.
-    Aborted,
-}
-
-/// §5.2-style wait: spin on `satisfied`, yielding periodically and running
-/// the shared no-global-progress detector. The wait is bracketed by
-/// [`ThreadedRun::waiting_workers`] so peers can tell a parked worker from
-/// a running one (the severed-input fast path keys off it).
-fn spin_until(run: &ThreadedRun, mut satisfied: impl FnMut() -> bool) -> SpinOutcome {
-    if satisfied() {
-        return SpinOutcome::Ready { spun: false };
-    }
-    run.waiting_workers.fetch_add(1, Ordering::SeqCst);
-    let mut spins = 0u32;
-    let mut detector = FlatRunDetector::new(run);
-    let outcome = loop {
-        if satisfied() {
-            break SpinOutcome::Ready { spun: true };
-        }
-        if run.aborted() {
-            break SpinOutcome::Aborted;
-        }
-        spins += 1;
-        if spins >= 1 << 14 {
-            spins = 0;
-            if detector.check(run) {
-                break SpinOutcome::Stuck;
-            }
-            std::thread::yield_now();
-        }
-        std::hint::spin_loop();
-    };
-    run.waiting_workers.fetch_sub(1, Ordering::SeqCst);
-    outcome
-}
-
-/// Parks until the §5.5 version `vid` is produced, then consumes it.
-/// Returns `None` when the run aborted or the wait itself proved a
-/// deadlock (a truncated or malformed TSO capture whose producer never
-/// reaches its produce point) — already reported via [`ThreadedRun::fail`].
-fn wait_consume_version(
-    vid: paralog_events::VersionId,
-    run: &ThreadedRun,
-) -> Option<paralog_lifeguards::VersionedMeta> {
-    if let Some(v) = run.versions.consume(vid) {
-        return Some(v);
-    }
-    run.waiting_workers.fetch_add(1, Ordering::SeqCst);
-    let mut detector = FlatRunDetector::new(run);
-    let out = loop {
-        if let Some(v) = run.versions.consume(vid) {
-            break Some(v);
-        }
-        if run.aborted() {
-            break None;
-        }
-        // Park on the producer's wakeup path in bounded slices so the
-        // liveness checks keep running while we wait.
-        run.versions
-            .wait_available(vid, std::time::Duration::from_micros(200));
-        if detector.check(run) {
-            // One last look — the wakeup that ended `wait_available` may
-            // have been the producer publishing this very version.
-            if let Some(v) = run.versions.consume(vid) {
-                break Some(v);
-            }
-            run.fail(SessionError::Deadlock(format!(
-                "thread parked on unproduced version {vid}; its producer never reaches \
-                 the produce point (truncated or malformed TSO capture, or a dropped \
-                 producer)"
-            )));
-            break None;
-        }
-    };
-    run.waiting_workers.fetch_sub(1, Ordering::SeqCst);
-    out
 }

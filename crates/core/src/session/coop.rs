@@ -1,48 +1,43 @@
-//! Cooperative, pool-schedulable streaming replay.
+//! The concurrent replay core: one non-blocking lane per stream.
 //!
-//! [`ThreadedBackend`](super::ThreadedBackend) dedicates one OS thread per
-//! stream and lets workers *block* — spinning on unmet arcs, parking on
-//! unproduced §5.5 versions, sleeping on a lagging producer. That is the
-//! right shape for one session that owns the machine, and exactly the wrong
-//! shape for a supervisor multiplexing N sessions over one shared worker
-//! pool: a worker parked inside session A's arc spin is a worker session B
-//! never gets.
+//! A [`CoopSession`] owns the shared run state (concurrent lifeguard, §5.2
+//! progress table, §5.5 version table, failure latch); each per-thread
+//! [`CoopLane`] is an independently steppable task. One [`CoopLane::step`]
+//! call pulls at most one batch from the lane's stream and delivers at most
+//! `budget` records. Everything a replay thread could *wait* on — an unmet
+//! dependence arc, an unserialized ConflictAlert copy, an unproduced
+//! version, a producer that has not caught up — instead returns
+//! [`LaneStep::Gated`] or [`LaneStep::Idle`], so the ordering rules live
+//! here exactly once and how to wait is the caller's business. Two drivers
+//! exist:
 //!
-//! This module re-expresses the same replay loop as a **non-blocking state
-//! machine**. A [`CoopSession`] owns the shared run state (concurrent
-//! lifeguard, §5.2 progress table, §5.5 version table, failure latch); each
-//! per-thread [`CoopLane`] is an independently steppable task. One
-//! [`CoopLane::step`] call pulls at most one batch from the lane's stream
-//! and delivers at most `budget` records; every condition the threaded
-//! worker would *wait* on — an unmet dependence arc, an unserialized
-//! ConflictAlert copy, an unproduced version, a producer that has not
-//! caught up — instead returns [`LaneStep::Gated`] or [`LaneStep::Idle`],
-//! handing the pool worker back to the scheduler. Fairness across sessions
-//! is then the pool's round-robin, not the OS scheduler's.
+//! * the `paralogd` worker pool steps the lanes of N sessions round-robin
+//!   and hands a gated or idle lane's worker to the next session (a worker
+//!   blocked inside session A's wait is a worker session B never gets);
+//! * [`ThreadedBackend`](super::ThreadedBackend) gives one session the
+//!   machine: one OS thread per lane, spinning briefly on `Gated` and
+//!   sleeping on `Idle`.
 //!
-//! The ordering machinery is identical to the threaded backend's — the same
-//! `ca_gate_unmet` §5.4 serialization, the same advertise-after-apply
-//! §5.2 protocol, the same produce/consume points against the shared
-//! [`ConcurrentVersionTable`](paralog_meta::ConcurrentVersionTable) — so a
-//! capture replayed through lanes produces the same fingerprint and
-//! violations as [`ThreadedBackend`](super::ThreadedBackend) or
-//! [`ReplaySource`](super::ReplaySource) ingestion.
+//! Either way a capture replayed through lanes produces the same
+//! fingerprint and violations as the sequential reference loop behind
+//! [`DeterministicBackend`](super::DeterministicBackend).
 //!
-//! Deadlock semantics mirror the backends': a lane gated while *some*
-//! lane can still pull or apply records is simply rescheduled (`Blocked`
-//! is not deadlock); only once **every** lane is parked at a gate or
-//! finished — so no lane will ever advertise the progress a gate waits
-//! on — does a flat-run window (no record applied session-wide) resolve
-//! to [`SessionError::Deadlock`]. A producer that vanishes mid-session
-//! therefore resolves deterministically: `Exhausted` at a record boundary
-//! with no dangling arcs drains clean; severed arcs fail within the
-//! `COOP_SEVERED_GRACE` window.
+//! Deadlock has one rule: a lane gated while *some* lane can still pull or
+//! apply records is simply re-stepped (`Blocked` is not deadlock, and a
+//! lane inside a blocking stream read is neither gated nor finished); only
+//! once **every** lane is parked at a gate or finished — so no lane will
+//! ever advertise the progress a gate waits on — does a flat-run window
+//! (no record applied session-wide) resolve to [`SessionError::Deadlock`].
+//! A producer that vanishes mid-session therefore resolves
+//! deterministically: `Exhausted` at a record boundary with no dangling
+//! arcs drains clean; severed arcs fail within the `COOP_SEVERED_GRACE`
+//! window.
 
 use super::backend::{ca_gate_unmet, resolve_replay_form, BackendMode, ReplayForm, INGEST_BATCH};
 use super::source::{RecordStream, StreamStatus};
 use super::SessionError;
 use crate::metrics::{PhaseBreakdown, RunMetrics};
-use paralog_events::{AddrRange, EventRecord, Rid, ThreadId};
+use paralog_events::{AddrRange, EventRecord, Rid, ThreadId, VersionId};
 use paralog_lifeguards::{
     CostModel, LifeguardFactory, ReplayMode, SessionEventObserver, Violation,
 };
@@ -55,9 +50,8 @@ use std::time::Instant;
 /// Flat-run window once every lane is parked at a gate or finished: the
 /// only possible wakeup is internal (a parked lane noticing its gate
 /// already cleared on its next step), so a quarter second of zero applied
-/// records is decisive. Mirrors the threaded backend's severed-input
-/// grace. A window rather than an instant check because a parked peer
-/// whose gate *just* cleared may yet resume and advertise.
+/// records is decisive. A window rather than an instant check because a
+/// parked peer whose gate *just* cleared may yet resume and advertise.
 const COOP_SEVERED_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
 
 /// What one [`CoopLane::step`] call accomplished.
@@ -464,11 +458,11 @@ impl CoopLane {
                 self.finish();
                 return LaneStep::Failed;
             }
-            // Delta flush point, mirroring the threaded worker: before the
-            // head's ordered interaction — a gate it may park at (arc, CA
-            // serialization, §5.5 consume) or a publish peers read (§5.5
-            // produce snapshot, CA metadata update) — the lane's buffered
-            // window and deferred watermark must be out.
+            // Delta flush point: before the head's ordered interaction — a
+            // gate it may park at (arc, CA serialization, §5.5 consume) or a
+            // publish peers read (§5.5 produce snapshot, CA metadata update)
+            // — the lane's buffered window and deferred watermark must be
+            // out.
             let ordered = {
                 let head = self.pending.front().expect("checked above");
                 !head.arcs.is_empty()
@@ -492,8 +486,7 @@ impl CoopLane {
                     |src, rid| self.shared.progress.satisfies(src, rid),
                 );
             if gated {
-                self.shared.stalls.fetch_add(1, Ordering::Relaxed);
-                return self.gated(delivered);
+                return self.gated(delivered, None);
             }
             // §5.5 produce points: exactly once per head, even across
             // consume-gated re-steps.
@@ -516,15 +509,14 @@ impl CoopLane {
                 }
                 self.head_produced = true;
             }
-            // §5.5 consume points: an unproduced version gates the lane
-            // instead of parking a worker.
+            // §5.5 consume points: unlike the sequential loop, a missing
+            // version is *not* a bypass here — reading the live shadow would
+            // race the producer's store on real threads — so an unproduced
+            // version gates the lane.
             let versioned = match head.consume_version {
                 Some((vid, _)) => match self.shared.versions.consume(vid) {
                     Some(v) => Some(v),
-                    None => {
-                        self.shared.stalls.fetch_add(1, Ordering::Relaxed);
-                        return self.gated(delivered);
-                    }
+                    None => return self.gated(delivered, Some(vid)),
                 },
                 None => None,
             };
@@ -645,8 +637,10 @@ impl CoopLane {
                 }
             }
         }
-        // Batch boundary: the reclamation quiescence point, exactly as in
-        // the threaded worker.
+        // Batch boundary: no record application is in flight on this lane,
+        // so stale fast-path reads are dead — the quiescence point
+        // epoch-based reclamation (version-table chunks, interned lockset
+        // masks) keys off.
         self.shared.form.conc().epoch_boundary(self.tid);
         self.shared.versions.advance_epoch(self.tid);
         None
@@ -665,10 +659,12 @@ impl CoopLane {
         }
     }
 
-    /// Resolves a gated head: progress already made this step still counts;
+    /// Resolves a gated head (`unproduced` names the §5.5 version when that
+    /// is what it waits on): progress already made this step still counts;
     /// a hopeless gate (every lane parked or finished, session flat past
     /// the grace window) fails the run.
-    fn gated(&mut self, delivered: usize) -> LaneStep {
+    fn gated(&mut self, delivered: usize, unproduced: Option<VersionId>) -> LaneStep {
+        self.shared.stalls.fetch_add(1, Ordering::Relaxed);
         if delivered > 0 {
             return LaneStep::Progressed;
         }
@@ -678,11 +674,15 @@ impl CoopLane {
         }
         if self.shared.gate_is_deadlock() {
             let head = self.pending.front().expect("gated head");
+            let waits_on = match unproduced {
+                Some(vid) => format!("unproduced version {vid}"),
+                None => format!("arcs {:?}", head.arcs),
+            };
             self.shared.fail(SessionError::Deadlock(format!(
-                "thread {} gated at rid {} (arcs {:?}) with every peer parked or \
+                "thread {} gated at rid {} ({waits_on}) with every peer parked or \
                  finished; nothing can ever satisfy it (truncated capture or \
                  dropped producer)",
-                self.tid.0, head.rid, head.arcs
+                self.tid.0, head.rid
             )));
             self.finish();
             return LaneStep::Failed;

@@ -126,7 +126,7 @@ pub trait LifeguardFactory: fmt::Debug + Send + Sync {
     /// * graduate to a custom **lock-free** [`ConcurrentLifeguard`], the
     ///   §5.3 route the bundled analyses take. State lives in atomics (or
     ///   the [`AtomicShadow`](paralog_meta::AtomicShadow) /
-    ///   [`AtomicWordTable`](paralog_meta::AtomicWordTable) substrates), so
+    ///   [`PackedWordTable`](paralog_meta::PackedWordTable) substrates), so
     ///   the hot path never serializes:
     ///
     /// ```rust

@@ -4,7 +4,7 @@
 //! access; under heavy inter-thread sharing that is cache-line ping-pong on
 //! the shared metadata. Delta-merge replay instead buffers a worker's
 //! metadata writes in a *private* overlay and publishes them into the shared
-//! [`AtomicShadow`]/[`AtomicWordTable`](crate::AtomicWordTable) only at the
+//! [`AtomicShadow`]/[`PackedWordTable`](crate::PackedWordTable) only at the
 //! points where the §5.2 ordering machinery already forces synchronization
 //! (dependence-arc waits, ConflictAlert gates, version produce points,
 //! batch boundaries). Reads that cross an unmet arc consult merged state by

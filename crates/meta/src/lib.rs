@@ -41,7 +41,6 @@ pub mod fingerprint;
 pub mod shadow;
 pub mod table;
 pub mod versions;
-pub mod words;
 
 pub use atomic::AtomicShadow;
 pub use delta::{LaneCell, ShadowDelta, WordDelta};
@@ -49,5 +48,3 @@ pub use fingerprint::Fingerprint;
 pub use shadow::{ShadowMemory, CHUNK_APP_BYTES, META_BASE};
 pub use table::{MetaWord, PackedWordTable, WideInterner, WordTable, MAX_WIDE_IDS};
 pub use versions::{ConcurrentVersionTable, VersionTable};
-#[allow(deprecated)]
-pub use words::AtomicWordTable;

@@ -25,7 +25,7 @@
 //! # Concurrent form
 //!
 //! [`VersionTable`] is single-threaded — the shape both deterministic
-//! delivery paths need. Real-thread replay (the threaded backend) instead
+//! delivery paths need. Concurrent replay (lanes on real threads) instead
 //! shares a [`ConcurrentVersionTable`]: the same two-level rid-chunk
 //! layout, made safe across producer and consumer OS threads by mirroring
 //! [`AtomicShadow`](crate::AtomicShadow)'s lazy-chunk design:
@@ -44,8 +44,8 @@
 //! * reclamation is **epoch-deferred** (the quiescence scheme): when a
 //!   chunk's last slot retires it is queued, stamped with the shard's
 //!   current epoch, and the shard's consumer frees it at a later
-//!   [`advance_epoch`](ConcurrentVersionTable::advance_epoch) call (the
-//!   threaded backend invokes one per stream batch). A chunk is only freed
+//!   [`advance_epoch`](ConcurrentVersionTable::advance_epoch) call (a
+//!   replay lane invokes one per stream batch). A chunk is only freed
 //!   if it drained in an *earlier* epoch and is still empty under its cell
 //!   lock, so the hot window's drain→refill churn reuses resident chunks
 //!   (plus a small per-shard spare pool) instead of thrashing the
@@ -55,25 +55,25 @@
 //!   payload hand-off) with an **atomic availability flag**, so the
 //!   consumer-side poll ([`ConcurrentVersionTable::is_available`]) is two
 //!   array indexes under the (uncontended in steady state) cell lock;
-//! * a consumer whose version has not been produced yet does not spin: it
-//!   **parks** on the shard's condvar
-//!   ([`ConcurrentVersionTable::wait_available`]) and the producer wakes
-//!   it right after flipping the flag — the §5.5 "reader waits for the
-//!   writer's pre-store copy" hand-off on real threads.
+//! * the table never blocks: a consumer whose version has not been
+//!   produced yet gets `None` from
+//!   [`consume`](ConcurrentVersionTable::consume) and its replay lane
+//!   reports itself gated, so *whoever drives the lane* (a pool worker, a
+//!   dedicated OS thread) decides how to wait — the §5.5 "reader waits for
+//!   the writer's pre-store copy" hand-off on real threads.
 //!
 //! The §5.5 mapping differs between the two forms in one deliberate way:
 //! the deterministic paths may **bypass** (a consumer that runs before its
 //! producer reads the live shadow, which delivery order still guarantees
 //! is pre-store), but on real threads that guarantee would race with the
-//! producer's store, so the threaded backend always waits for the
+//! producer's store, so concurrent replay lanes always wait for the
 //! produced snapshot instead. Both forms keep identical produce/consume
 //! accounting, which is what the model-equivalence property tests pin.
 
 use paralog_events::{AddrRange, VersionId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 /// Slots per second-level chunk (covers 128 consecutive record ids).
 const CHUNK_RIDS: u64 = 128;
@@ -438,7 +438,7 @@ struct DenseChunk {
 }
 
 /// One consumer thread's shard: the dense cell ring, the collision spill
-/// tier, the epoch/retire state, and the parked-consumer wakeup path.
+/// tier and the epoch/retire state.
 #[derive(Debug)]
 struct Shard {
     /// First level: `chunk index % CONC_DENSE_CHUNKS` → cell. Every access
@@ -462,10 +462,6 @@ struct Shard {
     /// allocation back to the dense ring without moving it by value.
     #[allow(clippy::vec_box)]
     spare: Mutex<Vec<Box<ConcChunk>>>,
-    /// Parking lot for the shard's consumer while its version is
-    /// unproduced; producers notify after flipping the availability flag.
-    park: Mutex<()>,
-    wakeup: Condvar,
 }
 
 impl Shard {
@@ -476,8 +472,6 @@ impl Shard {
             epoch: AtomicU64::new(0),
             drained: Mutex::new(Vec::new()),
             spare: Mutex::new(Vec::new()),
-            park: Mutex::new(()),
-            wakeup: Condvar::new(),
         }
     }
 
@@ -490,8 +484,8 @@ impl Shard {
     }
 }
 
-/// The `Send + Sync` version table shared by the threaded backend's
-/// workers: same §5.5 semantics and accounting as [`VersionTable`], safe
+/// The `Send + Sync` version table shared by a session's concurrent
+/// replay lanes: same §5.5 semantics and accounting as [`VersionTable`], safe
 /// across real producer/consumer threads. See the module docs for the
 /// sharded-chunk + atomic-availability design.
 #[derive(Debug)]
@@ -681,8 +675,8 @@ impl ConcurrentVersionTable {
         }
     }
 
-    /// Publishes versioned metadata for `id` covering `range` and wakes the
-    /// shard's parked consumer, if any. Semantics (and panics) match
+    /// Publishes versioned metadata for `id` covering `range`. Semantics
+    /// (and panics) match
     /// [`VersionTable::produce`]: consumers that already bypassed are
     /// subtracted, and a fully pre-bypassed version retires immediately.
     ///
@@ -720,55 +714,45 @@ impl ConcurrentVersionTable {
             )));
         };
         let (ci, si) = Self::split(id);
-        let became_live = self
-            .with_chunk(shard, ci, true, |chunk| {
-                let mut slot = chunk.slots[si].lock().expect("poisoned");
-                let already = match &*slot {
-                    None => 0,
-                    Some(Slot::Bypassed(n)) => *n,
-                    Some(Slot::Live { .. }) => {
-                        return Err(VersionError(format!("duplicate version {id}")));
-                    }
-                };
-                let was_occupied = slot.is_some();
-                let remaining = consumers.saturating_sub(already);
-                if remaining == 0 {
-                    // Every reader already bypassed: nothing to publish.
-                    *slot = None;
-                    if was_occupied {
-                        chunk.occupied.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    Ok(false)
-                } else {
-                    *slot = Some(Slot::Live {
-                        range,
-                        snapshot,
-                        consumers: remaining,
-                    });
-                    if !was_occupied {
-                        chunk.occupied.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Count the version outstanding *before* publishing its
-                    // availability flag (both under the cell lock): once the
-                    // flag is visible a consumer may retire the version and
-                    // decrement, so incrementing after releasing the lock
-                    // could observe the decrement first and wrap.
-                    let now = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.peak.fetch_max(now, Ordering::Relaxed);
-                    chunk.avail[si].store(1, Ordering::Release);
-                    Ok(true)
+        self.with_chunk(shard, ci, true, |chunk| {
+            let mut slot = chunk.slots[si].lock().expect("poisoned");
+            let already = match &*slot {
+                None => 0,
+                Some(Slot::Bypassed(n)) => *n,
+                Some(Slot::Live { .. }) => {
+                    return Err(VersionError(format!("duplicate version {id}")));
                 }
-            })
-            .expect("chunk created")?;
+            };
+            let was_occupied = slot.is_some();
+            let remaining = consumers.saturating_sub(already);
+            if remaining == 0 {
+                // Every reader already bypassed: nothing to publish.
+                *slot = None;
+                if was_occupied {
+                    chunk.occupied.fetch_sub(1, Ordering::Relaxed);
+                }
+            } else {
+                *slot = Some(Slot::Live {
+                    range,
+                    snapshot,
+                    consumers: remaining,
+                });
+                if !was_occupied {
+                    chunk.occupied.fetch_add(1, Ordering::Relaxed);
+                }
+                // Count the version outstanding *before* publishing its
+                // availability flag (both under the cell lock): once the
+                // flag is visible a consumer may retire the version and
+                // decrement, so incrementing after releasing the lock
+                // could observe the decrement first and wrap.
+                let now = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
+                self.peak.fetch_max(now, Ordering::Relaxed);
+                chunk.avail[si].store(1, Ordering::Release);
+            }
+            Ok(())
+        })
+        .expect("chunk created")?;
         self.produced.fetch_add(1, Ordering::Relaxed);
-        if became_live {
-            // Pairing the notify with a (briefly held) park lock closes the
-            // check-then-wait race: a consumer that saw the flag clear is
-            // either still holding the lock (will re-check) or already
-            // waiting (will be woken).
-            drop(shard.park.lock().expect("poisoned"));
-            shard.wakeup.notify_all();
-        }
         Ok(())
     }
 
@@ -798,7 +782,7 @@ impl ConcurrentVersionTable {
 
     /// Whether `id` has been produced and not yet retired — a two-index
     /// poll of the availability flag under the (steady-state uncontended)
-    /// cell lock; the threaded consumer's fast path.
+    /// cell lock.
     pub fn is_available(&self, id: VersionId) -> bool {
         let Some(shard) = self.shards.get(id.consumer.index()) else {
             return false;
@@ -845,29 +829,6 @@ impl ConcurrentVersionTable {
             self.outstanding.fetch_sub(1, Ordering::Relaxed);
         }
         Some(out)
-    }
-
-    /// Parks until `id` becomes available or `timeout` elapses; returns
-    /// whether it is available now. Callers loop around this (re-checking
-    /// their own abort/deadlock conditions between waits); the producer's
-    /// [`produce`](Self::produce) wakes parked consumers immediately, so
-    /// the timeout only bounds how often a starved consumer re-runs its
-    /// liveness checks.
-    pub fn wait_available(&self, id: VersionId, timeout: Duration) -> bool {
-        if self.is_available(id) {
-            return true;
-        }
-        let Some(shard) = self.shards.get(id.consumer.index()) else {
-            return false;
-        };
-        let guard = shard.park.lock().expect("poisoned");
-        // Re-check under the park lock: a produce between the first check
-        // and the lock acquisition must not strand us in the wait.
-        if self.is_available(id) {
-            return true;
-        }
-        let _unused = shard.wakeup.wait_timeout(guard, timeout).expect("poisoned");
-        self.is_available(id)
     }
 
     /// Versions produced so far.
@@ -1194,30 +1155,9 @@ mod tests {
     }
 
     #[test]
-    fn parked_consumer_is_woken_by_produce() {
-        let t = ConcurrentVersionTable::new(2);
-        let id = vid(0, 9);
-        let r = AddrRange::new(0x40, 2);
-        std::thread::scope(|scope| {
-            let table = &t;
-            scope.spawn(move || {
-                // Park (bounded slices, as the backend does) until the
-                // producer publishes, then take the version.
-                while !table.wait_available(id, Duration::from_millis(50)) {}
-                assert_eq!(table.consume(id), Some((r, vec![5, 6])));
-            });
-            scope.spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                table.produce(id, r, vec![5, 6], 1);
-            });
-        });
-        assert_eq!((t.outstanding(), t.consumed()), (0, 1));
-    }
-
-    #[test]
     fn concurrent_producers_race_distinct_ids_safely() {
         // Four producer threads publish disjoint id sets for two consumer
-        // shards while both consumers drain with waits: every snapshot must
+        // shards while both consumers poll: every snapshot must
         // arrive intact and the accounting must balance.
         const PER_PRODUCER: u64 = 256;
         let t = ConcurrentVersionTable::new(2);
@@ -1248,7 +1188,7 @@ mod tests {
                                 assert_eq!(snap, vec![(rid % 251) as u8; 8]);
                                 break;
                             }
-                            table.wait_available(id, Duration::from_millis(5));
+                            std::thread::yield_now();
                         }
                     }
                 });

@@ -187,13 +187,16 @@ impl MemorySystem {
                 needs_remote = true;
                 touched[*o] = true;
                 let line = self.l1[*o].invalidate(block);
-                let block_rid = line
+                let mut block_rid = line
                     .map(|l| l.last_access)
                     .unwrap_or(*dir_rid)
                     .max(*dir_rid);
                 let mut block_write_rid = line.map(|l| l.last_write).unwrap_or(Rid::ZERO);
                 if let Some((w, wrid)) = writer {
                     if w == *o {
+                        // Once the line is evicted the reader entry's rid may
+                        // predate the core's own store; the ack must cover it.
+                        block_rid = block_rid.max(wrid);
                         block_write_rid = block_write_rid.max(wrid);
                     }
                 }
@@ -597,6 +600,26 @@ mod tests {
             "directory keeps sharer after silent eviction"
         );
         assert_eq!(r.touches[0].block_rid, Rid(7));
+    }
+
+    #[test]
+    fn evicted_reader_and_writer_ack_covers_the_write() {
+        // Core 0 reads (rid 3) then writes (rid 7) the block, so it is both a
+        // sharer and the directory's writer; its line is then evicted. Core
+        // 1's store is acknowledged via the reader path, whose timestamp must
+        // still order it after core 0's store.
+        let mut m = machine(2);
+        let sets = MachineConfig::paper(2).l1d.sets() as u64;
+        m.access(0, Rid(3), 0x0, 4, AccessKind::Read);
+        m.access(0, Rid(7), 0x0, 4, AccessKind::Write);
+        for i in 1..=4u64 {
+            m.access(0, Rid(7 + i), i * sets * 64, 4, AccessKind::Read);
+        }
+        let r = m.access(1, Rid(1), 0x0, 4, AccessKind::Write);
+        assert_eq!(r.touches.len(), 1);
+        assert_eq!(r.touches[0].kind, ArcKind::War);
+        assert!(r.touches[0].block_rid >= Rid(7), "{:?}", r.touches[0]);
+        assert_eq!(r.touches[0].block_write_rid, Rid(7));
     }
 
     #[test]

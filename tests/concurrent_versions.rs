@@ -13,7 +13,7 @@
 //!   fingerprints, violations and version traffic identical to the live
 //!   deterministic run;
 //! * a TSO capture truncated before its produce point deadlocks the
-//!   threaded replay loudly (the parked consumer's no-global-progress
+//!   threaded replay loudly (the gated consumer lane's flat-run
 //!   detector) instead of hanging or silently bypassing.
 
 use paralog::core::{
@@ -174,7 +174,7 @@ proptest! {
                                     assert_eq!(snap, snapshot_for(r));
                                     break;
                                 }
-                                t.wait_available(vid(c, r), std::time::Duration::from_millis(2));
+                                std::thread::yield_now();
                             }
                         }
                     }
@@ -335,8 +335,8 @@ fn tso_capture_replays_identically_on_both_backends() {
 }
 
 /// A consume annotation whose producer never reaches its produce point (a
-/// truncated TSO capture) must fail loudly: the parked consumer's
-/// no-global-progress detector reports `Deadlock` instead of hanging — and
+/// truncated TSO capture) must fail loudly: the gated consumer lane's
+/// flat-run detector reports `Deadlock` instead of hanging — and
 /// instead of silently bypassing, which would race the producer's store on
 /// real threads.
 #[test]
@@ -354,6 +354,7 @@ fn truncated_tso_capture_deadlocks_threaded_replay() {
     // Thread 1 (the would-be producer) is already exhausted: nothing will
     // ever produce v<T0,#1>.
     let streams = vec![vec![consumer], vec![]];
+    let started = std::time::Instant::now();
     let err = MonitorSession::builder()
         .source(ReplaySource::new(streams, heap))
         .lifeguard(LifeguardKind::TaintCheck)
@@ -371,4 +372,11 @@ fn truncated_tso_capture_deadlocks_threaded_replay() {
         }
         other => panic!("expected Deadlock, got {other:?}"),
     }
+    // The lanes' severed-input window is the only detector: nothing waits
+    // out a multi-second grace.
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(2),
+        "deadlock took {:?}",
+        started.elapsed()
+    );
 }

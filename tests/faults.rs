@@ -185,6 +185,7 @@ fn boundary_truncation_severing_arcs_is_deadlock_on_both_backends() {
     let boundary = encode(&t0[..5]).len() as u64;
     let encoded = vec![encode(&t0), encode(&[dependent])];
     for threaded in [false, true] {
+        let started = std::time::Instant::now();
         let err = run_faulty(&encoded, threaded, |r, i| {
             if i == 0 {
                 r.truncate_at(boundary)
@@ -196,6 +197,13 @@ fn boundary_truncation_severing_arcs_is_deadlock_on_both_backends() {
         assert!(
             matches!(err, Some(SessionError::Deadlock(_))),
             "threaded={threaded}: expected Deadlock, got {err:?}"
+        );
+        // The lanes' severed-input window is the only detector: nothing
+        // waits out a multi-second grace.
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "threaded={threaded}: deadlock took {:?}",
+            started.elapsed()
         );
     }
 }

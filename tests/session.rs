@@ -14,8 +14,9 @@
 //!   to platform code.
 
 use paralog::core::{
-    DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, PushSource,
-    ReplaySource, SessionError, ThreadedBackend,
+    Backend, BufferedStream, CoopSession, DeterministicBackend, LaneStep, MonitorConfig,
+    MonitorSession, MonitoringMode, Platform, PushSource, RecordStream, ReplaySource, RunMetrics,
+    SessionError, ThreadedBackend,
 };
 use paralog::events::codec::encode;
 use paralog::events::{
@@ -76,6 +77,78 @@ fn deterministic_and_threaded_backends_agree() {
             violation_keys(det.metrics.violations.as_slice()),
             violation_keys(thr.metrics.violations.as_slice()),
             "{bench}: backends disagree on violations"
+        );
+    }
+}
+
+fn taint_replay(source: ReplaySource, backend: impl Backend + 'static) -> RunMetrics {
+    MonitorSession::builder()
+        .source(source)
+        .lifeguard(LifeguardKind::TaintCheck)
+        .backend(backend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .metrics
+}
+
+/// Every driver of one capture is a legal schedule of the same arcs, so
+/// each must land on the capture's sequential-reference metadata. The
+/// capture is the smallest Barnes one found whose run-to-block schedule
+/// exposed an under-ordered store pair (a WAR arc stamped older than the
+/// remote core's last store once its L1 line was evicted).
+#[test]
+fn every_replay_driver_matches_the_sequential_reference() {
+    let w = WorkloadSpec::benchmark(Benchmark::Barnes, 2)
+        .scale(0.5)
+        .seed(4)
+        .inject_bugs(true)
+        .build();
+    let mut cfg = MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck)
+        .with_equivalence_check();
+    cfg.collect_streams = true;
+    let mut machine = cfg.machine_for(2);
+    machine.l1d.size_bytes = 1024;
+    cfg.machine = Some(machine);
+    let capture = Platform::run(&w, &cfg).metrics;
+    let reference = capture.reference_fingerprint.expect("check enabled");
+    assert_eq!(capture.fingerprint, reference, "capture itself diverged");
+    let streams = capture.streams.clone().expect("collection enabled");
+
+    let lanes = |run_to_block: bool| -> RunMetrics {
+        let boxed = streams
+            .iter()
+            .map(|s| Box::new(BufferedStream::new(s.clone())) as Box<dyn RecordStream>)
+            .collect();
+        let (session, mut lanes) =
+            CoopSession::start(&LifeguardKind::TaintCheck, w.heap, boxed, None).unwrap();
+        while !session.is_complete() {
+            for lane in &mut lanes {
+                while lane.step(64) == LaneStep::Progressed && run_to_block {}
+            }
+        }
+        session.report().expect("complete").unwrap()
+    };
+    let source = || ReplaySource::new(streams.clone(), w.heap);
+    let drivers = [
+        ("lanes, alternating", lanes(false)),
+        ("lanes, run-to-block", lanes(true)),
+        ("threaded backend", taint_replay(source(), ThreadedBackend)),
+        (
+            "deterministic backend",
+            taint_replay(source(), DeterministicBackend),
+        ),
+    ];
+    for (driver, metrics) in &drivers {
+        assert_eq!(
+            metrics.fingerprint, reference,
+            "{driver}: metadata diverged from the sequential reference"
+        );
+        assert_eq!(
+            violation_keys(&metrics.violations),
+            violation_keys(&capture.violations),
+            "{driver}: violations diverged from the capture"
         );
     }
 }
@@ -387,8 +460,8 @@ fn truncated_streams_are_reported_as_deadlock() {
         .run()
         .err();
     assert!(matches!(err, Some(SessionError::Deadlock(_))));
-    // The threaded backend must report the same condition (after its
-    // no-global-progress grace window) instead of hanging forever.
+    // The threaded backend must report the same condition (after the
+    // lanes' flat-run grace window) instead of hanging forever.
     let err = MonitorSession::builder()
         .source(src)
         .lifeguard(LifeguardKind::TaintCheck)

@@ -54,7 +54,7 @@ pub use metrics::{AppBuckets, LgBuckets, PhaseBreakdown, RunMetrics, TRANSPORT_B
 pub use paralog_lifeguards::{SessionEvent, SessionEventObserver};
 pub use platform::{Platform, RunOutcome};
 pub use reference::Reference;
-pub use session::coop::{CoopLane, CoopSession, LaneStep};
+pub use session::coop::{CoopLane, CoopSession, LaneSet, LaneStep, Sweep};
 pub use session::{
     Backend, BackendMode, BufferedStream, DeterministicBackend, EventSource, FaultyReader,
     LivePushSource, MonitorSession, MonitorSessionBuilder, PushFeed, PushRefused, PushSource,

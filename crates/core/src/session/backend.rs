@@ -11,8 +11,9 @@
 //!   timing (externally captured logs have no machine to time);
 //! * [`ThreadedBackend`] — real OS threads replaying the streams against the
 //!   lifeguard's `Send + Sync` concurrent form: one
-//!   [`CoopLane`] per thread, each driven to completion by
-//!   a small wait loop. The ordering rules (§5.2 arcs on the atomic
+//!   [`CoopLane`](super::coop::CoopLane) per stream, pooled in a [`LaneSet`] that
+//!   one thread per lane (at most one per processor) sweeps to completion
+//!   behind a small wait loop. The ordering rules (§5.2 arcs on the atomic
 //!   progress table, the §5.4 range table and ConflictAlert serialisation,
 //!   §5.5 versions produced and consumed through the shared
 //!   [`ConcurrentVersionTable`](paralog_meta::ConcurrentVersionTable)) are
@@ -31,7 +32,7 @@
 //! only when no thread can pull or deliver and some head record still waits
 //! on an unmet arc is the run declared a [`SessionError::Deadlock`].
 
-use super::coop::{CoopLane, CoopSession, LaneStep};
+use super::coop::{CoopSession, LaneSet};
 use super::source::{RecordStream, StreamStatus};
 use super::{SessionError, SessionPlan};
 use crate::config::{MonitorConfig, MonitoringMode};
@@ -368,8 +369,14 @@ fn replay_streams(
     })
 }
 
-/// The real-thread backend: one OS thread per stream, each driving that
-/// stream's [`CoopLane`] over lock-free shared metadata.
+/// The real-thread backend: `min(streams, processors)` OS threads sweeping
+/// the streams' [`LaneSet`] over lock-free shared metadata.
+///
+/// A stream whose reader *blocks* holds its lane, and the thread stepping
+/// it, for the length of the read. With fewer processors than streams give
+/// the source non-blocking readers (`WouldBlock` surfaces as
+/// [`StreamStatus::Blocked`] and the thread moves on), or a producer that
+/// writes its streams in turn can wait on a lane no thread is free to read.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedBackend;
 
@@ -532,9 +539,17 @@ impl Backend for ThreadedBackend {
             plan.observer,
             plan.mode,
         )?;
+        // A thread per lane up to the processors there are: past that, a
+        // thread gated on a lane whose thread is descheduled only spins on
+        // the processor that lane needs, while a sweep steps it directly.
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(lanes.len());
+        let lanes = LaneSet::new(lanes);
         std::thread::scope(|scope| {
-            for lane in lanes {
-                scope.spawn(move || drive_lane(lane));
+            for home in 0..threads {
+                let (session, lanes) = (&session, &lanes);
+                scope.spawn(move || drive_lanes(session, lanes, home));
             }
         });
         let metrics = session
@@ -554,29 +569,28 @@ impl Backend for ThreadedBackend {
     }
 }
 
-/// One lane on its own OS thread: step until terminal, waiting out what the
-/// lane cannot — spin briefly then yield while gated on a peer, back off
-/// while the producer lags.
-fn drive_lane(mut lane: CoopLane) {
+/// One replay thread: sweep the session's lanes from `home` until every
+/// lane is terminal, waiting out what a sweep cannot — after a pass that
+/// delivered nothing, spin briefly then yield while gated on a lane a peer
+/// thread holds, back off while the producers lag.
+fn drive_lanes(session: &CoopSession, lanes: &LaneSet, home: usize) {
     let mut gated_polls = 0u32;
     let mut idle_polls = 0u32;
-    loop {
-        match lane.step(INGEST_BATCH) {
-            LaneStep::Progressed => {
+    while !session.is_complete() {
+        let sweep = lanes.sweep(home, INGEST_BATCH);
+        if sweep.delivered > 0 {
+            gated_polls = 0;
+            idle_polls = 0;
+        } else if sweep.gated {
+            gated_polls += 1;
+            if gated_polls < GATED_SPINS {
+                std::hint::spin_loop();
+            } else {
                 gated_polls = 0;
-                idle_polls = 0;
+                std::thread::yield_now();
             }
-            LaneStep::Gated => {
-                gated_polls += 1;
-                if gated_polls < GATED_SPINS {
-                    std::hint::spin_loop();
-                } else {
-                    gated_polls = 0;
-                    std::thread::yield_now();
-                }
-            }
-            LaneStep::Idle => wait_for_producer(&mut idle_polls),
-            LaneStep::Finished | LaneStep::Failed => return,
+        } else {
+            wait_for_producer(&mut idle_polls);
         }
     }
 }

@@ -8,15 +8,33 @@
 //! dependence arc, an unserialized ConflictAlert copy, an unproduced
 //! version, a producer that has not caught up — instead returns
 //! [`LaneStep::Gated`] or [`LaneStep::Idle`], so the ordering rules live
-//! here exactly once and how to wait is the caller's business. Two drivers
-//! exist:
+//! here exactly once and how to wait is the caller's business.
 //!
-//! * the `paralogd` worker pool steps the lanes of N sessions round-robin
-//!   and hands a gated or idle lane's worker to the next session (a worker
-//!   blocked inside session A's wait is a worker session B never gets);
+//! Drivers do not step lanes one by one; they pool a session's lanes in a
+//! [`LaneSet`] and [`sweep`](LaneSet::sweep) it. A sweep starts at the
+//! driver's *home* lane and keeps stepping it while it delivers; when the
+//! lane stops — at a gate, out of input, ended, or held by another driver
+//! (each lane sits behind its own `try_lock`) — the sweep moves to the next
+//! sibling, and it returns once `budget` records were delivered over all
+//! lanes or one full pass delivered nothing. So the peer a gated record
+//! waits on is stepped in the same call, on the same core, at the cost of
+//! a single-threaded cooperative replay; a chain A→B→C of arc-coupled
+//! lanes advances inside one sweep instead of through three reschedules.
+//! Lanes that do not depend on each other lose nothing: K drivers with K
+//! distinct homes each find their own lane free and every sibling held, so
+//! a sweep is a run of steps of the home lane and K lanes still replay in
+//! parallel. Two drivers exist:
+//!
+//! * the `paralogd` worker pool runs one task per lane of each of N
+//!   sessions round-robin; a task's slice is one sweep of its session's
+//!   set, so a slice delivers at most the fairness budget however many
+//!   lanes it touched, and a session with nothing deliverable returns its
+//!   worker after one flat pass (a worker blocked inside session A's wait
+//!   is a worker session B never gets);
 //! * [`ThreadedBackend`](super::ThreadedBackend) gives one session the
-//!   machine: one OS thread per lane, spinning briefly on `Gated` and
-//!   sleeping on `Idle`.
+//!   machine: a thread per lane up to the processors there are, each
+//!   sweeping from its own home, spinning briefly after a flat pass that
+//!   met a gate and sleeping after one that only met lagging producers.
 //!
 //! Either way a capture replayed through lanes produces the same
 //! fingerprint and violations as the sequential reference loop behind
@@ -44,7 +62,7 @@ use paralog_lifeguards::{
 use paralog_order::{CaPolicy, RangeTable, SharedProgressTable};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
 /// Flat-run window once every lane is parked at a gate or finished: the
@@ -313,6 +331,7 @@ impl CoopSession {
                 eof: false,
                 head_produced: false,
                 parked: false,
+                delivered: 0,
                 done: false,
             })
             .collect();
@@ -381,11 +400,12 @@ impl CoopSession {
         self.shared.versions.reclaimed_chunks()
     }
 
-    /// Violations observed so far, in raw accumulation order (stable
-    /// prefix: the bundled lifeguards append under a lock and never
-    /// reorder), so `violations_live()[cursor..]` is the incremental feed.
-    pub fn violations_live(&self) -> Vec<Violation> {
-        self.shared.form.conc().violations()
+    /// The violations observed so far past the first `from`, in raw
+    /// accumulation order (a stable prefix: lifeguards append and never
+    /// reorder) — the incremental feed for a reader that has seen `from`
+    /// of them. Costs nothing when there are none.
+    pub fn violations_since(&self, from: usize) -> Vec<Violation> {
+        self.shared.form.conc().violations_since(from)
     }
 }
 
@@ -412,6 +432,8 @@ pub struct CoopLane {
     head_produced: bool,
     /// Whether this lane is counted in the session's `gated_lanes`.
     parked: bool,
+    /// Records delivered by the latest step.
+    delivered: usize,
     done: bool,
 }
 
@@ -437,6 +459,19 @@ impl CoopLane {
     /// scheduler can prioritize; once it returns [`LaneStep::Finished`] or
     /// [`LaneStep::Failed`] the lane is inert.
     pub fn step(&mut self, budget: usize) -> LaneStep {
+        match self.advance(budget) {
+            // Progress already made this step still counts.
+            LaneStep::Gated if self.delivered > 0 => LaneStep::Progressed,
+            step => step,
+        }
+    }
+
+    /// [`step`](Self::step) for [`LaneSet::sweep`], which reads the count
+    /// in `self.delivered` afterwards. Unlike `step`, a lane that delivered
+    /// and *then* met an unmet gate reports `Gated`, so the sweep moves
+    /// straight on to the peers it waits on.
+    fn advance(&mut self, budget: usize) -> LaneStep {
+        self.delivered = 0;
         if self.done {
             return LaneStep::Finished;
         }
@@ -449,8 +484,7 @@ impl CoopLane {
                 return step;
             }
         }
-        let mut delivered = 0usize;
-        while delivered < budget.max(1) {
+        while self.delivered < budget.max(1) {
             if self.pending.is_empty() {
                 break;
             }
@@ -486,7 +520,7 @@ impl CoopLane {
                     |src, rid| self.shared.progress.satisfies(src, rid),
                 );
             if gated {
-                return self.gated(delivered, None);
+                return self.gated(None);
             }
             // §5.5 produce points: exactly once per head, even across
             // consume-gated re-steps.
@@ -516,7 +550,7 @@ impl CoopLane {
             let versioned = match head.consume_version {
                 Some((vid, _)) => match self.shared.versions.consume(vid) {
                     Some(v) => Some(v),
-                    None => return self.gated(delivered, Some(vid)),
+                    None => return self.gated(Some(vid)),
                 },
                 None => None,
             };
@@ -576,7 +610,7 @@ impl CoopLane {
                 self.unadvertised = Some(rec.rid);
             }
             self.shared.applied.fetch_add(1, Ordering::Relaxed);
-            delivered += 1;
+            self.delivered += 1;
         }
         if self.pending.is_empty() && self.eof {
             self.finish();
@@ -660,13 +694,14 @@ impl CoopLane {
     }
 
     /// Resolves a gated head (`unproduced` names the §5.5 version when that
-    /// is what it waits on): progress already made this step still counts;
+    /// is what it waits on). A lane that delivered on its way here is not
+    /// parked yet — what it just advertised may be what its peers wait on;
     /// a hopeless gate (every lane parked or finished, session flat past
     /// the grace window) fails the run.
-    fn gated(&mut self, delivered: usize, unproduced: Option<VersionId>) -> LaneStep {
+    fn gated(&mut self, unproduced: Option<VersionId>) -> LaneStep {
         self.shared.stalls.fetch_add(1, Ordering::Relaxed);
-        if delivered > 0 {
-            return LaneStep::Progressed;
+        if self.delivered > 0 {
+            return LaneStep::Gated;
         }
         if !self.parked {
             self.parked = true;
@@ -716,5 +751,256 @@ impl CoopLane {
         if finished == self.shared.lanes {
             self.shared.finalize();
         }
+    }
+}
+
+/// What one [`LaneSet::sweep`] accomplished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Sweep {
+    /// Records delivered, summed over every lane the sweep stepped.
+    pub delivered: usize,
+    /// Lanes this sweep took to [`LaneStep::Finished`] or
+    /// [`LaneStep::Failed`]. Every lane is counted by exactly one sweep.
+    pub finished: usize,
+    /// Whether some lane the sweep stepped stopped at an unmet gate — with
+    /// `delivered == 0`, what tells "waiting on a peer" from "waiting on
+    /// the producers".
+    pub gated: bool,
+}
+
+/// A session's lanes, each behind its own lock, shared by every driver
+/// working the session.
+///
+/// A driver does not own a lane; it owns a *home* index and
+/// [`sweep`](Self::sweep)s the whole set from there, so a record gated on a
+/// sibling lane is unblocked by stepping that sibling in the same call, on
+/// the same core, instead of waiting for whichever driver holds it to be
+/// scheduled. A lane another driver is stepping right now is skipped
+/// (`try_lock`), so K drivers on K processors still run K lanes in
+/// parallel.
+pub struct LaneSet {
+    lanes: Vec<Mutex<CoopLane>>,
+}
+
+impl std::fmt::Debug for LaneSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaneSet")
+            .field("lanes", &self.lanes.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl LaneSet {
+    /// Pools the lanes [`CoopSession::start`] returned.
+    pub fn new(lanes: Vec<CoopLane>) -> Self {
+        LaneSet {
+            lanes: lanes.into_iter().map(Mutex::new).collect(),
+        }
+    }
+
+    /// Runs the session forward without blocking, starting at lane `home`
+    /// (modulo the lane count): steps a lane while it keeps delivering,
+    /// moves to the next sibling when it stops at a gate, runs out of
+    /// input, ends, or is held by another driver, and returns once `budget`
+    /// records were delivered in total or one full pass over the set
+    /// delivered nothing. [`CoopSession::is_complete`] says when there is
+    /// nothing left to come back for.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty set.
+    pub fn sweep(&self, home: usize, budget: usize) -> Sweep {
+        let budget = budget.max(1);
+        let mut out = Sweep::default();
+        let mut at = home % self.lanes.len();
+        // Lanes visited in a row that delivered nothing.
+        let mut flat = 0;
+        while flat < self.lanes.len() && out.delivered < budget {
+            let (mut delivered, mut stay) = (0, false);
+            match self.lanes[at].try_lock() {
+                Ok(mut lane) if !lane.done => {
+                    match lane.advance(budget - out.delivered) {
+                        LaneStep::Progressed => stay = true,
+                        LaneStep::Gated => out.gated = true,
+                        LaneStep::Idle => {}
+                        LaneStep::Finished | LaneStep::Failed => out.finished += 1,
+                    }
+                    delivered = lane.delivered;
+                }
+                // Terminal already, or a peer driver is on it.
+                Ok(_) | Err(TryLockError::WouldBlock) => {}
+                Err(TryLockError::Poisoned(_)) => panic!("poisoned"),
+            }
+            out.delivered += delivered;
+            flat = if delivered > 0 { 0 } else { flat + 1 };
+            if !stay {
+                at = (at + 1) % self.lanes.len();
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::{
+        BufferedStream, DeterministicBackend, MonitorSession, RecordStream, ReplaySource,
+    };
+    use paralog_lifeguards::LifeguardKind;
+    use paralog_workloads::adversarial::{self, AdversarialCapture};
+
+    /// The daemon's fairness quantum.
+    const BUDGET: usize = 512;
+    /// ADDRCHECK flags every access of the storm (nothing is ever
+    /// allocated), so violation parity is not vacuous.
+    const KIND: LifeguardKind = LifeguardKind::AddrCheck;
+
+    fn start(cap: &AdversarialCapture) -> (CoopSession, LaneSet) {
+        let streams = cap
+            .streams
+            .iter()
+            .map(|s| Box::new(BufferedStream::new(s.clone())) as Box<dyn RecordStream>)
+            .collect();
+        let (session, lanes) = CoopSession::start(&KIND, cap.heap, streams, None).unwrap();
+        (session, LaneSet::new(lanes))
+    }
+
+    fn keys(metrics: &RunMetrics) -> Vec<(u16, u64)> {
+        let mut keys: Vec<_> = metrics
+            .violations
+            .iter()
+            .map(|v| (v.tid.0, v.rid.0))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Asserts `session`'s report equals the sequential reference loop's.
+    fn assert_parity(cap: &AdversarialCapture, session: &CoopSession) {
+        let reference = MonitorSession::builder()
+            .source(ReplaySource::new(cap.streams.clone(), cap.heap))
+            .lifeguard(KIND)
+            .backend(DeterministicBackend)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+            .metrics;
+        let swept = session.report().expect("complete").expect("replays clean");
+        assert_eq!(swept.records, cap.records());
+        assert_eq!(swept.fingerprint, reference.fingerprint);
+        assert!(
+            !reference.violations.is_empty(),
+            "parity must say something"
+        );
+        assert_eq!(keys(&swept), keys(&reference));
+    }
+
+    #[test]
+    fn one_sweeping_driver_hands_an_arc_storm_across_lanes_inside_its_slices() {
+        // Hub and two spokes, nearly every record gated on a peer: driven
+        // lane by lane this is about one slice per record.
+        let cap = adversarial::arc_fanout(2, 4_000);
+        let lanes = cap.streams.len();
+        let (session, set) = start(&cap);
+        let (mut slices, mut finished) = (0, 0);
+        while !session.is_complete() {
+            let sweep = set.sweep(0, BUDGET);
+            assert!(sweep.delivered <= BUDGET, "a slice is bounded: {sweep:?}");
+            assert!(
+                sweep.delivered > 0 || sweep.finished > 0,
+                "a lone driver over buffered streams never finds a flat pass: {sweep:?}"
+            );
+            slices += 1;
+            finished += sweep.finished;
+        }
+        assert_eq!(finished, lanes);
+        let bound = cap.records() as usize / BUDGET + lanes + 2;
+        assert!(
+            slices <= bound,
+            "{slices} slices for {} records",
+            cap.records()
+        );
+        assert_parity(&cap, &session);
+        assert_eq!(
+            set.sweep(1, BUDGET),
+            Sweep::default(),
+            "terminal lanes are inert"
+        );
+    }
+
+    #[test]
+    fn racing_sweeps_finish_every_lane_exactly_once() {
+        let cap = adversarial::arc_fanout(3, 3_000);
+        let lanes = cap.streams.len();
+        for workers in [1, 2, 4] {
+            let (session, set) = start(&cap);
+            // One task per lane on a FIFO, as the daemon's pool runs them.
+            let queue = Mutex::new((0..lanes).collect::<VecDeque<usize>>());
+            let finished = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let home = queue.lock().expect("poisoned").pop_front();
+                        let Some(home) = home else {
+                            if session.is_complete() {
+                                return;
+                            }
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let sweep = set.sweep(home, BUDGET);
+                        finished.fetch_add(sweep.finished, Ordering::Relaxed);
+                        if !session.is_complete() {
+                            queue.lock().expect("poisoned").push_back(home);
+                        }
+                    });
+                }
+            });
+            assert_eq!(
+                finished.load(Ordering::Relaxed),
+                lanes,
+                "{workers} workers: each lane's end is reported by exactly one sweep"
+            );
+            assert_parity(&cap, &session);
+        }
+    }
+
+    /// A stream whose producer never catches up.
+    #[derive(Debug)]
+    struct Stalled;
+
+    impl RecordStream for Stalled {
+        fn next_batch(
+            &mut self,
+            _out: &mut Vec<EventRecord>,
+            _max: usize,
+        ) -> Result<StreamStatus, SessionError> {
+            Ok(StreamStatus::Blocked)
+        }
+    }
+
+    #[test]
+    fn a_stalled_session_costs_its_driver_one_pass() {
+        let streams = (0..4)
+            .map(|_| Box::new(Stalled) as Box<dyn RecordStream>)
+            .collect();
+        let heap = AddrRange::new(0x1000_0000, 0x1000);
+        let (session, lanes) = CoopSession::start(&KIND, heap, streams, None).unwrap();
+        let set = LaneSet::new(lanes);
+        assert_eq!(set.sweep(2, BUDGET), Sweep::default(), "nothing to deliver");
+        assert_eq!(
+            session.blocked_polls(),
+            4,
+            "each lane polled once, then back"
+        );
+        session.abort("test over");
+        assert_eq!(
+            set.sweep(2, BUDGET).finished,
+            4,
+            "an abort folds every lane"
+        );
+        assert!(session.is_complete());
     }
 }

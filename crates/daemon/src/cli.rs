@@ -29,7 +29,7 @@ SERVE:
     --workers <n>      shared worker pool size (default: one per core)
 
 CTL COMMANDS:
-    LIST               one line per session
+    LIST               one line per session, then the pool's counters
     STATUS <id>        session detail (state, metrics, violations)
     DETACH <id>        close a session's inputs; it drains to a report
     WATCH <id>         stream the session's live violation/event feed

@@ -2,21 +2,28 @@
 //!
 //! `paralogd` runs N sessions × K threads of replay work on a *fixed* set
 //! of OS workers — not threads-per-session. The unit of scheduling is a
-//! [`PoolTask`] (in practice one
-//! [`CoopLane`](paralog_core::CoopLane) wrapped with its session bookkeeping):
-//! a worker checks a task out of the global FIFO, runs one bounded
-//! [`PoolTask::run`] slice, and requeues it behind every other task. That
-//! round-robin is the isolation property the daemon suite asserts: a
-//! session whose producer stalls reports [`TaskPoll::AgainIdle`] in
-//! microseconds and goes to the back of the queue, so its lanes can never
+//! [`PoolTask`] (in practice one home lane of a session's
+//! [`LaneSet`](paralog_core::LaneSet) wrapped with its session
+//! bookkeeping): a worker checks a task out of the global FIFO, runs one
+//! bounded [`PoolTask::run`] *slice* — one sweep of the session's lanes
+//! from the task's home, at most a fairness budget of records over all of
+//! them — and requeues it behind every other task. That round-robin is the
+//! isolation property the daemon suite asserts: a session whose producer
+//! stalls reports [`TaskPoll::AgainIdle`] after one pass over its lanes, in
+//! microseconds, and goes to the back of the queue, so its lanes can never
 //! monopolize a worker that session B's runnable lanes are waiting for.
 //!
 //! Workers that see only idle polls back off to short sleeps (the pool has
 //! nothing runnable — burning cores polling stalled producers would starve
 //! the *host*), waking immediately when new work is submitted.
+//!
+//! The pool counts what it does ([`PoolCounters`], the `pool` line of
+//! `ctl LIST`): slices per record says how much scheduling a session's
+//! records cost, and idle slices and sleeps say how much of the pool's
+//! time went to polling sessions with nothing to do.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -47,6 +54,21 @@ struct PoolShared {
     stop: AtomicBool,
     /// Live (submitted, not yet `Done`) tasks — the idle-backoff signal.
     live: AtomicUsize,
+    /// Statistics only (`Relaxed`): they publish no other data.
+    slices: AtomicU64,
+    idle_slices: AtomicU64,
+    idle_sleeps: AtomicU64,
+}
+
+/// What the pool has done since it started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolCounters {
+    /// [`PoolTask::run`] calls.
+    pub slices: u64,
+    /// Slices that reported [`TaskPoll::AgainIdle`].
+    pub idle_slices: u64,
+    /// Times a worker slept out an idle streak.
+    pub idle_sleeps: u64,
 }
 
 /// A fixed-size worker pool over [`PoolTask`]s.
@@ -88,6 +110,9 @@ impl WorkerPool {
             available: Condvar::new(),
             stop: AtomicBool::new(false),
             live: AtomicUsize::new(0),
+            slices: AtomicU64::new(0),
+            idle_slices: AtomicU64::new(0),
+            idle_sleeps: AtomicU64::new(0),
         });
         let workers = (0..count)
             .map(|i| {
@@ -113,6 +138,15 @@ impl WorkerPool {
     /// Tasks submitted and not yet finished.
     pub fn live_tasks(&self) -> usize {
         self.shared.live.load(Ordering::Relaxed)
+    }
+
+    /// Slice and idle counts since the pool started.
+    pub fn counters(&self) -> PoolCounters {
+        PoolCounters {
+            slices: self.shared.slices.load(Ordering::Relaxed),
+            idle_slices: self.shared.idle_slices.load(Ordering::Relaxed),
+            idle_sleeps: self.shared.idle_sleeps.load(Ordering::Relaxed),
+        }
     }
 
     /// Enqueues a task.
@@ -158,6 +192,7 @@ fn worker_loop(shared: &PoolShared) {
         let Some(mut task) = task else {
             return; // stopped with an empty queue
         };
+        shared.slices.fetch_add(1, Ordering::Relaxed);
         match task.run() {
             TaskPoll::Again => {
                 idle_streak = 0;
@@ -166,12 +201,14 @@ fn worker_loop(shared: &PoolShared) {
             }
             TaskPoll::AgainIdle => {
                 idle_streak += 1;
+                shared.idle_slices.fetch_add(1, Ordering::Relaxed);
                 shared.queue.lock().expect("poisoned").push_back(task);
                 // Everything this worker touches is idle: sleep a slice so
                 // stalled producers don't turn the pool into a spin farm.
                 // (Runnable work still drains — other workers keep going,
                 // and Again resets the streak.)
                 if idle_streak >= IDLE_STREAK_BACKOFF && !shared.stop.load(Ordering::Acquire) {
+                    shared.idle_sleeps.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(IDLE_SLEEP);
                 }
             }

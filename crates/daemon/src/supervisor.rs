@@ -9,8 +9,9 @@
 //!   thread (non-blocking, one for all connections) splits frame payloads
 //!   into per-thread [`ByteFeed`]s, behind which a
 //!   [`StreamingReplaySource`] decodes records incrementally. The session
-//!   itself is a [`CoopSession`] whose lanes are scheduled on the shared
-//!   pool — N sessions multiplex over one fixed set of workers;
+//!   itself is a [`CoopSession`] whose lanes, pooled in one [`LaneSet`],
+//!   are swept by one task per lane on the shared pool — N sessions
+//!   multiplex over one fixed set of workers;
 //! * the **control socket** serves the line protocol (`LIST`, `STATUS`,
 //!   `DETACH`, `WATCH`, `SHUTDOWN`, `PING`), one handler thread per
 //!   connection.
@@ -28,8 +29,7 @@ use crate::pool::{PoolTask, TaskPoll, WorkerPool};
 use crate::proto::{self, AttachRequest, FrameEvent, FrameParser};
 use crate::transport::{ByteFeed, FeedWriter, SessionBuffer};
 use paralog_core::{
-    CoopLane, CoopSession, EventSource, LaneStep, RunMetrics, SessionError, SourceInput,
-    StreamingReplaySource,
+    CoopSession, EventSource, LaneSet, RunMetrics, SessionError, SourceInput, StreamingReplaySource,
 };
 use paralog_lifeguards::{LifeguardRegistry, MetadataShape, ReplayMode, SessionEventObserver};
 use std::collections::BTreeMap;
@@ -42,7 +42,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Records a lane may deliver per pool slice — the fairness quantum.
+/// Records a session may deliver per pool slice, over all the lanes the
+/// slice's sweep touches — the fairness quantum.
 const LANE_BUDGET: usize = 512;
 
 /// How long graceful shutdown waits for draining sessions before aborting
@@ -105,6 +106,8 @@ struct Watchers {
     /// Violations already pushed to subscribers (prefix of the lifeguard's
     /// accumulation order).
     cursor: Mutex<usize>,
+    /// Lines some subscriber's full channel refused.
+    lost: AtomicU64,
 }
 
 impl Watchers {
@@ -115,11 +118,27 @@ impl Watchers {
         let mut senders = self.senders.lock().expect("poisoned");
         senders.retain(|tx| match tx.try_send(line.clone()) {
             Ok(()) => true,
-            // A slow subscriber loses lines rather than stalling replay.
-            Err(TrySendError::Full(_)) => true,
+            // A slow subscriber loses lines rather than stalling replay —
+            // and is told how many before the feed ends.
+            Err(TrySendError::Full(_)) => {
+                self.lost.fetch_add(1, Ordering::Relaxed);
+                true
+            }
             Err(TrySendError::Disconnected(_)) => false,
         });
         self.subscribers.store(senders.len(), Ordering::Relaxed);
+    }
+
+    fn lines_lost(&self) -> u64 {
+        self.lost.load(Ordering::Relaxed)
+    }
+
+    /// Ends the feed: each subscriber drains what its channel still holds,
+    /// finds it disconnected, and closes with the session's stored report —
+    /// so the closing lines cannot be among the lines a full channel drops.
+    fn close(&self) {
+        self.senders.lock().expect("poisoned").clear();
+        self.subscribers.store(0, Ordering::Relaxed);
     }
 }
 
@@ -176,25 +195,30 @@ impl SessionEntry {
         self.session.lock().expect("poisoned").clone()
     }
 
-    /// Pushes violations the live feed has not seen yet. `session` is the
-    /// caller's own handle (lanes hold one) so this never touches the
-    /// entry's session lock.
+    /// Pushes violations the live feed has not seen yet — only those: the
+    /// read past the cursor touches no lock when nothing is new. `session`
+    /// is the caller's own handle (lane tasks hold one) so this never
+    /// touches the entry's session lock.
     fn publish_new_violations(&self, session: &CoopSession) {
         if self.watchers.subscribers.load(Ordering::Relaxed) == 0 {
             return;
         }
         let mut cursor = self.watchers.cursor.lock().expect("poisoned");
-        let live = session.violations_live();
-        for v in &live[*cursor..] {
-            self.watchers.publish(violation_line(v));
-        }
-        *cursor = live.len();
+        self.publish_past(&mut cursor, session);
     }
 
-    /// Called by each lane task as it finishes; the last one composes the
-    /// report, flushes the live feed, and drops the heavy session state.
-    fn lane_done(&self, session: &CoopSession) {
-        let done = self.lanes_done.fetch_add(1, Ordering::SeqCst) + 1;
+    fn publish_past(&self, cursor: &mut usize, session: &CoopSession) {
+        for v in session.violations_since(*cursor) {
+            self.watchers.publish(violation_line(&v));
+            *cursor += 1;
+        }
+    }
+
+    /// Called by a lane task for the lanes its slice took to their end;
+    /// whoever accounts for the last one composes the report, flushes the
+    /// live feed, and drops the heavy session state.
+    fn lanes_done(&self, lanes: usize, session: &CoopSession) {
+        let done = self.lanes_done.fetch_add(lanes, Ordering::SeqCst) + lanes;
         if done < self.threads {
             return;
         }
@@ -202,28 +226,19 @@ impl SessionEntry {
             .report()
             .unwrap_or_else(|| Err(SessionError::Deadlock("session vanished".into())));
         // Cursor lock serializes against WATCH subscription: a watcher
-        // either registers before this flush (and gets the tail plus the
-        // terminator) or after the report is stored (and reads it whole).
+        // either registers before this flush (and gets the tail, then the
+        // close) or after the report is stored (and reads it whole).
         let mut cursor = self.watchers.cursor.lock().expect("poisoned");
-        let live = session.violations_live();
-        for v in &live[*cursor..] {
-            self.watchers.publish(violation_line(v));
+        self.publish_past(&mut cursor, session);
+        {
+            // The report goes in last and under its own lock: whoever reads
+            // the session as over finds its heavy state already gone.
+            let mut report = self.report.lock().expect("poisoned");
+            self.feeds.lock().expect("poisoned").clear();
+            *self.session.lock().expect("poisoned") = None;
+            *report = Some(result);
         }
-        *cursor = live.len();
-        *self.report.lock().expect("poisoned") = Some(result.clone());
-        match &result {
-            Ok(m) => self.watchers.publish(format!(
-                "end ok records={} violations={} fingerprint={:016x}",
-                m.records,
-                m.violations.len(),
-                m.fingerprint
-            )),
-            Err(e) => self.watchers.publish(format!("end err {e}")),
-        }
-        self.watchers.publish(".".into());
-        drop(cursor);
-        self.feeds.lock().expect("poisoned").clear();
-        *self.session.lock().expect("poisoned") = None;
+        self.watchers.close();
     }
 
     fn report_for(&self) -> Option<Result<RunMetrics, SessionError>> {
@@ -238,25 +253,44 @@ fn violation_line(v: &paralog_lifeguards::Violation) -> String {
     }
 }
 
-/// One lane of one session as a pool task.
+/// The feed's closing line for a session that ended with `result`.
+fn end_line(result: &Result<RunMetrics, SessionError>) -> String {
+    match result {
+        Ok(m) => format!(
+            "end ok records={} violations={} fingerprint={:016x}",
+            m.records,
+            m.violations.len(),
+            m.fingerprint
+        ),
+        Err(e) => format!("end err {e}"),
+    }
+}
+
+/// One session's lanes as seen from one of them: a pool task whose slice
+/// sweeps the whole set starting at `home`. A session submits one per lane,
+/// so as many workers can serve it as it has lanes.
 struct LaneTask {
-    lane: CoopLane,
+    lanes: Arc<LaneSet>,
+    home: usize,
     session: CoopSession,
     entry: Arc<SessionEntry>,
 }
 
 impl PoolTask for LaneTask {
     fn run(&mut self) -> TaskPoll {
-        match self.lane.step(LANE_BUDGET) {
-            LaneStep::Progressed => {
-                self.entry.publish_new_violations(&self.session);
-                TaskPoll::Again
-            }
-            LaneStep::Idle | LaneStep::Gated => TaskPoll::AgainIdle,
-            LaneStep::Finished | LaneStep::Failed => {
-                self.entry.lane_done(&self.session);
-                TaskPoll::Done
-            }
+        let sweep = self.lanes.sweep(self.home, LANE_BUDGET);
+        if sweep.delivered > 0 {
+            self.entry.publish_new_violations(&self.session);
+        }
+        if sweep.finished > 0 {
+            self.entry.lanes_done(sweep.finished, &self.session);
+        }
+        if self.session.is_complete() {
+            TaskPoll::Done
+        } else if sweep.delivered > 0 {
+            TaskPoll::Again
+        } else {
+            TaskPoll::AgainIdle
         }
     }
 }
@@ -342,9 +376,11 @@ impl DaemonInner {
             .lock()
             .expect("poisoned")
             .insert(id, Arc::clone(&entry));
-        for lane in lanes {
+        let lanes = Arc::new(LaneSet::new(lanes));
+        for home in 0..req.threads {
             self.pool.submit(Box::new(LaneTask {
-                lane,
+                lanes: Arc::clone(&lanes),
+                home,
                 session: session.clone(),
                 entry: Arc::clone(&entry),
             }));
@@ -601,7 +637,18 @@ fn pump_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
         conns.retain_mut(|conn| {
             if let ConnState::Streaming { entry, .. } = &conn.state {
                 if entry.buffered.bytes() > inner.session_buffer_bytes {
-                    return true; // back-pressure: skip this round
+                    // Back-pressure: skip this round — unless the session
+                    // is over, when nothing will ever drain its buffer and
+                    // the producer would sit in `write` for good.
+                    let Some(result) = entry.report_for() else {
+                        return true;
+                    };
+                    let reason = match result {
+                        Ok(_) => "session already ended".to_string(),
+                        Err(e) => format!("session failed: {e}"),
+                    };
+                    let _ = conn.stream.write_all(format!("ERR {reason}\n").as_bytes());
+                    return false;
                 }
             }
             match conn.stream.read(&mut buf) {
@@ -796,7 +843,7 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
             "PING" => respond(&mut writer, &["OK pong".into()]),
             "LIST" => {
                 let sessions = inner.sessions.lock().expect("poisoned");
-                let lines: Vec<String> = sessions
+                let mut lines: Vec<String> = sessions
                     .values()
                     .map(|e| {
                         let records = e
@@ -816,6 +863,15 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
                     })
                     .collect();
                 drop(sessions);
+                let pool = inner.pool.counters();
+                lines.push(format!(
+                    "pool workers={} live_tasks={} slices={} idle_slices={} idle_sleeps={}",
+                    inner.pool.worker_count(),
+                    inner.pool.live_tasks(),
+                    pool.slices,
+                    pool.idle_slices,
+                    pool.idle_sleeps
+                ));
                 respond(&mut writer, &lines)
             }
             "STATUS" => match arg.and_then(|a| a.parse::<u64>().ok()) {
@@ -883,6 +939,7 @@ fn status_lines(entry: &Arc<SessionEntry>) -> Vec<String> {
         format!("metadata {}", entry.shape),
         format!("state {}", entry.state()),
         format!("buffered_bytes {}", entry.buffered.bytes()),
+        format!("watch_lines_lost {}", entry.watchers.lines_lost()),
     ];
     // Applied-record throughput over the session's wall-clock lifetime so
     // far (finished sessions keep reporting their final average).
@@ -932,8 +989,9 @@ fn push_metrics_lines(lines: &mut Vec<String>, metrics: &RunMetrics) {
 }
 
 /// Streams a session's live feed over the control connection until the
-/// session ends (terminated by `.`), the subscriber disconnects, or the
-/// daemon stops.
+/// session ends (`lost <n>` if the subscribers' channels ever overflowed,
+/// the `end` line, then `.`), the subscriber disconnects, or the daemon
+/// stops.
 fn watch_conn(inner: &Arc<DaemonInner>, entry: &Arc<SessionEntry>, writer: &mut UnixStream) {
     let rx = {
         // Serialized against the publisher via the cursor lock: either the
@@ -943,36 +1001,19 @@ fn watch_conn(inner: &Arc<DaemonInner>, entry: &Arc<SessionEntry>, writer: &mut 
         if let Some(result) = entry.report_for() {
             drop(cursor);
             let mut lines = Vec::new();
-            match result {
-                Ok(m) => {
-                    for v in &m.violations {
-                        lines.push(violation_line(v));
-                    }
-                    for ev in &m.events {
-                        lines.push(format!("event {ev}"));
-                    }
-                    lines.push(format!(
-                        "end ok records={} violations={} fingerprint={:016x}",
-                        m.records,
-                        m.violations.len(),
-                        m.fingerprint
-                    ));
-                }
-                Err(e) => lines.push(format!("end err {e}")),
+            if let Ok(m) = &result {
+                lines.extend(m.violations.iter().map(violation_line));
+                lines.extend(m.events.iter().map(|ev| format!("event {ev}")));
             }
+            lines.push(end_line(&result));
             let _ = respond(writer, &lines);
             return;
         }
         // Backlog: everything published so far, straight from the session.
         if let Some(session) = entry.session_handle() {
-            let live = session.violations_live();
-            let mut lines = Vec::with_capacity(cursor.min(live.len()));
-            for v in &live[..(*cursor).min(live.len())] {
-                lines.push(violation_line(v));
-            }
             let mut out = String::new();
-            for line in &lines {
-                out.push_str(line);
+            for v in session.violations_since(0).iter().take(*cursor) {
+                out.push_str(&violation_line(v));
                 out.push('\n');
             }
             if !out.is_empty() && writer.write_all(out.as_bytes()).is_err() {
@@ -990,17 +1031,22 @@ fn watch_conn(inner: &Arc<DaemonInner>, entry: &Arc<SessionEntry>, writer: &mut 
             return;
         }
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) => {
-                let terminal = line == ".";
-                let mut out = line;
-                out.push('\n');
-                if writer.write_all(out.as_bytes()).is_err() || terminal {
+            Ok(mut line) => {
+                line.push('\n');
+                if writer.write_all(line.as_bytes()).is_err() {
                     return;
                 }
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = writer.write_all(b".\n");
+                // The session ended and everything queued went out.
+                let mut lines = Vec::new();
+                match entry.watchers.lines_lost() {
+                    0 => {}
+                    lost => lines.push(format!("lost {lost}")),
+                }
+                lines.extend(entry.report_for().as_ref().map(end_line));
+                let _ = respond(writer, &lines);
                 return;
             }
         }

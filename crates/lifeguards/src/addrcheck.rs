@@ -20,7 +20,7 @@
 use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
     AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind,
+    ViolationKind, ViolationLog,
 };
 use paralog_events::{
     check_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MetaOp,
@@ -30,7 +30,6 @@ use paralog_meta::{AtomicShadow, ShadowMemory};
 use paralog_order::CaPolicy;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Mutex;
 
 /// Metadata value for "allocated".
 pub const ALLOCATED: u8 = 1;
@@ -165,7 +164,7 @@ impl Lifeguard for AddrCheck {
 pub struct AddrCheckConcurrent {
     alloc: AtomicShadow,
     heap: AddrRange,
-    violations: Mutex<Vec<Violation>>,
+    violations: ViolationLog,
 }
 
 impl std::fmt::Debug for AddrCheckConcurrent {
@@ -186,7 +185,7 @@ impl AddrCheckConcurrent {
         AddrCheckConcurrent {
             alloc: AtomicShadow::new(),
             heap,
-            violations: Mutex::new(Vec::new()),
+            violations: ViolationLog::new(),
         }
     }
 
@@ -219,7 +218,7 @@ impl ConcurrentLifeguard for AddrCheckConcurrent {
                     return;
                 }
                 if !self.all_allocated(range, versioned) {
-                    self.violations.lock().expect("poisoned").push(Violation {
+                    self.violations.push(Violation {
                         tid,
                         rid: rec.rid,
                         kind: ViolationKind::UnallocatedAccess,
@@ -258,7 +257,11 @@ impl ConcurrentLifeguard for AddrCheckConcurrent {
     }
 
     fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().expect("poisoned").clone()
+        self.violations.snapshot()
+    }
+
+    fn violations_since(&self, from: usize) -> Vec<Violation> {
+        self.violations.since(from)
     }
 }
 

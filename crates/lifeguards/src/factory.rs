@@ -532,6 +532,20 @@ pub trait ConcurrentLifeguard: Send + Sync + fmt::Debug {
     /// stream; interleaving across workers is scheduler-dependent).
     fn violations(&self) -> Vec<Violation>;
 
+    /// The violations past the first `from` of
+    /// [`violations`](Self::violations)' accumulation order — what a live
+    /// feed that has already published `from` of them still owes its
+    /// subscribers. Implementations must append and never reorder for the
+    /// prefix to stay stable. The default clones the whole list and drops
+    /// the head; forms backed by a [`ViolationLog`](crate::ViolationLog)
+    /// (all bundled ones) read only the tail, and nothing at all when
+    /// there is none.
+    fn violations_since(&self, from: usize) -> Vec<Violation> {
+        let mut all = self.violations();
+        all.drain(..from.min(all.len()));
+        all
+    }
+
     /// Worker `tid` crossed a stream batch boundary: no record application
     /// is in flight on that worker, so per-record fast-path reads taken
     /// before the call are dead. This is the quiescence signal epoch-based

@@ -68,7 +68,7 @@
 use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
     AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind,
+    ViolationKind, ViolationLog,
 };
 use crate::lockset::SYNC_SPACE_START;
 use crate::wordmeta::{WordAnalysis, WordOverlay};
@@ -468,7 +468,7 @@ pub struct HappensBeforeConcurrent {
     /// Per-worker delta-merge overlays, published at flush points through
     /// the generic [`WordAnalysis`] adapter.
     overlay: WordOverlay<HbWindow>,
-    violations: Mutex<Vec<Violation>>,
+    violations: ViolationLog,
     /// Incremental session-event receiver (live daemon feeds); invoked once
     /// when saturation first latches.
     observer: Mutex<Option<crate::SessionEventObserver>>,
@@ -496,7 +496,7 @@ impl HappensBeforeConcurrent {
                 })
                 .collect(),
             overlay: WordOverlay::new(threads),
-            violations: Mutex::new(Vec::new()),
+            violations: ViolationLog::new(),
             observer: Mutex::new(None),
             observer_notified: AtomicBool::new(false),
         }
@@ -614,7 +614,7 @@ impl HappensBeforeConcurrent {
                     if report {
                         // The CAS winner owns the report: exactly one per
                         // word, however many accesses raced it.
-                        self.violations.lock().expect("poisoned").push(Violation {
+                        self.violations.push(Violation {
                             tid,
                             rid,
                             kind: ViolationKind::DataRace,
@@ -742,7 +742,7 @@ impl HappensBeforeConcurrent {
                         self.words.wide().release(acquired);
                     }
                     if report {
-                        self.violations.lock().expect("poisoned").push(Violation {
+                        self.violations.push(Violation {
                             tid,
                             rid,
                             kind: ViolationKind::DataRace,
@@ -774,7 +774,7 @@ impl HappensBeforeConcurrent {
             if self.words.compare_exchange(key, cur, next).is_ok() {
                 self.words.wide().release(wide_id(cur));
                 if report {
-                    self.violations.lock().expect("poisoned").push(Violation {
+                    self.violations.push(Violation {
                         tid,
                         rid,
                         kind: ViolationKind::DataRace,
@@ -927,7 +927,7 @@ impl WordAnalysis for HappensBeforeConcurrent {
                     self.words.wide().release(entry.owned_ref);
                 }
                 if let Some(rid) = entry.pending {
-                    self.violations.lock().expect("poisoned").push(Violation {
+                    self.violations.push(Violation {
                         tid,
                         rid,
                         kind: ViolationKind::DataRace,
@@ -1019,7 +1019,11 @@ impl ConcurrentLifeguard for HappensBeforeConcurrent {
     }
 
     fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().expect("poisoned").clone()
+        self.violations.snapshot()
+    }
+
+    fn violations_since(&self, from: usize) -> Vec<Violation> {
+        self.violations.since(from)
     }
 
     fn epoch_boundary(&self, tid: ThreadId) {

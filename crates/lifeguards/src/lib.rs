@@ -71,7 +71,7 @@ pub use factory::{
 pub use happensbefore::{HappensBefore, HappensBeforeConcurrent, HbShared, HbWide};
 pub use lifeguard::{
     join_atomic_shadow, snapshot_byte, snapshot_coverage, AtomicityClass, EventView, Fingerprint,
-    HandlerCtx, Lifeguard, LifeguardSpec, SnapshotCoverage, Violation, ViolationKind,
+    HandlerCtx, Lifeguard, LifeguardSpec, SnapshotCoverage, Violation, ViolationKind, ViolationLog,
 };
 pub use locked::LockedConcurrent;
 pub use lockset::{LockSet, LockSetConcurrent, LockSetShared, VarState};

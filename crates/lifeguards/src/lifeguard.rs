@@ -11,6 +11,8 @@ use paralog_events::{Addr, AddrRange, CaRecord, MetaOp, Rid, ThreadId};
 use paralog_meta::{AtomicShadow, ShadowDelta, ShadowMemory};
 use paralog_order::{CaPolicy, RangeEntry};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Which decoding of the instruction stream a lifeguard consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +99,61 @@ impl fmt::Display for ViolationKind {
             ViolationKind::SyscallRace => "access racing a system call",
         };
         f.write_str(s)
+    }
+}
+
+/// The append-only violation log behind every concurrent lifeguard form.
+///
+/// Workers [`push`](Self::push) as they find violations; entries are never
+/// reordered or removed, so any prefix is stable and a reader that
+/// remembers how many entries it has seen gets exactly the new ones from
+/// [`since`](Self::since) — without taking the lock at all when nothing is
+/// new, which is what keeps a live feed's cost proportional to what it
+/// publishes rather than to what the session has accumulated.
+#[derive(Debug, Default)]
+pub struct ViolationLog {
+    entries: Mutex<Vec<Violation>>,
+    /// `entries.len()`, stored (`Release`) under the lock after each push
+    /// and read (`Acquire`) without it: a reader that sees `n` here finds
+    /// at least `n` entries once it takes the lock.
+    len: AtomicUsize,
+}
+
+impl ViolationLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        ViolationLog::default()
+    }
+
+    /// Appends one violation.
+    pub fn push(&self, v: Violation) {
+        let mut entries = self.entries.lock().expect("poisoned");
+        entries.push(v);
+        self.len.store(entries.len(), Ordering::Release);
+    }
+
+    /// Entries logged so far (lock-free).
+    pub fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Whether nothing has been logged (lock-free).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every entry, in accumulation order.
+    pub fn snapshot(&self) -> Vec<Violation> {
+        self.entries.lock().expect("poisoned").clone()
+    }
+
+    /// The entries past the first `from`, in accumulation order; empty
+    /// (and lock-free) when there are none.
+    pub fn since(&self, from: usize) -> Vec<Violation> {
+        if self.len() <= from {
+            return Vec::new();
+        }
+        self.entries.lock().expect("poisoned")[from..].to_vec()
     }
 }
 
@@ -396,6 +453,30 @@ mod tests {
             "partial coverage"
         );
         assert_eq!(HandlerCtx::new().versioned_join(AddrRange::new(0, 1)), None);
+    }
+
+    #[test]
+    fn violation_log_tail_reads_see_exactly_the_new_entries() {
+        let log = ViolationLog::new();
+        assert!(log.is_empty() && log.since(0).is_empty());
+        let v = |rid| Violation {
+            tid: ThreadId(1),
+            rid: Rid(rid),
+            kind: ViolationKind::DataRace,
+            addr: None,
+        };
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let log = &log;
+                scope.spawn(move || (0..64).for_each(|i| log.push(v(t * 64 + i))));
+            }
+        });
+        assert_eq!(log.len(), 256, "no push lost to a race");
+        let seen = log.snapshot();
+        log.push(v(1000));
+        assert_eq!(log.since(seen.len()), vec![v(1000)]);
+        assert_eq!(log.snapshot()[..256], seen[..], "the prefix is stable");
+        assert!(log.since(257).is_empty() && log.since(usize::MAX).is_empty());
     }
 
     #[test]

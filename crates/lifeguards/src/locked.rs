@@ -73,20 +73,13 @@
 //! [`LifeguardFactory::concurrent`]: crate::factory::LifeguardFactory::concurrent
 
 use crate::factory::{ConcurrentLifeguard, LifeguardFamily, VersionedMeta};
-use crate::lifeguard::{EventView, HandlerCtx, Lifeguard, Violation};
+use crate::lifeguard::{EventView, HandlerCtx, Lifeguard, Violation, ViolationLog};
 use paralog_events::{
     check_view, dataflow_view, AddrRange, EventPayload, EventRecord, Rid, ThreadId,
 };
 use paralog_order::{CaPolicy, RangeEntry};
 use std::fmt;
 use std::sync::Mutex;
-
-/// The mutex-confined analysis state: the family's per-thread lifeguards
-/// (sharing their `Rc` metadata) and the violations they reported.
-struct LockedState {
-    lgs: Vec<Box<dyn Lifeguard>>,
-    violations: Vec<Violation>,
-}
 
 /// Any lifeguard family as a [`ConcurrentLifeguard`], serialized behind one
 /// mutex.
@@ -112,13 +105,18 @@ struct LockedState {
 pub struct LockedConcurrent {
     name: String,
     ca_policy: CaPolicy,
-    state: Mutex<LockedState>,
+    /// The mutex-confined analysis state: the family's per-thread
+    /// lifeguards (sharing their `Rc` metadata).
+    lgs: Mutex<Vec<Box<dyn Lifeguard>>>,
+    /// Plain `Send + Sync` data, so it lives outside the confinement lock
+    /// and a live feed's tail reads never queue behind record application.
+    violations: ViolationLog,
 }
 
-// SAFETY: per the constructor's contract the non-`Send` state in
-// `LockedState` is self-contained and is created, accessed and dropped
-// only under `state`'s lock (or via `&mut self`/ownership), never aliased
-// across threads.
+// SAFETY: per the constructor's contract the non-`Send` state in `lgs` is
+// self-contained and is created, accessed and dropped only under that
+// mutex (or via `&mut self`/ownership), never aliased across threads; every
+// other field is `Send + Sync` data.
 unsafe impl Send for LockedConcurrent {}
 // SAFETY: same confinement argument; `&LockedConcurrent` only exposes the
 // inner state through the mutex.
@@ -154,19 +152,16 @@ impl LockedConcurrent {
         LockedConcurrent {
             name: family.name().to_string(),
             ca_policy,
-            state: Mutex::new(LockedState {
-                lgs,
-                violations: Vec::new(),
-            }),
+            lgs: Mutex::new(lgs),
+            violations: ViolationLog::new(),
         }
     }
 }
 
 impl ConcurrentLifeguard for LockedConcurrent {
     fn apply(&self, tid: ThreadId, rec: &EventRecord, versioned: Option<&VersionedMeta>) {
-        let mut state = self.state.lock().expect("poisoned");
-        let state = &mut *state;
-        let lg = &mut state.lgs[tid.index()];
+        let mut lgs = self.lgs.lock().expect("poisoned");
+        let lg = &mut lgs[tid.index()];
         let mut ctx = HandlerCtx::new();
         match &rec.payload {
             EventPayload::Instr(instr) => {
@@ -187,20 +182,23 @@ impl ConcurrentLifeguard for LockedConcurrent {
                 lg.handle_ca(ca, own, rec.rid, &mut ctx);
             }
         }
-        state.violations.append(&mut ctx.violations);
+        ctx.violations
+            .into_iter()
+            .for_each(|v| self.violations.push(v));
     }
 
     fn snapshot_meta(&self, range: AddrRange) -> Vec<u8> {
         // Any thread's view works: the family shares its metadata.
-        self.state.lock().expect("poisoned").lgs[0].snapshot_meta(range)
+        self.lgs.lock().expect("poisoned")[0].snapshot_meta(range)
     }
 
     fn on_syscall_race(&self, tid: ThreadId, access: AddrRange, entry: &RangeEntry, rid: Rid) {
-        let mut state = self.state.lock().expect("poisoned");
-        let state = &mut *state;
+        let mut lgs = self.lgs.lock().expect("poisoned");
         let mut ctx = HandlerCtx::new();
-        state.lgs[tid.index()].on_syscall_race(access, entry, rid, &mut ctx);
-        state.violations.append(&mut ctx.violations);
+        lgs[tid.index()].on_syscall_race(access, entry, rid, &mut ctx);
+        ctx.violations
+            .into_iter()
+            .for_each(|v| self.violations.push(v));
     }
 
     fn ca_policy(&self) -> CaPolicy {
@@ -208,11 +206,15 @@ impl ConcurrentLifeguard for LockedConcurrent {
     }
 
     fn fingerprint(&self) -> u64 {
-        self.state.lock().expect("poisoned").lgs[0].fingerprint()
+        self.lgs.lock().expect("poisoned")[0].fingerprint()
     }
 
     fn violations(&self) -> Vec<Violation> {
-        self.state.lock().expect("poisoned").violations.clone()
+        self.violations.snapshot()
+    }
+
+    fn violations_since(&self, from: usize) -> Vec<Violation> {
+        self.violations.since(from)
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
     AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind,
+    ViolationKind, ViolationLog,
 };
 use crate::wordmeta::{WordAnalysis, WordOverlay};
 use paralog_events::{
@@ -274,7 +274,7 @@ pub struct LockSetConcurrent {
     /// transition), published by CAS at flush points through the generic
     /// [`WordAnalysis`] adapter.
     overlay: WordOverlay<GranuleDelta>,
-    violations: Mutex<Vec<Violation>>,
+    violations: ViolationLog,
     /// Incremental session-event receiver (live daemon feeds); invoked once
     /// when saturation first latches.
     observer: Mutex<Option<crate::SessionEventObserver>>,
@@ -303,7 +303,7 @@ impl LockSetConcurrent {
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
             overlay: WordOverlay::new(threads),
-            violations: Mutex::new(Vec::new()),
+            violations: ViolationLog::new(),
             observer: Mutex::new(None),
             observer_notified: AtomicBool::new(false),
         }
@@ -442,7 +442,7 @@ impl LockSetConcurrent {
                     if report {
                         // The CAS winner owns the report: exactly one per
                         // variable, however many readers raced it.
-                        self.violations.lock().expect("poisoned").push(Violation {
+                        self.violations.push(Violation {
                             tid,
                             rid,
                             kind: ViolationKind::DataRace,
@@ -623,7 +623,7 @@ impl WordAnalysis for LockSetConcurrent {
                     // The publish CAS won, so this worker owns the
                     // once-per-variable report — the same arbitration the
                     // CAS-per-access form gets from the REPORTED bit.
-                    self.violations.lock().expect("poisoned").push(Violation {
+                    self.violations.push(Violation {
                         tid,
                         rid,
                         kind: ViolationKind::DataRace,
@@ -731,7 +731,11 @@ impl ConcurrentLifeguard for LockSetConcurrent {
     }
 
     fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().expect("poisoned").clone()
+        self.violations.snapshot()
+    }
+
+    fn violations_since(&self, from: usize) -> Vec<Violation> {
+        self.violations.since(from)
     }
 
     fn epoch_boundary(&self, tid: ThreadId) {

@@ -13,7 +13,7 @@
 use crate::factory::{ConcurrentLifeguard, DeltaLifeguard, VersionedMeta};
 use crate::lifeguard::{
     AtomicityClass, DeltaAccess, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec,
-    ShadowAccess, SharedAccess, Violation, ViolationKind,
+    ShadowAccess, SharedAccess, Violation, ViolationKind, ViolationLog,
 };
 use crate::taintcheck::for_each_nonzero;
 use paralog_events::{
@@ -239,7 +239,7 @@ pub struct MemCheckConcurrent {
     /// §5.3 slow path: serializes the rare wholesale metadata rewrites
     /// (malloc/free ConflictAlerts) against each other.
     structural: Mutex<()>,
-    violations: Mutex<Vec<Violation>>,
+    violations: ViolationLog,
 }
 
 impl std::fmt::Debug for MemCheckConcurrent {
@@ -264,7 +264,7 @@ impl MemCheckConcurrent {
                 .map(|_| LaneCell::new(ShadowDelta::new()))
                 .collect(),
             structural: Mutex::new(()),
-            violations: Mutex::new(Vec::new()),
+            violations: ViolationLog::new(),
         }
     }
 
@@ -301,7 +301,7 @@ impl MemCheckConcurrent {
             }
             MetaOp::CheckJmp { target } => {
                 if regs[target.index()] & UNDEFINED != 0 {
-                    self.violations.lock().expect("poisoned").push(Violation {
+                    self.violations.push(Violation {
                         tid,
                         rid,
                         kind: ViolationKind::UndefinedUse,
@@ -363,7 +363,11 @@ impl ConcurrentLifeguard for MemCheckConcurrent {
     }
 
     fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().expect("poisoned").clone()
+        self.violations.snapshot()
+    }
+
+    fn violations_since(&self, from: usize) -> Vec<Violation> {
+        self.violations.since(from)
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::lifeguard::{
     AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind,
+    ViolationKind, ViolationLog,
 };
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, HighLevelKind, MemRef, MetaOp, Rid, SyscallKind, ThreadId,
@@ -252,7 +252,7 @@ pub struct TaintConcurrent {
     /// slot is a [`LaneCell`], not a mutex — the hot path cannot afford
     /// locked RMWs per record.
     deltas: Vec<LaneCell<ShadowDelta>>,
-    violations: Mutex<Vec<Violation>>,
+    violations: ViolationLog,
 }
 
 impl std::fmt::Debug for TaintConcurrent {
@@ -276,7 +276,7 @@ impl TaintConcurrent {
             deltas: (0..threads)
                 .map(|_| LaneCell::new(ShadowDelta::new()))
                 .collect(),
-            violations: Mutex::new(Vec::new()),
+            violations: ViolationLog::new(),
         }
     }
 
@@ -314,7 +314,7 @@ impl TaintConcurrent {
             }
             MetaOp::CheckJmp { target } => {
                 if regs[target.index()] & TAINTED != 0 {
-                    self.violations.lock().expect("poisoned").push(Violation {
+                    self.violations.push(Violation {
                         tid,
                         rid,
                         kind: ViolationKind::TaintedJump,
@@ -344,7 +344,7 @@ impl TaintConcurrent {
             (HighLevelKind::Syscall(SyscallKind::WriteOutput), CaPhase::Begin)
                 if self.shadow.join_range(range.start, range.len) & TAINTED != 0 =>
             {
-                self.violations.lock().expect("poisoned").push(Violation {
+                self.violations.push(Violation {
                     tid,
                     rid,
                     kind: ViolationKind::TaintedSyscallArg,
@@ -368,7 +368,7 @@ impl crate::factory::ConcurrentLifeguard for TaintConcurrent {
         // must land *before* the conservative fill: a stale pending byte
         // flushed later would overwrite the TAINTED repair.
         crate::factory::DeltaLifeguard::flush_delta(self, tid);
-        self.violations.lock().expect("poisoned").push(Violation {
+        self.violations.push(Violation {
             tid,
             rid,
             kind: ViolationKind::SyscallRace,
@@ -409,7 +409,11 @@ impl crate::factory::ConcurrentLifeguard for TaintConcurrent {
     }
 
     fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().expect("poisoned").clone()
+        self.violations.snapshot()
+    }
+
+    fn violations_since(&self, from: usize) -> Vec<Violation> {
+        self.violations.since(from)
     }
 }
 

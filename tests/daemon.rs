@@ -243,8 +243,16 @@ fn two_concurrent_sessions_match_in_process_replay() {
     // LIST sees both, finished.
     let mut ctl = Control::connect(daemon.control_socket()).unwrap();
     let listed = ctl.list().unwrap();
-    assert_eq!(listed.len(), 2, "LIST: {listed:?}");
+    let sessions = listed.iter().filter(|l| l.starts_with("session ")).count();
+    assert_eq!(sessions, 2, "LIST: {listed:?}");
     drop(ctl);
+    // ... and closes with what the pool did to get there.
+    let pool = pool_counters(&daemon);
+    assert_eq!(pool["workers"], 4);
+    assert!(
+        pool["slices"] > 0 && pool.contains_key("idle_sleeps"),
+        "{pool:?}"
+    );
     for report in daemon.shutdown() {
         report.result.expect("both sessions finished clean");
     }
@@ -595,6 +603,234 @@ fn live_watch_streams_violations_and_the_end_line() {
         lines.last().is_some_and(|l| l.starts_with("end ok")),
         "feed must terminate with the end line: {lines:?}"
     );
+    daemon.shutdown();
+}
+
+/// The `<key>=<value>` fields of `LIST`'s closing `pool` line, from one
+/// reading.
+fn pool_counters(daemon: &Daemon) -> std::collections::BTreeMap<String, u64> {
+    let mut ctl = Control::connect(daemon.control_socket()).unwrap();
+    let listed = ctl.list().unwrap();
+    let pool = listed.last().expect("pool line");
+    pool.strip_prefix("pool ")
+        .unwrap_or_else(|| panic!("LIST must close with the pool line: {listed:?}"))
+        .split_ascii_whitespace()
+        .map(|f| {
+            let (key, value) = f.split_once('=').expect("key=value");
+            (key.to_string(), value.parse().expect("numeric counter"))
+        })
+        .collect()
+}
+
+#[test]
+fn stalled_many_lane_session_costs_a_one_worker_pool_idle_slices_only() {
+    // One worker, and a four-lane session with nothing to deliver ahead of
+    // the runner in the queue: each of its slices must hand the worker back
+    // after one pass over its lanes.
+    let (heap, full) = independent_capture(1, 2000);
+    let mut config = DaemonConfig::new(sock_path("oned"), sock_path("onec"));
+    config.workers = 1;
+    let daemon = Daemon::spawn(config).expect("daemon spawns");
+    let mut stalled = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("stalled", LifeguardKind::TaintCheck, 4, heap),
+    )
+    .expect("A attaches");
+    let id_a = stalled.session_id();
+    let mut runner = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("runner", LifeguardKind::TaintCheck, 1, heap),
+    )
+    .expect("B attaches");
+    runner.send_capture(&full, 256).unwrap();
+    let status_b = await_done(&daemon, runner.session_id());
+    assert_eq!(field(&status_b, "state").as_deref(), Some("done"));
+    assert_eq!(field(&status_b, "records").as_deref(), Some("2000"));
+
+    let mut ctl = Control::connect(daemon.control_socket()).unwrap();
+    let status_a = ctl.status(id_a).unwrap();
+    assert_eq!(field(&status_a, "state").as_deref(), Some("running"));
+    assert_eq!(field(&status_a, "records").as_deref(), Some("0"));
+    let pool = pool_counters(&daemon);
+    assert_eq!(pool["workers"], 1);
+    assert_eq!(pool["live_tasks"], 4, "A's tasks only: {pool:?}");
+    assert!(
+        pool["idle_slices"] > 0 && pool["idle_sleeps"] > 0,
+        "{pool:?}"
+    );
+    assert!(
+        pool["slices"] > pool["idle_slices"],
+        "B's slices ran: {pool:?}"
+    );
+
+    stalled.finish().unwrap();
+    let status_a = await_done(&daemon, id_a);
+    assert_eq!(field(&status_a, "state").as_deref(), Some("done"));
+    daemon.shutdown();
+}
+
+#[test]
+fn producer_of_a_failed_session_above_its_buffer_cap_gets_an_error_not_a_wedge() {
+    use paralog::events::{ArcKind, DependenceArc, ThreadId};
+    use std::io::Read;
+
+    // Thread 1 opens with a record gated on a thread-0 record that never
+    // comes, so everything sent behind it piles up in the session's feeds.
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let mut gated = EventRecord::instr(Rid(1), Instr::Nop);
+    gated
+        .arcs
+        .push(DependenceArc::new(ThreadId(0), Rid(9), ArcKind::Sync));
+    let mut t1 = vec![gated];
+    t1.extend((2..=600_000u64).map(|i| EventRecord::instr(Rid(i), Instr::Nop)));
+    let wire = encode(&t1);
+
+    let mut config = DaemonConfig::new(sock_path("capd"), sock_path("capc"));
+    config.workers = 2;
+    config.session_buffer_bytes = 64 * 1024;
+    let cap = config.session_buffer_bytes;
+    assert!(
+        wire.len() > 8 * cap,
+        "the backlog must outgrow cap and socket"
+    );
+    let daemon = Daemon::spawn(config).expect("daemon spawns");
+
+    // A raw connection, for its write timeout: this test must fail, not
+    // hang, if the daemon leaves the producer wedged.
+    let mut stream = UnixStream::connect(daemon.data_socket()).unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let request = attach_request("wedged", LifeguardKind::TaintCheck, 2, heap);
+    stream
+        .write_all(format!("{}\n", request.to_line()).as_bytes())
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let id: u64 = reply
+        .trim()
+        .strip_prefix("OK ")
+        .unwrap_or_else(|| panic!("attach refused: {reply:?}"))
+        .parse()
+        .unwrap();
+
+    let (failed_tx, failed_rx) = std::sync::mpsc::channel();
+    let producer = std::thread::spawn(move || {
+        for chunk in wire.chunks(32 * 1024) {
+            if let Err(e) = stream.write_all(&proto::data_frame(1, chunk)) {
+                failed_tx.send((Instant::now(), e.kind())).unwrap();
+                let mut rest = String::new();
+                let _ = reader.read_to_string(&mut rest);
+                return rest;
+            }
+        }
+        panic!("the daemon swallowed a backlog it should have pushed back on");
+    });
+
+    // Once the session sits above its cap the pump has stopped reading the
+    // connection; now fail it (the detach severs the awaited arc).
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut ctl = Control::connect(daemon.control_socket()).unwrap();
+    loop {
+        let status = ctl.status(id).unwrap();
+        let buffered: usize = field(&status, "buffered_bytes").unwrap().parse().unwrap();
+        if buffered > cap {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "never back-pressured: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    ctl.detach(id).unwrap();
+    let status = await_done(&daemon, id);
+    let failed_at = Instant::now();
+    assert_eq!(field(&status, "state").as_deref(), Some("failed"));
+
+    let (errored_at, kind) = failed_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the producer's write must fail within a second of the session");
+    assert!(
+        matches!(
+            kind,
+            std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset
+        ),
+        "write failed with {kind:?}, not a closed connection"
+    );
+    assert!(errored_at.saturating_duration_since(failed_at) < Duration::from_secs(1));
+    let said = producer.join().expect("producer thread");
+    assert!(
+        said.starts_with("ERR session failed:"),
+        "the daemon must say why it hung up: {said:?}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn subscriber_that_never_reads_is_counted_not_silently_dropped() {
+    // ADDRCHECK flags every load of an unallocated heap: far more feed
+    // lines than a socket buffer plus a subscriber's channel hold.
+    const LOADS: u64 = 20_000;
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let recs: Vec<EventRecord> = (1..=LOADS)
+        .map(|i| {
+            EventRecord::instr(
+                Rid(i),
+                Instr::Load {
+                    dst: paralog::events::Reg::new(0),
+                    src: paralog::events::MemRef::new(heap.start + (i % 64) * 4, 4),
+                },
+            )
+        })
+        .collect();
+    let encoded = vec![encode(&recs)];
+    let daemon = spawn_daemon("lost");
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("flood", LifeguardKind::AddrCheck, 1, heap),
+    )
+    .expect("attaches");
+    let id = producer.session_id();
+
+    // The silent subscriber: asks for the feed and never reads a byte.
+    let mut silent = UnixStream::connect(daemon.control_socket()).unwrap();
+    silent
+        .write_all(format!("WATCH {id}\n").as_bytes())
+        .unwrap();
+    let reader = std::thread::spawn({
+        let control = daemon.control_socket().to_path_buf();
+        move || {
+            let ctl = Control::connect(control).expect("watch connects");
+            let mut lines = Vec::new();
+            ctl.watch(id, |l| lines.push(l.to_string())).expect("watch");
+            lines
+        }
+    });
+    // Give both a beat to subscribe, then stream.
+    std::thread::sleep(Duration::from_millis(100));
+    producer.send_capture(&encoded, 4096).unwrap();
+
+    let status = await_done(&daemon, id);
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    let lost: u64 = field(&status, "watch_lines_lost")
+        .expect("STATUS counts lost feed lines")
+        .parse()
+        .unwrap();
+    assert!(lost > 0, "the silent subscriber cannot have kept up");
+
+    // The subscriber that does read is told, just ahead of the end line.
+    let lines = reader.join().expect("reader");
+    let [.., told, end] = lines.as_slice() else {
+        panic!("feed too short: {lines:?}");
+    };
+    assert_eq!(told, &format!("lost {lost}"));
+    assert!(end.starts_with(&format!("end ok records={LOADS} violations={LOADS} ")));
+    drop(silent);
     daemon.shutdown();
 }
 

@@ -243,46 +243,6 @@ fn bench_concurrent_replay(c: &mut Criterion) {
     );
 }
 
-/// Records per thread in the delta-vs-cas matrix series (the quick-profile
-/// shape; `bench_concurrent` regenerates the checked-in full matrix).
-const MATRIX_RECORDS: u64 = 2048;
-
-/// The delta-merge vs. CAS-per-access replay matrix as a criterion group:
-/// the exact streams behind the checked-in `BENCH_concurrent.json`
-/// ([`paralog_bench::concurrent_matrix`]), swept over 8/16 threads and the
-/// low/medium/high Zipf sharing profiles. `bench_concurrent` owns the
-/// checked-in numbers; this group exists for interactive `cargo bench`
-/// comparisons with criterion's statistics.
-fn bench_delta_vs_cas(c: &mut Criterion) {
-    use paralog_bench::concurrent_matrix::{
-        build_concurrent, replay as replay_mode, stream, KINDS, PROFILES, THREADS,
-    };
-    use paralog_lifeguards::ReplayMode;
-
-    for kind in KINDS {
-        for threads in THREADS {
-            for profile in PROFILES {
-                let streams: Vec<Vec<EventRecord>> = (0..threads as u16)
-                    .map(|t| stream(kind, t, MATRIX_RECORDS, profile))
-                    .collect();
-                let mut group = c.benchmark_group(format!("delta_vs_cas/{kind}/{}", profile.name));
-                group.sample_size(10);
-                group.throughput(Throughput::Elements(threads as u64 * MATRIX_RECORDS));
-                for mode in [ReplayMode::CasPerAccess, ReplayMode::DeltaMerge] {
-                    group.bench_function(BenchmarkId::new(mode.to_string(), threads), |b| {
-                        b.iter(|| {
-                            let lg = build_concurrent(kind, threads);
-                            replay_mode(&*lg, &streams, mode);
-                            black_box(lg.fingerprint())
-                        })
-                    });
-                }
-                group.finish();
-            }
-        }
-    }
-}
-
 const VERSIONS: u64 = 2048;
 
 fn vid(t: u16, r: u64) -> VersionId {
@@ -345,53 +305,44 @@ fn bench_concurrent_versions(c: &mut Criterion) {
 
     // Reclamation under the cross-thread hand-off: the producer strides one
     // version per dense chunk (maximal allocation rate) while the consumer
-    // retires them and advances its shard epoch at batch-boundary cadence.
-    // `reclaim_on` pays the drain-queue/sweep bookkeeping and reuses spare
-    // chunks; `reclaim_off` is the grow-only baseline.
+    // retires them and advances its shard epoch at batch-boundary cadence,
+    // paying the drain-queue/sweep bookkeeping and reusing spare chunks.
     const SWEEP_CHUNKS: u64 = 512;
     const SWEEP_EPOCH: u64 = 64;
     let mut group = c.benchmark_group("concurrent_reclamation");
     group.sample_size(10);
     group.throughput(Throughput::Elements(SWEEP_CHUNKS));
-    for on in [true, false] {
-        let name = if on { "reclaim_on" } else { "reclaim_off" };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let table = ConcurrentVersionTable::new(1).with_reclamation(on);
-                let cvid = |c: u64| vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
-                std::thread::scope(|scope| {
-                    let t = &table;
-                    scope.spawn(move || {
-                        for c in 0..SWEEP_CHUNKS {
-                            t.produce(cvid(c), range, snapshot(), 1);
-                        }
-                    });
-                    scope.spawn(move || {
-                        for c in 0..SWEEP_CHUNKS {
-                            loop {
-                                if let Some(v) = t.consume(cvid(c)) {
-                                    black_box(v);
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                            if c % SWEEP_EPOCH == 0 {
-                                t.advance_epoch(ThreadId(0));
-                            }
-                        }
-                    });
+    group.bench_function("reclaim_on", |b| {
+        b.iter(|| {
+            let table = ConcurrentVersionTable::new(1);
+            let cvid = |c: u64| vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
+            std::thread::scope(|scope| {
+                let t = &table;
+                scope.spawn(move || {
+                    for c in 0..SWEEP_CHUNKS {
+                        t.produce(cvid(c), range, snapshot(), 1);
+                    }
                 });
-                black_box(table.peak_dense_resident())
-            })
-        });
-    }
+                scope.spawn(move || {
+                    for c in 0..SWEEP_CHUNKS {
+                        loop {
+                            if let Some(v) = t.consume(cvid(c)) {
+                                black_box(v);
+                                break;
+                            }
+                            std::thread::yield_now();
+                        }
+                        if c % SWEEP_EPOCH == 0 {
+                            t.advance_epoch(ThreadId(0));
+                        }
+                    }
+                });
+            });
+            black_box(table.peak_dense_resident())
+        })
+    });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_concurrent_replay,
-    bench_delta_vs_cas,
-    bench_concurrent_versions
-);
+criterion_group!(benches, bench_concurrent_replay, bench_concurrent_versions);
 criterion_main!(benches);

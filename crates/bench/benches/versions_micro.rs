@@ -147,31 +147,27 @@ fn bench_versions(c: &mut Criterion) {
     group.finish();
 
     // Epoch reclamation's cost on a chunk-striding sweep (one version per
-    // dense chunk, the worst allocation rate per op): `on` frees drained
-    // chunks at each simulated batch boundary and reuses spares, `off` is
-    // the grow-only baseline that keeps every touched chunk resident. The
-    // ratio is the price of bounded residency; the soak suite pins the
-    // bound itself.
+    // dense chunk, the worst allocation rate per op): drained chunks are
+    // freed at each simulated batch boundary and spares reused. The soak
+    // suite pins the residency bound itself.
     const SWEEP_CHUNKS: u64 = 1024;
     const SWEEP_EPOCH: u64 = 64;
     let mut group = c.benchmark_group("versions_reclamation");
     group.throughput(Throughput::Elements(SWEEP_CHUNKS));
-    for on in [true, false] {
-        group.bench_function(if on { "reclaim_on" } else { "reclaim_off" }, |b| {
-            b.iter(|| {
-                let table = ConcurrentVersionTable::new(1).with_reclamation(on);
-                for c in 0..SWEEP_CHUNKS {
-                    let id = vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
-                    table.produce(id, range, snapshot(), 1);
-                    black_box(table.consume(id));
-                    if c % SWEEP_EPOCH == 0 {
-                        table.advance_epoch(ThreadId(0));
-                    }
+    group.bench_function("reclaim_on", |b| {
+        b.iter(|| {
+            let table = ConcurrentVersionTable::new(1);
+            for c in 0..SWEEP_CHUNKS {
+                let id = vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
+                table.produce(id, range, snapshot(), 1);
+                black_box(table.consume(id));
+                if c % SWEEP_EPOCH == 0 {
+                    table.advance_epoch(ThreadId(0));
                 }
-                black_box(table.peak_dense_resident())
-            })
-        });
-    }
+            }
+            black_box(table.peak_dense_resident())
+        })
+    });
     group.finish();
 
     // Bypass-heavy runs: every consumer outruns its producer (§5.5 without

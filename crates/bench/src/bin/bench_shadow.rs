@@ -2,7 +2,7 @@
 //! two-level shadow-memory suite — range primitives at 64 B/4 KiB and the
 //! single-byte fast path across 1/2/8-bit metadata.
 //!
-//! Usage mirrors `bench_concurrent`:
+//! Usage:
 //!
 //! * `cargo run --release -p paralog-bench --bin bench_shadow`
 //!   — run the full suite, print it, and rewrite `BENCH_shadow.json`
@@ -11,8 +11,7 @@
 //!   against the checked-in baseline, emitting a non-blocking GitHub
 //!   Actions `::warning::` line per regressed series. Always exits 0.
 
-use paralog_bench::concurrent_matrix::to_json;
-use paralog_bench::snapshot::{check_against, shadow_matrix};
+use paralog_bench::snapshot::{check_against, shadow_matrix, to_json};
 use std::path::PathBuf;
 
 const FULL_REPS: u64 = 2048;

@@ -1,8 +1,8 @@
 //! Regenerates (or checks) the checked-in `BENCH_versions.json`: the §5.5
 //! version-table suite — windowed churn, availability polling, the
-//! bypass-heavy worst case, and the epoch-reclamation sweep on/off.
+//! bypass-heavy worst case, and the epoch-reclamation sweep.
 //!
-//! Usage mirrors `bench_concurrent`:
+//! Usage mirrors `bench_shadow`:
 //!
 //! * `cargo run --release -p paralog-bench --bin bench_versions`
 //!   — run the full suite, print it, and rewrite `BENCH_versions.json`
@@ -11,8 +11,7 @@
 //!   it against the checked-in baseline, emitting a non-blocking GitHub
 //!   Actions `::warning::` line per regressed series. Always exits 0.
 
-use paralog_bench::concurrent_matrix::to_json;
-use paralog_bench::snapshot::{check_against, versions_matrix};
+use paralog_bench::snapshot::{check_against, to_json, versions_matrix};
 use std::path::PathBuf;
 
 const FULL_OPS: u64 = 4096;

@@ -4,7 +4,6 @@
 //! the criterion `benches/` run the same sweeps at reduced scale so they
 //! finish in a benchmarking session.
 
-pub mod concurrent_matrix;
 pub mod snapshot;
 
 /// Workload scale used by the full figure binaries (relative to the

@@ -1,25 +1,88 @@
-//! Checked-in benchmark snapshots beyond the concurrent matrix: the flat
-//! shadow-memory suite (`BENCH_shadow.json`) and the version-table suite
+//! Checked-in benchmark snapshots: the flat shadow-memory suite
+//! (`BENCH_shadow.json`) and the version-table suite
 //! (`BENCH_versions.json`).
 //!
-//! Both reuse the `BENCH_concurrent.json` schema — [`MatrixResult`] plus
-//! [`to_json`]/[`parse_json`] — so the CI bench-smoke step diffs all three
-//! files with the same non-blocking `::warning::` machinery. The measured
-//! shapes mirror the criterion groups in `benches/shadow_micro.rs` and
+//! Both share one schema — [`MatrixResult`] plus [`to_json`]/[`parse_json`]
+//! — so the CI bench-smoke step diffs both files with the same
+//! non-blocking `::warning::` machinery. The measured shapes mirror the
+//! criterion groups in `benches/shadow_micro.rs` and
 //! `benches/versions_micro.rs`; the snapshots exist so regressions in
 //! *our* structures show up in CI without a criterion baseline directory,
 //! not to re-measure the naive seed baselines (those live only in the
 //! criterion groups).
-//!
-//! [`to_json`]: crate::concurrent_matrix::to_json
-//! [`parse_json`]: crate::concurrent_matrix::parse_json
 
-use crate::concurrent_matrix::{parse_json, MatrixResult};
 use paralog_events::{AddrRange, Rid, ThreadId, VersionId};
 use paralog_meta::{ConcurrentVersionTable, ShadowMemory, VersionTable};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
+
+/// One measured suite plus the parameters it ran with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MatrixResult {
+    /// Work units timed per round.
+    pub records_per_thread: u64,
+    /// Series key → best-of-iters ns per work unit.
+    pub series: BTreeMap<String, f64>,
+}
+
+/// Serializes a result as the checked-in `BENCH_*.json` schema.
+pub fn to_json(result: &MatrixResult) -> String {
+    let mut out = String::from("{\n");
+    out.push_str("  \"schema\": 1,\n");
+    out.push_str(&format!(
+        "  \"records_per_thread\": {},\n",
+        result.records_per_thread
+    ));
+    out.push_str("  \"series\": {\n");
+    let last = result.series.len().saturating_sub(1);
+    for (i, (key, ns)) in result.series.iter().enumerate() {
+        out.push_str(&format!("    \"{key}\": {ns:.1}"));
+        out.push_str(if i == last { "\n" } else { ",\n" });
+    }
+    out.push_str("  }\n}\n");
+    out
+}
+
+/// Parses the schema written by [`to_json`].
+/// Hand-rolled (the workspace takes no external dependencies) and
+/// deliberately strict about shape: `None` on anything unexpected.
+pub fn parse_json(text: &str) -> Option<MatrixResult> {
+    let field = |name: &str| -> Option<&str> {
+        let tag = format!("\"{name}\"");
+        let at = text.find(&tag)? + tag.len();
+        let rest = text[at..].trim_start().strip_prefix(':')?;
+        Some(rest.trim_start())
+    };
+    if !field("schema")?.starts_with('1') {
+        return None;
+    }
+    let records_per_thread: u64 = {
+        let rest = field("records_per_thread")?;
+        let end = rest.find(|c: char| !c.is_ascii_digit())?;
+        rest[..end].parse().ok()?
+    };
+    let series_text = field("series")?.strip_prefix('{')?;
+    let series_text = &series_text[..series_text.find('}')?];
+    let mut series = BTreeMap::new();
+    for entry in series_text.split(',') {
+        let entry = entry.trim();
+        if entry.is_empty() {
+            continue;
+        }
+        let (key, value) = entry.split_once(':')?;
+        let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
+        let value: f64 = value.trim().parse().ok()?;
+        series.insert(key.to_string(), value);
+    }
+    if series.is_empty() {
+        return None;
+    }
+    Some(MatrixResult {
+        records_per_thread,
+        series,
+    })
+}
 
 /// A series must be at least this many times slower than the baseline
 /// before a snapshot `--check` warns (>30% regression).
@@ -102,9 +165,9 @@ pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
 }
 
 /// The version-table suite: §5.5 windowed churn, availability polling, the
-/// bypass-heavy worst case, and the epoch-reclamation sweep with the
-/// reclaimer on vs. off. Values are ns per operation; `ops` operations are
-/// timed per round (`records_per_thread` records `ops` in the snapshot).
+/// bypass-heavy worst case, and the epoch-reclamation sweep. Values are ns
+/// per operation; `ops` operations are timed per round
+/// (`records_per_thread` records `ops` in the snapshot).
 pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     const WINDOW: u64 = 32;
     const THREADS: u16 = 4;
@@ -169,25 +232,23 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     );
 
     // Chunk-striding sweep (one version per dense chunk, the worst
-    // allocation rate per op): the on/off pair prices bounded residency.
+    // allocation rate per op).
     let sweep_chunks = ops.min(2048);
-    for on in [true, false] {
-        series.insert(
-            format!("reclaim_{}", if on { "on" } else { "off" }),
-            best_of(sweep_chunks, iters, || {
-                let table = ConcurrentVersionTable::new(1).with_reclamation(on);
-                for c in 0..sweep_chunks {
-                    let id = vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
-                    table.produce(id, range, snapshot(), 1);
-                    std::hint::black_box(table.consume(id));
-                    if c % 64 == 0 {
-                        table.advance_epoch(ThreadId(0));
-                    }
+    series.insert(
+        "reclaim_on".to_string(),
+        best_of(sweep_chunks, iters, || {
+            let table = ConcurrentVersionTable::new(1);
+            for c in 0..sweep_chunks {
+                let id = vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
+                table.produce(id, range, snapshot(), 1);
+                std::hint::black_box(table.consume(id));
+                if c % 64 == 0 {
+                    table.advance_epoch(ThreadId(0));
                 }
-                std::hint::black_box(table.peak_dense_resident());
-            }),
-        );
-    }
+            }
+            std::hint::black_box(table.peak_dense_resident());
+        }),
+    );
 
     MatrixResult {
         records_per_thread: ops,
@@ -236,7 +297,27 @@ pub fn check_against(name: &str, path: &Path, fresh: &MatrixResult) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concurrent_matrix::to_json;
+
+    #[test]
+    fn json_round_trips() {
+        let result = MatrixResult {
+            records_per_thread: 4096,
+            series: [("1bit/get_set/1", 12.5), ("churn/w32", 0.1)]
+                .map(|(key, ns)| (key.to_string(), ns))
+                .into(),
+        };
+        let parsed = parse_json(&to_json(&result)).expect("own output parses");
+        assert_eq!(parsed, result);
+    }
+
+    #[test]
+    fn parse_rejects_garbage() {
+        assert!(parse_json("").is_none());
+        assert!(parse_json("{\"schema\": 2}").is_none());
+        assert!(
+            parse_json("{\"schema\": 1, \"records_per_thread\": 4096, \"series\": {}}").is_none()
+        );
+    }
 
     #[test]
     fn shadow_matrix_round_trips_through_the_snapshot_schema() {
@@ -253,7 +334,7 @@ mod tests {
     #[test]
     fn versions_matrix_covers_every_lifecycle_shape() {
         let result = versions_matrix(64, 1);
-        for key in ["churn/w32", "poll", "bypass", "reclaim_on", "reclaim_off"] {
+        for key in ["churn/w32", "poll", "bypass", "reclaim_on"] {
             assert!(result.series.contains_key(key), "missing series {key}");
         }
         let parsed = parse_json(&to_json(&result)).expect("own output parses");

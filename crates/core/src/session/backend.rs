@@ -43,8 +43,7 @@ use crate::reference::Reference;
 use crate::session::SourceInput;
 use paralog_events::{EventRecord, ThreadId};
 use paralog_lifeguards::{
-    ConcurrentLifeguard, CostModel, DeltaLifeguard, Lifeguard, LifeguardFactory, LifeguardFamily,
-    LifeguardKind, ReplayMode, Violation,
+    CostModel, Lifeguard, LifeguardFactory, LifeguardFamily, LifeguardKind, Violation,
 };
 use paralog_order::{Gate, OrderEnforcer, ProgressTable, RangeTable};
 use paralog_workloads::Workload;
@@ -380,124 +379,14 @@ fn replay_streams(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedBackend;
 
-/// How real-thread replay (the [`ThreadedBackend`] and the daemon's
-/// cooperative lanes) applies records to the concurrent lifeguard — the
-/// [`MonitorSessionBuilder::backend_mode`](super::MonitorSessionBuilder::backend_mode)
-/// knob, resolved per session.
+/// Inert: there is one publication mode. Kept only because the frozen
+/// `benchmark/src/driver.rs` names `BackendMode::Auto`; the next
+/// `benchmark`-archetype PR removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendMode {
-    /// Let the lifeguard factory pick
-    /// ([`LifeguardFactory::preferred_mode`], thresholds recorded from the
-    /// measured `BENCH_concurrent.json` matrix), falling back to
-    /// CAS-per-access when the analysis ships no delta form.
+    /// The only value.
     #[default]
     Auto,
-    /// Publish every metadata write into the shared tables immediately —
-    /// §5.3's per-access atomicity discipline
-    /// ([`ConcurrentLifeguard::apply`]).
-    CasPerAccess,
-    /// Buffer metadata writes in a worker-private shadow delta and publish
-    /// them only at dependence-arc and sync boundaries
-    /// ([`DeltaLifeguard`]). Fingerprints and violation reports are
-    /// bit-identical to [`CasPerAccess`](Self::CasPerAccess); an explicit
-    /// request fails with [`SessionError::Unsupported`] when the lifeguard
-    /// has no delta form.
-    DeltaMerge,
-}
-
-impl fmt::Display for BackendMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BackendMode::Auto => "auto",
-            BackendMode::CasPerAccess => "cas",
-            BackendMode::DeltaMerge => "delta",
-        })
-    }
-}
-
-/// A resolved concurrent replay form: which apply path the workers drive.
-pub(crate) enum ReplayForm {
-    Cas(Box<dyn ConcurrentLifeguard>),
-    Delta(Box<dyn DeltaLifeguard>),
-}
-
-impl fmt::Debug for ReplayForm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ReplayForm::Cas(_) => "ReplayForm::Cas",
-            ReplayForm::Delta(_) => "ReplayForm::Delta",
-        })
-    }
-}
-
-impl ReplayForm {
-    /// The shared [`ConcurrentLifeguard`] surface (fingerprints,
-    /// violations, CA policy, boundaries) — both forms expose it.
-    pub(crate) fn conc(&self) -> &dyn ConcurrentLifeguard {
-        match self {
-            ReplayForm::Cas(l) => &**l,
-            ReplayForm::Delta(l) => &**l,
-        }
-    }
-
-    /// The delta-merge surface, when this form buffers privately.
-    pub(crate) fn delta(&self) -> Option<&dyn DeltaLifeguard> {
-        match self {
-            ReplayForm::Cas(_) => None,
-            ReplayForm::Delta(l) => Some(&**l),
-        }
-    }
-
-    /// The mode this form runs under (for status surfaces).
-    pub(crate) fn mode(&self) -> ReplayMode {
-        match self {
-            ReplayForm::Cas(_) => ReplayMode::CasPerAccess,
-            ReplayForm::Delta(_) => ReplayMode::DeltaMerge,
-        }
-    }
-}
-
-/// Resolves the session's [`BackendMode`] against what `factory` actually
-/// offers for a `threads`-way replay.
-///
-/// `Auto` consults [`LifeguardFactory::preferred_mode`] and silently falls
-/// back to CAS-per-access when no delta form exists; an *explicit*
-/// [`BackendMode::DeltaMerge`] request without one is an error.
-///
-/// # Errors
-///
-/// [`SessionError::Unsupported`] when the factory lacks the requested (or
-/// any) concurrent form.
-pub(crate) fn resolve_replay_form(
-    factory: &dyn LifeguardFactory,
-    heap: paralog_events::AddrRange,
-    threads: usize,
-    mode: BackendMode,
-) -> Result<ReplayForm, SessionError> {
-    let cas = |factory: &dyn LifeguardFactory| {
-        factory
-            .concurrent(heap, threads)
-            .map(ReplayForm::Cas)
-            .ok_or(SessionError::Unsupported(
-                "lifeguard has no concurrent (Send + Sync) replay form",
-            ))
-    };
-    match mode {
-        BackendMode::CasPerAccess => cas(factory),
-        BackendMode::DeltaMerge => factory
-            .concurrent_delta(heap, threads)
-            .map(ReplayForm::Delta)
-            .ok_or(SessionError::Unsupported(
-                "lifeguard has no delta-merge replay form",
-            )),
-        BackendMode::Auto => match factory.preferred_mode(threads) {
-            ReplayMode::DeltaMerge => match factory.concurrent_delta(heap, threads) {
-                Some(delta) => Ok(ReplayForm::Delta(delta)),
-                None => cas(factory),
-            },
-            ReplayMode::CasPerAccess => cas(factory),
-        },
-    }
 }
 
 /// Gated polls a lane's thread spins through before yielding its core: a
@@ -532,13 +421,8 @@ impl Backend for ThreadedBackend {
             }
             SourceInput::Streams(s) => (s, None),
         };
-        let (session, lanes) = CoopSession::start_with_mode(
-            &*plan.factory,
-            plan.heap,
-            streams,
-            plan.observer,
-            plan.mode,
-        )?;
+        let (session, lanes) =
+            CoopSession::start(&*plan.factory, plan.heap, streams, plan.observer)?;
         // A thread per lane up to the processors there are: past that, a
         // thread gated on a lane whose thread is descheduled only spins on
         // the processor that lane needs, while a sweep steps it directly.

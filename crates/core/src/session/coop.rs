@@ -51,13 +51,13 @@
 //! arcs drains clean; severed arcs fail within the `COOP_SEVERED_GRACE`
 //! window.
 
-use super::backend::{ca_gate_unmet, resolve_replay_form, BackendMode, ReplayForm, INGEST_BATCH};
+use super::backend::{ca_gate_unmet, INGEST_BATCH};
 use super::source::{RecordStream, StreamStatus};
 use super::SessionError;
 use crate::metrics::{PhaseBreakdown, RunMetrics};
-use paralog_events::{AddrRange, EventRecord, Rid, ThreadId, VersionId};
+use paralog_events::{AddrRange, EventRecord, ThreadId, VersionId};
 use paralog_lifeguards::{
-    CostModel, LifeguardFactory, ReplayMode, SessionEventObserver, Violation,
+    ConcurrentLifeguard, CostModel, LifeguardFactory, SessionEventObserver, Violation,
 };
 use paralog_order::{CaPolicy, RangeTable, SharedProgressTable};
 use std::collections::VecDeque;
@@ -94,8 +94,7 @@ pub enum LaneStep {
 
 /// Shared state of one cooperative replay session.
 struct CoopShared {
-    /// The resolved replay form: CAS-per-access or delta-merge lanes.
-    form: ReplayForm,
+    lifeguard: Box<dyn ConcurrentLifeguard>,
     ca_policy: CaPolicy,
     progress: SharedProgressTable,
     versions: paralog_meta::ConcurrentVersionTable,
@@ -178,12 +177,9 @@ impl CoopShared {
         t0.elapsed() > COOP_SEVERED_GRACE
     }
 
-    /// Live metrics snapshot (also the body of the final report). On a
-    /// still-running delta-merge session the fingerprint may lag the lanes'
-    /// unflushed private windows; the final report never does (every lane
-    /// flushes on its way out).
+    /// Live metrics snapshot (also the body of the final report).
     fn metrics(&self) -> RunMetrics {
-        let mut violations = self.form.conc().violations();
+        let mut violations = self.lifeguard.violations();
         // Lane interleaving is pool-schedule-dependent; canonical order
         // keeps reports deterministic.
         violations.sort_by_key(|v| (v.tid.0, v.rid.0));
@@ -204,8 +200,8 @@ impl CoopShared {
             versions_produced: self.versions.produced(),
             versions_consumed: self.versions.consumed(),
             violations,
-            fingerprint: self.form.conc().fingerprint(),
-            events: self.form.conc().session_events(),
+            fingerprint: self.lifeguard.fingerprint(),
+            events: self.lifeguard.session_events(),
             lg_finish: phases.total(),
             phases: Some(phases),
             ..RunMetrics::default()
@@ -263,37 +259,21 @@ impl CoopSession {
         streams: Vec<Box<dyn RecordStream>>,
         observer: Option<SessionEventObserver>,
     ) -> Result<(CoopSession, Vec<CoopLane>), SessionError> {
-        CoopSession::start_with_mode(factory, heap, streams, observer, BackendMode::Auto)
-    }
-
-    /// [`start`](Self::start) with an explicit [`BackendMode`]: how lanes
-    /// apply records (CAS-per-access vs delta-merge private windows).
-    /// `Auto` defers to the factory's measured per-thread-count preference
-    /// and falls back to CAS when no delta form exists; an explicit
-    /// [`BackendMode::DeltaMerge`] without one is
-    /// [`SessionError::Unsupported`].
-    ///
-    /// # Errors
-    ///
-    /// As [`start`](Self::start), plus the explicit-mode mismatch above.
-    pub fn start_with_mode(
-        factory: &dyn LifeguardFactory,
-        heap: AddrRange,
-        streams: Vec<Box<dyn RecordStream>>,
-        observer: Option<SessionEventObserver>,
-        mode: BackendMode,
-    ) -> Result<(CoopSession, Vec<CoopLane>), SessionError> {
         if streams.is_empty() {
             return Err(SessionError::EmptySource);
         }
         let k = streams.len();
-        let form = resolve_replay_form(factory, heap, k, mode)?;
+        let lifeguard = factory
+            .concurrent(heap, k)
+            .ok_or(SessionError::Unsupported(
+                "lifeguard has no concurrent (Send + Sync) replay form",
+            ))?;
         if let Some(observer) = observer {
-            form.conc().set_event_observer(observer);
+            lifeguard.set_event_observer(observer);
         }
-        let ca_policy = form.conc().ca_policy();
+        let ca_policy = lifeguard.ca_policy();
         let shared = Arc::new(CoopShared {
-            form,
+            lifeguard,
             ca_policy,
             progress: SharedProgressTable::new(k),
             versions: paralog_meta::ConcurrentVersionTable::new(k),
@@ -326,7 +306,6 @@ impl CoopSession {
                 pending: VecDeque::new(),
                 batch: Vec::with_capacity(INGEST_BATCH),
                 range_table: RangeTable::new(k),
-                unadvertised: None,
                 wire_seen: 0,
                 eof: false,
                 head_produced: false,
@@ -378,11 +357,6 @@ impl CoopSession {
         self.shared.applied.load(Ordering::Relaxed)
     }
 
-    /// The replay mode this session's lanes resolved to (status surfaces).
-    pub fn mode(&self) -> ReplayMode {
-        self.shared.form.mode()
-    }
-
     /// Times a lane polled a `Blocked` stream (a genuinely non-blocking
     /// reader returned `WouldBlock`) and got no records.
     pub fn blocked_polls(&self) -> u64 {
@@ -405,7 +379,7 @@ impl CoopSession {
     /// reorder) — the incremental feed for a reader that has seen `from`
     /// of them. Costs nothing when there are none.
     pub fn violations_since(&self, from: usize) -> Vec<Violation> {
-        self.shared.form.conc().violations_since(from)
+        self.shared.lifeguard.violations_since(from)
     }
 }
 
@@ -420,10 +394,6 @@ pub struct CoopLane {
     pending: VecDeque<EventRecord>,
     batch: Vec<EventRecord>,
     range_table: RangeTable,
-    /// Delta mode's deferred-advertisement watermark (the last applied rid
-    /// not yet published to the §5.2 progress table); always `None` on a
-    /// CAS lane.
-    unadvertised: Option<Rid>,
     /// Wire bytes already folded into the session's transport total.
     wire_seen: u64,
     eof: bool,
@@ -492,21 +462,6 @@ impl CoopLane {
                 self.finish();
                 return LaneStep::Failed;
             }
-            // Delta flush point: before the head's ordered interaction — a
-            // gate it may park at (arc, CA serialization, §5.5 consume) or a
-            // publish peers read (§5.5 produce snapshot, CA metadata update)
-            // — the lane's buffered window and deferred watermark must be
-            // out.
-            let ordered = {
-                let head = self.pending.front().expect("checked above");
-                !head.arcs.is_empty()
-                    || head.consume_version.is_some()
-                    || !head.produce_versions.is_empty()
-                    || matches!(head.payload, paralog_events::EventPayload::Ca(_))
-            };
-            if ordered && self.shared.form.delta().is_some() {
-                self.flush_window();
-            }
             let head = self.pending.front().expect("checked above");
             // §5.2 arcs and §5.4 CA serialization, checked without waiting.
             let gated = head
@@ -527,7 +482,7 @@ impl CoopLane {
             if !self.head_produced {
                 for (vid, mem, consumers) in &head.produce_versions {
                     let range = mem.range();
-                    let snapshot = self.shared.form.conc().snapshot_meta(range);
+                    let snapshot = self.shared.lifeguard.snapshot_meta(range);
                     if let Err(err) = self
                         .shared
                         .versions
@@ -569,7 +524,7 @@ impl CoopLane {
             if let paralog_events::EventPayload::Instr(instr) = &rec.payload {
                 if let Some((mem, _)) = instr.mem_access() {
                     if let Some(entry) = self.range_table.check(self.tid, mem.range()) {
-                        self.shared.form.conc().on_syscall_race(
+                        self.shared.lifeguard.on_syscall_race(
                             self.tid,
                             mem.range(),
                             &entry,
@@ -578,14 +533,9 @@ impl CoopLane {
                     }
                 }
             }
-            match self.shared.form.delta() {
-                Some(d) => d.apply_delta(self.tid, &rec, versioned.as_ref()),
-                None => self
-                    .shared
-                    .form
-                    .conc()
-                    .apply(self.tid, &rec, versioned.as_ref()),
-            }
+            self.shared
+                .lifeguard
+                .apply(self.tid, &rec, versioned.as_ref());
             if let paralog_events::EventPayload::Ca(ca) = &rec.payload {
                 let actions = self.shared.ca_policy.actions(ca.what, ca.phase);
                 if actions.track_range {
@@ -598,17 +548,7 @@ impl CoopLane {
                     }
                 }
             }
-            if self.shared.form.delta().is_none()
-                || matches!(rec.payload, paralog_events::EventPayload::Ca(_))
-            {
-                // CAS lanes advertise per record; a delta lane still
-                // advertises CA copies immediately — remote copies gate on
-                // the issuer's advertised progress, and the CA apply
-                // self-flushed.
-                self.shared.progress.advertise(self.tid, rec.rid);
-            } else {
-                self.unadvertised = Some(rec.rid);
-            }
+            self.shared.progress.advertise(self.tid, rec.rid);
             self.shared.applied.fetch_add(1, Ordering::Relaxed);
             self.delivered += 1;
         }
@@ -622,10 +562,6 @@ impl CoopLane {
     /// Pulls one batch. `Some(step)` short-circuits the caller (idle,
     /// finished or failed); `None` means records are pending.
     fn refill(&mut self) -> Option<LaneStep> {
-        // Batch boundary: a delta lane publishes its window *before* the
-        // poll — the lane may go `Idle` on a lagging producer, and peers
-        // must not wait out that idleness for progress already made.
-        self.flush_window();
         if self.eof {
             self.finish();
             return Some(LaneStep::Finished);
@@ -675,22 +611,9 @@ impl CoopLane {
         // so stale fast-path reads are dead — the quiescence point
         // epoch-based reclamation (version-table chunks, interned lockset
         // masks) keys off.
-        self.shared.form.conc().epoch_boundary(self.tid);
+        self.shared.lifeguard.epoch_boundary(self.tid);
         self.shared.versions.advance_epoch(self.tid);
         None
-    }
-
-    /// Delta-mode flush point: publish the lane's private window into the
-    /// shared tables, then advertise the deferred §5.2 watermark
-    /// (advertisement is monotone, so the last rid suffices). No-op on a
-    /// CAS lane.
-    fn flush_window(&mut self) {
-        if let Some(d) = self.shared.form.delta() {
-            d.flush_delta(self.tid);
-        }
-        if let Some(rid) = self.unadvertised.take() {
-            self.shared.progress.advertise(self.tid, rid);
-        }
     }
 
     /// Resolves a gated head (`unproduced` names the §5.5 version when that
@@ -742,10 +665,7 @@ impl CoopLane {
         }
         self.done = true;
         self.unpark();
-        // However the lane exits (drained, failed, aborted), its buffered
-        // window lands before the terminal quiescence transition.
-        self.flush_window();
-        self.shared.form.conc().stream_done(self.tid);
+        self.shared.lifeguard.stream_done(self.tid);
         self.shared.versions.advance_epoch(self.tid);
         let finished = self.shared.finished_lanes.fetch_add(1, Ordering::SeqCst) + 1;
         if finished == self.shared.lanes {

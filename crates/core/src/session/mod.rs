@@ -124,10 +124,6 @@ pub struct SessionPlan {
     /// only in `RunMetrics::events` at the end. Backends without a
     /// concurrent form ignore it (their runs are batch-shaped anyway).
     pub observer: Option<SessionEventObserver>,
-    /// How real-thread replay applies records (CAS-per-access vs
-    /// delta-merge); [`BackendMode::Auto`] defers to the factory's measured
-    /// preference. The deterministic backend ignores it.
-    pub mode: BackendMode,
 }
 
 impl fmt::Debug for SessionPlan {
@@ -148,7 +144,6 @@ pub struct MonitorSession {
     shorthand: Option<LifeguardKind>,
     config: MonitorConfig,
     observer: Option<SessionEventObserver>,
-    mode: BackendMode,
 }
 
 impl fmt::Debug for MonitorSession {
@@ -183,7 +178,6 @@ impl MonitorSession {
             heap,
             input: self.source.open(),
             observer: self.observer,
-            mode: self.mode,
         };
         self.backend.run(plan)
     }
@@ -209,7 +203,6 @@ pub struct MonitorSessionBuilder {
     choice: LifeguardChoice,
     config: Option<MonitorConfig>,
     observer: Option<SessionEventObserver>,
-    mode: BackendMode,
 }
 
 impl fmt::Debug for MonitorSessionBuilder {
@@ -257,18 +250,6 @@ impl MonitorSessionBuilder {
     #[must_use]
     pub fn lifeguard_factory(mut self, factory: impl LifeguardFactory + 'static) -> Self {
         self.choice = LifeguardChoice::Factory(Arc::new(factory));
-        self
-    }
-
-    /// Sets how real-thread replay applies records (default:
-    /// [`BackendMode::Auto`] — the factory's measured per-thread-count
-    /// preference). [`BackendMode::DeltaMerge`] on a lifeguard without a
-    /// delta form fails the run with [`SessionError::Unsupported`]; `Auto`
-    /// falls back to CAS-per-access silently. The deterministic backend
-    /// ignores the knob.
-    #[must_use]
-    pub fn backend_mode(mut self, mode: BackendMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -350,7 +331,6 @@ impl MonitorSessionBuilder {
             shorthand,
             config,
             observer: self.observer,
-            mode: self.mode,
         })
     }
 }

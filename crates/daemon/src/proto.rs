@@ -52,18 +52,16 @@ pub struct AttachRequest {
     pub tso: bool,
     /// The monitored application's heap region.
     pub heap: AddrRange,
-    /// Requested replay mode (`mode=cas|delta|auto`, optional —
-    /// [`BackendMode::Auto`] when absent): how the session's lanes apply
-    /// records. The resolved mode is surfaced in `STATUS`.
+    /// Inert, and not on the wire. Kept only because the frozen
+    /// `benchmark/src/driver.rs` fills it in a struct literal; the next
+    /// `benchmark`-archetype PR removes it.
     pub mode: BackendMode,
 }
 
 impl AttachRequest {
-    /// Renders the handshake line (without the trailing newline). The
-    /// `mode=` field is emitted only when non-default, so v1 consumers that
-    /// predate it keep parsing these lines.
+    /// Renders the handshake line (without the trailing newline).
     pub fn to_line(&self) -> String {
-        let mut line = format!(
+        format!(
             "PARALOG ATTACH v1 name={} lifeguard={} threads={} tso={} heap={}:{}",
             self.name,
             self.lifeguard,
@@ -71,11 +69,7 @@ impl AttachRequest {
             u8::from(self.tso),
             self.heap.start,
             self.heap.len
-        );
-        if self.mode != BackendMode::Auto {
-            line.push_str(&format!(" mode={}", self.mode));
-        }
-        line
+        )
     }
 }
 
@@ -100,7 +94,6 @@ pub fn parse_attach(line: &str) -> Result<AttachRequest, String> {
         return Err("unsupported protocol version (want v1)".into());
     }
     let (mut name, mut lifeguard, mut threads, mut tso, mut heap) = (None, None, None, None, None);
-    let mut mode = None;
     for field in parts {
         let Some((key, value)) = field.split_once('=') else {
             return Err(format!("malformed field {field:?}"));
@@ -140,14 +133,6 @@ pub fn parse_attach(line: &str) -> Result<AttachRequest, String> {
                 let len: u64 = len.parse().map_err(|_| "heap len must be an integer")?;
                 heap = Some(AddrRange::new(start, len));
             }
-            "mode" => {
-                mode = Some(match value {
-                    "auto" => BackendMode::Auto,
-                    "cas" => BackendMode::CasPerAccess,
-                    "delta" => BackendMode::DeltaMerge,
-                    _ => return Err("mode must be cas, delta or auto".into()),
-                });
-            }
             other => return Err(format!("unknown field {other:?}")),
         }
     }
@@ -157,7 +142,7 @@ pub fn parse_attach(line: &str) -> Result<AttachRequest, String> {
         threads: threads.ok_or("missing threads=")?,
         tso: tso.unwrap_or(false),
         heap: heap.ok_or("missing heap=")?,
-        mode: mode.unwrap_or_default(),
+        mode: BackendMode::Auto,
     })
 }
 
@@ -304,22 +289,20 @@ mod tests {
             heap: AddrRange::new(4096, 1 << 20),
             mode: BackendMode::Auto,
         };
-        // Auto stays off the wire (v1 compatibility)...
-        assert!(!req.to_line().contains("mode="));
         assert_eq!(parse_attach(&req.to_line()).unwrap(), req);
-        // ...explicit modes round-trip.
-        for mode in [BackendMode::CasPerAccess, BackendMode::DeltaMerge] {
-            let req = AttachRequest {
-                mode,
-                ..req.clone()
-            };
-            assert!(req.to_line().contains(&format!(" mode={mode}")));
-            assert_eq!(parse_attach(&req.to_line()).unwrap(), req);
+    }
+
+    #[test]
+    fn mode_is_an_unknown_field() {
+        for mode in ["delta", "auto"] {
+            let line =
+                format!("PARALOG ATTACH v1 name=a lifeguard=y threads=1 heap=0:1 mode={mode}");
+            assert_eq!(
+                parse_attach(&line).unwrap_err(),
+                "unknown field \"mode\"",
+                "{line}"
+            );
         }
-        assert!(parse_attach(
-            "PARALOG ATTACH v1 name=a lifeguard=y threads=1 heap=0:1 mode=banana"
-        )
-        .is_err());
     }
 
     #[test]

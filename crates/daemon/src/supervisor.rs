@@ -31,7 +31,7 @@ use crate::transport::{ByteFeed, FeedWriter, SessionBuffer};
 use paralog_core::{
     CoopSession, EventSource, LaneSet, RunMetrics, SessionError, SourceInput, StreamingReplaySource,
 };
-use paralog_lifeguards::{LifeguardRegistry, MetadataShape, ReplayMode, SessionEventObserver};
+use paralog_lifeguards::{LifeguardRegistry, MetadataShape, SessionEventObserver};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -149,9 +149,6 @@ struct SessionEntry {
     lifeguard: String,
     threads: usize,
     tso: bool,
-    /// The replay mode the session's lanes resolved to (an `Auto` request
-    /// lands on whatever the lifeguard's factory preferred).
-    mode: ReplayMode,
     /// The metadata substrate the lifeguard replays on, straight from its
     /// factory's
     /// [`metadata_shape`](paralog_lifeguards::LifeguardFactory::metadata_shape) —
@@ -346,14 +343,9 @@ impl DaemonInner {
         let observer_watchers = Arc::clone(&watchers);
         let observer: SessionEventObserver =
             Arc::new(move |ev| observer_watchers.publish(format!("event {ev}")));
-        let (session, lanes) = CoopSession::start_with_mode(
-            factory.as_ref(),
-            req.heap,
-            streams,
-            Some(observer),
-            req.mode,
-        )
-        .map_err(|e| e.to_string())?;
+        let (session, lanes) =
+            CoopSession::start(factory.as_ref(), req.heap, streams, Some(observer))
+                .map_err(|e| e.to_string())?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(SessionEntry {
             id,
@@ -361,7 +353,6 @@ impl DaemonInner {
             lifeguard: req.lifeguard.clone(),
             threads: req.threads,
             tso: req.tso,
-            mode: session.mode(),
             shape: factory.metadata_shape(),
             attached_at: Instant::now(),
             session: Mutex::new(Some(session.clone())),
@@ -935,7 +926,6 @@ fn status_lines(entry: &Arc<SessionEntry>) -> Vec<String> {
         format!("lifeguard {}", entry.lifeguard),
         format!("threads {}", entry.threads),
         format!("tso {}", u8::from(entry.tso)),
-        format!("mode {}", entry.mode),
         format!("metadata {}", entry.shape),
         format!("state {}", entry.state()),
         format!("buffered_bytes {}", entry.buffered.bytes()),

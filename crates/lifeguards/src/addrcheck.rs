@@ -265,20 +265,6 @@ impl ConcurrentLifeguard for AddrCheckConcurrent {
     }
 }
 
-impl crate::factory::DeltaLifeguard for AddrCheckConcurrent {
-    /// ADDRCHECK's replay is a documented pass-through: its per-access work
-    /// is a metadata *read* (the allocation check), and its only metadata
-    /// writes ride malloc/free ConflictAlerts — which every replay mode
-    /// already applies at an ordered point. There is nothing to buffer, so
-    /// delta-merge mode degenerates to CAS-per-access (and the factory's
-    /// preferred mode never selects it).
-    fn apply_delta(&self, tid: ThreadId, rec: &EventRecord, versioned: Option<&VersionedMeta>) {
-        self.apply(tid, rec, versioned);
-    }
-
-    fn flush_delta(&self, _tid: ThreadId) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

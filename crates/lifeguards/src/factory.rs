@@ -187,28 +187,6 @@ pub trait LifeguardFactory: fmt::Debug + Send + Sync {
         None
     }
 
-    /// The delta-merge replay form, for backends running in
-    /// [`ReplayMode::DeltaMerge`]: workers buffer metadata writes in private
-    /// [`ShadowDelta`](paralog_meta::ShadowDelta) /
-    /// [`WordDelta`](paralog_meta::WordDelta) overlays and publish only at
-    /// dependence-arc and sync boundaries. Returns `None` by default — an
-    /// analysis without a delta form replays CAS-per-access. Every bundled
-    /// analysis overrides this.
-    fn concurrent_delta(&self, heap: AddrRange, threads: usize) -> Option<Box<dyn DeltaLifeguard>> {
-        let _ = (heap, threads);
-        None
-    }
-
-    /// Which replay mode this analysis prefers at `threads` worker threads,
-    /// consulted when a session leaves the mode on automatic. The default is
-    /// CAS-per-access (always correct, no buffering overhead); bundled
-    /// analyses override with thresholds chosen from the measured
-    /// `BENCH_concurrent.json` matrix, not guesswork.
-    fn preferred_mode(&self, threads: usize) -> ReplayMode {
-        let _ = threads;
-        ReplayMode::CasPerAccess
-    }
-
     /// The bundled shorthand this factory *is*, when it is one (the platform
     /// attaches the in-line sequential reference only then). Custom factories
     /// keep the default `None` — even when they reuse a bundled name to
@@ -218,8 +196,7 @@ pub trait LifeguardFactory: fmt::Debug + Send + Sync {
     }
 
     /// The shape of this analysis' shared metadata — what substrate its
-    /// concurrent forms replay on. Purely descriptive: `Auto`-mode selection
-    /// reports it alongside the chosen replay mode, and the daemon `STATUS`
+    /// concurrent form replays on. Purely descriptive: the daemon `STATUS`
     /// line surfaces it per session so operators can see which tier a
     /// lifeguard's footprint lives in. Defaults to the byte shadow, the
     /// common case for out-of-tree analyses.
@@ -228,17 +205,13 @@ pub trait LifeguardFactory: fmt::Debug + Send + Sync {
     }
 }
 
-/// The metadata substrate a lifeguard's concurrent forms replay on
+/// The metadata substrate a lifeguard's concurrent form replays on
 /// (see [`LifeguardFactory::metadata_shape`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetadataShape {
     /// Per-byte shadow over [`AtomicShadow`](paralog_meta::AtomicShadow)
     /// (TaintCheck, AddrCheck, MemCheck).
     ByteShadow,
-    /// One packed word per granule over a
-    /// [`PackedWordTable`](paralog_meta::PackedWordTable); every state fits
-    /// the word (LockSet before the wide tier existed).
-    PackedWord,
     /// Packed words with an interned wide-value spill tier — a
     /// [`WordTable`](paralog_meta::WordTable) (LockSet's candidate masks,
     /// HappensBefore's read vector clocks).
@@ -249,29 +222,7 @@ impl fmt::Display for MetadataShape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             MetadataShape::ByteShadow => "byte-shadow",
-            MetadataShape::PackedWord => "packed-word",
             MetadataShape::WideWord => "wide-word",
-        })
-    }
-}
-
-/// How a concurrent backend publishes metadata writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReplayMode {
-    /// One synchronizing atomic op per monitored access (the §5.3
-    /// synchronization-free fast path). Always available.
-    CasPerAccess,
-    /// Accumulate each batch in a private overlay, publish into the shared
-    /// metadata only at dependence-arc and sync boundaries. Requires the
-    /// factory to offer a [`DeltaLifeguard`] form.
-    DeltaMerge,
-}
-
-impl fmt::Display for ReplayMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ReplayMode::CasPerAccess => "cas",
-            ReplayMode::DeltaMerge => "delta",
         })
     }
 }
@@ -330,38 +281,6 @@ impl LifeguardFactory for LifeguardKind {
             LifeguardKind::MemCheck => Some(Box::new(MemCheckConcurrent::new(threads))),
             LifeguardKind::LockSet => Some(Box::new(LockSetConcurrent::new(threads))),
             LifeguardKind::HappensBefore => Some(Box::new(HappensBeforeConcurrent::new(threads))),
-        }
-    }
-
-    fn concurrent_delta(&self, heap: AddrRange, threads: usize) -> Option<Box<dyn DeltaLifeguard>> {
-        // The same concurrent types implement the delta form: they carry
-        // per-worker overlays alongside their shared structures, so either
-        // mode can drive the same instance (delta workers read through their
-        // overlay, CAS workers never touch it).
-        match self {
-            LifeguardKind::TaintCheck => Some(Box::new(TaintConcurrent::new(threads))),
-            LifeguardKind::AddrCheck => Some(Box::new(AddrCheckConcurrent::new(heap))),
-            LifeguardKind::MemCheck => Some(Box::new(MemCheckConcurrent::new(threads))),
-            LifeguardKind::LockSet => Some(Box::new(LockSetConcurrent::new(threads))),
-            LifeguardKind::HappensBefore => Some(Box::new(HappensBeforeConcurrent::new(threads))),
-        }
-    }
-
-    fn preferred_mode(&self, threads: usize) -> ReplayMode {
-        // Thresholds read off the checked-in BENCH_concurrent.json matrix
-        // (regenerate with `cargo run --release -p paralog-bench --bin
-        // bench_concurrent`). MemCheck is the only analysis whose delta form
-        // wins there — delta/cas 0.86–1.02 across the 16-worker profiles,
-        // but a slight loss (0.95–1.04) at 8 workers, so the switch-over
-        // sits at 16. TaintCheck's per-access work is too cheap to amortize
-        // the overlay (1.02–1.21 everywhere), LockSet and HappensBefore
-        // buffer whole granule words per access and lose outright (LockSet
-        // 1.50–1.82, HappensBefore 1.54–1.66), and AddrCheck's replay
-        // writes metadata only on rare CA events — nothing to buffer. All
-        // four stay CAS-per-access at every measured point.
-        match self {
-            LifeguardKind::MemCheck if threads >= 16 => ReplayMode::DeltaMerge,
-            _ => ReplayMode::CasPerAccess,
         }
     }
 
@@ -582,45 +501,6 @@ pub trait ConcurrentLifeguard: Send + Sync + fmt::Debug {
     }
 }
 
-/// The delta-merge replay form: a [`ConcurrentLifeguard`] whose workers can
-/// additionally buffer metadata writes in private per-thread overlays and
-/// publish them on command.
-///
-/// The backend's contract, which makes delta-merge bit-identical to
-/// CAS-per-access:
-///
-/// * it calls [`apply_delta`](Self::apply_delta) instead of
-///   [`apply`](ConcurrentLifeguard::apply) for ordinary records — the
-///   implementation routes metadata *writes* into thread `tid`'s private
-///   overlay and resolves metadata *reads* overlay-first (own pending
-///   writes win, everything else reads the shared structures);
-/// * it calls [`flush_delta`](Self::flush_delta) before any point where
-///   another thread may be ordered after `tid`'s buffered writes: before
-///   blocking on an unmet dependence arc or ConflictAlert gate, before a
-///   §5.5 produce point, at batch boundaries (ahead of
-///   [`epoch_boundary`](ConcurrentLifeguard::epoch_boundary)), before a
-///   §5.4 syscall-race repair, and at stream end;
-/// * it defers the progress-table advertisement of applied records until
-///   after the flush, so a peer that observes `tid`'s progress also
-///   observes the published metadata.
-///
-/// Within one unflushed window the owner is the only writer of its buffered
-/// locations — conflicting cross-thread writes are arc-ordered, and the arc
-/// forces a flush first — so last-writer-wins buffering composes with each
-/// analysis' merge operator (taint OR-join, MemCheck's inverted-lattice
-/// join, LockSet's interned mask intersection) exactly as eager publication
-/// would.
-pub trait DeltaLifeguard: ConcurrentLifeguard {
-    /// Applies one record of thread `tid`'s stream against the private
-    /// overlay (same semantics as
-    /// [`apply`](ConcurrentLifeguard::apply), different publication point).
-    fn apply_delta(&self, tid: ThreadId, rec: &EventRecord, versioned: Option<&VersionedMeta>);
-
-    /// Publishes thread `tid`'s pending overlay into the shared metadata
-    /// and empties it. Idempotent; a no-op when nothing is pending.
-    fn flush_delta(&self, tid: ThreadId);
-}
-
 /// Name → factory resolution for monitoring sessions.
 ///
 /// `builtin()` pre-registers the five bundled analyses; `register` adds
@@ -791,55 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn every_builtin_offers_a_delta_replay_form() {
-        for kind in LifeguardKind::ALL {
-            let delta = kind.concurrent_delta(HEAP, 2).expect("delta form");
-            assert!(delta.violations().is_empty());
-            // Flushing an empty overlay is a no-op.
-            delta.flush_delta(ThreadId(0));
-            assert_eq!(
-                delta.fingerprint(),
-                kind.concurrent(HEAP, 2).expect("cas form").fingerprint(),
-                "{kind}: fresh forms agree"
-            );
-        }
-        // Defaults come from the measured matrix: only MemCheck's delta
-        // form wins, and only from 16 workers up; everything else stays on
-        // CAS-per-access at every measured point.
-        assert_eq!(
-            LifeguardKind::MemCheck.preferred_mode(16),
-            ReplayMode::DeltaMerge
-        );
-        assert_eq!(
-            LifeguardKind::MemCheck.preferred_mode(8),
-            ReplayMode::CasPerAccess
-        );
-        for kind in [
-            LifeguardKind::AddrCheck,
-            LifeguardKind::TaintCheck,
-            LifeguardKind::LockSet,
-            LifeguardKind::HappensBefore,
-        ] {
-            assert_eq!(kind.preferred_mode(16), ReplayMode::CasPerAccess);
-        }
-        // A factory that opts out of everything still has sane defaults.
-        #[derive(Debug)]
-        struct Bare;
-        impl LifeguardFactory for Bare {
-            fn name(&self) -> &str {
-                "Bare"
-            }
-            fn build(&self, heap: AddrRange) -> LifeguardFamily {
-                LifeguardKind::MemCheck.build(heap)
-            }
-        }
-        assert!(Bare.concurrent_delta(HEAP, 8).is_none());
-        assert_eq!(Bare.preferred_mode(64), ReplayMode::CasPerAccess);
-        assert_eq!(ReplayMode::DeltaMerge.to_string(), "delta");
-        assert_eq!(ReplayMode::CasPerAccess.to_string(), "cas");
-    }
-
-    #[test]
     fn custom_factories_opt_into_the_locked_fallback() {
         #[derive(Debug)]
         struct Plain;
@@ -902,7 +733,6 @@ mod tests {
             MetadataShape::WideWord
         );
         assert_eq!(MetadataShape::ByteShadow.to_string(), "byte-shadow");
-        assert_eq!(MetadataShape::PackedWord.to_string(), "packed-word");
         assert_eq!(MetadataShape::WideWord.to_string(), "wide-word");
         // Out-of-tree factories default to the byte shadow.
         #[derive(Debug)]

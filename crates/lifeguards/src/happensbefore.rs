@@ -59,11 +59,7 @@
 //! once). FastTrack's post-race state is last-writer-wins — order-sensitive
 //! exactly when the accesses race — so instead of carrying an
 //! order-dependent epoch forward, every form converges on the same
-//! sentinel however the racing accesses interleave. This is also what lets
-//! the delta form repair a lost publish CAS without replaying the window:
-//! a *writing* window can only lose its publish to an arc-unordered
-//! conflicting peer, which is itself a race, so the word poisons either
-//! way.
+//! sentinel however the racing accesses interleave.
 
 use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
@@ -71,10 +67,8 @@ use crate::lifeguard::{
     ViolationKind, ViolationLog,
 };
 use crate::lockset::SYNC_SPACE_START;
-use crate::wordmeta::{WordAnalysis, WordOverlay};
 use paralog_events::{
-    check_view, AccessKind, AddrRange, CaRecord, EventPayload, EventRecord, MemRef, MetaOp, Rid,
-    ThreadId,
+    check_view, AccessKind, AddrRange, CaRecord, EventPayload, EventRecord, MetaOp, Rid, ThreadId,
 };
 use paralog_meta::{LaneCell, MetaWord, WordTable, MAX_WIDE_IDS};
 use paralog_order::CaPolicy;
@@ -86,11 +80,6 @@ use std::sync::Mutex;
 
 /// Word granularity of race detection (4 bytes, matching LOCKSET).
 const GRANULE: u64 = 4;
-
-/// First word-table key of the synchronization-object space: sync words
-/// share the data table (the keyspaces are disjoint), but their words hold
-/// published vector clocks instead of FastTrack access state.
-const SYNC_KEY_START: u64 = SYNC_SPACE_START / GRANULE;
 
 /// A FastTrack epoch: `(thread, clock)`. Clock 0 is ⊥ — "no such event" —
 /// and per-thread clocks start at 1, so ⊥ happens-before everything.
@@ -137,11 +126,11 @@ fn clock_vc(clock: &[u32]) -> Vec<Epoch> {
 }
 
 /// One FastTrack transition of a data word's abstract state — the single
-/// state machine behind the sequential form, the concurrent CAS loop, and
-/// the delta-merge overlay fold. Returns `None` when the access is a
-/// same-epoch no-op, otherwise `Some(race)` with the state updated: a write
-/// installs its epoch and clears the read state; a read merges its epoch
-/// into its thread's read slot.
+/// state machine behind the sequential form and the concurrent CAS loop.
+/// Returns `None` when the access is a same-epoch no-op, otherwise
+/// `Some(race)` with the state updated: a write installs its epoch and
+/// clears the read state; a read merges its epoch into its thread's read
+/// slot.
 fn step_access(
     write: &mut Epoch,
     reads: &mut Vec<Epoch>,
@@ -465,9 +454,6 @@ pub struct HappensBeforeConcurrent {
     /// Per-thread vector clocks (dense). Worker-private by the backend's
     /// contract, hence [`LaneCell`]s — no lock on the per-access read.
     clocks: Vec<LaneCell<Vec<u32>>>,
-    /// Per-worker delta-merge overlays, published at flush points through
-    /// the generic [`WordAnalysis`] adapter.
-    overlay: WordOverlay<HbWindow>,
     violations: ViolationLog,
     /// Incremental session-event receiver (live daemon feeds); invoked once
     /// when saturation first latches.
@@ -495,7 +481,6 @@ impl HappensBeforeConcurrent {
                     LaneCell::new(clock)
                 })
                 .collect(),
-            overlay: WordOverlay::new(threads),
             violations: ViolationLog::new(),
             observer: Mutex::new(None),
             observer_notified: AtomicBool::new(false),
@@ -531,7 +516,7 @@ impl HappensBeforeConcurrent {
     /// Decodes a word on a worker path.
     fn view(&self, word: u64) -> HbView {
         // SAFETY: the id was read from a word this worker loaded after its
-        // last epoch boundary (or from a window/just-acquired id it holds a
+        // last epoch boundary (or is a just-acquired id it holds a
         // reference on); quiescence keeps the slot stable until the worker's
         // next boundary.
         decode(word, |id| unsafe { self.words.wide().value(id) })
@@ -669,123 +654,6 @@ impl HappensBeforeConcurrent {
         clock[tid.index()] += 1; // release: the next epoch starts after the publish
     }
 
-    /// Moves a window's buffered word to `next`, transferring the window's
-    /// wide-id reference the same way the shared-table CAS paths do.
-    fn move_window_ref(&self, entry: &mut HbWindow, next: u64, acquired: u32) {
-        if next == entry.current {
-            self.words.wide().release(acquired);
-            return;
-        }
-        let old_id = wide_id(entry.current);
-        if wide_id(next) == old_id {
-            self.words.wide().release(acquired);
-        } else {
-            // The displaced id is released only if the window owned it —
-            // `observed`'s reference still belongs to the shared table.
-            if entry.owned_ref != 0 {
-                self.words.wide().release(entry.owned_ref);
-            }
-            entry.owned_ref = acquired;
-        }
-        entry.current = next;
-    }
-
-    /// Publish-CAS failure repair for a read-only window: re-run the
-    /// buffered read against the fresh word. If the fresh word's write
-    /// epoch is ordered before this thread, the read merges into its slot;
-    /// otherwise (or if the fold already raced against the observed state)
-    /// the word poisons, with the REPORTED bit arbitrating the report.
-    ///
-    /// The race re-check uses the flush-time clock. In arc-ordered captures
-    /// this path is only ever taken against hb-*ordered* peers (an
-    /// unordered conflicting peer implies an arc, and the arc forces this
-    /// window's flush first), so the re-check is exact there; in arc-free
-    /// harnesses (the bench matrix) the clock cannot have advanced between
-    /// the read and the flush — no sync records ride those streams — so it
-    /// is exact there too.
-    fn refold_read(&self, key: u64, read: Option<Epoch>, rid: Rid, raced: bool, tid: ThreadId) {
-        // SAFETY: flush points run on the worker owning lane `tid`.
-        let clock: Vec<u32> = unsafe { self.clocks[tid.index()].with(|c| c.clone()) };
-        loop {
-            let cur = self.words.load(key);
-            let (next, acquired, race) = match self.view(cur) {
-                // The word poisoned under us; only the report arbitrates.
-                HbView::Saturated => (cur, 0, true),
-                HbView::Virgin => unreachable!("published words never return to virgin"),
-                HbView::Known { write, mut reads } => {
-                    if raced || !epoch_hb(write, &clock) {
-                        (F_WIDE | (cur & REPORTED_BIT), 0, true)
-                    } else {
-                        match read {
-                            Some((t, c)) if !reads.contains(&(t, c)) => {
-                                set_slot(&mut reads, t, c);
-                                let (next, acq) = self.encode(write, reads, cur & REPORTED_BIT);
-                                (next, acq, false)
-                            }
-                            _ => (cur, 0, false),
-                        }
-                    }
-                }
-            };
-            let report = race && cur & REPORTED_BIT == 0;
-            let next = if report { next | REPORTED_BIT } else { next };
-            if next == cur {
-                self.words.wide().release(acquired);
-                return;
-            }
-            match self.words.compare_exchange(key, cur, next) {
-                Ok(_) => {
-                    let old_id = wide_id(cur);
-                    if old_id != wide_id(next) {
-                        self.words.wide().release(old_id);
-                    } else {
-                        self.words.wide().release(acquired);
-                    }
-                    if report {
-                        self.violations.push(Violation {
-                            tid,
-                            rid,
-                            kind: ViolationKind::DataRace,
-                            addr: Some(key * GRANULE),
-                        });
-                    }
-                    return;
-                }
-                Err(_) => {
-                    self.words.wide().release(acquired);
-                    continue;
-                }
-            }
-        }
-    }
-
-    /// Repair when a *writing* window's publish CAS lost: the peer that
-    /// moved the word is arc-unordered with the buffered write — itself a
-    /// race — so the word poisons (module docs), with the REPORTED bit
-    /// arbitrating who reports it.
-    fn degrade_word(&self, key: u64, rid: Rid, tid: ThreadId) {
-        loop {
-            let cur = self.words.load(key);
-            let report = cur & REPORTED_BIT == 0;
-            let next = F_WIDE | REPORTED_BIT;
-            if next == cur {
-                return; // already the reported sentinel
-            }
-            if self.words.compare_exchange(key, cur, next).is_ok() {
-                self.words.wide().release(wide_id(cur));
-                if report {
-                    self.violations.push(Violation {
-                        tid,
-                        rid,
-                        kind: ViolationKind::DataRace,
-                        addr: Some(key * GRANULE),
-                    });
-                }
-                return;
-            }
-        }
-    }
-
     /// Live interned wide words (soak/bench diagnostic).
     pub fn interned_vcs(&self) -> usize {
         self.words.wide().live()
@@ -800,163 +668,6 @@ impl HappensBeforeConcurrent {
     /// least once this session.
     pub fn degraded(&self) -> bool {
         self.words.wide().is_saturated()
-    }
-}
-
-/// One granule's buffered state in the delta-merge replay form: the worker
-/// transitions the private `current` word eagerly — the same machine as the
-/// shared CAS loop — and keeps the refold payload (this thread's final read
-/// epoch) for the read-only lost-CAS repair.
-#[derive(Debug)]
-pub struct HbWindow {
-    /// Shared entry word at first touch this window — the CAS expectation.
-    observed: u64,
-    /// Locally transitioned word (same packing as the shared table).
-    current: u64,
-    /// Interner reference held by this window (0: none). Transfers to the
-    /// table entry when the publish CAS wins.
-    owned_ref: u32,
-    /// This thread's final read epoch in the window (refold payload).
-    read_epoch: Option<Epoch>,
-    /// Whether any buffered access wrote (a lost publish CAS is then a
-    /// capture-contract violation — see `degrade_word`).
-    any_write: bool,
-    /// Deferred once-per-word race report, pushed only if the publish wins
-    /// (a lost CAS lets the fresh word's REPORTED bit arbitrate).
-    pending: Option<Rid>,
-    /// Rid of the window's last access (attribution fallback).
-    last_rid: Rid,
-}
-
-impl WordAnalysis for HappensBeforeConcurrent {
-    type Window = HbWindow;
-
-    fn overlay(&self) -> &WordOverlay<HbWindow> {
-        &self.overlay
-    }
-
-    fn window_keys(&self, mem: MemRef, _kind: AccessKind) -> Option<(u64, u64)> {
-        if mem.addr >= SYNC_SPACE_START {
-            // One key per synchronization object (64-byte spaced bases).
-            let key = mem.addr / GRANULE;
-            Some((key, key))
-        } else {
-            Some((
-                mem.addr / GRANULE,
-                (mem.addr + u64::from(mem.size) - 1) / GRANULE,
-            ))
-        }
-    }
-
-    fn open_window(&self, key: u64) -> HbWindow {
-        HbWindow {
-            observed: self.words.load(key),
-            current: self.words.load(key),
-            owned_ref: 0,
-            read_epoch: None,
-            any_write: false,
-            pending: None,
-            last_rid: Rid(0),
-        }
-    }
-
-    fn fold_access(
-        &self,
-        entry: &mut HbWindow,
-        key: u64,
-        kind: AccessKind,
-        tid: ThreadId,
-        rec: &EventRecord,
-    ) {
-        entry.last_rid = rec.rid;
-        // SAFETY: fold runs under the overlay's single-owner contract — the
-        // same worker owns clock lane `tid`.
-        unsafe {
-            self.clocks[tid.index()].with(|clock| {
-                if key >= SYNC_KEY_START {
-                    if kind.reads() {
-                        if let HbView::Known { reads, .. } = self.view(entry.current) {
-                            join_clock(clock, &reads);
-                        }
-                    }
-                    if kind.writes() {
-                        entry.any_write = true;
-                        let (next, acquired) =
-                            self.encode((0, 0), clock_vc(clock), entry.current & REPORTED_BIT);
-                        self.move_window_ref(entry, next, acquired);
-                        clock[tid.index()] += 1;
-                    }
-                } else {
-                    let writes = kind.writes();
-                    let cur = entry.current;
-                    let (next, acquired, race) = self.step_data(cur, writes, tid.0, clock);
-                    let report = race && cur & REPORTED_BIT == 0;
-                    let next = if report { next | REPORTED_BIT } else { next };
-                    entry.any_write |= writes;
-                    entry.read_epoch = if writes {
-                        None // a write clears the read state it would refold
-                    } else {
-                        Some((tid.0, clock[tid.index()]))
-                    };
-                    if report {
-                        entry.pending = Some(rec.rid);
-                    }
-                    self.move_window_ref(entry, next, acquired);
-                }
-            })
-        }
-    }
-
-    fn publish_window(&self, key: u64, entry: HbWindow, tid: ThreadId) {
-        if entry.current == entry.observed {
-            // Window was all fast-path no-ops; nothing to publish.
-            debug_assert_eq!(entry.owned_ref, 0, "unchanged window owns no reference");
-            return;
-        }
-        match self
-            .words
-            .compare_exchange(key, entry.observed, entry.current)
-        {
-            Ok(_) => {
-                let old_id = wide_id(entry.observed);
-                if old_id != wide_id(entry.current) {
-                    // The displaced id lost the table entry's reference; the
-                    // window's reference transfers to the entry.
-                    self.words.wide().release(old_id);
-                } else if entry.owned_ref != 0 {
-                    self.words.wide().release(entry.owned_ref);
-                }
-                if let Some(rid) = entry.pending {
-                    self.violations.push(Violation {
-                        tid,
-                        rid,
-                        kind: ViolationKind::DataRace,
-                        addr: Some(key * GRANULE),
-                    });
-                }
-            }
-            Err(_) => {
-                if entry.owned_ref != 0 {
-                    self.words.wide().release(entry.owned_ref);
-                }
-                let rid = entry.pending.unwrap_or(entry.last_rid);
-                if entry.any_write {
-                    self.degrade_word(key, rid, tid);
-                } else {
-                    self.refold_read(key, entry.read_epoch, rid, entry.pending.is_some(), tid);
-                }
-            }
-        }
-    }
-}
-
-impl crate::factory::DeltaLifeguard for HappensBeforeConcurrent {
-    fn apply_delta(&self, tid: ThreadId, rec: &EventRecord, versioned: Option<&VersionedMeta>) {
-        crate::wordmeta::apply_delta_via_overlay(self, tid, rec, versioned);
-    }
-
-    fn flush_delta(&self, tid: ThreadId) {
-        crate::wordmeta::flush_delta_via_overlay(self, tid);
     }
 }
 
@@ -1050,8 +761,7 @@ impl ConcurrentLifeguard for HappensBeforeConcurrent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factory::DeltaLifeguard;
-    use paralog_events::{Instr, Reg};
+    use paralog_events::{Instr, MemRef, Reg};
 
     const LOCK0: u64 = SYNC_SPACE_START; // paralog_sim::sync::lock_word(0)
 
@@ -1168,32 +878,6 @@ mod tests {
         assert_eq!(conc.violations().len(), 1);
         assert_eq!(conc.violations()[0].addr, Some(0x400));
         assert_eq!(conc.fingerprint(), a.fingerprint());
-    }
-
-    #[test]
-    fn delta_form_matches_cas_form() {
-        let cas = HappensBeforeConcurrent::new(2);
-        let delta = HappensBeforeConcurrent::new(2);
-        let mut rid = 0;
-        locked_handoff(&mut |t, addr, kind| {
-            rid += 1;
-            cas.apply(ThreadId(t), &rec(rid, addr, kind), None);
-            delta.apply_delta(ThreadId(t), &rec(rid, addr, kind), None);
-            // Sync hand-off points are arcs: flush both lanes there.
-            if addr >= SYNC_SPACE_START {
-                delta.flush_delta(ThreadId(t));
-            }
-        });
-        for (t, r) in [(0u16, 90u64), (1, 91)] {
-            cas.apply(ThreadId(t), &rec(r, 0x400, AccessKind::Write), None);
-            delta.apply_delta(ThreadId(t), &rec(r, 0x400, AccessKind::Write), None);
-            delta.flush_delta(ThreadId(t)); // conflicting writes are arc points
-        }
-        delta.flush_delta(ThreadId(0));
-        delta.flush_delta(ThreadId(1));
-        assert_eq!(delta.fingerprint(), cas.fingerprint());
-        assert_eq!(delta.violations().len(), cas.violations().len());
-        assert_eq!(delta.violations().len(), 1);
     }
 
     #[test]

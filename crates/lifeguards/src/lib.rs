@@ -59,14 +59,12 @@ pub mod locked;
 pub mod lockset;
 pub mod memcheck;
 pub mod taintcheck;
-pub mod wordmeta;
 
 pub use addrcheck::{AddrCheck, AddrCheckConcurrent, AddrShared, ALLOCATED};
 pub use cost::CostModel;
 pub use factory::{
-    ConcurrentLifeguard, DeltaLifeguard, LifeguardFactory, LifeguardFamily, LifeguardKind,
-    LifeguardRegistry, MetadataShape, ReplayMode, SessionEvent, SessionEventObserver,
-    VersionedMeta,
+    ConcurrentLifeguard, LifeguardFactory, LifeguardFamily, LifeguardKind, LifeguardRegistry,
+    MetadataShape, SessionEvent, SessionEventObserver, VersionedMeta,
 };
 pub use happensbefore::{HappensBefore, HappensBeforeConcurrent, HbShared, HbWide};
 pub use lifeguard::{
@@ -77,4 +75,3 @@ pub use locked::LockedConcurrent;
 pub use lockset::{LockSet, LockSetConcurrent, LockSetShared, VarState};
 pub use memcheck::{MemCheck, MemCheckConcurrent, MemShared, UNDEFINED};
 pub use taintcheck::{TaintCheck, TaintConcurrent, TaintShared, TAINTED};
-pub use wordmeta::{apply_delta_via_overlay, flush_delta_via_overlay, WordAnalysis, WordOverlay};

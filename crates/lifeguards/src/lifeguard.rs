@@ -8,7 +8,7 @@
 //! [`LifeguardSpec`].
 
 use paralog_events::{Addr, AddrRange, CaRecord, MetaOp, Rid, ThreadId};
-use paralog_meta::{AtomicShadow, ShadowDelta, ShadowMemory};
+use paralog_meta::{AtomicShadow, ShadowMemory};
 use paralog_order::{CaPolicy, RangeEntry};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -215,62 +215,6 @@ pub fn join_atomic_shadow(
             acc | snapshot_byte(v, a).unwrap_or_else(|| shadow.join_range(a, 1))
         }),
         SnapshotCoverage::Live => shadow.join_range(range.start, range.len),
-    }
-}
-
-/// How a concurrent byte-shadow analysis touches its metadata — the seam
-/// that lets one propagation implementation serve both replay modes. The
-/// CAS-per-access form goes straight at the shared [`AtomicShadow`]
-/// ([`SharedAccess`]); the delta-merge form routes writes into the worker's
-/// private [`ShadowDelta`] and reads overlay-first ([`DeltaAccess`]).
-/// Keeping the analysis logic mode-blind is what makes the two modes
-/// bit-identical by construction.
-pub(crate) trait ShadowAccess {
-    /// Joins (bitwise-ORs) the metadata of `range`, honoring a §5.5
-    /// versioned snapshot (snapshot bytes win over everything).
-    fn join(&mut self, range: AddrRange, versioned: Option<&VersionedMeta>) -> u8;
-
-    /// Stores `v` over every metadata byte of `range`.
-    fn fill(&mut self, range: AddrRange, v: u8);
-}
-
-/// CAS-per-access: every touch goes to the shared shadow.
-pub(crate) struct SharedAccess<'a>(pub &'a AtomicShadow);
-
-impl ShadowAccess for SharedAccess<'_> {
-    fn join(&mut self, range: AddrRange, versioned: Option<&VersionedMeta>) -> u8 {
-        join_atomic_shadow(self.0, range, versioned)
-    }
-
-    fn fill(&mut self, range: AddrRange, v: u8) {
-        self.0.fill_range(range.start, range.len, v);
-    }
-}
-
-/// Delta-merge: writes buffer privately, reads resolve snapshot → own
-/// overlay → shared shadow.
-pub(crate) struct DeltaAccess<'a> {
-    pub delta: &'a mut ShadowDelta,
-    pub shadow: &'a AtomicShadow,
-}
-
-impl ShadowAccess for DeltaAccess<'_> {
-    fn join(&mut self, range: AddrRange, versioned: Option<&VersionedMeta>) -> u8 {
-        match snapshot_coverage(versioned, range) {
-            SnapshotCoverage::Full(bytes) => bytes.iter().fold(0, |a, b| a | b),
-            SnapshotCoverage::Partial(v) => (range.start..range.end()).fold(0, |acc, a| {
-                acc | snapshot_byte(v, a).unwrap_or_else(|| {
-                    self.delta
-                        .get(a)
-                        .unwrap_or_else(|| self.shadow.join_range(a, 1))
-                })
-            }),
-            SnapshotCoverage::Live => self.delta.join_over(range.start, range.len, self.shadow),
-        }
-    }
-
-    fn fill(&mut self, range: AddrRange, v: u8) {
-        self.delta.set_range(range.start, range.len, v);
     }
 }
 

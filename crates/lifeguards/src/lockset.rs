@@ -16,10 +16,9 @@ use crate::lifeguard::{
     AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
     ViolationKind, ViolationLog,
 };
-use crate::wordmeta::{WordAnalysis, WordOverlay};
 use paralog_events::{
-    check_view, AccessKind, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind,
-    MemRef, MetaOp, Rid, ThreadId,
+    check_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MetaOp,
+    Rid, ThreadId,
 };
 use paralog_meta::{WordTable, MAX_WIDE_IDS};
 use paralog_order::CaPolicy;
@@ -270,10 +269,6 @@ pub struct LockSetConcurrent {
     /// worker owning it), so relaxed atomics suffice — no lock on the
     /// per-access read.
     held: Vec<std::sync::atomic::AtomicU64>,
-    /// Per-worker delta-merge overlays (granule index → buffered Eraser
-    /// transition), published by CAS at flush points through the generic
-    /// [`WordAnalysis`] adapter.
-    overlay: WordOverlay<GranuleDelta>,
     violations: ViolationLog,
     /// Incremental session-event receiver (live daemon feeds); invoked once
     /// when saturation first latches.
@@ -302,7 +297,6 @@ impl LockSetConcurrent {
             held: (0..threads)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
-            overlay: WordOverlay::new(threads),
             violations: ViolationLog::new(),
             observer: Mutex::new(None),
             observer_notified: AtomicBool::new(false),
@@ -336,10 +330,8 @@ impl LockSetConcurrent {
         }
     }
 
-    /// One Eraser transition from entry word `cur` — the single state
-    /// machine behind both replay forms ([`check_granule`]'s CAS loop and
-    /// the delta-merge overlay fold of [`WordAnalysis::fold_access`]),
-    /// which is what makes the modes agree bit-for-bit by construction.
+    /// One Eraser transition from entry word `cur` — the state machine
+    /// inside [`check_granule`]'s CAS loop.
     ///
     /// Returns the successor word (without the report bit), the set id
     /// acquired for it (the caller must publish or release it), and the
@@ -477,186 +469,6 @@ impl LockSetConcurrent {
     /// least once this session.
     pub fn degraded(&self) -> bool {
         self.words.wide().is_saturated()
-    }
-}
-
-/// One granule's buffered Eraser transition in the delta-merge replay form.
-///
-/// The worker applies its accesses *eagerly* against the private `current`
-/// word — the same `LockSetConcurrent::step_word` machine as the shared
-/// CAS loop — and additionally folds an access summary (`any_write`,
-/// `hmask`). Candidate intersection is commutative and associative and the
-/// state lattice is monotone, so applying the summary as one access
-/// reproduces the per-access sequence from any starting word; that is what
-/// makes a lost publish CAS cheap to repair (one re-folded
-/// `LockSetConcurrent::check_granule` call instead of a window replay).
-#[derive(Debug)]
-pub struct GranuleDelta {
-    /// Shared entry word at first touch this window — the CAS expectation.
-    observed: u64,
-    /// Locally transitioned word (same packing as the shared table).
-    current: u64,
-    /// Interner reference held by this overlay entry: `Some` exactly when
-    /// `current`'s set id was acquired here (differs from `observed`'s).
-    /// Transfers to the table entry when the publish CAS wins.
-    owned_ref: Option<u32>,
-    /// Whether any buffered access wrote (summary for CAS-failure refold).
-    any_write: bool,
-    /// Intersection of held-lock masks across buffered accesses (summary).
-    hmask: u64,
-    /// Deferred once-per-variable race report: set when the local
-    /// transition tripped it, pushed only if the publish CAS wins (a lost
-    /// CAS re-folds and the fresh word's REPORTED bit arbitrates instead).
-    pending: Option<Rid>,
-    /// Rid of the window's last access — report attribution when a refold
-    /// trips a race the local window did not see.
-    last_rid: Rid,
-}
-
-impl WordAnalysis for LockSetConcurrent {
-    type Window = GranuleDelta;
-
-    fn overlay(&self) -> &WordOverlay<GranuleDelta> {
-        &self.overlay
-    }
-
-    fn window_keys(&self, mem: MemRef, _kind: AccessKind) -> Option<(u64, u64)> {
-        if mem.addr >= SYNC_SPACE_START {
-            // Synchronization objects are accessed racily by construction;
-            // Eraser excludes them.
-            return None;
-        }
-        Some((
-            mem.addr / GRANULE,
-            (mem.addr + u64::from(mem.size) - 1) / GRANULE,
-        ))
-    }
-
-    fn open_window(&self, key: u64) -> GranuleDelta {
-        GranuleDelta {
-            observed: self.words.load(key),
-            current: self.words.load(key),
-            owned_ref: None,
-            any_write: false,
-            hmask: u64::MAX,
-            pending: None,
-            last_rid: Rid(0),
-        }
-    }
-
-    /// Delta-merge per-access path: the same `step_word` transition as
-    /// `check_granule`, applied to the worker-private overlay word
-    /// instead of CAS-published.
-    fn fold_access(
-        &self,
-        entry: &mut GranuleDelta,
-        _key: u64,
-        kind: AccessKind,
-        tid: ThreadId,
-        rec: &EventRecord,
-    ) {
-        let writes = kind.writes();
-        let held = self.held[tid.index()].load(std::sync::atomic::Ordering::Relaxed);
-        let rid = rec.rid;
-        entry.any_write |= writes;
-        entry.hmask &= held;
-        entry.last_rid = rid;
-        let cur = entry.current;
-        let (next, acquired, next_mask) = self.step_word(cur, writes, held, tid);
-        let report = next & 0b11 == S_SHARED_MOD && next & REPORTED_BIT == 0 && next_mask == 0;
-        let next = if report { next | REPORTED_BIT } else { next };
-        if next == cur {
-            if let Some(id) = acquired {
-                self.words.wide().release(id);
-            }
-            return;
-        }
-        let old_id = (cur >> SET_SHIFT) as u32;
-        let new_id = (next >> SET_SHIFT) as u32;
-        if new_id == old_id {
-            // Saturated re-intern of the id already in `current`: drop the
-            // duplicate reference, ownership is unchanged.
-            if let Some(id) = acquired {
-                self.words.wide().release(id);
-            }
-        } else {
-            // The overlay's reference moves to the new id; the displaced
-            // one (if the overlay owned it — i.e. it was not `observed`'s,
-            // whose reference the shared table still holds) is released.
-            if let Some(id) = entry.owned_ref.take() {
-                self.words.wide().release(id);
-            }
-            entry.owned_ref = acquired;
-        }
-        entry.current = next;
-        if report {
-            entry.pending = Some(rid);
-        }
-    }
-
-    /// Publishes one overlay entry into the shared table — the flush-point
-    /// half of the delta-merge form.
-    fn publish_window(&self, key: u64, entry: GranuleDelta, tid: ThreadId) {
-        if entry.current == entry.observed {
-            // Window was all fast-path re-accesses; nothing to publish. (An
-            // unchanged word implies an unchanged id: masks only shrink, so
-            // no transition chain returns to its starting id.)
-            debug_assert!(entry.owned_ref.is_none());
-            return;
-        }
-        match self
-            .words
-            .compare_exchange(key, entry.observed, entry.current)
-        {
-            Ok(_) => {
-                let old_id = (entry.observed >> SET_SHIFT) as u32;
-                let new_id = (entry.current >> SET_SHIFT) as u32;
-                if old_id != new_id {
-                    // The displaced id lost the table entry's reference;
-                    // the overlay's reference on `new_id` transfers to the
-                    // entry (same move as check_granule's CAS success).
-                    self.words.wide().release(old_id);
-                } else if let Some(id) = entry.owned_ref {
-                    self.words.wide().release(id);
-                }
-                if let Some(rid) = entry.pending {
-                    // The publish CAS won, so this worker owns the
-                    // once-per-variable report — the same arbitration the
-                    // CAS-per-access form gets from the REPORTED bit.
-                    self.violations.push(Violation {
-                        tid,
-                        rid,
-                        kind: ViolationKind::DataRace,
-                        addr: Some(key * GRANULE),
-                    });
-                }
-            }
-            Err(_) => {
-                // A concurrent (arc-unordered) peer moved the word under
-                // the buffered window. Release the overlay reference and
-                // re-fold the window's *summary* against the fresh state:
-                // candidate intersection is commutative/associative and the
-                // state lattice monotone, so one check_granule with
-                // (any_write, hmask) reproduces the buffered sequence, and
-                // its REPORTED-bit arbitration decides whether the pending
-                // report still fires (the peer may own it now).
-                if let Some(id) = entry.owned_ref {
-                    self.words.wide().release(id);
-                }
-                let rid = entry.pending.unwrap_or(entry.last_rid);
-                self.check_granule(key * GRANULE, entry.any_write, entry.hmask, tid, rid);
-            }
-        }
-    }
-}
-
-impl crate::factory::DeltaLifeguard for LockSetConcurrent {
-    fn apply_delta(&self, tid: ThreadId, rec: &EventRecord, versioned: Option<&VersionedMeta>) {
-        crate::wordmeta::apply_delta_via_overlay(self, tid, rec, versioned);
-    }
-
-    fn flush_delta(&self, tid: ThreadId) {
-        crate::wordmeta::flush_delta_via_overlay(self, tid);
     }
 }
 
@@ -1124,106 +936,6 @@ mod tests {
             before + 1,
             "the {{lock 7}} mask died with the refinement; only the empty \
              mask stays referenced"
-        );
-    }
-
-    #[test]
-    fn delta_form_matches_cas_form() {
-        use crate::factory::DeltaLifeguard;
-        // The same disciplined-plus-racy sequence through both replay
-        // forms: identical fingerprints and identical reports. CAs flow
-        // through apply_delta too (they self-flush), and the mid-sequence
-        // explicit flush exercises a window split.
-        let cas = LockSetConcurrent::new(2);
-        let delta = LockSetConcurrent::new(2);
-        let drive = |t: u16, rec: &EventRecord| {
-            cas.apply(ThreadId(t), rec, None);
-            delta.apply_delta(ThreadId(t), rec, None);
-        };
-        // Lock-disciplined sharing of 0x100.
-        for t in 0..2u16 {
-            drive(t, &rec_lock(1, t, 1, true));
-            drive(t, &rec_access(2, 0x100, true));
-            drive(t, &rec_lock(3, t, 1, false));
-        }
-        delta.flush_delta(ThreadId(0));
-        // Unprotected write sharing on 0x200: exactly one race.
-        drive(0, &rec_access(4, 0x200, true));
-        delta.flush_delta(ThreadId(0));
-        drive(1, &rec_access(4, 0x200, true));
-        drive(0, &rec_access(5, 0x200, true));
-        for t in 0..2u16 {
-            delta.flush_delta(ThreadId(t));
-        }
-        assert_eq!(delta.fingerprint(), cas.fingerprint());
-        assert_eq!(delta.violations().len(), 1);
-        assert_eq!(delta.violations()[0].kind, ViolationKind::DataRace);
-        assert_eq!(delta.violations()[0].addr, Some(0x200));
-        // An empty re-flush is a no-op.
-        delta.flush_delta(ThreadId(0));
-        assert_eq!(delta.fingerprint(), cas.fingerprint());
-    }
-
-    #[test]
-    fn delta_racing_writers_report_exactly_once() {
-        use crate::factory::DeltaLifeguard;
-        // Real threads hammer one unprotected variable through private
-        // overlays with interleaved flushes: lost publish CASes must
-        // re-fold, and the report must stay unique — the delta-mode
-        // counterpart of the CAS-loop race test (TSan races this too).
-        let conc = LockSetConcurrent::new(4);
-        std::thread::scope(|scope| {
-            for t in 0..4u16 {
-                let conc = &conc;
-                scope.spawn(move || {
-                    for i in 0..64u64 {
-                        conc.apply_delta(ThreadId(t), &rec_access(i + 1, 0x400, true), None);
-                        if i % 7 == 6 {
-                            conc.flush_delta(ThreadId(t));
-                        }
-                    }
-                    conc.flush_delta(ThreadId(t));
-                });
-            }
-        });
-        assert_eq!(conc.violations().len(), 1, "exactly one DataRace report");
-        // Final state converges to SharedModified with empty candidates,
-        // same as the CAS-per-access form.
-        let cas = LockSetConcurrent::new(2);
-        cas.apply(ThreadId(0), &rec_access(1, 0x400, true), None);
-        cas.apply(ThreadId(1), &rec_access(1, 0x400, true), None);
-        assert_eq!(conc.fingerprint(), cas.fingerprint());
-    }
-
-    #[test]
-    fn delta_window_refines_and_transfers_interner_refs() {
-        use crate::factory::DeltaLifeguard;
-        // A buffered window that refines the candidate set twice holds one
-        // overlay reference at a time; after the flush the table owns the
-        // final id and the intermediates are reclaimable at boundaries.
-        let conc = LockSetConcurrent::new(2);
-        let base = conc.interned_masks();
-        conc.apply(ThreadId(0), &rec_access(1, 0x500, false), None);
-        // Thread 1 shares under {3,5}, re-reads under {3}, then unlocked.
-        conc.apply_delta(ThreadId(1), &rec_lock(1, 1, 3, true), None);
-        conc.apply_delta(ThreadId(1), &rec_lock(2, 1, 5, true), None);
-        conc.apply_delta(ThreadId(1), &rec_access(3, 0x500, false), None);
-        conc.apply_delta(ThreadId(1), &rec_lock(4, 1, 5, false), None);
-        conc.apply_delta(ThreadId(1), &rec_access(5, 0x500, false), None);
-        conc.apply_delta(ThreadId(1), &rec_lock(6, 1, 3, false), None);
-        conc.apply_delta(ThreadId(1), &rec_access(7, 0x500, false), None);
-        conc.flush_delta(ThreadId(1));
-        assert!(conc.violations().is_empty(), "reads only: no race");
-        for _ in 0..2 {
-            conc.epoch_boundary(ThreadId(0));
-            conc.epoch_boundary(ThreadId(1));
-        }
-        // Only the empty mask stays referenced by the table entry; the
-        // {3,5} and {3} intermediates were released by the overlay chain.
-        assert_eq!(
-            conc.interned_masks(),
-            base + 1,
-            "intermediate window masks must be reclaimed"
         );
     }
 

@@ -10,17 +10,17 @@
 //! Reporting policy follows Memcheck: copying undefined data is fine;
 //! *using* it (indirect jump, checked syscall argument) is a violation.
 
-use crate::factory::{ConcurrentLifeguard, DeltaLifeguard, VersionedMeta};
+use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
-    AtomicityClass, DeltaAccess, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec,
-    ShadowAccess, SharedAccess, Violation, ViolationKind, ViolationLog,
+    join_atomic_shadow, AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard,
+    LifeguardSpec, Violation, ViolationKind, ViolationLog,
 };
 use crate::taintcheck::for_each_nonzero;
 use paralog_events::{
     dataflow_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MemRef,
     MetaOp, Rid, ThreadId, NUM_REGS,
 };
-use paralog_meta::{AtomicShadow, LaneCell, ShadowDelta, ShadowMemory};
+use paralog_meta::{AtomicShadow, ShadowMemory};
 use paralog_order::{CaActions, CaPolicy};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -231,11 +231,6 @@ pub struct MemCheckConcurrent {
     state: AtomicShadow,
     /// Per-worker register definedness (thread-private; uncontended locks).
     regs: Vec<Mutex<[u8; NUM_REGS]>>,
-    /// Per-worker private overlays for delta-merge replay; untouched (and
-    /// empty) when the backend drives CAS-per-access. Single-owner by the
-    /// delta-merge protocol (worker `tid` ↔ slot `tid`), hence a
-    /// [`LaneCell`] rather than per-record locked RMWs.
-    deltas: Vec<LaneCell<ShadowDelta>>,
     /// §5.3 slow path: serializes the rare wholesale metadata rewrites
     /// (malloc/free ConflictAlerts) against each other.
     structural: Mutex<()>,
@@ -260,44 +255,36 @@ impl MemCheckConcurrent {
         MemCheckConcurrent {
             state: AtomicShadow::new(),
             regs: (0..threads).map(|_| Mutex::new([0; NUM_REGS])).collect(),
-            deltas: (0..threads)
-                .map(|_| LaneCell::new(ShadowDelta::new()))
-                .collect(),
             structural: Mutex::new(()),
             violations: ViolationLog::new(),
         }
     }
 
-    /// One propagation implementation serves both replay modes through the
-    /// [`ShadowAccess`] seam — see
-    /// [`TaintConcurrent::apply_op`](crate::TaintConcurrent); the lattice is
-    /// inverted but the routing is identical.
+    /// Propagates one dataflow op against the shared shadow — the routing
+    /// of [`TaintConcurrent`](crate::TaintConcurrent) with the lattice
+    /// inverted.
     fn apply_op(
         &self,
         op: MetaOp,
         regs: &mut [u8; NUM_REGS],
-        mem_meta: &mut impl ShadowAccess,
         tid: ThreadId,
         rid: Rid,
         versioned: Option<&VersionedMeta>,
     ) {
+        let join = |range: AddrRange| join_atomic_shadow(&self.state, range, versioned);
+        let fill = |range: AddrRange, v: u8| self.state.fill_range(range.start, range.len, v);
         match op {
-            MetaOp::MemToReg { dst, src } => {
-                regs[dst.index()] = mem_meta.join(src.range(), versioned);
-            }
-            MetaOp::RegToMem { dst, src } => mem_meta.fill(dst.range(), regs[src.index()]),
+            MetaOp::MemToReg { dst, src } => regs[dst.index()] = join(src.range()),
+            MetaOp::RegToMem { dst, src } => fill(dst.range(), regs[src.index()]),
             MetaOp::RegToReg { dst, src } => regs[dst.index()] = regs[src.index()],
             MetaOp::ImmToReg { dst } => regs[dst.index()] = 0, // immediates are defined
-            MetaOp::ImmToMem { dst } => mem_meta.fill(dst.range(), 0),
-            MetaOp::MemToMem { dst, src } => {
-                let v = mem_meta.join(src.range(), versioned);
-                mem_meta.fill(dst.range(), v);
-            }
+            MetaOp::ImmToMem { dst } => fill(dst.range(), 0),
+            MetaOp::MemToMem { dst, src } => fill(dst.range(), join(src.range())),
             MetaOp::AluRR { dst, a, b } => {
                 regs[dst.index()] = regs[a.index()] | b.map(|b| regs[b.index()]).unwrap_or(0);
             }
             MetaOp::AluRM { dst, a, src } => {
-                regs[dst.index()] = regs[a.index()] | mem_meta.join(src.range(), versioned);
+                regs[dst.index()] = regs[a.index()] | join(src.range());
             }
             MetaOp::CheckJmp { target } => {
                 if regs[target.index()] & UNDEFINED != 0 {
@@ -311,8 +298,8 @@ impl MemCheckConcurrent {
             }
             MetaOp::CheckAccess { .. } => {}
             MetaOp::RmwOp { mem, reg } => {
-                let m = mem_meta.join(mem.range(), versioned);
-                mem_meta.fill(mem.range(), regs[reg.index()]);
+                let m = join(mem.range());
+                fill(mem.range(), regs[reg.index()]);
                 regs[reg.index()] = m;
             }
         }
@@ -325,8 +312,7 @@ impl ConcurrentLifeguard for MemCheckConcurrent {
             EventPayload::Instr(instr) => {
                 if let Some(op) = dataflow_view(instr) {
                     let mut regs = self.regs[tid.index()].lock().expect("poisoned");
-                    let mut mem_meta = SharedAccess(&self.state);
-                    self.apply_op(op, &mut regs, &mut mem_meta, tid, rec.rid, versioned);
+                    self.apply_op(op, &mut regs, tid, rec.rid, versioned);
                 }
             }
             EventPayload::Ca(ca) => {
@@ -368,50 +354,6 @@ impl ConcurrentLifeguard for MemCheckConcurrent {
 
     fn violations_since(&self, from: usize) -> Vec<Violation> {
         self.violations.since(from)
-    }
-}
-
-impl DeltaLifeguard for MemCheckConcurrent {
-    fn apply_delta(&self, tid: ThreadId, rec: &EventRecord, versioned: Option<&VersionedMeta>) {
-        match &rec.payload {
-            EventPayload::Instr(instr) => {
-                if let Some(op) = dataflow_view(instr) {
-                    let mut regs = self.regs[tid.index()].lock().expect("poisoned");
-                    // SAFETY: delta-merge single-owner protocol — only
-                    // thread `tid`'s replay worker reaches slot `tid`, and
-                    // lane hand-off is ordered by the backend.
-                    unsafe {
-                        self.deltas[tid.index()].with(|delta| {
-                            let mut mem_meta = DeltaAccess {
-                                delta,
-                                shadow: &self.state,
-                            };
-                            self.apply_op(op, &mut regs, &mut mem_meta, tid, rec.rid, versioned);
-                        });
-                    }
-                }
-            }
-            EventPayload::Ca(_) => {
-                // CA records are ordering events for every peer: publish the
-                // pending overlay, then take the one shared-path
-                // implementation (issuer-only update behind the structural
-                // mutex).
-                self.flush_delta(tid);
-                self.apply(tid, rec, versioned);
-            }
-        }
-    }
-
-    fn flush_delta(&self, tid: ThreadId) {
-        // SAFETY: same single-owner contract as `apply_delta` — flush
-        // points are executed by the worker that owns lane `tid`.
-        unsafe {
-            self.deltas[tid.index()].with(|delta| {
-                if !delta.is_empty() {
-                    delta.flush_into(&self.state);
-                }
-            });
-        }
     }
 }
 

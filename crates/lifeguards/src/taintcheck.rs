@@ -12,14 +12,14 @@
 //! metadata accesses atomic — no locks anywhere ([`AtomicityClass::SyncFree`]).
 
 use crate::lifeguard::{
-    AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind, ViolationLog,
+    join_atomic_shadow, AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard,
+    LifeguardSpec, Violation, ViolationKind, ViolationLog,
 };
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, HighLevelKind, MemRef, MetaOp, Rid, SyscallKind, ThreadId,
     NUM_REGS,
 };
-use paralog_meta::{AtomicShadow, LaneCell, ShadowDelta, ShadowMemory};
+use paralog_meta::{AtomicShadow, ShadowMemory};
 use paralog_order::{CaPolicy, RangeEntry};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -246,12 +246,6 @@ impl TaintCheck {
 pub struct TaintConcurrent {
     shadow: AtomicShadow,
     regs: Vec<Mutex<[u8; NUM_REGS]>>,
-    /// Per-worker private overlays for delta-merge replay; untouched (and
-    /// empty) when the backend drives CAS-per-access. Single-owner by the
-    /// delta-merge protocol: only worker `tid` touches slot `tid`, so the
-    /// slot is a [`LaneCell`], not a mutex — the hot path cannot afford
-    /// locked RMWs per record.
-    deltas: Vec<LaneCell<ShadowDelta>>,
     violations: ViolationLog,
 }
 
@@ -273,44 +267,34 @@ impl TaintConcurrent {
         TaintConcurrent {
             shadow: AtomicShadow::new(),
             regs: (0..threads).map(|_| Mutex::new([0; NUM_REGS])).collect(),
-            deltas: (0..threads)
-                .map(|_| LaneCell::new(ShadowDelta::new()))
-                .collect(),
             violations: ViolationLog::new(),
         }
     }
 
-    /// One propagation implementation serves both replay modes: the
-    /// [`ShadowAccess`](crate::lifeguard::ShadowAccess) seam decides whether
-    /// a touch hits the shared shadow directly (CAS-per-access) or the
-    /// worker's private overlay (delta-merge). Reads honor an injected §5.5
-    /// versioned snapshot through the seam's join rule.
+    /// Propagates one dataflow op against the shared shadow. Reads honor an
+    /// injected §5.5 versioned snapshot through [`join_atomic_shadow`].
     fn apply_op(
         &self,
         op: MetaOp,
         regs: &mut [u8; NUM_REGS],
-        mem_meta: &mut impl crate::lifeguard::ShadowAccess,
         tid: ThreadId,
         rid: Rid,
         versioned: Option<&crate::factory::VersionedMeta>,
     ) {
+        let join = |range: AddrRange| join_atomic_shadow(&self.shadow, range, versioned);
+        let fill = |range: AddrRange, v: u8| self.shadow.fill_range(range.start, range.len, v);
         match op {
-            MetaOp::MemToReg { dst, src } => {
-                regs[dst.index()] = mem_meta.join(src.range(), versioned);
-            }
-            MetaOp::RegToMem { dst, src } => mem_meta.fill(dst.range(), regs[src.index()]),
+            MetaOp::MemToReg { dst, src } => regs[dst.index()] = join(src.range()),
+            MetaOp::RegToMem { dst, src } => fill(dst.range(), regs[src.index()]),
             MetaOp::RegToReg { dst, src } => regs[dst.index()] = regs[src.index()],
             MetaOp::ImmToReg { dst } => regs[dst.index()] = 0,
-            MetaOp::ImmToMem { dst } => mem_meta.fill(dst.range(), 0),
-            MetaOp::MemToMem { dst, src } => {
-                let v = mem_meta.join(src.range(), versioned);
-                mem_meta.fill(dst.range(), v);
-            }
+            MetaOp::ImmToMem { dst } => fill(dst.range(), 0),
+            MetaOp::MemToMem { dst, src } => fill(dst.range(), join(src.range())),
             MetaOp::AluRR { dst, a, b } => {
                 regs[dst.index()] = regs[a.index()] | b.map(|b| regs[b.index()]).unwrap_or(0);
             }
             MetaOp::AluRM { dst, a, src } => {
-                regs[dst.index()] = regs[a.index()] | mem_meta.join(src.range(), versioned);
+                regs[dst.index()] = regs[a.index()] | join(src.range());
             }
             MetaOp::CheckJmp { target } => {
                 if regs[target.index()] & TAINTED != 0 {
@@ -324,8 +308,8 @@ impl TaintConcurrent {
             }
             MetaOp::CheckAccess { .. } => {}
             MetaOp::RmwOp { mem, reg } => {
-                let m = mem_meta.join(mem.range(), versioned);
-                mem_meta.fill(mem.range(), regs[reg.index()]);
+                let m = join(mem.range());
+                fill(mem.range(), regs[reg.index()]);
                 regs[reg.index()] = m;
             }
         }
@@ -364,10 +348,7 @@ impl crate::factory::ConcurrentLifeguard for TaintConcurrent {
     fn on_syscall_race(&self, tid: ThreadId, access: AddrRange, _entry: &RangeEntry, rid: Rid) {
         // §5.4: an access concurrent with a read() syscall is resolved
         // conservatively — taint the destination and warn (the concurrent
-        // mirror of the sequential handler above). Any buffered delta writes
-        // must land *before* the conservative fill: a stale pending byte
-        // flushed later would overwrite the TAINTED repair.
-        crate::factory::DeltaLifeguard::flush_delta(self, tid);
+        // mirror of the sequential handler above).
         self.violations.push(Violation {
             tid,
             rid,
@@ -387,8 +368,7 @@ impl crate::factory::ConcurrentLifeguard for TaintConcurrent {
             paralog_events::EventPayload::Instr(instr) => {
                 if let Some(op) = paralog_events::dataflow_view(instr) {
                     let mut regs = self.regs[tid.index()].lock().expect("poisoned");
-                    let mut mem_meta = crate::lifeguard::SharedAccess(&self.shadow);
-                    self.apply_op(op, &mut regs, &mut mem_meta, tid, rec.rid, versioned);
+                    self.apply_op(op, &mut regs, tid, rec.rid, versioned);
                 }
             }
             paralog_events::EventPayload::Ca(ca) => {
@@ -414,54 +394,6 @@ impl crate::factory::ConcurrentLifeguard for TaintConcurrent {
 
     fn violations_since(&self, from: usize) -> Vec<Violation> {
         self.violations.since(from)
-    }
-}
-
-impl crate::factory::DeltaLifeguard for TaintConcurrent {
-    fn apply_delta(
-        &self,
-        tid: ThreadId,
-        rec: &paralog_events::EventRecord,
-        versioned: Option<&crate::factory::VersionedMeta>,
-    ) {
-        match &rec.payload {
-            paralog_events::EventPayload::Instr(instr) => {
-                if let Some(op) = paralog_events::dataflow_view(instr) {
-                    let mut regs = self.regs[tid.index()].lock().expect("poisoned");
-                    // SAFETY: delta-merge single-owner protocol — only
-                    // thread `tid`'s replay worker reaches slot `tid`, and
-                    // lane hand-off is ordered by the backend.
-                    unsafe {
-                        self.deltas[tid.index()].with(|delta| {
-                            let mut mem_meta = crate::lifeguard::DeltaAccess {
-                                delta,
-                                shadow: &self.shadow,
-                            };
-                            self.apply_op(op, &mut regs, &mut mem_meta, tid, rec.rid, versioned);
-                        });
-                    }
-                }
-            }
-            paralog_events::EventPayload::Ca(_) => {
-                // CA records are ordering events for every peer: publish the
-                // pending overlay, then run the one shared-path
-                // implementation (issuer-only metadata update).
-                crate::factory::DeltaLifeguard::flush_delta(self, tid);
-                crate::factory::ConcurrentLifeguard::apply(self, tid, rec, versioned);
-            }
-        }
-    }
-
-    fn flush_delta(&self, tid: ThreadId) {
-        // SAFETY: same single-owner contract as `apply_delta` — flush
-        // points are executed by the worker that owns lane `tid`.
-        unsafe {
-            self.deltas[tid.index()].with(|delta| {
-                if !delta.is_empty() {
-                    delta.flush_into(&self.shadow);
-                }
-            });
-        }
     }
 }
 

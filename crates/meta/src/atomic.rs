@@ -133,31 +133,6 @@ impl AtomicShadow {
         }
     }
 
-    /// Chunk-resident bulk store: publishes `bytes` over
-    /// `addr..addr+bytes.len()`, one release store per byte. The
-    /// delta-merge flush primitive: a worker's pending window publishes as
-    /// written *spans* without inspecting values for equal-value runs.
-    /// Mirrors [`fill_range`](Self::fill_range)'s sparsity rule: an
-    /// all-zero span does not materialize a never-touched chunk (untouched
-    /// reads as clean zero already).
-    pub fn store_range(&self, addr: u64, bytes: &[u8]) {
-        let mut a = addr;
-        let end = addr + bytes.len() as u64;
-        while a < end {
-            let seg_end = end.min((a / CHUNK + 1) * CHUNK);
-            let lo = (a % CHUNK) as usize;
-            let hi = lo + (seg_end - a) as usize;
-            let src = &bytes[(a - addr) as usize..(seg_end - addr) as usize];
-            let create = src.iter().any(|b| *b != 0);
-            self.with_chunk(a / CHUNK, create, |c| {
-                for (byte, v) in c[lo..hi].iter().zip(src) {
-                    byte.store(*v, Ordering::Release);
-                }
-            });
-            a = seg_end;
-        }
-    }
-
     /// Chunk-resident ranged equality: whether every byte of the range
     /// holds exactly `v`. Untouched chunks read as clean (all-zero), so a
     /// never-written range equals `v` iff `v == 0`.

@@ -13,9 +13,6 @@
 //!   per key (the packed fast path), plus a reference-counted
 //!   [`WideInterner`] for per-location state that outgrows a single word
 //!   (LockSet's candidate masks, HappensBefore's read vector clocks);
-//! * [`ShadowDelta`] / [`WordDelta`] — private per-worker write overlays
-//!   for delta-merge replay: buffer locally, publish into the shared
-//!   structures only at dependence-arc and sync boundaries;
 //! * [`VersionTable`] — the produce/consume table backing TSO versioned
 //!   metadata (§5.5);
 //! * [`Fingerprint`] — the order-insensitive metadata fingerprint
@@ -36,15 +33,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod atomic;
-pub mod delta;
 pub mod fingerprint;
+pub mod lane_cell;
 pub mod shadow;
 pub mod table;
 pub mod versions;
 
 pub use atomic::AtomicShadow;
-pub use delta::{LaneCell, ShadowDelta, WordDelta};
 pub use fingerprint::Fingerprint;
+pub use lane_cell::LaneCell;
 pub use shadow::{ShadowMemory, CHUNK_APP_BYTES, META_BASE};
 pub use table::{MetaWord, PackedWordTable, WideInterner, WordTable, MAX_WIDE_IDS};
 pub use versions::{ConcurrentVersionTable, VersionTable};

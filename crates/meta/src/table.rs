@@ -292,7 +292,8 @@ impl<V: MetaWord> WideInterner<V> {
         map.insert(V::saturated(), 0u32);
         let slots: Box<[UnsafeCell<Option<V>>]> =
             (0..MAX_WIDE_IDS).map(|_| UnsafeCell::new(None)).collect();
-        // Slot 0 is written before the interner is shared: no readers yet.
+        // SAFETY: slot 0 is written before the interner is shared: no
+        // readers yet.
         unsafe { *slots[0].get() = Some(V::saturated()) };
         WideInterner {
             slots,
@@ -351,6 +352,12 @@ impl<V: MetaWord> WideInterner<V> {
         if let Some(&id) = state.map.get(&value) {
             if id != 0 {
                 self.refs[id as usize].fetch_add(1, Ordering::Relaxed);
+                // A revival voids the queued free and its stamp: lanes may
+                // read the id again from here on, so the next release to
+                // zero must be stamped with the epoch current *then*.
+                if std::mem::take(&mut state.queued[id as usize]) {
+                    state.pending.retain(|&(queued, _)| queued != id);
+                }
             }
             return id;
         }
@@ -654,6 +661,20 @@ mod tests {
         it.boundary(0);
         assert_eq!(it.live(), 2, "revived id survives the pending sweep");
         assert_eq!(it.value_locked(b), 42);
+    }
+
+    #[test]
+    fn revived_id_is_restamped_by_its_next_release() {
+        let it: WideInterner<u64> = WideInterner::new(2);
+        let x = it.intern_acquire(42);
+        it.release(x);
+        it.boundary(0);
+        // Revived after lane 0's boundary: lane 0 may read the id again, so
+        // the stamp of the first release must not free it.
+        assert_eq!(it.intern_acquire(42), x);
+        it.release(x);
+        it.boundary(1);
+        assert_eq!(it.value_locked(x), 42, "lane 0 has not quiesced since");
     }
 
     #[test]

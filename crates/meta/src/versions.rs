@@ -491,9 +491,6 @@ impl Shard {
 #[derive(Debug)]
 pub struct ConcurrentVersionTable {
     shards: Box<[Shard]>,
-    /// Epoch-deferred dense-chunk reclamation (on by default); benches turn
-    /// it off to measure the sweep's cost against the grow-only baseline.
-    reclaim: bool,
     produced: AtomicU64,
     consumed: AtomicU64,
     outstanding: AtomicUsize,
@@ -518,7 +515,6 @@ impl ConcurrentVersionTable {
     pub fn new(threads: usize) -> Self {
         ConcurrentVersionTable {
             shards: (0..threads.max(1)).map(|_| Shard::new()).collect(),
-            reclaim: true,
             produced: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
             outstanding: AtomicUsize::new(0),
@@ -527,14 +523,6 @@ impl ConcurrentVersionTable {
             dense_peak: AtomicUsize::new(0),
             reclaimed: AtomicU64::new(0),
         }
-    }
-
-    /// Toggles epoch-based dense-chunk reclamation (on by default). With it
-    /// off, drained dense chunks stay resident for the table's lifetime —
-    /// the pre-reclamation behavior the benches compare against.
-    pub fn with_reclamation(mut self, on: bool) -> Self {
-        self.reclaim = on;
-        self
     }
 
     fn split(id: VersionId) -> (u64, usize) {
@@ -566,8 +554,7 @@ impl ConcurrentVersionTable {
         if matches!(&*guard, Some(d) if d.tag == ci) {
             let d = guard.as_mut().expect("just matched");
             let out = f(&d.chunk);
-            let enqueue =
-                self.reclaim && !d.queued && d.chunk.occupied.load(Ordering::Relaxed) == 0;
+            let enqueue = !d.queued && d.chunk.occupied.load(Ordering::Relaxed) == 0;
             if enqueue {
                 d.queued = true;
             }
@@ -606,8 +593,7 @@ impl ConcurrentVersionTable {
                 chunk: shard.fresh_chunk(),
             });
             let out = f(&d.chunk);
-            let enqueue =
-                self.reclaim && !d.queued && d.chunk.occupied.load(Ordering::Relaxed) == 0;
+            let enqueue = !d.queued && d.chunk.occupied.load(Ordering::Relaxed) == 0;
             if enqueue {
                 d.queued = true;
             }
@@ -634,12 +620,8 @@ impl ConcurrentVersionTable {
     /// threaded backend calls this at every stream batch boundary (and once
     /// more when the stream ends), so residency tracks the outstanding
     /// window while the window's own churn never frees a chunk that is
-    /// about to be refilled. A no-op when reclamation is off or `consumer`
-    /// is outside the table.
+    /// about to be refilled. A no-op when `consumer` is outside the table.
     pub fn advance_epoch(&self, consumer: paralog_events::ThreadId) {
-        if !self.reclaim {
-            return;
-        }
         let Some(shard) = self.shards.get(consumer.index()) else {
             return;
         };
@@ -1097,19 +1079,6 @@ mod tests {
         let again = vid(0, 3 * CHUNK_RIDS + 1);
         t.produce(again, AddrRange::new(0, 1), vec![7], 1);
         assert_eq!(t.consume(again).map(|(_, s)| s), Some(vec![7]));
-    }
-
-    #[test]
-    fn reclamation_toggle_keeps_dense_shells() {
-        let t = ConcurrentVersionTable::new(1).with_reclamation(false);
-        for batch in 0..8u64 {
-            let id = vid(0, batch * CHUNK_RIDS);
-            t.produce(id, AddrRange::new(0, 1), vec![1], 1);
-            assert!(t.consume(id).is_some());
-            t.advance_epoch(ThreadId(0));
-        }
-        assert_eq!(t.dense_resident(), 8, "off = grow-only baseline");
-        assert_eq!(t.reclaimed_chunks(), 0);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! | [`exhaust_read_vcs`] | HAPPENSBEFORE read-VC interner exhaustion | exactly one `DegradedPrecision` per session |
 //! | [`rid_sweep`] | §5.5 version-table epoch reclamation | `peak_dense_resident` stays window-bounded across windows |
 //! | [`arc_fanout`] | §5.2 arc gating under fan-in/fan-out storms | replay terminates (no deadlock), stalls observed |
-//! | [`delta_thrash`] | delta-merge flush points | per-record flush thrash keeps CAS/delta parity |
 //!
 //! Every preset is a pure function of its parameters — no RNG, no ambient
 //! state — so the generated streams (and therefore the bounds they probe)
@@ -277,39 +276,6 @@ pub fn arc_fanout(spokes: u16, rounds: u64) -> AdversarialCapture {
     }
 }
 
-/// Delta-merge flush thrash: every other record is an *ordered* event (an
-/// own-stream lock CA), so a delta-merge lane must flush its private
-/// window at nearly every record — the worst case for batched publication.
-/// Interleaved with the CAs, the threads ping-pong loads and stores over a
-/// small shared window plus private slots, so the shadow state that must
-/// survive each flush is non-trivial.
-pub fn delta_thrash(threads: u16, rounds: u64) -> AdversarialCapture {
-    assert!(threads >= 2, "thrash wants cross-thread visibility");
-    let shared = 0x4000_0000u64;
-    let private = 0x5000_0000u64;
-    let mut streams: Vec<Vec<EventRecord>> = Vec::with_capacity(threads as usize);
-    for t in 0..threads {
-        let mut rid = RidGen(0);
-        let mut s = Vec::with_capacity(3 * rounds as usize);
-        for i in 0..rounds {
-            let slot = shared + ((i + t as u64) % 8) * 4;
-            let own = private + t as u64 * 0x1000 + (i % 64) * 4;
-            s.push(access(rid.next(), slot, i % 2 == 0));
-            // The ordered event: forces a delta lane to publish its window.
-            s.push(lock(rid.next(), t, t as u32, i % 2 == 0));
-            s.push(access(rid.next(), own, true));
-        }
-        streams.push(s);
-    }
-    AdversarialCapture {
-        name: "delta_thrash",
-        bound: "delta-merge replay stays fingerprint-identical to CAS-per-access when \
-                ordered events force a window flush at nearly every record",
-        heap: AddrRange::new(shared, 0x2000_0000),
-        streams,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +301,6 @@ mod tests {
             exhaust_read_vcs(100, 0xFFFF_0000),
             rid_sweep(64, 128),
             arc_fanout(4, 50),
-            delta_thrash(3, 30),
         ] {
             for (t, stream) in cap.streams.iter().enumerate() {
                 let mut last = 0u64;

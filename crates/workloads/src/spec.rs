@@ -270,9 +270,8 @@ pub struct WorkloadSpec {
     /// Zipf skew of *shared-region* address selection. `None` keeps the
     /// historical uniform draw (byte-identical RNG sequence to older
     /// captures); `Some(theta)` with `theta > 0` concentrates accesses on
-    /// a hot head of the shared region — the contention knob the
-    /// delta-merge benchmarks sweep (`theta ≈ 0.6` mild, `0.99` classic
-    /// YCSB-style skew).
+    /// a hot head of the shared region — the contention knob
+    /// (`theta ≈ 0.6` mild, `0.99` classic YCSB-style skew).
     pub zipf_theta: Option<f64>,
     /// Operation-category mix layered above the instruction-idiom mix.
     /// `None` keeps the historical pure-idiom slot loop (byte-identical

@@ -14,8 +14,8 @@
 //!   capture, and its breakdown also sums to total.
 
 use paralog::core::{
-    BackendMode, CoopSession, DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode,
-    Platform, RecordStream, ReplaySource, StreamingReplaySource, TRANSPORT_BYTES_PER_CYCLE,
+    CoopSession, DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform,
+    RecordStream, ReplaySource, StreamingReplaySource, TRANSPORT_BYTES_PER_CYCLE,
 };
 use paralog::events::codec::encode;
 use paralog::events::EventRecord;
@@ -147,14 +147,8 @@ fn coop_lanes_report_the_same_payload_phases() {
         .into_iter()
         .map(|s| Box::new(paralog::core::BufferedStream::new(s)) as Box<dyn RecordStream>)
         .collect();
-    let (session, mut lanes) = CoopSession::start_with_mode(
-        &LifeguardKind::TaintCheck,
-        w.heap,
-        boxed,
-        None,
-        BackendMode::CasPerAccess,
-    )
-    .expect("session starts");
+    let (session, mut lanes) = CoopSession::start(&LifeguardKind::TaintCheck, w.heap, boxed, None)
+        .expect("session starts");
     // Mid-run snapshots must already carry a consistent breakdown.
     let mut saw_partial = false;
     while !session.is_complete() {

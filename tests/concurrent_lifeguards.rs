@@ -23,10 +23,10 @@ use paralog::core::{
 use paralog::events::codec::encode;
 use paralog::events::{
     AddrRange, ArcKind, CaPhase, CaRecord, DependenceArc, EventRecord, HighLevelKind, Instr,
-    LockId, MemRef, Op, Reg, Rid, ThreadId,
+    LockId, MemRef, Op, Reg, Rid, SyscallKind, ThreadId,
 };
 use paralog::lifeguards::{
-    ConcurrentLifeguard, HandlerCtx, LifeguardFactory, LifeguardFamily, LifeguardKind,
+    ConcurrentLifeguard, EventView, HandlerCtx, LifeguardFactory, LifeguardFamily, LifeguardKind,
     LockedConcurrent, Violation, ViolationKind,
 };
 use paralog::workloads::{Benchmark, Workload, WorkloadSpec};
@@ -153,18 +153,21 @@ fn custom_factories_still_fall_back_to_locked_concurrent() {
 // SC capture parity (workload-driven, raw and codec wire form)
 // ---------------------------------------------------------------------------
 
-/// MemCheck and LockSet replay SC captures on `ThreadedBackend` with
-/// fingerprints and violations identical to the deterministic backend —
-/// from the live run, the raw collected streams, and the codec wire form.
+/// All five bundled lifeguards replay SC captures on `ThreadedBackend`
+/// with fingerprints and violations identical to the deterministic backend
+/// — from the live run, the raw collected streams, and the codec wire form.
 #[test]
 fn sc_captures_replay_identically_on_both_backends() {
     // Fluidanimate: fine-grained locking (LockSet's home turf); Swaptions:
-    // malloc/free churn (MemCheck's structural slow path). HappensBefore
+    // malloc/free churn (MemCheck's structural slow path, and the CA
+    // records TaintCheck and AddrCheck write metadata on). HappensBefore
     // sees no sync-space traffic in these captures, so every cross-thread
     // conflicting pair races — the captured dependence arcs order those
     // pairs, which is exactly what makes its reports and poisoned metadata
     // backend-deterministic.
     for (kind, bench) in [
+        (LifeguardKind::TaintCheck, Benchmark::Swaptions),
+        (LifeguardKind::AddrCheck, Benchmark::Swaptions),
         (LifeguardKind::MemCheck, Benchmark::Swaptions),
         (LifeguardKind::MemCheck, Benchmark::Fluidanimate),
         (LifeguardKind::LockSet, Benchmark::Fluidanimate),
@@ -660,24 +663,36 @@ fn happensbefore_disciplined_capture_is_silent_on_both_backends() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// MemCheck's lock-free fast path under genuine races: threads replay
-    /// disjoint slabs (malloc → undefined, stores define, loads propagate)
-    /// plus loads of a shared read-only region, on real threads. The final
-    /// shadow must match the sequential family applied in any order, and
-    /// no worker's propagation may leak into another slab.
+    /// The byte-shadow lock-free fast paths under genuine races: threads
+    /// replay disjoint slabs on real threads — a prelude that dirties the
+    /// slab (MemCheck: malloc → undefined; TaintCheck: read() → tainted;
+    /// AddrCheck: malloc → allocated), then stores that clean and loads
+    /// that propagate or check. The final shadow must match the sequential
+    /// family applied in any order, and no worker's propagation may leak
+    /// into another slab.
     #[test]
     fn memcheck_racing_disjoint_slabs_match_sequential(
+        kind in 0usize..3,
         threads in 2usize..5,
         blocks in 4u64..24,
     ) {
-        let conc = LifeguardKind::MemCheck.concurrent(HEAP, threads).expect("lock-free form");
+        let kind = [
+            LifeguardKind::TaintCheck,
+            LifeguardKind::AddrCheck,
+            LifeguardKind::MemCheck,
+        ][kind];
+        let conc = kind.concurrent(HEAP, threads).expect("lock-free form");
         let slab = |t: usize| HEAP.start + t as u64 * 0x1000;
         let stream = |t: usize| {
             let base = slab(t);
             let mut recs = vec![EventRecord::ca(
                 Rid(1),
                 CaRecord {
-                    what: HighLevelKind::Malloc,
+                    what: if kind == LifeguardKind::TaintCheck {
+                        HighLevelKind::Syscall(SyscallKind::ReadInput)
+                    } else {
+                        HighLevelKind::Malloc
+                    },
                     phase: CaPhase::End,
                     range: Some(AddrRange::new(base, blocks * 8)),
                     issuer: ThreadId(t as u16),
@@ -687,7 +702,8 @@ proptest! {
             )];
             let mut rid = 2u64;
             for b in 0..blocks {
-                // Define even blocks; leave odd blocks undefined.
+                // Clean even blocks; leave odd blocks as the prelude left
+                // them.
                 if b % 2 == 0 {
                     recs.push(EventRecord::instr(Rid(rid), Instr::MovRI { dst: Reg(0) }));
                     rid += 1;
@@ -718,7 +734,7 @@ proptest! {
             }
         });
         // Sequential reference: the same records thread by thread.
-        let family = LifeguardKind::MemCheck.build(HEAP);
+        let family = kind.build(HEAP);
         let mut lgs: Vec<_> = (0..threads)
             .map(|t| family.thread(ThreadId(t as u16)))
             .collect();
@@ -727,7 +743,11 @@ proptest! {
                 let mut ctx = HandlerCtx::new();
                 match &rec.payload {
                     paralog::events::EventPayload::Instr(instr) => {
-                        if let Some(op) = paralog::events::dataflow_view(instr) {
+                        let op = match lgs[t].spec().view {
+                            EventView::Dataflow => paralog::events::dataflow_view(instr),
+                            EventView::Check => paralog::events::check_view(instr),
+                        };
+                        if let Some(op) = op {
                             lgs[t].handle(&op, rec.rid, &mut ctx);
                         }
                     }
@@ -738,7 +758,7 @@ proptest! {
             }
         }
         prop_assert_eq!(conc.fingerprint(), lgs[0].fingerprint(),
-            "racing disjoint-slab replay must converge to the sequential shadow");
+            "{}: racing disjoint-slab replay must converge to the sequential shadow", kind);
         prop_assert!(conc.violations().is_empty());
     }
 

@@ -21,7 +21,7 @@
 //! the nightly TSan job is pointed at. The default profile is CI-sized;
 //! `PARALOG_SOAK=1` runs the full multi-billion-rid sweep.
 
-use paralog::core::{BackendMode, BufferedStream, CoopSession, RecordStream};
+use paralog::core::{BufferedStream, CoopSession, RecordStream};
 use paralog::events::{
     AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
     ThreadId, VersionId,
@@ -643,7 +643,6 @@ fn daemon_attach_detach_churn_leaves_no_residue() {
 fn coop_replay(
     kind: LifeguardKind,
     cap: &AdversarialCapture,
-    mode: BackendMode,
 ) -> (CoopSession, paralog::core::RunMetrics) {
     let streams: Vec<Box<dyn RecordStream>> = cap
         .streams
@@ -652,7 +651,7 @@ fn coop_replay(
         .map(|s| Box::new(BufferedStream::new(s)) as Box<dyn RecordStream>)
         .collect();
     let (session, mut lanes) =
-        CoopSession::start_with_mode(&kind, cap.heap, streams, None, mode).expect("session starts");
+        CoopSession::start(&kind, cap.heap, streams, None).expect("session starts");
     while !session.is_complete() {
         for lane in &mut lanes {
             lane.step(64);
@@ -722,11 +721,7 @@ fn adversarial_read_vc_exhaustion_degrades_exactly_once() {
     // 66_000 > 2^16 is the exhaustion threshold; the preset cannot be
     // scaled below it and still hit its bound.
     let cap = adversarial::exhaust_read_vcs(66_000, paralog::lifeguards::lockset::SYNC_SPACE_START);
-    let (_, metrics) = coop_replay(
-        LifeguardKind::HappensBefore,
-        &cap,
-        BackendMode::CasPerAccess,
-    );
+    let (_, metrics) = coop_replay(LifeguardKind::HappensBefore, &cap);
     assert_eq!(metrics.records, cap.records());
     let degradations = metrics
         .events
@@ -754,8 +749,7 @@ fn adversarial_read_vc_exhaustion_degrades_exactly_once() {
 fn adversarial_rid_sweep_reclaims_version_chunks() {
     let versions: u64 = if full_profile() { 131_072 } else { 8_192 };
     let cap = adversarial::rid_sweep(versions, ConcurrentVersionTable::CHUNK_RIDS);
-    let (session, metrics) =
-        coop_replay(LifeguardKind::TaintCheck, &cap, BackendMode::CasPerAccess);
+    let (session, metrics) = coop_replay(LifeguardKind::TaintCheck, &cap);
     assert_eq!(metrics.versions_produced, versions);
     assert_eq!(metrics.versions_consumed, versions);
     let peak = session.version_peak_resident();
@@ -802,33 +796,9 @@ fn adversarial_arc_fanout_replays_without_deadlock() {
         "stall traffic must surface in the order-wait phase"
     );
 
-    let (_, coop) = coop_replay(LifeguardKind::TaintCheck, &cap, BackendMode::CasPerAccess);
+    let (_, coop) = coop_replay(LifeguardKind::TaintCheck, &cap);
     assert_eq!(
         coop.fingerprint, det.fingerprint,
         "gating pressure must not change the analysis result"
-    );
-}
-
-/// Preset `delta_thrash` vs its bound: ordered events at nearly every
-/// record force a delta-merge lane to flush its private window constantly;
-/// the thrashed delta replay must stay fingerprint-identical to
-/// CAS-per-access.
-#[test]
-fn adversarial_delta_thrash_keeps_mode_parity() {
-    let rounds: u64 = if full_profile() { 50_000 } else { 5_000 };
-    let cap = adversarial::delta_thrash(4, rounds);
-    let (_, cas) = coop_replay(LifeguardKind::TaintCheck, &cap, BackendMode::CasPerAccess);
-    let (_, delta) = coop_replay(LifeguardKind::TaintCheck, &cap, BackendMode::DeltaMerge);
-    assert_eq!(cas.records, cap.records());
-    assert_eq!(delta.records, cap.records());
-    assert_eq!(
-        delta.fingerprint, cas.fingerprint,
-        "bound violated: {}",
-        cap.bound
-    );
-    assert_eq!(
-        delta.violations.len(),
-        cas.violations.len(),
-        "modes must agree on violations under flush thrash"
     );
 }

@@ -12,10 +12,10 @@
 //!   [`LockSetConcurrent`] and [`HappensBeforeConcurrent`] for the
 //!   fast-path/slow-path race-detection class).
 //! * **`concurrent_versions`** — what does the §5.5 produce→consume
-//!   hand-off cost through the sharded [`ConcurrentVersionTable`], both
+//!   hand-off cost through the one mutex of [`VersionTable`], both
 //!   uncontended (one thread doing the whole lifecycle, comparable with
-//!   `versions_micro`'s sequential numbers) and as a genuine cross-thread
-//!   hand-off with a parked consumer?
+//!   `bench_versions`' single-thread series) and as a genuine cross-thread
+//!   hand-off with a polling consumer?
 //!
 //! [`LockedConcurrent`]: paralog_lifeguards::LockedConcurrent
 //! [`AddrCheckConcurrent`]: paralog_lifeguards::AddrCheckConcurrent
@@ -32,7 +32,7 @@ use paralog_lifeguards::{
     AddrCheckConcurrent, ConcurrentLifeguard, HappensBeforeConcurrent, LifeguardFactory,
     LifeguardKind, LockSetConcurrent, LockedConcurrent, MemCheckConcurrent,
 };
-use paralog_meta::ConcurrentVersionTable;
+use paralog_meta::VersionTable;
 
 const HEAP: AddrRange = AddrRange {
     start: 0x1000_0000,
@@ -260,11 +260,10 @@ fn bench_concurrent_versions(c: &mut Criterion) {
     group.throughput(Throughput::Elements(VERSIONS));
 
     // Uncontended lifecycle: one thread produces and consumes through the
-    // shared table — the sharding + atomic-flag overhead versus the
-    // sequential `VersionTable` measured in `versions_micro`.
+    // shared table (lock, hash, insert, lock, hash, remove).
     group.bench_function("uncontended", |b| {
         b.iter(|| {
-            let table = ConcurrentVersionTable::new(2);
+            let table = VersionTable::new(2);
             for r in 1..=VERSIONS {
                 table.produce(vid(0, r), range, snapshot(), 1);
                 black_box(table.consume(vid(0, r)));
@@ -274,11 +273,11 @@ fn bench_concurrent_versions(c: &mut Criterion) {
     });
 
     // Cross-thread hand-off: a producer thread publishes while the consumer
-    // thread polls/parks and consumes — the actual §5.5 threaded-replay
-    // shape (consumer-side wait included).
+    // thread polls and consumes — the actual §5.5 threaded-replay shape
+    // (consumer-side wait included).
     group.bench_function("handoff", |b| {
         b.iter(|| {
-            let table = ConcurrentVersionTable::new(1);
+            let table = VersionTable::new(1);
             std::thread::scope(|scope| {
                 let t = &table;
                 scope.spawn(move || {
@@ -299,46 +298,6 @@ fn bench_concurrent_versions(c: &mut Criterion) {
                 });
             });
             black_box(table.peak_outstanding())
-        })
-    });
-    group.finish();
-
-    // Reclamation under the cross-thread hand-off: the producer strides one
-    // version per dense chunk (maximal allocation rate) while the consumer
-    // retires them and advances its shard epoch at batch-boundary cadence,
-    // paying the drain-queue/sweep bookkeeping and reusing spare chunks.
-    const SWEEP_CHUNKS: u64 = 512;
-    const SWEEP_EPOCH: u64 = 64;
-    let mut group = c.benchmark_group("concurrent_reclamation");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(SWEEP_CHUNKS));
-    group.bench_function("reclaim_on", |b| {
-        b.iter(|| {
-            let table = ConcurrentVersionTable::new(1);
-            let cvid = |c: u64| vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
-            std::thread::scope(|scope| {
-                let t = &table;
-                scope.spawn(move || {
-                    for c in 0..SWEEP_CHUNKS {
-                        t.produce(cvid(c), range, snapshot(), 1);
-                    }
-                });
-                scope.spawn(move || {
-                    for c in 0..SWEEP_CHUNKS {
-                        loop {
-                            if let Some(v) = t.consume(cvid(c)) {
-                                black_box(v);
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                        if c % SWEEP_EPOCH == 0 {
-                            t.advance_epoch(ThreadId(0));
-                        }
-                    }
-                });
-            });
-            black_box(table.peak_dense_resident())
         })
     });
     group.finish();

@@ -1,6 +1,6 @@
 //! Regenerates (or checks) the checked-in `BENCH_versions.json`: the §5.5
 //! version-table suite — windowed churn, availability polling, the
-//! bypass-heavy worst case, and the epoch-reclamation sweep.
+//! bypass-heavy worst case, and a sparse-rid sweep.
 //!
 //! Usage mirrors `bench_shadow`:
 //!

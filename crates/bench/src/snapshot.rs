@@ -12,7 +12,7 @@
 //! criterion groups).
 
 use paralog_events::{AddrRange, Rid, ThreadId, VersionId};
-use paralog_meta::{ConcurrentVersionTable, ShadowMemory, VersionTable};
+use paralog_meta::{ShadowMemory, VersionTable};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
@@ -165,7 +165,7 @@ pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
 }
 
 /// The version-table suite: §5.5 windowed churn, availability polling, the
-/// bypass-heavy worst case, and the epoch-reclamation sweep. Values are ns
+/// bypass-heavy worst case, and a sparse-rid sweep. Values are ns
 /// per operation; `ops` operations are timed per round
 /// (`records_per_thread` records `ops` in the snapshot).
 pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
@@ -183,7 +183,7 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     series.insert(
         format!("churn/w{WINDOW}"),
         best_of(churn_ops, iters, || {
-            let mut table = VersionTable::new();
+            let table = VersionTable::new(THREADS.into());
             for r in 1..=ops {
                 for t in 0..THREADS {
                     table.produce(vid(t, r), range, snapshot(), 1);
@@ -201,7 +201,7 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
         }),
     );
 
-    let mut polled = VersionTable::new();
+    let polled = VersionTable::new(THREADS.into());
     for t in 0..THREADS {
         for r in 1..=WINDOW {
             polled.produce(vid(t, r), range, snapshot(), 1);
@@ -221,7 +221,7 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     series.insert(
         "bypass".to_string(),
         best_of(ops, iters, || {
-            let mut table = VersionTable::new();
+            let table = VersionTable::new(1);
             for r in 1..=ops {
                 let id = vid(0, r);
                 table.bypass(id);
@@ -231,22 +231,19 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
         }),
     );
 
-    // Chunk-striding sweep (one version per dense chunk, the worst
-    // allocation rate per op).
-    let sweep_chunks = ops.min(2048);
+    // One version per 128 rids, produced and consumed in turn: the stride
+    // that cost the removed chunked layout a chunk per version.
+    let sweep = ops.min(2048);
     series.insert(
-        "reclaim_on".to_string(),
-        best_of(sweep_chunks, iters, || {
-            let table = ConcurrentVersionTable::new(1);
-            for c in 0..sweep_chunks {
-                let id = vid(0, c * ConcurrentVersionTable::CHUNK_RIDS + 1);
+        "sparse_rids".to_string(),
+        best_of(sweep, iters, || {
+            let table = VersionTable::new(1);
+            for c in 0..sweep {
+                let id = vid(0, c * 128 + 1);
                 table.produce(id, range, snapshot(), 1);
                 std::hint::black_box(table.consume(id));
-                if c % 64 == 0 {
-                    table.advance_epoch(ThreadId(0));
-                }
             }
-            std::hint::black_box(table.peak_dense_resident());
+            std::hint::black_box(table.peak_outstanding());
         }),
     );
 
@@ -334,7 +331,7 @@ mod tests {
     #[test]
     fn versions_matrix_covers_every_lifecycle_shape() {
         let result = versions_matrix(64, 1);
-        for key in ["churn/w32", "poll", "bypass", "reclaim_on"] {
+        for key in ["churn/w32", "poll", "bypass", "sparse_rids"] {
             assert!(result.series.contains_key(key), "missing series {key}");
         }
         let parsed = parse_json(&to_json(&result)).expect("own output parses");

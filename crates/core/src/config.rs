@@ -74,12 +74,6 @@ pub struct MonitorConfig {
     /// Run the in-line sequential reference analysis and compare fingerprints
     /// (testing/validation; adds simulation time, not modeled cycles).
     pub check_equivalence: bool,
-    /// Functionally warm application and lifeguard caches before the timed
-    /// window, as the paper's measurement methodology does (§6).
-    pub warm_caches: bool,
-    /// Dump final shadow states into the metrics (debugging aid; implies
-    /// nothing about modeled cycles).
-    pub dump_shadows: bool,
     /// Collect each thread's fully annotated event stream into the metrics
     /// (feeds the real-thread demonstration executor).
     pub collect_streams: bool,
@@ -108,8 +102,6 @@ impl MonitorConfig {
             tso: false,
             machine: None,
             check_equivalence: false,
-            warm_caches: true,
-            dump_shadows: false,
             collect_streams: false,
             delayed_advertising: true,
         }

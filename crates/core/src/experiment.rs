@@ -7,7 +7,6 @@
 //! EXPERIMENTS.md).
 
 use crate::config::{MonitorConfig, MonitoringMode};
-use crate::metrics::RunMetrics;
 use crate::platform::Platform;
 use paralog_lifeguards::LifeguardKind;
 use paralog_order::{CapturePolicy, Reduction};
@@ -344,17 +343,6 @@ pub fn headline(cells: &[Figure6Cell], groups: &[Figure8Group]) -> Headline {
         },
         accelerator_speedup: (acc_min, acc_max),
     }
-}
-
-/// Runs one configuration and returns its metrics (ablation helper).
-pub fn run_once(
-    bench: Benchmark,
-    threads: usize,
-    scale: f64,
-    config: &MonitorConfig,
-) -> RunMetrics {
-    let w = WorkloadSpec::benchmark(bench, threads).scale(scale).build();
-    Platform::run(&w, config).metrics
 }
 
 #[cfg(test)]

@@ -59,5 +59,5 @@ pub use session::{
     Backend, BackendMode, BufferedStream, DeterministicBackend, EventSource, FaultyReader,
     LivePushSource, MonitorSession, MonitorSessionBuilder, PushFeed, PushRefused, PushSource,
     RecordStream, ReplaySource, SessionError, SessionPlan, SourceInput, SourceStats, StreamStatus,
-    StreamingReplaySource, ThreadedBackend, WorkloadSource,
+    StreamingReplaySource, ThreadedBackend,
 };

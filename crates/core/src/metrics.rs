@@ -174,11 +174,6 @@ pub struct RunMetrics {
     pub fingerprint: u64,
     /// Fingerprint of the in-line sequential reference, when enabled.
     pub reference_fingerprint: Option<u64>,
-    /// Debug dump of non-clean shadow bytes `(addr, value)` (sorted), when
-    /// [`MonitorConfig::dump_shadows`](crate::MonitorConfig) is set.
-    pub shadow_dump: Option<Vec<(u64, u8)>>,
-    /// Debug dump of the reference's non-clean shadow bytes.
-    pub reference_dump: Option<Vec<(u64, u8)>>,
     /// Fully annotated per-thread event streams, when
     /// [`MonitorConfig::collect_streams`](crate::MonitorConfig) is set.
     pub streams: Option<Vec<Vec<paralog_events::EventRecord>>>,

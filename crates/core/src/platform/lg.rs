@@ -39,7 +39,7 @@ pub(super) struct DeliveryCtx<'a> {
     progress: &'a mut ProgressTable,
     ca_barrier: &'a mut CaBarrier,
     ca_policy: &'a CaPolicy,
-    versions: &'a mut paralog_meta::VersionTable,
+    versions: &'a paralog_meta::VersionTable,
     violations: &'a mut Vec<Violation>,
 }
 
@@ -158,7 +158,7 @@ impl<'w> Sim<'w> {
             progress: &mut self.progress,
             ca_barrier: &mut self.ca_barrier,
             ca_policy: &self.ca_policy,
-            versions: &mut self.versions,
+            versions: &self.versions,
             violations: &mut self.metrics.violations,
         };
         let cycles = self.rings[ring_idx]
@@ -531,10 +531,10 @@ impl<'a> DeliveryCtx<'a> {
 /// accounting. Called by the deterministic backend's streaming replay loop
 /// once a record's arcs are satisfied.
 ///
-/// A structurally invalid produce annotation (duplicate version id, length
-/// mismatch, empty consumer set) is a malformed *stream*, not a platform
-/// bug: it is reported as [`MalformedStream`] rather than panicking, so a
-/// corrupted transport cannot take the monitor down.
+/// # Errors
+///
+/// [`MalformedStream`] for a produce annotation the version table rejects (see
+/// [`produce_versions`](crate::session::produce_versions)).
 ///
 /// [`MalformedStream`]: crate::session::SessionError::MalformedStream
 #[allow(clippy::too_many_arguments)] // the replay loop's split borrows
@@ -543,24 +543,14 @@ pub(crate) fn deliver_ingested(
     t: usize,
     lgs: &mut [Box<dyn paralog_lifeguards::Lifeguard>],
     range_table: &mut paralog_order::RangeTable,
-    versions: &mut paralog_meta::VersionTable,
+    versions: &paralog_meta::VersionTable,
     ca_policy: &CaPolicy,
     violations: &mut Vec<Violation>,
     delivered_ops: &mut u64,
 ) -> Result<(), crate::session::SessionError> {
     let lg = &mut lgs[t];
     let rid = rec.rid;
-    for (vid, mem, consumers) in &rec.produce_versions {
-        let range = mem.range();
-        let snapshot = lg.snapshot_meta(range);
-        versions
-            .try_produce(*vid, range, snapshot, *consumers)
-            .map_err(|err| {
-                crate::session::SessionError::MalformedStream(format!(
-                    "thread {t} stream carries an invalid produce annotation: {err}"
-                ))
-            })?;
-    }
+    crate::session::produce_versions(versions, t, rec, |range| lg.snapshot_meta(range))?;
     let versioned: Option<(AddrRange, Vec<u8>)> = rec.consume_version.and_then(|(vid, _)| {
         let got = versions.consume(vid);
         if got.is_none() {

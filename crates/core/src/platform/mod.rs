@@ -308,7 +308,7 @@ impl<'w> Sim<'w> {
             family,
             progress: ProgressTable::new(k),
             ca_barrier: CaBarrier::new(k),
-            versions: paralog_meta::VersionTable::new(),
+            versions: paralog_meta::VersionTable::new(k),
             reference,
             metrics: RunMetrics {
                 app_threads: k,
@@ -500,10 +500,6 @@ impl<'w> Sim<'w> {
         self.metrics.versions_consumed = self.versions.consumed();
         self.metrics.fingerprint = self.family.fingerprint();
         self.metrics.reference_fingerprint = self.reference.as_ref().map(|r| r.fingerprint());
-        if self.config.dump_shadows {
-            self.metrics.shadow_dump = Some(self.family.thread(ThreadId(0)).dump_shadow());
-            self.metrics.reference_dump = self.reference.as_ref().map(|r| r.dump());
-        }
         self.metrics.streams = self.collected.take();
         self.metrics
     }

@@ -183,13 +183,6 @@ impl Reference {
         }
     }
 
-    /// Sorted dump of non-clean shadow bytes (debugging aid).
-    pub fn dump(&self) -> Vec<(u64, u8)> {
-        let mut v: Vec<(u64, u8)> = self.mem.iter_nonzero().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Fingerprint compatible with the lifeguards' (memory shadow only).
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();

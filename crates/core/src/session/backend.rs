@@ -15,11 +15,10 @@
 //!   one thread per lane (at most one per processor) sweeps to completion
 //!   behind a small wait loop. The ordering rules (§5.2 arcs on the atomic
 //!   progress table, the §5.4 range table and ConflictAlert serialisation,
-//!   §5.5 versions produced and consumed through the shared
-//!   [`ConcurrentVersionTable`](paralog_meta::ConcurrentVersionTable)) are
-//!   the lane's; this backend only decides how a thread waits. A workload
-//!   input is first captured deterministically; the deterministic
-//!   fingerprint is recorded as
+//!   §5.5 versions produced and consumed through the session's
+//!   [`VersionTable`](paralog_meta::VersionTable)) are the lane's; this
+//!   backend only decides how a thread waits. A workload input is first
+//!   captured deterministically; the deterministic fingerprint is recorded as
 //!   [`RunMetrics::reference_fingerprint`](crate::RunMetrics) so
 //!   `matches_reference()` states whether genuine concurrency reproduced the
 //!   deterministic metadata.
@@ -133,9 +132,7 @@ fn run_deterministic(
         _ => None,
     };
     let mut sim = Sim::new(workload, config, family, reference);
-    if config.warm_caches {
-        sim.warm();
-    }
+    sim.warm();
     sim.drive();
     RunOutcome {
         metrics: sim.into_metrics(),
@@ -228,7 +225,7 @@ fn replay_streams(
         (0..k).map(|t| family.thread(ThreadId(t as u16))).collect();
     let ca_policy = lgs[0].spec().ca_policy.clone();
     let mut progress = ProgressTable::new(k);
-    let mut versions = paralog_meta::VersionTable::new();
+    let versions = paralog_meta::VersionTable::new(k);
     let mut lanes: Vec<IngestLane> = streams
         .into_iter()
         .map(|stream| IngestLane {
@@ -303,7 +300,7 @@ fn replay_streams(
                         t,
                         &mut lgs,
                         &mut lane.range_table,
-                        &mut versions,
+                        &versions,
                         &ca_policy,
                         &mut violations,
                         &mut delivered_ops,
@@ -421,8 +418,7 @@ impl Backend for ThreadedBackend {
             }
             SourceInput::Streams(s) => (s, None),
         };
-        let (session, lanes) =
-            CoopSession::start(&*plan.factory, plan.heap, streams, plan.observer)?;
+        let (session, lanes) = CoopSession::start(&*plan.factory, plan.heap, streams, None)?;
         // A thread per lane up to the processors there are: past that, a
         // thread gated on a lane whose thread is descheduled only spins on
         // the processor that lane needs, while a sweep steps it directly.

@@ -53,7 +53,7 @@
 
 use super::backend::{ca_gate_unmet, INGEST_BATCH};
 use super::source::{RecordStream, StreamStatus};
-use super::SessionError;
+use super::{produce_versions, SessionError};
 use crate::metrics::{PhaseBreakdown, RunMetrics};
 use paralog_events::{AddrRange, EventRecord, ThreadId, VersionId};
 use paralog_lifeguards::{
@@ -97,7 +97,7 @@ struct CoopShared {
     lifeguard: Box<dyn ConcurrentLifeguard>,
     ca_policy: CaPolicy,
     progress: SharedProgressTable,
-    versions: paralog_meta::ConcurrentVersionTable,
+    versions: paralog_meta::VersionTable,
     lanes: usize,
     /// Cycle model for the per-phase timed breakdown. The daemon has no
     /// per-session config surface, so every coop session uses the
@@ -117,8 +117,6 @@ struct CoopShared {
     /// Times a lane polled a `Blocked` stream and got nothing — proof the
     /// non-blocking reader path actually exercised `WouldBlock`.
     blocked_polls: AtomicU64,
-    /// Lanes whose stream reported `Exhausted`.
-    eof_lanes: AtomicUsize,
     /// Lanes currently parked at an unmet gate (head record waiting on a
     /// peer). With `gated + finished == lanes`, no lane can ever advertise
     /// the progress a gate waits on.
@@ -276,7 +274,7 @@ impl CoopSession {
             lifeguard,
             ca_policy,
             progress: SharedProgressTable::new(k),
-            versions: paralog_meta::ConcurrentVersionTable::new(k),
+            versions: paralog_meta::VersionTable::new(k),
             lanes: k,
             cost: CostModel::calibrated(),
             applied: AtomicU64::new(0),
@@ -285,7 +283,6 @@ impl CoopSession {
             publish_cycles: AtomicU64::new(0),
             wire_bytes: AtomicU64::new(0),
             blocked_polls: AtomicU64::new(0),
-            eof_lanes: AtomicUsize::new(0),
             gated_lanes: AtomicUsize::new(0),
             finished_lanes: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
@@ -363,15 +360,10 @@ impl CoopSession {
         self.shared.blocked_polls.load(Ordering::Relaxed)
     }
 
-    /// Peak dense chunks ever resident in the session's §5.5 version
-    /// table — what adversarial rid sweeps assert stays window-bounded.
-    pub fn version_peak_resident(&self) -> usize {
-        self.shared.versions.peak_dense_resident()
-    }
-
-    /// Dense chunks reclaimed by the version table's epoch sweep so far.
-    pub fn version_reclaimed(&self) -> u64 {
-        self.shared.versions.reclaimed_chunks()
+    /// Most §5.5 versions ever outstanding at once in the session's version
+    /// table — what adversarial rid sweeps assert stays at the producer lead.
+    pub fn versions_peak_outstanding(&self) -> usize {
+        self.shared.versions.peak_outstanding()
     }
 
     /// The violations observed so far past the first `from`, in raw
@@ -480,21 +472,14 @@ impl CoopLane {
             // §5.5 produce points: exactly once per head, even across
             // consume-gated re-steps.
             if !self.head_produced {
-                for (vid, mem, consumers) in &head.produce_versions {
-                    let range = mem.range();
-                    let snapshot = self.shared.lifeguard.snapshot_meta(range);
-                    if let Err(err) = self
-                        .shared
-                        .versions
-                        .try_produce(*vid, range, snapshot, *consumers)
-                    {
-                        self.shared.fail(SessionError::MalformedStream(format!(
-                            "thread {} stream carries an invalid produce annotation: {err}",
-                            self.tid.0
-                        )));
-                        self.finish();
-                        return LaneStep::Failed;
-                    }
+                let produced =
+                    produce_versions(&self.shared.versions, self.tid.index(), head, |range| {
+                        self.shared.lifeguard.snapshot_meta(range)
+                    });
+                if let Err(err) = produced {
+                    self.shared.fail(err);
+                    self.finish();
+                    return LaneStep::Failed;
                 }
                 self.head_produced = true;
             }
@@ -588,10 +573,7 @@ impl CoopLane {
         }
         match status {
             StreamStatus::Exhausted => {
-                if !self.eof {
-                    self.eof = true;
-                    self.shared.eof_lanes.fetch_add(1, Ordering::SeqCst);
-                }
+                self.eof = true;
                 if !got_records {
                     self.finish();
                     return Some(LaneStep::Finished);
@@ -609,10 +591,8 @@ impl CoopLane {
         }
         // Batch boundary: no record application is in flight on this lane,
         // so stale fast-path reads are dead — the quiescence point
-        // epoch-based reclamation (version-table chunks, interned lockset
-        // masks) keys off.
+        // epoch-based reclamation (interned lockset masks) keys off.
         self.shared.lifeguard.epoch_boundary(self.tid);
-        self.shared.versions.advance_epoch(self.tid);
         None
     }
 
@@ -666,7 +646,6 @@ impl CoopLane {
         self.done = true;
         self.unpark();
         self.shared.lifeguard.stream_done(self.tid);
-        self.shared.versions.advance_epoch(self.tid);
         let finished = self.shared.finished_lanes.fetch_add(1, Ordering::SeqCst) + 1;
         if finished == self.shared.lanes {
             self.shared.finalize();

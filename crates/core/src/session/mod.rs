@@ -47,7 +47,7 @@ pub use backend::{Backend, BackendMode, DeterministicBackend, ThreadedBackend};
 pub use fault::FaultyReader;
 pub use source::{
     BufferedStream, EventSource, LivePushSource, PushFeed, PushRefused, PushSource, RecordStream,
-    ReplaySource, SourceInput, SourceStats, StreamStatus, StreamingReplaySource, WorkloadSource,
+    ReplaySource, SourceInput, SourceStats, StreamStatus, StreamingReplaySource,
     DEFAULT_CHUNK_BYTES,
 };
 
@@ -56,9 +56,7 @@ pub(crate) use backend::run_platform;
 use crate::config::MonitorConfig;
 use crate::platform::RunOutcome;
 use paralog_events::AddrRange;
-use paralog_lifeguards::{
-    LifeguardFactory, LifeguardKind, LifeguardRegistry, SessionEvent, SessionEventObserver,
-};
+use paralog_lifeguards::{LifeguardFactory, LifeguardKind, LifeguardRegistry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -105,6 +103,38 @@ impl fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
+/// Publishes the §5.5 versions thread `t`'s record `rec` produces, each a
+/// `snapshot` of the lifeguard's current metadata for the annotated range —
+/// the one produce step of both stream-replay paths (the sequential loop and
+/// the lanes). `#[inline]` because both call it once per record and nearly
+/// every record produces nothing.
+///
+/// # Errors
+///
+/// A structurally invalid annotation (duplicate id, zero consumers, consumer
+/// thread outside the session) is a malformed *stream*, not a platform bug:
+/// it comes back as [`SessionError::MalformedStream`] rather than a panic, so
+/// a corrupted transport cannot take the monitor down.
+#[inline]
+pub(crate) fn produce_versions(
+    versions: &paralog_meta::VersionTable,
+    t: usize,
+    rec: &paralog_events::EventRecord,
+    snapshot: impl Fn(AddrRange) -> Vec<u8>,
+) -> Result<(), SessionError> {
+    for (vid, mem, consumers) in &rec.produce_versions {
+        let range = mem.range();
+        versions
+            .try_produce(*vid, range, snapshot(range), *consumers)
+            .map_err(|err| {
+                SessionError::MalformedStream(format!(
+                    "thread {t} stream carries an invalid produce annotation: {err}"
+                ))
+            })?;
+    }
+    Ok(())
+}
+
 /// A fully resolved session handed to a [`Backend`].
 pub struct SessionPlan {
     /// Run configuration (mode, machine, accelerator and capture knobs).
@@ -118,12 +148,6 @@ pub struct SessionPlan {
     pub heap: AddrRange,
     /// Resolved source input.
     pub input: SourceInput,
-    /// Incremental [`SessionEvent`] receiver, installed on the concurrent
-    /// lifeguard before replay starts so long-lived sessions surface
-    /// degradation (e.g. `DegradedPrecision`) *while running* rather than
-    /// only in `RunMetrics::events` at the end. Backends without a
-    /// concurrent form ignore it (their runs are batch-shaped anyway).
-    pub observer: Option<SessionEventObserver>,
 }
 
 impl fmt::Debug for SessionPlan {
@@ -143,7 +167,6 @@ pub struct MonitorSession {
     factory: Arc<dyn LifeguardFactory>,
     shorthand: Option<LifeguardKind>,
     config: MonitorConfig,
-    observer: Option<SessionEventObserver>,
 }
 
 impl fmt::Debug for MonitorSession {
@@ -177,7 +200,6 @@ impl MonitorSession {
             shorthand: self.shorthand,
             heap,
             input: self.source.open(),
-            observer: self.observer,
         };
         self.backend.run(plan)
     }
@@ -202,7 +224,6 @@ pub struct MonitorSessionBuilder {
     registry: Option<LifeguardRegistry>,
     choice: LifeguardChoice,
     config: Option<MonitorConfig>,
-    observer: Option<SessionEventObserver>,
 }
 
 impl fmt::Debug for MonitorSessionBuilder {
@@ -210,7 +231,6 @@ impl fmt::Debug for MonitorSessionBuilder {
         f.debug_struct("MonitorSessionBuilder")
             .field("source", &self.source)
             .field("choice", &self.choice)
-            .field("observer", &self.observer.as_ref().map(|_| "installed"))
             .finish_non_exhaustive()
     }
 }
@@ -270,26 +290,6 @@ impl MonitorSessionBuilder {
         self
     }
 
-    /// Installs an incremental [`SessionEvent`] observer: `f` is invoked
-    /// from inside the run, at the moment an event (e.g.
-    /// [`SessionEvent::DegradedPrecision`]) first fires, instead of the
-    /// event surfacing only in `RunMetrics::events` after the session ends.
-    /// Long-lived sessions (the `paralogd` daemon's live feed) subscribe
-    /// here.
-    ///
-    /// `f` may be called from any replay worker thread and must be cheap
-    /// and non-blocking — hand the event to a channel or atomic flag, do
-    /// not take locks the session also takes. Events still appear in
-    /// `RunMetrics::events` regardless.
-    #[must_use]
-    pub fn on_session_event<F>(mut self, f: F) -> Self
-    where
-        F: Fn(&SessionEvent) + Send + Sync + 'static,
-    {
-        self.observer = Some(Arc::new(f));
-        self
-    }
-
     /// Finalizes the session.
     ///
     /// # Errors
@@ -330,7 +330,6 @@ impl MonitorSessionBuilder {
             factory,
             shorthand,
             config,
-            observer: self.observer,
         })
     }
 }

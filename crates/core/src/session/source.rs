@@ -4,7 +4,7 @@
 //! the only producer of events. [`EventSource`] opens that seam: a session
 //! can monitor
 //!
-//! * a simulated [`WorkloadSource`] (the classic co-simulated capture),
+//! * a simulated [`Workload`] (the classic co-simulated capture),
 //! * a [`ReplaySource`] of pre-captured per-thread streams,
 //! * a [`StreamingReplaySource`] decoding the codec wire form lazily from
 //!   any `io::Read`, with bounded resident buffering, or
@@ -129,40 +129,6 @@ pub trait EventSource: fmt::Debug {
 
 /// The built-in simulated application: events are captured online while the
 /// workload executes on the modeled CMP.
-#[derive(Debug, Clone)]
-pub struct WorkloadSource {
-    workload: Workload,
-}
-
-impl WorkloadSource {
-    /// Wraps a workload.
-    pub fn new(workload: Workload) -> Self {
-        WorkloadSource { workload }
-    }
-}
-
-impl From<&Workload> for WorkloadSource {
-    fn from(w: &Workload) -> Self {
-        WorkloadSource::new(w.clone())
-    }
-}
-
-impl EventSource for WorkloadSource {
-    fn thread_count(&self) -> usize {
-        self.workload.thread_count()
-    }
-
-    fn heap(&self) -> AddrRange {
-        self.workload.heap
-    }
-
-    fn open(self: Box<Self>) -> SourceInput {
-        SourceInput::Workload(self.workload)
-    }
-}
-
-/// A `Workload` is itself a valid source (convenience, so
-/// `builder().source(workload.clone())` reads naturally).
 impl EventSource for Workload {
     fn thread_count(&self) -> usize {
         Workload::thread_count(self)

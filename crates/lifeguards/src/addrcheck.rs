@@ -137,13 +137,6 @@ impl Lifeguard for AddrCheck {
         self.shared.borrow().alloc.snapshot(range)
     }
 
-    fn dump_shadow(&self) -> Vec<(u64, u8)> {
-        let shared = self.shared.borrow();
-        let mut v: Vec<(u64, u8)> = shared.alloc.iter_nonzero().collect();
-        v.sort_unstable();
-        v
-    }
-
     fn fingerprint(&self) -> u64 {
         let shared = self.shared.borrow();
         let mut fp = Fingerprint::new();

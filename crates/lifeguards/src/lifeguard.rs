@@ -306,14 +306,6 @@ impl HandlerCtx {
             SnapshotCoverage::Live => shadow.join_range(range),
         }
     }
-
-    /// The versioned metadata value for one application byte, if this
-    /// delivery carries a version covering it. Handlers read mixed-coverage
-    /// operands by merging byte-wise: versioned bytes take the snapshot,
-    /// all others the current shadow (§5.5).
-    pub fn versioned_byte(&self, addr: u64) -> Option<u8> {
-        self.versioned.as_ref().and_then(|v| snapshot_byte(v, addr))
-    }
 }
 
 /// One lifeguard thread's analysis logic.
@@ -351,12 +343,6 @@ pub trait Lifeguard: fmt::Debug {
     /// Order-insensitive fingerprint of the analysis-wide metadata state,
     /// used by equivalence tests (parallel run vs. sequential reference).
     fn fingerprint(&self) -> u64;
-
-    /// Sorted dump of non-clean shadow bytes (debugging aid). Lifeguards
-    /// without byte-shadow metadata return an empty dump.
-    fn dump_shadow(&self) -> Vec<(u64, u8)> {
-        Vec::new()
-    }
 }
 
 // The fingerprint lives with the metadata substrate (the real-thread

@@ -197,13 +197,6 @@ impl Lifeguard for MemCheck {
         self.shared.borrow().state.snapshot(range)
     }
 
-    fn dump_shadow(&self) -> Vec<(u64, u8)> {
-        let shared = self.shared.borrow();
-        let mut v: Vec<(u64, u8)> = shared.state.iter_nonzero().collect();
-        v.sort_unstable();
-        v
-    }
-
     fn fingerprint(&self) -> u64 {
         let shared = self.shared.borrow();
         let mut fp = Fingerprint::new();

@@ -213,13 +213,6 @@ impl Lifeguard for TaintCheck {
         shared.mem.set_range(access, TAINTED);
     }
 
-    fn dump_shadow(&self) -> Vec<(u64, u8)> {
-        let shared = self.shared.borrow();
-        let mut v: Vec<(u64, u8)> = shared.mem.iter_nonzero().collect();
-        v.sort_unstable();
-        v
-    }
-
     fn fingerprint(&self) -> u64 {
         let shared = self.shared.borrow();
         let mut fp = Fingerprint::new();

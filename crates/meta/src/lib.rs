@@ -13,8 +13,9 @@
 //!   per key (the packed fast path), plus a reference-counted
 //!   [`WideInterner`] for per-location state that outgrows a single word
 //!   (LockSet's candidate masks, HappensBefore's read vector clocks);
-//! * [`VersionTable`] — the produce/consume table backing TSO versioned
-//!   metadata (§5.5);
+//! * [`VersionTable`] — the one produce/consume table backing TSO versioned
+//!   metadata (§5.5) on every replay path: a mutex over a map of the
+//!   outstanding versions;
 //! * [`Fingerprint`] — the order-insensitive metadata fingerprint
 //!   equivalence tests compare across platforms and backends.
 //!
@@ -44,4 +45,4 @@ pub use fingerprint::Fingerprint;
 pub use lane_cell::LaneCell;
 pub use shadow::{ShadowMemory, CHUNK_APP_BYTES, META_BASE};
 pub use table::{MetaWord, PackedWordTable, WideInterner, WordTable, MAX_WIDE_IDS};
-pub use versions::{ConcurrentVersionTable, VersionTable};
+pub use versions::VersionTable;

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`cycle_lock_masks`] | LOCKSET mask interner churn | `peak_interned_masks` stays window-bounded, no degradation |
 //! | [`exhaust_read_vcs`] | HAPPENSBEFORE read-VC interner exhaustion | exactly one `DegradedPrecision` per session |
-//! | [`rid_sweep`] | §5.5 version-table epoch reclamation | `peak_dense_resident` stays window-bounded across windows |
+//! | [`rid_sweep`] | §5.5 version-table residency over sparse rids | `peak_outstanding` stays at the producer lead however far the rids span |
 //! | [`arc_fanout`] | §5.2 arc gating under fan-in/fan-out storms | replay terminates (no deadlock), stalls observed |
 //!
 //! Every preset is a pure function of its parameters — no RNG, no ambient
@@ -188,24 +188,20 @@ pub fn exhaust_read_vcs(words: u64, sync_space: u64) -> AdversarialCapture {
     }
 }
 
-/// §5.5 version churn across reclamation windows: thread 0 stores a shared
+/// §5.5 version churn over a sparse rid space: thread 0 stores a shared
 /// word, producing one single-consumer version per store; thread 1's
-/// consuming loads carry rids one `CHUNK_RIDS` stride apart, so every
-/// version lands in its own dense chunk and `versions` of them sweep
-/// `versions / chunks_per_window` full windows of the concurrent version
-/// table. Grow-only storage would retain every chunk; the epoch sweep must
-/// keep residency near the producer/consumer lead instead.
-///
-/// `chunk_rids` is the table's chunk stride (pass
-/// `ConcurrentVersionTable::CHUNK_RIDS`).
-pub fn rid_sweep(versions: u64, chunk_rids: u64) -> AdversarialCapture {
+/// consuming loads carry rids `stride` apart, so `versions` of them span
+/// `versions * stride` record ids. Storage indexed by rid would grow with
+/// that span; the version table's residency follows the outstanding set,
+/// not the rid span, so it must stay at the producer/consumer lead.
+pub fn rid_sweep(versions: u64, stride: u64) -> AdversarialCapture {
     let shared = 0x2000_0000u64;
     let mem = MemRef::new(shared, 4);
     let mut t0 = Vec::with_capacity(versions as usize);
     let mut t1 = Vec::with_capacity(versions as usize);
     let mut r0 = RidGen(0);
     for c in 0..versions {
-        let consumer_rid = Rid(c * chunk_rids + 1);
+        let consumer_rid = Rid(c * stride + 1);
         let vid = VersionId {
             consumer: ThreadId(1),
             consumer_rid,
@@ -219,8 +215,8 @@ pub fn rid_sweep(versions: u64, chunk_rids: u64) -> AdversarialCapture {
     }
     AdversarialCapture {
         name: "rid_sweep",
-        bound: "version-table peak_dense_resident stays near the producer lead while \
-                rids sweep whole reclamation windows; drained chunks are reclaimed",
+        bound: "version-table peak_outstanding stays at the producer lead: residency \
+                follows the outstanding set, not the rid span",
         heap: AddrRange::new(shared, 4),
         streams: vec![t0, t1],
     }
@@ -351,8 +347,6 @@ mod tests {
             .collect();
         assert_eq!(produced, consumed, "every version has exactly one consumer");
         assert_eq!(produced.len(), 32);
-        // Each consumer rid strides one chunk, so each version gets its own
-        // dense chunk — the sweep touches `versions` distinct chunks.
         for pair in consumed.windows(2) {
             assert_eq!(pair[1].consumer_rid.0 - pair[0].consumer_rid.0, 128);
         }

@@ -11,8 +11,8 @@
 //! The run happens three times: the deterministic co-simulation (with the
 //! in-line sequential reference checking accuracy), then the same workload
 //! on [`ThreadedBackend`] — real threads resolving the version annotations
-//! against the shared `ConcurrentVersionTable`, where a consumer whose
-//! version is not yet produced parks until the producer publishes it.
+//! against the session's `VersionTable`, where a consumer whose version is
+//! not yet produced waits until the producer publishes it.
 //!
 //! ```text
 //! cargo run --release --example tso_versioning
@@ -101,8 +101,8 @@ fn main() {
     );
 
     // 2. The same workload on real OS threads: the capture's §5.5
-    //    annotations resolve against the shared ConcurrentVersionTable
-    //    (producers snapshot pre-store metadata, consumers park for it).
+    //    annotations resolve against the session's VersionTable
+    //    (producers snapshot pre-store metadata, consumers wait for it).
     let thr = MonitorSession::builder()
         .source(workload)
         .config(config)
@@ -128,7 +128,7 @@ fn main() {
     if m.versions_produced > 0 {
         println!(
             "\nSC-violating R->W arcs were reversed into produce/consume version pairs \
-             (Figure 5) and replayed on real threads through the concurrent version table."
+             (Figure 5) and replayed on real threads through the same version table."
         );
     } else {
         println!(

@@ -1,11 +1,12 @@
-//! Concurrent version table + TSO streaming replay on real threads.
+//! The §5.5 version table + TSO streaming replay on real threads.
 //!
-//! The tentpole invariants:
+//! The invariants:
 //!
-//! * `ConcurrentVersionTable` is a drop-in model match for the sequential
-//!   `VersionTable`: the same produce/consume/bypass trace yields the same
-//!   consume results and the same produced/consumed/outstanding/peak
-//!   accounting (property-tested over random interleaved traces);
+//! * `VersionTable` matches the model a produce/consume/bypass trace
+//!   defines: every consume returns the snapshot its produce published,
+//!   every probe of an unproduced id misses, and availability, the
+//!   produced/consumed/outstanding/peak accounting and residency follow
+//!   the trace (property-tested over random interleaved traces);
 //! * under genuine producer/consumer thread races every snapshot arrives
 //!   intact and the accounting still balances;
 //! * a §5.5 versioned capture (the Figure 5 Dekker pattern) replays on
@@ -25,7 +26,7 @@ use paralog::events::{
     AddrRange, EventRecord, Instr, MemRef, Op, Reg, Rid, SyscallKind, ThreadId, VersionId,
 };
 use paralog::lifeguards::{LifeguardKind, Violation, ViolationKind};
-use paralog::meta::{ConcurrentVersionTable, VersionTable};
+use paralog::meta::VersionTable;
 use paralog::workloads::Workload;
 use proptest::prelude::*;
 
@@ -48,8 +49,7 @@ enum TraceOp {
 
 /// Expands per-id specs into one interleaved, *valid* trace: bypasses
 /// precede the produce, consumes follow it, and up to `window` ids stay
-/// outstanding simultaneously so chunk churn and the peak counter get
-/// exercised.
+/// outstanding simultaneously so the peak counter gets exercised.
 fn build_trace(ids: &[(u16, u64, u32)], window: usize) -> Vec<TraceOp> {
     let mut seen = std::collections::HashSet::new();
     let mut trace = Vec::new();
@@ -91,51 +91,65 @@ fn snapshot_for(r: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Model equivalence: the concurrent table applied to any valid trace
-    /// behaves byte-for-byte like the sequential one, counters included.
+    /// Model equivalence: the table applied to any valid trace behaves like
+    /// the sequential model the trace itself defines, counters included.
     #[test]
     fn concurrent_table_matches_sequential_model(
         ids in proptest::collection::vec((0u16..3, 1u64..600, 1u32..4), 1..48),
         window in 1usize..5,
     ) {
         let trace = build_trace(&ids, window);
-        let mut seq = VersionTable::new();
-        let conc = ConcurrentVersionTable::new(3);
+        let table = VersionTable::new(3);
         let range = |r: u64| AddrRange::new(0x1000 + r * 8, 8);
+        // The model: consumers that passed early per id not yet produced,
+        // consumers still owed per live id, and the counters.
+        let mut bypassed = std::collections::HashMap::new();
+        let mut live = std::collections::HashMap::new();
+        let (mut produced, mut consumed, mut peak) = (0u64, 0u64, 0usize);
         for op in &trace {
+            let (TraceOp::Bypass(t, r)
+            | TraceOp::Produce(t, r, _)
+            | TraceOp::Consume(t, r)
+            | TraceOp::Miss(t, r)) = *op;
             match *op {
-                TraceOp::Bypass(t, r) => {
-                    seq.bypass(vid(t, r));
-                    conc.bypass(vid(t, r));
+                TraceOp::Bypass(..) => {
+                    table.bypass(vid(t, r));
+                    *bypassed.entry((t, r)).or_insert(0u32) += 1;
+                    consumed += 1;
                 }
-                TraceOp::Produce(t, r, consumers) => {
-                    seq.produce(vid(t, r), range(r), snapshot_for(r), consumers);
-                    conc.produce(vid(t, r), range(r), snapshot_for(r), consumers);
-                    prop_assert_eq!(
-                        seq.is_available(vid(t, r)),
-                        conc.is_available(vid(t, r)),
-                        "availability diverged after produce"
-                    );
+                TraceOp::Produce(_, _, consumers) => {
+                    table.produce(vid(t, r), range(r), snapshot_for(r), consumers);
+                    produced += 1;
+                    let remaining = consumers - bypassed.remove(&(t, r)).unwrap_or(0);
+                    if remaining > 0 {
+                        live.insert((t, r), remaining);
+                    }
+                    peak = peak.max(live.len());
                 }
-                TraceOp::Consume(t, r) => {
-                    let a = seq.consume(vid(t, r));
-                    let b = conc.consume(vid(t, r));
-                    prop_assert_eq!(a, b, "consume results diverged");
+                TraceOp::Consume(..) => {
+                    let got = table.consume(vid(t, r));
+                    prop_assert_eq!(got, Some((range(r), snapshot_for(r))), "wrong snapshot");
+                    consumed += 1;
+                    let remaining = live.get_mut(&(t, r)).expect("trace consumes live ids");
+                    *remaining -= 1;
+                    if *remaining == 0 {
+                        live.remove(&(t, r));
+                    }
                 }
-                TraceOp::Miss(t, r) => {
-                    prop_assert!(seq.consume(vid(t, r)).is_none());
-                    prop_assert!(conc.consume(vid(t, r)).is_none());
-                    prop_assert!(!conc.is_available(vid(t, r)));
-                }
+                TraceOp::Miss(..) => prop_assert!(table.consume(vid(t, r)).is_none()),
             }
+            prop_assert_eq!(table.is_available(vid(t, r)), live.contains_key(&(t, r)));
+            prop_assert_eq!(table.outstanding(), live.len());
+            prop_assert_eq!(table.resident(), live.len() + bypassed.len());
         }
-        prop_assert_eq!(seq.produced(), conc.produced());
-        prop_assert_eq!(seq.consumed(), conc.consumed());
-        prop_assert_eq!(seq.outstanding(), conc.outstanding());
-        prop_assert_eq!(seq.peak_outstanding(), conc.peak_outstanding());
+        prop_assert_eq!(table.produced(), produced);
+        prop_assert_eq!(table.consumed(), consumed);
+        prop_assert_eq!(table.peak_outstanding(), peak);
+        prop_assert_eq!(table.resident(), table.outstanding(), "residency is the outstanding set");
+        prop_assert_eq!(table.outstanding(), 0, "the trace drains");
     }
 
-    /// N racing producer threads against one consumer per shard: every
+    /// N racing producer threads against one consumer per thread id: every
     /// snapshot must arrive intact regardless of interleaving, and the
     /// final accounting must balance — the invariant the deterministic
     /// model cannot check.
@@ -144,7 +158,7 @@ proptest! {
         per_producer in 16u64..96,
         consumers_per_version in 1u32..3,
     ) {
-        let table = ConcurrentVersionTable::new(2);
+        let table = VersionTable::new(2);
         let total = 2 * per_producer;
         std::thread::scope(|scope| {
             let t = &table;

@@ -236,17 +236,19 @@ fn duplicate_produce_annotation_is_malformed_on_both_backends() {
     }
 }
 
-#[test]
-fn zero_consumer_produce_annotation_is_malformed_on_both_backends() {
+/// Replays a one-thread stream of three `Nop`s whose first record produces
+/// version `<consumer, 2>` for `consumers` readers: both backends must call
+/// the stream malformed.
+fn assert_produce_annotation_is_malformed(consumer: u16, consumers: u32) {
     let m = MemRef::new(HEAP.start + 0x20, 4);
     let vid = VersionId {
-        consumer: ThreadId(0),
+        consumer: ThreadId(consumer),
         consumer_rid: Rid(2),
     };
     let mut recs: Vec<EventRecord> = (1..=3)
         .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
         .collect();
-    recs[0].produce_versions.push((vid, m, 0));
+    recs[0].produce_versions.push((vid, m, consumers));
     let encoded = vec![encode(&recs)];
     for threaded in [false, true] {
         let err = run_faulty(&encoded, threaded, |r, _| r).err();
@@ -255,6 +257,18 @@ fn zero_consumer_produce_annotation_is_malformed_on_both_backends() {
             "threaded={threaded}: expected MalformedStream, got {err:?}"
         );
     }
+}
+
+#[test]
+fn zero_consumer_produce_annotation_is_malformed_on_both_backends() {
+    assert_produce_annotation_is_malformed(0, 0);
+}
+
+#[test]
+fn out_of_range_consumer_produce_annotation_is_malformed_on_both_backends() {
+    // Consumer thread 7 of a 1-thread session: no lane could ever consume
+    // the version, and both replay paths share the table that says so.
+    assert_produce_annotation_is_malformed(7, 1);
 }
 
 fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {

@@ -249,9 +249,9 @@ fn push_source_feeds_an_online_session() {
 
 #[test]
 fn threaded_backend_replays_tso_workloads() {
-    // TSO captures carry §5.5 versioned metadata; the threaded backend now
-    // resolves the produce/consume annotations against its shared
-    // `ConcurrentVersionTable` instead of rejecting the plan.
+    // TSO captures carry §5.5 versioned metadata; the threaded backend
+    // resolves the produce/consume annotations against the session's
+    // `VersionTable` instead of rejecting the plan.
     for bench in [Benchmark::Lu, Benchmark::Ocean] {
         let w = workload(bench, 4);
         let out = MonitorSession::builder()

@@ -1,11 +1,11 @@
 //! Unbounded-uptime soaks: sweep the rid and mask spaces far past their
 //! steady-state windows and prove residency stays bounded.
 //!
-//! Three reclamation layers keep a long-running monitor's memory flat:
+//! Three layers keep a long-running monitor's memory flat:
 //!
-//! * the [`ConcurrentVersionTable`] frees drained dense chunks at epoch
-//!   boundaries, so version storage tracks the outstanding window, not the
-//!   total rids replayed;
+//! * the [`VersionTable`] holds only the outstanding versions, so version
+//!   storage tracks the producer/consumer lead, not the rids replayed or
+//!   how far apart they lie;
 //! * the LOCKSET mask interner frees unreferenced candidate-set ids behind
 //!   a quiescence gate, so the 2^16 id space survives unbounded churn of
 //!   distinct lock combinations;
@@ -17,9 +17,10 @@
 //!
 //! The long sweeps run single-threaded for throughput (residency bounds
 //! do not depend on interleaving); the mask-cycling and racing-producer
-//! soaks run real threads against the reclamation paths — those are what
-//! the nightly TSan job is pointed at. The default profile is CI-sized;
-//! `PARALOG_SOAK=1` runs the full multi-billion-rid sweep.
+//! soaks run real threads against the interner's reclamation paths and the
+//! version table's mutex — those are what the nightly TSan job is pointed
+//! at. The default profile is CI-sized; `PARALOG_SOAK=1` runs the full
+//! multi-billion-rid sweep.
 
 use paralog::core::{BufferedStream, CoopSession, RecordStream};
 use paralog::events::{
@@ -29,7 +30,7 @@ use paralog::events::{
 use paralog::lifeguards::{
     ConcurrentLifeguard, HappensBeforeConcurrent, LifeguardKind, LockSetConcurrent, SessionEvent,
 };
-use paralog::meta::ConcurrentVersionTable;
+use paralog::meta::VersionTable;
 use paralog::workloads::adversarial::{self, AdversarialCapture};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -43,64 +44,41 @@ fn full_profile() -> bool {
 }
 
 /// How far producers run ahead of the consumer in the racing soak, in
-/// versions (= dense chunks, at one version per chunk): the outstanding
-/// window — and with it the residency bound under test — is a known
-/// constant.
+/// versions: the outstanding window — and with it the residency bound
+/// under test — is a known constant.
 const PRODUCER_LEAD: usize = 128;
-
-/// Consumer-side epoch cadence, mirroring the threaded backend's
-/// advance-per-batch contract.
-const CHUNKS_PER_EPOCH: u64 = 64;
 
 #[test]
 fn version_residency_is_bounded_over_a_rid_sweep() {
-    // Sweep ≥ 100 full dense windows (~210M rids; PARALOG_SOAK=1 sweeps
-    // 2000, ~4.2B rids), touching every chunk once. Grow-only storage
-    // would allocate every chunk it touches; the epoch sweep must keep
-    // the resident count near the outstanding window instead.
-    let windows: u64 = if full_profile() { 2_000 } else { 100 };
-    let chunks =
-        windows * (ConcurrentVersionTable::WINDOW_RIDS / ConcurrentVersionTable::CHUNK_RIDS);
-    let table = ConcurrentVersionTable::new(2);
+    // One version per 128 rids over ≥ 100 × 16,384 of them (~210M rids;
+    // PARALOG_SOAK=1 sweeps 2000 ×, ~4.2B rids), produced and consumed in
+    // turn. Storage indexed by rid would grow with the span; the table
+    // holds the outstanding versions, so it never holds more than the one
+    // in flight.
+    let versions: u64 = if full_profile() { 2_000 } else { 100 } * 16_384;
+    let table = VersionTable::new(2);
     let range = AddrRange::new(0x1000_0000, 4);
     let vid = |c: u64| VersionId {
         consumer: ThreadId(1),
-        consumer_rid: Rid(c * ConcurrentVersionTable::CHUNK_RIDS + 1),
+        consumer_rid: Rid(c * 128 + 1),
     };
 
-    for c in 0..chunks {
+    for c in 0..versions {
         table.produce(vid(c), range, vec![0xAB; 4], 1);
+        assert_eq!(table.resident(), 1, "version {c}: retired versions linger");
         let (_, snapshot) = table.consume(vid(c)).expect("just produced");
         assert_eq!(snapshot, vec![0xAB; 4]);
-        if c % CHUNKS_PER_EPOCH == 0 {
-            table.advance_epoch(ThreadId(1));
-        }
     }
-    // Stream end: flush chunks drained since the last boundary.
-    table.advance_epoch(ThreadId(1));
-    table.advance_epoch(ThreadId(1));
 
-    assert_eq!(table.produced(), chunks);
-    assert_eq!(table.consumed(), chunks);
+    assert_eq!(table.produced(), versions);
+    assert_eq!(table.consumed(), versions);
     assert_eq!(table.outstanding(), 0, "every version retired");
-    // The bound: one epoch of drained-but-unswept chunks plus the live
-    // chunk and spares — independent of the sweep length.
-    let peak = table.peak_dense_resident();
-    assert!(
-        peak <= 2 * CHUNKS_PER_EPOCH as usize + 8,
-        "peak residency {peak} chunks is not bounded by the outstanding window \
-         ({chunks} chunks swept)"
+    assert_eq!(
+        table.peak_outstanding(),
+        1,
+        "the lead is one version, independent of the sweep length"
     );
-    assert!(
-        table.reclaimed_chunks() >= chunks - peak as u64,
-        "sweep must reclaim nearly every chunk it touched: reclaimed {} of {chunks}",
-        table.reclaimed_chunks()
-    );
-    assert!(
-        table.dense_resident() <= 4,
-        "quiesced table still holds {} chunks",
-        table.dense_resident()
-    );
+    assert_eq!(table.resident(), 0, "a quiesced table holds nothing");
 }
 
 fn rec_access(rid: u64, addr: u64, write: bool) -> EventRecord {
@@ -427,24 +405,21 @@ fn hb_interner_exhaustion_degrades_soundly_past_two_to_the_sixteen() {
     );
 }
 
-/// Reclamation races the sweep against concurrent producers on the *same*
-/// shard: many producer threads publish into one consumer's rid space while
-/// it consumes and advances epochs. This is the TSan target for the
-/// cell-lock/spill/spare hand-offs.
+/// Many producer threads publish into one consumer's rid space while it
+/// polls and consumes. This is the TSan target for the version table's one
+/// mutex: four producers and a polling consumer, all on the same map.
 #[test]
-fn epoch_sweep_races_cleanly_with_many_producers() {
-    let windows: u64 = if full_profile() { 16 } else { 2 };
+fn version_table_races_cleanly_with_many_producers() {
     let producers = 4u64;
-    let chunks =
-        windows * (ConcurrentVersionTable::WINDOW_RIDS / ConcurrentVersionTable::CHUNK_RIDS);
-    let table = Arc::new(ConcurrentVersionTable::new(2));
+    let versions: u64 = if full_profile() { 16 } else { 2 } * 16_384;
+    let table = Arc::new(VersionTable::new(2));
     let range = AddrRange::new(0x2000_0000, 4);
     let vid = |c: u64| VersionId {
         consumer: ThreadId(1),
-        consumer_rid: Rid(c * ConcurrentVersionTable::CHUNK_RIDS + 7),
+        consumer_rid: Rid(c * 128 + 7),
     };
-    // Chunk c is produced by thread c % producers: adjacent chunks come
-    // from different threads, so creates, drains and sweeps interleave.
+    // Version c is produced by thread c % producers: adjacent versions come
+    // from different threads, so inserts, polls and removals interleave.
     // Backpressure sleeps rather than spin-yields: the soak must also pass
     // on a single hardware thread without starving the consumer.
     let cursor = Arc::new(AtomicU64::new(0));
@@ -453,7 +428,7 @@ fn epoch_sweep_races_cleanly_with_many_producers() {
             let table = Arc::clone(&table);
             let cursor = Arc::clone(&cursor);
             thread::spawn(move || {
-                for c in (p..chunks).step_by(producers as usize) {
+                for c in (p..versions).step_by(producers as usize) {
                     while c.saturating_sub(cursor.load(Ordering::Acquire)) >= PRODUCER_LEAD as u64 {
                         thread::sleep(Duration::from_micros(200));
                     }
@@ -462,35 +437,32 @@ fn epoch_sweep_races_cleanly_with_many_producers() {
             })
         })
         .collect();
-    for c in 0..chunks {
-        // Poll (as a gated lane's driver does) until our chunk lands.
+    for c in 0..versions {
+        // Poll (as a gated lane's driver does) until our version lands.
         let deadline = std::time::Instant::now() + Duration::from_secs(60);
         while !table.is_available(vid(c)) {
             assert!(
                 std::time::Instant::now() < deadline,
-                "chunk {c}: no producer delivered"
+                "version {c}: no producer delivered"
             );
             thread::yield_now();
         }
-        table.consume(vid(c)).expect("available implies consumable");
+        let (_, snapshot) = table.consume(vid(c)).expect("available implies consumable");
+        assert_eq!(snapshot, vec![(c % producers) as u8; 4]);
         cursor.store(c, Ordering::Release);
-        if c % CHUNKS_PER_EPOCH == 0 {
-            table.advance_epoch(ThreadId(1));
-        }
     }
     for h in handles {
         h.join().expect("producer must not panic");
     }
-    table.advance_epoch(ThreadId(1));
-    table.advance_epoch(ThreadId(1));
 
-    assert_eq!(table.outstanding(), 0);
-    let peak = table.peak_dense_resident();
+    assert_eq!((table.produced(), table.consumed()), (versions, versions));
+    assert_eq!((table.outstanding(), table.resident()), (0, 0));
+    let peak = table.peak_outstanding();
     assert!(
-        peak <= 4 * PRODUCER_LEAD,
-        "peak residency {peak} chunks under {producers} racing producers"
+        peak <= PRODUCER_LEAD,
+        "{peak} versions outstanding under {producers} producers held to a lead of \
+         {PRODUCER_LEAD}"
     );
-    assert!(table.reclaimed_chunks() >= chunks - peak as u64);
 }
 
 /// Open file descriptors for this process (linux); `None` elsewhere so
@@ -640,6 +612,10 @@ fn daemon_attach_detach_churn_leaves_no_residue() {
 /// Replays an adversarial capture through the cooperative lane machinery
 /// (the daemon's form) to completion, round-robin with a small budget so
 /// lanes genuinely interleave and gate on each other.
+/// Records a lane delivers per turn in [`coop_replay`] — how far one lane
+/// runs ahead of its peers.
+const COOP_STEP_BUDGET: usize = 64;
+
 fn coop_replay(
     kind: LifeguardKind,
     cap: &AdversarialCapture,
@@ -654,7 +630,7 @@ fn coop_replay(
         CoopSession::start(&kind, cap.heap, streams, None).expect("session starts");
     while !session.is_complete() {
         for lane in &mut lanes {
-            lane.step(64);
+            lane.step(COOP_STEP_BUDGET);
         }
     }
     let metrics = session
@@ -741,27 +717,21 @@ fn adversarial_read_vc_exhaustion_degrades_exactly_once() {
     );
 }
 
-/// Preset `rid_sweep` vs its bound: versions whose consumer rids stride
-/// one chunk apart sweep whole reclamation windows; the epoch sweep must
-/// keep `peak_dense_resident` near the producer/consumer lead and reclaim
-/// nearly every drained chunk.
+/// Preset `rid_sweep` vs its bound: versions whose consumer rids lie 128
+/// apart span a million rids (16 million under `PARALOG_SOAK=1`), and
+/// `peak_outstanding` must stay at the producer/consumer lead — the step
+/// budget the producing lane runs ahead by.
 #[test]
-fn adversarial_rid_sweep_reclaims_version_chunks() {
+fn adversarial_rid_sweep_residency_follows_the_outstanding_set() {
     let versions: u64 = if full_profile() { 131_072 } else { 8_192 };
-    let cap = adversarial::rid_sweep(versions, ConcurrentVersionTable::CHUNK_RIDS);
+    let cap = adversarial::rid_sweep(versions, 128);
     let (session, metrics) = coop_replay(LifeguardKind::TaintCheck, &cap);
     assert_eq!(metrics.versions_produced, versions);
     assert_eq!(metrics.versions_consumed, versions);
-    let peak = session.version_peak_resident();
+    let peak = session.versions_peak_outstanding();
     assert!(
-        peak as u64 <= 2048,
-        "peak residency {peak} chunks over a {versions}-chunk sweep: {}",
-        cap.bound
-    );
-    assert!(
-        session.version_reclaimed() >= versions - peak as u64,
-        "sweep reclaimed only {} of {versions} chunks: {}",
-        session.version_reclaimed(),
+        peak <= COOP_STEP_BUDGET,
+        "{peak} versions outstanding over a {versions}-version sweep: {}",
         cap.bound
     );
 }

@@ -1,6 +1,6 @@
-//! Regenerates (or checks) the checked-in `BENCH_shadow.json`: the flat
-//! two-level shadow-memory suite — range primitives at 64 B/4 KiB and the
-//! single-byte fast path across 1/2/8-bit metadata.
+//! Regenerates (or checks) the checked-in `BENCH_shadow.json`: the
+//! byte-shadow suite — `AtomicShadow`'s range primitives at 4 B, 64 B and
+//! 4 KiB, and the cost of a session's first touch.
 //!
 //! Usage:
 //!

@@ -1,18 +1,15 @@
-//! Checked-in benchmark snapshots: the flat shadow-memory suite
+//! Checked-in benchmark snapshots: the byte-shadow suite
 //! (`BENCH_shadow.json`) and the version-table suite
 //! (`BENCH_versions.json`).
 //!
 //! Both share one schema — [`MatrixResult`] plus [`to_json`]/[`parse_json`]
 //! — so the CI bench-smoke step diffs both files with the same
-//! non-blocking `::warning::` machinery. The measured shapes mirror the
-//! criterion groups in `benches/shadow_micro.rs` and
-//! `benches/versions_micro.rs`; the snapshots exist so regressions in
-//! *our* structures show up in CI without a criterion baseline directory,
-//! not to re-measure the naive seed baselines (those live only in the
-//! criterion groups).
+//! non-blocking `::warning::` machinery. The snapshots exist so regressions
+//! in *our* structures show up in CI without a criterion baseline
+//! directory.
 
 use paralog_events::{AddrRange, Rid, ThreadId, VersionId};
-use paralog_meta::{ShadowMemory, VersionTable};
+use paralog_meta::{AtomicShadow, VersionTable};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
@@ -104,60 +101,56 @@ pub fn best_of(units: u64, iters: usize, mut run: impl FnMut()) -> f64 {
     best
 }
 
-/// Slightly unaligned base so head/tail mask paths are exercised (mirrors
-/// `shadow_micro`).
+/// Unaligned base, so no range starts or ends on a word boundary.
 const SHADOW_BASE: u64 = 0x1000_0003;
 
-/// The shadow-memory suite: range primitives at 64 B and 4 KiB plus the
-/// single-byte fast path, for 1/2/8-bit metadata. Keys are
-/// `"<bits>bit/<op>/<len>"`; values are ns per *call* (not per byte), so
-/// the series diff catches fast-path regressions that per-byte throughput
-/// would hide at large lengths. `reps` calls are timed per round.
+/// The byte-shadow suite: [`AtomicShadow`]'s range primitives at 4 B (the
+/// co-simulation's typical operation), 64 B and 4 KiB, plus `first_touch` —
+/// construct, one 4-byte fill, drop: what a session pays before its first
+/// record. Keys are `"<op>/<len>"`; values are ns per *call* (not per
+/// byte), so the series diff catches fast-path regressions that per-byte
+/// throughput would hide at large lengths. `reps` calls are timed per round.
 pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
+    use std::hint::black_box;
     let mut series = BTreeMap::new();
-    for bits in [1u32, 2, 8] {
-        for len in [64u64, 4096] {
-            let range = AddrRange::new(SHADOW_BASE, len);
-            let copy_dst = SHADOW_BASE + 2 * paralog_meta::CHUNK_APP_BYTES;
-            let mut shadow = ShadowMemory::new(bits);
-            shadow.set_range(AddrRange::new(SHADOW_BASE, 8192), 1);
-            series.insert(
-                format!("{bits}bit/set_range/{len}"),
-                best_of(reps, iters, || {
-                    for _ in 0..reps {
-                        shadow.set_range(std::hint::black_box(range), 1);
-                    }
-                }),
-            );
-            series.insert(
-                format!("{bits}bit/join_range/{len}"),
-                best_of(reps, iters, || {
-                    for _ in 0..reps {
-                        std::hint::black_box(shadow.join_range(std::hint::black_box(range)));
-                    }
-                }),
-            );
-            series.insert(
-                format!("{bits}bit/copy_range/{len}"),
-                best_of(reps, iters, || {
-                    for _ in 0..reps {
-                        shadow.copy_range(std::hint::black_box(copy_dst), SHADOW_BASE, len);
-                    }
-                }),
-            );
-        }
-        let mut shadow = ShadowMemory::new(bits);
-        shadow.set(SHADOW_BASE, 1);
+    let shadow = AtomicShadow::new();
+    shadow.fill_range(SHADOW_BASE, 8192, 1);
+    for len in [4u64, 64, 4096] {
         series.insert(
-            format!("{bits}bit/get_set/1"),
+            format!("fill_range/{len}"),
             best_of(reps, iters, || {
                 for _ in 0..reps {
-                    let v = std::hint::black_box(shadow.get(std::hint::black_box(SHADOW_BASE)));
-                    shadow.set(SHADOW_BASE + 7, v);
+                    shadow.fill_range(black_box(SHADOW_BASE), len, 1);
+                }
+            }),
+        );
+        series.insert(
+            format!("join_range/{len}"),
+            best_of(reps, iters, || {
+                for _ in 0..reps {
+                    black_box(shadow.join_range(black_box(SHADOW_BASE), len));
+                }
+            }),
+        );
+        series.insert(
+            format!("eq_range/{len}"),
+            best_of(reps, iters, || {
+                for _ in 0..reps {
+                    black_box(shadow.eq_range(black_box(SHADOW_BASE), len, 1));
                 }
             }),
         );
     }
+    series.insert(
+        "first_touch".to_string(),
+        best_of(reps, iters, || {
+            for _ in 0..reps {
+                let fresh = AtomicShadow::new();
+                fresh.fill_range(black_box(SHADOW_BASE), 4, 1);
+                black_box(&fresh);
+            }
+        }),
+    );
     MatrixResult {
         records_per_thread: reps,
         series,
@@ -299,7 +292,7 @@ mod tests {
     fn json_round_trips() {
         let result = MatrixResult {
             records_per_thread: 4096,
-            series: [("1bit/get_set/1", 12.5), ("churn/w32", 0.1)]
+            series: [("fill_range/4", 12.5), ("churn/w32", 0.1)]
                 .map(|(key, ns)| (key.to_string(), ns))
                 .into(),
         };
@@ -319,7 +312,8 @@ mod tests {
     #[test]
     fn shadow_matrix_round_trips_through_the_snapshot_schema() {
         let result = shadow_matrix(4, 1);
-        assert_eq!(result.series.len(), 3 * (3 * 2 + 1));
+        assert_eq!(result.series.len(), 3 * 3 + 1);
+        assert!(result.series.contains_key("first_touch"));
         let parsed = parse_json(&to_json(&result)).expect("own output parses");
         assert_eq!(parsed.series.len(), result.series.len());
         assert!(result

@@ -22,8 +22,8 @@ use super::{LgThread, Sim};
 use crate::config::{CaMode, MonitorConfig, MonitoringMode};
 use paralog_accel::FlushReason;
 use paralog_events::{
-    check_view, dataflow_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, MetaOp,
-    Rid, ThreadId,
+    check_view, dataflow_view, AddrRange, CaRecord, EventPayload, EventRecord, MetaOp, Rid,
+    ThreadId,
 };
 use paralog_lifeguards::{CostModel, EventView, HandlerCtx, Violation};
 use paralog_order::{CaBarrier, CaPolicy, Gate, ProgressTable};
@@ -484,13 +484,7 @@ impl<'a> DeliveryCtx<'a> {
             }
         }
         if actions.track_range {
-            match (ca.phase, ca.range) {
-                (CaPhase::Begin, Some(range)) => {
-                    self.lgs[li].range_table.insert(ca.issuer, ca.what, range);
-                }
-                (CaPhase::End, _) => self.lgs[li].range_table.remove(ca.issuer),
-                _ => {}
-            }
+            self.lgs[li].range_table.on_ca(&ca);
         }
 
         let own = ca.issuer.index() == tag;
@@ -582,11 +576,7 @@ pub(crate) fn deliver_ingested(
         EventPayload::Ca(ca) => {
             let actions = ca_policy.actions(ca.what, ca.phase);
             if actions.track_range {
-                match (ca.phase, ca.range) {
-                    (CaPhase::Begin, Some(range)) => range_table.insert(ca.issuer, ca.what, range),
-                    (CaPhase::End, _) => range_table.remove(ca.issuer),
-                    _ => {}
-                }
+                range_table.on_ca(ca);
             }
             let own = ca.issuer.index() == t;
             let mut ctx = HandlerCtx::new();
@@ -639,23 +629,12 @@ fn deliver_op(
         }
     }
     lgt.delivered_ops += 1;
-    cycles + charge_ctx_inner(lgt, mem, cost, rid, ctx, violations)
+    cycles + charge_ctx(lgt, mem, cost, rid, ctx, violations)
 }
 
 /// Charges a handler context's side effects: metadata cache traffic,
 /// slow-path synchronization, and collects violations.
 fn charge_ctx(
-    lgt: &mut LgThread,
-    mem: &mut MemorySystem,
-    cost: &CostModel,
-    rid: Rid,
-    ctx: HandlerCtx,
-    violations: &mut Vec<Violation>,
-) -> u64 {
-    charge_ctx_inner(lgt, mem, cost, rid, ctx, violations)
-}
-
-fn charge_ctx_inner(
     lgt: &mut LgThread,
     mem: &mut MemorySystem,
     cost: &CostModel,

@@ -367,7 +367,7 @@ impl<'w> Sim<'w> {
     pub(crate) fn warm(&mut self) {
         let monitored = self.config.mode != MonitoringMode::None;
         let bits = if monitored {
-            self.family.thread(ThreadId(0)).spec().bits_per_byte as u64
+            self.family.thread(ThreadId(0)).spec().bits_per_byte
         } else {
             0
         };
@@ -388,8 +388,8 @@ impl<'w> Sim<'w> {
                 self.mem
                     .warm_access(app_core, mem.addr, u64::from(mem.size), kind);
                 if let Some(lg_core) = lg_core {
-                    let meta = paralog_meta::META_BASE + mem.addr * bits / 8;
-                    let meta_len = (u64::from(mem.size) * bits).div_ceil(8).max(1);
+                    let meta = paralog_meta::meta_addr(bits, mem.addr);
+                    let meta_len = (u64::from(mem.size) * u64::from(bits)).div_ceil(8).max(1);
                     self.mem.warm_access(lg_core, meta, meta_len, kind);
                 }
             }

@@ -7,7 +7,9 @@
 //! oracle: an independent, accelerator-free implementation of the bundled
 //! dataflow/check analyses, driven directly by the simulator's global event
 //! order (not by the lifeguard pipeline), producing a fingerprint compatible
-//! with [`Lifeguard::fingerprint`](paralog_lifeguards::Lifeguard).
+//! with [`Lifeguard::fingerprint`](paralog_lifeguards::Lifeguard). It shares
+//! no metadata container with the lifeguards it checks: its shadow is a
+//! plain `BTreeMap` of the non-clean bytes.
 //!
 //! Under TSO a store's metadata becomes globally visible at *drain* time,
 //! while a forwarded load must take the pending store's metadata — the
@@ -21,16 +23,16 @@
 //! checked by the dedicated parity suite instead
 //! (`tests/concurrent_lifeguards.rs`).
 
-use paralog_events::{AddrRange, HighLevelKind, Instr, MemRef, Rid, SyscallKind, NUM_REGS};
+use paralog_events::{Addr, AddrRange, HighLevelKind, Instr, MemRef, Rid, SyscallKind, NUM_REGS};
 use paralog_lifeguards::{Fingerprint, LifeguardKind, TAINTED, UNDEFINED};
-use paralog_meta::ShadowMemory;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// The reference engine.
 #[derive(Debug)]
 pub struct Reference {
     kind: LifeguardKind,
-    mem: ShadowMemory,
+    /// Metadata of every non-clean application byte (absent = clean).
+    mem: BTreeMap<Addr, u8>,
     regs: Vec<[u8; NUM_REGS]>,
     /// TSO mirror of each store buffer: `(rid, target, metadata value)`.
     pending: Vec<VecDeque<(Rid, MemRef, u8)>>,
@@ -49,14 +51,9 @@ impl Reference {
             kind != LifeguardKind::LockSet && kind != LifeguardKind::HappensBefore,
             "race lifeguards have no byte-shadow sequential reference"
         );
-        let bits = match kind {
-            LifeguardKind::TaintCheck | LifeguardKind::MemCheck => 2,
-            LifeguardKind::AddrCheck => 1,
-            LifeguardKind::LockSet | LifeguardKind::HappensBefore => unreachable!(),
-        };
         Reference {
             kind,
-            mem: ShadowMemory::new(bits),
+            mem: BTreeMap::new(),
             regs: vec![[0; NUM_REGS]; threads],
             pending: (0..threads).map(|_| VecDeque::new()).collect(),
             tso,
@@ -72,7 +69,29 @@ impl Reference {
                 return *v;
             }
         }
-        self.mem.join_range(src.range())
+        self.join_range(src.range())
+    }
+
+    fn join_range(&self, range: AddrRange) -> u8 {
+        self.mem
+            .range(range.start..range.end())
+            .fold(0, |acc, (_, v)| acc | v)
+    }
+
+    fn set_range(&mut self, range: AddrRange, value: u8) {
+        if value == 0 {
+            let dirty: Vec<Addr> = self
+                .mem
+                .range(range.start..range.end())
+                .map(|(&a, _)| a)
+                .collect();
+            for a in dirty {
+                self.mem.remove(&a);
+            }
+        } else {
+            self.mem
+                .extend((range.start..range.end()).map(|a| (a, value)));
+        }
     }
 
     /// Applies one retired instruction of thread `tid` (call in global
@@ -97,7 +116,7 @@ impl Reference {
                 if self.tso {
                     self.pending[tid].push_back((rid, dst, v));
                 } else {
-                    self.mem.set_range(dst.range(), v);
+                    self.set_range(dst.range(), v);
                 }
             }
             Instr::MovRR { dst, src } | Instr::Alu1 { dst, a: src } => {
@@ -117,9 +136,9 @@ impl Reference {
                 if self.tso {
                     // RMW drains the buffer (fence) before executing.
                     self.drain_all(tid);
-                    self.mem.set_range(mem.range(), r);
+                    self.set_range(mem.range(), r);
                 } else {
-                    self.mem.set_range(mem.range(), r);
+                    self.set_range(mem.range(), r);
                 }
                 self.regs[tid][reg.index()] = m;
             }
@@ -136,14 +155,14 @@ impl Reference {
         // FIFO drains: the front entry must be `rid`.
         if let Some((front_rid, mem, v)) = self.pending[tid].pop_front() {
             debug_assert_eq!(front_rid, rid, "stores drain in order");
-            self.mem.set_range(mem.range(), v);
+            self.set_range(mem.range(), v);
         }
     }
 
     /// Drains every pending store of `tid` (fences, thread end).
     pub fn drain_all(&mut self, tid: usize) {
         while let Some((_, mem, v)) = self.pending[tid].pop_front() {
-            self.mem.set_range(mem.range(), v);
+            self.set_range(mem.range(), v);
         }
     }
 
@@ -160,24 +179,24 @@ impl Reference {
         let Some(range) = range else { return };
         match (self.kind, what, phase) {
             (LifeguardKind::TaintCheck, HighLevelKind::Malloc, CaPhase::End) => {
-                self.mem.set_range(range, 0);
+                self.set_range(range, 0);
             }
             (
                 LifeguardKind::TaintCheck,
                 HighLevelKind::Syscall(SyscallKind::ReadInput),
                 CaPhase::End,
             ) => {
-                self.mem.set_range(range, TAINTED);
+                self.set_range(range, TAINTED);
             }
             (LifeguardKind::MemCheck, HighLevelKind::Malloc, CaPhase::End)
             | (LifeguardKind::MemCheck, HighLevelKind::Free, CaPhase::Begin) => {
-                self.mem.set_range(range, UNDEFINED);
+                self.set_range(range, UNDEFINED);
             }
             (LifeguardKind::AddrCheck, HighLevelKind::Malloc, CaPhase::End) => {
-                self.mem.set_range(range, 1);
+                self.set_range(range, 1);
             }
             (LifeguardKind::AddrCheck, HighLevelKind::Free, CaPhase::Begin) => {
-                self.mem.set_range(range, 0);
+                self.set_range(range, 0);
             }
             _ => {}
         }
@@ -186,7 +205,7 @@ impl Reference {
     /// Fingerprint compatible with the lifeguards' (memory shadow only).
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
-        for (addr, v) in self.mem.iter_nonzero() {
+        for (&addr, &v) in &self.mem {
             fp.mix(addr, u64::from(v));
         }
         fp.finish()
@@ -226,13 +245,13 @@ mod tests {
                 src: r(0),
             },
         );
-        assert_eq!(rf.mem.join_range(AddrRange::new(0x200, 4)), TAINTED);
+        assert_eq!(rf.join_range(AddrRange::new(0x200, 4)), TAINTED);
     }
 
     #[test]
     fn tso_store_defers_until_drain() {
         let mut rf = Reference::new(LifeguardKind::TaintCheck, 2, true);
-        rf.mem.set_range(AddrRange::new(0x100, 4), TAINTED);
+        rf.set_range(AddrRange::new(0x100, 4), TAINTED);
         rf.on_instr(
             0,
             Rid(1),
@@ -274,7 +293,7 @@ mod tests {
     #[test]
     fn tso_forwarding_sees_own_pending_store() {
         let mut rf = Reference::new(LifeguardKind::TaintCheck, 1, true);
-        rf.mem.set_range(AddrRange::new(0x100, 4), TAINTED);
+        rf.set_range(AddrRange::new(0x100, 4), TAINTED);
         rf.on_instr(
             0,
             Rid(1),

@@ -524,13 +524,7 @@ impl CoopLane {
             if let paralog_events::EventPayload::Ca(ca) = &rec.payload {
                 let actions = self.shared.ca_policy.actions(ca.what, ca.phase);
                 if actions.track_range {
-                    match (ca.phase, ca.range) {
-                        (paralog_events::CaPhase::Begin, Some(range)) => {
-                            self.range_table.insert(ca.issuer, ca.what, range)
-                        }
-                        (paralog_events::CaPhase::End, _) => self.range_table.remove(ca.issuer),
-                        _ => {}
-                    }
+                    self.range_table.on_ca(ca);
                 }
             }
             self.shared.progress.advertise(self.tid, rec.rid);

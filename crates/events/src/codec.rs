@@ -272,7 +272,7 @@ impl Encoder {
     }
 
     fn encode_addr(&mut self, addr: u64) {
-        let delta = addr as i64 - self.last_addr as i64;
+        let delta = addr.wrapping_sub(self.last_addr) as i64;
         write_ivarint(&mut self.out, delta);
         self.last_addr = addr;
     }
@@ -394,16 +394,31 @@ impl<'a> Decoder<'a> {
 
     fn read_addr(&mut self) -> Result<u64, Fault> {
         let delta = self.read_ivarint("addr delta")?;
-        let addr = (self.last_addr as i64 + delta) as u64;
+        let addr = self.last_addr.wrapping_add(delta as u64);
         self.last_addr = addr;
         Ok(addr)
+    }
+
+    /// Outside bytes become address ranges here, so this is where one that
+    /// wraps the address space is refused: downstream range arithmetic
+    /// ([`AddrRange::end`]) is a plain add.
+    fn checked_range(&self, start: u64, len: u64) -> Result<AddrRange, Fault> {
+        match start.checked_add(len) {
+            Some(_) => Ok(AddrRange::new(start, len)),
+            None => Err(self.err("address range wraps")),
+        }
+    }
+
+    fn read_operand(&mut self, size: u8) -> Result<MemRef, Fault> {
+        let addr = self.read_addr()?;
+        self.checked_range(addr, u64::from(size))?;
+        Ok(MemRef::new(addr, size))
     }
 
     fn read_memref(&mut self) -> Result<MemRef, Fault> {
         let size =
             decode_size(self.read_byte("memref size")?).ok_or_else(|| self.err("bad size"))?;
-        let addr = self.read_addr()?;
-        Ok(MemRef::new(addr, size))
+        self.read_operand(size)
     }
 
     fn read_record(&mut self, rid: Rid) -> Result<EventRecord, Fault> {
@@ -467,14 +482,14 @@ impl<'a> Decoder<'a> {
                     unpack_reg_size(self.read_byte("reg")?).ok_or(self.err("bad reg"))?;
                 Instr::Load {
                     dst: reg,
-                    src: MemRef::new(self.read_addr()?, size),
+                    src: self.read_operand(size)?,
                 }
             }
             OP_STORE => {
                 let (reg, size) =
                     unpack_reg_size(self.read_byte("reg")?).ok_or(self.err("bad reg"))?;
                 Instr::Store {
-                    dst: MemRef::new(self.read_addr()?, size),
+                    dst: self.read_operand(size)?,
                     src: reg,
                 }
             }
@@ -500,7 +515,7 @@ impl<'a> Decoder<'a> {
                 Instr::AluMem {
                     dst,
                     a,
-                    src: MemRef::new(self.read_addr()?, size),
+                    src: self.read_operand(size)?,
                 }
             }
             OP_JMP => Instr::JmpReg {
@@ -510,7 +525,7 @@ impl<'a> Decoder<'a> {
                 let (reg, size) =
                     unpack_reg_size(self.read_byte("reg")?).ok_or(self.err("bad reg"))?;
                 Instr::Rmw {
-                    mem: MemRef::new(self.read_addr()?, size),
+                    mem: self.read_operand(size)?,
                     reg,
                 }
             }
@@ -542,7 +557,7 @@ impl<'a> Decoder<'a> {
         let range = if has_range {
             let start = self.read_addr()?;
             let len = self.read_uvarint("ca len")?;
-            Some(AddrRange::new(start, len))
+            Some(self.checked_range(start, len)?)
         } else {
             None
         };
@@ -938,6 +953,44 @@ mod tests {
     fn corrupt_opcode_errors() {
         let bytes = vec![0x00, 0x0f]; // rid base 0, opcode 0x0f = unknown
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn wrapping_address_ranges_are_corrupt() {
+        let store = |rid, addr| {
+            EventRecord::instr(
+                Rid(rid),
+                Instr::Store {
+                    dst: MemRef::new(addr, 4),
+                    src: Reg::new(0),
+                },
+            )
+        };
+        let input = |rid, start, len| {
+            EventRecord::ca(
+                Rid(rid),
+                CaRecord {
+                    what: HighLevelKind::Syscall(SyscallKind::ReadInput),
+                    phase: CaPhase::End,
+                    range: Some(AddrRange::new(start, len)),
+                    issuer: ThreadId(0),
+                    issuer_rid: Rid(rid),
+                    seq: 0,
+                },
+            )
+        };
+        for rec in [store(1, u64::MAX - 1), input(1, u64::MAX - 8, 64)] {
+            let err = decode(&encode(&[rec])).expect_err("range wraps");
+            assert!(err.to_string().contains("address range wraps"), "{err}");
+        }
+        // The last bytes of the address space are addressable, and a delta
+        // across its middle is not an overflow.
+        let top = [
+            store(1, u64::MAX - 4),
+            input(2, i64::MAX as u64, 1),
+            input(3, 0, 8),
+        ];
+        assert_eq!(decode(&encode(&top)).expect("no range wraps"), top);
     }
 
     #[test]

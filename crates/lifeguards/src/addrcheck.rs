@@ -19,16 +19,15 @@
 
 use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
-    AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind, ViolationLog,
+    AtomicityClass, EventView, HandlerCtx, Lifeguard, LifeguardSpec, Violation, ViolationKind,
+    ViolationLog,
 };
 use paralog_events::{
     check_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MetaOp,
     Rid, ThreadId,
 };
-use paralog_meta::{AtomicShadow, ShadowMemory};
+use paralog_meta::AtomicShadow;
 use paralog_order::CaPolicy;
-use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Metadata value for "allocated".
@@ -37,33 +36,33 @@ pub const ALLOCATED: u8 = 1;
 /// Analysis-wide shared state: the allocation bitmap.
 #[derive(Debug)]
 pub struct AddrShared {
-    /// 1-bit-per-byte allocation shadow.
-    pub alloc: ShadowMemory,
+    /// The allocation shadow (1 bit per byte in the modelled machine).
+    pub alloc: AtomicShadow,
     /// The heap region; accesses outside it (stack/globals) are not checked.
     pub heap: AddrRange,
 }
 
 impl AddrShared {
     /// Fresh state for a heap at `heap`.
-    pub fn new(heap: AddrRange) -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(AddrShared {
-            alloc: ShadowMemory::new(1),
+    pub fn new(heap: AddrRange) -> Rc<Self> {
+        Rc::new(AddrShared {
+            alloc: AtomicShadow::new(),
             heap,
-        }))
+        })
     }
 }
 
 /// One lifeguard thread of the parallel ADDRCHECK.
 #[derive(Debug)]
 pub struct AddrCheck {
-    shared: Rc<RefCell<AddrShared>>,
+    shared: Rc<AddrShared>,
     tid: ThreadId,
     spec: LifeguardSpec,
 }
 
 impl AddrCheck {
     /// Creates the lifeguard thread monitoring application thread `tid`.
-    pub fn new(shared: Rc<RefCell<AddrShared>>, tid: ThreadId) -> Self {
+    pub fn new(shared: Rc<AddrShared>, tid: ThreadId) -> Self {
         AddrCheck {
             shared,
             tid,
@@ -92,15 +91,17 @@ impl Lifeguard for AddrCheck {
             // ADDRCHECK consumes the check view only.
             _ => return,
         };
-        let shared = self.shared.borrow();
-        if !shared.heap.overlaps(&mem.range()) {
+        let range = mem.range();
+        if !self.shared.heap.overlaps(&range) {
             return;
         }
-        ctx.touch_read(shared.alloc.meta_footprint(mem.addr, mem.size as u64));
-        // Every byte of the access must be inside a live allocation —
-        // one word-wise pattern compare instead of a per-byte walk.
-        let all_allocated = shared.alloc.eq_range(mem.range(), ALLOCATED);
-        if !all_allocated {
+        ctx.touch_read(self.spec.meta_footprint(range));
+        // Every byte of the access must be inside a live allocation.
+        if !self
+            .shared
+            .alloc
+            .eq_range(range.start, range.len, ALLOCATED)
+        {
             ctx.report(Violation {
                 tid: self.tid,
                 rid,
@@ -114,36 +115,21 @@ impl Lifeguard for AddrCheck {
         if !own {
             return;
         }
-        match (ca.what, ca.phase) {
-            (HighLevelKind::Malloc, CaPhase::End) => {
-                if let Some(range) = ca.range {
-                    let mut shared = self.shared.borrow_mut();
-                    ctx.touch_write(shared.alloc.meta_footprint(range.start, range.len));
-                    shared.alloc.set_range(range, ALLOCATED);
-                }
-            }
-            (HighLevelKind::Free, CaPhase::Begin) => {
-                if let Some(range) = ca.range {
-                    let mut shared = self.shared.borrow_mut();
-                    ctx.touch_write(shared.alloc.meta_footprint(range.start, range.len));
-                    shared.alloc.set_range(range, 0);
-                }
-            }
-            _ => {}
-        }
+        let (range, value) = match (ca.what, ca.phase, ca.range) {
+            (HighLevelKind::Malloc, CaPhase::End, Some(range)) => (range, ALLOCATED),
+            (HighLevelKind::Free, CaPhase::Begin, Some(range)) => (range, 0),
+            _ => return,
+        };
+        ctx.touch_write(self.spec.meta_footprint(range));
+        self.shared.alloc.fill_range(range.start, range.len, value);
     }
 
     fn snapshot_meta(&self, range: AddrRange) -> Vec<u8> {
-        self.shared.borrow().alloc.snapshot(range)
+        self.shared.alloc.snapshot(range.start, range.len)
     }
 
     fn fingerprint(&self) -> u64 {
-        let shared = self.shared.borrow();
-        let mut fp = Fingerprint::new();
-        for (addr, v) in shared.alloc.iter_nonzero() {
-            fp.mix(addr, u64::from(v));
-        }
-        fp.finish()
+        self.shared.alloc.fingerprint()
     }
 }
 
@@ -162,8 +148,8 @@ pub struct AddrCheckConcurrent {
 
 impl std::fmt::Debug for AddrCheckConcurrent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The atomic shadow is a multi-megabyte chunk index; a compact
-        // summary beats the derived dump.
+        // The derived dump would print every materialized 64 KiB chunk; a
+        // compact summary beats it.
         f.debug_struct("AddrCheckConcurrent")
             .field("heap", &self.heap)
             .finish_non_exhaustive()
@@ -268,7 +254,7 @@ mod tests {
         len: 0x1000_0000,
     };
 
-    fn setup() -> (Rc<RefCell<AddrShared>>, AddrCheck) {
+    fn setup() -> (Rc<AddrShared>, AddrCheck) {
         let shared = AddrShared::new(HEAP);
         let lg = AddrCheck::new(Rc::clone(&shared), ThreadId(0));
         (shared, lg)
@@ -357,7 +343,7 @@ mod tests {
         let (shared, mut lg) = setup();
         let range = AddrRange::new(HEAP.start, 64);
         lg.handle_ca(&malloc_ca(range), false, Rid(1), &mut HandlerCtx::new());
-        assert_eq!(shared.borrow().alloc.get(HEAP.start), 0);
+        assert_eq!(shared.alloc.join_range(HEAP.start, 64), 0);
     }
 
     #[test]

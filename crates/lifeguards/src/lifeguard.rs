@@ -8,7 +8,7 @@
 //! [`LifeguardSpec`].
 
 use paralog_events::{Addr, AddrRange, CaRecord, MetaOp, Rid, ThreadId};
-use paralog_meta::{AtomicShadow, ShadowMemory};
+use paralog_meta::AtomicShadow;
 use paralog_order::{CaPolicy, RangeEntry};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,6 +56,14 @@ pub struct LifeguardSpec {
     pub bits_per_byte: u32,
     /// §5.3 atomicity class.
     pub atomicity: AtomicityClass,
+}
+
+impl LifeguardSpec {
+    /// The modelled machine's metadata bytes shadowing `range` at this
+    /// lifeguard's width — what a handler reports to the cache model.
+    pub(crate) fn meta_footprint(&self, range: AddrRange) -> AddrRange {
+        paralog_meta::meta_footprint(self.bits_per_byte, range.start, range.len)
+    }
 }
 
 /// A detected monitoring violation.
@@ -174,7 +182,7 @@ pub enum SnapshotCoverage<'a> {
     /// snapshot bytes winning over the live shadow.
     Partial(&'a VersionedMeta),
     /// No snapshot, or one disjoint from the read: take the live shadow's
-    /// (word-wise) fast path.
+    /// chunk-resident fast path.
     Live,
 }
 
@@ -196,13 +204,13 @@ pub fn snapshot_coverage(
     SnapshotCoverage::Live
 }
 
-/// The concurrent mirror of [`HandlerCtx::join_shadow`]: joins (bitwise-ORs)
-/// the metadata of `range` against a lock-free [`AtomicShadow`], honoring a
-/// §5.5 versioned snapshot through the same [`snapshot_coverage`] rule —
-/// full coverage reads the snapshot, an absent or disjoint snapshot takes
-/// the chunk-resident shadow fast path, and genuine partial overlap merges
-/// byte-wise with versioned bytes winning. Every byte-shadow concurrent
-/// lifeguard reads through this; reimplementing the boundary math invites
+/// Joins (bitwise-ORs) the metadata of `range` against the byte shadow,
+/// honoring a §5.5 versioned snapshot through the [`snapshot_coverage`]
+/// rule — full coverage reads the snapshot, an absent or disjoint snapshot
+/// takes the chunk-resident shadow fast path, and genuine partial overlap
+/// merges byte-wise with versioned bytes winning. Every byte-shadow
+/// lifeguard reads through this in both forms (the sequential ones via
+/// [`HandlerCtx::join_shadow`]); reimplementing the boundary math invites
 /// divergence between the deterministic and threaded backends.
 pub fn join_atomic_shadow(
     shadow: &AtomicShadow,
@@ -282,29 +290,12 @@ impl HandlerCtx {
         }
     }
 
-    /// If versioned metadata covering `range` was injected, returns the join
-    /// (bitwise OR) of its bytes; `None` means read current shadow state.
-    pub fn versioned_join(&self, range: AddrRange) -> Option<u8> {
-        match snapshot_coverage(self.versioned.as_ref(), range) {
-            SnapshotCoverage::Full(bytes) => Some(bytes.iter().fold(0, |a, b| a | b)),
-            _ => None,
-        }
-    }
-
     /// Joins (bitwise-ORs) the metadata of `range` against `shadow`,
-    /// honoring any injected TSO versioned snapshot: full coverage reads
-    /// the snapshot, an absent or disjoint snapshot takes the word-wise
-    /// shadow fast path, and genuine partial overlap merges byte-wise with
-    /// versioned bytes winning (§5.5). This is *the* metadata-read rule;
-    /// lifeguards must not reimplement it.
-    pub fn join_shadow(&self, shadow: &ShadowMemory, range: AddrRange) -> u8 {
-        match snapshot_coverage(self.versioned.as_ref(), range) {
-            SnapshotCoverage::Full(bytes) => bytes.iter().fold(0, |a, b| a | b),
-            SnapshotCoverage::Partial(v) => (range.start..range.end()).fold(0, |acc, a| {
-                acc | snapshot_byte(v, a).unwrap_or_else(|| shadow.get(a))
-            }),
-            SnapshotCoverage::Live => shadow.join_range(range),
-        }
+    /// honoring any injected TSO versioned snapshot through
+    /// [`join_atomic_shadow`] — *the* metadata-read rule (§5.5); lifeguards
+    /// must not reimplement it.
+    pub fn join_shadow(&self, shadow: &AtomicShadow, range: AddrRange) -> u8 {
+        join_atomic_shadow(shadow, range, self.versioned.as_ref())
     }
 }
 
@@ -368,21 +359,6 @@ mod tests {
         assert_eq!(ctx.meta_touches.len(), 2);
         assert!(ctx.meta_touches[1].1, "second touch is a write");
         assert_eq!(ctx.violations.len(), 1);
-    }
-
-    #[test]
-    fn versioned_join_covers_subranges() {
-        let mut ctx = HandlerCtx::new();
-        ctx.versioned = Some((AddrRange::new(0x100, 8), vec![0, 1, 0, 0, 2, 0, 0, 0]));
-        assert_eq!(ctx.versioned_join(AddrRange::new(0x100, 4)), Some(1));
-        assert_eq!(ctx.versioned_join(AddrRange::new(0x104, 4)), Some(2));
-        assert_eq!(ctx.versioned_join(AddrRange::new(0x100, 8)), Some(3));
-        assert_eq!(
-            ctx.versioned_join(AddrRange::new(0x0ff, 4)),
-            None,
-            "partial coverage"
-        );
-        assert_eq!(HandlerCtx::new().versioned_join(AddrRange::new(0, 1)), None);
     }
 
     #[test]

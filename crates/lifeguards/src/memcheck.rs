@@ -12,17 +12,15 @@
 
 use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
-    join_atomic_shadow, AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard,
-    LifeguardSpec, Violation, ViolationKind, ViolationLog,
+    join_atomic_shadow, AtomicityClass, EventView, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
+    ViolationKind, ViolationLog,
 };
-use crate::taintcheck::for_each_nonzero;
 use paralog_events::{
     dataflow_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MemRef,
     MetaOp, Rid, ThreadId, NUM_REGS,
 };
-use paralog_meta::{AtomicShadow, ShadowMemory};
+use paralog_meta::AtomicShadow;
 use paralog_order::{CaActions, CaPolicy};
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Mutex;
 
@@ -35,23 +33,24 @@ pub const UNDEFINED: u8 = 0b01;
 /// Analysis-wide shared state.
 #[derive(Debug)]
 pub struct MemShared {
-    /// 2-bit-per-byte definedness shadow (bit 0: undefined).
-    pub state: ShadowMemory,
+    /// The definedness shadow (bit 0: undefined; 2 bits per byte in the
+    /// modelled machine).
+    pub state: AtomicShadow,
 }
 
 impl MemShared {
     /// Fresh state.
-    pub fn new() -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(MemShared {
-            state: ShadowMemory::new(2),
-        }))
+    pub fn new() -> Rc<Self> {
+        Rc::new(MemShared {
+            state: AtomicShadow::new(),
+        })
     }
 }
 
 /// One lifeguard thread of the parallel MEMCHECK.
 #[derive(Debug)]
 pub struct MemCheck {
-    shared: Rc<RefCell<MemShared>>,
+    shared: Rc<MemShared>,
     regs: [u8; NUM_REGS],
     tid: ThreadId,
     spec: LifeguardSpec,
@@ -77,7 +76,7 @@ fn memcheck_ca_policy() -> CaPolicy {
 
 impl MemCheck {
     /// Creates the lifeguard thread monitoring application thread `tid`.
-    pub fn new(shared: Rc<RefCell<MemShared>>, tid: ThreadId) -> Self {
+    pub fn new(shared: Rc<MemShared>, tid: ThreadId) -> Self {
         MemCheck {
             shared,
             regs: [0; NUM_REGS],
@@ -101,15 +100,13 @@ impl MemCheck {
     }
 
     fn mem_state(&self, src: MemRef, ctx: &mut HandlerCtx) -> u8 {
-        let shared = self.shared.borrow();
-        ctx.touch_read(shared.state.meta_footprint(src.addr, src.size as u64));
-        ctx.join_shadow(&shared.state, src.range())
+        ctx.touch_read(self.spec.meta_footprint(src.range()));
+        ctx.join_shadow(&self.shared.state, src.range())
     }
 
-    fn set_mem_state(&self, dst: MemRef, value: u8, ctx: &mut HandlerCtx) {
-        let mut shared = self.shared.borrow_mut();
-        ctx.touch_write(shared.state.meta_footprint(dst.addr, dst.size as u64));
-        shared.state.set_range(dst.range(), value);
+    fn set_range_state(&self, range: AddrRange, value: u8, ctx: &mut HandlerCtx) {
+        ctx.touch_write(self.spec.meta_footprint(range));
+        self.shared.state.fill_range(range.start, range.len, value);
     }
 }
 
@@ -124,7 +121,7 @@ impl Lifeguard for MemCheck {
                 self.regs[dst.index()] = self.mem_state(src, ctx);
             }
             MetaOp::RegToMem { dst, src } => {
-                self.set_mem_state(dst, self.regs[src.index()], ctx);
+                self.set_range_state(dst.range(), self.regs[src.index()], ctx);
             }
             MetaOp::RegToReg { dst, src } => {
                 self.regs[dst.index()] = self.regs[src.index()];
@@ -133,11 +130,11 @@ impl Lifeguard for MemCheck {
                 self.regs[dst.index()] = 0; // immediates are defined
             }
             MetaOp::ImmToMem { dst } => {
-                self.set_mem_state(dst, 0, ctx);
+                self.set_range_state(dst.range(), 0, ctx);
             }
             MetaOp::MemToMem { dst, src } => {
                 let v = self.mem_state(src, ctx);
-                self.set_mem_state(dst, v, ctx);
+                self.set_range_state(dst.range(), v, ctx);
             }
             MetaOp::AluRR { dst, a, b } => {
                 let mut v = self.regs[a.index()];
@@ -163,7 +160,7 @@ impl Lifeguard for MemCheck {
             MetaOp::RmwOp { mem, reg } => {
                 let m = self.mem_state(mem, ctx);
                 let r = self.regs[reg.index()];
-                self.set_mem_state(mem, r, ctx);
+                self.set_range_state(mem.range(), r, ctx);
                 self.regs[reg.index()] = m;
             }
         }
@@ -173,35 +170,21 @@ impl Lifeguard for MemCheck {
         if !own {
             return;
         }
-        match (ca.what, ca.phase) {
-            (HighLevelKind::Malloc, CaPhase::End) => {
-                if let Some(range) = ca.range {
-                    // Fresh heap memory is undefined until first written.
-                    let mut shared = self.shared.borrow_mut();
-                    ctx.touch_write(shared.state.meta_footprint(range.start, range.len));
-                    shared.state.set_range(range, UNDEFINED);
-                }
-            }
-            (HighLevelKind::Free, CaPhase::Begin) => {
-                if let Some(range) = ca.range {
-                    let mut shared = self.shared.borrow_mut();
-                    ctx.touch_write(shared.state.meta_footprint(range.start, range.len));
-                    shared.state.set_range(range, UNDEFINED);
-                }
-            }
-            _ => {}
+        // Fresh heap memory is undefined until first written; freed memory
+        // immediately reverts to undefined.
+        if let (HighLevelKind::Malloc, CaPhase::End, Some(range))
+        | (HighLevelKind::Free, CaPhase::Begin, Some(range)) = (ca.what, ca.phase, ca.range)
+        {
+            self.set_range_state(range, UNDEFINED, ctx);
         }
     }
 
     fn snapshot_meta(&self, range: AddrRange) -> Vec<u8> {
-        self.shared.borrow().state.snapshot(range)
+        self.shared.state.snapshot(range.start, range.len)
     }
 
     fn fingerprint(&self) -> u64 {
-        let shared = self.shared.borrow();
-        let mut fp = Fingerprint::new();
-        for_each_nonzero(&shared.state, |addr, v| fp.mix(addr, u64::from(v)));
-        fp.finish()
+        self.shared.state.fingerprint()
     }
 }
 
@@ -232,8 +215,8 @@ pub struct MemCheckConcurrent {
 
 impl std::fmt::Debug for MemCheckConcurrent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The atomic shadow is a multi-megabyte chunk index; a compact
-        // summary beats the derived dump.
+        // The derived dump would print every materialized 64 KiB chunk; a
+        // compact summary beats it.
         f.debug_struct("MemCheckConcurrent")
             .field("threads", &self.regs.len())
             .finish_non_exhaustive()
@@ -355,7 +338,7 @@ mod tests {
     use super::*;
     use paralog_events::Reg;
 
-    fn setup() -> (Rc<RefCell<MemShared>>, MemCheck) {
+    fn setup() -> (Rc<MemShared>, MemCheck) {
         let shared = MemShared::new();
         let lg = MemCheck::new(Rc::clone(&shared), ThreadId(0));
         (shared, lg)
@@ -385,7 +368,7 @@ mod tests {
         let (shared, mut lg) = setup();
         let range = AddrRange::new(0x1000, 16);
         lg.handle_ca(&malloc_ca(range), true, Rid(1), &mut HandlerCtx::new());
-        assert_eq!(shared.borrow().state.join_range(range), UNDEFINED);
+        assert_eq!(shared.state.join_range(range.start, range.len), UNDEFINED);
         // Store a defined register into the first word.
         let mut ctx = HandlerCtx::new();
         lg.handle(
@@ -396,14 +379,8 @@ mod tests {
             Rid(2),
             &mut ctx,
         );
-        assert_eq!(
-            shared.borrow().state.join_range(AddrRange::new(0x1000, 4)),
-            0
-        );
-        assert_eq!(
-            shared.borrow().state.join_range(AddrRange::new(0x1004, 4)),
-            UNDEFINED
-        );
+        assert_eq!(shared.state.join_range(0x1000, 4), 0);
+        assert_eq!(shared.state.join_range(0x1004, 4), UNDEFINED);
     }
 
     #[test]

@@ -12,16 +12,15 @@
 //! metadata accesses atomic — no locks anywhere ([`AtomicityClass::SyncFree`]).
 
 use crate::lifeguard::{
-    join_atomic_shadow, AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard,
-    LifeguardSpec, Violation, ViolationKind, ViolationLog,
+    join_atomic_shadow, AtomicityClass, EventView, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
+    ViolationKind, ViolationLog,
 };
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, HighLevelKind, MemRef, MetaOp, Rid, SyscallKind, ThreadId,
     NUM_REGS,
 };
-use paralog_meta::{AtomicShadow, ShadowMemory};
+use paralog_meta::AtomicShadow;
 use paralog_order::{CaPolicy, RangeEntry};
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Mutex;
 
@@ -31,23 +30,23 @@ pub const TAINTED: u8 = 0b01;
 /// Analysis-wide shared state: the global taint shadow of Figure 2.
 #[derive(Debug)]
 pub struct TaintShared {
-    /// 2-bit-per-byte taint shadow.
-    pub mem: ShadowMemory,
+    /// The taint shadow (2 bits per byte in the modelled machine).
+    pub mem: AtomicShadow,
 }
 
 impl TaintShared {
     /// Fresh, fully-untainted state.
-    pub fn new() -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(TaintShared {
-            mem: ShadowMemory::new(2),
-        }))
+    pub fn new() -> Rc<Self> {
+        Rc::new(TaintShared {
+            mem: AtomicShadow::new(),
+        })
     }
 }
 
 /// One lifeguard thread of the parallel TAINTCHECK.
 #[derive(Debug)]
 pub struct TaintCheck {
-    shared: Rc<RefCell<TaintShared>>,
+    shared: Rc<TaintShared>,
     /// Taint of the monitored thread's registers (thread-private metadata).
     regs: [u8; NUM_REGS],
     tid: ThreadId,
@@ -56,7 +55,7 @@ pub struct TaintCheck {
 
 impl TaintCheck {
     /// Creates the lifeguard thread monitoring application thread `tid`.
-    pub fn new(shared: Rc<RefCell<TaintShared>>, tid: ThreadId) -> Self {
+    pub fn new(shared: Rc<TaintShared>, tid: ThreadId) -> Self {
         TaintCheck {
             shared,
             regs: [0; NUM_REGS],
@@ -82,15 +81,13 @@ impl TaintCheck {
     fn mem_taint(&self, src: MemRef, ctx: &mut HandlerCtx) -> u8 {
         // TSO: versioned bytes read the snapshot the writer produced;
         // everything else reads the (arc-ordered) current shadow.
-        let shared = self.shared.borrow();
-        ctx.touch_read(shared.mem.meta_footprint(src.addr, src.size as u64));
-        ctx.join_shadow(&shared.mem, src.range())
+        ctx.touch_read(self.spec.meta_footprint(src.range()));
+        ctx.join_shadow(&self.shared.mem, src.range())
     }
 
-    fn set_mem_taint(&self, dst: MemRef, value: u8, ctx: &mut HandlerCtx) {
-        let mut shared = self.shared.borrow_mut();
-        ctx.touch_write(shared.mem.meta_footprint(dst.addr, dst.size as u64));
-        shared.mem.set_range(dst.range(), value);
+    fn set_range_taint(&self, range: AddrRange, value: u8, ctx: &mut HandlerCtx) {
+        ctx.touch_write(self.spec.meta_footprint(range));
+        self.shared.mem.fill_range(range.start, range.len, value);
     }
 }
 
@@ -105,7 +102,7 @@ impl Lifeguard for TaintCheck {
                 self.regs[dst.index()] = self.mem_taint(src, ctx);
             }
             MetaOp::RegToMem { dst, src } => {
-                self.set_mem_taint(dst, self.regs[src.index()], ctx);
+                self.set_range_taint(dst.range(), self.regs[src.index()], ctx);
             }
             MetaOp::RegToReg { dst, src } => {
                 self.regs[dst.index()] = self.regs[src.index()];
@@ -114,12 +111,12 @@ impl Lifeguard for TaintCheck {
                 self.regs[dst.index()] = 0;
             }
             MetaOp::ImmToMem { dst } => {
-                self.set_mem_taint(dst, 0, ctx);
+                self.set_range_taint(dst.range(), 0, ctx);
             }
             MetaOp::MemToMem { dst, src } => {
                 // The coalesced IT event: copy metadata memory-to-memory.
                 let v = self.mem_taint(src, ctx);
-                self.set_mem_taint(dst, v, ctx);
+                self.set_range_taint(dst.range(), v, ctx);
             }
             MetaOp::AluRR { dst, a, b } => {
                 let mut v = self.regs[a.index()];
@@ -148,7 +145,7 @@ impl Lifeguard for TaintCheck {
                 // xchg: taint swaps between register and memory.
                 let mem_v = self.mem_taint(mem, ctx);
                 let reg_v = self.regs[reg.index()];
-                self.set_mem_taint(mem, reg_v, ctx);
+                self.set_range_taint(mem.range(), reg_v, ctx);
                 self.regs[reg.index()] = mem_v;
             }
         }
@@ -174,9 +171,8 @@ impl Lifeguard for TaintCheck {
             }
             (HighLevelKind::Syscall(SyscallKind::WriteOutput), CaPhase::Begin) => {
                 if let Some(range) = ca.range {
-                    let shared = self.shared.borrow();
-                    ctx.touch_read(shared.mem.meta_footprint(range.start, range.len));
-                    if shared.mem.join_range(range) & TAINTED != 0 {
+                    ctx.touch_read(self.spec.meta_footprint(range));
+                    if self.shared.mem.join_range(range.start, range.len) & TAINTED != 0 {
                         ctx.report(Violation {
                             tid: self.tid,
                             rid,
@@ -191,7 +187,7 @@ impl Lifeguard for TaintCheck {
     }
 
     fn snapshot_meta(&self, range: AddrRange) -> Vec<u8> {
-        self.shared.borrow().mem.snapshot(range)
+        self.shared.mem.snapshot(range.start, range.len)
     }
 
     fn on_syscall_race(
@@ -209,24 +205,13 @@ impl Lifeguard for TaintCheck {
             kind: ViolationKind::SyscallRace,
             addr: Some(access.start),
         });
-        let mut shared = self.shared.borrow_mut();
-        shared.mem.set_range(access, TAINTED);
+        self.shared
+            .mem
+            .fill_range(access.start, access.len, TAINTED);
     }
 
     fn fingerprint(&self) -> u64 {
-        let shared = self.shared.borrow();
-        let mut fp = Fingerprint::new();
-        // Mix every non-clean metadata byte; order-insensitive.
-        for_each_nonzero(&shared.mem, |addr, v| fp.mix(addr, u64::from(v)));
-        fp.finish()
-    }
-}
-
-impl TaintCheck {
-    fn set_range_taint(&self, range: AddrRange, value: u8, ctx: &mut HandlerCtx) {
-        let mut shared = self.shared.borrow_mut();
-        ctx.touch_write(shared.mem.meta_footprint(range.start, range.len));
-        shared.mem.set_range(range, value);
+        self.shared.mem.fingerprint()
     }
 }
 
@@ -244,8 +229,8 @@ pub struct TaintConcurrent {
 
 impl std::fmt::Debug for TaintConcurrent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The atomic shadow is a multi-megabyte chunk index; a compact
-        // summary beats the derived dump.
+        // The derived dump would print every materialized 64 KiB chunk; a
+        // compact summary beats it.
         f.debug_struct("TaintConcurrent")
             .field("threads", &self.regs.len())
             .finish_non_exhaustive()
@@ -390,24 +375,12 @@ impl crate::factory::ConcurrentLifeguard for TaintConcurrent {
     }
 }
 
-/// Calls `f(addr, value)` for every application byte with non-clean shadow
-/// state. Iterates chunk space deterministically.
-pub(crate) fn for_each_nonzero<F: FnMut(u64, u8)>(mem: &ShadowMemory, mut f: F) {
-    // ShadowMemory intentionally hides its chunk map; walk a generous space
-    // via the public API would be too slow, so we expose iteration through a
-    // snapshot helper below. Chunk granularity keeps this linear in touched
-    // memory.
-    for (addr, value) in mem.iter_nonzero() {
-        f(addr, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use paralog_events::Reg;
 
-    fn setup() -> (Rc<RefCell<TaintShared>>, TaintCheck) {
+    fn setup() -> (Rc<TaintShared>, TaintCheck) {
         let shared = TaintShared::new();
         let lg = TaintCheck::new(Rc::clone(&shared), ThreadId(0));
         (shared, lg)
@@ -424,10 +397,7 @@ mod tests {
     #[test]
     fn propagation_chain_mem_to_mem() {
         let (shared, mut lg) = setup();
-        shared
-            .borrow_mut()
-            .mem
-            .set_range(AddrRange::new(0x100, 4), TAINTED);
+        shared.mem.fill_range(0x100, 4, TAINTED);
         let mut ctx = HandlerCtx::new();
         lg.handle(
             &MetaOp::MemToReg {
@@ -454,10 +424,7 @@ mod tests {
             Rid(3),
             &mut ctx,
         );
-        assert_eq!(
-            shared.borrow().mem.join_range(AddrRange::new(0x200, 4)),
-            TAINTED
-        );
+        assert_eq!(shared.mem.join_range(0x200, 4), TAINTED);
     }
 
     #[test]
@@ -520,20 +487,20 @@ mod tests {
             seq: 0,
         };
         lg.handle_ca(&ca, true, Rid(5), &mut ctx);
-        assert_eq!(shared.borrow().mem.join_range(buf), TAINTED);
+        assert_eq!(shared.mem.join_range(buf.start, buf.len), TAINTED);
         // Remote lifeguards do not re-apply the update.
         let mut ctx2 = HandlerCtx::new();
         let mut remote = TaintCheck::new(Rc::clone(&shared), ThreadId(1));
-        shared.borrow_mut().mem.set_range(buf, 0);
+        shared.mem.fill_range(buf.start, buf.len, 0);
         remote.handle_ca(&ca, false, Rid(2), &mut ctx2);
-        assert_eq!(shared.borrow().mem.join_range(buf), 0);
+        assert_eq!(shared.mem.join_range(buf.start, buf.len), 0);
     }
 
     #[test]
     fn malloc_untaints_fresh_memory() {
         let (shared, mut lg) = setup();
         let range = AddrRange::new(0x2000, 32);
-        shared.borrow_mut().mem.set_range(range, TAINTED);
+        shared.mem.fill_range(range.start, range.len, TAINTED);
         let ca = CaRecord {
             what: HighLevelKind::Malloc,
             phase: CaPhase::End,
@@ -543,14 +510,14 @@ mod tests {
             seq: 0,
         };
         lg.handle_ca(&ca, true, Rid(5), &mut HandlerCtx::new());
-        assert_eq!(shared.borrow().mem.join_range(range), 0);
+        assert_eq!(shared.mem.join_range(range.start, range.len), 0);
     }
 
     #[test]
     fn write_syscall_checks_taint() {
         let (shared, mut lg) = setup();
         let buf = AddrRange::new(0x3000, 8);
-        shared.borrow_mut().mem.set_range(buf, TAINTED);
+        shared.mem.fill_range(buf.start, buf.len, TAINTED);
         let ca = CaRecord {
             what: HighLevelKind::Syscall(SyscallKind::WriteOutput),
             phase: CaPhase::Begin,
@@ -568,10 +535,7 @@ mod tests {
     fn versioned_read_overrides_current_state() {
         let (shared, mut lg) = setup();
         // Current state: tainted. Versioned snapshot: clean.
-        shared
-            .borrow_mut()
-            .mem
-            .set_range(AddrRange::new(0x100, 4), TAINTED);
+        shared.mem.fill_range(0x100, 4, TAINTED);
         let mut ctx = HandlerCtx::new();
         ctx.versioned = Some((AddrRange::new(0x100, 4), vec![0, 0, 0, 0]));
         lg.handle(
@@ -601,16 +565,16 @@ mod tests {
         let mut ctx = HandlerCtx::new();
         lg.on_syscall_race(access, &entry, Rid(4), &mut ctx);
         assert_eq!(ctx.violations[0].kind, ViolationKind::SyscallRace);
-        assert_eq!(shared.borrow().mem.join_range(access), TAINTED);
+        assert_eq!(shared.mem.join_range(access.start, access.len), TAINTED);
     }
 
     #[test]
     fn fingerprint_reflects_metadata() {
         let (shared, lg) = setup();
         let before = lg.fingerprint();
-        shared.borrow_mut().mem.set(0x100, TAINTED);
+        shared.mem.fill_range(0x100, 1, TAINTED);
         assert_ne!(lg.fingerprint(), before);
-        shared.borrow_mut().mem.set(0x100, 0);
+        shared.mem.fill_range(0x100, 1, 0);
         assert_eq!(lg.fingerprint(), before, "zero values do not contribute");
     }
 

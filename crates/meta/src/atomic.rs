@@ -1,50 +1,77 @@
-//! Lock-free atomic shadow memory for real-thread replay.
+//! The byte shadow: one lock-free `AtomicU8` of metadata per application
+//! byte, and the application→metadata address mapping of the modelled
+//! machine.
 //!
-//! The deterministic simulator establishes *that* the ordering design is
-//! correct; the real-thread executor demonstrates it holds under genuine
-//! concurrency, sharing this shadow without any locks on the hot path — the
-//! §5.3 synchronization-free fast path, valid for lifeguards (like
-//! TaintCheck) whose application reads map to metadata reads and whose
-//! enforced arcs carry the release/acquire edges.
+//! One container serves every byte-shadow lifeguard in both forms. The
+//! concurrent forms share it across real threads without any locks on the
+//! hot path — the §5.3 synchronization-free fast path, valid for lifeguards
+//! (like TaintCheck) whose application reads map to metadata reads and
+//! whose enforced arcs carry the release/acquire edges. The sequential
+//! forms hold the same type behind an `Rc`: the co-simulation issues well
+//! under one shadow operation per record, a handful of bytes each, which no
+//! denser host layout makes measurably cheaper end to end (ARCHITECTURE.md,
+//! "Tried and removed").
 //!
-//! Earlier revisions pre-scanned the whole captured streams to build the
-//! chunk index up front. Streaming ingestion removed that option — a
-//! replayed stream's footprint is unknown until its tail arrives — so the
-//! index is now **lazily grown**: a flat first level of [`OnceLock`] slots
-//! (one per 64 KiB application chunk) covering the dense application span,
-//! initialized race-free by whichever worker touches a chunk first, plus a
-//! mutex-protected spill map for far outliers. Hot-path accesses after the
-//! first touch remain a plain array index and an atomic byte access — no
-//! locks, no hashing.
+//! Chunks of 64 KiB of application space live in a lazily grown chunk
+//! directory (`chunks.rs`): hot-path accesses after the first touch are two
+//! array indexes and an atomic byte access, and `join`/`fill` run
+//! chunk-resident slice loops instead of re-walking the index per byte.
+//!
+//! The paper's §6 metadata widths (2 bits per byte for TAINTCHECK, 1 for
+//! ADDRCHECK) live where they matter to the results — in the *modelled*
+//! machine: [`meta_addr`] and [`meta_footprint`] place a lifeguard's
+//! metadata accesses in the simulated address space from
+//! `LifeguardSpec::bits_per_byte`, feeding the lifeguard-core cache model
+//! and the M-TLB. The host-side container is an implementation detail.
 
+use crate::chunks::ChunkDir;
 use crate::fingerprint::Fingerprint;
-use paralog_events::MemRef;
-use std::collections::BTreeMap;
+use paralog_events::{Addr, AddrRange, MemRef};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Application bytes per atomic shadow chunk.
+/// Base virtual address of the metadata space (far above application space).
+const META_BASE: Addr = 0x4000_0000_0000;
+
+/// The metadata virtual address shadowing `app_addr` at `bits` metadata
+/// bits per application byte — what the M-TLB computes in hardware and
+/// handler code computes in software via the two-level walk.
+///
+/// One metadata byte covers `8 / bits` application bytes — always fewer
+/// than a cache line — so two application addresses whose metadata share a
+/// byte always share an application cache line, and any write conflict
+/// between them is already ordered by captured arcs: the §5.3
+/// *bit-manipulation data race* argument (condition 3).
+pub fn meta_addr(bits: u32, app_addr: Addr) -> Addr {
+    // `app_addr * bits / 8`, the multiplication split around the division
+    // so that no application address overflows it (widths are at most 8;
+    // 0, a lifeguard without a byte shadow, maps everything to the base).
+    let bits = u64::from(bits);
+    META_BASE.wrapping_add(app_addr / 8 * bits + app_addr % 8 * bits / 8)
+}
+
+/// The metadata addresses (first through last byte) touched when shadowing
+/// an access of `size` bytes at `app_addr`; feeds the lifeguard-core cache
+/// model.
+pub fn meta_footprint(bits: u32, app_addr: Addr, size: u64) -> AddrRange {
+    let first = meta_addr(bits, app_addr);
+    let last = meta_addr(bits, app_addr + (size.max(1) - 1));
+    AddrRange::new(first, last.wrapping_sub(first) + 1)
+}
+
+/// Application bytes per shadow chunk.
 const CHUNK: u64 = 64 * 1024;
 
-/// Dense first-level span: 2^17 chunks × 64 KiB = 8 GiB of application
-/// space — covering every address region the platform uses (heap, private,
-/// shared, sync words) with a 2 MiB slot table. Addresses beyond it take
-/// the spill lock (rare sentinel ranges only).
+/// Dense span: 2^17 chunks × 64 KiB = 8 GiB of application space —
+/// covering every address region the platform uses (heap, private, shared,
+/// sync words). Addresses beyond it take the spill lock (rare sentinel
+/// ranges only).
 const DENSE_CHUNKS: u64 = 1 << 17;
 
-/// A lock-free shadow memory: one `AtomicU8` per application byte behind a
-/// flat, lazily initialized first-level chunk index. Mirroring
-/// [`ShadowMemory`](crate::ShadowMemory)'s layout, a hot-path access is a
-/// direct array index off the high address bits — no hashing — and
-/// `join`/`fill` run chunk-resident slice loops instead of re-walking the
-/// index per byte.
+/// A lock-free shadow memory: one `AtomicU8` per application byte in
+/// lazily materialized 64 KiB chunks. Untouched bytes read clean (0).
 #[derive(Debug)]
 pub struct AtomicShadow {
-    /// First level: chunk index → chunk, initialized on first touch.
-    dense: Box<[OnceLock<Box<[AtomicU8]>>]>,
-    /// Outlier chunks beyond the dense span. `Arc` lets an accessor clone a
-    /// handle out of the lock and run its slice loop without holding it.
-    spill: Mutex<BTreeMap<u64, Arc<[AtomicU8]>>>,
+    chunks: ChunkDir<AtomicU8>,
 }
 
 impl Default for AtomicShadow {
@@ -53,83 +80,53 @@ impl Default for AtomicShadow {
     }
 }
 
-fn new_chunk() -> Vec<AtomicU8> {
-    (0..CHUNK).map(|_| AtomicU8::new(0)).collect()
+/// The chunk-resident segments of `addr..addr + len`: `(chunk index, byte
+/// range within the chunk)`, ascending.
+#[inline]
+fn segments(addr: u64, len: u64) -> impl Iterator<Item = (u64, std::ops::Range<usize>)> {
+    let end = addr + len;
+    let mut a = addr;
+    std::iter::from_fn(move || {
+        (a < end).then(|| {
+            let lo = a % CHUNK;
+            let n = (CHUNK - lo).min(end - a);
+            let seg = (a / CHUNK, lo as usize..(lo + n) as usize);
+            a += n;
+            seg
+        })
+    })
 }
 
 impl AtomicShadow {
     /// An empty shadow; chunks materialize on first write.
     pub fn new() -> Self {
         AtomicShadow {
-            dense: (0..DENSE_CHUNKS).map(|_| OnceLock::new()).collect(),
-            spill: Mutex::new(BTreeMap::new()),
+            chunks: ChunkDir::new(DENSE_CHUNKS, CHUNK as usize),
         }
-    }
-
-    /// Runs `f` over the chunk shadowing `a..`'s segment. With `create`
-    /// unset, untouched chunks are skipped (reads of clean memory must not
-    /// allocate); otherwise the chunk is initialized race-free first.
-    fn with_chunk<R>(&self, ci: u64, create: bool, f: impl FnOnce(&[AtomicU8]) -> R) -> Option<R> {
-        if ci < DENSE_CHUNKS {
-            let slot = &self.dense[ci as usize];
-            return match (slot.get(), create) {
-                (Some(chunk), _) => Some(f(chunk)),
-                (None, true) => Some(f(slot.get_or_init(|| new_chunk().into_boxed_slice()))),
-                (None, false) => None,
-            };
-        }
-        let chunk: Arc<[AtomicU8]> = {
-            let mut spill = self.spill.lock().expect("poisoned");
-            match (spill.get(&ci), create) {
-                (Some(chunk), _) => Arc::clone(chunk),
-                (None, true) => {
-                    let chunk: Arc<[AtomicU8]> = new_chunk().into();
-                    spill.insert(ci, Arc::clone(&chunk));
-                    chunk
-                }
-                (None, false) => return None,
-            }
-        };
-        Some(f(&chunk))
     }
 
     /// Chunk-resident ranged OR: one index walk per chunk segment, then a
     /// straight slice loop.
     pub fn join_range(&self, addr: u64, len: u64) -> u8 {
-        let mut acc = 0;
-        let mut a = addr;
-        let end = addr + len;
-        while a < end {
-            let seg_end = end.min((a / CHUNK + 1) * CHUNK);
-            let lo = (a % CHUNK) as usize;
-            let hi = lo + (seg_end - a) as usize;
-            if let Some(v) = self.with_chunk(a / CHUNK, false, |c| {
-                c[lo..hi]
+        segments(addr, len).fold(0, |acc, (ci, seg)| {
+            let joined = self.chunks.with(ci, false, |c| {
+                c[seg]
                     .iter()
                     .fold(0, |acc, byte| acc | byte.load(Ordering::Acquire))
-            }) {
-                acc |= v;
-            }
-            a = seg_end;
-        }
-        acc
+            });
+            acc | joined.unwrap_or(0)
+        })
     }
 
     /// Chunk-resident ranged store. Writing clean (zero) metadata to a
     /// never-touched chunk is skipped entirely, preserving sparsity.
     pub fn fill_range(&self, addr: u64, len: u64, v: u8) {
-        let mut a = addr;
-        let end = addr + len;
-        while a < end {
-            let seg_end = end.min((a / CHUNK + 1) * CHUNK);
-            let lo = (a % CHUNK) as usize;
-            let hi = lo + (seg_end - a) as usize;
-            self.with_chunk(a / CHUNK, v != 0, |c| {
-                for byte in &c[lo..hi] {
+        for (ci, seg) in segments(addr, len) {
+            self.chunks.with(ci, v != 0, |c| {
+                for byte in &c[seg] {
                     byte.store(v, Ordering::Release);
                 }
             });
-            a = seg_end;
         }
     }
 
@@ -137,25 +134,13 @@ impl AtomicShadow {
     /// holds exactly `v`. Untouched chunks read as clean (all-zero), so a
     /// never-written range equals `v` iff `v == 0`.
     pub fn eq_range(&self, addr: u64, len: u64, v: u8) -> bool {
-        let mut a = addr;
-        let end = addr + len;
-        while a < end {
-            let seg_end = end.min((a / CHUNK + 1) * CHUNK);
-            let lo = (a % CHUNK) as usize;
-            let hi = lo + (seg_end - a) as usize;
-            let seg_eq = self
-                .with_chunk(a / CHUNK, false, |c| {
-                    c[lo..hi]
-                        .iter()
-                        .all(|byte| byte.load(Ordering::Acquire) == v)
+        segments(addr, len).all(|(ci, seg)| {
+            self.chunks
+                .with(ci, false, |c| {
+                    c[seg].iter().all(|byte| byte.load(Ordering::Acquire) == v)
                 })
-                .unwrap_or(v == 0);
-            if !seg_eq {
-                return false;
-            }
-            a = seg_end;
-        }
-        true
+                .unwrap_or(v == 0)
+        })
     }
 
     /// Copies the shadow of `addr..addr+len` out byte-wise (the §5.5
@@ -163,19 +148,15 @@ impl AtomicShadow {
     /// without allocating.
     pub fn snapshot(&self, addr: u64, len: u64) -> Vec<u8> {
         let mut out = vec![0u8; len as usize];
-        let mut a = addr;
-        let end = addr + len;
-        while a < end {
-            let seg_end = end.min((a / CHUNK + 1) * CHUNK);
-            let lo = (a % CHUNK) as usize;
-            let hi = lo + (seg_end - a) as usize;
-            let off = (a - addr) as usize;
-            self.with_chunk(a / CHUNK, false, |c| {
-                for (dst, byte) in out[off..off + (hi - lo)].iter_mut().zip(&c[lo..hi]) {
+        let mut off = 0;
+        for (ci, seg) in segments(addr, len) {
+            let dst = &mut out[off..off + seg.len()];
+            off += seg.len();
+            self.chunks.with(ci, false, |c| {
+                for (dst, byte) in dst.iter_mut().zip(&c[seg]) {
                     *dst = byte.load(Ordering::Acquire);
                 }
             });
-            a = seg_end;
         }
         out
     }
@@ -190,11 +171,11 @@ impl AtomicShadow {
         self.fill_range(mem.addr, u64::from(mem.size), v);
     }
 
-    /// Order-insensitive fingerprint, compatible with the deterministic
-    /// lifeguards' metadata fingerprints.
+    /// Order-insensitive fingerprint: every non-clean byte mixed in as
+    /// `(application address, value)`.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
-        let mut mix_chunk = |ci: u64, data: &[AtomicU8]| {
+        self.chunks.for_each(|ci, data| {
             let chunk_base = ci * CHUNK;
             for (off, byte) in data.iter().enumerate() {
                 let v = byte.load(Ordering::Acquire);
@@ -202,15 +183,7 @@ impl AtomicShadow {
                     fp.mix(chunk_base + off as u64, u64::from(v));
                 }
             }
-        };
-        for (i, slot) in self.dense.iter().enumerate() {
-            if let Some(data) = slot.get() {
-                mix_chunk(i as u64, data);
-            }
-        }
-        for (ci, data) in self.spill.lock().expect("poisoned").iter() {
-            mix_chunk(*ci, data);
-        }
+        });
         fp.finish()
     }
 }
@@ -218,6 +191,37 @@ impl AtomicShadow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn meta_addr_mapping() {
+        // TAINTCHECK: 1 metadata byte per 4 application bytes; ADDRCHECK: 8.
+        assert_eq!(meta_addr(2, 0), META_BASE);
+        assert_eq!(meta_addr(2, 4), META_BASE + 1);
+        assert_eq!(meta_addr(1, 8), META_BASE + 1);
+        // Footprint of an aligned 4-byte access in 2-bit shadow = 1 metadata
+        // byte; unaligned accesses straddle two.
+        assert_eq!(meta_footprint(2, 0, 4).len, 1);
+        assert_eq!(meta_footprint(2, 4, 4).len, 1);
+        assert_eq!(meta_footprint(2, 2, 4).len, 2);
+        // No application address overflows the mapping, and a lifeguard
+        // without a byte shadow touches the base only.
+        assert_eq!(meta_footprint(2, u64::MAX - 3, 4).len, 1);
+        assert_eq!(meta_footprint(8, u64::MAX - 3, 4).len, 4);
+        assert_eq!(meta_footprint(0, 0x1234, 4), AddrRange::new(META_BASE, 1));
+    }
+
+    #[test]
+    fn bit_manipulation_race_condition_three() {
+        // Two app addresses whose metadata share a byte must share an app
+        // cache line (64B) — §5.3 condition 3.
+        for a in 0u64..256 {
+            for b in (a + 1)..256 {
+                if meta_addr(2, a) == meta_addr(2, b) {
+                    assert_eq!(a / 64, b / 64, "addrs {a},{b} share meta byte across lines");
+                }
+            }
+        }
+    }
 
     #[test]
     fn lazy_chunks_cover_dense_and_spill() {
@@ -229,14 +233,14 @@ mod tests {
         assert_eq!(shadow.join_range(far, 4), 5);
         // Untouched addresses read clean without allocating.
         assert_eq!(shadow.join_range(0x9999_0000, 8), 0);
-        assert!(shadow.dense[0x9999_0000 / CHUNK as usize].get().is_none());
+        assert!(!shadow.chunks.is_materialized(0x9999_0000 / CHUNK));
     }
 
     #[test]
     fn clean_fills_do_not_allocate() {
         let shadow = AtomicShadow::new();
         shadow.fill_range(0x4000, 64, 0);
-        assert!(shadow.dense[(0x4000 / CHUNK) as usize].get().is_none());
+        assert!(!shadow.chunks.is_materialized(0x4000 / CHUNK));
     }
 
     #[test]

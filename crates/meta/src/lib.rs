@@ -3,12 +3,13 @@
 //! Lifeguards maintain *metadata* (shadow state) for every application memory
 //! location (§2). This crate provides:
 //!
-//! * [`ShadowMemory`] — the two-level, bit-packed shadow structure both
-//!   evaluated lifeguards use (2 bits/byte for TAINTCHECK, 1 bit/byte for
-//!   ADDRCHECK), including the application→metadata address mapping that the
-//!   Metadata TLB accelerates;
-//! * [`AtomicShadow`] — the lock-free mirror of the same layout shared by
-//!   the real-thread replay executor (§5.3 synchronization-free fast path);
+//! * [`AtomicShadow`] — the one byte shadow: a lock-free `AtomicU8` of
+//!   metadata per application byte, held by the sequential and the
+//!   concurrent form of every byte-shadow lifeguard (§5.3
+//!   synchronization-free fast path), next to [`meta_addr`] /
+//!   [`meta_footprint`], the application→metadata address mapping of the
+//!   *modelled* machine (2 bits/byte for TAINTCHECK, 1 bit/byte for
+//!   ADDRCHECK) that the Metadata TLB accelerates;
 //! * [`WordTable`] — the word-granular companion: one CAS-able `AtomicU64`
 //!   per key (the packed fast path), plus a reference-counted
 //!   [`WideInterner`] for per-location state that outgrows a single word
@@ -22,27 +23,28 @@
 //! # Example
 //!
 //! ```rust
-//! use paralog_meta::ShadowMemory;
-//! use paralog_events::AddrRange;
+//! use paralog_meta::{meta_footprint, AtomicShadow};
 //!
-//! let mut taint = ShadowMemory::new(2);
-//! taint.set_range(AddrRange::new(0x1000, 4), 0b01); // taint a word
-//! taint.copy_range(0x2000, 0x1000, 4);              // propagation
-//! assert_eq!(taint.join_range(AddrRange::new(0x2000, 4)), 0b01);
+//! let taint = AtomicShadow::new();
+//! taint.fill_range(0x1000, 4, 0b01); // taint a word
+//! let v = taint.join_range(0x1000, 4); // propagation: join the source...
+//! taint.fill_range(0x2000, 4, v); // ...into the destination
+//! assert!(taint.eq_range(0x2000, 4, 0b01));
+//! // The modelled machine packs that word's 2-bit taint into one byte.
+//! assert_eq!(meta_footprint(2, 0x2000, 4).len, 1);
 //! ```
 
 #![warn(missing_debug_implementations)]
 
 pub mod atomic;
+mod chunks;
 pub mod fingerprint;
 pub mod lane_cell;
-pub mod shadow;
 pub mod table;
 pub mod versions;
 
-pub use atomic::AtomicShadow;
+pub use atomic::{meta_addr, meta_footprint, AtomicShadow};
 pub use fingerprint::Fingerprint;
 pub use lane_cell::LaneCell;
-pub use shadow::{ShadowMemory, CHUNK_APP_BYTES, META_BASE};
 pub use table::{MetaWord, PackedWordTable, WideInterner, WordTable, MAX_WIDE_IDS};
 pub use versions::VersionTable;

@@ -45,20 +45,20 @@
 //! nothing, over-approximate" value. Degradation is latched for the
 //! session-event surface; it can change precision, never soundness.
 
+use crate::chunks::ChunkDir;
 use std::cell::UnsafeCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Keys per chunk (8192 × 8 bytes = 64 KiB per chunk).
 const WORDS_PER_CHUNK: u64 = 1 << 13;
 
-/// Dense first-level span: 2^18 chunks × 2^13 keys = 2^31 keys — a 4-byte
-/// granule index over the same 8 GiB application span `AtomicShadow`'s
-/// dense tier covers. Keys beyond it take the spill lock (rare sentinel
-/// ranges only).
+/// Dense span: 2^18 chunks × 2^13 keys = 2^31 keys — a 4-byte granule
+/// index over the same 8 GiB application span `AtomicShadow`'s dense tier
+/// covers. Keys beyond it take the spill lock (rare sentinel ranges only).
 const DENSE_CHUNKS: u64 = 1 << 18;
 
 /// Distinct wide values live at once per interner. Real workloads stay far
@@ -91,19 +91,15 @@ impl MetaWord for u64 {
 
 /// A lock-free `key → AtomicU64` table with lazily materialized chunks.
 ///
-/// Untouched keys read as 0. The hot path after first touch is a flat array
-/// index plus one atomic access — no hashing, no locks. Writers publish new
+/// Untouched keys read as 0. The hot path after first touch is two array
+/// indexes plus one atomic access — no hashing, no locks. Writers publish new
 /// values with [`compare_exchange`](Self::compare_exchange) (acquire/release
 /// ordering), so a reader that observes a packed word also observes
 /// everything the writer published before it. The all-zero word is reserved
 /// for "never touched", so packed encodings keep 0 out of their live states.
 #[derive(Debug)]
 pub struct PackedWordTable {
-    /// First level: chunk index → chunk, initialized on first touch.
-    dense: Box<[OnceLock<Box<[AtomicU64]>>]>,
-    /// Outlier chunks beyond the dense span. `Arc` lets an accessor clone a
-    /// handle out of the lock and work without holding it.
-    spill: Mutex<BTreeMap<u64, Arc<[AtomicU64]>>>,
+    chunks: ChunkDir<AtomicU64>,
 }
 
 impl Default for PackedWordTable {
@@ -112,52 +108,21 @@ impl Default for PackedWordTable {
     }
 }
 
-fn new_chunk() -> Vec<AtomicU64> {
-    (0..WORDS_PER_CHUNK).map(|_| AtomicU64::new(0)).collect()
-}
-
 impl PackedWordTable {
     /// An empty table; chunks materialize on first non-zero write.
     pub fn new() -> Self {
         PackedWordTable {
-            dense: (0..DENSE_CHUNKS).map(|_| OnceLock::new()).collect(),
-            spill: Mutex::new(BTreeMap::new()),
+            chunks: ChunkDir::new(DENSE_CHUNKS, WORDS_PER_CHUNK as usize),
         }
-    }
-
-    /// Runs `f` over the chunk holding `key`. With `create` unset, untouched
-    /// chunks are skipped (reads of clean keys must not allocate); otherwise
-    /// the chunk is initialized race-free first.
-    fn with_chunk<R>(&self, ci: u64, create: bool, f: impl FnOnce(&[AtomicU64]) -> R) -> Option<R> {
-        if ci < DENSE_CHUNKS {
-            let slot = &self.dense[ci as usize];
-            return match (slot.get(), create) {
-                (Some(chunk), _) => Some(f(chunk)),
-                (None, true) => Some(f(slot.get_or_init(|| new_chunk().into_boxed_slice()))),
-                (None, false) => None,
-            };
-        }
-        let chunk: Arc<[AtomicU64]> = {
-            let mut spill = self.spill.lock().expect("poisoned");
-            match (spill.get(&ci), create) {
-                (Some(chunk), _) => Arc::clone(chunk),
-                (None, true) => {
-                    let chunk: Arc<[AtomicU64]> = new_chunk().into();
-                    spill.insert(ci, Arc::clone(&chunk));
-                    chunk
-                }
-                (None, false) => return None,
-            }
-        };
-        Some(f(&chunk))
     }
 
     /// Load-acquire of one key; untouched keys read 0 without allocating.
     pub fn load(&self, key: u64) -> u64 {
-        self.with_chunk(key / WORDS_PER_CHUNK, false, |c| {
-            c[(key % WORDS_PER_CHUNK) as usize].load(Ordering::Acquire)
-        })
-        .unwrap_or(0)
+        self.chunks
+            .with(key / WORDS_PER_CHUNK, false, |c| {
+                c[(key % WORDS_PER_CHUNK) as usize].load(Ordering::Acquire)
+            })
+            .unwrap_or(0)
     }
 
     /// CAS-exchange on one key: publishes `new` iff the key still holds
@@ -168,7 +133,7 @@ impl PackedWordTable {
     /// the degenerate `0 → 0` exchange succeeds without allocating.
     pub fn compare_exchange(&self, key: u64, current: u64, new: u64) -> Result<u64, u64> {
         let create = current == 0 && new != 0;
-        match self.with_chunk(key / WORDS_PER_CHUNK, create, |c| {
+        match self.chunks.with(key / WORDS_PER_CHUNK, create, |c| {
             c[(key % WORDS_PER_CHUNK) as usize].compare_exchange(
                 current,
                 new,
@@ -186,7 +151,7 @@ impl PackedWordTable {
     /// Calls `f(key, value)` for every key holding a non-zero word, in
     /// ascending chunk order (dense tier first, then spill).
     pub fn for_each_nonzero(&self, mut f: impl FnMut(u64, u64)) {
-        let mut scan = |ci: u64, chunk: &[AtomicU64]| {
+        self.chunks.for_each(|ci, chunk| {
             let base = ci * WORDS_PER_CHUNK;
             for (off, word) in chunk.iter().enumerate() {
                 let v = word.load(Ordering::Acquire);
@@ -194,15 +159,7 @@ impl PackedWordTable {
                     f(base + off as u64, v);
                 }
             }
-        };
-        for (i, slot) in self.dense.iter().enumerate() {
-            if let Some(chunk) = slot.get() {
-                scan(i as u64, chunk);
-            }
-        }
-        for (ci, chunk) in self.spill.lock().expect("poisoned").iter() {
-            scan(*ci, chunk);
-        }
+        });
     }
 }
 
@@ -527,10 +484,10 @@ mod tests {
     fn untouched_keys_read_zero_without_allocating() {
         let t = PackedWordTable::new();
         assert_eq!(t.load(0x1234), 0);
-        assert!(t.dense[(0x1234 / WORDS_PER_CHUNK) as usize].get().is_none());
+        assert!(!t.chunks.is_materialized(0x1234 / WORDS_PER_CHUNK));
         // The degenerate 0 → 0 exchange also stays allocation-free.
         assert_eq!(t.compare_exchange(0x1234, 0, 0), Ok(0));
-        assert!(t.dense[(0x1234 / WORDS_PER_CHUNK) as usize].get().is_none());
+        assert!(!t.chunks.is_materialized(0x1234 / WORDS_PER_CHUNK));
     }
 
     #[test]

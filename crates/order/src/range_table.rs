@@ -10,7 +10,7 @@
 //! typically resolves conservatively (TaintCheck taints the destination and
 //! warns).
 
-use paralog_events::{AddrRange, HighLevelKind, ThreadId};
+use paralog_events::{AddrRange, CaPhase, CaRecord, HighLevelKind, ThreadId};
 
 /// One in-flight high-level event with a memory range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +56,17 @@ impl RangeTable {
     /// Removes `issuer`'s entry (CA-End). Idempotent.
     pub fn remove(&mut self, issuer: ThreadId) {
         self.slots[issuer.index()] = None;
+    }
+
+    /// Upkeep for one ConflictAlert record whose policy says `track_range`:
+    /// a Begin carrying a range opens the issuer's window, its End closes
+    /// it. Every replay path calls this rather than re-deriving the rule.
+    pub fn on_ca(&mut self, ca: &CaRecord) {
+        match (ca.phase, ca.range) {
+            (CaPhase::Begin, Some(range)) => self.insert(ca.issuer, ca.what, range),
+            (CaPhase::End, _) => self.remove(ca.issuer),
+            (CaPhase::Begin, None) => {}
+        }
     }
 
     /// Checks an access against all in-flight ranges; returns the racing
@@ -132,6 +143,32 @@ mod tests {
         assert_eq!(t.in_flight(), 0);
         assert!(t.check(ThreadId(0), AddrRange::new(0x1080, 4)).is_none());
         t.remove(ThreadId(1)); // idempotent
+    }
+
+    #[test]
+    fn on_ca_opens_at_begin_and_closes_at_end() {
+        let ca = |phase, range| CaRecord {
+            what: READ,
+            phase,
+            range,
+            issuer: ThreadId(1),
+            issuer_rid: paralog_events::Rid(7),
+            seq: 0,
+        };
+        let buf = AddrRange::new(0x1000, 0x100);
+        let mut t = RangeTable::new(4);
+        t.on_ca(&ca(CaPhase::Begin, None));
+        assert_eq!(t.in_flight(), 0, "a Begin without a range tracks nothing");
+        t.on_ca(&ca(CaPhase::Begin, Some(buf)));
+        let hit = t.check(ThreadId(0), AddrRange::new(0x1080, 4));
+        assert_eq!(
+            hit.map(|e| (e.issuer, e.what, e.range)),
+            Some((ThreadId(1), READ, buf))
+        );
+        t.on_ca(&ca(CaPhase::End, Some(buf)));
+        assert_eq!(t.in_flight(), 0);
+        t.on_ca(&ca(CaPhase::End, None)); // a stray End is a no-op
+        assert!(t.check(ThreadId(0), AddrRange::new(0x1080, 4)).is_none());
     }
 
     #[test]

@@ -22,7 +22,8 @@ use paralog::core::{
 };
 use paralog::events::codec::encode;
 use paralog::events::{
-    AddrRange, ArcKind, DependenceArc, EventRecord, Instr, MemRef, Reg, Rid, ThreadId, VersionId,
+    AddrRange, ArcKind, CaPhase, CaRecord, DependenceArc, EventRecord, HighLevelKind, Instr,
+    MemRef, Reg, Rid, SyscallKind, ThreadId, VersionId,
 };
 use paralog::lifeguards::{LifeguardKind, Violation, ViolationKind};
 use paralog::workloads::{Benchmark, WorkloadSpec};
@@ -269,6 +270,44 @@ fn out_of_range_consumer_produce_annotation_is_malformed_on_both_backends() {
     // Consumer thread 7 of a 1-thread session: no lane could ever consume
     // the version, and both replay paths share the table that says so.
     assert_produce_annotation_is_malformed(7, 1);
+}
+
+#[test]
+fn wrapping_address_range_is_malformed_on_both_backends() {
+    // A 4-byte store at 2^64 - 2, and a `ReadInput`-End ConflictAlert over
+    // (2^64 - 9, 64). Analysing either as the empty range `start + len`
+    // wraps to would silently drop it; both are a malformed stream.
+    let store = EventRecord::instr(
+        Rid(1),
+        Instr::Store {
+            dst: MemRef::new(u64::MAX - 1, 4),
+            src: Reg::new(0),
+        },
+    );
+    let input = EventRecord::ca(
+        Rid(1),
+        CaRecord {
+            what: HighLevelKind::Syscall(SyscallKind::ReadInput),
+            phase: CaPhase::End,
+            range: Some(AddrRange::new(u64::MAX - 8, 64)),
+            issuer: ThreadId(0),
+            issuer_rid: Rid(1),
+            seq: 0,
+        },
+    );
+    for rec in [store, input] {
+        let encoded = vec![encode(std::slice::from_ref(&rec))];
+        for threaded in [false, true] {
+            let err = run_faulty(&encoded, threaded, |r, _| r).err();
+            match err {
+                Some(SessionError::MalformedStream(detail)) => assert!(
+                    detail.contains("address range wraps"),
+                    "threaded={threaded}: unexpected detail {detail:?}"
+                ),
+                other => panic!("threaded={threaded}: expected MalformedStream, got {other:?}"),
+            }
+        }
+    }
 }
 
 fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {

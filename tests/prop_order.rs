@@ -6,13 +6,12 @@
 //! order, for every capture policy × reduction level. Reduction may only
 //! drop arcs that are already implied.
 //!
-//! Plus codec and shadow-memory roundtrip properties.
+//! Plus a codec roundtrip property.
 
 use paralog::events::codec::{decode, encode};
 use paralog::events::{
-    AccessKind, AddrRange, ArcKind, DependenceArc, EventRecord, Instr, MemRef, Reg, Rid, ThreadId,
+    AccessKind, ArcKind, DependenceArc, EventRecord, Instr, MemRef, Reg, Rid, ThreadId,
 };
-use paralog::meta::ShadowMemory;
 use paralog::order::{CapturePolicy, OrderCapture, Reduction};
 use paralog::sim::{MachineConfig, MemorySystem};
 use proptest::prelude::*;
@@ -184,43 +183,5 @@ proptest! {
         let bytes = encode(&records);
         let back = decode(&bytes).expect("well-formed stream");
         prop_assert_eq!(back, records);
-    }
-
-    #[test]
-    fn shadow_set_get_consistency(
-        writes in proptest::collection::vec((0u64..4096, 0u8..4), 1..200),
-    ) {
-        let mut shadow = ShadowMemory::new(2);
-        let mut model: HashMap<u64, u8> = HashMap::new();
-        for (addr, v) in &writes {
-            shadow.set(*addr, *v);
-            model.insert(*addr, *v);
-        }
-        for (addr, v) in &model {
-            prop_assert_eq!(shadow.get(*addr), *v);
-        }
-        // join_range agrees with the model.
-        let join = shadow.join_range(AddrRange::new(0, 4096));
-        let expect = model.values().fold(0u8, |a, b| a | b);
-        prop_assert_eq!(join, expect);
-    }
-
-    #[test]
-    fn shadow_snapshot_restore_is_identity(
-        writes in proptest::collection::vec((0u64..256, 0u8..2), 1..100),
-        start in 0u64..200,
-        len in 1u64..56,
-    ) {
-        let mut shadow = ShadowMemory::new(1);
-        for (addr, v) in &writes {
-            shadow.set(*addr, *v);
-        }
-        let range = AddrRange::new(start, len);
-        let snap = shadow.snapshot(range);
-        let before: Vec<u8> = (range.start..range.end()).map(|a| shadow.get(a)).collect();
-        shadow.set_range(range, 0);
-        shadow.restore(range, &snap);
-        let after: Vec<u8> = (range.start..range.end()).map(|a| shadow.get(a)).collect();
-        prop_assert_eq!(before, after);
     }
 }

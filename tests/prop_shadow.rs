@@ -1,20 +1,27 @@
-//! Property test for the flat two-level shadow memory: random interleavings
-//! of `get`/`set`/`join_range`/`set_range`/`copy_range`/`eq_range`/
-//! `snapshot`/`restore` must agree with a naive `BTreeMap<Addr, u8>`
-//! reference model, for every supported metadata width.
-//!
-//! The model applies `copy_range` byte-wise in ascending order — exactly the
-//! semantics the word-wise implementation must preserve (including the
-//! deliberate smearing on overlapping forward copies).
+//! Property test for the byte shadow: random interleavings of
+//! `fill_range`/`join_range`/`eq_range`/`snapshot` on `AtomicShadow` must
+//! agree with a naive `BTreeMap<Addr, u8>` reference model, and the final
+//! `fingerprint` with the model's, on an address domain that hugs every
+//! seam of the chunk directory underneath.
 
-use paralog::events::AddrRange;
-use paralog::meta::{ShadowMemory, CHUNK_APP_BYTES};
+use paralog::meta::{AtomicShadow, Fingerprint};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Address domain spanning several chunks, hugging chunk boundaries so the
-/// head/tail mask and chunk-split paths all fire.
-const SPAN: u64 = CHUNK_APP_BYTES * 3 + 128;
+/// Application bytes per shadow chunk.
+const CHUNK: u64 = 64 * 1024;
+
+/// Low address domain spanning several chunks of one directory table.
+const SPAN: u64 = CHUNK * 3 + 128;
+
+/// Where the directory changes shape: a table seam (chunk index a multiple
+/// of 512), the dense/spill boundary at 8 GiB, and the simulator's far
+/// sentinel, a page short of a chunk boundary deep in the spill tier.
+const SEAMS: [u64; 3] = [512 * CHUNK, 1 << 33, 0xFFF_FFFF_F000];
+
+/// Half-width of the address window around each seam (ranges run up to
+/// 8 KiB, so most that start below a seam cross it).
+const WINDOW: u64 = 4096;
 
 #[derive(Debug, Clone, Copy)]
 enum ShadowOp {
@@ -23,12 +30,16 @@ enum ShadowOp {
     Get { addr: u64 },
     JoinRange { start: u64, len: u64 },
     EqRange { start: u64, len: u64, value: u8 },
-    CopyRange { dst: u64, src: u64, len: u64 },
-    SnapshotRestore { start: u64, len: u64 },
+    Snapshot { start: u64, len: u64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = ShadowOp> {
-    let addr = || 0u64..SPAN;
+    let addr = || {
+        prop_oneof![
+            2 => 0u64..SPAN,
+            1 => (0..SEAMS.len(), 0..2 * WINDOW).prop_map(|(i, off)| SEAMS[i] - WINDOW + off),
+        ]
+    };
     let len = || {
         prop_oneof![
             4 => 1u64..16,
@@ -44,9 +55,7 @@ fn op_strategy() -> impl Strategy<Value = ShadowOp> {
         2 => (addr(), len()).prop_map(|(start, len)| ShadowOp::JoinRange { start, len }),
         1 => (addr(), len(), 0u8..=255)
             .prop_map(|(start, len, value)| ShadowOp::EqRange { start, len, value }),
-        2 => (addr(), addr(), len())
-            .prop_map(|(dst, src, len)| ShadowOp::CopyRange { dst, src, len }),
-        1 => (addr(), len()).prop_map(|(start, len)| ShadowOp::SnapshotRestore { start, len }),
+        1 => (addr(), len()).prop_map(|(start, len)| ShadowOp::Snapshot { start, len }),
     ]
 }
 
@@ -74,82 +83,48 @@ impl Model {
     }
 }
 
-fn run_ops(bits: u32, ops: &[ShadowOp]) -> Result<(), TestCaseError> {
-    let mut shadow = ShadowMemory::new(bits);
+fn run_ops(ops: &[ShadowOp]) -> Result<(), TestCaseError> {
+    let shadow = AtomicShadow::new();
     let mut model = Model::default();
-    let max = shadow.max_value();
     for (i, op) in ops.iter().enumerate() {
         match *op {
             ShadowOp::Set { addr, value } => {
-                let v = value & max;
-                shadow.set(addr, v);
-                model.set(addr, v);
+                shadow.fill_range(addr, 1, value);
+                model.set(addr, value);
             }
             ShadowOp::SetRange { start, len, value } => {
-                let v = value & max;
-                shadow.set_range(AddrRange::new(start, len), v);
+                shadow.fill_range(start, len, value);
                 for a in start..start + len {
-                    model.set(a, v);
+                    model.set(a, value);
                 }
             }
             ShadowOp::Get { addr } => {
-                prop_assert_eq!(shadow.get(addr), model.get(addr), "bits={} op#{}", bits, i);
+                prop_assert_eq!(shadow.join_range(addr, 1), model.get(addr), "op#{}", i);
             }
             ShadowOp::JoinRange { start, len } => {
                 prop_assert_eq!(
-                    shadow.join_range(AddrRange::new(start, len)),
+                    shadow.join_range(start, len),
                     model.join(start, len),
-                    "bits={} op#{}",
-                    bits,
+                    "op#{}",
                     i
                 );
             }
             ShadowOp::EqRange { start, len, value } => {
-                let v = value & max;
-                let expect = (start..start + len).all(|a| model.get(a) == v);
-                prop_assert_eq!(
-                    shadow.eq_range(AddrRange::new(start, len), v),
-                    expect,
-                    "bits={} op#{}",
-                    bits,
-                    i
-                );
+                let expect = (start..start + len).all(|a| model.get(a) == value);
+                prop_assert_eq!(shadow.eq_range(start, len, value), expect, "op#{}", i);
             }
-            ShadowOp::CopyRange { dst, src, len } => {
-                shadow.copy_range(dst, src, len);
-                // Ascending byte-wise copy — the defined semantics, which
-                // smears on forward-overlapping ranges.
-                for k in 0..len {
-                    let v = model.get(src + k);
-                    model.set(dst + k, v);
-                }
-            }
-            ShadowOp::SnapshotRestore { start, len } => {
-                let range = AddrRange::new(start, len);
-                let snap = shadow.snapshot(range);
-                prop_assert_eq!(snap.len() as u64, len);
-                for (k, &v) in snap.iter().enumerate() {
-                    prop_assert_eq!(v, model.get(start + k as u64), "snapshot bits={bits}");
-                }
-                // Scramble, then restore must reproduce the model exactly.
-                shadow.set_range(range, max);
-                shadow.restore(range, &snap);
-                for k in 0..len {
-                    prop_assert_eq!(
-                        shadow.get(start + k),
-                        model.get(start + k),
-                        "restore bits={} op#{}",
-                        bits,
-                        i
-                    );
-                }
+            ShadowOp::Snapshot { start, len } => {
+                let want: Vec<u8> = (start..start + len).map(|a| model.get(a)).collect();
+                prop_assert_eq!(shadow.snapshot(start, len), want, "op#{}", i);
             }
         }
     }
-    // Final full-state agreement: every nonzero byte, in ascending order.
-    let got: Vec<(u64, u8)> = shadow.iter_nonzero().collect();
-    let want: Vec<(u64, u8)> = model.bytes.iter().map(|(&a, &v)| (a, v)).collect();
-    prop_assert_eq!(got, want, "iter_nonzero bits={}", bits);
+    // Final full-state agreement: every nonzero byte, and nothing else.
+    let mut want = Fingerprint::new();
+    for (&addr, &v) in &model.bytes {
+        want.mix(addr, u64::from(v));
+    }
+    prop_assert_eq!(shadow.fingerprint(), want.finish());
     Ok(())
 }
 
@@ -160,23 +135,25 @@ proptest! {
     fn shadow_matches_btreemap_model(
         ops in proptest::collection::vec(op_strategy(), 1..100),
     ) {
-        for bits in [1u32, 2, 4, 8] {
-            run_ops(bits, &ops)?;
-        }
+        run_ops(&ops)?;
     }
 
     #[test]
     fn boundary_heavy_ops_match_model(
-        // Cluster addresses tightly around chunk boundaries.
+        // Cluster addresses tightly around chunk boundaries and the seams.
         raw in proptest::collection::vec(
-            (0u64..6, 0u64..64, 1u64..200, 0u8..=255, any::<bool>()),
+            (0usize..6 + SEAMS.len(), 0u64..64, 1u64..200, 0u8..=255, any::<bool>()),
             1..60,
         ),
     ) {
         let ops: Vec<ShadowOp> = raw
             .into_iter()
             .map(|(edge, off, len, value, fill)| {
-                let start = (edge * CHUNK_APP_BYTES / 2 + off).saturating_sub(32);
+                let edge = match edge.checked_sub(6) {
+                    Some(seam) => SEAMS[seam].next_multiple_of(CHUNK),
+                    None => edge as u64 * CHUNK / 2,
+                };
+                let start = (edge + off).saturating_sub(32);
                 if fill {
                     ShadowOp::SetRange { start, len, value }
                 } else {
@@ -184,8 +161,6 @@ proptest! {
                 }
             })
             .collect();
-        for bits in [1u32, 2, 4, 8] {
-            run_ops(bits, &ops)?;
-        }
+        run_ops(&ops)?;
     }
 }

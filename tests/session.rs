@@ -15,13 +15,13 @@
 
 use paralog::core::{
     Backend, BufferedStream, CoopSession, DeterministicBackend, LaneStep, MonitorConfig,
-    MonitorSession, MonitoringMode, Platform, PushSource, RecordStream, ReplaySource, RunMetrics,
-    SessionError, ThreadedBackend,
+    MonitorSession, MonitoringMode, Platform, PushSource, RecordStream, Reference, ReplaySource,
+    RunMetrics, SessionError, ThreadedBackend,
 };
 use paralog::events::codec::encode;
 use paralog::events::{
-    AccessKind, AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, MemRef, MetaOp,
-    Reg, Rid, SyscallKind, ThreadId,
+    AccessKind, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, Instr,
+    MemRef, MetaOp, Reg, Rid, SyscallKind, ThreadId,
 };
 use paralog::lifeguards::{
     AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardFactory,
@@ -150,6 +150,119 @@ fn every_replay_driver_matches_the_sequential_reference() {
             violation_keys(&capture.violations),
             "{driver}: violations diverged from the capture"
         );
+    }
+}
+
+/// With one byte shadow under both lifeguard forms, an error in it would
+/// cancel out of every form-against-form comparison. This pins both forms
+/// against the oracle that shares nothing with them (`Reference` keeps a
+/// `BTreeMap`), on one hand-built stream aimed at the places the shared
+/// container changes shape: a ~200 KiB allocation across four chunks and a
+/// directory-table seam, 4-byte accesses before, across and after every
+/// chunk boundary inside it, and one store to the simulator's far sentinel
+/// in the spill tier.
+fn forms_match_the_oracle_across_shadow_seams(kind: LifeguardKind) {
+    const CHUNK: u64 = 64 * 1024;
+    const TABLE_SEAM: u64 = 512 * CHUNK;
+    let heap = AddrRange::new(TABLE_SEAM - 0x100_0000, 0x200_0000);
+    let block = AddrRange::new(TABLE_SEAM - 100 * 1024, 200 * 1024);
+    let (clean, dirty) = (Reg::new(0), Reg::new(1));
+
+    fn instr(records: &mut Vec<EventRecord>, instr: Instr) {
+        let rid = Rid(records.len() as u64 + 1);
+        records.push(EventRecord::instr(rid, instr));
+    }
+    fn ca(records: &mut Vec<EventRecord>, what: HighLevelKind, phase: CaPhase, range: AddrRange) {
+        let rid = Rid(records.len() as u64 + 1);
+        let ca = CaRecord {
+            what,
+            phase,
+            range: Some(range),
+            issuer: ThreadId(0),
+            issuer_rid: rid,
+            seq: u64::MAX,
+        };
+        records.push(EventRecord::ca(rid, ca));
+    }
+    let store = |addr, src| Instr::Store {
+        dst: MemRef::new(addr, 4),
+        src,
+    };
+    let mut records = Vec::new();
+    // Allocated (AddrCheck), undefined (MemCheck), then tainted (TaintCheck).
+    ca(&mut records, HighLevelKind::Malloc, CaPhase::End, block);
+    let input = HighLevelKind::Syscall(SyscallKind::ReadInput);
+    ca(&mut records, input, CaPhase::End, block);
+    instr(&mut records, Instr::MovRI { dst: clean });
+    let seams = (block.start / CHUNK + 1..=block.end() / CHUNK).map(|ci| ci * CHUNK);
+    for (i, seam) in seams.enumerate() {
+        // Clean stores just below and across the seam, a dirty load just
+        // above it, carried to a word past the block (unallocated heap).
+        instr(&mut records, store(seam - 8, clean));
+        instr(&mut records, store(seam - 2, clean));
+        let src = MemRef::new(seam + 4, 4);
+        instr(&mut records, Instr::Load { dst: dirty, src });
+        instr(
+            &mut records,
+            store(block.end() + 0x100 + 8 * i as u64, dirty),
+        );
+    }
+    instr(&mut records, store(0xFFF_FFFF_F000, dirty));
+    instr(&mut records, Instr::JmpReg { target: dirty });
+    // Freed up to just past the table seam: the rest stays allocated.
+    let freed = AddrRange::new(block.start, TABLE_SEAM + 0x800 - block.start);
+    ca(&mut records, HighLevelKind::Free, CaPhase::Begin, freed);
+
+    let mut oracle = Reference::new(kind, 1, false);
+    for rec in &records {
+        match &rec.payload {
+            EventPayload::Instr(instr) => oracle.on_instr(0, rec.rid, instr),
+            EventPayload::Ca(ca) => oracle.on_high_level(ca.what, ca.phase, ca.range),
+        }
+    }
+    let sequential = MonitorSession::builder()
+        .source(ReplaySource::new(vec![records.clone()], heap))
+        .lifeguard(kind)
+        .backend(DeterministicBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .metrics;
+    let stream = Box::new(BufferedStream::new(records)) as Box<dyn RecordStream>;
+    let (session, mut lanes) = CoopSession::start(&kind, heap, vec![stream], None).unwrap();
+    while !session.is_complete() {
+        lanes[0].step(64);
+    }
+    let concurrent = session.report().expect("complete").unwrap();
+
+    let empty = Reference::new(kind, 1, false).fingerprint();
+    assert_ne!(
+        oracle.fingerprint(),
+        empty,
+        "{kind}: the stream left no mark"
+    );
+    assert_eq!(sequential.fingerprint, oracle.fingerprint(), "{kind}");
+    assert_eq!(concurrent.fingerprint, oracle.fingerprint(), "{kind}");
+    assert!(
+        !sequential.violations.is_empty(),
+        "{kind}: nothing to report"
+    );
+    assert_eq!(
+        violation_keys(&sequential.violations),
+        violation_keys(&concurrent.violations),
+        "{kind}"
+    );
+}
+
+#[test]
+fn both_forms_match_the_oracle_across_shadow_seams() {
+    for kind in [
+        LifeguardKind::TaintCheck,
+        LifeguardKind::AddrCheck,
+        LifeguardKind::MemCheck,
+    ] {
+        forms_match_the_oracle_across_shadow_seams(kind);
     }
 }
 

@@ -4,13 +4,13 @@
 //!
 //! * **`concurrent_replay` / `memcheck_replay` / `lockset_replay` /
 //!   `happensbefore_replay`** — what does the generic [`LockedConcurrent`]
-//!   fallback's mutex cost each bundled analysis, versus its hand-written
-//!   lock-free §5.3 form? Each series replays identical fast-path-shaped
-//!   per-thread streams through both forms; the ratio is the serialization
-//!   tax quoted in the PR description / ROADMAP ([`AddrCheckConcurrent`]
-//!   for the IF class, [`MemCheckConcurrent`] for dataflow propagation,
-//!   [`LockSetConcurrent`] and [`HappensBeforeConcurrent`] for the
-//!   fast-path/slow-path race-detection class).
+//!   fallback's mutex cost each bundled analysis, versus the lock-free §5.3
+//!   form its [`LifeguardKind`] resolves to? Each series replays identical
+//!   fast-path-shaped per-thread streams through both forms; the ratio is
+//!   the serialization tax quoted in the PR description / ROADMAP (AddrCheck
+//!   for the IF class, MemCheck for the dataflow engine's propagation,
+//!   LockSet and HappensBefore for the fast-path/slow-path race-detection
+//!   class).
 //! * **`concurrent_versions`** — what does the §5.5 produce→consume
 //!   hand-off cost through the one mutex of [`VersionTable`], both
 //!   uncontended (one thread doing the whole lifecycle, comparable with
@@ -18,20 +18,13 @@
 //!   hand-off with a polling consumer?
 //!
 //! [`LockedConcurrent`]: paralog_lifeguards::LockedConcurrent
-//! [`AddrCheckConcurrent`]: paralog_lifeguards::AddrCheckConcurrent
-//! [`MemCheckConcurrent`]: paralog_lifeguards::MemCheckConcurrent
-//! [`LockSetConcurrent`]: paralog_lifeguards::LockSetConcurrent
-//! [`HappensBeforeConcurrent`]: paralog_lifeguards::HappensBeforeConcurrent
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
     ThreadId, VersionId,
 };
-use paralog_lifeguards::{
-    AddrCheckConcurrent, ConcurrentLifeguard, HappensBeforeConcurrent, LifeguardFactory,
-    LifeguardKind, LockSetConcurrent, LockedConcurrent, MemCheckConcurrent,
-};
+use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind, LockedConcurrent};
 use paralog_meta::VersionTable;
 
 const HEAP: AddrRange = AddrRange {
@@ -169,14 +162,13 @@ fn happensbefore_stream(tid: u16) -> Vec<EventRecord> {
     recs
 }
 
-/// Benchmarks one bundled analysis' hand-written lock-free form against the
-/// generic [`LockedConcurrent`] wrapping of the same family, over identical
+/// Benchmarks one bundled analysis' lock-free form against the generic
+/// [`LockedConcurrent`] wrapping of the same family, over identical
 /// per-thread streams on real threads.
 fn bench_lockfree_vs_locked(
     c: &mut Criterion,
     group_name: &str,
     kind: LifeguardKind,
-    lockfree: &dyn Fn(usize) -> Box<dyn ConcurrentLifeguard>,
     stream: fn(u16) -> Vec<EventRecord>,
 ) {
     for threads in [2usize, 4] {
@@ -185,8 +177,10 @@ fn bench_lockfree_vs_locked(
         group.sample_size(10);
         group.throughput(Throughput::Elements(threads as u64 * RECORDS));
 
-        // The hand-written lock-free §5.3 form.
-        let free = lockfree(threads);
+        // The lock-free §5.3 form every session replays.
+        let free = kind
+            .concurrent(HEAP, threads)
+            .expect("bundled kinds replay");
         group.bench_function(BenchmarkId::new("lockfree", threads), |b| {
             b.iter(|| {
                 replay(&*free, &streams);
@@ -209,38 +203,24 @@ fn bench_lockfree_vs_locked(
 }
 
 fn bench_concurrent_replay(c: &mut Criterion) {
-    // The IF-class check stream through AddrCheck (the PR 4 series).
-    bench_lockfree_vs_locked(
-        c,
-        "concurrent_replay",
-        LifeguardKind::AddrCheck,
-        &|_| Box::new(AddrCheckConcurrent::new(HEAP)),
-        check_stream,
-    );
-    // Dataflow (definedness) propagation through MemCheck.
-    bench_lockfree_vs_locked(
-        c,
-        "memcheck_replay",
-        LifeguardKind::MemCheck,
-        &|threads| Box::new(MemCheckConcurrent::new(threads)),
-        check_stream,
-    );
-    // Eraser state-machine checks through LockSet.
-    bench_lockfree_vs_locked(
-        c,
-        "lockset_replay",
-        LifeguardKind::LockSet,
-        &|threads| Box::new(LockSetConcurrent::new(threads)),
-        lockset_stream,
-    );
-    // FastTrack epoch checks through HappensBefore.
-    bench_lockfree_vs_locked(
-        c,
-        "happensbefore_replay",
-        LifeguardKind::HappensBefore,
-        &|threads| Box::new(HappensBeforeConcurrent::new(threads)),
-        happensbefore_stream,
-    );
+    type Stream = fn(u16) -> Vec<EventRecord>;
+    let series: [(&str, LifeguardKind, Stream); 4] = [
+        // The IF-class check stream through AddrCheck (the PR 4 series).
+        ("concurrent_replay", LifeguardKind::AddrCheck, check_stream),
+        // Dataflow (definedness) propagation through MemCheck.
+        ("memcheck_replay", LifeguardKind::MemCheck, check_stream),
+        // Eraser state-machine checks through LockSet.
+        ("lockset_replay", LifeguardKind::LockSet, lockset_stream),
+        // FastTrack epoch checks through HappensBefore.
+        (
+            "happensbefore_replay",
+            LifeguardKind::HappensBefore,
+            happensbefore_stream,
+        ),
+    ];
+    for (group, kind, stream) in series {
+        bench_lockfree_vs_locked(c, group, kind, stream);
+    }
 }
 
 const VERSIONS: u64 = 2048;

@@ -3,15 +3,15 @@
 //! (`BENCH_versions.json`).
 //!
 //! Both share one schema — [`MatrixResult`] plus [`to_json`]/[`parse_json`]
-//! — so the CI bench-smoke step diffs both files with the same
-//! non-blocking `::warning::` machinery. The snapshots exist so regressions
-//! in *our* structures show up in CI without a criterion baseline
-//! directory.
+//! — and one command line ([`run_bin`]), so the CI bench-smoke step diffs
+//! both files with the same non-blocking `::warning::` machinery. The
+//! snapshots exist so regressions in *our* structures show up in CI without
+//! a criterion baseline directory.
 
 use paralog_events::{AddrRange, Rid, ThreadId, VersionId};
 use paralog_meta::{AtomicShadow, VersionTable};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// One measured suite plus the parameters it ran with.
@@ -246,12 +246,67 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     }
 }
 
-/// Shared `--check` body for every snapshot bin: diff `fresh` against the
-/// baseline at `path`, emitting one GitHub Actions `::warning::` line per
-/// series past [`REGRESSION_TOLERANCE`]. Always returns exit code 0 — the
-/// bench-smoke step is non-blocking by design (shared CI runners jitter
-/// far too much for a hard gate).
-pub fn check_against(name: &str, path: &Path, fresh: &MatrixResult) -> i32 {
+/// Best-of window of a full run, which rewrites the checked-in baseline.
+const FULL_ITERS: usize = 7;
+/// Best-of window of a `--check` / `--quick` run. Quick profiles keep the
+/// full unit count (so per-unit numbers stay comparable to the committed
+/// baseline — fixed per-round overhead amortizes identically) and only cut
+/// the window.
+const QUICK_ITERS: usize = 3;
+
+/// The whole `main` of a snapshot bin: runs `matrix(units, iters)`, prints
+/// it under `title` in ns per `unit`, then either rewrites the checked-in
+/// `file_name` at the repository root (`--out <path>` overrides where) or,
+/// under `--check`, diffs a quick profile against it and exits 0 whatever
+/// it finds (non-blocking). `--quick` takes the quick profile without
+/// checking. An unknown flag exits 2.
+pub fn run_bin(
+    file_name: &str,
+    title: &str,
+    unit: &str,
+    units: u64,
+    matrix: fn(u64, usize) -> MatrixResult,
+) {
+    let mut out = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file_name);
+    let mut checking = false;
+    let mut quick = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => checking = true,
+            "--quick" => quick = true,
+            "--out" => out = PathBuf::from(args.next().expect("--out requires a path")),
+            other => {
+                eprintln!("unknown flag {other:?} (expected --check, --quick, --out <path>)");
+                std::process::exit(2);
+            }
+        }
+    }
+    let iters = if checking || quick {
+        QUICK_ITERS
+    } else {
+        FULL_ITERS
+    };
+    let result = matrix(units, iters);
+    println!("{title} ({units} {unit}s/round, ns/{unit}, best of {iters}):");
+    for (key, ns) in &result.series {
+        println!("  {key:<24} {ns:10.1}");
+    }
+    if checking {
+        std::process::exit(check_against(file_name, &out, &result));
+    }
+    std::fs::write(&out, to_json(&result)).unwrap_or_else(|e| panic!("write {file_name}: {e}"));
+    println!("wrote {}", out.display());
+}
+
+/// The `--check` body: diff `fresh` against the baseline at `path`,
+/// emitting one GitHub Actions `::warning::` line per series past
+/// [`REGRESSION_TOLERANCE`]. Always returns exit code 0 — the bench-smoke
+/// step is non-blocking by design (shared CI runners jitter far too much
+/// for a hard gate).
+fn check_against(name: &str, path: &Path, fresh: &MatrixResult) -> i32 {
     let Ok(text) = std::fs::read_to_string(path) else {
         println!(
             "::warning::{name} missing at {} — run the bench bin to regenerate",

@@ -6,21 +6,22 @@
 //! Metadata changes *only* on `malloc`/`free`, so the only ordering
 //! ADDRCHECK needs is allocation-library ConflictAlerts; application reads
 //! and writes both map to metadata *reads* (§5.3 conditions hold trivially:
-//! [`AtomicityClass::SyncFree`]).
+//! the analysis is synchronization-free).
 //!
 //! ADDRCHECK is the canonical Idempotent Filter client: repeated checks of an
 //! address are redundant until the next malloc/free invalidates the filter.
 //!
-//! Because it is synchronization-free, its real-thread replay form
-//! ([`AddrCheckConcurrent`]) runs lock-free over an
-//! [`AtomicShadow`] — no mutex anywhere on the
-//! check path — instead of paying the generic
-//! [`LockedConcurrent`](crate::LockedConcurrent) serialization tax.
+//! It keeps two thin lifeguard forms — the check view, heap scoping and the
+//! absence of registers leave nothing for the crate-private `dataflow`
+//! engine to share — but the check (`all_allocated`) and the malloc/free
+//! update (`issue_ca`) are one function each that both forms call, over
+//! one `AddrShared`. Because the analysis is synchronization-free, the
+//! `Send + Sync` form has no mutex anywhere on the check path.
 
 use crate::factory::{ConcurrentLifeguard, VersionedMeta};
 use crate::lifeguard::{
-    AtomicityClass, EventView, HandlerCtx, Lifeguard, LifeguardSpec, Violation, ViolationKind,
-    ViolationLog,
+    snapshot_byte, snapshot_coverage, EventView, HandlerCtx, Lifeguard, LifeguardSpec,
+    SnapshotCoverage, Violation, ViolationKind, ViolationLog,
 };
 use paralog_events::{
     check_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MetaOp,
@@ -35,26 +36,56 @@ pub const ALLOCATED: u8 = 1;
 
 /// Analysis-wide shared state: the allocation bitmap.
 #[derive(Debug)]
-pub struct AddrShared {
+pub(crate) struct AddrShared {
     /// The allocation shadow (1 bit per byte in the modelled machine).
-    pub alloc: AtomicShadow,
+    alloc: AtomicShadow,
     /// The heap region; accesses outside it (stack/globals) are not checked.
-    pub heap: AddrRange,
+    heap: AddrRange,
 }
 
 impl AddrShared {
     /// Fresh state for a heap at `heap`.
-    pub fn new(heap: AddrRange) -> Rc<Self> {
-        Rc::new(AddrShared {
+    pub(crate) fn new(heap: AddrRange) -> Self {
+        AddrShared {
             alloc: AtomicShadow::new(),
             heap,
-        })
+        }
     }
+}
+
+/// Whether every byte of `range` is inside a live allocation, honoring a
+/// consumed §5.5 snapshot (via the shared [`snapshot_coverage`] rule): bytes
+/// the snapshot covers read the producer's pre-store allocation state,
+/// everything else the live shadow.
+fn all_allocated(
+    alloc: &AtomicShadow,
+    range: AddrRange,
+    versioned: Option<&VersionedMeta>,
+) -> bool {
+    match snapshot_coverage(versioned, range) {
+        SnapshotCoverage::Full(bytes) => bytes.iter().all(|&b| b == ALLOCATED),
+        SnapshotCoverage::Partial(v) => (range.start..range.end())
+            .all(|a| snapshot_byte(v, a).unwrap_or_else(|| alloc.join_range(a, 1)) == ALLOCATED),
+        SnapshotCoverage::Live => alloc.eq_range(range.start, range.len, ALLOCATED),
+    }
+}
+
+/// The issuer's side of a ConflictAlert: `malloc` marks its block allocated
+/// as it returns, `free` unmarks it as it is entered. Returns the range
+/// rewritten, if `ca` is either.
+fn issue_ca(alloc: &AtomicShadow, ca: &CaRecord) -> Option<AddrRange> {
+    let (range, value) = match (ca.what, ca.phase, ca.range) {
+        (HighLevelKind::Malloc, CaPhase::End, Some(range)) => (range, ALLOCATED),
+        (HighLevelKind::Free, CaPhase::Begin, Some(range)) => (range, 0),
+        _ => return None,
+    };
+    alloc.fill_range(range.start, range.len, value);
+    Some(range)
 }
 
 /// One lifeguard thread of the parallel ADDRCHECK.
 #[derive(Debug)]
-pub struct AddrCheck {
+pub(crate) struct AddrCheck {
     shared: Rc<AddrShared>,
     tid: ThreadId,
     spec: LifeguardSpec,
@@ -62,7 +93,7 @@ pub struct AddrCheck {
 
 impl AddrCheck {
     /// Creates the lifeguard thread monitoring application thread `tid`.
-    pub fn new(shared: Rc<AddrShared>, tid: ThreadId) -> Self {
+    pub(crate) fn new(shared: Rc<AddrShared>, tid: ThreadId) -> Self {
         AddrCheck {
             shared,
             tid,
@@ -74,7 +105,6 @@ impl AddrCheck {
                 uses_mtlb: true,
                 ca_policy: CaPolicy::addrcheck(),
                 bits_per_byte: 1,
-                atomicity: AtomicityClass::SyncFree,
             },
         }
     }
@@ -86,22 +116,16 @@ impl Lifeguard for AddrCheck {
     }
 
     fn handle(&mut self, op: &MetaOp, rid: Rid, ctx: &mut HandlerCtx) {
-        let mem = match *op {
-            MetaOp::CheckAccess { mem, .. } | MetaOp::RmwOp { mem, .. } => mem,
-            // ADDRCHECK consumes the check view only.
-            _ => return,
+        // ADDRCHECK consumes the check view only.
+        let MetaOp::CheckAccess { mem, .. } = *op else {
+            return;
         };
         let range = mem.range();
         if !self.shared.heap.overlaps(&range) {
             return;
         }
         ctx.touch_read(self.spec.meta_footprint(range));
-        // Every byte of the access must be inside a live allocation.
-        if !self
-            .shared
-            .alloc
-            .eq_range(range.start, range.len, ALLOCATED)
-        {
+        if !all_allocated(&self.shared.alloc, range, ctx.versioned.as_ref()) {
             ctx.report(Violation {
                 tid: self.tid,
                 rid,
@@ -115,13 +139,9 @@ impl Lifeguard for AddrCheck {
         if !own {
             return;
         }
-        let (range, value) = match (ca.what, ca.phase, ca.range) {
-            (HighLevelKind::Malloc, CaPhase::End, Some(range)) => (range, ALLOCATED),
-            (HighLevelKind::Free, CaPhase::Begin, Some(range)) => (range, 0),
-            _ => return,
-        };
-        ctx.touch_write(self.spec.meta_footprint(range));
-        self.shared.alloc.fill_range(range.start, range.len, value);
+        if let Some(range) = issue_ca(&self.shared.alloc, ca) {
+            ctx.touch_write(self.spec.meta_footprint(range));
+        }
     }
 
     fn snapshot_meta(&self, range: AddrRange) -> Vec<u8> {
@@ -134,15 +154,13 @@ impl Lifeguard for AddrCheck {
 }
 
 /// The `Send + Sync` replay form of ADDRCHECK driven by the real-thread
-/// backend: the same allocation checks over a lock-free
-/// [`AtomicShadow`] bitmap. Valid because
-/// ADDRCHECK is in the §5.3 synchronization-free class — application reads
-/// *and* writes both map to metadata reads, and the only metadata writes
-/// (malloc/free ConflictAlerts) are ordered against every access by the
-/// captured CA arcs, which the backend's progress-table spin enforces.
-pub struct AddrCheckConcurrent {
-    alloc: AtomicShadow,
-    heap: AddrRange,
+/// backend: the same allocation checks over the same lock-free bitmap. Valid
+/// because ADDRCHECK is in the §5.3 synchronization-free class — application
+/// reads *and* writes both map to metadata reads, and the only metadata
+/// writes (malloc/free ConflictAlerts) are ordered against every access by
+/// the captured CA arcs, which the backend's progress-table spin enforces.
+pub(crate) struct AddrCheckConcurrent {
+    shared: AddrShared,
     violations: ViolationLog,
 }
 
@@ -151,7 +169,7 @@ impl std::fmt::Debug for AddrCheckConcurrent {
         // The derived dump would print every materialized 64 KiB chunk; a
         // compact summary beats it.
         f.debug_struct("AddrCheckConcurrent")
-            .field("heap", &self.heap)
+            .field("heap", &self.shared.heap)
             .finish_non_exhaustive()
     }
 }
@@ -160,27 +178,10 @@ impl AddrCheckConcurrent {
     /// A fresh concurrent ADDRCHECK scoped to `heap`. The atomic shadow
     /// grows lazily as allocations arrive, so streams may be ingested
     /// incrementally — no footprint pre-scan.
-    pub fn new(heap: AddrRange) -> Self {
+    pub(crate) fn new(heap: AddrRange) -> Self {
         AddrCheckConcurrent {
-            alloc: AtomicShadow::new(),
-            heap,
+            shared: AddrShared::new(heap),
             violations: ViolationLog::new(),
-        }
-    }
-
-    /// Whether every byte of `range` is inside a live allocation, honoring
-    /// an injected §5.5 versioned snapshot (via the shared
-    /// [`snapshot_coverage`](crate::lifeguard::snapshot_coverage) rule):
-    /// bytes the snapshot covers read the producer's pre-store allocation
-    /// state, everything else the live shadow.
-    fn all_allocated(&self, range: AddrRange, versioned: Option<&VersionedMeta>) -> bool {
-        use crate::lifeguard::{snapshot_byte, snapshot_coverage, SnapshotCoverage};
-        match snapshot_coverage(versioned, range) {
-            SnapshotCoverage::Full(bytes) => bytes.iter().all(|&b| b == ALLOCATED),
-            SnapshotCoverage::Partial(v) => (range.start..range.end()).all(|a| {
-                snapshot_byte(v, a).unwrap_or_else(|| self.alloc.join_range(a, 1)) == ALLOCATED
-            }),
-            SnapshotCoverage::Live => self.alloc.eq_range(range.start, range.len, ALLOCATED),
         }
     }
 }
@@ -193,10 +194,10 @@ impl ConcurrentLifeguard for AddrCheckConcurrent {
                     return;
                 };
                 let range = mem.range();
-                if !self.heap.overlaps(&range) {
+                if !self.shared.heap.overlaps(&range) {
                     return;
                 }
-                if !self.all_allocated(range, versioned) {
+                if !all_allocated(&self.shared.alloc, range, versioned) {
                     self.violations.push(Violation {
                         tid,
                         rid: rec.rid,
@@ -205,21 +206,11 @@ impl ConcurrentLifeguard for AddrCheckConcurrent {
                     });
                 }
             }
-            EventPayload::Ca(ca) => {
-                // Only the issuer updates metadata (remote copies order).
-                if ca.issuer != tid {
-                    return;
-                }
-                match (ca.what, ca.phase, ca.range) {
-                    (HighLevelKind::Malloc, CaPhase::End, Some(range)) => {
-                        self.alloc.fill_range(range.start, range.len, ALLOCATED);
-                    }
-                    (HighLevelKind::Free, CaPhase::Begin, Some(range)) => {
-                        self.alloc.fill_range(range.start, range.len, 0);
-                    }
-                    _ => {}
-                }
+            // Only the issuer updates metadata (remote copies order).
+            EventPayload::Ca(ca) if ca.issuer == tid => {
+                issue_ca(&self.shared.alloc, ca);
             }
+            EventPayload::Ca(_) => {}
         }
     }
 
@@ -228,11 +219,11 @@ impl ConcurrentLifeguard for AddrCheckConcurrent {
     }
 
     fn snapshot_meta(&self, range: AddrRange) -> Vec<u8> {
-        self.alloc.snapshot(range.start, range.len)
+        self.shared.alloc.snapshot(range.start, range.len)
     }
 
     fn fingerprint(&self) -> u64 {
-        self.alloc.fingerprint()
+        self.shared.alloc.fingerprint()
     }
 
     fn violations(&self) -> Vec<Violation> {
@@ -255,7 +246,7 @@ mod tests {
     };
 
     fn setup() -> (Rc<AddrShared>, AddrCheck) {
-        let shared = AddrShared::new(HEAP);
+        let shared = Rc::new(AddrShared::new(HEAP));
         let lg = AddrCheck::new(Rc::clone(&shared), ThreadId(0));
         (shared, lg)
     }

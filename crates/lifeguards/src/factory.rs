@@ -17,28 +17,31 @@
 //!
 //! A factory may additionally provide a [`ConcurrentLifeguard`], the
 //! `Send + Sync` replay form the real-thread backend drives. All five
-//! bundled analyses ship hand-written §5.3 forms: TaintCheck and AddrCheck
-//! are synchronization-free over an
-//! [`AtomicShadow`](paralog_meta::AtomicShadow); MemCheck and LockSet run a
-//! lock-free fast path with a mutex-guarded slow path for their rare
-//! structural events (wholesale malloc/free rewrites, lockset interning —
-//! see [`MemCheckConcurrent`] and [`LockSetConcurrent`]). An out-of-tree
-//! factory either writes its own lock-free form (see
-//! [`LifeguardFactory::concurrent`] for a worked example) or opts into the
-//! generic mutex-serialized [`LockedConcurrent`](crate::LockedConcurrent)
-//! fallback with a one-line override.
+//! bundled analyses ship §5.3 forms over lock-free substrates: the three
+//! byte-shadow analyses on an [`AtomicShadow`](paralog_meta::AtomicShadow)
+//! — TaintCheck and MemCheck as two rule tables over the one
+//! crate-private `dataflow` engine, whose only mutex serializes the
+//! issuers' wholesale malloc/free/`read()` rewrites, AddrCheck with none —
+//! and the two race detectors on a [`WordTable`](paralog_meta::WordTable)
+//! with a mutex-guarded slow path for wide-word interning (see
+//! [`LockSetConcurrent`]). An out-of-tree factory either writes its own
+//! lock-free form (see [`LifeguardFactory::concurrent`] for a worked
+//! example) or opts into the generic mutex-serialized
+//! [`LockedConcurrent`](crate::LockedConcurrent) fallback with a one-line
+//! override.
 
 use crate::addrcheck::{AddrCheck, AddrCheckConcurrent, AddrShared};
+use crate::dataflow::{Dataflow, DataflowConcurrent};
 use crate::happensbefore::{HappensBefore, HappensBeforeConcurrent, HbShared};
 use crate::lifeguard::{Lifeguard, Violation};
 use crate::lockset::{LockSet, LockSetConcurrent, LockSetShared};
-use crate::memcheck::{MemCheck, MemCheckConcurrent, MemShared};
-use crate::taintcheck::{TaintCheck, TaintConcurrent, TaintShared};
+use crate::{memcheck, taintcheck};
 use paralog_events::{AddrRange, EventRecord, Rid, ThreadId};
 use paralog_order::{CaPolicy, RangeEntry};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// The bundled lifeguards, as named in the paper's evaluation (§6) plus the
 /// two discussed qualitatively (§4.1, §5.3). Each kind doubles as the
@@ -234,22 +237,12 @@ impl LifeguardFactory for LifeguardKind {
 
     fn build(&self, heap: AddrRange) -> LifeguardFamily {
         match self {
-            LifeguardKind::TaintCheck => {
-                let shared = TaintShared::new();
-                LifeguardFamily::from_constructor(self.name(), move |tid| {
-                    Box::new(TaintCheck::new(Rc::clone(&shared), tid))
-                })
-            }
+            LifeguardKind::TaintCheck => Dataflow::family(&taintcheck::RULES),
+            LifeguardKind::MemCheck => Dataflow::family(&memcheck::RULES),
             LifeguardKind::AddrCheck => {
-                let shared = AddrShared::new(heap);
+                let shared = Rc::new(AddrShared::new(heap));
                 LifeguardFamily::from_constructor(self.name(), move |tid| {
                     Box::new(AddrCheck::new(Rc::clone(&shared), tid))
-                })
-            }
-            LifeguardKind::MemCheck => {
-                let shared = MemShared::new();
-                LifeguardFamily::from_constructor(self.name(), move |tid| {
-                    Box::new(MemCheck::new(Rc::clone(&shared), tid))
                 })
             }
             LifeguardKind::LockSet => {
@@ -268,20 +261,21 @@ impl LifeguardFactory for LifeguardKind {
     }
 
     fn concurrent(&self, heap: AddrRange, threads: usize) -> Option<Box<dyn ConcurrentLifeguard>> {
-        // All five bundled analyses ship hand-written §5.3 forms: TaintCheck
-        // and AddrCheck are synchronization-free outright; MemCheck,
-        // LockSet, and HappensBefore run a lock-free fast path with a
-        // mutex-guarded slow path for their rare structural events
-        // (wholesale malloc/free rewrites, wide-word interning). None pays
-        // the generic [`LockedConcurrent`](crate::LockedConcurrent)
-        // serialization tax.
-        match self {
-            LifeguardKind::TaintCheck => Some(Box::new(TaintConcurrent::new(threads))),
-            LifeguardKind::AddrCheck => Some(Box::new(AddrCheckConcurrent::new(heap))),
-            LifeguardKind::MemCheck => Some(Box::new(MemCheckConcurrent::new(threads))),
-            LifeguardKind::LockSet => Some(Box::new(LockSetConcurrent::new(threads))),
-            LifeguardKind::HappensBefore => Some(Box::new(HappensBeforeConcurrent::new(threads))),
-        }
+        // All five bundled analyses ship §5.3 forms: AddrCheck is
+        // synchronization-free outright; the dataflow engine, LockSet and
+        // HappensBefore run a lock-free fast path with a mutex-guarded slow
+        // path for their rare structural events (wholesale ConflictAlert
+        // rewrites, wide-word interning). None pays the generic
+        // [`LockedConcurrent`](crate::LockedConcurrent) serialization tax.
+        Some(match self {
+            LifeguardKind::TaintCheck => {
+                Box::new(DataflowConcurrent::new(&taintcheck::RULES, threads))
+            }
+            LifeguardKind::MemCheck => Box::new(DataflowConcurrent::new(&memcheck::RULES, threads)),
+            LifeguardKind::AddrCheck => Box::new(AddrCheckConcurrent::new(heap)),
+            LifeguardKind::LockSet => Box::new(LockSetConcurrent::new(threads)),
+            LifeguardKind::HappensBefore => Box::new(HappensBeforeConcurrent::new(threads)),
+        })
     }
 
     fn builtin_kind(&self) -> Option<LifeguardKind> {
@@ -396,6 +390,48 @@ impl fmt::Display for SessionEvent {
 /// `RunMetrics::events` is unaffected: events are still latched and
 /// collected at session end whether or not an observer is installed.
 pub type SessionEventObserver = Arc<dyn Fn(&SessionEvent) + Send + Sync>;
+
+/// The once-per-session degradation notice of a concurrent form whose
+/// bounded resource can saturate (the race detectors' wide-word interners):
+/// holds the installed [`SessionEventObserver`] and tells it, at most once,
+/// when saturation first latches. The form keeps the saturation flag and
+/// the event text; this keeps who has been told.
+#[derive(Default)]
+pub(crate) struct DegradationNotice {
+    observer: Mutex<Option<SessionEventObserver>>,
+    notified: AtomicBool,
+}
+
+impl DegradationNotice {
+    /// Installs the incremental receiver (live daemon feeds).
+    pub(crate) fn set_observer(&self, observer: SessionEventObserver) {
+        *self.observer.lock().expect("poisoned") = Some(observer);
+    }
+
+    /// Pushes `event()` to the observer the first time it is called with
+    /// `saturated` set; one atomic swap, and only once saturated.
+    pub(crate) fn note(&self, saturated: bool, event: impl FnOnce() -> SessionEvent) {
+        if saturated && !self.notified.swap(true, Ordering::AcqRel) {
+            if let Some(observer) = self.observer.lock().expect("poisoned").as_ref() {
+                observer(&event());
+            }
+        }
+    }
+
+    /// The end-of-run [`ConcurrentLifeguard::session_events`] sweep: the
+    /// event iff the form saturated, observer or not.
+    pub(crate) fn events(
+        &self,
+        saturated: bool,
+        event: impl FnOnce() -> SessionEvent,
+    ) -> Vec<SessionEvent> {
+        if saturated {
+            vec![event()]
+        } else {
+            Vec::new()
+        }
+    }
+}
 
 /// The analysis-wide state the real-thread backend replays: per-record
 /// application from concurrently running worker threads.

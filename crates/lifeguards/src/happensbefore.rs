@@ -61,10 +61,10 @@
 //! order-dependent epoch forward, every form converges on the same
 //! sentinel however the racing accesses interleave.
 
-use crate::factory::{ConcurrentLifeguard, VersionedMeta};
+use crate::factory::{ConcurrentLifeguard, DegradationNotice, VersionedMeta};
 use crate::lifeguard::{
-    AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind, ViolationLog,
+    EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation, ViolationKind,
+    ViolationLog,
 };
 use crate::lockset::SYNC_SPACE_START;
 use paralog_events::{
@@ -75,8 +75,6 @@ use paralog_order::CaPolicy;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Word granularity of race detection (4 bytes, matching LOCKSET).
 const GRANULE: u64 = 4;
@@ -232,7 +230,6 @@ impl HappensBefore {
                 // carry nothing for this analysis (see module docs).
                 ca_policy: CaPolicy::new(),
                 bits_per_byte: 8,
-                atomicity: AtomicityClass::FastPathSlowPath,
             },
         }
     }
@@ -455,10 +452,8 @@ pub struct HappensBeforeConcurrent {
     /// contract, hence [`LaneCell`]s — no lock on the per-access read.
     clocks: Vec<LaneCell<Vec<u32>>>,
     violations: ViolationLog,
-    /// Incremental session-event receiver (live daemon feeds); invoked once
-    /// when saturation first latches.
-    observer: Mutex<Option<crate::SessionEventObserver>>,
-    observer_notified: AtomicBool,
+    /// Tells a live feed's observer, once, when saturation first latches.
+    notice: DegradationNotice,
 }
 
 impl std::fmt::Debug for HappensBeforeConcurrent {
@@ -482,8 +477,7 @@ impl HappensBeforeConcurrent {
                 })
                 .collect(),
             violations: ViolationLog::new(),
-            observer: Mutex::new(None),
-            observer_notified: AtomicBool::new(false),
+            notice: DegradationNotice::default(),
         }
     }
 
@@ -505,12 +499,8 @@ impl HappensBeforeConcurrent {
     /// Pushes the degradation notice to the installed observer the first
     /// time saturation latches.
     fn note_saturation(&self) {
-        if self.words.wide().is_saturated() && !self.observer_notified.swap(true, Ordering::AcqRel)
-        {
-            if let Some(observer) = self.observer.lock().expect("poisoned").as_ref() {
-                observer(&Self::degraded_event());
-            }
-        }
+        self.notice
+            .note(self.words.wide().is_saturated(), Self::degraded_event);
     }
 
     /// Decodes a word on a worker path.
@@ -746,15 +736,12 @@ impl ConcurrentLifeguard for HappensBeforeConcurrent {
     }
 
     fn session_events(&self) -> Vec<crate::SessionEvent> {
-        if self.words.wide().is_saturated() {
-            vec![Self::degraded_event()]
-        } else {
-            Vec::new()
-        }
+        self.notice
+            .events(self.words.wide().is_saturated(), Self::degraded_event)
     }
 
     fn set_event_observer(&self, observer: crate::SessionEventObserver) {
-        *self.observer.lock().expect("poisoned") = Some(observer);
+        self.notice.set_observer(observer);
     }
 }
 

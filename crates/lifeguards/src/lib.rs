@@ -2,13 +2,15 @@
 //!
 //! A *lifeguard* (§2) maintains metadata (shadow state) for every application
 //! memory location and register, updates it on application events, and checks
-//! invariants against it. This crate bundles:
+//! invariants against it. This crate bundles five, each reached through its
+//! [`LifeguardKind`]:
 //!
-//! * [`TaintCheck`] — dynamic taint analysis (the paper's primary lifeguard);
-//! * [`AddrCheck`] — memory-allocation checking (the second evaluated
-//!   lifeguard);
-//! * [`MemCheck`] — initialized-ness tracking (the §4.1 example of high-level
-//!   IT conflicts);
+//! * [`TaintCheck`](LifeguardKind::TaintCheck) — dynamic taint analysis (the
+//!   paper's primary lifeguard);
+//! * [`AddrCheck`](LifeguardKind::AddrCheck) — memory-allocation checking
+//!   (the second evaluated lifeguard);
+//! * [`MemCheck`](LifeguardKind::MemCheck) — initialized-ness tracking (the
+//!   §4.1 example of high-level IT conflicts);
 //! * [`LockSet`] — Eraser-style race detection (the §5.3 example of a
 //!   lifeguard needing the fast-path/slow-path atomicity split);
 //! * [`HappensBefore`] — FastTrack-style happens-before race detection
@@ -19,13 +21,19 @@
 //! [`LifeguardSpec`] the platform wires accelerators from, and the calibrated
 //! [`CostModel`].
 //!
-//! Each bundled analysis also ships a hand-written lock-free
-//! [`ConcurrentLifeguard`] form for real-thread replay ([`TaintConcurrent`],
-//! [`AddrCheckConcurrent`], [`MemCheckConcurrent`], [`LockSetConcurrent`],
-//! [`HappensBeforeConcurrent`]) —
-//! §5.3's synchronization-free fast paths, with mutex-guarded slow paths
-//! only for rare structural events. Out-of-tree analyses start with the
-//! generic [`LockedConcurrent`] adapter and graduate the same way (see
+//! Every analysis comes in two forms: per-thread sequential [`Lifeguard`]s
+//! (what the co-simulation and the deterministic backend drive) and a
+//! `Send + Sync` [`ConcurrentLifeguard`] for real-thread replay — §5.3's
+//! synchronization-free fast paths, with mutex-guarded slow paths only for
+//! rare structural events. The three byte-shadow analyses are written once
+//! and driven both ways: TaintCheck and MemCheck are two rule tables over
+//! the crate-private `dataflow` engine (one transfer function, both forms),
+//! and AddrCheck's two thin forms call one check and one malloc/free update.
+//! The two race detectors keep a sequential `HashMap` model beside their CAS
+//! form ([`LockSetConcurrent`], [`HappensBeforeConcurrent`]) on purpose: no
+//! sequential reference covers them, so the model is what the parity suites
+//! check the CAS form against. Out-of-tree analyses start with the generic
+//! [`LockedConcurrent`] adapter and graduate the same way (see
 //! [`factory::LifeguardFactory::concurrent`]).
 //!
 //! # Example
@@ -52,6 +60,7 @@
 
 pub mod addrcheck;
 pub mod cost;
+mod dataflow;
 pub mod factory;
 pub mod happensbefore;
 pub mod lifeguard;
@@ -60,7 +69,7 @@ pub mod lockset;
 pub mod memcheck;
 pub mod taintcheck;
 
-pub use addrcheck::{AddrCheck, AddrCheckConcurrent, AddrShared, ALLOCATED};
+pub use addrcheck::ALLOCATED;
 pub use cost::CostModel;
 pub use factory::{
     ConcurrentLifeguard, LifeguardFactory, LifeguardFamily, LifeguardKind, LifeguardRegistry,
@@ -68,10 +77,10 @@ pub use factory::{
 };
 pub use happensbefore::{HappensBefore, HappensBeforeConcurrent, HbShared, HbWide};
 pub use lifeguard::{
-    join_atomic_shadow, snapshot_byte, snapshot_coverage, AtomicityClass, EventView, Fingerprint,
-    HandlerCtx, Lifeguard, LifeguardSpec, SnapshotCoverage, Violation, ViolationKind, ViolationLog,
+    join_atomic_shadow, snapshot_byte, snapshot_coverage, EventView, Fingerprint, HandlerCtx,
+    Lifeguard, LifeguardSpec, SnapshotCoverage, Violation, ViolationKind, ViolationLog,
 };
 pub use locked::LockedConcurrent;
 pub use lockset::{LockSet, LockSetConcurrent, LockSetShared, VarState};
-pub use memcheck::{MemCheck, MemCheckConcurrent, MemShared, UNDEFINED};
-pub use taintcheck::{TaintCheck, TaintConcurrent, TaintShared, TAINTED};
+pub use memcheck::UNDEFINED;
+pub use taintcheck::TAINTED;

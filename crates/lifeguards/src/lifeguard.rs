@@ -25,18 +25,6 @@ pub enum EventView {
     Check,
 }
 
-/// Metadata-atomicity class per §5.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicityClass {
-    /// Conditions 1–3 hold: application reads map to metadata reads only;
-    /// enforced arcs alone guarantee atomicity (synchronization-free).
-    SyncFree,
-    /// Condition 2 violated (metadata writes in read handlers): the
-    /// lifeguard uses the synchronization-free fast path plus a locked slow
-    /// path; the platform charges the slow-path synchronization cost.
-    FastPathSlowPath,
-}
-
 /// Declarative description the platform uses to wire a lifeguard.
 #[derive(Debug, Clone)]
 pub struct LifeguardSpec {
@@ -54,8 +42,6 @@ pub struct LifeguardSpec {
     pub ca_policy: CaPolicy,
     /// Metadata bits per application byte (shadow width).
     pub bits_per_byte: u32,
-    /// §5.3 atomicity class.
-    pub atomicity: AtomicityClass,
 }
 
 impl LifeguardSpec {
@@ -301,8 +287,10 @@ impl HandlerCtx {
 
 /// One lifeguard thread's analysis logic.
 ///
-/// Implementations share analysis-wide state (the global metadata of
-/// Figure 2) behind `Rc<RefCell<_>>`; the platform guarantees handlers run
+/// The threads of one family share analysis-wide state (the global metadata
+/// of Figure 2) through an `Rc` — of the lock-free
+/// [`AtomicShadow`] for the three byte-shadow analyses, of a `RefCell`ed
+/// model for the two race detectors; the platform guarantees handlers run
 /// atomically and in dependence order, which is what makes the shared access
 /// sound (§5.3).
 pub trait Lifeguard: fmt::Debug {

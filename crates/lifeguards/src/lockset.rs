@@ -11,10 +11,10 @@
 //! [`CostModel::slow_path_sync`](crate::cost::CostModel::slow_path_sync) when
 //! [`HandlerCtx::slow_path`] is set.
 
-use crate::factory::{ConcurrentLifeguard, VersionedMeta};
+use crate::factory::{ConcurrentLifeguard, DegradationNotice, VersionedMeta};
 use crate::lifeguard::{
-    AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation,
-    ViolationKind, ViolationLog,
+    EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardSpec, Violation, ViolationKind,
+    ViolationLog,
 };
 use paralog_events::{
     check_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MetaOp,
@@ -25,8 +25,6 @@ use paralog_order::CaPolicy;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Eraser's per-variable state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +94,6 @@ impl LockSet {
                 uses_mtlb: true,
                 ca_policy: CaPolicy::new(),
                 bits_per_byte: 8,
-                atomicity: AtomicityClass::FastPathSlowPath,
             },
         }
     }
@@ -270,11 +267,8 @@ pub struct LockSetConcurrent {
     /// per-access read.
     held: Vec<std::sync::atomic::AtomicU64>,
     violations: ViolationLog,
-    /// Incremental session-event receiver (live daemon feeds); invoked once
-    /// when saturation first latches.
-    observer: Mutex<Option<crate::SessionEventObserver>>,
-    /// Whether the observer already saw the saturation event.
-    observer_notified: AtomicBool,
+    /// Tells a live feed's observer, once, when saturation first latches.
+    notice: DegradationNotice,
 }
 
 impl std::fmt::Debug for LockSetConcurrent {
@@ -298,8 +292,7 @@ impl LockSetConcurrent {
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
             violations: ViolationLog::new(),
-            observer: Mutex::new(None),
-            observer_notified: AtomicBool::new(false),
+            notice: DegradationNotice::default(),
         }
     }
 
@@ -322,12 +315,8 @@ impl LockSetConcurrent {
     /// (the only place saturation can newly occur); the check is one
     /// acquire load on a path that already took the interner mutex.
     fn note_saturation(&self) {
-        if self.words.wide().is_saturated() && !self.observer_notified.swap(true, Ordering::AcqRel)
-        {
-            if let Some(observer) = self.observer.lock().expect("poisoned").as_ref() {
-                observer(&Self::degraded_event());
-            }
-        }
+        self.notice
+            .note(self.words.wide().is_saturated(), Self::degraded_event);
     }
 
     /// One Eraser transition from entry word `cur` — the state machine
@@ -559,15 +548,12 @@ impl ConcurrentLifeguard for LockSetConcurrent {
     }
 
     fn session_events(&self) -> Vec<crate::SessionEvent> {
-        if self.words.wide().is_saturated() {
-            vec![Self::degraded_event()]
-        } else {
-            Vec::new()
-        }
+        self.notice
+            .events(self.words.wide().is_saturated(), Self::degraded_event)
     }
 
     fn set_event_observer(&self, observer: crate::SessionEventObserver) {
-        *self.observer.lock().expect("poisoned") = Some(observer);
+        self.notice.set_observer(observer);
     }
 }
 

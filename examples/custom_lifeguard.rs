@@ -20,8 +20,8 @@
 use paralog::core::{MonitorSession, ReplaySource};
 use paralog::events::{AccessKind, AddrRange, CaRecord, MetaOp, Rid, ThreadId};
 use paralog::lifeguards::{
-    AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardFactory,
-    LifeguardFamily, LifeguardKind, LifeguardRegistry, LifeguardSpec, Violation, ViolationKind,
+    EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardFactory, LifeguardFamily,
+    LifeguardKind, LifeguardRegistry, LifeguardSpec, Violation, ViolationKind,
 };
 use paralog::order::CaPolicy;
 use paralog::workloads::{Benchmark, WorkloadSpec};
@@ -60,7 +60,6 @@ impl AccessProfiler {
                 uses_mtlb: false,
                 ca_policy: CaPolicy::new(), // no high-level subscriptions
                 bits_per_byte: 0,           // no byte-granular shadow
-                atomicity: AtomicityClass::SyncFree,
             },
         }
     }

@@ -8,10 +8,9 @@
 //!   `LockedConcurrent` mutex anymore — while a custom factory still opts
 //!   into the locked fallback with the documented one-liner (and stays
 //!   sequential-only without one);
-//! * `MemCheckConcurrent` and `LockSetConcurrent` replay SC and TSO
-//!   captures on `ThreadedBackend` with fingerprints and violations
-//!   identical to the deterministic backend — from the raw captured
-//!   records and from the codec wire form;
+//! * the concurrent forms replay SC and TSO captures on `ThreadedBackend`
+//!   with fingerprints and violations identical to the deterministic
+//!   backend — from the raw captured records and from the codec wire form;
 //! * under genuine thread races (the nightly TSan job's target) the
 //!   lock-free fast paths converge to the sequential analyses' metadata
 //!   and never double-report.
@@ -23,7 +22,7 @@ use paralog::core::{
 use paralog::events::codec::encode;
 use paralog::events::{
     AddrRange, ArcKind, CaPhase, CaRecord, DependenceArc, EventRecord, HighLevelKind, Instr,
-    LockId, MemRef, Op, Reg, Rid, SyscallKind, ThreadId,
+    LockId, MemRef, Op, Reg, Rid, SyscallKind, ThreadId, VersionId,
 };
 use paralog::lifeguards::{
     ConcurrentLifeguard, EventView, HandlerCtx, LifeguardFactory, LifeguardFamily, LifeguardKind,
@@ -56,12 +55,14 @@ fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {
 
 /// Regression for the retirement: every bundled analysis resolves to its
 /// hand-written lock-free concurrent form, not the generic mutex adapter.
+/// The forms are crate-private; each one's `Debug` names the analysis it
+/// runs (the dataflow engine serves two).
 #[test]
 fn all_bundled_kinds_resolve_to_lock_free_concurrent_forms() {
     let expected = [
-        (LifeguardKind::TaintCheck, "TaintConcurrent"),
-        (LifeguardKind::AddrCheck, "AddrCheckConcurrent"),
-        (LifeguardKind::MemCheck, "MemCheckConcurrent"),
+        (LifeguardKind::TaintCheck, "TaintCheck"),
+        (LifeguardKind::AddrCheck, "AddrCheck"),
+        (LifeguardKind::MemCheck, "MemCheck"),
         (LifeguardKind::LockSet, "LockSetConcurrent"),
         (LifeguardKind::HappensBefore, "HappensBeforeConcurrent"),
     ];
@@ -280,16 +281,16 @@ fn dekker_memcheck(pad: usize) -> Workload {
     }
 }
 
-/// Acceptance: a §5.5 versioned MEMCHECK stream replays on
-/// `ThreadedBackend` with fingerprints and violations identical to
-/// `DeterministicBackend` — raw capture and codec wire form.
-#[test]
-fn memcheck_tso_capture_replays_identically_on_both_backends() {
+/// Acceptance: a §5.5 versioned stream replays on `ThreadedBackend` with
+/// fingerprints and violations identical to `DeterministicBackend` — raw
+/// capture and codec wire form — under each byte-shadow lifeguard (the
+/// Dekker sides malloc, so every kind has metadata for the versions to
+/// carry).
+fn dekker_tso_capture_replays_identically_on_both_backends(kind: LifeguardKind) {
     let mut any_versions = 0u64;
     for pad in [0usize, 1, 2, 3, 5, 8] {
         let w = dekker_memcheck(pad);
-        let mut cfg =
-            MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::MemCheck).with_tso();
+        let mut cfg = MonitorConfig::new(MonitoringMode::Parallel, kind).with_tso();
         cfg.collect_streams = true;
         let live = Platform::run(&w, &cfg).metrics;
         let streams = live.streams.clone().expect("collection enabled");
@@ -297,7 +298,7 @@ fn memcheck_tso_capture_replays_identically_on_both_backends() {
 
         let det = MonitorSession::builder()
             .source(ReplaySource::new(streams.clone(), w.heap))
-            .lifeguard(LifeguardKind::MemCheck)
+            .lifeguard(kind)
             .backend(DeterministicBackend)
             .build()
             .unwrap()
@@ -305,12 +306,12 @@ fn memcheck_tso_capture_replays_identically_on_both_backends() {
             .unwrap();
         assert_eq!(
             det.metrics.fingerprint, live.fingerprint,
-            "pad={pad}: deterministic ingestion diverged from the live run"
+            "{kind} pad={pad}: deterministic ingestion diverged from the live run"
         );
 
         let thr = MonitorSession::builder()
             .source(ReplaySource::new(streams.clone(), w.heap))
-            .lifeguard(LifeguardKind::MemCheck)
+            .lifeguard(kind)
             .backend(ThreadedBackend)
             .build()
             .unwrap()
@@ -318,12 +319,12 @@ fn memcheck_tso_capture_replays_identically_on_both_backends() {
             .unwrap();
         assert_eq!(
             thr.metrics.fingerprint, det.metrics.fingerprint,
-            "pad={pad}: threaded TSO replay diverged on final metadata"
+            "{kind} pad={pad}: threaded TSO replay diverged on final metadata"
         );
         assert_eq!(
             violation_keys(&thr.metrics.violations),
             violation_keys(&det.metrics.violations),
-            "pad={pad}: threaded TSO replay diverged on violations"
+            "{kind} pad={pad}: threaded TSO replay diverged on violations"
         );
         assert_eq!(thr.metrics.versions_produced, live.versions_produced);
         assert_eq!(thr.metrics.versions_consumed, live.versions_consumed);
@@ -332,7 +333,7 @@ fn memcheck_tso_capture_replays_identically_on_both_backends() {
         let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(64);
         let wire = MonitorSession::builder()
             .source(src)
-            .lifeguard(LifeguardKind::MemCheck)
+            .lifeguard(kind)
             .backend(ThreadedBackend)
             .build()
             .unwrap()
@@ -340,14 +341,98 @@ fn memcheck_tso_capture_replays_identically_on_both_backends() {
             .unwrap();
         assert_eq!(
             wire.metrics.fingerprint, det.metrics.fingerprint,
-            "pad={pad}: codec-decoded TSO replay diverged"
+            "{kind} pad={pad}: codec-decoded TSO replay diverged"
         );
     }
     assert!(
         any_versions > 0,
-        "no pad manifested a store-buffer version; the §5.5 MemCheck path \
+        "{kind}: no pad manifested a store-buffer version; its §5.5 path \
          went untested"
     );
+}
+
+#[test]
+fn memcheck_tso_capture_replays_identically_on_both_backends() {
+    for kind in [
+        LifeguardKind::TaintCheck,
+        LifeguardKind::AddrCheck,
+        LifeguardKind::MemCheck,
+    ] {
+        dekker_tso_capture_replays_identically_on_both_backends(kind);
+    }
+}
+
+/// A consumed §5.5 version is the metadata the consumer *logically* read:
+/// T1's load of X was satisfied before T0's store to X became visible, hence
+/// before the malloc that follows that store, so ADDRCHECK must judge it
+/// against the producer's pre-store snapshot (unallocated) on every backend
+/// — not against the live shadow, which by delivery time (the arc to the
+/// malloc) says allocated.
+#[test]
+fn addrcheck_versioned_read_agrees_across_backends() {
+    let heap = AddrRange::new(0x1000_0000, 0x10000);
+    let x = MemRef::new(heap.start + 0x40, 4);
+    let version = VersionId {
+        consumer: ThreadId(1),
+        consumer_rid: Rid(1),
+    };
+
+    let mut produce = store(1, x.addr);
+    produce.produce_versions.push((version, x, 1));
+    let malloc = EventRecord::ca(
+        Rid(2),
+        CaRecord {
+            what: HighLevelKind::Malloc,
+            phase: CaPhase::End,
+            range: Some(AddrRange::new(heap.start, 0x100)),
+            issuer: ThreadId(0),
+            issuer_rid: Rid(2),
+            seq: u64::MAX, // own-stream record: no cross-thread ordering
+        },
+    );
+    let mut consume = EventRecord::instr(
+        Rid(1),
+        Instr::Load {
+            dst: Reg(0),
+            src: x,
+        },
+    );
+    consume.consume_version = Some((version, x));
+    consume.arcs.push(DependenceArc {
+        src: ThreadId(0),
+        src_rid: Rid(2),
+        kind: ArcKind::Raw,
+    });
+    let streams = vec![vec![produce, malloc], vec![consume]];
+
+    let det = MonitorSession::builder()
+        .source(ReplaySource::new(streams.clone(), heap))
+        .lifeguard(LifeguardKind::AddrCheck)
+        .backend(DeterministicBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let thr = MonitorSession::builder()
+        .source(ReplaySource::new(streams, heap))
+        .lifeguard(LifeguardKind::AddrCheck)
+        .backend(ThreadedBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let unallocated = |tid, rid| (tid, rid, ViolationKind::UnallocatedAccess);
+    assert_eq!(
+        violation_keys(&det.metrics.violations),
+        vec![unallocated(0, 1), unallocated(1, 1)],
+        "the producer's store and the consumer's versioned load both \
+         precede the malloc"
+    );
+    assert_eq!(
+        violation_keys(&thr.metrics.violations),
+        violation_keys(&det.metrics.violations)
+    );
+    assert_eq!(thr.metrics.fingerprint, det.metrics.fingerprint);
 }
 
 /// TSO *workloads* replay end to end through the new forms on the

@@ -24,8 +24,8 @@ use paralog::events::{
     MemRef, MetaOp, Reg, Rid, SyscallKind, ThreadId,
 };
 use paralog::lifeguards::{
-    AtomicityClass, EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardFactory,
-    LifeguardFamily, LifeguardKind, LifeguardRegistry, LifeguardSpec, Violation, ViolationKind,
+    EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardFactory, LifeguardFamily,
+    LifeguardKind, LifeguardRegistry, LifeguardSpec, Violation, ViolationKind,
 };
 use paralog::order::CaPolicy;
 use paralog::workloads::{Benchmark, Workload, WorkloadSpec};
@@ -160,7 +160,9 @@ fn every_replay_driver_matches_the_sequential_reference() {
 /// container changes shape: a ~200 KiB allocation across four chunks and a
 /// directory-table seam, 4-byte accesses before, across and after every
 /// chunk boundary inside it, and one store to the simulator's far sentinel
-/// in the spill tier.
+/// in the spill tier. The two dataflow forms also share their transfer
+/// function, so the stream carries every `dataflow_view` arm: sequential
+/// against lane no longer cross-checks propagation, this does.
 fn forms_match_the_oracle_across_shadow_seams(kind: LifeguardKind) {
     const CHUNK: u64 = 64 * 1024;
     const TABLE_SEAM: u64 = 512 * CHUNK;
@@ -205,6 +207,44 @@ fn forms_match_the_oracle_across_shadow_seams(kind: LifeguardKind) {
         instr(
             &mut records,
             store(block.end() + 0x100 + 8 * i as u64, dirty),
+        );
+    }
+    // The remaining arms of the transfer function both forms now share,
+    // each result carried to its own word past the block: a move, a unary
+    // op, a join of a clean and a dirty register (dirty second, so copying
+    // `a` would show), a join with a dirty word of the block, and a swap
+    // that leaves that word clean and the register dirty.
+    let word = |i: u64| MemRef::new(block.start + 0x40 * (i + 1), 4);
+    let arms = [
+        Instr::MovRR {
+            dst: Reg::new(2),
+            src: dirty,
+        },
+        Instr::Alu1 {
+            dst: Reg::new(2),
+            a: dirty,
+        },
+        Instr::Alu2 {
+            dst: Reg::new(2),
+            a: clean,
+            b: dirty,
+        },
+        Instr::AluMem {
+            dst: Reg::new(2),
+            a: clean,
+            src: word(0),
+        },
+        Instr::Rmw {
+            mem: word(1),
+            reg: Reg::new(2),
+        },
+    ];
+    for (i, arm) in arms.into_iter().enumerate() {
+        instr(&mut records, Instr::MovRI { dst: Reg::new(2) });
+        instr(&mut records, arm);
+        instr(
+            &mut records,
+            store(block.end() + 0x400 + 8 * i as u64, Reg::new(2)),
         );
     }
     instr(&mut records, store(0xFFF_FFFF_F000, dirty));
@@ -690,7 +730,6 @@ impl LifeguardFactory for WriteTallyFactory {
                     uses_mtlb: false,
                     ca_policy: CaPolicy::new(),
                     bits_per_byte: 0,
-                    atomicity: AtomicityClass::SyncFree,
                 },
             })
         })

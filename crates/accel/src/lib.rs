@@ -28,6 +28,7 @@
 //! assert_eq!(it.advertisable_progress(), Rid(9));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod ifilter;

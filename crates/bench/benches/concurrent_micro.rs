@@ -3,28 +3,23 @@
 //! Two questions, answered on real OS threads:
 //!
 //! * **`concurrent_replay` / `memcheck_replay` / `lockset_replay` /
-//!   `happensbefore_replay`** — what does the generic [`LockedConcurrent`]
-//!   fallback's mutex cost each bundled analysis, versus the lock-free §5.3
-//!   form its [`LifeguardKind`] resolves to? Each series replays identical
-//!   fast-path-shaped per-thread streams through both forms; the ratio is
-//!   the serialization tax quoted in the PR description / ROADMAP (AddrCheck
-//!   for the IF class, MemCheck for the dataflow engine's propagation,
-//!   LockSet and HappensBefore for the fast-path/slow-path race-detection
-//!   class).
+//!   `happensbefore_replay`** — what does the lock-free §5.3 form each
+//!   [`LifeguardKind`] resolves to cost per record at two and four threads?
+//!   Each series replays fast-path-shaped per-thread streams (AddrCheck for
+//!   the IF class, MemCheck for the dataflow engine's propagation, LockSet
+//!   and HappensBefore for the fast-path/slow-path race-detection class).
 //! * **`concurrent_versions`** — what does the §5.5 produce→consume
 //!   hand-off cost through the one mutex of [`VersionTable`], both
 //!   uncontended (one thread doing the whole lifecycle, comparable with
 //!   `bench_versions`' single-thread series) and as a genuine cross-thread
 //!   hand-off with a polling consumer?
-//!
-//! [`LockedConcurrent`]: paralog_lifeguards::LockedConcurrent
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
     ThreadId, VersionId,
 };
-use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind, LockedConcurrent};
+use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind};
 use paralog_meta::VersionTable;
 
 const HEAP: AddrRange = AddrRange {
@@ -35,24 +30,16 @@ const HEAP: AddrRange = AddrRange {
 /// Records per thread and per iteration in the replay series.
 const RECORDS: u64 = 4096;
 
-/// One thread's arc-free, violation-free check stream: a malloc of its own
-/// slab, then loads and stores inside it — the §5.3 fast-path shape where
-/// the locked fallback's mutex is pure overhead.
-fn check_stream(tid: u16) -> Vec<EventRecord> {
-    let slab = AddrRange::new(HEAP.start + u64::from(tid) * 0x10_000, 0x8000);
-    let mut recs = vec![EventRecord::ca(
-        Rid(1),
-        CaRecord {
-            what: HighLevelKind::Malloc,
-            phase: CaPhase::End,
-            range: Some(slab),
-            issuer: ThreadId(tid),
-            issuer_rid: Rid(1),
-            seq: u64::MAX, // own-stream record: no cross-thread ordering
-        },
-    )];
+/// One thread's arc-free, violation-free stream: `head`, then alternating
+/// loads and stores of `size` bytes walking `slab` in `stride` steps — after
+/// the first pass every access is its analysis' §5.3 fast path.
+fn slab_stream(head: EventRecord, slab: AddrRange, size: u8, stride: u64) -> Vec<EventRecord> {
+    let mut recs = vec![head];
     for i in 0..RECORDS {
-        let mem = MemRef::new(slab.start + (i * 16) % (slab.len - 8), 8);
+        let mem = MemRef::new(
+            slab.start + (i * stride) % (slab.len - u64::from(size)),
+            size,
+        );
         let instr = if i % 2 == 0 {
             Instr::Load {
                 dst: Reg(0),
@@ -67,6 +54,53 @@ fn check_stream(tid: u16) -> Vec<EventRecord> {
         recs.push(EventRecord::instr(Rid(i + 2), instr));
     }
     recs
+}
+
+/// An own-stream ConflictAlert (no cross-thread ordering).
+fn own_ca(tid: u16, what: HighLevelKind, range: Option<AddrRange>) -> EventRecord {
+    EventRecord::ca(
+        Rid(1),
+        CaRecord {
+            what,
+            phase: CaPhase::End,
+            range,
+            issuer: ThreadId(tid),
+            issuer_rid: Rid(1),
+            seq: u64::MAX,
+        },
+    )
+}
+
+/// The byte-shadow analyses' check stream: a malloc of an own heap slab,
+/// then 8-byte accesses inside it.
+fn check_stream(tid: u16) -> Vec<EventRecord> {
+    let slab = AddrRange::new(HEAP.start + u64::from(tid) * 0x10_000, 0x8000);
+    slab_stream(own_ca(tid, HighLevelKind::Malloc, Some(slab)), slab, 8, 16)
+}
+
+/// An exclusive slab in data space, well below the sync-object region, for
+/// the race detectors: 32-byte (8-granule) accesses — the memcpy/struct-sweep
+/// shape — make each record a run of per-granule checks.
+fn race_slab(tid: u16) -> AddrRange {
+    AddrRange::new(0x0100_0000 + u64::from(tid) * 0x10_000, 0x8000)
+}
+
+/// LOCKSET's stream: acquire an own lock, then same-thread `Exclusive`
+/// re-accesses (a single load-acquire each).
+fn lockset_stream(tid: u16) -> Vec<EventRecord> {
+    let lock = HighLevelKind::Lock(LockId(u32::from(tid)));
+    slab_stream(own_ca(tid, lock, None), race_slab(tid), 32, 32)
+}
+
+/// HAPPENSBEFORE's stream: one `Rmw` on an own sync word establishes the
+/// thread's epoch, then same-epoch re-accesses (a single load-acquire each).
+fn happensbefore_stream(tid: u16) -> Vec<EventRecord> {
+    let own_lock = paralog_lifeguards::lockset::SYNC_SPACE_START + u64::from(tid) * 64;
+    let head = Instr::Rmw {
+        mem: MemRef::new(own_lock, 8),
+        reg: Reg(0),
+    };
+    slab_stream(EventRecord::instr(Rid(1), head), race_slab(tid), 32, 32)
 }
 
 /// Replays one pre-built stream per thread against `conc` on real threads.
@@ -83,89 +117,9 @@ fn replay(conc: &dyn ConcurrentLifeguard, streams: &[Vec<EventRecord>]) {
     });
 }
 
-/// One thread's lock-disciplined check stream for LOCKSET: acquire an own
-/// lock, then loads and stores inside an exclusive slab — after the first
-/// touch every access is the §5.3 fast path (same-thread `Exclusive`
-/// re-access, a single load-acquire), where the locked fallback's mutex is
-/// pure overhead.
-fn lockset_stream(tid: u16) -> Vec<EventRecord> {
-    // Data space well below the sync-object region.
-    let slab = AddrRange::new(0x0100_0000 + u64::from(tid) * 0x10_000, 0x8000);
-    let mut recs = vec![EventRecord::ca(
-        Rid(1),
-        CaRecord {
-            what: HighLevelKind::Lock(LockId(u32::from(tid))),
-            phase: CaPhase::End,
-            range: None,
-            issuer: ThreadId(tid),
-            issuer_rid: Rid(1),
-            seq: u64::MAX, // own-stream record: no cross-thread ordering
-        },
-    )];
-    for i in 0..RECORDS {
-        // 32-byte (8-granule) accesses — the memcpy/struct-sweep shape —
-        // so each record is a run of Eraser state-machine checks: after the
-        // first pass all of them are the §5.3 fast path (same-thread
-        // `Exclusive` re-access), where the locked fallback still pays its
-        // mutex plus the sequential handler's per-record bookkeeping.
-        let mem = MemRef::new(slab.start + (i * 32) % (slab.len - 32), 32);
-        let instr = if i % 2 == 0 {
-            Instr::Load {
-                dst: Reg(0),
-                src: mem,
-            }
-        } else {
-            Instr::Store {
-                dst: mem,
-                src: Reg(0),
-            }
-        };
-        recs.push(EventRecord::instr(Rid(i + 2), instr));
-    }
-    recs
-}
-
-/// One thread's sync-disciplined check stream for HAPPENSBEFORE: one `Rmw`
-/// on an own per-thread sync word establishes the thread's epoch, then loads
-/// and stores inside an exclusive slab — after the first touch of each
-/// granule every access is the §5.3 fast path (same-epoch re-access, a
-/// single load-acquire), where the locked fallback's mutex is pure overhead.
-fn happensbefore_stream(tid: u16) -> Vec<EventRecord> {
-    let own_lock = paralog_lifeguards::lockset::SYNC_SPACE_START + u64::from(tid) * 64;
-    // Data space well below the sync-object region.
-    let slab = AddrRange::new(0x0100_0000 + u64::from(tid) * 0x10_000, 0x8000);
-    let mut recs = vec![EventRecord::instr(
-        Rid(1),
-        Instr::Rmw {
-            mem: MemRef::new(own_lock, 8),
-            reg: Reg(0),
-        },
-    )];
-    for i in 0..RECORDS {
-        // 32-byte (8-granule) accesses — the memcpy/struct-sweep shape —
-        // so each record is a run of FastTrack epoch checks: after the
-        // first pass all of them are same-epoch re-accesses.
-        let mem = MemRef::new(slab.start + (i * 32) % (slab.len - 32), 32);
-        let instr = if i % 2 == 0 {
-            Instr::Load {
-                dst: Reg(0),
-                src: mem,
-            }
-        } else {
-            Instr::Store {
-                dst: mem,
-                src: Reg(0),
-            }
-        };
-        recs.push(EventRecord::instr(Rid(i + 2), instr));
-    }
-    recs
-}
-
-/// Benchmarks one bundled analysis' lock-free form against the generic
-/// [`LockedConcurrent`] wrapping of the same family, over identical
-/// per-thread streams on real threads.
-fn bench_lockfree_vs_locked(
+/// Benchmarks one bundled analysis' concurrent form over per-thread streams
+/// on real threads.
+fn bench_replay(
     c: &mut Criterion,
     group_name: &str,
     kind: LifeguardKind,
@@ -177,25 +131,15 @@ fn bench_lockfree_vs_locked(
         group.sample_size(10);
         group.throughput(Throughput::Elements(threads as u64 * RECORDS));
 
-        // The lock-free §5.3 form every session replays.
-        let free = kind
+        // The series keeps the name it had beside the deleted `locked` one,
+        // so readings stay comparable across that change.
+        let conc = kind
             .concurrent(HEAP, threads)
             .expect("bundled kinds replay");
         group.bench_function(BenchmarkId::new("lockfree", threads), |b| {
             b.iter(|| {
-                replay(&*free, &streams);
-                black_box(free.fingerprint())
-            })
-        });
-
-        // The generic mutex-serialized fallback this analysis used before
-        // it graduated.
-        // SAFETY: the bundled families are self-contained.
-        let locked = unsafe { LockedConcurrent::new(kind.build(HEAP), threads) };
-        group.bench_function(BenchmarkId::new("locked", threads), |b| {
-            b.iter(|| {
-                replay(&locked, &streams);
-                black_box(locked.fingerprint())
+                replay(&*conc, &streams);
+                black_box(conc.fingerprint())
             })
         });
         group.finish();
@@ -219,7 +163,7 @@ fn bench_concurrent_replay(c: &mut Criterion) {
         ),
     ];
     for (group, kind, stream) in series {
-        bench_lockfree_vs_locked(c, group, kind, stream);
+        bench_replay(c, group, kind, stream);
     }
 }
 

@@ -1,18 +1,16 @@
 //! Shared helpers for the ParaLog benchmark harness.
 //!
-//! The `bin/` targets regenerate the paper's tables and figures in full;
-//! the criterion `benches/` run the same sweeps at reduced scale so they
-//! finish in a benchmarking session.
+//! The `bin/` targets regenerate the paper's tables and figures and the
+//! checked-in `BENCH_*.json` snapshots; `benches/concurrent_micro.rs` times
+//! the lifeguards' concurrent forms on real threads.
+
+#![forbid(unsafe_code)]
 
 pub mod snapshot;
 
 /// Workload scale used by the full figure binaries (relative to the
 /// calibrated base duration).
 pub const FULL_SCALE: f64 = 1.0;
-
-/// Workload scale used by criterion benches (kept small so each iteration
-/// is tens of milliseconds).
-pub const BENCH_SCALE: f64 = 0.05;
 
 /// Parses an optional `--scale <f64>` command-line override. A `--scale`
 /// without a positive number after it ends the process with exit code 2
@@ -45,9 +43,6 @@ pub fn quick_requested() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Compile-time sanity: criterion runs must stay cheaper than full runs.
-    const _: () = assert!(FULL_SCALE > BENCH_SCALE);
 
     #[test]
     fn defaults_are_sane() {

@@ -3,8 +3,8 @@
 //! Each `figure*` function runs the corresponding sweep and returns
 //! structured rows; `render_*` turns them into the text tables the
 //! `paralog-bench` binaries print. Absolute cycle counts differ from the
-//! paper's Simics testbed; the claims under test are the *shapes* (see
-//! EXPERIMENTS.md).
+//! paper's Simics testbed; the claims under test are the *shapes*
+//! (`tests/figure_shapes.rs` asserts them).
 
 use crate::config::{MonitorConfig, MonitoringMode};
 use crate::platform::Platform;

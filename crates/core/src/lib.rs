@@ -40,6 +40,7 @@
 //! assert!(slowdown >= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod config;

@@ -16,7 +16,7 @@ use paralog_order::CaptureStats;
 pub const TRANSPORT_BYTES_PER_CYCLE: u64 = 16;
 
 /// Figure-7-style *per-phase* timed breakdown of a captured-stream replay
-/// under the DES cost model.
+/// through the sequential loop under the DES cost model.
 ///
 /// Where [`LgBuckets`] decomposes a co-simulated lifeguard's time by *why*
 /// it was (or was not) making progress, this decomposes an **ingestion**
@@ -142,7 +142,8 @@ pub struct RunMetrics {
     pub app_threads: usize,
     /// Completion time of the application side (cycles).
     pub app_finish: u64,
-    /// Completion time of the lifeguard side (cycles; 0 when unmonitored).
+    /// Completion time of the lifeguard side (cycles; 0 when unmonitored
+    /// and for lane runs, which model no cycles).
     pub lg_finish: u64,
     /// Per-application-thread buckets.
     pub app: Vec<AppBuckets>,
@@ -181,10 +182,13 @@ pub struct RunMetrics {
     /// [`SessionEvent::DegradedPrecision`] notice when an interner saturates
     /// and the analysis falls back to a sound over-approximation).
     pub events: Vec<SessionEvent>,
-    /// Per-phase timed breakdown when the run replayed *captured* streams
-    /// (raw or wire) under the DES cycle model. `None` for co-simulated or
-    /// wall-clock (threaded) runs, whose time is bucketed in
-    /// [`lifeguard`](Self::lifeguard) instead.
+    /// Per-phase timed breakdown: `Some` exactly when
+    /// `DeterministicBackend` replayed *captured* streams (raw or wire)
+    /// through the sequential loop under the DES cycle model. `None` for
+    /// co-simulated runs, whose time is bucketed in
+    /// [`lifeguard`](Self::lifeguard) instead, and for every lane run
+    /// (`ThreadedBackend`, `CoopSession`, `paralogd`), which is wall-clock
+    /// and models no cycles.
     pub phases: Option<PhaseBreakdown>,
 }
 

@@ -7,8 +7,11 @@
 //! * [`DeterministicBackend`] — the paper's cycle-accurate discrete-event
 //!   simulation. A workload input is co-simulated end to end (application
 //!   cores, capture, rings, lifeguard cores); a stream input is ingested
-//!   lifeguard-only, enforcing the captured dependence arcs but without
-//!   timing (externally captured logs have no machine to time);
+//!   lifeguard-only by the sequential reference loop, enforcing the
+//!   captured dependence arcs — no machine is timed, but each record is
+//!   charged under the cost model and the run reports a
+//!   [`PhaseBreakdown`]. This is also the one route for a factory with no
+//!   concurrent form;
 //! * [`ThreadedBackend`] — real OS threads replaying the streams against the
 //!   lifeguard's `Send + Sync` concurrent form: one
 //!   [`CoopLane`](super::coop::CoopLane) per stream, pooled in a [`LaneSet`] that
@@ -17,7 +20,9 @@
 //!   progress table, the §5.4 range table and ConflictAlert serialisation,
 //!   §5.5 versions produced and consumed through the session's
 //!   [`VersionTable`](paralog_meta::VersionTable)) are the lane's; this
-//!   backend only decides how a thread waits. A workload input is first
+//!   backend only decides how a thread waits, and it reports no modelled
+//!   time (`phases: None`). A factory without a concurrent form is refused
+//!   with [`SessionError::Unsupported`]. A workload input is first
 //!   captured deterministically; the deterministic fingerprint is recorded as
 //!   [`RunMetrics::reference_fingerprint`](crate::RunMetrics) so
 //!   `matches_reference()` states whether genuine concurrency reproduced the
@@ -438,11 +443,6 @@ impl Backend for ThreadedBackend {
         Ok(RunOutcome {
             metrics: RunMetrics {
                 reference_fingerprint: expected,
-                // The modelled order-wait phase counts gated polls, and a
-                // spinning thread's poll count measures this driver rather
-                // than the capture: no phase breakdown here.
-                lg_finish: 0,
-                phases: None,
                 ..metrics
             },
         })

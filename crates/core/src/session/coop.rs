@@ -38,7 +38,11 @@
 //!
 //! Either way a capture replayed through lanes produces the same
 //! fingerprint and violations as the sequential reference loop behind
-//! [`DeterministicBackend`](super::DeterministicBackend).
+//! [`DeterministicBackend`](super::DeterministicBackend). What lanes do not
+//! produce is modelled time: they run on the wall clock, and a gated poll
+//! counts a scheduler's choices rather than the capture's stalls, so a lane
+//! session's [`RunMetrics`] carry `phases: None` and `lg_finish: 0` — the
+//! cycle model is the sequential loop's.
 //!
 //! Deadlock has one rule: a lane gated while *some* lane can still pull or
 //! apply records is simply re-stepped (`Blocked` is not deadlock, and a
@@ -54,11 +58,9 @@
 use super::backend::{ca_gate_unmet, INGEST_BATCH};
 use super::source::{RecordStream, StreamStatus};
 use super::{produce_versions, SessionError};
-use crate::metrics::{PhaseBreakdown, RunMetrics};
+use crate::metrics::RunMetrics;
 use paralog_events::{AddrRange, EventRecord, ThreadId, VersionId};
-use paralog_lifeguards::{
-    ConcurrentLifeguard, CostModel, LifeguardFactory, SessionEventObserver, Violation,
-};
+use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{CaPolicy, RangeTable, SharedProgressTable};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -99,21 +101,10 @@ struct CoopShared {
     progress: SharedProgressTable,
     versions: paralog_meta::VersionTable,
     lanes: usize,
-    /// Cycle model for the per-phase timed breakdown. The daemon has no
-    /// per-session config surface, so every coop session uses the
-    /// calibrated model — the same constants every figure is generated
-    /// from.
-    cost: CostModel,
     /// Records applied session-wide — the liveness signal.
     applied: AtomicU64,
     /// Times a lane found its head record gated on a peer.
     stalls: AtomicU64,
-    /// Modeled analysis cycles (handler work per applied record).
-    analysis_cycles: AtomicU64,
-    /// Modeled publish cycles (version production + progress adverts).
-    publish_cycles: AtomicU64,
-    /// Wire bytes consumed across lanes (zero for raw streams).
-    wire_bytes: AtomicU64,
     /// Times a lane polled a `Blocked` stream and got nothing — proof the
     /// non-blocking reader path actually exercised `WouldBlock`.
     blocked_polls: AtomicU64,
@@ -175,33 +166,25 @@ impl CoopShared {
         t0.elapsed() > COOP_SEVERED_GRACE
     }
 
-    /// Live metrics snapshot (also the body of the final report).
+    /// Live metrics snapshot (also the body of the final report). Lanes run
+    /// on wall-clock time and model no cycles: `phases` is `None` and
+    /// `lg_finish` 0.
     fn metrics(&self) -> RunMetrics {
         let mut violations = self.lifeguard.violations();
         // Lane interleaving is pool-schedule-dependent; canonical order
         // keeps reports deterministic.
         violations.sort_by_key(|v| (v.tid.0, v.rid.0));
         let total = self.applied.load(Ordering::Relaxed);
-        let stalls = self.stalls.load(Ordering::Relaxed);
-        let phases = PhaseBreakdown {
-            capture: total * self.cost.record_drain,
-            transport: PhaseBreakdown::transport_cycles(self.wire_bytes.load(Ordering::Relaxed)),
-            order_wait: stalls * self.cost.stall_poll,
-            analysis: self.analysis_cycles.load(Ordering::Relaxed),
-            publish: self.publish_cycles.load(Ordering::Relaxed),
-        };
         RunMetrics {
             app_threads: self.lanes,
             records: total,
             delivered_ops: total,
-            dependence_stalls: stalls,
+            dependence_stalls: self.stalls.load(Ordering::Relaxed),
             versions_produced: self.versions.produced(),
             versions_consumed: self.versions.consumed(),
             violations,
             fingerprint: self.lifeguard.fingerprint(),
             events: self.lifeguard.session_events(),
-            lg_finish: phases.total(),
-            phases: Some(phases),
             ..RunMetrics::default()
         }
     }
@@ -276,12 +259,8 @@ impl CoopSession {
             progress: SharedProgressTable::new(k),
             versions: paralog_meta::VersionTable::new(k),
             lanes: k,
-            cost: CostModel::calibrated(),
             applied: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
-            analysis_cycles: AtomicU64::new(0),
-            publish_cycles: AtomicU64::new(0),
-            wire_bytes: AtomicU64::new(0),
             blocked_polls: AtomicU64::new(0),
             gated_lanes: AtomicUsize::new(0),
             finished_lanes: AtomicUsize::new(0),
@@ -303,7 +282,6 @@ impl CoopSession {
                 pending: VecDeque::new(),
                 batch: Vec::with_capacity(INGEST_BATCH),
                 range_table: RangeTable::new(k),
-                wire_seen: 0,
                 eof: false,
                 head_produced: false,
                 parked: false,
@@ -386,8 +364,6 @@ pub struct CoopLane {
     pending: VecDeque<EventRecord>,
     batch: Vec<EventRecord>,
     range_table: RangeTable,
-    /// Wire bytes already folded into the session's transport total.
-    wire_seen: u64,
     eof: bool,
     /// Whether the head record's §5.5 produce annotations were already
     /// published (a consume-gated head must not re-produce on re-step).
@@ -495,14 +471,6 @@ impl CoopLane {
                 None => None,
             };
             let rec = self.pending.pop_front().expect("peeked");
-            let (analysis, publish) =
-                PhaseBreakdown::record_cycles(&self.shared.cost, &rec, self.tid.index());
-            self.shared
-                .analysis_cycles
-                .fetch_add(analysis, Ordering::Relaxed);
-            self.shared
-                .publish_cycles
-                .fetch_add(publish, Ordering::Relaxed);
             self.head_produced = false;
             self.unpark();
             // §5.4: police the range table before applying.
@@ -557,14 +525,6 @@ impl CoopLane {
         // a partial batch and *then* report Blocked).
         let got_records = !self.batch.is_empty();
         self.pending.extend(self.batch.drain(..));
-        // Fold freshly consumed wire bytes into the transport total.
-        let wired = self.stream.transport_bytes();
-        if wired > self.wire_seen {
-            self.shared
-                .wire_bytes
-                .fetch_add(wired - self.wire_seen, Ordering::Relaxed);
-            self.wire_seen = wired;
-        }
         match status {
             StreamStatus::Exhausted => {
                 self.eof = true;

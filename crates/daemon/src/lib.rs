@@ -27,6 +27,8 @@
 //! Everything socket-shaped is Unix-only; [`proto`], [`transport`], and
 //! [`pool`] are portable.
 
+#![forbid(unsafe_code)]
+
 pub mod pool;
 pub mod proto;
 pub mod transport;

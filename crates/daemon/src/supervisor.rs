@@ -960,16 +960,6 @@ fn push_metrics_lines(lines: &mut Vec<String>, metrics: &RunMetrics) {
     lines.push(format!("records {}", metrics.records));
     lines.push(format!("stalls {}", metrics.dependence_stalls));
     lines.push(format!("fingerprint {:016x}", metrics.fingerprint));
-    if let Some(p) = metrics.phases {
-        // Figure-7-style per-phase timed breakdown (modeled cycles under
-        // the calibrated cost model; see PhaseBreakdown).
-        lines.push(format!("phase_capture {}", p.capture));
-        lines.push(format!("phase_transport {}", p.transport));
-        lines.push(format!("phase_order_wait {}", p.order_wait));
-        lines.push(format!("phase_analysis {}", p.analysis));
-        lines.push(format!("phase_publish {}", p.publish));
-        lines.push(format!("phase_total {}", p.total()));
-    }
     for v in &metrics.violations {
         lines.push(violation_line(v));
     }

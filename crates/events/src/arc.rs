@@ -14,9 +14,10 @@ use std::fmt;
 /// Lifeguard enforcement treats all kinds identically; the distinction feeds
 /// statistics and the TSO logic (only `War` arcs may be SC-violating and
 /// reversed into versioned metadata, §5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArcKind {
     /// Read-after-write: source wrote, destination reads.
+    #[default]
     Raw,
     /// Write-after-read: source read, destination writes.
     War,
@@ -43,7 +44,7 @@ impl fmt::Display for ArcKind {
 ///
 /// Enforcement rule (§5.2): the carrying record may only be delivered to its
 /// lifeguard once `progress[src] >= src_rid`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DependenceArc {
     /// Thread at the producing end of the arc.
     pub src: ThreadId,

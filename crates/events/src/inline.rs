@@ -8,41 +8,44 @@
 //! spills to the heap beyond that, making the common capture/deliver cycle
 //! allocation-free.
 //!
-//! The element type must be `Copy`: events are plain-old-data and the
-//! inline buffer is `MaybeUninit`-backed, so copyability keeps the type
-//! free of drop obligations.
+//! The element type must be `Copy + Default`: events are plain-old-data,
+//! and the inline buffer is a plain `[T; N]` whose unused tail holds
+//! `T::default()` fillers that are never read — no `unsafe` anywhere.
 //!
 //! [`EventRecord`]: crate::record::EventRecord
 
 use std::fmt;
-use std::mem::MaybeUninit;
 use std::ops::Deref;
 
 /// A small-vector holding up to `N` elements inline before spilling.
 pub struct InlineVec<T: Copy, const N: usize> {
-    /// Inline storage; the first `len` slots are initialized iff `spill`
-    /// is empty.
-    inline: [MaybeUninit<T>; N],
-    /// Initialized prefix length of `inline` (unused once spilled).
+    /// Inline storage; the first `len` slots are the elements iff `spill`
+    /// is empty, the rest is filler.
+    inline: [T; N],
+    /// Element count of `inline` (unused once spilled).
     len: u8,
     /// Heap storage holding *all* elements once length exceeds `N`.
     spill: Vec<T>,
 }
 
-impl<T: Copy, const N: usize> InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// An empty vector (no heap allocation).
-    pub const fn new() -> Self {
-        assert!(
-            N > 0 && N <= u8::MAX as usize,
-            "inline capacity out of range"
-        );
+    pub fn new() -> Self {
+        const {
+            assert!(
+                N > 0 && N <= u8::MAX as usize,
+                "inline capacity out of range"
+            )
+        };
         InlineVec {
-            inline: [const { MaybeUninit::uninit() }; N],
+            inline: [T::default(); N],
             len: 0,
             spill: Vec::new(),
         }
     }
+}
 
+impl<T: Copy, const N: usize> InlineVec<T, N> {
     #[inline]
     fn spilled(&self) -> bool {
         !self.spill.is_empty()
@@ -75,11 +78,7 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         if self.spilled() {
             &self.spill
         } else {
-            // SAFETY: the first `len` inline slots are initialized (struct
-            // invariant) and `MaybeUninit<T>` has `T`'s layout.
-            unsafe {
-                std::slice::from_raw_parts(self.inline.as_ptr() as *const T, self.len as usize)
-            }
+            &self.inline[..self.len as usize]
         }
     }
 
@@ -91,17 +90,14 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         }
         let len = self.len as usize;
         if len < N {
-            self.inline[len] = MaybeUninit::new(value);
+            self.inline[len] = value;
             self.len += 1;
             return;
         }
         // First spill: move the inline prefix to the heap, reusing any
         // capacity a previous `clear` retained.
         self.spill.reserve(N * 2);
-        for slot in &self.inline[..N] {
-            // SAFETY: `len == N` here, so every inline slot is initialized.
-            self.spill.push(unsafe { slot.assume_init_read() });
-        }
+        self.spill.extend_from_slice(&self.inline);
         self.spill.push(value);
         self.len = 0;
     }
@@ -118,7 +114,7 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
     }
 }
 
-impl<T: Copy, const N: usize> Default for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
         InlineVec::new()
     }
@@ -126,10 +122,9 @@ impl<T: Copy, const N: usize> Default for InlineVec<T, N> {
 
 impl<T: Copy, const N: usize> Clone for InlineVec<T, N> {
     fn clone(&self) -> Self {
-        // Flat copy: `T: Copy` makes the inline array (including any
-        // uninitialized tail, which is never read) bitwise-copyable, and the
-        // struct invariant carries over unchanged. This runs on the
-        // clone-to-ring delivery hot path.
+        // Flat copy: `T: Copy` makes the inline array (filler tail
+        // included) bitwise-copyable, and the struct invariant carries over
+        // unchanged. This runs on the clone-to-ring delivery hot path.
         InlineVec {
             inline: self.inline,
             len: self.len,
@@ -167,7 +162,7 @@ impl<T: Copy, const N: usize> Extend<T> for InlineVec<T, N> {
     }
 }
 
-impl<T: Copy, const N: usize> FromIterator<T> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = InlineVec::new();
         out.extend(iter);
@@ -175,7 +170,7 @@ impl<T: Copy, const N: usize> FromIterator<T> for InlineVec<T, N> {
     }
 }
 
-impl<T: Copy, const N: usize> From<Vec<T>> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
     fn from(v: Vec<T>) -> Self {
         v.into_iter().collect()
     }

@@ -51,7 +51,7 @@ impl fmt::Display for Reg {
 }
 
 /// A memory operand: address plus access size in bytes (1, 2, 4 or 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MemRef {
     /// Byte address of the access.
     pub addr: Addr,

@@ -27,6 +27,7 @@
 //! assert_eq!(record.rid, Rid(1));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod arc;

@@ -24,7 +24,7 @@ pub type ProduceList = InlineVec<(VersionId, MemRef, u32), 1>;
 
 /// Identifier of a TSO metadata version: the paper combines the *consumer*
 /// thread's id with its current event record id (§5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct VersionId {
     /// Thread that will consume the versioned metadata.
     pub consumer: ThreadId,

@@ -24,11 +24,10 @@
 //! issuers' wholesale malloc/free/`read()` rewrites, AddrCheck with none —
 //! and the two race detectors on a [`WordTable`](paralog_meta::WordTable)
 //! with a mutex-guarded slow path for wide-word interning (see
-//! [`LockSetConcurrent`]). An out-of-tree factory either writes its own
-//! lock-free form (see [`LifeguardFactory::concurrent`] for a worked
-//! example) or opts into the generic mutex-serialized
-//! [`LockedConcurrent`](crate::LockedConcurrent) fallback with a one-line
-//! override.
+//! [`LockSetConcurrent`]). An out-of-tree factory writes its own form the
+//! same way (see [`LifeguardFactory::concurrent`] for a worked example);
+//! one that does not stays on the sequential loop, and the lanes refuse it
+//! by name.
 
 use crate::addrcheck::{AddrCheck, AddrCheckConcurrent, AddrShared};
 use crate::dataflow::{Dataflow, DataflowConcurrent};
@@ -118,19 +117,14 @@ pub trait LifeguardFactory: fmt::Debug + Send + Sync {
     ///
     /// Returns `None` by default: an analysis does not replay concurrently
     /// unless its factory says so. Every bundled analysis overrides this
-    /// with a hand-written lock-free §5.3 form. An out-of-tree factory has
-    /// two options:
-    ///
-    /// * wrap its family in the mutex-serialized
-    ///   [`LockedConcurrent`](crate::LockedConcurrent) — one line, no
-    ///   concurrency reasoning; see the
-    ///   [`locked`](crate::locked) module docs for the worked example and
-    ///   the safety contract that one line asserts;
-    /// * graduate to a custom **lock-free** [`ConcurrentLifeguard`], the
-    ///   §5.3 route the bundled analyses take. State lives in atomics (or
-    ///   the [`AtomicShadow`](paralog_meta::AtomicShadow) /
-    ///   [`PackedWordTable`](paralog_meta::PackedWordTable) substrates), so
-    ///   the hot path never serializes:
+    /// with a hand-written lock-free §5.3 form, and an out-of-tree factory
+    /// reaches the lanes and `paralogd` the same way: by implementing
+    /// [`ConcurrentLifeguard`]. State lives in atomics (or the
+    /// [`AtomicShadow`](paralog_meta::AtomicShadow) /
+    /// [`PackedWordTable`](paralog_meta::PackedWordTable) substrates), so
+    /// the hot path never serializes. A factory that keeps the default still
+    /// replays captured streams on the sequential loop; the lanes refuse it
+    /// by name.
     ///
     /// ```rust
     /// use paralog_events::{AddrRange, EventPayload, EventRecord, ThreadId};
@@ -265,8 +259,7 @@ impl LifeguardFactory for LifeguardKind {
         // synchronization-free outright; the dataflow engine, LockSet and
         // HappensBefore run a lock-free fast path with a mutex-guarded slow
         // path for their rare structural events (wholesale ConflictAlert
-        // rewrites, wide-word interning). None pays the generic
-        // [`LockedConcurrent`](crate::LockedConcurrent) serialization tax.
+        // rewrites, wide-word interning).
         Some(match self {
             LifeguardKind::TaintCheck => {
                 Box::new(DataflowConcurrent::new(&taintcheck::RULES, threads))
@@ -680,8 +673,7 @@ mod tests {
     #[test]
     fn every_builtin_offers_a_concurrent_replay_form() {
         // Every bundled analysis ships a hand-written lock-free §5.3 form —
-        // all replay on the real-thread backend without the locked
-        // fallback.
+        // all replay on the real-thread backend.
         for kind in LifeguardKind::ALL {
             let conc = kind.concurrent(HEAP, 2).expect("replayable");
             assert!(conc.violations().is_empty());
@@ -704,47 +696,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn custom_factories_opt_into_the_locked_fallback() {
-        #[derive(Debug)]
-        struct Plain;
-        impl LifeguardFactory for Plain {
-            fn name(&self) -> &str {
-                "Plain"
-            }
-            fn build(&self, heap: AddrRange) -> LifeguardFamily {
-                LifeguardKind::MemCheck.build(heap)
-            }
-            fn concurrent(
-                &self,
-                heap: AddrRange,
-                threads: usize,
-            ) -> Option<Box<dyn ConcurrentLifeguard>> {
-                // SAFETY: this factory's families (MemCheck's) are
-                // self-contained.
-                Some(Box::new(unsafe {
-                    crate::locked::LockedConcurrent::new(self.build(heap), threads)
-                }))
-            }
-        }
-        #[derive(Debug)]
-        struct NoOptIn;
-        impl LifeguardFactory for NoOptIn {
-            fn name(&self) -> &str {
-                "NoOptIn"
-            }
-            fn build(&self, heap: AddrRange) -> LifeguardFamily {
-                LifeguardKind::MemCheck.build(heap)
-            }
-        }
-        let conc = Plain.concurrent(HEAP, 3).expect("opted-in locked form");
-        assert_eq!(conc.violations().len(), 0);
-        assert!(
-            NoOptIn.concurrent(HEAP, 3).is_none(),
-            "without an explicit opt-in a custom analysis stays sequential-only"
-        );
     }
 
     #[test]

@@ -70,11 +70,12 @@ use crate::lockset::SYNC_SPACE_START;
 use paralog_events::{
     check_view, AccessKind, AddrRange, CaRecord, EventPayload, EventRecord, MetaOp, Rid, ThreadId,
 };
-use paralog_meta::{LaneCell, MetaWord, WordTable, MAX_WIDE_IDS};
+use paralog_meta::{MetaWord, WordTable, MAX_WIDE_IDS};
 use paralog_order::CaPolicy;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Word granularity of race detection (4 bytes, matching LOCKSET).
 const GRANULE: u64 = 4;
@@ -89,9 +90,21 @@ type Epoch = (u16, u32);
 /// identical fingerprint payloads for raced words.
 const POISON: Epoch = (u16::MAX, u32::MAX);
 
-/// Whether event `e` happens-before a thread whose clock is `clock`.
-fn epoch_hb(e: Epoch, clock: &[u32]) -> bool {
-    e.1 <= clock.get(usize::from(e.0)).copied().unwrap_or(0) || e.1 == 0
+/// Whether event `e` happens-before a thread whose clock reads `clock(u)`
+/// for thread `u`. Both forms run the one state machine below; they differ
+/// only in where a clock component lives ([`dense`], [`lane`]).
+fn epoch_hb(e: Epoch, clock: impl Fn(u16) -> u32) -> bool {
+    e.1 <= clock(e.0) || e.1 == 0
+}
+
+/// Reads a sequential-form clock (a component never set is ⊥).
+fn dense(clock: &[u32]) -> impl Fn(u16) -> u32 + Copy + '_ {
+    |t| clock.get(usize::from(t)).copied().unwrap_or(0)
+}
+
+/// Reads a concurrent-form lane clock.
+fn lane(clock: &[AtomicU32]) -> impl Fn(u16) -> u32 + Copy + '_ {
+    |t| clock.get(usize::from(t)).map_or(0, |c| c.load(Relaxed))
 }
 
 /// Sets thread `t`'s slot of a sparse, tid-sorted vector clock.
@@ -114,12 +127,11 @@ fn join_clock(clock: &mut Vec<u32>, vc: &[Epoch]) {
 }
 
 /// The sparse, tid-sorted form of a dense clock (what a release publishes).
-fn clock_vc(clock: &[u32]) -> Vec<Epoch> {
+fn clock_vc(clock: impl Iterator<Item = u32>) -> Vec<Epoch> {
     clock
-        .iter()
         .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(t, &c)| (t as u16, c))
+        .filter(|&(_, c)| c > 0)
+        .map(|(t, c)| (t as u16, c))
         .collect()
 }
 
@@ -134,9 +146,9 @@ fn step_access(
     reads: &mut Vec<Epoch>,
     writes: bool,
     t: u16,
-    clock: &[u32],
+    clock: impl Fn(u16) -> u32 + Copy,
 ) -> Option<bool> {
-    let c = clock.get(usize::from(t)).copied().unwrap_or(0);
+    let c = clock(t);
     if writes {
         if *write == (t, c) {
             return None; // write-same-epoch
@@ -245,7 +257,7 @@ impl HappensBefore {
             }
         }
         if kind.writes() {
-            let vc = clock_vc(shared.clock_mut(t));
+            let vc = clock_vc(shared.clock_mut(t).iter().copied());
             shared.sync.insert(addr, vc);
             let t = usize::from(t);
             shared.clocks[t][t] += 1; // release: next epoch starts here
@@ -264,7 +276,8 @@ impl HappensBefore {
         if entry.write == POISON {
             return; // raced words are absorbing (and already reported)
         }
-        let Some(race) = step_access(&mut entry.write, &mut entry.reads, writes, t, &clock) else {
+        let Some(race) = step_access(&mut entry.write, &mut entry.reads, writes, t, dense(&clock))
+        else {
             return;
         };
         if !writes {
@@ -444,13 +457,16 @@ fn decode(word: u64, resolve: impl FnOnce(u32) -> HbWide) -> HbView {
 /// the packed field, or when a sync word publishes a clock — the rare
 /// structural slow paths. Per-thread clocks are worker-private lanes (the
 /// backend applies each stream's records on its owning worker only), so
-/// clock joins and bumps never synchronize at all.
+/// clock joins and bumps are relaxed loads and stores.
 pub struct HappensBeforeConcurrent {
     /// granule/sync-word key → packed epoch word or interned wide id.
     words: WordTable<HbWide>,
-    /// Per-thread vector clocks (dense). Worker-private by the backend's
-    /// contract, hence [`LaneCell`]s — no lock on the per-access read.
-    clocks: Vec<LaneCell<Vec<u32>>>,
+    /// Per-thread vector clocks (dense, `threads` components each).
+    /// Thread-private by the backend's contract (each stream's records are
+    /// applied only by the worker owning it), so relaxed atomics suffice,
+    /// as for LOCKSET's `held` — two callers passing one `tid` get a wrong
+    /// answer, never a data race.
+    clocks: Vec<Box<[AtomicU32]>>,
     violations: ViolationLog,
     /// Tells a live feed's observer, once, when saturation first latches.
     notice: DegradationNotice,
@@ -471,9 +487,10 @@ impl HappensBeforeConcurrent {
             words: WordTable::new(threads),
             clocks: (0..threads)
                 .map(|t| {
-                    let mut clock = vec![0u32; threads];
-                    clock[t] = 1; // clocks start at 1; 0 is ⊥
-                    LaneCell::new(clock)
+                    // Clocks start at 1; 0 is ⊥.
+                    (0..threads)
+                        .map(|u| AtomicU32::new((u == t).into()))
+                        .collect()
                 })
                 .collect(),
             violations: ViolationLog::new(),
@@ -504,6 +521,7 @@ impl HappensBeforeConcurrent {
     }
 
     /// Decodes a word on a worker path.
+    #[allow(unsafe_code)]
     fn view(&self, word: u64) -> HbView {
         // SAFETY: the id was read from a word this worker loaded after its
         // last epoch boundary (or is a just-acquired id it holds a
@@ -546,14 +564,14 @@ impl HappensBeforeConcurrent {
     /// poisoning on race (module docs). Returns the successor word
     /// (REPORTED decision left to the caller), the id acquired for it, and
     /// whether the access races.
-    fn step_data(&self, cur: u64, writes: bool, t: u16, clock: &[u32]) -> (u64, u32, bool) {
+    fn step_data(&self, cur: u64, writes: bool, t: u16, clock: &[AtomicU32]) -> (u64, u32, bool) {
         let (mut write, mut reads) = match self.view(cur) {
             // Unknown order: always a race, the sentinel absorbs.
             HbView::Saturated => return (cur, 0, true),
             HbView::Virgin => ((0, 0), Vec::new()),
             HbView::Known { write, reads } => (write, reads),
         };
-        match step_access(&mut write, &mut reads, writes, t, clock) {
+        match step_access(&mut write, &mut reads, writes, t, lane(clock)) {
             None => (cur, 0, false),
             // Race: converge on the sentinel (id 0, nothing interned).
             Some(true) => (F_WIDE | (cur & REPORTED_BIT), 0, true),
@@ -568,7 +586,14 @@ impl HappensBeforeConcurrent {
     /// with the entry word exactly as LOCKSET's set ids do: acquire before
     /// the CAS, release the displaced id on success or the acquired one on
     /// failure.
-    fn data_access_cas(&self, key: u64, writes: bool, tid: ThreadId, clock: &[u32], rid: Rid) {
+    fn data_access_cas(
+        &self,
+        key: u64,
+        writes: bool,
+        tid: ThreadId,
+        clock: &[AtomicU32],
+        rid: Rid,
+    ) {
         loop {
             let cur = self.words.load(key);
             let (next, acquired, race) = self.step_data(cur, writes, tid.0, clock);
@@ -609,18 +634,24 @@ impl HappensBeforeConcurrent {
     /// CAS-per-access path for one sync word: join on read, publish-and-bump
     /// on write (module docs). Conflicting sync accesses are arc-ordered, so
     /// the CAS loop converges immediately in practice.
-    fn sync_access_cas(&self, key: u64, kind: AccessKind, tid: ThreadId, clock: &mut Vec<u32>) {
+    fn sync_access_cas(&self, key: u64, kind: AccessKind, tid: ThreadId, clock: &[AtomicU32]) {
         loop {
             let cur = self.words.load(key);
             if kind.reads() {
                 if let HbView::Known { reads, .. } = self.view(cur) {
-                    join_clock(clock, &reads);
+                    // Every published clock came from a lane of this
+                    // instance, so its components index within `threads`.
+                    for (t, c) in reads {
+                        let slot = &clock[usize::from(t)];
+                        slot.store(slot.load(Relaxed).max(c), Relaxed);
+                    }
                 }
             }
             if !kind.writes() {
                 return;
             }
-            let (next, acquired) = self.encode((0, 0), clock_vc(clock), cur & REPORTED_BIT);
+            let vc = clock_vc(clock.iter().map(|c| c.load(Relaxed)));
+            let (next, acquired) = self.encode((0, 0), vc, cur & REPORTED_BIT);
             if next == cur {
                 self.words.wide().release(acquired);
                 break;
@@ -641,7 +672,9 @@ impl HappensBeforeConcurrent {
                 }
             }
         }
-        clock[tid.index()] += 1; // release: the next epoch starts after the publish
+        // Release: the next epoch starts after the publish.
+        let own = &clock[tid.index()];
+        own.store(own.load(Relaxed) + 1, Relaxed);
     }
 
     /// Live interned wide words (soak/bench diagnostic).
@@ -668,20 +701,15 @@ impl ConcurrentLifeguard for HappensBeforeConcurrent {
                 let Some(MetaOp::CheckAccess { mem, kind }) = check_view(instr) else {
                     return;
                 };
-                // SAFETY: the backend applies records of stream `tid` only
-                // on the worker owning lane `tid`.
-                unsafe {
-                    self.clocks[tid.index()].with(|clock| {
-                        if mem.addr >= SYNC_SPACE_START {
-                            self.sync_access_cas(mem.addr / GRANULE, kind, tid, clock);
-                        } else {
-                            let first = mem.addr / GRANULE;
-                            let last = (mem.addr + u64::from(mem.size) - 1) / GRANULE;
-                            for key in first..=last {
-                                self.data_access_cas(key, kind.writes(), tid, clock, rec.rid);
-                            }
-                        }
-                    })
+                let clock = &self.clocks[tid.index()];
+                if mem.addr >= SYNC_SPACE_START {
+                    self.sync_access_cas(mem.addr / GRANULE, kind, tid, clock);
+                } else {
+                    let first = mem.addr / GRANULE;
+                    let last = (mem.addr + u64::from(mem.size) - 1) / GRANULE;
+                    for key in first..=last {
+                        self.data_access_cas(key, kind.writes(), tid, clock, rec.rid);
+                    }
                 }
             }
             EventPayload::Ca(_) => {
@@ -930,5 +958,35 @@ mod tests {
             "barrier orders the cross-thread writes: {:?}",
             conc.violations()
         );
+    }
+
+    /// `apply` is a safe method, so two callers passing one `tid` must get
+    /// at worst a wrong answer. Four threads share lane 0 over disjoint
+    /// slabs (data accesses read its clock, sync accesses join and bump
+    /// it); the test asserts only that this returns and leaves the
+    /// instance usable.
+    #[test]
+    fn apply_from_four_threads_on_one_tid_returns() {
+        let conc = HappensBeforeConcurrent::new(4);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for slab in 0..4u64 {
+                let (conc, start) = (&conc, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..4_000u64 {
+                        let (addr, kind) = match i % 8 {
+                            0 => (LOCK0 + slab * 64, AccessKind::Rmw),
+                            n if n % 2 == 0 => {
+                                (0x10_0000 * (slab + 1) + i % 256 * 4, AccessKind::Write)
+                            }
+                            _ => (0x10_0000 * (slab + 1) + i % 256 * 4, AccessKind::Read),
+                        };
+                        conc.apply(ThreadId(0), &rec(i + 1, addr, kind), None);
+                    }
+                });
+            }
+        });
+        let _ = (conc.violations(), conc.fingerprint());
     }
 }

@@ -32,9 +32,10 @@
 //! The two race detectors keep a sequential `HashMap` model beside their CAS
 //! form ([`LockSetConcurrent`], [`HappensBeforeConcurrent`]) on purpose: no
 //! sequential reference covers them, so the model is what the parity suites
-//! check the CAS form against. Out-of-tree analyses start with the generic
-//! [`LockedConcurrent`] adapter and graduate the same way (see
-//! [`factory::LifeguardFactory::concurrent`]).
+//! check the CAS form against. An out-of-tree analysis reaches the lanes by
+//! implementing [`ConcurrentLifeguard`] itself (worked example on
+//! [`factory::LifeguardFactory::concurrent`]); without one it stays on the
+//! sequential loop.
 //!
 //! # Example
 //!
@@ -56,6 +57,7 @@
 //! assert!(ctx.violations.is_empty());
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod addrcheck;
@@ -64,7 +66,6 @@ mod dataflow;
 pub mod factory;
 pub mod happensbefore;
 pub mod lifeguard;
-pub mod locked;
 pub mod lockset;
 pub mod memcheck;
 pub mod taintcheck;
@@ -80,7 +81,6 @@ pub use lifeguard::{
     join_atomic_shadow, snapshot_byte, snapshot_coverage, EventView, Fingerprint, HandlerCtx,
     Lifeguard, LifeguardSpec, SnapshotCoverage, Violation, ViolationKind, ViolationLog,
 };
-pub use locked::LockedConcurrent;
 pub use lockset::{LockSet, LockSetConcurrent, LockSetShared, VarState};
 pub use memcheck::UNDEFINED;
 pub use taintcheck::TAINTED;

@@ -351,10 +351,9 @@ impl LockSetConcurrent {
                 acquired = Some(id);
                 // SAFETY: we hold a reference on `id` (just acquired), so
                 // its slot cannot be reclaimed under us.
-                (
-                    pack(next, 0, id, reported),
-                    unsafe { self.words.wide().value(id) }, // saturation may widen held
-                )
+                #[allow(unsafe_code)]
+                let mask = unsafe { self.words.wide().value(id) }; // saturation may widen held
+                (pack(next, 0, id, reported), mask)
             }
             S_SHARED | S_SHARED_MOD => {
                 let next = if writes || state == S_SHARED_MOD {
@@ -365,6 +364,7 @@ impl LockSetConcurrent {
                 // SAFETY: `set_id` came from an entry word this worker read
                 // after its last epoch boundary; quiescence keeps the slot
                 // stable until the worker's next boundary.
+                #[allow(unsafe_code)]
                 let candidates = unsafe { self.words.wide().value(set_id) };
                 let refined = candidates & held;
                 let (id, mask) = if refined == candidates {
@@ -374,7 +374,9 @@ impl LockSetConcurrent {
                     self.note_saturation();
                     acquired = Some(id);
                     // SAFETY: reference held on the just-acquired `id`.
-                    (id, unsafe { self.words.wide().value(id) })
+                    #[allow(unsafe_code)]
+                    let mask = unsafe { self.words.wide().value(id) };
+                    (id, mask)
                 };
                 (pack(next, 0, id, reported), mask)
             }

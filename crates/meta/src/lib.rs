@@ -34,17 +34,16 @@
 //! assert_eq!(meta_footprint(2, 0x2000, 4).len, 1);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod atomic;
 mod chunks;
 pub mod fingerprint;
-pub mod lane_cell;
 pub mod table;
 pub mod versions;
 
 pub use atomic::{meta_addr, meta_footprint, AtomicShadow};
 pub use fingerprint::Fingerprint;
-pub use lane_cell::LaneCell;
 pub use table::{MetaWord, PackedWordTable, WideInterner, WordTable, MAX_WIDE_IDS};
 pub use versions::VersionTable;

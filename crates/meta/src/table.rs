@@ -186,6 +186,21 @@ impl PackedWordTable {
 /// happens *inside* the intern mutex, so the free-time `refs == 0` re-check
 /// cannot race a revival.
 ///
+/// # The `unsafe` argument
+///
+/// This protocol is the only thing in the workspace that needs `unsafe`
+/// (every other crate root forbids it; this crate and `paralog-lifeguards`
+/// deny it outside the items named here). A slot is *written* only under
+/// the `state` mutex: before the interner is shared (`new`), for an id
+/// that is fresh or came off the free list (`intern_acquire`), and when a
+/// fully quiesced id is freed (`process_pending`). A slot is *read* either
+/// under that mutex ([`value_locked`](Self::value_locked)) or lock-free
+/// through [`value`](Self::value), whose callers — the four
+/// `wide().value(id)` sites in `lockset.rs` and `happensbefore.rs` —
+/// resolve only an id they hold a reference on or one read from an entry
+/// word since their lane's last [`boundary`](Self::boundary); neither can
+/// reach the free list while they do, by the paragraph above.
+///
 /// When the id space is genuinely full — [`MAX_WIDE_IDS`] values all still
 /// referenced — [`intern_acquire`](Self::intern_acquire) **saturates** to
 /// id 0 instead of failing. The degradation is latched
@@ -216,6 +231,7 @@ pub struct WideInterner<V: MetaWord> {
 // module docs lay out (release-CAS of the embedding word before a reader's
 // acquire-load; worker-epoch release/acquire before a slot rewrite). `V` is
 // `Send + Sync` by the `MetaWord` bound.
+#[allow(unsafe_code)]
 unsafe impl<V: MetaWord> Sync for WideInterner<V> {}
 
 impl<V: MetaWord> fmt::Debug for WideInterner<V> {
@@ -242,6 +258,7 @@ struct InternerState<V> {
     peak_live: usize,
 }
 
+#[allow(unsafe_code)]
 impl<V: MetaWord> WideInterner<V> {
     /// An interner gated by `workers` replay lanes (at least one).
     pub fn new(workers: usize) -> Self {

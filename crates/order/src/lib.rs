@@ -35,6 +35,7 @@
 //!     .is_none());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod capture;

@@ -1,6 +1,6 @@
 //! Offline stand-in for the `criterion` crate.
 //!
-//! Provides the macro/type surface the workspace's benches use —
+//! Provides the macro/type surface `benches/concurrent_micro.rs` uses —
 //! [`Criterion`], [`BenchmarkGroup`], [`BenchmarkId`], [`Bencher`],
 //! [`Throughput`], [`black_box`], `criterion_group!`, `criterion_main!` —
 //! backed by a small median-of-samples timer instead of criterion's full
@@ -16,6 +16,8 @@
 //!   benchmark (`{"name":…,"median_ns":…}` plus the declared throughput)
 //!   to `<path>`, JSON-lines style so concurrent bench binaries of one
 //!   `cargo bench` invocation can share a results file.
+
+#![forbid(unsafe_code)]
 
 pub use std::hint::black_box;
 
@@ -58,8 +60,6 @@ fn effective_sample_size(declared: usize) -> usize {
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// A two-part benchmark identifier (`function/parameter`).
@@ -73,13 +73,6 @@ impl BenchmarkId {
     pub fn new(function: impl Display, parameter: impl Display) -> Self {
         BenchmarkId {
             id: format!("{function}/{parameter}"),
-        }
-    }
-
-    /// An id from a parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
         }
     }
 }
@@ -99,12 +92,6 @@ impl IntoBenchmarkId for BenchmarkId {
 impl IntoBenchmarkId for &str {
     fn into_id(self) -> String {
         self.to_string()
-    }
-}
-
-impl IntoBenchmarkId for String {
-    fn into_id(self) -> String {
-        self
     }
 }
 
@@ -169,7 +156,6 @@ fn render_json(name: &str, median: Duration, throughput: Option<Throughput>) -> 
         .collect();
     let rate = match throughput {
         Some(Throughput::Elements(n)) => format!(",\"elements_per_iter\":{n}"),
-        Some(Throughput::Bytes(n)) => format!(",\"bytes_per_iter\":{n}"),
         None => String::new(),
     };
     format!(
@@ -181,16 +167,8 @@ fn render_json(name: &str, median: Duration, throughput: Option<Throughput>) -> 
 fn report(name: &str, median: Duration, throughput: Option<Throughput>) {
     let ns = median.as_nanos();
     let rate = throughput
-        .map(|t| match t {
-            Throughput::Elements(n) => {
-                format!("  ({:.1} Melem/s)", n as f64 / median.as_secs_f64() / 1e6)
-            }
-            Throughput::Bytes(n) => {
-                format!(
-                    "  ({:.1} MiB/s)",
-                    n as f64 / median.as_secs_f64() / (1 << 20) as f64
-                )
-            }
+        .map(|Throughput::Elements(n)| {
+            format!("  ({:.1} Melem/s)", n as f64 / median.as_secs_f64() / 1e6)
         })
         .unwrap_or_default();
     println!("bench: {name:<60} {ns:>12} ns/iter{rate}");
@@ -246,64 +224,23 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one parameterized benchmark in the group.
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: impl IntoBenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let mut b = Bencher {
-            samples: Vec::new(),
-            sample_size: effective_sample_size(self.sample_size),
-        };
-        f(&mut b, input);
-        let name = format!("{}/{}", self.name, id.into_id());
-        report(&name, b.median(), self.throughput);
-        self
-    }
-
     /// Ends the group (upstream criterion finalizes reports here).
     pub fn finish(&mut self) {}
 }
 
 /// The benchmark driver.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    sample_size: usize,
-}
+#[derive(Debug)]
+pub struct Criterion;
 
 impl Criterion {
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let sample_size = if self.sample_size == 0 {
-            10
-        } else {
-            self.sample_size
-        };
         BenchmarkGroup {
             name: name.into(),
-            sample_size,
+            sample_size: 10,
             throughput: None,
             _criterion: self,
         }
-    }
-
-    /// Runs a standalone benchmark.
-    pub fn bench_function<F>(&mut self, id: impl IntoBenchmarkId, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher {
-            samples: Vec::new(),
-            sample_size: effective_sample_size(10),
-        };
-        f(&mut b);
-        report(&id.into_id(), b.median(), None);
-        self
     }
 }
 
@@ -312,7 +249,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion;
             $($target(&mut criterion);)+
         }
     };
@@ -344,8 +281,8 @@ mod tests {
             "{\"name\":\"versions_churn/flat/32\",\"median_ns\":1234,\"elements_per_iter\":4096}"
         );
         assert_eq!(
-            render_json("odd\"name\\", d, Some(Throughput::Bytes(7))),
-            "{\"name\":\"odd\\\"name\\\\\",\"median_ns\":1234,\"bytes_per_iter\":7}"
+            render_json("odd\"name\\", d, None),
+            "{\"name\":\"odd\\\"name\\\\\",\"median_ns\":1234}"
         );
         assert_eq!(
             render_json("plain", d, None),
@@ -355,14 +292,14 @@ mod tests {
 
     #[test]
     fn group_runs_and_reports() {
-        let mut c = Criterion::default();
+        let mut c = Criterion;
         let mut g = c.benchmark_group("smoke");
         g.sample_size(2);
         g.throughput(Throughput::Elements(1));
         let mut runs = 0u64;
         g.bench_function("id", |b| b.iter(|| runs = black_box(runs + 1)));
-        g.bench_with_input(BenchmarkId::new("param", 4), &4u64, |b, &n| {
-            b.iter(|| black_box(n * 2))
+        g.bench_function(BenchmarkId::new("param", 4), |b| {
+            b.iter(|| black_box(4u64 * 2))
         });
         g.finish();
         assert!(runs > 0);

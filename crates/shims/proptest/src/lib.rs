@@ -8,6 +8,8 @@
 //! reproduction is deterministic because every test derives its RNG seed
 //! from its own module path.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
 

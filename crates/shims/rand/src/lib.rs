@@ -8,6 +8,8 @@
 //! deterministic) streams. Nothing in the workspace depends on the exact
 //! stream, only on determinism for a fixed seed.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// A generator seedable from integers (subset of `rand::SeedableRng`).

@@ -27,6 +27,7 @@
 //! assert_eq!(result.touches[0].block_rid, Rid(5));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod cache;

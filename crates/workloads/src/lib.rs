@@ -16,6 +16,7 @@
 //! assert!(w.high_level_ops() > 0, "swaptions churns malloc/free");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod adversarial;

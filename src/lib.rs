@@ -30,6 +30,8 @@
 //! assert!(outcome.metrics.execution_cycles() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Compile-check and run the README's example blocks as doctests (the CI
 // docs step executes them workspace-wide), so the quickstart cannot rot
 // silently when the API moves.

@@ -9,9 +9,8 @@
 //!   **codec-wire** (incremental decode) reports *identical* analysis-phase
 //!   cycles — analysis cost is a function of the payload, never of the
 //!   transport — while only the wire replay pays a transport phase;
-//! * the cooperative lane path (`paralogd`'s form) reports the same
-//!   payload-derived phases as the deterministic backend for the same
-//!   capture, and its breakdown also sums to total.
+//! * the cooperative lane path (`paralogd`'s form) runs on wall-clock time
+//!   and models no cycles: same fingerprint, no breakdown.
 
 use paralog::core::{
     CoopSession, DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform,
@@ -133,45 +132,28 @@ fn coop_lanes_report_the_same_payload_phases() {
     let w = workload(Benchmark::Swaptions, 4);
     let (streams, live_fp) = capture(LifeguardKind::TaintCheck, &w);
 
-    let det = MonitorSession::builder()
-        .source(ReplaySource::new(streams.clone(), w.heap))
-        .lifeguard(LifeguardKind::TaintCheck)
-        .backend(DeterministicBackend)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap()
-        .metrics;
-
     let boxed: Vec<Box<dyn RecordStream>> = streams
         .into_iter()
         .map(|s| Box::new(paralog::core::BufferedStream::new(s)) as Box<dyn RecordStream>)
         .collect();
     let (session, mut lanes) = CoopSession::start(&LifeguardKind::TaintCheck, w.heap, boxed, None)
         .expect("session starts");
-    // Mid-run snapshots must already carry a consistent breakdown.
+    // Lanes model no cycles, mid-run or at the end.
     let mut saw_partial = false;
     while !session.is_complete() {
         for lane in &mut lanes {
             lane.step(64);
         }
         let snap = session.snapshot_metrics();
-        let sp = snap.phases.expect("live snapshots report phases");
-        assert_eq!(sp.total(), snap.lg_finish, "snapshot phases sum to total");
+        assert!(snap.phases.is_none());
         saw_partial |= snap.records > 0 && !session.is_complete();
     }
     assert!(saw_partial, "the loop never observed a live session");
 
     let coop = session.report().expect("complete").expect("clean drain");
     assert_eq!(coop.fingerprint, live_fp);
-    let (dp, cp) = (det.phases.unwrap(), coop.phases.unwrap());
-    // Payload-derived phases agree across execution substrates; only
-    // order-wait is schedule-dependent (stall counts differ by interleaving).
-    assert_eq!(cp.analysis, dp.analysis, "coop analysis == deterministic");
-    assert_eq!(cp.capture, dp.capture, "coop capture == deterministic");
-    assert_eq!(cp.publish, dp.publish, "coop publish == deterministic");
-    assert_eq!(cp.transport, 0, "buffered lanes have no wire");
-    assert_eq!(cp.total(), coop.lg_finish, "coop phases sum to total");
+    assert!(coop.phases.is_none());
+    assert_eq!(coop.lg_finish, 0);
 }
 
 #[test]

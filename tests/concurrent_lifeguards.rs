@@ -1,13 +1,12 @@
 //! Lock-free fast-path MemCheck & LockSet (§5.3): cross-backend parity and
-//! the `LockedConcurrent` retirement.
+//! the concurrent-form seam.
 //!
 //! The tentpole invariants:
 //!
-//! * all four bundled `LifeguardKind`s now resolve to **hand-written
-//!   lock-free concurrent forms** — nothing bundled pays the generic
-//!   `LockedConcurrent` mutex anymore — while a custom factory still opts
-//!   into the locked fallback with the documented one-liner (and stays
-//!   sequential-only without one);
+//! * all five bundled `LifeguardKind`s resolve to **hand-written
+//!   lock-free concurrent forms**, while a custom factory without one
+//!   stays on the sequential loop and is refused by name — by
+//!   `ThreadedBackend` and by `paralogd` — not silently wrapped;
 //! * the concurrent forms replay SC and TSO captures on `ThreadedBackend`
 //!   with fingerprints and violations identical to the deterministic
 //!   backend — from the raw captured records and from the codec wire form;
@@ -17,7 +16,7 @@
 
 use paralog::core::{
     DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, ReplaySource,
-    StreamingReplaySource, ThreadedBackend,
+    SessionError, StreamingReplaySource, ThreadedBackend,
 };
 use paralog::events::codec::encode;
 use paralog::events::{
@@ -25,8 +24,8 @@ use paralog::events::{
     LockId, MemRef, Op, Reg, Rid, SyscallKind, ThreadId, VersionId,
 };
 use paralog::lifeguards::{
-    ConcurrentLifeguard, EventView, HandlerCtx, LifeguardFactory, LifeguardFamily, LifeguardKind,
-    LockedConcurrent, Violation, ViolationKind,
+    EventView, HandlerCtx, LifeguardFactory, LifeguardFamily, LifeguardKind, Violation,
+    ViolationKind,
 };
 use paralog::workloads::{Benchmark, Workload, WorkloadSpec};
 use proptest::prelude::*;
@@ -50,13 +49,12 @@ fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {
 }
 
 // ---------------------------------------------------------------------------
-// LockedConcurrent retirement
+// The concurrent-form seam
 // ---------------------------------------------------------------------------
 
-/// Regression for the retirement: every bundled analysis resolves to its
-/// hand-written lock-free concurrent form, not the generic mutex adapter.
-/// The forms are crate-private; each one's `Debug` names the analysis it
-/// runs (the dataflow engine serves two).
+/// Every bundled analysis resolves to its hand-written lock-free
+/// concurrent form. The forms are crate-private; each one's `Debug` names
+/// the analysis it runs (the dataflow engine serves two).
 #[test]
 fn all_bundled_kinds_resolve_to_lock_free_concurrent_forms() {
     let expected = [
@@ -73,81 +71,117 @@ fn all_bundled_kinds_resolve_to_lock_free_concurrent_forms() {
             dbg.contains(form),
             "{kind} should resolve to {form}, got {dbg}"
         );
-        assert!(
-            !dbg.contains("LockedConcurrent"),
-            "{kind} still pays the retired locked fallback: {dbg}"
-        );
     }
 }
 
-/// A custom factory keeps the documented behaviour: no override means
-/// sequential-only, and the one-line `LockedConcurrent` opt-in still wires
-/// it onto `ThreadedBackend` correctly.
+/// A factory that overrides only `build`.
+#[derive(Debug)]
+struct SequentialOnly;
+
+impl LifeguardFactory for SequentialOnly {
+    fn name(&self) -> &str {
+        "SequentialOnly"
+    }
+    fn build(&self, heap: AddrRange) -> LifeguardFamily {
+        LifeguardKind::TaintCheck.build(heap)
+    }
+}
+
+/// The seam that is left is a named refusal, not a hole: a factory with no
+/// concurrent form replays a capture on the sequential loop with the
+/// reference fingerprint, `ThreadedBackend` answers `Unsupported`, and
+/// `paralogd` answers `ERR` on ATTACH without disturbing a neighbour.
 #[test]
-fn custom_factories_still_fall_back_to_locked_concurrent() {
-    #[derive(Debug)]
-    struct NoOptIn;
-    impl LifeguardFactory for NoOptIn {
-        fn name(&self) -> &str {
-            "NoOptIn"
-        }
-        fn build(&self, heap: AddrRange) -> LifeguardFamily {
-            LifeguardKind::MemCheck.build(heap)
-        }
-    }
-    assert!(
-        NoOptIn.concurrent(HEAP, 2).is_none(),
-        "without an override a custom analysis stays sequential-only"
-    );
+fn a_sequential_only_factory_replays_in_order_and_the_lanes_refuse_it_by_name() {
+    assert!(SequentialOnly.concurrent(HEAP, 2).is_none());
 
-    #[derive(Debug)]
-    struct OptIn;
-    impl LifeguardFactory for OptIn {
-        fn name(&self) -> &str {
-            "OptIn"
-        }
-        fn build(&self, heap: AddrRange) -> LifeguardFamily {
-            LifeguardKind::MemCheck.build(heap)
-        }
-        fn concurrent(
-            &self,
-            heap: AddrRange,
-            threads: usize,
-        ) -> Option<Box<dyn ConcurrentLifeguard>> {
-            // SAFETY: this factory's families (MemCheck's) are
-            // self-contained.
-            Some(Box::new(unsafe {
-                LockedConcurrent::new(self.build(heap), threads)
-            }))
-        }
-    }
-    let conc = OptIn.concurrent(HEAP, 2).expect("opted in");
-    assert!(format!("{conc:?}").contains("LockedConcurrent"));
-
-    // And the opted-in custom analysis actually runs on the real-thread
-    // backend, agreeing with the deterministic one.
     let w = workload(Benchmark::Swaptions, 2);
-    let det = MonitorSession::builder()
-        .source(w.clone())
-        .lifeguard_factory(OptIn)
-        .backend(DeterministicBackend)
+    let mut cfg = MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck);
+    cfg.collect_streams = true;
+    let live = Platform::run(&w, &cfg).metrics;
+    let streams = live.streams.as_ref().expect("collection enabled");
+    let session = |threaded: bool| {
+        let builder = MonitorSession::builder()
+            .source(ReplaySource::new(streams.clone(), w.heap))
+            .lifeguard_factory(SequentialOnly);
+        if threaded {
+            builder.backend(ThreadedBackend)
+        } else {
+            builder.backend(DeterministicBackend)
+        }
         .build()
         .unwrap()
         .run()
-        .unwrap();
-    let thr = MonitorSession::builder()
-        .source(w)
-        .lifeguard_factory(OptIn)
-        .backend(ThreadedBackend)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(det.metrics.fingerprint, thr.metrics.fingerprint);
+    };
+
+    let det = session(false).expect("the sequential loop serves it");
+    assert_eq!(det.metrics.fingerprint, live.fingerprint);
     assert_eq!(
         violation_keys(&det.metrics.violations),
-        violation_keys(&thr.metrics.violations)
+        violation_keys(&live.violations)
     );
+
+    match session(true) {
+        Err(SessionError::Unsupported(_)) => {}
+        other => panic!("the lanes must refuse a sequential-only factory: {other:?}"),
+    }
+
+    #[cfg(unix)]
+    {
+        use paralog::daemon::client::{Control, Producer};
+        use paralog::daemon::proto::AttachRequest;
+        use paralog::daemon::supervisor::{Daemon, DaemonConfig};
+
+        let sock = |tag: &str| {
+            std::env::temp_dir().join(format!("plgd-{}-seam{tag}.sock", std::process::id()))
+        };
+        let mut config = DaemonConfig::new(sock("d"), sock("c"));
+        config.workers = 2;
+        config.registry.register(SequentialOnly);
+        let daemon = Daemon::spawn(config).expect("daemon spawns");
+        let request = |lifeguard: &str| AttachRequest {
+            name: lifeguard.into(),
+            lifeguard: lifeguard.into(),
+            threads: 2,
+            tso: false,
+            heap: w.heap,
+            mode: paralog::core::BackendMode::Auto,
+        };
+
+        // The neighbour attaches first and streams after the refusal.
+        let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
+        let mut neighbour =
+            Producer::attach(daemon.data_socket(), &request("TaintCheck")).expect("attaches");
+
+        let refused = Producer::attach(daemon.data_socket(), &request("SequentialOnly"))
+            .expect_err("no concurrent form, no session");
+        assert!(
+            refused.to_string().contains("ERR"),
+            "ATTACH answers ERR: {refused}"
+        );
+
+        neighbour.send_capture(&encoded, 4096).expect("streams");
+        let id = neighbour.session_id();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let status = loop {
+            let status = Control::connect(daemon.control_socket())
+                .and_then(|mut ctl| ctl.status(id))
+                .expect("status");
+            if status.iter().any(|l| l == "state done") {
+                break status;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the neighbour never finished: {status:?}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        };
+        assert!(
+            status.contains(&format!("fingerprint {:016x}", live.fingerprint)),
+            "the neighbour ends ok with the reference fingerprint: {status:?}"
+        );
+        daemon.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -213,26 +213,11 @@ fn two_concurrent_sessions_match_in_process_replay() {
         .parse()
         .expect("throughput is numeric");
 
-    // STATUS surfaces the Figure-7-style per-phase breakdown, internally
-    // consistent (phases sum to the reported total) and with a non-zero
-    // transport phase: daemon sessions always ingest codec wire bytes.
-    let phase = |key: &str| -> u64 {
-        field(&status_a, key)
-            .unwrap_or_else(|| panic!("{key} line missing from STATUS"))
-            .parse()
-            .expect("phase cycles are numeric")
-    };
-    assert_eq!(
-        phase("phase_capture")
-            + phase("phase_transport")
-            + phase("phase_order_wait")
-            + phase("phase_analysis")
-            + phase("phase_publish"),
-        phase("phase_total"),
-        "STATUS phases must sum to the reported total"
+    // Lanes model no cycles, so STATUS prints no modelled phase split.
+    assert!(
+        !status_a.iter().any(|l| l.starts_with("phase_")),
+        "STATUS carries no phase_ line: {status_a:?}"
     );
-    assert!(phase("phase_transport") > 0, "wire ingest pays transport");
-    assert!(phase("phase_analysis") > 0, "handlers ran");
 
     // LIST sees both, finished.
     let mut ctl = Control::connect(daemon.control_socket()).unwrap();

@@ -1,4 +1,4 @@
-//! The evaluation's qualitative *shapes* as assertions (EXPERIMENTS.md):
+//! The evaluation's qualitative *shapes* as assertions:
 //! who wins, in which direction, and where the bottlenecks sit. These run at
 //! reduced scale so the whole file stays fast, but every relation asserted
 //! here also holds in the full-scale figure outputs.

@@ -431,9 +431,7 @@ fn threaded_backend_replays_tso_workloads() {
 #[test]
 fn every_bundled_lifeguard_replays_threaded_lock_free() {
     // Every bundled analysis replays on the real-thread backend through its
-    // hand-written lock-free §5.3 form (the generic `LockedConcurrent`
-    // adapter is retired for bundled kinds; see tests/concurrent_lifeguards.rs
-    // for the retirement regression) — and must agree with the deterministic
+    // hand-written lock-free §5.3 form and must agree with the deterministic
     // backend on final metadata and violations.
     let w = workload(Benchmark::Fluidanimate, 4);
     for kind in [

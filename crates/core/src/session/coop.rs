@@ -543,10 +543,6 @@ impl CoopLane {
                 }
             }
         }
-        // Batch boundary: no record application is in flight on this lane,
-        // so stale fast-path reads are dead — the quiescence point
-        // epoch-based reclamation (interned lockset masks) keys off.
-        self.shared.lifeguard.epoch_boundary(self.tid);
         None
     }
 
@@ -591,15 +587,14 @@ impl CoopLane {
         }
     }
 
-    /// Terminal transition, runs exactly once: stops gating reclamation
-    /// quiescence and, as the last lane out, composes the session report.
+    /// Terminal transition, runs exactly once: as the last lane out it
+    /// composes the session report.
     fn finish(&mut self) {
         if self.done {
             return;
         }
         self.done = true;
         self.unpark();
-        self.shared.lifeguard.stream_done(self.tid);
         let finished = self.shared.finished_lanes.fetch_add(1, Ordering::SeqCst) + 1;
         if finished == self.shared.lanes {
             self.shared.finalize();

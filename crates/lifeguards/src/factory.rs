@@ -494,20 +494,13 @@ pub trait ConcurrentLifeguard: Send + Sync + fmt::Debug {
         all
     }
 
-    /// Worker `tid` crossed a stream batch boundary: no record application
-    /// is in flight on that worker, so per-record fast-path reads taken
-    /// before the call are dead. This is the quiescence signal epoch-based
-    /// metadata reclamation keys off (the lockset mask interner frees
-    /// unreferenced ids here); analyses without deferred reclamation ignore
-    /// it. Default: no-op.
+    /// Inert: no lane calls it and no bundled form overrides it. Kept only
+    /// because the frozen `benchmark/src/layers.rs` names it.
     fn epoch_boundary(&self, tid: ThreadId) {
         let _ = tid;
     }
 
-    /// Worker `tid`'s stream is exhausted: it will apply no further
-    /// records and must no longer gate quiescence. Called once per worker,
-    /// after its last [`epoch_boundary`](Self::epoch_boundary). Default:
-    /// no-op.
+    /// Inert, like [`epoch_boundary`](Self::epoch_boundary).
     fn stream_done(&self, tid: ThreadId) {
         let _ = tid;
     }

@@ -70,7 +70,7 @@ use crate::lockset::SYNC_SPACE_START;
 use paralog_events::{
     check_view, AccessKind, AddrRange, CaRecord, EventPayload, EventRecord, MetaOp, Rid, ThreadId,
 };
-use paralog_meta::{MetaWord, WordTable, MAX_WIDE_IDS};
+use paralog_meta::{MetaWord, WideGuard, WordTable, MAX_WIDE_IDS};
 use paralog_order::CaPolicy;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -375,8 +375,8 @@ fn unpack_epoch(bits: u64) -> Epoch {
     ((bits & 63) as u16, (bits >> 6) as u32)
 }
 
-/// The interned id a word carries, or 0 (never reclaimed) when it carries
-/// none — callers feed the result straight to `release`, a no-op on 0.
+/// The interned id a word carries, or 0 (the never-counted sentinel) when
+/// it carries none.
 fn wide_id(word: u64) -> u32 {
     if word & FMT_MASK == F_WIDE {
         (word >> ID_SHIFT) as u32
@@ -452,10 +452,11 @@ fn decode(word: u64, resolve: impl FnOnce(u32) -> HbWide) -> HbView {
 ///
 /// The common cases — write-same-epoch, read-same-epoch, an ordered
 /// re-access whose state packs into one word — are a load-acquire plus at
-/// most one CAS; the interner mutex is taken only when a word's read set
-/// outgrows a single epoch (read-share inflation), when an epoch outgrows
-/// the packed field, or when a sync word publishes a clock — the rare
-/// structural slow paths. Per-thread clocks are worker-private lanes (the
+/// most one CAS; the wide tier's mutex is held across an access only while
+/// the word's read set has outgrown a single epoch (read-share inflation),
+/// when an epoch outgrows the packed field, or when a sync word carries a
+/// published clock — the rare structural slow paths (0.001–0.03 such
+/// accesses per record on the bundled captures). Per-thread clocks are worker-private lanes (the
 /// backend applies each stream's records on its owning worker only), so
 /// clock joins and bumps are relaxed loads and stores.
 pub struct HappensBeforeConcurrent {
@@ -484,7 +485,7 @@ impl HappensBeforeConcurrent {
     /// A fresh concurrent HAPPENSBEFORE for `threads` replayed streams.
     pub fn new(threads: usize) -> Self {
         HappensBeforeConcurrent {
-            words: WordTable::new(threads),
+            words: WordTable::new(),
             clocks: (0..threads)
                 .map(|t| {
                     // Clocks start at 1; 0 is ⊥.
@@ -513,79 +514,49 @@ impl HappensBeforeConcurrent {
         }
     }
 
-    /// Pushes the degradation notice to the installed observer the first
-    /// time saturation latches.
-    fn note_saturation(&self) {
-        self.notice
-            .note(self.words.wide().is_saturated(), Self::degraded_event);
-    }
-
-    /// Decodes a word on a worker path.
-    #[allow(unsafe_code)]
-    fn view(&self, word: u64) -> HbView {
-        // SAFETY: the id was read from a word this worker loaded after its
-        // last epoch boundary (or is a just-acquired id it holds a
-        // reference on); quiescence keeps the slot stable until the worker's
-        // next boundary.
-        decode(word, |id| unsafe { self.words.wide().value(id) })
-    }
-
     /// Encodes abstract state, packing when it fits and interning into the
-    /// wide tier otherwise. `flags` carries the REPORTED bit to preserve.
-    /// Returns the word and the id acquired for it (0: none) — the caller
-    /// must publish the word or release the id.
-    fn encode(&self, write: Epoch, reads: Vec<Epoch>, flags: u64) -> (u64, u32) {
+    /// wide tier otherwise (setting `interned`: the only place saturation
+    /// can newly occur). `flags` carries the REPORTED bit to preserve.
+    fn encode(
+        write: Epoch,
+        reads: Vec<Epoch>,
+        flags: u64,
+        wide: &mut WideGuard<'_, HbWide>,
+        interned: &mut bool,
+    ) -> u64 {
         if reads.len() <= 1 {
             if let Some(wbits) = pack_epoch(write) {
                 match reads.first() {
-                    None => return (F_PACKED | flags | (wbits << W_SHIFT), 0),
+                    None => return F_PACKED | flags | (wbits << W_SHIFT),
                     Some(&r) => {
                         if let Some(rbits) = pack_epoch(r) {
-                            return (
-                                F_PACKED
-                                    | flags
-                                    | READ_VALID_BIT
-                                    | (wbits << W_SHIFT)
-                                    | (rbits << R_SHIFT),
-                                0,
-                            );
+                            return F_PACKED
+                                | flags
+                                | READ_VALID_BIT
+                                | (wbits << W_SHIFT)
+                                | (rbits << R_SHIFT);
                         }
                     }
                 }
             }
         }
-        let id = self.words.wide().intern_acquire(HbWide { write, reads });
-        self.note_saturation();
-        (F_WIDE | flags | (u64::from(id) << ID_SHIFT), id)
+        *interned = true;
+        let id = wide.intern(HbWide { write, reads });
+        F_WIDE | flags | (u64::from(id) << ID_SHIFT)
     }
 
-    /// One FastTrack transition from word `cur` — the concurrent mirror of
-    /// the sequential [`step_access`] on the packed/wide representation,
-    /// poisoning on race (module docs). Returns the successor word
-    /// (REPORTED decision left to the caller), the id acquired for it, and
-    /// whether the access races.
-    fn step_data(&self, cur: u64, writes: bool, t: u16, clock: &[AtomicU32]) -> (u64, u32, bool) {
-        let (mut write, mut reads) = match self.view(cur) {
-            // Unknown order: always a race, the sentinel absorbs.
-            HbView::Saturated => return (cur, 0, true),
-            HbView::Virgin => ((0, 0), Vec::new()),
-            HbView::Known { write, reads } => (write, reads),
-        };
-        match step_access(&mut write, &mut reads, writes, t, lane(clock)) {
-            None => (cur, 0, false),
-            // Race: converge on the sentinel (id 0, nothing interned).
-            Some(true) => (F_WIDE | (cur & REPORTED_BIT), 0, true),
-            Some(false) => {
-                let (next, acquired) = self.encode(write, reads, cur & REPORTED_BIT);
-                (next, acquired, false)
-            }
-        }
+    /// Tells a live feed's observer, the first time saturation latches.
+    /// Called after an update that interned, once the tier's lock is gone.
+    fn note_saturation(&self) {
+        self.notice
+            .note(self.words.is_saturated(), Self::degraded_event);
     }
 
-    /// CAS-per-access path for one data granule. Wide-id references move
-    /// with the entry word exactly as LOCKSET's set ids do: acquire before
-    /// the CAS, release the displaced id on success or the acquired one on
-    /// failure.
+    /// CAS-per-access path for one data granule: one FastTrack transition —
+    /// the concurrent mirror of the sequential [`step_access`] on the
+    /// packed/wide representation, poisoning on race (module docs) —
+    /// published by [`WordTable::update`], which moves the word's wide-id
+    /// reference exactly as it does LOCKSET's set ids.
     fn data_access_cas(
         &self,
         key: u64,
@@ -594,40 +565,37 @@ impl HappensBeforeConcurrent {
         clock: &[AtomicU32],
         rid: Rid,
     ) {
-        loop {
-            let cur = self.words.load(key);
-            let (next, acquired, race) = self.step_data(cur, writes, tid.0, clock);
-            let report = race && cur & REPORTED_BIT == 0;
-            let next = if report { next | REPORTED_BIT } else { next };
-            if next == cur {
-                self.words.wide().release(acquired);
-                return; // fast path: one load-acquire, no store
-            }
-            match self.words.compare_exchange(key, cur, next) {
-                Ok(_) => {
-                    let old_id = wide_id(cur);
-                    if old_id != wide_id(next) {
-                        self.words.wide().release(old_id);
-                    } else {
-                        self.words.wide().release(acquired);
-                    }
-                    if report {
-                        // The CAS winner owns the report: exactly one per
-                        // word, however many accesses raced it.
-                        self.violations.push(Violation {
-                            tid,
-                            rid,
-                            kind: ViolationKind::DataRace,
-                            addr: Some(key * GRANULE),
-                        });
-                    }
-                    return;
-                }
-                Err(_) => {
-                    self.words.wide().release(acquired);
-                    continue;
+        let mut interned = false;
+        let report = self.words.update(key, wide_id, |cur, wide| {
+            let reported = cur & REPORTED_BIT;
+            let (mut write, mut reads) = match decode(cur, |id| wide.value(id)) {
+                // Unknown order: always a race, the sentinel absorbs.
+                HbView::Saturated => return (cur | REPORTED_BIT, reported == 0),
+                HbView::Virgin => ((0, 0), Vec::new()),
+                HbView::Known { write, reads } => (write, reads),
+            };
+            match step_access(&mut write, &mut reads, writes, tid.0, lane(clock)) {
+                None => (cur, false), // fast path: one load-acquire, no store
+                // Race: converge on the sentinel (id 0, nothing interned).
+                Some(true) => (F_WIDE | REPORTED_BIT, reported == 0),
+                Some(false) => {
+                    let next = Self::encode(write, reads, reported, wide, &mut interned);
+                    (next, false)
                 }
             }
+        });
+        if interned {
+            self.note_saturation();
+        }
+        if report {
+            // The CAS winner owns the report: exactly one per word, however
+            // many accesses raced it.
+            self.violations.push(Violation {
+                tid,
+                rid,
+                kind: ViolationKind::DataRace,
+                addr: Some(key * GRANULE),
+            });
         }
     }
 
@@ -635,10 +603,10 @@ impl HappensBeforeConcurrent {
     /// on write (module docs). Conflicting sync accesses are arc-ordered, so
     /// the CAS loop converges immediately in practice.
     fn sync_access_cas(&self, key: u64, kind: AccessKind, tid: ThreadId, clock: &[AtomicU32]) {
-        loop {
-            let cur = self.words.load(key);
+        let mut interned = false;
+        self.words.update(key, wide_id, |cur, wide| {
             if kind.reads() {
-                if let HbView::Known { reads, .. } = self.view(cur) {
+                if let HbView::Known { reads, .. } = decode(cur, |id| wide.value(id)) {
                     // Every published clock came from a lane of this
                     // instance, so its components index within `threads`.
                     for (t, c) in reads {
@@ -648,49 +616,36 @@ impl HappensBeforeConcurrent {
                 }
             }
             if !kind.writes() {
-                return;
+                return (cur, ());
             }
             let vc = clock_vc(clock.iter().map(|c| c.load(Relaxed)));
-            let (next, acquired) = self.encode((0, 0), vc, cur & REPORTED_BIT);
-            if next == cur {
-                self.words.wide().release(acquired);
-                break;
-            }
-            match self.words.compare_exchange(key, cur, next) {
-                Ok(_) => {
-                    let old_id = wide_id(cur);
-                    if old_id != wide_id(next) {
-                        self.words.wide().release(old_id);
-                    } else {
-                        self.words.wide().release(acquired);
-                    }
-                    break;
-                }
-                Err(_) => {
-                    self.words.wide().release(acquired);
-                    continue;
-                }
-            }
+            let flags = cur & REPORTED_BIT;
+            (Self::encode((0, 0), vc, flags, wide, &mut interned), ())
+        });
+        if interned {
+            self.note_saturation();
         }
-        // Release: the next epoch starts after the publish.
-        let own = &clock[tid.index()];
-        own.store(own.load(Relaxed) + 1, Relaxed);
+        if kind.writes() {
+            // Release: the next epoch starts after the publish.
+            let own = &clock[tid.index()];
+            own.store(own.load(Relaxed) + 1, Relaxed);
+        }
     }
 
     /// Live interned wide words (soak/bench diagnostic).
     pub fn interned_vcs(&self) -> usize {
-        self.words.wide().live()
+        self.words.live()
     }
 
     /// High-water mark of [`interned_vcs`](Self::interned_vcs).
     pub fn peak_interned_vcs(&self) -> usize {
-        self.words.wide().peak_live()
+        self.words.peak_live()
     }
 
     /// Whether the interner has saturated to the unknown-order sentinel at
     /// least once this session.
     pub fn degraded(&self) -> bool {
-        self.words.wide().is_saturated()
+        self.words.is_saturated()
     }
 }
 
@@ -730,10 +685,8 @@ impl ConcurrentLifeguard for HappensBeforeConcurrent {
 
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
-        self.words.for_each_nonzero(|key, word| {
-            // Non-worker context (equivalence sweep): take the interner
-            // mutex instead of relying on worker quiescence.
-            let view = decode(word, |id| self.words.wide().value_locked(id));
+        self.words.for_each_nonzero(wide_id, |key, word, wide| {
+            let view = decode(word, |_| wide.expect("a wide word resolves"));
             let (write, reads) = match view {
                 HbView::Virgin => unreachable!("stored words are never virgin"),
                 HbView::Known { write, reads } => (write, reads),
@@ -755,17 +708,9 @@ impl ConcurrentLifeguard for HappensBeforeConcurrent {
         self.violations.since(from)
     }
 
-    fn epoch_boundary(&self, tid: ThreadId) {
-        self.words.wide().boundary(tid.index());
-    }
-
-    fn stream_done(&self, tid: ThreadId) {
-        self.words.wide().retire_worker(tid.index());
-    }
-
     fn session_events(&self) -> Vec<crate::SessionEvent> {
         self.notice
-            .events(self.words.wide().is_saturated(), Self::degraded_event)
+            .events(self.words.is_saturated(), Self::degraded_event)
     }
 
     fn set_event_observer(&self, observer: crate::SessionEventObserver) {
@@ -921,14 +866,9 @@ mod tests {
         assert!(conc.interned_vcs() > base, "3-reader VC cannot pack");
         assert!(conc.violations().is_empty());
         // ...and an (unordered, racing) write poisons the word to the
-        // sentinel, releasing the wide id for reclamation at boundaries.
+        // sentinel: the wide id lost its only word and is gone with it.
         conc.apply(ThreadId(0), &rec(2, 0x300, AccessKind::Write), None);
         assert_eq!(conc.violations().len(), 1, "write races the read VC");
-        for _ in 0..2 {
-            for t in 0..3u16 {
-                conc.epoch_boundary(ThreadId(t));
-            }
-        }
         assert_eq!(conc.interned_vcs(), base, "collapsed VC reclaimed");
     }
 

@@ -57,7 +57,7 @@
 //! assert!(ctx.violations.is_empty());
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod addrcheck;

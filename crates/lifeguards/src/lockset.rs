@@ -20,7 +20,7 @@ use paralog_events::{
     check_view, AddrRange, CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, MetaOp,
     Rid, ThreadId,
 };
-use paralog_meta::{WordTable, MAX_WIDE_IDS};
+use paralog_meta::{MetaWord, WideGuard, WordTable, MAX_WIDE_IDS};
 use paralog_order::CaPolicy;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -237,6 +237,12 @@ fn pack(state: u64, owner: u16, set_id: u32, reported: bool) -> u64 {
         | (u64::from(set_id) << SET_SHIFT)
 }
 
+/// The interned candidate-set id a word embeds (0, the never-counted full
+/// set, in `Virgin` and `Exclusive` states).
+fn set_id(word: u64) -> u32 {
+    (word >> SET_SHIFT) as u32
+}
+
 /// The `Send + Sync` replay form of LOCKSET driven by the real-thread
 /// backend: the §5.3 **fast-path/slow-path split** made concrete for the
 /// paper's canonical condition-2 violator.
@@ -244,18 +250,19 @@ fn pack(state: u64, owner: u16, set_id: u32, reported: bool) -> u64 {
 /// Each variable's whole Eraser state — state machine code, owning thread,
 /// `reported` flag and an *interned* candidate-lockset id — packs into one
 /// fast-path word of a [`WordTable`], with the masks themselves interned
-/// into its wide tier. The common case (a same-thread re-access
-/// in `Exclusive` state, or a read that refines nothing) is a single
-/// load-acquire: no store, no lock, nothing for another worker to contend
-/// on. A transition that must write metadata publishes the recomputed word
-/// with a CAS-exchange, retrying from a fresh read on a lost race; the only
-/// mutex anywhere is the interner's, taken just when a *new* candidate mask
-/// appears (first-write interning and refinement) — the rare structural
-/// slow path. Per-variable transitions are confluent under the enforced
-/// arcs (intersection is commutative; writes are always arc-ordered), so
-/// the CAS linearization reproduces the deterministic backend's final
-/// metadata, and the `reported` bit makes the once-per-variable race report
-/// exact even when unordered reads race to observe the empty set.
+/// into its wide tier. The common case (a same-thread re-access in
+/// `Exclusive` state) is a single load-acquire: no store, no lock, nothing
+/// for another worker to contend on. A transition that must write metadata
+/// publishes the recomputed word with a CAS-exchange, retrying from a fresh
+/// read on a lost race; the only mutex anywhere is the wide tier's, held
+/// across an access to a variable that is — or is becoming — shared, the
+/// structural slow path (0.005–0.09 such accesses per record on the
+/// bundled captures). Per-variable transitions are confluent under the
+/// enforced arcs (intersection is commutative; writes are always
+/// arc-ordered), so the CAS linearization reproduces the deterministic
+/// backend's final metadata, and the `reported` bit makes the
+/// once-per-variable race report exact even when unordered reads race to
+/// observe the empty set.
 pub struct LockSetConcurrent {
     /// word-granule index → packed Eraser state, with candidate masks
     /// interned into the wide tier (`u64` wide values: the mask *is* the
@@ -273,8 +280,8 @@ pub struct LockSetConcurrent {
 
 impl std::fmt::Debug for LockSetConcurrent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The word table and interner are multi-megabyte chunk indexes; a
-        // compact summary beats the derived dump.
+        // The word table is a directory of 64 KiB chunks; a compact
+        // summary beats the derived dump.
         f.debug_struct("LockSetConcurrent")
             .field("threads", &self.held.len())
             .finish_non_exhaustive()
@@ -287,7 +294,7 @@ impl LockSetConcurrent {
     /// incrementally — no footprint pre-scan.
     pub fn new(threads: usize) -> Self {
         LockSetConcurrent {
-            words: WordTable::new(threads),
+            words: WordTable::new(),
             held: (0..threads)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
@@ -310,50 +317,33 @@ impl LockSetConcurrent {
         }
     }
 
-    /// Pushes the degradation notice to the installed observer the first
-    /// time saturation latches. Called right after each slow-path intern
-    /// (the only place saturation can newly occur); the check is one
-    /// acquire load on a path that already took the interner mutex.
-    fn note_saturation(&self) {
-        self.notice
-            .note(self.words.wide().is_saturated(), Self::degraded_event);
-    }
-
     /// One Eraser transition from entry word `cur` — the state machine
-    /// inside [`check_granule`]'s CAS loop.
+    /// [`check_granule`] hands to [`WordTable::update`].
     ///
-    /// Returns the successor word (without the report bit), the set id
-    /// acquired for it (the caller must publish or release it), and the
-    /// mask behind the successor's candidate set.
+    /// Returns the successor word (without the report bit) and the mask
+    /// behind its candidate set; sets `interned` when it asked the tier for
+    /// an id (the only place saturation can newly occur).
     ///
     /// [`check_granule`]: Self::check_granule
     fn step_word(
-        &self,
         cur: u64,
         writes: bool,
         held: u64,
         tid: ThreadId,
-    ) -> (u64, Option<u32>, u64) {
+        wide: &mut WideGuard<'_, u64>,
+        interned: &mut bool,
+    ) -> (u64, u64) {
         let state = cur & 0b11;
         let owner = ((cur >> OWNER_SHIFT) & 0xFFFF) as u16;
-        let set_id = (cur >> SET_SHIFT) as u32;
         let reported = cur & REPORTED_BIT != 0;
-        // The id acquired for this attempt (None: reusing cur's id or a
-        // refcount-free id 0 state).
-        let mut acquired = None;
-        let (next, next_mask) = match state {
+        match state {
             S_VIRGIN => (pack(S_EXCLUSIVE, tid.0, 0, false), u64::MAX),
             S_EXCLUSIVE if owner == tid.0 => (cur, u64::MAX), // pure fast path
             S_EXCLUSIVE => {
                 let next = if writes { S_SHARED_MOD } else { S_SHARED };
-                let id = self.words.wide().intern_acquire(held);
-                self.note_saturation();
-                acquired = Some(id);
-                // SAFETY: we hold a reference on `id` (just acquired), so
-                // its slot cannot be reclaimed under us.
-                #[allow(unsafe_code)]
-                let mask = unsafe { self.words.wide().value(id) }; // saturation may widen held
-                (pack(next, 0, id, reported), mask)
+                *interned = true;
+                let id = wide.intern(held);
+                (pack(next, 0, id, reported), wide.value(id)) // saturation may widen held
             }
             S_SHARED | S_SHARED_MOD => {
                 let next = if writes || state == S_SHARED_MOD {
@@ -361,105 +351,66 @@ impl LockSetConcurrent {
                 } else {
                     S_SHARED
                 };
-                // SAFETY: `set_id` came from an entry word this worker read
-                // after its last epoch boundary; quiescence keeps the slot
-                // stable until the worker's next boundary.
-                #[allow(unsafe_code)]
-                let candidates = unsafe { self.words.wide().value(set_id) };
+                let candidates = wide.value(set_id(cur));
                 let refined = candidates & held;
-                let (id, mask) = if refined == candidates {
-                    (set_id, candidates) // no refinement: fast path when state holds too
+                if refined == candidates {
+                    // No refinement: nothing to store when the state holds too.
+                    (pack(next, 0, set_id(cur), reported), candidates)
                 } else {
-                    let id = self.words.wide().intern_acquire(refined);
-                    self.note_saturation();
-                    acquired = Some(id);
-                    // SAFETY: reference held on the just-acquired `id`.
-                    #[allow(unsafe_code)]
-                    let mask = unsafe { self.words.wide().value(id) };
-                    (id, mask)
-                };
-                (pack(next, 0, id, reported), mask)
+                    *interned = true;
+                    let id = wide.intern(refined);
+                    (pack(next, 0, id, reported), wide.value(id))
+                }
             }
             _ => unreachable!("2-bit state"),
-        };
-        (next, acquired, next_mask)
+        }
     }
 
     /// One granule's state transition — the concurrent mirror of
-    /// [`LockSet::check_granule`]'s match, CAS-published.
-    ///
-    /// Set-id references move with the entry word: a transition to a new id
-    /// *acquires* it (inside the intern mutex) before the CAS, then
-    /// releases the displaced id on success or the acquired one on failure.
-    /// The entry therefore always owns exactly one reference on its id,
-    /// which is what lets the interner reclaim ids whose last entry moved
-    /// on.
+    /// [`LockSet::check_granule`]'s match, CAS-published by
+    /// [`WordTable::update`], which also moves the entry's one reference
+    /// from the displaced set id to the new one.
     fn check_granule(&self, word: u64, writes: bool, held: u64, tid: ThreadId, rid: Rid) {
-        let key = word / GRANULE;
-        loop {
-            let cur = self.words.load(key);
-            let set_id = (cur >> SET_SHIFT) as u32;
-            let (next, acquired, next_mask) = self.step_word(cur, writes, held, tid);
+        let mut interned = false;
+        let report = self.words.update(word / GRANULE, set_id, |cur, wide| {
+            let (next, next_mask) = Self::step_word(cur, writes, held, tid, wide, &mut interned);
             // Once-per-variable race report: empty candidate set on a
             // written-shared variable, not yet reported.
             let report = next & 0b11 == S_SHARED_MOD && next & REPORTED_BIT == 0 && next_mask == 0;
-            let next = if report { next | REPORTED_BIT } else { next };
-            if next == cur {
-                if let Some(id) = acquired {
-                    self.words.wide().release(id);
-                }
-                return; // §5.3 fast path: one load-acquire, no store
-            }
-            match self.words.compare_exchange(key, cur, next) {
-                Ok(_) => {
-                    let new_id = (next >> SET_SHIFT) as u32;
-                    if set_id != new_id {
-                        // The displaced id lost its entry's reference. (An
-                        // id acquired and published is *kept*: the entry
-                        // owns it now.)
-                        self.words.wide().release(set_id);
-                    } else if let Some(id) = acquired {
-                        debug_assert_eq!(id, set_id);
-                        self.words.wide().release(id);
-                    }
-                    if report {
-                        // The CAS winner owns the report: exactly one per
-                        // variable, however many readers raced it.
-                        self.violations.push(Violation {
-                            tid,
-                            rid,
-                            kind: ViolationKind::DataRace,
-                            addr: Some(word),
-                        });
-                    }
-                    return;
-                }
-                // Lost to a concurrent (arc-unordered) access of the same
-                // variable: recompute from its published state.
-                Err(_) => {
-                    if let Some(id) = acquired {
-                        self.words.wide().release(id);
-                    }
-                    continue;
-                }
-            }
+            (if report { next | REPORTED_BIT } else { next }, report)
+        });
+        // The tier's lock is dropped: tell a live feed's observer, the
+        // first time saturation latches.
+        if interned {
+            self.notice
+                .note(self.words.is_saturated(), Self::degraded_event);
+        }
+        if report {
+            // The CAS winner owns the report: exactly one per variable,
+            // however many readers raced it.
+            self.violations.push(Violation {
+                tid,
+                rid,
+                kind: ViolationKind::DataRace,
+                addr: Some(word),
+            });
         }
     }
 
     /// Interned candidate masks currently live (soak/bench diagnostic).
     pub fn interned_masks(&self) -> usize {
-        self.words.wide().live()
+        self.words.live()
     }
 
     /// High-water mark of [`interned_masks`](Self::interned_masks).
     pub fn peak_interned_masks(&self) -> usize {
-        self.words.wide().peak_live()
+        self.words.peak_live()
     }
 
     /// Whether the interner has saturated to the conservative full set at
     /// least once this session.
     pub fn degraded(&self) -> bool {
-        self.words.wide().is_saturated()
+        self.words.is_saturated()
     }
 }
 
@@ -517,19 +468,18 @@ impl ConcurrentLifeguard for LockSetConcurrent {
 
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
-        self.words.for_each_nonzero(|key, entry| {
-            let owner = ((entry >> OWNER_SHIFT) & 0xFFFF) as u16;
-            let state_code = match entry & 0b11 {
-                S_EXCLUSIVE => 1 + u64::from(owner),
-                S_SHARED => 1 << 32,
-                S_SHARED_MOD => 2 << 32,
-                _ => unreachable!("stored entries are never virgin"),
-            };
-            // Non-worker context (equivalence sweep): take the interner
-            // mutex instead of relying on worker quiescence.
-            let candidates = self.words.wide().value_locked((entry >> SET_SHIFT) as u32);
-            fp.mix(key * GRANULE, state_code ^ candidates);
-        });
+        self.words
+            .for_each_nonzero(set_id, |key, entry, candidates| {
+                let owner = ((entry >> OWNER_SHIFT) & 0xFFFF) as u16;
+                let state_code = match entry & 0b11 {
+                    S_EXCLUSIVE => 1 + u64::from(owner),
+                    S_SHARED => 1 << 32,
+                    S_SHARED_MOD => 2 << 32,
+                    _ => unreachable!("stored entries are never virgin"),
+                };
+                let candidates = candidates.unwrap_or_else(u64::saturated);
+                fp.mix(key * GRANULE, state_code ^ candidates);
+            });
         fp.finish()
     }
 
@@ -541,17 +491,9 @@ impl ConcurrentLifeguard for LockSetConcurrent {
         self.violations.since(from)
     }
 
-    fn epoch_boundary(&self, tid: ThreadId) {
-        self.words.wide().boundary(tid.index());
-    }
-
-    fn stream_done(&self, tid: ThreadId) {
-        self.words.wide().retire_worker(tid.index());
-    }
-
     fn session_events(&self) -> Vec<crate::SessionEvent> {
         self.notice
-            .events(self.words.wide().is_saturated(), Self::degraded_event)
+            .events(self.words.is_saturated(), Self::degraded_event)
     }
 
     fn set_event_observer(&self, observer: crate::SessionEventObserver) {
@@ -803,44 +745,39 @@ mod tests {
     }
 
     #[test]
-    fn interner_reclaims_unreferenced_masks_at_boundaries() {
+    fn interner_reclaims_unreferenced_masks_at_once() {
         // Churn distinct first-share masks that are immediately refined
-        // away: the intermediate ids become unreferenced and must be freed
-        // by the epoch sweeps, keeping residency at the steady-state
-        // window.
+        // away: each combo id loses its only reference to the refinement
+        // and must be gone right after that access, not some boundaries
+        // later.
         let conc = LockSetConcurrent::new(2);
         let base = conc.interned_masks();
         for i in 0..200u64 {
             let addr = 0x1000 + i * GRANULE;
             // Thread 0 claims the var; thread 1 shares it under a unique
             // 3-lock combo (interned), then re-reads it with no locks
-            // (refines to the already-interned empty mask, releasing the
-            // combo id).
+            // (refines to the empty mask, releasing the combo id).
             conc.apply(ThreadId(0), &rec_access(1, addr, false), None);
             for bit in [i % 19, 19 + i % 17, 36 + i % 13] {
                 conc.apply(ThreadId(1), &rec_lock(2, 1, bit as u32, true), None);
             }
             conc.apply(ThreadId(1), &rec_access(3, addr, false), None);
+            assert_eq!(
+                conc.interned_masks(),
+                base + 1 + usize::from(i > 0),
+                "the combo, and the empty mask earlier variables settled on"
+            );
             for bit in [i % 19, 19 + i % 17, 36 + i % 13] {
                 conc.apply(ThreadId(1), &rec_lock(4, 1, bit as u32, false), None);
             }
             conc.apply(ThreadId(1), &rec_access(5, addr, false), None);
-            // Both workers cross a batch boundary every few records.
-            if i % 8 == 7 {
-                conc.epoch_boundary(ThreadId(0));
-                conc.epoch_boundary(ThreadId(1));
-            }
+            assert_eq!(
+                conc.interned_masks(),
+                base + 1,
+                "iteration {i}: the displaced combo id outlived its last word"
+            );
         }
-        conc.epoch_boundary(ThreadId(0));
-        conc.epoch_boundary(ThreadId(1));
-        conc.epoch_boundary(ThreadId(0));
-        conc.epoch_boundary(ThreadId(1));
-        assert!(
-            conc.interned_masks() <= base + 24,
-            "unreferenced combo masks must be reclaimed (live: {})",
-            conc.interned_masks()
-        );
-        assert!(conc.peak_interned_masks() < 100, "residency stays windowed");
+        assert_eq!(conc.peak_interned_masks(), base + 2);
         assert!(!conc.degraded());
         assert!(conc.violations().is_empty(), "reads only: no races");
     }
@@ -849,7 +786,7 @@ mod tests {
     fn interner_exhaustion_saturates_soundly_past_two_to_the_sixteen() {
         // An adversarial workload pins more than 2^16 *distinct* candidate
         // masks live at once (every shared var keeps its combo referenced,
-        // and no boundary can free a referenced id). The interner must
+        // and a referenced id is never freed). The interner must
         // saturate to the conservative full set — completing the session
         // with zero false reports and one DegradedPrecision event — where
         // it previously died on an assert.
@@ -883,11 +820,6 @@ mod tests {
                 conc.apply(ThreadId(t), &rec_access(rid[t as usize], addr, true), None);
                 rid[t as usize] += 1;
             }
-            // Boundaries must not help: every mask is still referenced.
-            if i % 4096 == 0 {
-                conc.epoch_boundary(ThreadId(0));
-                conc.epoch_boundary(ThreadId(1));
-            }
         }
 
         assert!(conc.degraded(), "66k live masks must exhaust 2^16 ids");
@@ -903,27 +835,6 @@ mod tests {
             conc.violations().len(),
             1,
             "saturation must not fabricate race reports"
-        );
-    }
-
-    #[test]
-    fn retired_worker_does_not_gate_reclamation() {
-        let conc = LockSetConcurrent::new(2);
-        let before = conc.interned_masks();
-        conc.apply(ThreadId(0), &rec_access(1, 0x2000, false), None);
-        conc.apply(ThreadId(1), &rec_lock(2, 1, 7, true), None);
-        conc.apply(ThreadId(1), &rec_access(3, 0x2000, false), None);
-        conc.apply(ThreadId(1), &rec_lock(4, 1, 7, false), None);
-        conc.apply(ThreadId(1), &rec_access(5, 0x2000, false), None);
-        // Worker 0's stream ends; only worker 1 keeps crossing boundaries.
-        conc.stream_done(ThreadId(0));
-        conc.epoch_boundary(ThreadId(1));
-        conc.epoch_boundary(ThreadId(1));
-        assert_eq!(
-            conc.interned_masks(),
-            before + 1,
-            "the {{lock 7}} mask died with the refinement; only the empty \
-             mask stays referenced"
         );
     }
 

@@ -92,7 +92,12 @@ impl<T: Default> ChunkDir<T> {
                 }
             }
         }
-        for (ci, chunk) in self.spill.lock().expect("poisoned").iter() {
+        // Handles out, lock dropped: `f` may come back through `with`.
+        let spill: Vec<(u64, Arc<[T]>)> = {
+            let spill = self.spill.lock().expect("poisoned");
+            spill.iter().map(|(ci, c)| (*ci, Arc::clone(c))).collect()
+        };
+        for (ci, chunk) in &spill {
             f(*ci, chunk);
         }
     }

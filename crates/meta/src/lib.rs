@@ -11,9 +11,10 @@
 //!   *modelled* machine (2 bits/byte for TAINTCHECK, 1 bit/byte for
 //!   ADDRCHECK) that the Metadata TLB accelerates;
 //! * [`WordTable`] — the word-granular companion: one CAS-able `AtomicU64`
-//!   per key (the packed fast path), plus a reference-counted
-//!   [`WideInterner`] for per-location state that outgrows a single word
-//!   (LockSet's candidate masks, HappensBefore's read vector clocks);
+//!   per key (the packed fast path), plus a reference-counted wide tier —
+//!   one mutex over a slab of the live values — for per-location state
+//!   that outgrows a single word (LockSet's candidate masks,
+//!   HappensBefore's read vector clocks);
 //! * [`VersionTable`] — the one produce/consume table backing TSO versioned
 //!   metadata (§5.5) on every replay path: a mutex over a map of the
 //!   outstanding versions;
@@ -34,7 +35,7 @@
 //! assert_eq!(meta_footprint(2, 0x2000, 4).len, 1);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod atomic;
@@ -45,5 +46,5 @@ pub mod versions;
 
 pub use atomic::{meta_addr, meta_footprint, AtomicShadow};
 pub use fingerprint::Fingerprint;
-pub use table::{MetaWord, PackedWordTable, WideInterner, WordTable, MAX_WIDE_IDS};
+pub use table::{MetaWord, PackedWordTable, WideGuard, WordTable, MAX_WIDE_IDS};
 pub use versions::VersionTable;

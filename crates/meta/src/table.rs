@@ -10,49 +10,39 @@
 //! * [`PackedWordTable`] — the lock-free `key → AtomicU64` table (lazily
 //!   materialized chunks, CAS publication). The **fast path**: analyses
 //!   encode their common-case state directly in the word.
-//! * [`WideInterner<V>`] — reference-counted, epoch-reclaimed interning of
-//!   arbitrary wide values `V`. The **slow path**: when a state outgrows
-//!   the packed encoding, the analysis interns the wide value and packs the
+//! * the wide tier — reference-counted interning of arbitrary wide values
+//!   `V` behind one mutex. The **slow path**: when a state outgrows the
+//!   packed encoding, the analysis interns the wide value and packs the
 //!   returned dense id into the word instead.
-//! * [`WordTable<V>`] — both halves under one roof, constructed together so
-//!   the id lifecycle and the word lifecycle share one worker-quiescence
-//!   clock.
+//! * [`WordTable<V>`] — both halves under one roof, with the one method
+//!   ([`WordTable::update`]) that moves a word from one state to the next.
 //!
-//! # The ref-transfer contract
+//! # The one rule
 //!
-//! A table word that embeds a wide id *holds one reference* on that id.
-//! Publishing a transition therefore follows a strict order: acquire the
-//! new id ([`WideInterner::intern_acquire`]) **before** the CAS, release
-//! the displaced id ([`WideInterner::release`]) **after** the CAS succeeds
-//! (or release the acquired id if it fails). The CAS's release ordering is
-//! what publishes the interned value to other workers: the value is written
-//! into its slot before the id ever escapes the intern mutex, so a reader
-//! that acquire-loads a word containing the id also observes the value.
+//! A table word that embeds a wide id *holds one reference* on that id, and
+//! **a transition whose current or next word embeds a wide id runs entirely
+//! under the tier's mutex**: load the word, resolve its id, intern the
+//! successor's value, CAS, move the reference. Two things follow. An id is
+//! freed — and reusable — the moment its count reaches zero, because nobody
+//! can be looking at it: whoever resolves an id holds the lock, and the word
+//! it came from cannot change under a lock holder. And a resolved value is
+//! always the word's *current* one, never a stale read. Transitions between
+//! two words that embed no id (which bits of a word are the id is the
+//! caller's to say) never take the mutex: they stay one load-acquire plus
+//! at most one CAS.
 //!
-//! # Reclamation and quiescence
-//!
-//! Freed ids are reused, which makes slot rewrites possible while lock-free
-//! readers exist. Safety comes from the same epoch discipline the rest of
-//! the §5.3 machinery uses: a worker only dereferences ids obtained from
-//! words it loaded *during its current batch*, and an id is only recycled
-//! once every live worker has crossed a batch boundary
-//! ([`WideInterner::boundary`]) after the release. Threads outside the
-//! worker protocol (tests, end-of-run fingerprints) must use the
-//! mutex-taking [`WideInterner::value_locked`] instead.
-//!
-//! On id exhaustion the interner **saturates**: it hands out the permanent
-//! id 0, pre-interned to [`MetaWord::saturated`] — each analysis' "know
-//! nothing, over-approximate" value. Degradation is latched for the
-//! session-event surface; it can change precision, never soundness.
+//! On id exhaustion the tier **saturates**: it hands out the permanent
+//! id 0, which stands for [`MetaWord::saturated`] — each analysis' "know
+//! nothing, over-approximate" value — and is never counted or stored.
+//! Degradation is latched for the session-event surface; it can change
+//! precision, never soundness.
 
 use crate::chunks::ChunkDir;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
-
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 /// Keys per chunk (8192 × 8 bytes = 64 KiB per chunk).
 const WORDS_PER_CHUNK: u64 = 1 << 13;
 
@@ -163,312 +153,184 @@ impl PackedWordTable {
     }
 }
 
+/// The wide tier's bookkeeping, all of it behind the one mutex.
+#[derive(Debug)]
+struct TierState<V> {
+    /// value → id, for the live values only.
+    map: HashMap<V, u32>,
+    /// id `n` lives in `slab[n - 1]`: its value and the number of table
+    /// words embedding it. `None` is a vacant id on the free list. Grows
+    /// with the live set; id 0 (saturated, permanent) is never stored.
+    slab: Vec<Option<(V, u32)>>,
+    free: Vec<u32>,
+    /// High-water mark of live values, the saturated one included.
+    peak_live: usize,
+}
+
+impl<V: MetaWord> TierState<V> {
+    /// The value behind a counted id (never 0, which is not stored).
+    fn value(&self, id: u32) -> V {
+        match self.slab.get(id as usize - 1) {
+            Some(Some((value, _))) => value.clone(),
+            _ => panic!("wide id {id} resolved while vacant"),
+        }
+    }
+
+    /// The id for `value` with one reference taken on it, or `None` when
+    /// [`MAX_WIDE_IDS`] values are live already.
+    fn acquire(&mut self, value: V) -> Option<u32> {
+        if value == V::saturated() {
+            return Some(0);
+        }
+        if let Some(&id) = self.map.get(&value) {
+            let (_, refs) = self.slab[id as usize - 1]
+                .as_mut()
+                .expect("mapped id is live");
+            *refs += 1;
+            return Some(id);
+        }
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None if self.slab.len() + 1 < MAX_WIDE_IDS => {
+                self.slab.push(None);
+                self.slab.len() as u32
+            }
+            None => return None,
+        };
+        self.slab[id as usize - 1] = Some((value.clone(), 1));
+        self.map.insert(value, id);
+        self.peak_live = self.peak_live.max(self.map.len() + 1);
+        Some(id)
+    }
+
+    /// Drops one reference on `id`; at zero the id is vacant and reusable
+    /// at once. A live id's count is never zero, so releasing one nobody
+    /// holds finds it vacant and panics rather than wrap a count.
+    fn release(&mut self, id: u32) {
+        if id == 0 {
+            return;
+        }
+        let slot = self.slab.get_mut(id as usize - 1);
+        let Some((value, refs)) = slot.and_then(Option::as_mut) else {
+            panic!("wide id {id} released with no reference outstanding");
+        };
+        *refs -= 1;
+        if *refs == 0 {
+            let removed = self.map.remove(value);
+            debug_assert_eq!(removed, Some(id), "map/slab coherence");
+            self.slab[id as usize - 1] = None;
+            self.free.push(id);
+        }
+    }
+}
+
 /// Interns wide metadata values into dense u32 ids so one packed
-/// [`PackedWordTable`] word can reference state that outgrew it.
-///
-/// Interning is the §5.3 **slow path** — it runs only when an access
-/// actually produces a new wide value (a metadata write) — while `id →
-/// value` resolution ([`value`](Self::value)) is a lock-free read the fast
-/// path may take on every access. Id 0 is pre-interned to
-/// [`MetaWord::saturated`], permanent and never refcounted.
-///
-/// # Reclamation and degradation (unbounded uptime)
-///
-/// Ids are **reference-counted and reusable**: every table entry embedding
-/// an id holds one reference, moved by the entry CAS (acquire the new id
-/// before publishing, release the old one after). An id whose count reaches
-/// zero is queued, stamped with the current epoch, and freed only once
-/// every live worker has crossed a later batch boundary
-/// ([`boundary`](Self::boundary)) — the quiescence gate that makes id reuse
-/// safe against mid-record readers holding a stale entry word: such a
-/// reader's slot cannot be rewritten under it, and its CAS necessarily
-/// fails anyway (the entry changed when the id was released). Acquisition
-/// happens *inside* the intern mutex, so the free-time `refs == 0` re-check
-/// cannot race a revival.
-///
-/// # The `unsafe` argument
-///
-/// This protocol is the only thing in the workspace that needs `unsafe`
-/// (every other crate root forbids it; this crate and `paralog-lifeguards`
-/// deny it outside the items named here). A slot is *written* only under
-/// the `state` mutex: before the interner is shared (`new`), for an id
-/// that is fresh or came off the free list (`intern_acquire`), and when a
-/// fully quiesced id is freed (`process_pending`). A slot is *read* either
-/// under that mutex ([`value_locked`](Self::value_locked)) or lock-free
-/// through [`value`](Self::value), whose callers — the four
-/// `wide().value(id)` sites in `lockset.rs` and `happensbefore.rs` —
-/// resolve only an id they hold a reference on or one read from an entry
-/// word since their lane's last [`boundary`](Self::boundary); neither can
-/// reach the free list while they do, by the paragraph above.
-///
-/// When the id space is genuinely full — [`MAX_WIDE_IDS`] values all still
-/// referenced — [`intern_acquire`](Self::intern_acquire) **saturates** to
-/// id 0 instead of failing. The degradation is latched
-/// ([`is_saturated`](Self::is_saturated)) for the session-event surface.
-pub struct WideInterner<V: MetaWord> {
-    /// id → value; valid while the id is live, rewritten on reuse. Written
-    /// only under the state mutex; read lock-free under the quiescence
-    /// contract (see [`value`](Self::value)).
-    slots: Box<[UnsafeCell<Option<V>>]>,
-    /// id → number of table entries currently holding the id. Id 0 is
-    /// permanent and never counted.
-    refs: Box<[AtomicU32]>,
-    /// value → id map, allocation state, and the pending-free queue, behind
-    /// the slow-path lock.
-    state: Mutex<InternerState<V>>,
-    /// The global quiescence clock, bumped by every worker boundary.
-    epoch: AtomicU64,
-    /// Per-worker epoch at its last batch boundary (`u64::MAX` once the
-    /// worker's stream ended: it holds no stale reads and must not gate
-    /// frees forever).
-    worker_epochs: Box<[AtomicU64]>,
+/// [`PackedWordTable`] word can reference state that outgrew it: one mutex
+/// over a slab of the live values, sized by them — a session's peak is a
+/// few dozen lock masks or a few thousand read vector clocks, and a fresh
+/// tier allocates nothing.
+#[derive(Debug)]
+struct WideTier<V> {
+    state: Mutex<TierState<V>>,
     /// Latched on first saturation; read by the session-event surface.
     saturated: AtomicBool,
 }
 
-// SAFETY: the `UnsafeCell` slots are written only under the `state` mutex,
-// and cross-thread reads are governed by the happens-before edges the
-// module docs lay out (release-CAS of the embedding word before a reader's
-// acquire-load; worker-epoch release/acquire before a slot rewrite). `V` is
-// `Send + Sync` by the `MetaWord` bound.
-#[allow(unsafe_code)]
-unsafe impl<V: MetaWord> Sync for WideInterner<V> {}
-
-impl<V: MetaWord> fmt::Debug for WideInterner<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WideInterner")
-            .field("workers", &self.worker_epochs.len())
-            .field("saturated", &self.saturated)
-            .finish_non_exhaustive()
-    }
-}
-
-#[derive(Debug)]
-struct InternerState<V> {
-    map: HashMap<V, u32>,
-    /// Next never-used id; allocation prefers the free list.
-    next: u32,
-    free: Vec<u32>,
-    /// (id, epoch it was queued in): freeable once every live worker's
-    /// epoch exceeds the stamp and the count is still zero.
-    pending: Vec<(u32, u64)>,
-    /// id → already in `pending` (bounds queue growth under churn).
-    queued: Vec<bool>,
-    /// High-water mark of live ids (soak diagnostics).
-    peak_live: usize,
-}
-
-#[allow(unsafe_code)]
-impl<V: MetaWord> WideInterner<V> {
-    /// An interner gated by `workers` replay lanes (at least one).
-    pub fn new(workers: usize) -> Self {
-        let mut map = HashMap::new();
-        map.insert(V::saturated(), 0u32);
-        let slots: Box<[UnsafeCell<Option<V>>]> =
-            (0..MAX_WIDE_IDS).map(|_| UnsafeCell::new(None)).collect();
-        // SAFETY: slot 0 is written before the interner is shared: no
-        // readers yet.
-        unsafe { *slots[0].get() = Some(V::saturated()) };
-        WideInterner {
-            slots,
-            refs: (0..MAX_WIDE_IDS).map(|_| AtomicU32::new(0)).collect(),
-            state: Mutex::new(InternerState {
-                map,
-                next: 1,
+impl<V: MetaWord> WideTier<V> {
+    fn new() -> Self {
+        WideTier {
+            state: Mutex::new(TierState {
+                map: HashMap::new(),
+                slab: Vec::new(),
                 free: Vec::new(),
-                pending: Vec::new(),
-                queued: vec![false; MAX_WIDE_IDS],
                 peak_live: 1,
             }),
-            epoch: AtomicU64::new(0),
-            worker_epochs: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             saturated: AtomicBool::new(false),
         }
     }
 
-    /// The value behind a live id, read lock-free.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be a replay worker inside the quiescence protocol,
-    /// resolving an id it obtained from a word it acquire-loaded during its
-    /// current batch (between [`boundary`](Self::boundary) calls on its own
-    /// lane). That is what guarantees the slot is not rewritten mid-read:
-    /// reuse requires a release *plus* a later boundary on every live lane.
-    /// Any thread outside the worker protocol must use
-    /// [`value_locked`](Self::value_locked).
-    pub unsafe fn value(&self, id: u32) -> V {
-        (*self.slots[id as usize].get())
-            .as_ref()
-            .expect("live id has a value")
-            .clone()
+    fn lock(&self) -> MutexGuard<'_, TierState<V>> {
+        self.state.lock().expect("poisoned")
+    }
+}
+
+/// The wide tier as one [`WordTable::update`] sees it: the mutex is taken
+/// the first time the transition needs it and held until the update
+/// returns.
+#[derive(Debug)]
+pub struct WideGuard<'a, V: MetaWord> {
+    tier: &'a WideTier<V>,
+    state: Option<MutexGuard<'a, TierState<V>>>,
+    /// The id this attempt interned (0: none): published with the word or
+    /// released by [`WordTable::update`].
+    acquired: u32,
+}
+
+impl<V: MetaWord> WideGuard<'_, V> {
+    fn state(&mut self) -> &mut TierState<V> {
+        self.state.get_or_insert_with(|| self.tier.lock())
     }
 
-    /// The value behind a live id, taking the intern mutex — safe from any
-    /// thread (fingerprints, status surfaces, tests), at slow-path cost.
-    pub fn value_locked(&self, id: u32) -> V {
-        let _state = self.state.lock().expect("poisoned");
-        // SAFETY: slot writes only happen under the mutex we hold.
-        unsafe {
-            (*self.slots[id as usize].get())
-                .as_ref()
-                .expect("live id has a value")
-                .clone()
-        }
-    }
-
-    /// The id for `value` with one reference acquired for the caller, who
-    /// must either publish it into a table entry or
-    /// [`release`](Self::release) it. Interns the value if new; saturates
-    /// to id 0 when the id space is exhausted.
-    pub fn intern_acquire(&self, value: V) -> u32 {
-        let mut state = self.state.lock().expect("poisoned");
-        if let Some(&id) = state.map.get(&value) {
-            if id != 0 {
-                self.refs[id as usize].fetch_add(1, Ordering::Relaxed);
-                // A revival voids the queued free and its stamp: lanes may
-                // read the id again from here on, so the next release to
-                // zero must be stamped with the epoch current *then*.
-                if std::mem::take(&mut state.queued[id as usize]) {
-                    state.pending.retain(|&(queued, _)| queued != id);
-                }
-            }
-            return id;
-        }
-        let Some(id) = state.free.pop().or_else(|| {
-            ((state.next as usize) < MAX_WIDE_IDS).then(|| {
-                state.next += 1;
-                state.next - 1
-            })
-        }) else {
-            // Exhausted: over-approximate with the saturated value. Sound
-            // by the `MetaWord` contract, latched for the session-event
-            // surface.
-            self.saturated.store(true, Ordering::Release);
-            return 0;
-        };
-        // Write the slot *before* the id escapes the lock; the caller's
-        // release-CAS of the embedding word is the publication edge that
-        // makes this write visible to lock-free `value()` readers.
-        // SAFETY: we hold the mutex; the id is fresh or fully quiesced
-        // (freed ids reach `free` only via `process_pending`).
-        unsafe { *self.slots[id as usize].get() = Some(value.clone()) };
-        self.refs[id as usize].store(1, Ordering::Relaxed);
-        state.map.insert(value, id);
-        state.peak_live = state.peak_live.max(state.map.len());
-        id
-    }
-
-    /// Drops one reference on `id`; a count that reaches zero queues the id
-    /// for an epoch-gated free.
-    pub fn release(&self, id: u32) {
+    /// The value behind the id the current word embeds, or behind one this
+    /// attempt interned. Id 0 is [`MetaWord::saturated`] and takes no lock.
+    #[inline]
+    pub fn value(&mut self, id: u32) -> V {
         if id == 0 {
-            return;
+            return V::saturated();
         }
-        if self.refs[id as usize].fetch_sub(1, Ordering::Release) != 1 {
-            return;
-        }
-        let mut state = self.state.lock().expect("poisoned");
-        // Re-check under the mutex: a concurrent intern_acquire may have
-        // revived the id between our decrement and the lock.
-        if !state.queued[id as usize] && self.refs[id as usize].load(Ordering::Relaxed) == 0 {
-            state.queued[id as usize] = true;
-            let epoch = self.epoch.load(Ordering::Relaxed);
-            state.pending.push((id, epoch));
-        }
+        self.state().value(id)
     }
 
-    /// Worker `w` crossed a stream batch boundary: no record application is
-    /// in flight on it, so any entry word it read earlier is stale by
-    /// contract. Advances the quiescence clock and frees every pending id
-    /// all live workers have quiesced past.
-    pub fn boundary(&self, w: usize) {
-        let now = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        if let Some(slot) = self.worker_epochs.get(w) {
-            slot.store(now, Ordering::Release);
+    /// The id for `value`, to be embedded in the step's successor word;
+    /// interns the value if new, saturates to id 0 (and latches the
+    /// degradation) when [`MAX_WIDE_IDS`] values are live. One id per
+    /// attempt: a second call drops the first one's reference.
+    pub fn intern(&mut self, value: V) -> u32 {
+        let previous = self.acquired;
+        let state = self.state();
+        state.release(previous);
+        let id = state.acquire(value);
+        if id.is_none() {
+            // Exhausted: over-approximate with the saturated value. Sound
+            // by the `MetaWord` contract.
+            self.tier.saturated.store(true, Ordering::Release);
         }
-        self.process_pending();
+        self.acquired = id.unwrap_or(0);
+        self.acquired
     }
 
-    /// Worker `w`'s stream ended: it will never read another entry, so it
-    /// must not gate reclamation.
-    pub fn retire_worker(&self, w: usize) {
-        if let Some(slot) = self.worker_epochs.get(w) {
-            slot.store(u64::MAX, Ordering::Release);
+    #[inline]
+    fn release(&mut self, id: u32) {
+        if id != 0 {
+            self.state().release(id);
         }
-        self.process_pending();
-    }
-
-    fn process_pending(&self) {
-        let min_active = self
-            .worker_epochs
-            .iter()
-            .map(|e| e.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(u64::MAX);
-        let mut state = self.state.lock().expect("poisoned");
-        let mut keep = Vec::new();
-        for (id, stamped) in std::mem::take(&mut state.pending) {
-            if stamped >= min_active {
-                keep.push((id, stamped));
-                continue;
-            }
-            state.queued[id as usize] = false;
-            if self.refs[id as usize].load(Ordering::Acquire) == 0 {
-                // SAFETY: mutex held; every lane quiesced past the release,
-                // so no lock-free reader can still hold this id.
-                let value = unsafe {
-                    (*self.slots[id as usize].get())
-                        .take()
-                        .expect("pending id had a value")
-                };
-                let removed = state.map.remove(&value);
-                debug_assert_eq!(removed, Some(id), "map/slot coherence");
-                state.free.push(id);
-            }
-            // A non-zero count means the id was revived through the map; it
-            // re-queues if it ever drops to zero again.
-        }
-        state.pending = keep;
-    }
-
-    /// Live interned values (including the permanent saturated one).
-    pub fn live(&self) -> usize {
-        self.state.lock().expect("poisoned").map.len()
-    }
-
-    /// High-water mark of [`live`](Self::live).
-    pub fn peak_live(&self) -> usize {
-        self.state.lock().expect("poisoned").peak_live
-    }
-
-    /// Whether the id space ever saturated.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated.load(Ordering::Acquire)
     }
 }
 
 /// Packed fast path and interned wide tier under one roof: the metadata
 /// substrate for word-granular concurrent lifeguards.
 ///
-/// The packed half behaves exactly like a bare [`PackedWordTable`]; the
-/// analysis owns the bit layout and decides when a state spills to the wide
-/// tier (packing the interned id into the word under the ref-transfer
-/// contract in the module docs). Constructing both together ties the id
-/// lifecycle to the worker-quiescence clock the embedding words are read
-/// under.
+/// The analysis owns the bit layout and decides when a state spills to the
+/// wide tier; every transition goes through [`update`](Self::update), which
+/// keeps the module's one rule.
 #[derive(Debug)]
 pub struct WordTable<V: MetaWord> {
     packed: PackedWordTable,
-    wide: WideInterner<V>,
+    wide: WideTier<V>,
+}
+
+impl<V: MetaWord> Default for WordTable<V> {
+    fn default() -> Self {
+        WordTable::new()
+    }
 }
 
 impl<V: MetaWord> WordTable<V> {
-    /// An empty table whose wide tier is gated by `workers` replay lanes.
-    pub fn new(workers: usize) -> Self {
+    /// An empty table: no chunk and no per-id storage until first use.
+    pub fn new() -> Self {
         WordTable {
             packed: PackedWordTable::new(),
-            wide: WideInterner::new(workers),
+            wide: WideTier::new(),
         }
     }
 
@@ -477,22 +339,104 @@ impl<V: MetaWord> WordTable<V> {
         self.packed.load(key)
     }
 
-    /// CAS-exchange on one key (see [`PackedWordTable::compare_exchange`]).
-    pub fn compare_exchange(&self, key: u64, current: u64, new: u64) -> Result<u64, u64> {
-        self.packed.compare_exchange(key, current, new)
+    /// Moves `key`'s word through one transition. `step` maps the current
+    /// word to its successor (plus whatever the caller wants back),
+    /// resolving and interning wide values through the [`WideGuard`];
+    /// `id_of` names the wide id a word embeds (0: none). The successor is
+    /// CAS-published, `step` re-run from a fresh load on a lost race, and
+    /// the result of the attempt that landed — or found nothing to change —
+    /// returned.
+    ///
+    /// This is the one place references move: the successor's id is
+    /// acquired (by [`WideGuard::intern`]) before the CAS; after it the
+    /// displaced word's id is released on success, the acquired one on
+    /// failure or when the word kept its id. Per the module's rule the
+    /// mutex is held across all of it whenever either word embeds an id,
+    /// and never taken otherwise.
+    #[inline]
+    pub fn update<R>(
+        &self,
+        key: u64,
+        id_of: impl Fn(u64) -> u32,
+        mut step: impl FnMut(u64, &mut WideGuard<'_, V>) -> (u64, R),
+    ) -> R {
+        let mut wide = WideGuard {
+            tier: &self.wide,
+            state: None,
+            acquired: 0,
+        };
+        loop {
+            let mut cur = self.packed.load(key);
+            if id_of(cur) != 0 && wide.state.is_none() {
+                // Words that embed an id change only under the lock: take
+                // it, then read the word this attempt will work from.
+                wide.state();
+                cur = self.packed.load(key);
+            }
+            let (next, out) = step(cur, &mut wide);
+            let acquired = std::mem::take(&mut wide.acquired);
+            if next == cur {
+                wide.release(acquired);
+                return out; // §5.3 fast path: one load-acquire, no store
+            }
+            match self.packed.compare_exchange(key, cur, next) {
+                Ok(_) => {
+                    let (old, new) = (id_of(cur), id_of(next));
+                    if old != new {
+                        // The word owns the acquired reference now; the
+                        // displaced id lost the word's.
+                        debug_assert!(new == acquired, "a word embeds the id its step interned");
+                        wide.release(old);
+                    } else {
+                        wide.release(acquired);
+                    }
+                    return out;
+                }
+                // Lost to a concurrent (arc-unordered) access of the same
+                // key: recompute from its published state.
+                Err(_) => wide.release(acquired),
+            }
+        }
     }
 
-    /// Calls `f(key, value)` for every key holding a non-zero word.
-    pub fn for_each_nonzero(&self, f: impl FnMut(u64, u64)) {
-        self.packed.for_each_nonzero(f)
+    /// Calls `f(key, word, wide)` for every key holding a non-zero word,
+    /// `wide` being the value behind the id the word embeds (`None` when
+    /// `id_of` says it embeds none). The mutex is taken per wide word, not
+    /// across the walk, so a status scrape of a live session never stalls
+    /// its lanes for longer than one lookup.
+    pub fn for_each_nonzero(
+        &self,
+        id_of: impl Fn(u64) -> u32,
+        mut f: impl FnMut(u64, u64, Option<V>),
+    ) {
+        self.packed.for_each_nonzero(|key, mut word| {
+            let mut wide = None;
+            if id_of(word) != 0 {
+                let state = self.wide.lock();
+                word = self.packed.load(key);
+                wide = Some(id_of(word))
+                    .filter(|&id| id != 0)
+                    .map(|id| state.value(id));
+            }
+            f(key, word, wide);
+        });
     }
 
-    /// The wide tier.
-    pub fn wide(&self) -> &WideInterner<V> {
-        &self.wide
+    /// Live interned values (including the permanent saturated one).
+    pub fn live(&self) -> usize {
+        self.wide.lock().map.len() + 1
+    }
+
+    /// High-water mark of [`live`](Self::live).
+    pub fn peak_live(&self) -> usize {
+        self.wide.lock().peak_live
+    }
+
+    /// Whether the wide tier ever saturated.
+    pub fn is_saturated(&self) -> bool {
+        self.wide.saturated.load(Ordering::Acquire)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,88 +520,261 @@ mod tests {
         }
     }
 
+    /// The tests' word layout: bit 0 set on every stored word, bit 1 marks
+    /// a wide word whose id sits in bits 32–63, packed words count in
+    /// bits 2–31.
+    const WIDE: u64 = 0b11;
+
+    fn wide_word(id: u32) -> u64 {
+        u64::from(id) << 32 | WIDE
+    }
+
+    fn id_of(word: u64) -> u32 {
+        if word & WIDE == WIDE {
+            (word >> 32) as u32
+        } else {
+            0
+        }
+    }
+
+    fn tier<V: MetaWord>() -> TierState<V> {
+        WideTier::new().state.into_inner().expect("fresh")
+    }
+
     #[test]
-    fn interner_dedups_and_recycles_after_quiescence() {
-        let it: WideInterner<Vc> = WideInterner::new(2);
-        let a = it.intern_acquire(Vc(vec![(0, 1)]));
-        let b = it.intern_acquire(Vc(vec![(0, 1)]));
+    fn interner_dedups_and_recycles_immediately() {
+        let mut it = tier::<Vc>();
+        let a = it.acquire(Vc(vec![(0, 1)])).unwrap();
+        let b = it.acquire(Vc(vec![(0, 1)])).unwrap();
         assert_eq!(a, b, "structural equality shares an id");
         assert_ne!(a, 0);
-        assert_eq!(it.value_locked(a), Vc(vec![(0, 1)]));
-        let c = it.intern_acquire(Vc(vec![(1, 7)]));
+        assert_eq!(it.value(a), Vc(vec![(0, 1)]));
+        let c = it.acquire(Vc(vec![(1, 7)])).unwrap();
         assert_ne!(c, a);
-        assert_eq!(it.live(), 3);
+        assert_eq!(it.map.len(), 2);
 
-        // Two releases drop `a` to zero; it frees only after both lanes
-        // cross a boundary past the release.
+        // Two references, two releases: the id is vacant the moment the
+        // second one lands, with no boundary to wait for.
         it.release(a);
+        assert_eq!(it.map.len(), 2, "one reference still out");
         it.release(b);
-        assert_eq!(it.live(), 3, "queued, not yet freed");
-        it.boundary(0);
-        assert_eq!(it.live(), 3, "one lane still unquiesced");
-        it.boundary(1);
-        it.boundary(0);
-        assert_eq!(it.live(), 2, "freed after full quiescence");
+        assert_eq!(it.map.len(), 1, "freed at zero");
 
         // The freed id is reused for a fresh value.
-        let d = it.intern_acquire(Vc(vec![(2, 9)]));
-        assert_eq!(d, a, "free list reuses the quiesced id");
-        assert_eq!(it.value_locked(d), Vc(vec![(2, 9)]));
-        assert_eq!(it.peak_live(), 3);
-        assert!(!it.is_saturated());
+        let d = it.acquire(Vc(vec![(2, 9)])).unwrap();
+        assert_eq!(d, a, "free list reuses the id");
+        assert_eq!(it.value(d), Vc(vec![(2, 9)]));
+        assert_eq!(it.peak_live, 3, "two values and the saturated one");
+        assert_eq!(it.slab.len(), 2, "the slab never outgrew the live set");
     }
 
     #[test]
     fn interner_saturates_to_id_zero_when_full() {
-        let it: WideInterner<u64> = WideInterner::new(1);
-        assert_eq!(it.value_locked(0), u64::MAX, "id 0 is the saturated value");
+        let t: WordTable<u64> = WordTable::new();
+        let mut wide = WideGuard {
+            tier: &t.wide,
+            state: None,
+            acquired: 0,
+        };
+        assert_eq!(wide.value(0), u64::MAX, "id 0 is the saturated value");
+        assert!(wide.state.is_none(), "and resolving it takes no lock");
+        assert_eq!(wide.intern(u64::MAX), 0, "interning it stores nothing");
         for v in 0..(MAX_WIDE_IDS as u64 - 1) {
-            assert_ne!(it.intern_acquire(v), 0, "distinct live values get ids");
+            assert_ne!(wide.intern(v), 0, "distinct live values get ids");
+            wide.acquired = 0; // as if a word had published it
         }
-        assert!(!it.is_saturated());
-        let overflow = it.intern_acquire(u64::MAX - 1);
-        assert_eq!(overflow, 0, "exhaustion saturates to id 0");
-        assert!(it.is_saturated());
-        // Releasing the saturated id is a no-op.
-        it.release(0);
-        assert_eq!(it.value_locked(0), u64::MAX);
+        assert!(!t.is_saturated());
+        assert_eq!(wide.intern(u64::MAX - 1), 0, "exhaustion saturates to id 0");
+        assert!(t.is_saturated());
+        // Releasing the saturated id is a no-op, and one freed id is one
+        // more value the tier can hold: the cap is on *live* values.
+        wide.release(0);
+        wide.release(7);
+        assert_ne!(wide.intern(u64::MAX - 1), 0);
+        drop(wide);
+        assert_eq!(t.live(), MAX_WIDE_IDS);
+        assert_eq!(t.peak_live(), MAX_WIDE_IDS);
     }
 
     #[test]
-    fn revived_id_is_not_freed() {
-        let it: WideInterner<u64> = WideInterner::new(1);
-        let a = it.intern_acquire(42);
+    fn released_value_revives_through_the_map() {
+        let mut it = tier::<u64>();
+        let a = it.acquire(42).unwrap();
+        assert_eq!(it.acquire(42), Some(a));
         it.release(a);
-        // Revive through the map before quiescence.
-        let b = it.intern_acquire(42);
-        assert_eq!(a, b);
-        it.boundary(0);
-        it.boundary(0);
-        assert_eq!(it.live(), 2, "revived id survives the pending sweep");
-        assert_eq!(it.value_locked(b), 42);
+        // One reference left: the value is still mapped, and a new holder
+        // finds the same id.
+        assert_eq!(it.acquire(42), Some(a));
+        assert_eq!(it.value(a), 42);
+        it.release(a);
+        it.release(a);
+        assert!(it.map.is_empty(), "the last release frees");
+        // Gone is gone: the next holder interns afresh, with its own count.
+        let b = it.acquire(42).unwrap();
+        assert_eq!(it.value(b), 42);
+        it.release(b);
+        assert!(it.map.is_empty());
     }
 
     #[test]
-    fn revived_id_is_restamped_by_its_next_release() {
-        let it: WideInterner<u64> = WideInterner::new(2);
-        let x = it.intern_acquire(42);
-        it.release(x);
-        it.boundary(0);
-        // Revived after lane 0's boundary: lane 0 may read the id again, so
-        // the stamp of the first release must not free it.
-        assert_eq!(it.intern_acquire(42), x);
-        it.release(x);
-        it.boundary(1);
-        assert_eq!(it.value_locked(x), 42, "lane 0 has not quiesced since");
+    #[should_panic(expected = "wide id 3 released with no reference outstanding")]
+    fn release_of_a_never_interned_id_panics() {
+        let mut it = tier::<u64>();
+        it.acquire(1).unwrap();
+        it.release(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "wide id 1 released with no reference outstanding")]
+    fn release_past_zero_panics_instead_of_wrapping() {
+        let mut it = tier::<u64>();
+        let a = it.acquire(42).unwrap();
+        assert_eq!(a, 1);
+        it.release(a);
+        it.release(a);
+    }
+
+    #[test]
+    fn fresh_table_allocates_no_per_id_storage() {
+        let t: WordTable<Vc> = WordTable::new();
+        {
+            let state = t.wide.lock();
+            assert_eq!(
+                (
+                    state.map.capacity(),
+                    state.slab.capacity(),
+                    state.free.capacity()
+                ),
+                (0, 0, 0)
+            );
+        }
+        assert_eq!((t.live(), t.peak_live()), (1, 1));
+        t.update(5, id_of, |_, wide| {
+            (wide_word(wide.intern(Vc(vec![(1, 1)]))), ())
+        });
+        assert_eq!(t.wide.lock().slab.len(), 1, "one slot for one live value");
     }
 
     #[test]
     fn word_table_combines_packed_and_wide_tiers() {
-        let t: WordTable<Vc> = WordTable::new(1);
-        let id = t.wide().intern_acquire(Vc(vec![(3, 5)]));
-        assert_eq!(t.compare_exchange(11, 0, u64::from(id) << 32 | 1), Ok(0));
-        let word = t.load(11);
-        assert_eq!(t.wide().value_locked((word >> 32) as u32), Vc(vec![(3, 5)]));
-        t.wide().retire_worker(0);
+        let t: WordTable<Vc> = WordTable::new();
+        // Packed → packed: the tier is never locked.
+        t.update(11, id_of, |cur, wide| {
+            assert_eq!(cur, 0);
+            assert!(wide.state.is_none());
+            (0b101, ())
+        });
+        assert!(t.update(11, id_of, |cur, wide| (cur, wide.state.is_none())));
+        // Packed → wide: locked by the intern, reference held by the word.
+        t.update(11, id_of, |_, wide| {
+            (wide_word(wide.intern(Vc(vec![(3, 5)]))), ())
+        });
+        let id = id_of(t.load(11));
+        assert_ne!(id, 0);
+        assert_eq!(t.live(), 2);
+        // Wide → wide on the same value: locked before the step runs, the
+        // surplus reference dropped, the word's kept.
+        t.update(11, id_of, |cur, wide| {
+            assert!(wide.state.is_some(), "a wide word is read under the lock");
+            assert_eq!(wide.value(id_of(cur)), Vc(vec![(3, 5)]));
+            (wide_word(wide.intern(Vc(vec![(3, 5)]))), ())
+        });
+        assert_eq!(
+            t.wide.lock().slab[id as usize - 1],
+            Some((Vc(vec![(3, 5)]), 1))
+        );
+        let mut seen = Vec::new();
+        t.for_each_nonzero(id_of, |key, word, wide| seen.push((key, word, wide)));
+        assert_eq!(seen, vec![(11, wide_word(id), Some(Vc(vec![(3, 5)])))]);
+        // Wide → packed: the displaced id is gone right away.
+        t.update(11, id_of, |_, _| (0b1001, ()));
+        assert_eq!((t.live(), t.peak_live()), (1, 2));
+    }
+
+    #[test]
+    fn wide_words_resolve_in_the_spill_tier_too() {
+        // The walk re-reads each wide word under the tier's lock, which
+        // for a far key goes back through the spill map: the directory
+        // must not be holding that map's lock across the callback.
+        let t: WordTable<Vc> = WordTable::new();
+        let far = DENSE_CHUNKS * WORDS_PER_CHUNK + 17;
+        t.update(far, id_of, |_, wide| {
+            (wide_word(wide.intern(Vc(vec![(4, 4)]))), ())
+        });
+        let mut seen = Vec::new();
+        t.for_each_nonzero(id_of, |key, _, wide| seen.push((key, wide)));
+        assert_eq!(seen, vec![(far, Some(Vc(vec![(4, 4)])))]);
+    }
+
+    /// Four threads push 8 keys through packed and wide states drawn from a
+    /// 16-value pool, so ids free and recycle constantly and CASes are lost
+    /// all the time. Afterwards the books must balance: every live id's
+    /// count is the number of words embedding it, and nothing else is live.
+    /// A leaked reference shows up as a surplus count, a double release as
+    /// a panic or a missing one.
+    #[test]
+    fn racing_churn_leaves_every_count_equal_to_its_embedding_words() {
+        const KEYS: u64 = 8;
+        const POOL: u64 = 16;
+        let pool = |n: u64| Vc(vec![(n as u16, n as u32 * 7 + 1)]);
+        let t: WordTable<Vc> = WordTable::new();
+        std::thread::scope(|scope| {
+            for seed in 1..=4u64 {
+                let t = &t;
+                scope.spawn(move || {
+                    let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut draw = move || {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        rng
+                    };
+                    for _ in 0..25_000 {
+                        let (key, pick, decoy) =
+                            (draw() % KEYS, draw() % (POOL + 4), draw() % POOL);
+                        t.update(key, id_of, |cur, wide| {
+                            if id_of(cur) != 0 {
+                                // Resolves to a pool value, never a vacant
+                                // or recycled-under-us slot.
+                                let Vc(v) = wide.value(id_of(cur));
+                                assert_eq!(v[0].1, u32::from(v[0].0) * 7 + 1);
+                            }
+                            if pick >= POOL {
+                                return (((cur & !WIDE & 0xFFFF_FFFF) + 0b100) | 1, ());
+                            }
+                            if decoy % 4 == 0 {
+                                wide.intern(pool(decoy)); // dropped by the next intern
+                            }
+                            (wide_word(wide.intern(pool(pick))), ())
+                        });
+                    }
+                });
+            }
+        });
+
+        let mut embedding = HashMap::new();
+        for key in 0..KEYS {
+            let id = id_of(t.load(key));
+            if id != 0 {
+                *embedding.entry(id).or_insert(0u32) += 1;
+            }
+        }
+        let state = t.wide.lock();
+        let counts: HashMap<u32, u32> = state
+            .slab
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|(_, refs)| (i as u32 + 1, *refs)))
+            .collect();
+        assert_eq!(counts, embedding, "refcounts vs. words embedding each id");
+        assert_eq!(state.map.len(), embedding.len());
+        assert_eq!(state.free.len() + counts.len(), state.slab.len());
+        assert!(
+            state.peak_live <= KEYS as usize + 4 + 1,
+            "live set is the words plus one attempt per thread"
+        );
+        drop(state);
+        assert_eq!(t.live(), embedding.len() + 1, "exactly that set plus id 0");
+        assert!(!t.is_saturated());
     }
 }

@@ -119,7 +119,7 @@ fn sync_op(rid: Rid, addr: u64, rmw: bool) -> EventRecord {
 /// iteration under a three-lock combination drawn from cyclic spaces
 /// (lcm(11, 13, 7) = 1001 distinct combinations), then refine it down to
 /// a single lock — interning one unique mask per iteration and releasing
-/// it for the epoch-gated free. Far more distinct masks cycle through the
+/// it again. Far more distinct masks cycle through the
 /// interner than may ever be resident at once.
 pub fn cycle_lock_masks(iterations: u64) -> AdversarialCapture {
     let addr_base = 0x1000_0000u64;

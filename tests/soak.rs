@@ -6,9 +6,9 @@
 //! * the [`VersionTable`] holds only the outstanding versions, so version
 //!   storage tracks the producer/consumer lead, not the rids replayed or
 //!   how far apart they lie;
-//! * the LOCKSET mask interner frees unreferenced candidate-set ids behind
-//!   a quiescence gate, so the 2^16 id space survives unbounded churn of
-//!   distinct lock combinations;
+//! * the LOCKSET mask interner frees a candidate-set id the moment its
+//!   last word moves on, so the 2^16 cap on live masks survives unbounded
+//!   churn of distinct lock combinations;
 //! * the HAPPENSBEFORE vector-clock interner frees read-VC ids the same
 //!   way when a write demotes a word back to a packed epoch — and when an
 //!   adversarial workload pins the whole id space live, it must degrade
@@ -17,9 +17,8 @@
 //!
 //! The long sweeps run single-threaded for throughput (residency bounds
 //! do not depend on interleaving); the mask-cycling and racing-producer
-//! soaks run real threads against the interner's reclamation paths and the
-//! version table's mutex — those are what the nightly TSan job is pointed
-//! at. The default profile is CI-sized; `PARALOG_SOAK=1` runs the full
+//! soaks run real threads against the interner's and the version table's
+//! mutexes — those are what the nightly TSan job is pointed at. The default profile is CI-sized; `PARALOG_SOAK=1` runs the full
 //! multi-billion-rid sweep.
 
 use paralog::core::{BufferedStream, CoopSession, RecordStream};
@@ -33,7 +32,7 @@ use paralog::lifeguards::{
 use paralog::meta::VersionTable;
 use paralog::workloads::adversarial::{self, AdversarialCapture};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -125,15 +124,13 @@ fn rec_lock(rid: u64, tid: u16, id: u32, acquire: bool) -> EventRecord {
 /// `tb` share one fresh variable per iteration under a three-lock
 /// combination drawn from `lock_base + [0, 32)`, then refine it down to a
 /// single lock — interning one unique mask per iteration and releasing it
-/// for the epoch-gated free. `sync` bounds the skew between workers so the
-/// quiescence gate (min over worker epochs) cannot stall frees.
+/// again.
 fn cycle_masks(
     conc: &LockSetConcurrent,
     iterations: u64,
     lock_base: u32,
     addr_base: u64,
     (ta, tb): (u16, u16),
-    sync: &Barrier,
 ) {
     let mut rid = [1u64; 2];
     let mut next = |side: usize| {
@@ -142,8 +139,7 @@ fn cycle_masks(
     };
     for i in 0..iterations {
         // lcm(11, 13, 7) = 1001 distinct combinations before the pattern
-        // repeats; freed ids must be reused or the 2^16 space dies in the
-        // first 66k iterations.
+        // repeats, each interned afresh every time it comes round.
         let combo = [
             lock_base + (i % 11) as u32,
             lock_base + 11 + (i % 13) as u32,
@@ -170,18 +166,7 @@ fn cycle_masks(
         for &l in &combo {
             conc.apply(ThreadId(tb), &rec_lock(next(1), tb, l, false), None);
         }
-        if i % 64 == 0 {
-            conc.epoch_boundary(ThreadId(ta));
-            conc.epoch_boundary(ThreadId(tb));
-        }
-        if i % 256 == 0 {
-            // The interner frees behind min(worker epochs): cap the skew so
-            // a fast worker's pending ids cannot pile up behind a slow one.
-            sync.wait();
-        }
     }
-    conc.stream_done(ThreadId(ta));
-    conc.stream_done(ThreadId(tb));
 }
 
 #[test]
@@ -192,7 +177,6 @@ fn interner_residency_is_bounded_over_mask_cycling() {
     // its peak residency — without ever saturating.
     let iterations: u64 = if full_profile() { 500_000 } else { 20_000 };
     let conc = Arc::new(LockSetConcurrent::new(4));
-    let sync = Arc::new(Barrier::new(2));
     let workers: Vec<_> = [
         (0u32, 0x1000_0000u64, (0u16, 1u16)),
         (32, 0x5000_0000, (2, 3)),
@@ -200,8 +184,7 @@ fn interner_residency_is_bounded_over_mask_cycling() {
     .into_iter()
     .map(|(lock_base, addr_base, tids)| {
         let conc = Arc::clone(&conc);
-        let sync = Arc::clone(&sync);
-        thread::spawn(move || cycle_masks(&conc, iterations, lock_base, addr_base, tids, &sync))
+        thread::spawn(move || cycle_masks(&conc, iterations, lock_base, addr_base, tids))
     })
     .collect();
     for w in workers {
@@ -218,17 +201,17 @@ fn interner_residency_is_bounded_over_mask_cycling() {
         "consistently locked sharing must stay silent: {:?}",
         conc.violations()
     );
-    // Steady state: the permanent full set, the empty set, ≤ 2 × 11 single
-    // -lock masks, a few in-flight combinations per worker, plus up to one
-    // barrier interval (256 iterations × 2 workers) of pending frees.
+    // Steady state: the permanent full set, ≤ 2 × 11 single-lock masks and
+    // one in-flight combination per worker — a combination is freed by the
+    // refinement that displaces it.
     let peak = conc.peak_interned_masks();
     assert!(
-        peak <= 2048,
+        peak <= 1 + 2 * 11 + 2,
         "peak interner residency {peak} is not bounded ({} combinations cycled)",
         2 * iterations
     );
     let live = conc.interned_masks();
-    assert!(live <= 64, "quiesced interner still holds {live} masks");
+    assert!(live <= 1 + 2 * 11, "finished run still holds {live} masks");
 }
 
 /// A sync-space record for HAPPENSBEFORE: an `Rmw` is the acquire shape
@@ -257,15 +240,13 @@ fn rec_sync(rid: u64, addr: u64, rmw: bool) -> EventRecord {
 /// two-entry vector clock — distinct every iteration because `ta`'s clock
 /// advances at each sync publish), then `tb` acquires `ta`'s release and
 /// writes the word, demoting it back to a packed epoch and releasing the
-/// iteration's unique VC id for the epoch-gated free. `sync` bounds
-/// worker skew exactly as in the mask-cycling soak.
+/// iteration's unique VC id.
 fn cycle_read_vcs(
     conc: &HappensBeforeConcurrent,
     iterations: u64,
     sync_word: u64,
     addr_base: u64,
     (ta, tb): (u16, u16),
-    sync: &Barrier,
 ) {
     let mut rid = [1u64; 2];
     let mut next = |side: usize| {
@@ -285,16 +266,7 @@ fn cycle_read_vcs(
         // The ordered write demotes the word to a packed write epoch and
         // releases the interned id.
         conc.apply(ThreadId(tb), &rec_access(next(1), addr, true), None);
-        if i % 64 == 0 {
-            conc.epoch_boundary(ThreadId(ta));
-            conc.epoch_boundary(ThreadId(tb));
-        }
-        if i % 256 == 0 {
-            sync.wait();
-        }
     }
-    conc.stream_done(ThreadId(ta));
-    conc.stream_done(ThreadId(tb));
 }
 
 #[test]
@@ -306,7 +278,6 @@ fn hb_interner_residency_is_bounded_over_read_vc_cycling() {
     let iterations: u64 = if full_profile() { 500_000 } else { 20_000 };
     let sync_space = paralog::lifeguards::lockset::SYNC_SPACE_START;
     let conc = Arc::new(HappensBeforeConcurrent::new(4));
-    let sync = Arc::new(Barrier::new(2));
     let workers: Vec<_> = [
         (sync_space, 0x0100_0000u64, (0u16, 1u16)),
         (sync_space + 128, 0x0500_0000, (2, 3)),
@@ -314,8 +285,7 @@ fn hb_interner_residency_is_bounded_over_read_vc_cycling() {
     .into_iter()
     .map(|(sync_word, addr_base, tids)| {
         let conc = Arc::clone(&conc);
-        let sync = Arc::clone(&sync);
-        thread::spawn(move || cycle_read_vcs(&conc, iterations, sync_word, addr_base, tids, &sync))
+        thread::spawn(move || cycle_read_vcs(&conc, iterations, sync_word, addr_base, tids))
     })
     .collect();
     for w in workers {
@@ -332,24 +302,24 @@ fn hb_interner_residency_is_bounded_over_read_vc_cycling() {
         "sync-ordered sharing must stay silent: {:?}",
         conc.violations()
     );
-    // Steady state: a few in-flight VCs per worker plus up to one barrier
-    // interval (256 iterations × 2 workers) of pending frees.
+    // Steady state, per worker: the sync word's published clock, the
+    // iteration's read VC, and one more of either while an update holds the
+    // successor beside the value it displaces.
     let peak = conc.peak_interned_vcs();
     assert!(
-        peak <= 4096,
+        peak <= 1 + 2 * 3,
         "peak interner residency {peak} is not bounded ({} VCs cycled)",
         2 * iterations
     );
     let live = conc.interned_vcs();
-    assert!(live <= 64, "quiesced interner still holds {live} VCs");
+    assert!(live <= 1 + 2, "finished run still holds {live} VCs");
 }
 
 #[test]
 fn hb_interner_exhaustion_degrades_soundly_past_two_to_the_sixteen() {
     // An adversarial workload pins more than 2^16 *distinct* two-reader
     // vector clocks live at once (no word is ever written, so no id is
-    // ever released, and no boundary can free a referenced id). The
-    // interner must saturate — completing the session with exactly one
+    // ever released). The interner must saturate — completing the session with exactly one
     // DegradedPrecision diagnostic and sound (never-miss) reporting on
     // the degraded words.
     let conc = HappensBeforeConcurrent::new(2);
@@ -373,11 +343,6 @@ fn hb_interner_exhaustion_degrades_soundly_past_two_to_the_sixteen() {
         conc.apply(ThreadId(0), &rec_sync(next(0), sync_word, false), None);
         conc.apply(ThreadId(0), &rec_access(next(0), word(i), false), None);
         conc.apply(ThreadId(1), &rec_access(next(1), word(i), false), None);
-        // Boundaries must not help: every VC is still referenced.
-        if i % 4096 == 0 {
-            conc.epoch_boundary(ThreadId(0));
-            conc.epoch_boundary(ThreadId(1));
-        }
     }
 
     assert!(conc.degraded(), "66k live read VCs must exhaust 2^16 ids");
@@ -651,7 +616,6 @@ fn adversarial_lock_mask_cycling_stays_bounded() {
     // Record-by-record round-robin: the refinement writes interleave
     // deterministically between the two monitored threads.
     let mut cursors = [0usize; 2];
-    let mut applied_since_boundary = 0u64;
     loop {
         let mut progressed = false;
         for (t, cursor) in cursors.iter_mut().enumerate() {
@@ -659,19 +623,12 @@ fn adversarial_lock_mask_cycling_stays_bounded() {
                 conc.apply(ThreadId(t as u16), rec, None);
                 *cursor += 1;
                 progressed = true;
-                applied_since_boundary += 1;
-                if applied_since_boundary.is_multiple_of(512) {
-                    conc.epoch_boundary(ThreadId(0));
-                    conc.epoch_boundary(ThreadId(1));
-                }
             }
         }
         if !progressed {
             break;
         }
     }
-    conc.stream_done(ThreadId(0));
-    conc.stream_done(ThreadId(1));
 
     assert!(!conc.degraded(), "bound violated: {}", cap.bound);
     assert!(
@@ -679,9 +636,11 @@ fn adversarial_lock_mask_cycling_stays_bounded() {
         "locked sharing must stay silent: {:?}",
         conc.violations()
     );
+    // The permanent full set, the 11 single-lock masks variables settle
+    // on, and the one combination in flight.
     let peak = conc.peak_interned_masks();
     assert!(
-        peak <= 2048,
+        peak <= 1 + 11 + 1,
         "peak interner residency {peak} breaks the bound ({} combinations cycled): {}",
         iterations,
         cap.bound

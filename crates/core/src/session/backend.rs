@@ -30,14 +30,15 @@
 //!
 //! Both backends consume stream input **incrementally**: records are pulled
 //! from each thread's [`RecordStream`] in bounded batches and delivered as
-//! they arrive, so ingestion is online and source-side memory stays within
-//! the source's chunk budget. A thread whose next record has not been
-//! produced yet ([`StreamStatus::Blocked`]) is retried, never a failure;
+//! they arrive, each read in place in the batch its stream wrote it into,
+//! so ingestion is online and source-side memory stays within the source's
+//! chunk budget. A thread whose next record has not been produced yet
+//! ([`Blocked`](super::StreamStatus::Blocked)) is retried, never a failure;
 //! only when no thread can pull or deliver and some head record still waits
 //! on an unmet arc is the run declared a [`SessionError::Deadlock`].
 
 use super::coop::{CoopSession, LaneSet};
-use super::source::{RecordStream, StreamStatus};
+use super::source::{LaneInput, RecordStream, Refill, INGEST_BATCH};
 use super::{SessionError, SessionPlan};
 use crate::config::{MonitorConfig, MonitoringMode};
 use crate::metrics::{PhaseBreakdown, RunMetrics};
@@ -51,12 +52,7 @@ use paralog_lifeguards::{
 };
 use paralog_order::{Gate, OrderEnforcer, ProgressTable, RangeTable};
 use paralog_workloads::Workload;
-use std::collections::VecDeque;
 use std::fmt;
-
-/// Records pulled from a stream per refill — the backend-side buffering
-/// bound (each thread holds at most one batch).
-pub(crate) const INGEST_BATCH: usize = 256;
 
 /// Runs one resolved monitoring session.
 pub trait Backend: fmt::Debug {
@@ -190,10 +186,8 @@ fn wait_for_producer(idle_polls: &mut u32) {
 
 /// One thread's ingestion state in the streaming replay loop.
 struct IngestLane {
-    stream: Box<dyn RecordStream>,
-    /// At most one pulled batch awaiting delivery.
-    pending: VecDeque<EventRecord>,
-    exhausted: bool,
+    /// The stream and the one batch pulled from it, delivered in place.
+    input: LaneInput,
     enforcer: OrderEnforcer,
     range_table: RangeTable,
 }
@@ -213,8 +207,8 @@ struct IngestLane {
 ///
 /// The loop distinguishes the two ways a thread can fail to advance:
 ///
-/// * its stream is [`StreamStatus::Blocked`] — the producer exists but has
-///   not caught up; the session parks (yielding the CPU) and retries;
+/// * its stream is [`Blocked`](super::StreamStatus::Blocked) — the producer
+///   exists but has not caught up; the session parks and retries;
 /// * its head record's arc is unmet while **every** stream is exhausted —
 ///   no producer can ever satisfy it: [`SessionError::Deadlock`].
 fn replay_streams(
@@ -234,15 +228,12 @@ fn replay_streams(
     let mut lanes: Vec<IngestLane> = streams
         .into_iter()
         .map(|stream| IngestLane {
-            stream,
-            pending: VecDeque::new(),
-            exhausted: false,
+            input: LaneInput::new(stream),
             enforcer: OrderEnforcer::new(),
             range_table: RangeTable::new(k),
         })
         .collect();
 
-    let mut batch: Vec<EventRecord> = Vec::with_capacity(INGEST_BATCH);
     let mut records = 0u64;
     let mut delivered_ops = 0u64;
     let mut stalls = 0u64;
@@ -257,69 +248,40 @@ fn replay_streams(
             // Run this thread until its head blocks, its producer lags, or
             // its stream drains.
             loop {
-                if lane.pending.is_empty() {
-                    if lane.exhausted {
-                        break;
+                let Some(head) = lane.input.head() else {
+                    match lane.input.refill()? {
+                        Refill::Ready => continue,
+                        Refill::Lagging => producer_pending = true,
+                        Refill::Ended => {}
                     }
-                    let status = lane.stream.next_batch(&mut batch, INGEST_BATCH)?;
-                    // Drain whatever arrived regardless of status (a stream
-                    // may deliver a partial batch and *then* report Blocked)
-                    // so nothing leaks into another lane's refill.
-                    let got_records = !batch.is_empty();
-                    lane.pending.extend(batch.drain(..));
-                    match status {
-                        StreamStatus::Yielded | StreamStatus::Blocked if got_records => {}
-                        StreamStatus::Yielded | StreamStatus::Blocked => {
-                            // (An empty `Yielded` is a protocol violation;
-                            // treat it like a lagging producer rather than
-                            // spinning on the misbehaving stream.)
-                            producer_pending = true;
-                            break;
-                        }
-                        StreamStatus::Exhausted => {
-                            lane.exhausted = true;
-                            if !got_records {
-                                break;
-                            }
-                        }
-                    }
-                }
-                let mut arc_blocked = false;
-                while let Some(head) = lane.pending.front() {
-                    if let Gate::Blocked { .. } = lane.enforcer.regate(head, &progress) {
-                        stalls += 1;
-                        arc_blocked = true;
-                        break;
-                    }
-                    if ca_gate_unmet(head, t, &ca_policy, |src, rid| progress.get(src) >= rid) {
-                        stalls += 1;
-                        arc_blocked = true;
-                        break;
-                    }
-                    let rec = lane.pending.pop_front().expect("peeked");
-                    let (a, p) = PhaseBreakdown::record_cycles(cost, &rec, t);
-                    analysis += a;
-                    publish += p;
-                    deliver_ingested(
-                        &rec,
-                        t,
-                        &mut lgs,
-                        &mut lane.range_table,
-                        &versions,
-                        &ca_policy,
-                        &mut violations,
-                        &mut delivered_ops,
-                    )?;
-                    progress.advertise(ThreadId(t as u16), rec.rid);
-                    records += 1;
-                    any_progress = true;
-                }
-                if arc_blocked {
+                    break;
+                };
+                if matches!(lane.enforcer.regate(head, &progress), Gate::Blocked { .. })
+                    || ca_gate_unmet(head, t, &ca_policy, |src, rid| progress.get(src) >= rid)
+                {
+                    stalls += 1;
                     break;
                 }
+                let (a, p) = PhaseBreakdown::record_cycles(cost, head, t);
+                analysis += a;
+                publish += p;
+                deliver_ingested(
+                    head,
+                    t,
+                    &mut lgs,
+                    &mut lane.range_table,
+                    &versions,
+                    &ca_policy,
+                    &mut violations,
+                    &mut delivered_ops,
+                )?;
+                progress.advertise(ThreadId(t as u16), head.rid);
+                lane.input.advance();
+                records += 1;
+                any_progress = true;
             }
         }
-        if lanes.iter().all(|l| l.exhausted && l.pending.is_empty()) {
+        if lanes.iter().all(|l| l.input.ended()) {
             break;
         }
         if any_progress {
@@ -335,7 +297,7 @@ fn replay_streams(
                 .iter()
                 .enumerate()
                 .filter_map(|(t, lane)| {
-                    lane.pending.front().map(|head| {
+                    lane.input.head().map(|head| {
                         format!(
                             "thread {t} blocked at rid {} arcs {:?}",
                             head.rid, head.arcs
@@ -347,7 +309,7 @@ fn replay_streams(
         }
     }
 
-    let wire_bytes: u64 = lanes.iter().map(|l| l.stream.transport_bytes()).sum();
+    let wire_bytes: u64 = lanes.iter().map(|l| l.input.transport_bytes()).sum();
     let phases = PhaseBreakdown {
         capture: records * cost.record_drain,
         transport: PhaseBreakdown::transport_cycles(wire_bytes),
@@ -376,8 +338,9 @@ fn replay_streams(
 /// A stream whose reader *blocks* holds its lane, and the thread stepping
 /// it, for the length of the read. With fewer processors than streams give
 /// the source non-blocking readers (`WouldBlock` surfaces as
-/// [`StreamStatus::Blocked`] and the thread moves on), or a producer that
-/// writes its streams in turn can wait on a lane no thread is free to read.
+/// [`Blocked`](super::StreamStatus::Blocked) and the thread moves on), or a
+/// producer that writes its streams in turn can wait on a lane no thread is
+/// free to read.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedBackend;
 

@@ -3,10 +3,11 @@
 //! A [`CoopSession`] owns the shared run state (concurrent lifeguard, §5.2
 //! progress table, §5.5 version table, failure latch); each per-thread
 //! [`CoopLane`] is an independently steppable task. One [`CoopLane::step`]
-//! call pulls at most one batch from the lane's stream and delivers at most
-//! `budget` records. Everything a replay thread could *wait* on — an unmet
-//! dependence arc, an unserialized ConflictAlert copy, an unproduced
-//! version, a producer that has not caught up — instead returns
+//! call pulls at most one batch from the lane's stream, once the previous
+//! one was delivered to its last record, and delivers at most `budget`
+//! records, each read where its stream wrote it. Everything a replay thread
+//! could *wait* on — an unmet dependence arc, an unserialized ConflictAlert
+//! copy, an unproduced version, a producer that has not caught up — returns
 //! [`LaneStep::Gated`] or [`LaneStep::Idle`], so the ordering rules live
 //! here exactly once and how to wait is the caller's business.
 //!
@@ -55,14 +56,13 @@
 //! arcs drains clean; severed arcs fail within the `COOP_SEVERED_GRACE`
 //! window.
 
-use super::backend::{ca_gate_unmet, INGEST_BATCH};
-use super::source::{RecordStream, StreamStatus};
+use super::backend::ca_gate_unmet;
+use super::source::{LaneInput, RecordStream, Refill};
 use super::{produce_versions, SessionError};
 use crate::metrics::RunMetrics;
-use paralog_events::{AddrRange, EventRecord, ThreadId, VersionId};
+use paralog_events::{AddrRange, ThreadId, VersionId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{CaPolicy, RangeTable, SharedProgressTable};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
@@ -146,7 +146,7 @@ impl CoopShared {
     /// parked at a gate or finished — so nothing can ever advertise the
     /// progress a gate waits on — and the whole session has been flat for
     /// `COOP_SEVERED_GRACE`. Stream exhaustion is deliberately *not*
-    /// part of the condition: a lane parked mid-pending never re-polls its
+    /// part of the condition: a lane parked mid-batch never re-polls its
     /// stream, so a dropped producer behind a gated head would otherwise
     /// go unnoticed.
     fn gate_is_deadlock(&self) -> bool {
@@ -278,11 +278,8 @@ impl CoopSession {
             .map(|(t, stream)| CoopLane {
                 tid: ThreadId(t as u16),
                 shared: Arc::clone(&shared),
-                stream,
-                pending: VecDeque::new(),
-                batch: Vec::with_capacity(INGEST_BATCH),
+                input: LaneInput::new(stream),
                 range_table: RangeTable::new(k),
-                eof: false,
                 head_produced: false,
                 parked: false,
                 delivered: 0,
@@ -359,12 +356,9 @@ impl CoopSession {
 pub struct CoopLane {
     tid: ThreadId,
     shared: Arc<CoopShared>,
-    stream: Box<dyn RecordStream>,
-    /// At most one pulled batch awaiting delivery.
-    pending: VecDeque<EventRecord>,
-    batch: Vec<EventRecord>,
+    /// The stream and the one batch pulled from it, delivered in place.
+    input: LaneInput,
     range_table: RangeTable,
-    eof: bool,
     /// Whether the head record's §5.5 produce annotations were already
     /// published (a consume-gated head must not re-produce on re-step).
     head_produced: bool,
@@ -379,8 +373,7 @@ impl std::fmt::Debug for CoopLane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CoopLane")
             .field("tid", &self.tid)
-            .field("pending", &self.pending.len())
-            .field("eof", &self.eof)
+            .field("ended", &self.input.ended())
             .field("done", &self.done)
             .finish_non_exhaustive()
     }
@@ -417,20 +410,33 @@ impl CoopLane {
             self.finish();
             return LaneStep::Failed;
         }
-        if self.pending.is_empty() {
-            if let Some(step) = self.refill() {
-                return step;
+        if self.input.head().is_none() {
+            match self.input.refill() {
+                Ok(Refill::Ready) => {}
+                Ok(Refill::Lagging) => {
+                    // Hand the worker back rather than sleep on the producer.
+                    self.shared.blocked_polls.fetch_add(1, Ordering::Relaxed);
+                    return LaneStep::Idle;
+                }
+                Ok(Refill::Ended) => {
+                    self.finish();
+                    return LaneStep::Finished;
+                }
+                Err(err) => {
+                    self.shared.fail(err);
+                    self.finish();
+                    return LaneStep::Failed;
+                }
             }
         }
         while self.delivered < budget.max(1) {
-            if self.pending.is_empty() {
+            let Some(head) = self.input.head() else {
                 break;
-            }
+            };
             if self.shared.aborted() {
                 self.finish();
                 return LaneStep::Failed;
             }
-            let head = self.pending.front().expect("checked above");
             // §5.2 arcs and §5.4 CA serialization, checked without waiting.
             let gated = head
                 .arcs
@@ -470,9 +476,9 @@ impl CoopLane {
                 },
                 None => None,
             };
-            let rec = self.pending.pop_front().expect("peeked");
             self.head_produced = false;
             self.unpark();
+            let rec = self.input.head().expect("every gate passed on it");
             // §5.4: police the range table before applying.
             if let paralog_events::EventPayload::Instr(instr) = &rec.payload {
                 if let Some((mem, _)) = instr.mem_access() {
@@ -488,7 +494,7 @@ impl CoopLane {
             }
             self.shared
                 .lifeguard
-                .apply(self.tid, &rec, versioned.as_ref());
+                .apply(self.tid, rec, versioned.as_ref());
             if let paralog_events::EventPayload::Ca(ca) = &rec.payload {
                 let actions = self.shared.ca_policy.actions(ca.what, ca.phase);
                 if actions.track_range {
@@ -497,53 +503,14 @@ impl CoopLane {
             }
             self.shared.progress.advertise(self.tid, rec.rid);
             self.shared.applied.fetch_add(1, Ordering::Relaxed);
+            self.input.advance();
             self.delivered += 1;
         }
-        if self.pending.is_empty() && self.eof {
+        if self.input.ended() {
             self.finish();
             return LaneStep::Finished;
         }
         LaneStep::Progressed
-    }
-
-    /// Pulls one batch. `Some(step)` short-circuits the caller (idle,
-    /// finished or failed); `None` means records are pending.
-    fn refill(&mut self) -> Option<LaneStep> {
-        if self.eof {
-            self.finish();
-            return Some(LaneStep::Finished);
-        }
-        let status = match self.stream.next_batch(&mut self.batch, INGEST_BATCH) {
-            Ok(status) => status,
-            Err(err) => {
-                self.shared.fail(err);
-                self.finish();
-                return Some(LaneStep::Failed);
-            }
-        };
-        // Drain whatever arrived regardless of status (a stream may deliver
-        // a partial batch and *then* report Blocked).
-        let got_records = !self.batch.is_empty();
-        self.pending.extend(self.batch.drain(..));
-        match status {
-            StreamStatus::Exhausted => {
-                self.eof = true;
-                if !got_records {
-                    self.finish();
-                    return Some(LaneStep::Finished);
-                }
-            }
-            StreamStatus::Yielded | StreamStatus::Blocked => {
-                if !got_records {
-                    // A genuinely non-blocking reader returned `WouldBlock`
-                    // (or an empty Yielded — treated identically): hand the
-                    // worker back instead of sleeping on the producer.
-                    self.shared.blocked_polls.fetch_add(1, Ordering::Relaxed);
-                    return Some(LaneStep::Idle);
-                }
-            }
-        }
-        None
     }
 
     /// Resolves a gated head (`unproduced` names the §5.5 version when that
@@ -561,7 +528,7 @@ impl CoopLane {
             self.shared.gated_lanes.fetch_add(1, Ordering::SeqCst);
         }
         if self.shared.gate_is_deadlock() {
-            let head = self.pending.front().expect("gated head");
+            let head = self.input.head().expect("gated head");
             let waits_on = match unproduced {
                 Some(vid) => format!("unproduced version {vid}"),
                 None => format!("arcs {:?}", head.arcs),
@@ -694,9 +661,12 @@ mod tests {
     use super::*;
     use crate::session::{
         BufferedStream, DeterministicBackend, MonitorSession, RecordStream, ReplaySource,
+        StreamStatus,
     };
+    use paralog_events::EventRecord;
     use paralog_lifeguards::LifeguardKind;
     use paralog_workloads::adversarial::{self, AdversarialCapture};
+    use std::collections::VecDeque;
 
     /// The daemon's fairness quantum.
     const BUDGET: usize = 512;

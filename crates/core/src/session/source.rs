@@ -34,11 +34,13 @@
 //! materializes a whole stream. `Exhausted`/`Blocked` are sticky per the
 //! obvious reading: after `Exhausted`, every later pull returns
 //! `Exhausted`; after `Blocked`, any state may follow.
+//!
+//! Both replay loops consume the protocol through one cursor, `LaneInput`,
+//! which holds the only reading of the three states.
 
 use paralog_events::codec::{decode, DecodeError, StreamDecoder};
 use paralog_events::{AddrRange, EventRecord, Instr, Rid};
 use paralog_workloads::Workload;
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,14 +151,14 @@ impl EventSource for Workload {
 /// threaded backend's workload captures) reduces to.
 #[derive(Debug)]
 pub struct BufferedStream {
-    records: VecDeque<EventRecord>,
+    records: std::vec::IntoIter<EventRecord>,
 }
 
 impl BufferedStream {
     /// Wraps a materialized stream.
     pub fn new(records: Vec<EventRecord>) -> Self {
         BufferedStream {
-            records: records.into(),
+            records: records.into_iter(),
         }
     }
 }
@@ -167,11 +169,94 @@ impl RecordStream for BufferedStream {
         out: &mut Vec<EventRecord>,
         max: usize,
     ) -> Result<StreamStatus, SessionError> {
-        if self.records.is_empty() {
+        if self.records.len() == 0 {
             return Ok(StreamStatus::Exhausted);
         }
-        out.extend(self.records.drain(..max.min(self.records.len())));
+        out.extend(self.records.by_ref().take(max));
         Ok(StreamStatus::Yielded)
+    }
+}
+
+/// Records pulled from a stream per refill — the backend-side buffering
+/// bound (each thread holds at most one batch).
+pub(crate) const INGEST_BATCH: usize = 256;
+
+/// What one [`LaneInput::refill`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refill {
+    /// The batch holds records; [`LaneInput::head`] is the first.
+    Ready,
+    /// Nothing arrived, and the producer is still there: come back later.
+    Lagging,
+    /// The stream ended and every record it carried was consumed.
+    Ended,
+}
+
+/// One lane's input cursor: the stream, the one batch pulled from it, and
+/// how far into the batch the lane has got. The stream writes a record into
+/// the batch once and every later stage — gate, produce, consume, police,
+/// apply — reads it there through [`head`](Self::head).
+pub(crate) struct LaneInput {
+    stream: Box<dyn RecordStream>,
+    batch: Vec<EventRecord>,
+    /// Index in `batch` of the next record to deliver.
+    head: usize,
+    /// The stream reported `Exhausted`: no pull will ever yield again.
+    eof: bool,
+}
+
+impl LaneInput {
+    pub(crate) fn new(stream: Box<dyn RecordStream>) -> Self {
+        LaneInput {
+            stream,
+            batch: Vec::with_capacity(INGEST_BATCH),
+            head: 0,
+            eof: false,
+        }
+    }
+
+    /// The next record to deliver, if the batch still holds one.
+    pub(crate) fn head(&self) -> Option<&EventRecord> {
+        self.batch.get(self.head)
+    }
+
+    /// Steps past the head record (it was delivered).
+    pub(crate) fn advance(&mut self) {
+        self.head += 1;
+    }
+
+    /// Whether the stream ended and its last record was delivered.
+    pub(crate) fn ended(&self) -> bool {
+        self.eof && self.head().is_none()
+    }
+
+    /// See [`RecordStream::transport_bytes`].
+    pub(crate) fn transport_bytes(&self) -> u64 {
+        self.stream.transport_bytes()
+    }
+
+    /// Replaces the consumed batch with one pull of up to [`INGEST_BATCH`]
+    /// records. Call only once [`head`](Self::head) is `None`.
+    pub(crate) fn refill(&mut self) -> Result<Refill, SessionError> {
+        debug_assert!(self.head().is_none(), "refill drops undelivered records");
+        if self.eof {
+            return Ok(Refill::Ended);
+        }
+        self.batch.clear();
+        self.head = 0;
+        let status = self.stream.next_batch(&mut self.batch, INGEST_BATCH)?;
+        self.eof = matches!(status, StreamStatus::Exhausted);
+        // What arrived counts whatever the status: a stream may deliver a
+        // partial batch and *then* report `Blocked` or `Exhausted`. Nothing
+        // from a live stream (`WouldBlock` behind a non-blocking reader, or
+        // an empty `Yielded`, a protocol violation) is a lagging producer.
+        Ok(if !self.batch.is_empty() {
+            Refill::Ready
+        } else if self.eof {
+            Refill::Ended
+        } else {
+            Refill::Lagging
+        })
     }
 }
 
@@ -374,27 +459,16 @@ impl RecordStream for DecodingStream {
         max: usize,
     ) -> Result<StreamStatus, SessionError> {
         let start = out.len();
-        loop {
-            while out.len() - start < max {
-                match self.decoder.next_record() {
-                    Ok(Some(rec)) => out.push(rec),
-                    Ok(None) => break,
-                    Err(e) => return Err(SessionError::MalformedStream(e.to_string())),
-                }
-            }
+        // Why the pull stopped, if short of `max`.
+        let idle = loop {
+            self.decoder
+                .decode_into(out, max - (out.len() - start))
+                .map_err(|e| SessionError::MalformedStream(e.to_string()))?;
             if out.len() - start >= max {
-                return Ok(StreamStatus::Yielded);
+                break StreamStatus::Yielded;
             }
             if self.eof {
-                return if out.len() > start {
-                    Ok(StreamStatus::Yielded)
-                } else if self.decoder.is_clean() {
-                    Ok(StreamStatus::Exhausted)
-                } else {
-                    Err(SessionError::MalformedStream(
-                        "wire stream ended mid-record (truncated transport)".into(),
-                    ))
-                };
+                break StreamStatus::Exhausted;
             }
             // Refill one bounded transport chunk. A blocking reader blocks
             // here — from the session's view that *is* the producer wait.
@@ -406,14 +480,10 @@ impl RecordStream for DecodingStream {
                     self.stats.note(self.decoder.buffered());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // Non-blocking transports surface the producer wait
+                // explicitly.
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Non-blocking transports surface the producer wait
-                    // explicitly.
-                    return if out.len() > start {
-                        Ok(StreamStatus::Yielded)
-                    } else {
-                        Ok(StreamStatus::Blocked)
-                    };
+                    break StreamStatus::Blocked
                 }
                 Err(e) => {
                     return Err(SessionError::MalformedStream(format!(
@@ -421,6 +491,15 @@ impl RecordStream for DecodingStream {
                     )))
                 }
             }
+        };
+        if out.len() > start {
+            Ok(StreamStatus::Yielded)
+        } else if idle == StreamStatus::Exhausted && !self.decoder.is_clean() {
+            Err(SessionError::MalformedStream(
+                "wire stream ended mid-record (truncated transport)".into(),
+            ))
+        } else {
+            Ok(idle)
         }
     }
 
@@ -677,26 +756,21 @@ impl RecordStream for ChannelStream {
     ) -> Result<StreamStatus, SessionError> {
         use std::sync::mpsc::TryRecvError;
         let start = out.len();
-        while out.len() - start < max {
+        let idle = loop {
+            if out.len() - start >= max {
+                break StreamStatus::Yielded;
+            }
             match self.rx.try_recv() {
                 Ok(rec) => out.push(rec),
-                Err(TryRecvError::Empty) => {
-                    return Ok(if out.len() > start {
-                        StreamStatus::Yielded
-                    } else {
-                        StreamStatus::Blocked
-                    });
-                }
-                Err(TryRecvError::Disconnected) => {
-                    return Ok(if out.len() > start {
-                        StreamStatus::Yielded
-                    } else {
-                        StreamStatus::Exhausted
-                    });
-                }
+                Err(TryRecvError::Empty) => break StreamStatus::Blocked,
+                Err(TryRecvError::Disconnected) => break StreamStatus::Exhausted,
             }
-        }
-        Ok(StreamStatus::Yielded)
+        };
+        Ok(if out.len() > start {
+            StreamStatus::Yielded
+        } else {
+            idle
+        })
     }
 }
 
@@ -796,6 +870,61 @@ mod tests {
             StreamStatus::Exhausted,
             "exhausted is sticky"
         );
+    }
+
+    /// Answers each pull with the next scripted (records, status) pair.
+    #[derive(Debug)]
+    struct Scripted(std::vec::IntoIter<(u64, Result<StreamStatus, SessionError>)>);
+
+    impl RecordStream for Scripted {
+        fn next_batch(
+            &mut self,
+            out: &mut Vec<EventRecord>,
+            _max: usize,
+        ) -> Result<StreamStatus, SessionError> {
+            let (records, status) = self.0.next().expect("pulled past the script");
+            out.extend((0..records).map(|i| EventRecord::instr(Rid(i), Instr::Nop)));
+            status
+        }
+    }
+
+    #[test]
+    fn lane_input_reads_the_stream_protocol_in_one_place() {
+        use StreamStatus::{Blocked, Exhausted, Yielded};
+        let broken = || SessionError::MalformedStream("scripted".into());
+        // One pull per row: what the stream appends and says, what the
+        // cursor makes of it.
+        let ladder = [
+            ((3, Ok(Yielded)), Ok(Refill::Ready)),
+            // A partial batch, *then* `Blocked`: the records count.
+            ((2, Ok(Blocked)), Ok(Refill::Ready)),
+            ((0, Ok(Blocked)), Ok(Refill::Lagging)),
+            // An empty `Yielded` is a lagging producer, not a spin.
+            ((0, Ok(Yielded)), Ok(Refill::Lagging)),
+            ((0, Err(broken())), Err(broken())),
+            ((1, Ok(Exhausted)), Ok(Refill::Ready)),
+        ];
+        let script: Vec<_> = ladder.iter().map(|(pull, _)| pull.clone()).collect();
+        let mut input = LaneInput::new(Box::new(Scripted(script.into_iter())));
+        assert!(input.head().is_none() && !input.ended());
+        for ((records, _), want) in ladder {
+            assert_eq!(input.refill(), want);
+            for rid in 0..records {
+                assert_eq!(input.head().expect("pulled").rid, Rid(rid));
+                assert!(!input.ended());
+                input.advance();
+            }
+            assert!(input.head().is_none(), "the batch is the pull, no more");
+        }
+        // `Exhausted` is sticky: the stream is never asked again.
+        assert!(input.ended());
+        assert_eq!(input.refill(), Ok(Refill::Ended));
+        assert_eq!(input.refill(), Ok(Refill::Ended));
+
+        let bare = vec![(0, Ok(Exhausted))];
+        let mut input = LaneInput::new(Box::new(Scripted(bare.into_iter())));
+        assert_eq!(input.refill(), Ok(Refill::Ended), "no records, no batch");
+        assert!(input.ended());
     }
 
     #[test]

@@ -154,10 +154,9 @@ impl io::Read for FeedReader {
                 Err(io::ErrorKind::WouldBlock.into())
             };
         }
-        let n = buf.len().min(out.len());
-        for (slot, byte) in out.iter_mut().zip(buf.drain(..n)) {
-            *slot = byte;
-        }
+        // One `copy_from_slice` out of the ring's front slice and one
+        // `drain`; a read that meets the ring's wrap-around point is short.
+        let n = io::Read::read(&mut *buf, out)?;
         self.inner.total.0.fetch_sub(n, Ordering::Relaxed);
         Ok(n)
     }

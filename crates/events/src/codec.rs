@@ -46,8 +46,8 @@ impl std::error::Error for DecodeError {}
 
 /// Internal decode outcome: the incremental decoder must tell "the buffered
 /// bytes end mid-record — feed more and retry" apart from "these bytes can
-/// never be a valid record". Whole-stream [`decode`] collapses `Incomplete`
-/// into a truncation [`DecodeError`].
+/// never be a valid record". [`StreamDecoder::decode_into`] turns the first
+/// into "feed more" (or, past [`MAX_RECORD_WIRE_BYTES`], into corruption).
 #[derive(Debug)]
 enum Fault {
     /// The input ran out mid-record; more bytes may complete it.
@@ -296,54 +296,40 @@ pub fn encode(records: &[EventRecord]) -> Vec<u8> {
     enc.finish()
 }
 
-/// Drains a [`LogRing`](crate::LogRing) segment straight into `enc` without
-/// copying records out of the ring (the zero-copy batch-transport path: the
-/// ring hands out borrows, the encoder appends). Returns the record count.
-pub fn encode_ring(enc: &mut Encoder, ring: &mut crate::LogRing) -> usize {
-    ring.drain_in_place(|rec| enc.push(rec))
-}
+/// Longest wire form of one record (the first one's includes the stream's
+/// rid-base varint): the paper's whole log buffer. 255 peers × 3 arc kinds
+/// plus a produce entry per peer at full-width varints is under 20 KiB;
+/// what the cap stops is a hostile count (2⁴⁰ arcs, each one valid) that
+/// stays "incomplete" forever, re-parsed from its first byte on every feed
+/// while the decode buffer grows without bound.
+pub const MAX_RECORD_WIRE_BYTES: usize = 64 * 1024;
 
-/// Decodes a stream produced by [`encode`] / [`Encoder`].
+/// Decodes a stream produced by [`encode`] / [`Encoder`]: the whole-buffer
+/// case of [`StreamDecoder::decode_into`].
 ///
 /// # Errors
 ///
 /// Returns [`DecodeError`] on truncated or corrupt input.
 pub fn decode(bytes: &[u8]) -> Result<Vec<EventRecord>, DecodeError> {
-    let mut d = Decoder {
-        bytes,
-        pos: 0,
-        last_addr: 0,
-        check: 0,
-    };
+    let mut stream = StreamDecoder::new();
+    stream.feed(bytes);
     let mut out = Vec::new();
-    if bytes.is_empty() {
-        return Ok(out);
-    }
-    let fault = |d: &Decoder, f| match f {
-        Fault::Corrupt(e) => e,
-        Fault::Incomplete => DecodeError {
-            at: d.pos,
+    stream.decode_into(&mut out, usize::MAX)?;
+    if !stream.is_clean() {
+        return Err(DecodeError {
+            at: bytes.len(),
             what: "truncated record",
-        },
-    };
-    let mut rid = match d.read_uvarint("rid base") {
-        Ok(v) => Rid(v),
-        Err(f) => return Err(fault(&d, f)),
-    };
-    while d.pos < d.bytes.len() {
-        let rec = match d.read_record(rid) {
-            Ok(rec) => rec,
-            Err(f) => return Err(fault(&d, f)),
-        };
-        rid = rec.rid.next();
-        out.push(rec);
+        });
     }
     Ok(out)
 }
 
 struct Decoder<'a> {
+    /// The buffered wire, cut at [`MAX_RECORD_WIRE_BYTES`] past `fold_from`.
     bytes: &'a [u8],
     pos: usize,
+    /// End of the last complete record; `check` covers the bytes before it.
+    fold_from: usize,
     last_addr: u64,
     check: u8,
 }
@@ -356,18 +342,24 @@ impl<'a> Decoder<'a> {
     fn read_byte(&mut self, _what: &'static str) -> Result<u8, Fault> {
         let b = *self.bytes.get(self.pos).ok_or(Fault::Incomplete)?;
         self.pos += 1;
-        self.check = fold_check(self.check, b);
         Ok(b)
     }
 
-    /// Consumes a record's trailing checksum byte (kept outside the fold)
-    /// and compares it against the chain state accumulated so far.
+    /// Folds the record just read (with the rid-base varint, for the first)
+    /// into the chain — the mirror of [`Encoder::push`] — and compares it
+    /// with the trailing checksum byte, which stays outside the fold.
     fn read_check(&mut self) -> Result<(), Fault> {
         let got = *self.bytes.get(self.pos).ok_or(Fault::Incomplete)?;
-        if got != self.check {
+        let mut state = self.check;
+        for &b in &self.bytes[self.fold_from..self.pos] {
+            state = fold_check(state, b);
+        }
+        if got != state {
             return Err(self.err("record checksum mismatch"));
         }
+        self.check = state;
         self.pos += 1;
+        self.fold_from = self.pos;
         Ok(())
     }
 
@@ -387,13 +379,8 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    fn read_ivarint(&mut self, what: &'static str) -> Result<i64, Fault> {
-        let raw = self.read_uvarint(what)?;
-        Ok(zigzag_decode(raw))
-    }
-
     fn read_addr(&mut self) -> Result<u64, Fault> {
-        let delta = self.read_ivarint("addr delta")?;
+        let delta = zigzag_decode(self.read_uvarint("addr delta")?);
         let addr = self.last_addr.wrapping_add(delta as u64);
         self.last_addr = addr;
         Ok(addr)
@@ -421,7 +408,13 @@ impl<'a> Decoder<'a> {
         self.read_operand(size)
     }
 
-    fn read_record(&mut self, rid: Rid) -> Result<EventRecord, Fault> {
+    /// `rid` is `None` for the stream's first record, which the rid-base
+    /// varint precedes.
+    fn read_record(&mut self, rid: Option<Rid>) -> Result<EventRecord, Fault> {
+        let rid = match rid {
+            Some(rid) => rid,
+            None => Rid(self.read_uvarint("rid base")?),
+        };
         let head = self.read_byte("opcode")?;
         let opcode = head & 0x0f;
         let flags = head & 0xf0;
@@ -478,16 +471,14 @@ impl<'a> Decoder<'a> {
     fn read_instr(&mut self, opcode: u8) -> Result<Instr, Fault> {
         Ok(match opcode {
             OP_LOAD => {
-                let (reg, size) =
-                    unpack_reg_size(self.read_byte("reg")?).ok_or(self.err("bad reg"))?;
+                let (reg, size) = unpack_reg_size(self.read_byte("reg")?);
                 Instr::Load {
                     dst: reg,
                     src: self.read_operand(size)?,
                 }
             }
             OP_STORE => {
-                let (reg, size) =
-                    unpack_reg_size(self.read_byte("reg")?).ok_or(self.err("bad reg"))?;
+                let (reg, size) = unpack_reg_size(self.read_byte("reg")?);
                 Instr::Store {
                     dst: self.read_operand(size)?,
                     src: reg,
@@ -522,8 +513,7 @@ impl<'a> Decoder<'a> {
                 target: Reg(self.read_byte("reg")?),
             },
             OP_RMW => {
-                let (reg, size) =
-                    unpack_reg_size(self.read_byte("reg")?).ok_or(self.err("bad reg"))?;
+                let (reg, size) = unpack_reg_size(self.read_byte("reg")?);
                 Instr::Rmw {
                     mem: self.read_operand(size)?,
                     reg,
@@ -536,15 +526,8 @@ impl<'a> Decoder<'a> {
 
     fn read_ca(&mut self) -> Result<CaRecord, Fault> {
         let tag = self.read_byte("ca tag")?;
-        let code = tag >> 2;
-        let needs_payload = matches!(code, 5..=7);
-        let payload = if needs_payload {
-            Some(self.read_uvarint("ca payload")?)
-        } else {
-            None
-        };
         let err = self.err("bad CA kind");
-        let what = decode_high_level(code, move || Ok(payload.unwrap_or(0)))?.ok_or(err)?;
+        let what = decode_high_level(tag >> 2, || self.read_uvarint("ca payload"))?.ok_or(err)?;
         let phase = if tag & 0b01 != 0 {
             CaPhase::End
         } else {
@@ -572,21 +555,23 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Incremental decoder: the streaming counterpart of [`decode`].
+/// Incremental decoder: [`decode`] is its whole-buffer case.
 ///
 /// Wire bytes are [`feed`](StreamDecoder::feed) in whatever chunks the
 /// transport delivers — split points may fall anywhere, including inside a
-/// varint — and complete records are pulled with
-/// [`next_record`](StreamDecoder::next_record). A pull that reaches the end of the
-/// buffered bytes mid-record rewinds to the record boundary and returns
-/// `Ok(None)`: feed more bytes and retry. Delta-compression context
-/// (rolling address reference, implicit record ids) carries across feeds,
-/// so any chunking of the same stream decodes to the same records.
+/// varint — and complete records are pulled a batch at a time with
+/// [`decode_into`](StreamDecoder::decode_into). A pull that reaches the end
+/// of the buffered bytes mid-record rewinds to the record boundary: feed
+/// more bytes and retry. Delta-compression context (rolling address
+/// reference, implicit record ids, checksum chain) carries across feeds, so
+/// any chunking of the same stream decodes to the same records or to the
+/// same error at the same offset.
 ///
-/// Memory stays bounded: consumed bytes are reclaimed on every `feed`, so
-/// the internal buffer never holds more than one partial record plus the
-/// most recent chunk ([`buffered`](StreamDecoder::buffered) reports the
-/// current residency).
+/// Memory stays bounded: consumed bytes are reclaimed on every `feed` and a
+/// record may not outgrow [`MAX_RECORD_WIRE_BYTES`], so the internal buffer
+/// never holds more than one partial record of that size plus the most
+/// recent chunk ([`buffered`](StreamDecoder::buffered) reports the current
+/// residency).
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
     buf: Vec<u8>,
@@ -594,7 +579,7 @@ pub struct StreamDecoder {
     pos: usize,
     /// Absolute stream offset of `buf[0]` (keeps error positions global).
     offset: usize,
-    /// Record id of the next record, once the stream's base varint arrived.
+    /// Record id of the next record, once the first one was decoded.
     next_rid: Option<Rid>,
     last_addr: u64,
     /// Rolling checksum chain state, carried across feeds like `last_addr`.
@@ -635,65 +620,82 @@ impl StreamDecoder {
         self.pos == self.buf.len()
     }
 
-    /// Decodes the next complete record, or `Ok(None)` when the buffered
+    /// Decodes up to `max` complete records from the buffered bytes,
+    /// appending them to `out`, and returns how many. Fewer than `max`
+    /// means the buffered bytes end at a record boundary or mid-record (the
+    /// partial record stays buffered): feed more and retry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] when the bytes are structurally invalid or a
+    /// record outgrows [`MAX_RECORD_WIRE_BYTES`] — corruption is permanent,
+    /// unlike running out of buffered bytes. Records decoded ahead of the
+    /// fault are in `out`.
+    pub fn decode_into(
+        &mut self,
+        out: &mut Vec<EventRecord>,
+        max: usize,
+    ) -> Result<usize, DecodeError> {
+        let wire = &self.buf[self.pos..];
+        let mut d = Decoder {
+            bytes: wire,
+            pos: 0,
+            fold_from: 0,
+            last_addr: self.last_addr,
+            check: self.check,
+        };
+        let before = out.len();
+        let fault = loop {
+            // State is committed at record boundaries only (`d.fold_from`
+            // and `d.check` never move anywhere else), so a partial or
+            // faulty record rewinds to its first byte.
+            self.last_addr = d.last_addr;
+            if out.len() - before == max || d.fold_from == wire.len() {
+                break None;
+            }
+            let cap = d.fold_from + MAX_RECORD_WIRE_BYTES;
+            d.bytes = &wire[..wire.len().min(cap)];
+            match d.read_record(self.next_rid) {
+                Ok(rec) => {
+                    self.next_rid = Some(rec.rid.next());
+                    out.push(rec);
+                }
+                Err(Fault::Incomplete) if wire.len() < cap => break None,
+                Err(Fault::Incomplete) => {
+                    break Some(DecodeError {
+                        at: cap,
+                        what: "record exceeds 65536 bytes",
+                    })
+                }
+                Err(Fault::Corrupt(e)) => break Some(e),
+            }
+        };
+        let got = out.len() - before;
+        let base = self.offset + self.pos;
+        self.pos += d.fold_from;
+        self.check = d.check;
+        self.records += got as u64;
+        match fault {
+            // Rebase from this call's slice to the absolute stream offset.
+            Some(e) => Err(DecodeError {
+                at: base + e.at,
+                what: e.what,
+            }),
+            None => Ok(got),
+        }
+    }
+
+    /// Decodes the next complete record — [`decode_into`](Self::decode_into)
+    /// with `max = 1`, at a `Vec` per call — or `Ok(None)` when the buffered
     /// bytes end mid-record (feed more and retry).
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] when the bytes are structurally invalid —
-    /// corruption is permanent, unlike running out of buffered bytes.
+    /// As [`decode_into`](Self::decode_into).
     pub fn next_record(&mut self) -> Result<Option<EventRecord>, DecodeError> {
-        if self.next_rid.is_none() {
-            if self.pos == self.buf.len() {
-                return Ok(None);
-            }
-            let mut d = Decoder {
-                bytes: &self.buf[self.pos..],
-                pos: 0,
-                last_addr: self.last_addr,
-                check: self.check,
-            };
-            match d.read_uvarint("rid base") {
-                Ok(base) => {
-                    self.next_rid = Some(Rid(base));
-                    self.pos += d.pos;
-                    self.check = d.check;
-                }
-                Err(Fault::Incomplete) => return Ok(None),
-                Err(Fault::Corrupt(e)) => return Err(self.globalize(e)),
-            }
-        }
-        if self.pos == self.buf.len() {
-            return Ok(None);
-        }
-        let rid = self.next_rid.expect("base varint was consumed");
-        let mut d = Decoder {
-            bytes: &self.buf[self.pos..],
-            pos: 0,
-            last_addr: self.last_addr,
-            check: self.check,
-        };
-        match d.read_record(rid) {
-            Ok(rec) => {
-                self.pos += d.pos;
-                self.last_addr = d.last_addr;
-                self.check = d.check;
-                self.next_rid = Some(rec.rid.next());
-                self.records += 1;
-                Ok(Some(rec))
-            }
-            Err(Fault::Incomplete) => Ok(None),
-            Err(Fault::Corrupt(e)) => Err(self.globalize(e)),
-        }
-    }
-
-    /// Rebases an error's position from the current record to the absolute
-    /// stream offset.
-    fn globalize(&self, e: DecodeError) -> DecodeError {
-        DecodeError {
-            at: self.offset + self.pos + e.at,
-            what: e.what,
-        }
+        let mut one = Vec::with_capacity(1);
+        self.decode_into(&mut one, 1)?;
+        Ok(one.pop())
     }
 }
 
@@ -728,8 +730,8 @@ fn pack_reg_size(reg: Reg, size: u8) -> u8 {
     (reg.0 << 4) | size_code(size)
 }
 
-fn unpack_reg_size(b: u8) -> Option<(Reg, u8)> {
-    Some((Reg(b >> 4), decode_size(b & 0x03)?))
+fn unpack_reg_size(b: u8) -> (Reg, u8) {
+    (Reg(b >> 4), 1 << (b & 0x03))
 }
 
 fn arc_kind_code(k: ArcKind) -> u8 {
@@ -844,6 +846,7 @@ mod tests {
             let mut d = Decoder {
                 bytes: &out,
                 pos: 0,
+                fold_from: 0,
                 last_addr: 0,
                 check: 0,
             };
@@ -1024,36 +1027,127 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "got: {err}");
     }
 
-    #[test]
-    fn encode_ring_drains_without_copying_out() {
-        let recs = sample_records();
-        let mut ring = crate::LogRing::new(recs.len());
-        for r in &recs {
-            ring.push(r.clone()).unwrap();
+    /// Streams `bytes` through a [`StreamDecoder`] in the given chunk sizes
+    /// (cycled), pulling `max` records at a time.
+    fn stream_decode(
+        bytes: &[u8],
+        chunks: &[usize],
+        max: usize,
+    ) -> Result<Vec<EventRecord>, DecodeError> {
+        let mut sd = StreamDecoder::new();
+        let mut out = Vec::new();
+        let (mut at, mut sizes) = (0, chunks.iter().cycle());
+        while at < bytes.len() {
+            let n = (*sizes.next().unwrap()).min(bytes.len() - at);
+            sd.feed(&bytes[at..at + n]);
+            at += n;
+            while sd.decode_into(&mut out, max)? == max {}
+            // One partial record at most is ever resident.
+            assert!(sd.buffered() <= MAX_RECORD_BYTES + n);
         }
-        let mut enc = Encoder::new();
-        assert_eq!(encode_ring(&mut enc, &mut ring), recs.len());
-        assert!(ring.is_empty());
-        assert_eq!(decode(&enc.finish()).unwrap(), recs);
+        assert_eq!(sd.records(), out.len() as u64);
+        assert!(sd.is_clean(), "every byte consumed");
+        Ok(out)
     }
 
     #[test]
     fn stream_decoder_matches_batch_byte_at_a_time() {
-        let recs = sample_records();
-        let bytes = encode(&recs);
+        // A seeded random chunking beside the fixed ones.
+        let mut lcg = 0x5eed_u64;
+        let random: Vec<usize> = (0..64)
+            .map(|_| {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                1 + (lcg >> 60) as usize
+            })
+            .collect();
+        let wraps = |start, len| {
+            encode(&[EventRecord::ca(
+                Rid(1),
+                CaRecord {
+                    what: HighLevelKind::Syscall(SyscallKind::ReadInput),
+                    phase: CaPhase::End,
+                    range: Some(AddrRange::new(start, len)),
+                    issuer: ThreadId(0),
+                    issuer_rid: Rid(1),
+                    seq: 0,
+                },
+            )])
+        };
+        let mut flipped = encode(&sample_records());
+        flipped[9] ^= 0xFF;
+        // The good stream, `corrupt_opcode_errors`' and
+        // `wrapping_address_ranges_are_corrupt`'s, and a mid-stream flip:
+        // every chunking and batch size yields what `decode` yields, down
+        // to the error offset.
+        let streams = [
+            encode(&sample_records()),
+            vec![0x00, 0x0f],
+            wraps(u64::MAX - 8, 64),
+            flipped,
+        ];
+        for bytes in &streams {
+            let whole = decode(bytes);
+            for chunks in [&[1][..], &[3], &[bytes.len()], &random] {
+                for max in [1, 3, 256] {
+                    assert_eq!(
+                        stream_decode(bytes, chunks, max),
+                        whole,
+                        "chunks {chunks:?}, max {max}"
+                    );
+                }
+            }
+        }
+        assert_eq!(decode(&streams[0]).unwrap(), sample_records());
+    }
+
+    /// `NOP|FLAG_ARCS` claiming 2⁴⁰ arcs, then valid 3-byte arcs without
+    /// end: every prefix is a plausible record start.
+    fn endless_record(len: usize) -> Vec<u8> {
+        let mut wire = vec![0x00, OP_NOP | FLAG_ARCS];
+        write_uvarint(&mut wire, 1 << 40);
+        assert_eq!(wire.len(), 8);
+        wire.resize(len, 0x01); // arc: kind WAR, src thread 1, rid 1
+        wire
+    }
+
+    #[test]
+    fn a_record_that_never_ends_is_corrupt_at_the_cap() {
+        const CHUNK: usize = 8 * 1024;
+        let wire = endless_record(16 << 20);
+        let started = std::time::Instant::now();
         let mut sd = StreamDecoder::new();
         let mut out = Vec::new();
-        for b in &bytes {
-            sd.feed(std::slice::from_ref(b));
-            while let Some(rec) = sd.next_record().unwrap() {
-                out.push(rec);
-            }
-            // One partial record at most is ever resident.
-            assert!(sd.buffered() <= MAX_RECORD_BYTES);
+        let err = wire
+            .chunks(CHUNK)
+            .find_map(|chunk| {
+                sd.feed(chunk);
+                assert!(sd.buffered() <= MAX_RECORD_WIRE_BYTES + CHUNK);
+                sd.decode_into(&mut out, 256).err()
+            })
+            .expect("refused");
+        assert!(out.is_empty());
+        let said = err.to_string();
+        assert!(
+            said.contains(&format!("record exceeds {MAX_RECORD_WIRE_BYTES} bytes")),
+            "{said}"
+        );
+        // The verdict is the record's, not the chunking's.
+        assert_eq!(decode(&wire).unwrap_err(), err);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+
+        // A record of exactly the cap (the first one's span includes the
+        // rid base) is a record; one arc more is not.
+        let mut rec = EventRecord::instr(Rid(128), Instr::Nop);
+        for _ in 0..(MAX_RECORD_WIRE_BYTES - 7) / 3 {
+            rec.arcs
+                .push(DependenceArc::new(ThreadId(1), Rid(1), ArcKind::War));
         }
-        assert_eq!(out, recs);
-        assert!(sd.is_clean(), "every byte consumed");
-        assert_eq!(sd.records(), recs.len() as u64);
+        let widest = encode(std::slice::from_ref(&rec));
+        assert_eq!(widest.len(), MAX_RECORD_WIRE_BYTES);
+        assert_eq!(decode(&widest).unwrap(), [rec.clone()]);
+        rec.arcs
+            .push(DependenceArc::new(ThreadId(1), Rid(1), ArcKind::War));
+        assert_eq!(decode(&encode(&[rec])).unwrap_err(), err);
     }
 
     #[test]

@@ -150,6 +150,11 @@ pub struct EventRecord {
     pub forwarded: bool,
 }
 
+// Every replay lane holds a batch of 256 of these (62 KiB) and each byte of
+// one is written once per record replayed — 248 B for ~4 B of wire — so
+// growing the record is a deliberate act, not a side effect of a new field.
+const _: () = assert!(std::mem::size_of::<EventRecord>() <= 256);
+
 impl EventRecord {
     /// Creates a plain instruction record with no arcs or annotations.
     pub fn instr(rid: Rid, instr: Instr) -> Self {

@@ -156,21 +156,6 @@ impl LogRing {
         }
     }
 
-    /// Drains every buffered record through `f` by reference — the batch
-    /// analogue of [`LogRing::pop_with`] (e.g. handing a whole ring segment
-    /// to the compression codec without copying records out). Returns the
-    /// number of records drained. An empty ring counts no rejection: a bulk
-    /// drain of nothing is a no-op, not a consumer stall.
-    pub fn drain_in_place(&mut self, mut f: impl FnMut(&EventRecord)) -> usize {
-        let n = self.buf.len();
-        for rec in &self.buf {
-            f(rec);
-        }
-        self.buf.clear();
-        self.consumed += n as u64;
-        n
-    }
-
     /// Removes and returns the oldest record, or `None` if the ring is empty
     /// (the lifeguard core must stall and retry).
     pub fn pop(&mut self) -> Option<EventRecord> {
@@ -303,25 +288,6 @@ mod tests {
         assert!(ring.pop_with(|r| r.rid).is_some());
         assert!(ring.pop_with(|_| ()).is_none());
         assert_eq!(ring.empty_rejections(), 1);
-    }
-
-    #[test]
-    fn drain_in_place_visits_all_without_rejections() {
-        let mut ring = LogRing::new(8);
-        for i in 1..=5 {
-            ring.push(rec(i)).unwrap();
-        }
-        let mut rids = Vec::new();
-        assert_eq!(ring.drain_in_place(|r| rids.push(r.rid.0)), 5);
-        assert_eq!(rids, vec![1, 2, 3, 4, 5]);
-        assert!(ring.is_empty());
-        assert_eq!(ring.consumed(), 5);
-        assert_eq!(ring.drain_in_place(|_| ()), 0);
-        assert_eq!(
-            ring.empty_rejections(),
-            0,
-            "bulk drain of nothing is not a stall"
-        );
     }
 
     #[test]

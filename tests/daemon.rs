@@ -463,6 +463,59 @@ fn mid_stream_corruption_fails_the_session_not_the_daemon() {
 }
 
 #[test]
+fn a_record_that_never_ends_fails_its_session_and_spares_its_neighbour() {
+    // `NOP|FLAG_ARCS` claiming 2^40 arcs, then 16 MB of valid 3-byte arcs:
+    // every prefix is a plausible record start, so without a cap on a
+    // record's wire size the decoder re-parses it from its first byte on
+    // every feed, for minutes, growing a buffer the session cap never sees.
+    let mut hostile = vec![0x00, 0x19, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+    hostile.resize(16 << 20, 0x01);
+    let (w, encoded, fingerprint, violations) =
+        capture(Benchmark::Lu, 2, LifeguardKind::TaintCheck);
+
+    let daemon = spawn_daemon("endless");
+    let mut attacker = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("endless", LifeguardKind::TaintCheck, 1, w.heap),
+    )
+    .expect("attaches");
+    let hostile_id = attacker.session_id();
+    let mut neighbour = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("lu", LifeguardKind::TaintCheck, 2, w.heap),
+    )
+    .expect("attaches");
+    let neighbour_id = neighbour.session_id();
+    let attack = std::thread::spawn(move || {
+        // The daemon hangs up once the session fails; until then, keep
+        // pushing.
+        hostile
+            .chunks(32 * 1024)
+            .try_for_each(|frame| attacker.send(0, frame))
+            .expect_err("the daemon swallowed a record it should have refused")
+    });
+    neighbour.send_capture(&encoded, 512).expect("streams");
+
+    let status = await_done(&daemon, hostile_id);
+    assert_eq!(field(&status, "state").as_deref(), Some("failed"));
+    let error = field(&status, "error").expect("failed sessions carry the error");
+    assert!(
+        error.contains("malformed") && error.contains("record exceeds 65536 bytes"),
+        "unexpected error: {error}"
+    );
+    attack.join().expect("attacker thread");
+
+    let status = await_done(&daemon, neighbour_id);
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(
+        field(&status, "fingerprint"),
+        Some(format!("{fingerprint:016x}"))
+    );
+    assert_eq!(violation_keys_of(&status), violation_keys(&violations));
+    daemon.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_reports_partial_metrics() {
     let (heap, encoded) = independent_capture(2, 300);
     let daemon = spawn_daemon("shut");

@@ -1,6 +1,6 @@
 //! Microbenchmarks for the lifeguard concurrency layer.
 //!
-//! Two questions, answered on real OS threads:
+//! Three questions, answered on real OS threads:
 //!
 //! * **`concurrent_replay` / `memcheck_replay` / `lockset_replay` /
 //!   `happensbefore_replay`** — what does the lock-free §5.3 form each
@@ -8,6 +8,11 @@
 //!   Each series replays fast-path-shaped per-thread streams (AddrCheck for
 //!   the IF class, MemCheck for the dataflow engine's propagation, LockSet
 //!   and HappensBefore for the fast-path/slow-path race-detection class).
+//! * **`lane_sweep`** — do two drivers sweeping one session's [`LaneSet`]
+//!   replay its two independent lanes in parallel? `memcheck_replay`'s two
+//!   streams, through the lanes (gates, progress, the lane locks) and swept
+//!   by one thread and by two. Two drivers must be no slower than one: if
+//!   they are, the lanes share a cache line they write per record.
 //! * **`concurrent_versions`** — what does the §5.5 produce→consume
 //!   hand-off cost through the one mutex of [`VersionTable`], both
 //!   uncontended (one thread doing the whole lifecycle, comparable with
@@ -15,12 +20,14 @@
 //!   hand-off with a polling consumer?
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use paralog_core::{CoopSession, LaneSet, RecordStream, SessionError, StreamStatus};
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
     ThreadId, VersionId,
 };
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind};
 use paralog_meta::VersionTable;
+use std::sync::Arc;
 
 const HEAP: AddrRange = AddrRange {
     start: 0x1000_0000,
@@ -167,6 +174,70 @@ fn bench_concurrent_replay(c: &mut Criterion) {
     }
 }
 
+/// One stream of a capture every iteration replays afresh, read where it
+/// lies rather than cloned into each session first.
+#[derive(Debug)]
+struct SharedStream {
+    records: Arc<[EventRecord]>,
+    at: usize,
+}
+
+impl RecordStream for SharedStream {
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<EventRecord>,
+        max: usize,
+    ) -> Result<StreamStatus, SessionError> {
+        let rest = &self.records[self.at..];
+        if rest.is_empty() {
+            return Ok(StreamStatus::Exhausted);
+        }
+        let n = rest.len().min(max);
+        out.extend_from_slice(&rest[..n]);
+        self.at += n;
+        Ok(StreamStatus::Yielded)
+    }
+}
+
+fn bench_lane_sweep(c: &mut Criterion) {
+    const LANES: u16 = 2;
+    let streams: Vec<Arc<[EventRecord]>> = (0..LANES).map(|t| check_stream(t).into()).collect();
+    let mut group = c.benchmark_group("lane_sweep");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(u64::from(LANES) * RECORDS));
+    for drivers in [1, 2] {
+        group.bench_function(BenchmarkId::new("drivers", drivers), |b| {
+            b.iter(|| {
+                let boxed = streams
+                    .iter()
+                    .map(|records| {
+                        let records = Arc::clone(records);
+                        Box::new(SharedStream { records, at: 0 }) as Box<dyn RecordStream>
+                    })
+                    .collect();
+                let (session, lanes) =
+                    CoopSession::start(&LifeguardKind::MemCheck, HEAP, boxed, None)
+                        .expect("MemCheck replays on lanes");
+                let set = LaneSet::new(lanes);
+                std::thread::scope(|scope| {
+                    for home in 0..drivers {
+                        let (session, set) = (&session, &set);
+                        scope.spawn(move || {
+                            while !session.is_complete() {
+                                if set.sweep(home, 512).delivered == 0 {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        });
+                    }
+                });
+                black_box(session.report())
+            })
+        });
+    }
+    group.finish();
+}
+
 const VERSIONS: u64 = 2048;
 
 fn vid(t: u16, r: u64) -> VersionId {
@@ -227,5 +298,10 @@ fn bench_concurrent_versions(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_concurrent_replay, bench_concurrent_versions);
+criterion_group!(
+    benches,
+    bench_concurrent_replay,
+    bench_lane_sweep,
+    bench_concurrent_versions
+);
 criterion_main!(benches);

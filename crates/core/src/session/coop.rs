@@ -62,7 +62,7 @@ use super::{produce_versions, SessionError};
 use crate::metrics::RunMetrics;
 use paralog_events::{AddrRange, ThreadId, VersionId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
-use paralog_order::{CaPolicy, RangeTable, SharedProgressTable};
+use paralog_order::{CaPolicy, CachePadded, RangeTable, SharedProgressTable};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
@@ -101,7 +101,9 @@ struct CoopShared {
     progress: SharedProgressTable,
     versions: paralog_meta::VersionTable,
     lanes: usize,
-    /// Records applied session-wide — the liveness signal.
+    /// Records applied session-wide — the liveness signal. Each lane adds
+    /// its step's deliveries once, as the step ends, so the lanes write
+    /// this line once per step rather than once per record.
     applied: AtomicU64,
     /// Times a lane found its head record gated on a peer.
     stalls: AtomicU64,
@@ -324,7 +326,9 @@ impl CoopSession {
         self.shared.metrics()
     }
 
-    /// Records applied so far.
+    /// Records applied so far, as of each lane's last completed step (a
+    /// lane counts a step's deliveries when the step ends, so a step still
+    /// running is not in it yet; a finished session's count is exact).
     pub fn records(&self) -> u64 {
         self.shared.applied.load(Ordering::Relaxed)
     }
@@ -364,7 +368,8 @@ pub struct CoopLane {
     head_produced: bool,
     /// Whether this lane is counted in the session's `gated_lanes`.
     parked: bool,
-    /// Records delivered by the latest step.
+    /// Records delivered by the latest step; added to the session's
+    /// `applied` once, when the step ends ([`flush`](Self::flush)).
     delivered: usize,
     done: bool,
 }
@@ -406,6 +411,25 @@ impl CoopLane {
         if self.done {
             return LaneStep::Finished;
         }
+        let step = self.deliver(budget);
+        // A step that ended the lane was counted by `finish`.
+        if !self.done {
+            self.flush();
+        }
+        step
+    }
+
+    /// Adds the step's deliveries to the session's count.
+    fn flush(&self) {
+        if self.delivered > 0 {
+            self.shared
+                .applied
+                .fetch_add(self.delivered as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// The body of [`advance`](Self::advance) on a live lane.
+    fn deliver(&mut self, budget: usize) -> LaneStep {
         if self.shared.aborted() {
             self.finish();
             return LaneStep::Failed;
@@ -502,7 +526,6 @@ impl CoopLane {
                 }
             }
             self.shared.progress.advertise(self.tid, rec.rid);
-            self.shared.applied.fetch_add(1, Ordering::Relaxed);
             self.input.advance();
             self.delivered += 1;
         }
@@ -554,13 +577,16 @@ impl CoopLane {
         }
     }
 
-    /// Terminal transition, runs exactly once: as the last lane out it
-    /// composes the session report.
+    /// Terminal transition, runs exactly once: counts the ending step's
+    /// deliveries and, as the last lane out, composes the session report.
     fn finish(&mut self) {
         if self.done {
             return;
         }
         self.done = true;
+        // Before the `SeqCst` count below, so the lane that composes the
+        // report reads every lane's final flush.
+        self.flush();
         self.unpark();
         let finished = self.shared.finished_lanes.fetch_add(1, Ordering::SeqCst) + 1;
         if finished == self.shared.lanes {
@@ -583,8 +609,8 @@ pub struct Sweep {
     pub gated: bool,
 }
 
-/// A session's lanes, each behind its own lock, shared by every driver
-/// working the session.
+/// A session's lanes, each behind its own lock on a cache line of its own,
+/// shared by every driver working the session.
 ///
 /// A driver does not own a lane; it owns a *home* index and
 /// [`sweep`](Self::sweep)s the whole set from there, so a record gated on a
@@ -592,9 +618,10 @@ pub struct Sweep {
 /// the same core, instead of waiting for whichever driver holds it to be
 /// scheduled. A lane another driver is stepping right now is skipped
 /// (`try_lock`), so K drivers on K processors still run K lanes in
-/// parallel.
+/// parallel — and since a driver writes its lane's lock and cursor on
+/// every record, no two lanes share a cache line.
 pub struct LaneSet {
-    lanes: Vec<Mutex<CoopLane>>,
+    lanes: Vec<CachePadded<Mutex<CoopLane>>>,
 }
 
 impl std::fmt::Debug for LaneSet {
@@ -609,7 +636,10 @@ impl LaneSet {
     /// Pools the lanes [`CoopSession::start`] returned.
     pub fn new(lanes: Vec<CoopLane>) -> Self {
         LaneSet {
-            lanes: lanes.into_iter().map(Mutex::new).collect(),
+            lanes: lanes
+                .into_iter()
+                .map(|lane| CachePadded(Mutex::new(lane)))
+                .collect(),
         }
     }
 
@@ -663,9 +693,11 @@ mod tests {
         BufferedStream, DeterministicBackend, MonitorSession, RecordStream, ReplaySource,
         StreamStatus,
     };
+    use crate::{MonitorConfig, MonitoringMode, Platform};
     use paralog_events::EventRecord;
     use paralog_lifeguards::LifeguardKind;
-    use paralog_workloads::adversarial::{self, AdversarialCapture};
+    use paralog_workloads::adversarial;
+    use paralog_workloads::{Benchmark, WorkloadSpec};
     use std::collections::VecDeque;
 
     /// The daemon's fairness quantum.
@@ -674,13 +706,57 @@ mod tests {
     /// allocated), so violation parity is not vacuous.
     const KIND: LifeguardKind = LifeguardKind::AddrCheck;
 
-    fn start(cap: &AdversarialCapture) -> (CoopSession, LaneSet) {
-        let streams = cap
+    /// A capture and the analysis to replay it under.
+    struct Case {
+        kind: LifeguardKind,
+        streams: Vec<Vec<EventRecord>>,
+        heap: AddrRange,
+    }
+
+    impl Case {
+        /// Hub and `spokes` spokes, nearly every record gated on a peer.
+        fn storm(spokes: u16, rounds: u64) -> Case {
+            let cap = adversarial::arc_fanout(spokes, rounds);
+            Case {
+                kind: KIND,
+                streams: cap.streams,
+                heap: cap.heap,
+            }
+        }
+
+        /// A tainted Ocean×2 capture at tiny scale (14 k records), under
+        /// TAINTCHECK: sparse arcs, so both lanes mostly run apart, each on
+        /// its own register slot. Frequent input syscalls and indirect jumps
+        /// give it ~25 tainted jumps to report.
+        fn tainted() -> Case {
+            let mut spec = WorkloadSpec::benchmark(Benchmark::Ocean, 2)
+                .scale(0.25)
+                .inject_bugs(true)
+                .syscall_rate(0.005);
+            spec.mix.indirect_jump = 0.02;
+            let w = spec.build();
+            let mut cfg = MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck);
+            cfg.collect_streams = true;
+            let capture = Platform::run(&w, &cfg).metrics;
+            Case {
+                kind: LifeguardKind::TaintCheck,
+                streams: capture.streams.expect("collection enabled"),
+                heap: w.heap,
+            }
+        }
+
+        fn records(&self) -> u64 {
+            self.streams.iter().map(|s| s.len() as u64).sum()
+        }
+    }
+
+    fn start(case: &Case) -> (CoopSession, LaneSet) {
+        let streams = case
             .streams
             .iter()
             .map(|s| Box::new(BufferedStream::new(s.clone())) as Box<dyn RecordStream>)
             .collect();
-        let (session, lanes) = CoopSession::start(&KIND, cap.heap, streams, None).unwrap();
+        let (session, lanes) = CoopSession::start(&case.kind, case.heap, streams, None).unwrap();
         (session, LaneSet::new(lanes))
     }
 
@@ -695,10 +771,10 @@ mod tests {
     }
 
     /// Asserts `session`'s report equals the sequential reference loop's.
-    fn assert_parity(cap: &AdversarialCapture, session: &CoopSession) {
+    fn assert_parity(case: &Case, session: &CoopSession) {
         let reference = MonitorSession::builder()
-            .source(ReplaySource::new(cap.streams.clone(), cap.heap))
-            .lifeguard(KIND)
+            .source(ReplaySource::new(case.streams.clone(), case.heap))
+            .lifeguard(case.kind)
             .backend(DeterministicBackend)
             .build()
             .unwrap()
@@ -706,7 +782,7 @@ mod tests {
             .unwrap()
             .metrics;
         let swept = session.report().expect("complete").expect("replays clean");
-        assert_eq!(swept.records, cap.records());
+        assert_eq!(swept.records, case.records());
         assert_eq!(swept.fingerprint, reference.fingerprint);
         assert!(
             !reference.violations.is_empty(),
@@ -719,10 +795,10 @@ mod tests {
     fn one_sweeping_driver_hands_an_arc_storm_across_lanes_inside_its_slices() {
         // Hub and two spokes, nearly every record gated on a peer: driven
         // lane by lane this is about one slice per record.
-        let cap = adversarial::arc_fanout(2, 4_000);
-        let lanes = cap.streams.len();
-        let (session, set) = start(&cap);
-        let (mut slices, mut finished) = (0, 0);
+        let case = Case::storm(2, 4_000);
+        let lanes = case.streams.len();
+        let (session, set) = start(&case);
+        let (mut slices, mut finished, mut delivered) = (0, 0, 0);
         while !session.is_complete() {
             let sweep = set.sweep(0, BUDGET);
             assert!(sweep.delivered <= BUDGET, "a slice is bounded: {sweep:?}");
@@ -732,15 +808,19 @@ mod tests {
             );
             slices += 1;
             finished += sweep.finished;
+            // Every step counts its deliveries as it ends, the one that
+            // ends a lane included, so between sweeps the count is exact.
+            delivered += sweep.delivered as u64;
+            assert_eq!(session.records(), delivered, "after slice {slices}");
         }
         assert_eq!(finished, lanes);
-        let bound = cap.records() as usize / BUDGET + lanes + 2;
+        let bound = case.records() as usize / BUDGET + lanes + 2;
         assert!(
             slices <= bound,
             "{slices} slices for {} records",
-            cap.records()
+            case.records()
         );
-        assert_parity(&cap, &session);
+        assert_parity(&case, &session);
         assert_eq!(
             set.sweep(1, BUDGET),
             Sweep::default(),
@@ -748,40 +828,45 @@ mod tests {
         );
     }
 
+    /// Racing drivers hand lanes to each other between steps: on the storm
+    /// at nearly every record, on the tainted capture whenever a sweep finds
+    /// its home lane held. What travels with a lane — its cursor, its
+    /// stream's register slot — must arrive intact.
     #[test]
     fn racing_sweeps_finish_every_lane_exactly_once() {
-        let cap = adversarial::arc_fanout(3, 3_000);
-        let lanes = cap.streams.len();
-        for workers in [1, 2, 4] {
-            let (session, set) = start(&cap);
-            // One task per lane on a FIFO, as the daemon's pool runs them.
-            let queue = Mutex::new((0..lanes).collect::<VecDeque<usize>>());
-            let finished = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let home = queue.lock().expect("poisoned").pop_front();
-                        let Some(home) = home else {
-                            if session.is_complete() {
-                                return;
+        for case in [Case::storm(3, 3_000), Case::tainted()] {
+            let lanes = case.streams.len();
+            for workers in [1, 2, 4] {
+                let (session, set) = start(&case);
+                // One task per lane on a FIFO, as the daemon's pool runs them.
+                let queue = Mutex::new((0..lanes).collect::<VecDeque<usize>>());
+                let finished = AtomicUsize::new(0);
+                std::thread::scope(|scope| {
+                    for _ in 0..workers {
+                        scope.spawn(|| loop {
+                            let home = queue.lock().expect("poisoned").pop_front();
+                            let Some(home) = home else {
+                                if session.is_complete() {
+                                    return;
+                                }
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            let sweep = set.sweep(home, BUDGET);
+                            finished.fetch_add(sweep.finished, Ordering::Relaxed);
+                            if !session.is_complete() {
+                                queue.lock().expect("poisoned").push_back(home);
                             }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        let sweep = set.sweep(home, BUDGET);
-                        finished.fetch_add(sweep.finished, Ordering::Relaxed);
-                        if !session.is_complete() {
-                            queue.lock().expect("poisoned").push_back(home);
-                        }
-                    });
-                }
-            });
-            assert_eq!(
-                finished.load(Ordering::Relaxed),
-                lanes,
-                "{workers} workers: each lane's end is reported by exactly one sweep"
-            );
-            assert_parity(&cap, &session);
+                        });
+                    }
+                });
+                assert_eq!(
+                    finished.load(Ordering::Relaxed),
+                    lanes,
+                    "{workers} workers: each lane's end is reported by exactly one sweep"
+                );
+                assert_parity(&case, &session);
+            }
         }
     }
 

@@ -38,8 +38,9 @@ use paralog_events::{
     Rid, ThreadId, NUM_REGS,
 };
 use paralog_meta::AtomicShadow;
-use paralog_order::{CaPolicy, RangeEntry};
+use paralog_order::{CaPolicy, CachePadded, RangeEntry};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// What the issuer of a ConflictAlert does with the shadow of its range.
@@ -342,12 +343,13 @@ impl Lifeguard for Dataflow {
 /// take a mutex-guarded slow path so two issuers' wholesale updates never
 /// interleave mid-range; the CA arcs already order every *access* against
 /// them, so the propagation path never needs that lock. Register metadata
-/// is thread-private, so each worker's slot is uncontended.
+/// is thread-private (§5.3), so each stream's [`RegSlot`] takes no lock
+/// either.
 pub(crate) struct DataflowConcurrent {
     rules: &'static Rules,
     shadow: AtomicShadow,
-    /// Per-worker register metadata (thread-private; uncontended locks).
-    regs: Vec<Mutex<[u8; NUM_REGS]>>,
+    /// Per-stream register metadata, each slot on a cache line of its own.
+    regs: Vec<RegSlot>,
     /// §5.3 slow path: serializes the issuers' wholesale rewrites against
     /// each other.
     structural: Mutex<()>,
@@ -373,9 +375,39 @@ impl DataflowConcurrent {
         DataflowConcurrent {
             rules,
             shadow: AtomicShadow::new(),
-            regs: (0..threads).map(|_| Mutex::new([0; NUM_REGS])).collect(),
+            regs: (0..threads).map(|_| RegSlot::default()).collect(),
             structural: Mutex::new(()),
             violations: ViolationLog::new(),
+        }
+    }
+}
+
+/// One stream's register metadata: `NUM_REGS` bytes packed into `u64`
+/// words, so a record loads and stores two words. A byte per atomic took
+/// sixteen of each, which cost more than the mutex it replaced.
+///
+/// `Relaxed` suffices: only the one worker replaying a stream touches its
+/// slot (the contract `ConcurrentLifeguard::apply` states, which
+/// `LockSetConcurrent::held` relies on too), and a lane changing hands
+/// between workers is ordered by the lane's own mutex.
+#[derive(Debug, Default)]
+struct RegSlot(CachePadded<[AtomicU64; NUM_REGS / 8]>);
+
+const _: () = assert!(NUM_REGS.is_multiple_of(8), "whole words");
+
+impl RegSlot {
+    fn load(&self) -> [u8; NUM_REGS] {
+        let mut regs = [0; NUM_REGS];
+        for (bytes, word) in regs.chunks_exact_mut(8).zip(self.0.iter()) {
+            bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        }
+        regs
+    }
+
+    fn store(&self, regs: &[u8; NUM_REGS]) {
+        for (bytes, word) in regs.chunks_exact(8).zip(self.0.iter()) {
+            let bytes = bytes.try_into().expect("a word of registers");
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
         }
     }
 }
@@ -388,9 +420,12 @@ impl ConcurrentLifeguard for DataflowConcurrent {
                 let Some(op) = dataflow_view(instr) else {
                     return;
                 };
-                let mut regs = self.regs[tid.index()].lock().expect("poisoned");
+                let slot = &self.regs[tid.index()];
+                let mut regs = slot.load();
                 let mut port = LanePort { shadow, versioned };
-                self.rules.apply_op(op, &mut regs, &mut port, tid, rec.rid)
+                let violation = self.rules.apply_op(op, &mut regs, &mut port, tid, rec.rid);
+                slot.store(&regs);
+                violation
             }
             // Only the issuer updates metadata (remote copies order), and a
             // ConflictAlert reads and writes the live shadow only.

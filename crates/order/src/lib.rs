@@ -9,7 +9,9 @@
 //!   capture policies (per-block FDR-style vs. per-core conservative) and
 //!   three reduction levels (none / direct / RTR-style transitive);
 //! * [`ProgressTable`] / [`SharedProgressTable`] — the globally advertised
-//!   per-lifeguard progress counters (§5.2);
+//!   per-lifeguard progress counters (§5.2), and [`CachePadded`], which
+//!   keeps each of them — and each lane and register slot of the replay
+//!   path — on a cache line of its own;
 //! * [`OrderEnforcer`] — gates record delivery on arc satisfaction, with
 //!   dependence-stall accounting (the *Waiting for Dependence* bucket of
 //!   Figure 7);
@@ -47,5 +49,5 @@ pub mod range_table;
 pub use capture::{CapturePolicy, CaptureStats, OrderCapture, Reduction};
 pub use conflict_alert::{CaActions, CaBarrier, CaBroadcaster, CaPolicy};
 pub use enforce::{Gate, OrderEnforcer};
-pub use progress::{ProgressTable, SharedProgressTable};
+pub use progress::{CachePadded, ProgressTable, SharedProgressTable};
 pub use range_table::{RangeEntry, RangeTable};

@@ -4,14 +4,36 @@
 //! by thread id; `progress[t]` holds the record id up to which *every* piece
 //! of lifeguard work for thread `t` — including state still cached inside
 //! accelerators, per delayed advertising (§4.2) — has completed. Each entry
-//! lives on its own cache line to avoid coherence ping-pong.
+//! lives on its own cache line ([`CachePadded`]) to avoid coherence
+//! ping-pong.
 //!
 //! Two implementations: [`ProgressTable`] for the deterministic simulator and
 //! [`SharedProgressTable`] (atomics) for the real-thread demonstration
 //! executor.
 
 use paralog_events::{Rid, ThreadId};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A value alone on its cache line, so a write to it never invalidates a
+/// neighbour another core is working on. 128 bytes, not 64: x86's
+/// adjacent-line prefetcher moves lines in pairs, so two values 64 B apart
+/// still trade a line pair between cores.
+///
+/// The one padding type of the workspace. It pads exactly what one replay
+/// worker writes per record while another works beside it: a progress
+/// slot, a lane, a lane's register slot.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// Progress table used inside the single-threaded simulator.
 #[derive(Debug, Clone)]
@@ -65,24 +87,19 @@ impl ProgressTable {
     }
 }
 
-/// Cache-line-padded atomic slot.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedAtomicU64(AtomicU64);
-
 /// Progress table shared between real OS threads (the demonstration
 /// executor). Entries are release-published and acquire-read, mirroring the
 /// hardware's memory-mapped counter semantics.
 #[derive(Debug)]
 pub struct SharedProgressTable {
-    slots: Vec<PaddedAtomicU64>,
+    slots: Vec<CachePadded<AtomicU64>>,
 }
 
 impl SharedProgressTable {
     /// Creates a table for `threads` lifeguard threads.
     pub fn new(threads: usize) -> Self {
         SharedProgressTable {
-            slots: (0..threads).map(|_| PaddedAtomicU64::default()).collect(),
+            slots: (0..threads).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -98,15 +115,13 @@ impl SharedProgressTable {
 
     /// Currently advertised progress of `thread`.
     pub fn get(&self, thread: ThreadId) -> Rid {
-        Rid(self.slots[thread.index()].0.load(Ordering::Acquire))
+        Rid(self.slots[thread.index()].load(Ordering::Acquire))
     }
 
     /// Advertises `progress` for `thread` (release ordering so metadata
     /// writes by the advertiser are visible to readers that observe it).
     pub fn advertise(&self, thread: ThreadId, progress: Rid) {
-        self.slots[thread.index()]
-            .0
-            .store(progress.0, Ordering::Release);
+        self.slots[thread.index()].store(progress.0, Ordering::Release);
     }
 
     /// Whether an arc requiring `src`'s progress to reach `rid` is satisfied.
@@ -156,7 +171,18 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_cache_line_padded() {
-        assert_eq!(std::mem::size_of::<PaddedAtomicU64>(), 64);
+    fn cache_padded_slots_own_their_line_pairs() {
+        use paralog_events::NUM_REGS;
+        use std::mem::{align_of, size_of};
+        use std::sync::Mutex;
+        // A progress slot, a stream's register slot, and a value wider than
+        // a line pair, as a lane behind its mutex can be: each starts a
+        // pair and no neighbour shares one.
+        assert_eq!(size_of::<CachePadded<AtomicU64>>(), 128);
+        assert_eq!(size_of::<CachePadded<[AtomicU64; NUM_REGS / 8]>>(), 128);
+        assert_eq!(align_of::<CachePadded<[AtomicU64; NUM_REGS / 8]>>(), 128);
+        type Lane = CachePadded<Mutex<[u64; 16]>>;
+        assert_eq!(align_of::<Lane>(), 128);
+        assert_eq!(size_of::<Lane>(), 256);
     }
 }

@@ -1,8 +1,8 @@
 //! Shared helpers for the ParaLog benchmark harness.
 //!
 //! The `bin/` targets regenerate the paper's tables and figures and the
-//! checked-in `BENCH_*.json` snapshots; `benches/concurrent_micro.rs` times
-//! the lifeguards' concurrent forms on real threads.
+//! checked-in `BENCH_*.json` snapshots of [`snapshot`], the one
+//! microbenchmark harness.
 
 #![forbid(unsafe_code)]
 

@@ -1,17 +1,25 @@
-//! Checked-in benchmark snapshots: the byte-shadow suite
-//! (`BENCH_shadow.json`) and the version-table suite
-//! (`BENCH_versions.json`).
+//! Checked-in benchmark snapshots, the repository's one microbenchmark
+//! harness: the byte-shadow suite (`BENCH_shadow.json`), the version-table
+//! suite (`BENCH_versions.json`) and the concurrency suite
+//! (`BENCH_concurrent.json`).
 //!
-//! Both share one schema — [`MatrixResult`] plus [`to_json`]/[`parse_json`]
-//! — and one command line ([`run_bin`]), so the CI bench-smoke step diffs
-//! both files with the same non-blocking `::warning::` machinery. The
-//! snapshots exist so regressions in *our* structures show up in CI without
-//! a criterion baseline directory.
+//! All three share one schema — [`MatrixResult`] plus
+//! [`to_json`]/[`parse_json`] — one timer ([`best_of`]) and one command line
+//! ([`run_bin`]), so the CI bench-smoke step diffs every file with the same
+//! non-blocking `::warning::` machinery, and a later run always has a
+//! checked-in reading to be compared against.
 
-use paralog_events::{AddrRange, Rid, ThreadId, VersionId};
+use paralog_core::{CoopSession, LaneSet, RecordStream, SessionError, StreamStatus};
+use paralog_events::{
+    AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
+    ThreadId, VersionId,
+};
+use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind};
 use paralog_meta::{AtomicShadow, VersionTable};
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured suite plus the parameters it ran with.
@@ -111,7 +119,6 @@ const SHADOW_BASE: u64 = 0x1000_0003;
 /// byte), so the series diff catches fast-path regressions that per-byte
 /// throughput would hide at large lengths. `reps` calls are timed per round.
 pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
-    use std::hint::black_box;
     let mut series = BTreeMap::new();
     let shadow = AtomicShadow::new();
     shadow.fill_range(SHADOW_BASE, 8192, 1);
@@ -181,16 +188,16 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
                 for t in 0..THREADS {
                     table.produce(vid(t, r), range, snapshot(), 1);
                     if r > WINDOW {
-                        std::hint::black_box(table.consume(vid(t, r - WINDOW)));
+                        black_box(table.consume(vid(t, r - WINDOW)));
                     }
                 }
             }
             for r in (ops - WINDOW + 1).max(1)..=ops {
                 for t in 0..THREADS {
-                    std::hint::black_box(table.consume(vid(t, r)));
+                    black_box(table.consume(vid(t, r)));
                 }
             }
-            std::hint::black_box(table.peak_outstanding());
+            black_box(table.peak_outstanding());
         }),
     );
 
@@ -207,7 +214,7 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
             for r in 1..=ops {
                 hits += u64::from(polled.is_available(vid((r % 4) as u16, r % (WINDOW * 2) + 1)));
             }
-            std::hint::black_box(hits);
+            black_box(hits);
         }),
     );
 
@@ -220,7 +227,7 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
                 table.bypass(id);
                 table.produce(id, range, snapshot(), 1);
             }
-            std::hint::black_box(table.outstanding());
+            black_box(table.outstanding());
         }),
     );
 
@@ -234,9 +241,9 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
             for c in 0..sweep {
                 let id = vid(0, c * 128 + 1);
                 table.produce(id, range, snapshot(), 1);
-                std::hint::black_box(table.consume(id));
+                black_box(table.consume(id));
             }
-            std::hint::black_box(table.peak_outstanding());
+            black_box(table.peak_outstanding());
         }),
     );
 
@@ -246,20 +253,281 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     }
 }
 
+/// The heap the concurrency suite's byte-shadow analyses track.
+const HEAP: AddrRange = AddrRange {
+    start: 0x1000_0000,
+    len: 0x1000_0000,
+};
+
+/// One thread's arc-free, violation-free stream: `head`, then `records`
+/// alternating loads and stores of `size` bytes walking `slab` in `stride`
+/// steps — after the first pass every access is its analysis' §5.3 fast
+/// path.
+fn slab_stream(
+    head: EventRecord,
+    records: u64,
+    slab: AddrRange,
+    size: u8,
+    stride: u64,
+) -> Vec<EventRecord> {
+    let mut recs = vec![head];
+    for i in 0..records {
+        let mem = MemRef::new(
+            slab.start + (i * stride) % (slab.len - u64::from(size)),
+            size,
+        );
+        let instr = if i % 2 == 0 {
+            Instr::Load {
+                dst: Reg(0),
+                src: mem,
+            }
+        } else {
+            Instr::Store {
+                dst: mem,
+                src: Reg(0),
+            }
+        };
+        recs.push(EventRecord::instr(Rid(i + 2), instr));
+    }
+    recs
+}
+
+/// An own-stream ConflictAlert (no cross-thread ordering).
+fn own_ca(tid: u16, what: HighLevelKind, range: Option<AddrRange>) -> EventRecord {
+    EventRecord::ca(
+        Rid(1),
+        CaRecord {
+            what,
+            phase: CaPhase::End,
+            range,
+            issuer: ThreadId(tid),
+            issuer_rid: Rid(1),
+            seq: u64::MAX,
+        },
+    )
+}
+
+/// The byte-shadow analyses' check stream: a malloc of an own heap slab,
+/// then 8-byte accesses inside it.
+fn check_stream(tid: u16, records: u64) -> Vec<EventRecord> {
+    let slab = AddrRange::new(HEAP.start + u64::from(tid) * 0x10_000, 0x8000);
+    let head = own_ca(tid, HighLevelKind::Malloc, Some(slab));
+    slab_stream(head, records, slab, 8, 16)
+}
+
+/// An exclusive slab in data space, well below the sync-object region, for
+/// the race detectors: 32-byte (8-granule) accesses — the memcpy/struct-sweep
+/// shape — make each record a run of per-granule checks.
+fn race_slab(tid: u16) -> AddrRange {
+    AddrRange::new(0x0100_0000 + u64::from(tid) * 0x10_000, 0x8000)
+}
+
+/// LOCKSET's stream: acquire an own lock, then same-thread `Exclusive`
+/// re-accesses (a single load-acquire each).
+fn lockset_stream(tid: u16, records: u64) -> Vec<EventRecord> {
+    let lock = HighLevelKind::Lock(LockId(u32::from(tid)));
+    slab_stream(own_ca(tid, lock, None), records, race_slab(tid), 32, 32)
+}
+
+/// HAPPENSBEFORE's stream: one `Rmw` on an own sync word establishes the
+/// thread's epoch, then same-epoch re-accesses (a single load-acquire each).
+fn happensbefore_stream(tid: u16, records: u64) -> Vec<EventRecord> {
+    let own_lock = paralog_lifeguards::lockset::SYNC_SPACE_START + u64::from(tid) * 64;
+    let head = Instr::Rmw {
+        mem: MemRef::new(own_lock, 8),
+        reg: Reg(0),
+    };
+    let head = EventRecord::instr(Rid(1), head);
+    slab_stream(head, records, race_slab(tid), 32, 32)
+}
+
+/// Replays one pre-built stream per thread against `conc` on real threads.
+fn replay(conc: &dyn ConcurrentLifeguard, streams: &[Vec<EventRecord>]) {
+    std::thread::scope(|scope| {
+        for (tid, stream) in streams.iter().enumerate() {
+            scope.spawn(move || {
+                let tid = ThreadId(tid as u16);
+                for rec in stream {
+                    conc.apply(tid, rec, None);
+                }
+            });
+        }
+    });
+}
+
+/// One stream of a capture every round replays afresh, read where it lies
+/// rather than cloned into each session first.
+#[derive(Debug)]
+struct SharedStream {
+    records: Arc<[EventRecord]>,
+    at: usize,
+}
+
+impl RecordStream for SharedStream {
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<EventRecord>,
+        max: usize,
+    ) -> Result<StreamStatus, SessionError> {
+        let rest = &self.records[self.at..];
+        if rest.is_empty() {
+            return Ok(StreamStatus::Exhausted);
+        }
+        let n = rest.len().min(max);
+        out.extend_from_slice(&rest[..n]);
+        self.at += n;
+        Ok(StreamStatus::Yielded)
+    }
+}
+
+/// The concurrency suite, on real OS threads — the timing of §5.3's claim
+/// that lifeguard fast paths need no synchronisation across lifeguard
+/// threads. `records` records per thread are timed per round.
+///
+/// * `<analysis>_replay/lockfree/{2,4}` — what the lock-free form each
+///   [`LifeguardKind`] resolves to costs per record at two and four
+///   threads: AddrCheck (`concurrent_replay`) and MemCheck over the check
+///   stream, LockSet and HappensBefore over their fast-path streams.
+/// * `lane_sweep/drivers/{1,2}` — MemCheck's two streams through one
+///   session's [`LaneSet`], swept by one driver and by two, per record.
+///   Two drivers must be no slower than one: if they are, the lanes share a
+///   cache line they write per record.
+/// * `concurrent_versions/{uncontended,handoff}` — the §5.5
+///   produce→consume hand-off through [`VersionTable`]'s one mutex, per
+///   version (`records / 2` of them): one thread doing the whole lifecycle,
+///   and a producer thread racing a polling consumer.
+pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
+    type Stream = fn(u16, u64) -> Vec<EventRecord>;
+    let replays: [(&str, LifeguardKind, Stream); 4] = [
+        ("concurrent_replay", LifeguardKind::AddrCheck, check_stream),
+        ("memcheck_replay", LifeguardKind::MemCheck, check_stream),
+        ("lockset_replay", LifeguardKind::LockSet, lockset_stream),
+        (
+            "happensbefore_replay",
+            LifeguardKind::HappensBefore,
+            happensbefore_stream,
+        ),
+    ];
+    let mut series = BTreeMap::new();
+    for (name, kind, stream) in replays {
+        for threads in [2u16, 4] {
+            let streams: Vec<_> = (0..threads).map(|t| stream(t, records)).collect();
+            let conc = kind
+                .concurrent(HEAP, threads.into())
+                .expect("bundled kinds replay");
+            series.insert(
+                format!("{name}/lockfree/{threads}"),
+                best_of(u64::from(threads) * records, iters, || {
+                    replay(&*conc, &streams);
+                    black_box(conc.fingerprint());
+                }),
+            );
+        }
+    }
+
+    const LANES: u16 = 2;
+    let captures: Vec<Arc<[EventRecord]>> = (0..LANES)
+        .map(|t| check_stream(t, records).into())
+        .collect();
+    for drivers in [1, 2] {
+        series.insert(
+            format!("lane_sweep/drivers/{drivers}"),
+            best_of(u64::from(LANES) * records, iters, || {
+                let streams = captures
+                    .iter()
+                    .map(|records| {
+                        let records = Arc::clone(records);
+                        Box::new(SharedStream { records, at: 0 }) as Box<dyn RecordStream>
+                    })
+                    .collect();
+                let (session, lanes) =
+                    CoopSession::start(&LifeguardKind::MemCheck, HEAP, streams, None)
+                        .expect("MemCheck replays on lanes");
+                let set = LaneSet::new(lanes);
+                std::thread::scope(|scope| {
+                    for home in 0..drivers {
+                        let (session, set) = (&session, &set);
+                        scope.spawn(move || {
+                            while !session.is_complete() {
+                                if set.sweep(home, 512).delivered == 0 {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        });
+                    }
+                });
+                black_box(session.report());
+            }),
+        );
+    }
+
+    let versions = records / 2;
+    let vid = |r: u64| VersionId {
+        consumer: ThreadId(0),
+        consumer_rid: Rid(r),
+    };
+    let range = AddrRange::new(0x1000, 16);
+    let snapshot = || vec![0b01u8; 16];
+    series.insert(
+        "concurrent_versions/uncontended".to_string(),
+        best_of(versions, iters, || {
+            let table = VersionTable::new(2);
+            for r in 1..=versions {
+                table.produce(vid(r), range, snapshot(), 1);
+                black_box(table.consume(vid(r)));
+            }
+            black_box(table.outstanding());
+        }),
+    );
+    series.insert(
+        "concurrent_versions/handoff".to_string(),
+        best_of(versions, iters, || {
+            let table = VersionTable::new(1);
+            std::thread::scope(|scope| {
+                let t = &table;
+                scope.spawn(move || {
+                    for r in 1..=versions {
+                        t.produce(vid(r), range, snapshot(), 1);
+                    }
+                });
+                scope.spawn(move || {
+                    for r in 1..=versions {
+                        while t.consume(vid(r)).map(black_box).is_none() {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            });
+            black_box(table.peak_outstanding());
+        }),
+    );
+
+    MatrixResult {
+        records_per_thread: records,
+        series,
+    }
+}
+
 /// Best-of window of a full run, which rewrites the checked-in baseline.
 const FULL_ITERS: usize = 7;
-/// Best-of window of a `--check` / `--quick` run. Quick profiles keep the
-/// full unit count (so per-unit numbers stay comparable to the committed
-/// baseline — fixed per-round overhead amortizes identically) and only cut
-/// the window.
+/// Best-of window of a `--check` run. The quick profile keeps the full unit
+/// count (so per-unit numbers stay comparable to the committed baseline —
+/// fixed per-round overhead amortizes identically) and only cuts the
+/// window.
 const QUICK_ITERS: usize = 3;
+
+/// The checked-in baseline `file_name` at the repository root.
+fn baseline_path(file_name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file_name)
+}
 
 /// The whole `main` of a snapshot bin: runs `matrix(units, iters)`, prints
 /// it under `title` in ns per `unit`, then either rewrites the checked-in
 /// `file_name` at the repository root (`--out <path>` overrides where) or,
 /// under `--check`, diffs a quick profile against it and exits 0 whatever
-/// it finds (non-blocking). `--quick` takes the quick profile without
-/// checking. An unknown flag exits 2.
+/// it finds (non-blocking). An unknown flag exits 2.
 pub fn run_bin(
     file_name: &str,
     title: &str,
@@ -267,32 +535,24 @@ pub fn run_bin(
     units: u64,
     matrix: fn(u64, usize) -> MatrixResult,
 ) {
-    let mut out = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file_name);
+    let mut out = baseline_path(file_name);
     let mut checking = false;
-    let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => checking = true,
-            "--quick" => quick = true,
             "--out" => out = PathBuf::from(args.next().expect("--out requires a path")),
             other => {
-                eprintln!("unknown flag {other:?} (expected --check, --quick, --out <path>)");
+                eprintln!("unknown flag {other:?} (expected --check, --out <path>)");
                 std::process::exit(2);
             }
         }
     }
-    let iters = if checking || quick {
-        QUICK_ITERS
-    } else {
-        FULL_ITERS
-    };
+    let iters = if checking { QUICK_ITERS } else { FULL_ITERS };
     let result = matrix(units, iters);
     println!("{title} ({units} {unit}s/round, ns/{unit}, best of {iters}):");
     for (key, ns) in &result.series {
-        println!("  {key:<24} {ns:10.1}");
+        println!("  {key:<32} {ns:10.1}");
     }
     if checking {
         std::process::exit(check_against(file_name, &out, &result));
@@ -385,6 +645,27 @@ mod tests {
         }
         let parsed = parse_json(&to_json(&result)).expect("own output parses");
         assert_eq!(parsed.series.len(), result.series.len());
+    }
+
+    #[test]
+    fn checked_in_baselines_cover_every_series() {
+        let suites: [(&str, MatrixResult); 3] = [
+            ("BENCH_shadow.json", shadow_matrix(4, 1)),
+            ("BENCH_versions.json", versions_matrix(64, 1)),
+            ("BENCH_concurrent.json", concurrent_matrix(64, 1)),
+        ];
+        for (file_name, fresh) in suites {
+            let text = std::fs::read_to_string(baseline_path(file_name))
+                .unwrap_or_else(|e| panic!("read {file_name}: {e}"));
+            let baseline =
+                parse_json(&text).unwrap_or_else(|| panic!("{file_name} is unparseable"));
+            assert!(
+                baseline.series.keys().eq(fresh.series.keys()),
+                "{file_name} lists {:?}, the suite measures {:?}: regenerate it",
+                baseline.series.keys().collect::<Vec<_>>(),
+                fresh.series.keys().collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

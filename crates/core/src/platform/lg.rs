@@ -72,31 +72,7 @@ impl<'w> Sim<'w> {
                 // targets a held record while our thread is blocked on it
                 // transitively): flush and publish accurate progress — the
                 // idle-time analogue of §4.2's stall-flush rule.
-                let mut flush_cycles = 0;
-                if self.config.accelerators && self.lgs[li].it.live_mem_rows() > 0 {
-                    let tag = self.lgs[li].last_tag.unwrap_or(li);
-                    let ops = self.lgs[li].it.flush_all(FlushReason::DependenceStall);
-                    for op in &ops {
-                        flush_cycles += deliver_op(
-                            &mut self.lgs[li],
-                            tag,
-                            &mut self.mem,
-                            &self.config.cost,
-                            true,
-                            op,
-                            self.progress.get(ThreadId(li as u16)),
-                            &None,
-                            &mut self.metrics.violations,
-                        );
-                    }
-                }
-                if self.config.mode == MonitoringMode::Parallel {
-                    let accurate = self.lgs[li].it.advertisable_progress();
-                    let cur = self.progress.get(ThreadId(li as u16));
-                    if accurate > cur {
-                        self.progress.advertise(ThreadId(li as u16), accurate);
-                    }
-                }
+                let flush_cycles = self.flush_and_advertise(li, Rid::ZERO);
                 let q = self.machine.poll_quantum;
                 self.lgs[li].buckets.useful += flush_cycles;
                 self.lgs[li].buckets.wait_application += q;
@@ -127,11 +103,7 @@ impl<'w> Sim<'w> {
             }
             // Dependence arcs (§5.2).
             let head = self.rings[ring_idx].peek().expect("still buffered");
-            let gate = {
-                let rec_ref: &EventRecord = head;
-                self.lgs[li].enforcer.regate(rec_ref, &self.progress)
-            };
-            if let Gate::Blocked { .. } = gate {
+            if let Gate::Blocked { .. } = self.lgs[li].enforcer.gate(head, &self.progress) {
                 self.dependence_stall(li, entity);
                 return;
             }
@@ -174,71 +146,45 @@ impl<'w> Sim<'w> {
         // §5.2: the consumer spins re-reading the progress counter — a
         // cached location — far faster than the application-side poll.
         let q = self.config.cost.stall_poll.max(1);
-        let accel = self.config.accelerators;
-        let mut flush_cycles = 0;
-        if accel && self.lgs[li].it.live_mem_rows() > 0 {
-            let tag = self.lgs[li].last_tag.unwrap_or(li);
-            let ops = self.lgs[li].it.flush_all(FlushReason::DependenceStall);
-            for op in &ops {
-                flush_cycles += deliver_op(
-                    &mut self.lgs[li],
-                    tag,
-                    &mut self.mem,
-                    &self.config.cost,
-                    accel,
-                    op,
-                    self.progress.get(ThreadId(li as u16)),
-                    &None,
-                    &mut self.metrics.violations,
-                );
-            }
-        }
-        if self.config.mode == MonitoringMode::Parallel {
-            let accurate = self.lgs[li].it.advertisable_progress();
-            let cur = self.progress.get(ThreadId(li as u16));
-            if accurate > cur {
-                self.progress.advertise(ThreadId(li as u16), accurate);
-            }
-        }
-        self.lgs[li].enforcer.record_stall(q);
+        let flush_cycles = self.flush_and_advertise(li, Rid::ZERO);
+        self.lgs[li].enforcer.record_stall();
         self.lgs[li].buckets.useful += flush_cycles;
         self.lgs[li].buckets.wait_dependence += q;
         self.sched.advance(entity, q + flush_cycles);
     }
 
     fn finish_lg(&mut self, li: usize, entity: usize) {
-        let accel = self.config.accelerators;
-        let mut cycles = 0;
-        if accel && self.lgs[li].it.live_mem_rows() > 0 {
-            let tag = self.lgs[li].last_tag.unwrap_or(li);
-            let ops = self.lgs[li].it.flush_all(FlushReason::DependenceStall);
-            for op in &ops {
-                cycles += deliver_op(
-                    &mut self.lgs[li],
-                    tag,
-                    &mut self.mem,
-                    &self.config.cost,
-                    accel,
-                    op,
-                    self.progress.get(ThreadId(li as u16)),
-                    &None,
-                    &mut self.metrics.violations,
-                );
-            }
-        }
-        if self.config.mode == MonitoringMode::Parallel {
-            let final_progress = self.app[li]
-                .rid
-                .max(self.lgs[li].it.advertisable_progress());
-            let cur = self.progress.get(ThreadId(li as u16));
-            if final_progress > cur {
-                self.progress.advertise(ThreadId(li as u16), final_progress);
-            }
-        }
+        let floor = self.app[li].rid;
+        let cycles = self.flush_and_advertise(li, floor);
         self.lgs[li].buckets.useful += cycles;
         self.sched.advance(entity, cycles.max(1));
         self.lgs[li].finished = true;
         self.sched.finish(entity);
+    }
+
+    /// What engine `li` does whenever it stops short of a record — idle,
+    /// stalled or finished: deliver every memory row its IT table still
+    /// holds, then (parallel mode) advertise its accurate progress, at least
+    /// `floor`. Returns the cycles the flush cost.
+    fn flush_and_advertise(&mut self, li: usize, floor: Rid) -> u64 {
+        let mut cycles = 0;
+        if self.config.accelerators && self.lgs[li].it.live_mem_rows() > 0 {
+            let tag = self.lgs[li].last_tag.unwrap_or(li);
+            cycles = flush_it(
+                &mut self.lgs[li],
+                FlushReason::DependenceStall,
+                tag,
+                &mut self.mem,
+                &self.config.cost,
+                self.progress.get(ThreadId(li as u16)),
+                &mut self.metrics.violations,
+            );
+        }
+        if self.config.mode == MonitoringMode::Parallel {
+            let accurate = floor.max(self.lgs[li].it.advertisable_progress());
+            advertise_ahead(&mut self.progress, li, accurate);
+        }
+        cycles
     }
 }
 
@@ -261,20 +207,15 @@ impl<'a> DeliveryCtx<'a> {
         if self.config.mode == MonitoringMode::Timesliced {
             if let Some(prev) = self.lgs[li].last_tag {
                 if prev != tag && accel && self.lgs[li].it.live_rows() > 0 {
-                    let ops = self.lgs[li].it.flush_all(FlushReason::ContextSwitch);
-                    for op in &ops {
-                        cycles += deliver_op(
-                            &mut self.lgs[li],
-                            prev,
-                            self.mem,
-                            &cost,
-                            accel,
-                            op,
-                            rid,
-                            &None,
-                            self.violations,
-                        );
-                    }
+                    cycles += flush_it(
+                        &mut self.lgs[li],
+                        FlushReason::ContextSwitch,
+                        prev,
+                        self.mem,
+                        &cost,
+                        rid,
+                        self.violations,
+                    );
                 }
             }
         }
@@ -284,19 +225,17 @@ impl<'a> DeliveryCtx<'a> {
         for (vid, mem, consumers) in &rec.produce_versions {
             if accel {
                 let flushed = self.lgs[li].it.flush_overlapping_public(*mem);
-                for op in &flushed {
-                    cycles += deliver_op(
-                        &mut self.lgs[li],
-                        tag,
-                        self.mem,
-                        &cost,
-                        accel,
-                        op,
-                        rid,
-                        &None,
-                        self.violations,
-                    );
-                }
+                cycles += deliver_ops(
+                    &mut self.lgs[li],
+                    tag,
+                    self.mem,
+                    &cost,
+                    accel,
+                    &flushed,
+                    rid,
+                    &None,
+                    self.violations,
+                );
             }
             let range = mem.range();
             let snapshot = self.lgs[li].lg(tag).snapshot_meta(range);
@@ -396,19 +335,17 @@ impl<'a> DeliveryCtx<'a> {
                         }
                     }
                 }
-                for op in &ops {
-                    cycles += deliver_op(
-                        &mut self.lgs[li],
-                        tag,
-                        self.mem,
-                        &cost,
-                        accel,
-                        op,
-                        rid,
-                        &versioned,
-                        self.violations,
-                    );
-                }
+                cycles += deliver_ops(
+                    &mut self.lgs[li],
+                    tag,
+                    self.mem,
+                    &cost,
+                    accel,
+                    &ops,
+                    rid,
+                    &versioned,
+                    self.violations,
+                );
             }
             EventPayload::Ca(ca) => {
                 cycles += self.process_ca(li, tag, rid, ca);
@@ -441,10 +378,7 @@ impl<'a> DeliveryCtx<'a> {
             } else {
                 rid
             };
-            let cur = self.progress.get(ThreadId(li as u16));
-            if adv > cur {
-                self.progress.advertise(ThreadId(li as u16), adv);
-            }
+            advertise_ahead(self.progress, li, adv);
         }
         cycles
     }
@@ -456,20 +390,15 @@ impl<'a> DeliveryCtx<'a> {
         let actions = self.ca_policy.actions(ca.what, ca.phase);
 
         if accel && actions.flush_it && self.lgs[li].it.live_mem_rows() > 0 {
-            let ops = self.lgs[li].it.flush_all(FlushReason::ConflictAlert);
-            for op in &ops {
-                cycles += deliver_op(
-                    &mut self.lgs[li],
-                    tag,
-                    self.mem,
-                    &cost,
-                    accel,
-                    op,
-                    rid,
-                    &None,
-                    self.violations,
-                );
-            }
+            cycles += flush_it(
+                &mut self.lgs[li],
+                FlushReason::ConflictAlert,
+                tag,
+                self.mem,
+                &cost,
+                rid,
+                self.violations,
+            );
         }
         if accel && actions.flush_if {
             match ca.range {
@@ -586,6 +515,52 @@ pub(crate) fn deliver_ingested(
         }
     }
     Ok(())
+}
+
+/// Advertises `rid` as thread `li`'s progress when it is ahead of what is
+/// advertised: delayed advertising (§4.2) may hold progress back, never
+/// move it backwards.
+fn advertise_ahead(progress: &mut ProgressTable, li: usize, rid: Rid) {
+    let t = ThreadId(li as u16);
+    if rid > progress.get(t) {
+        progress.advertise(t, rid);
+    }
+}
+
+/// Flushes every IT row of `lgt` for `reason` and delivers the materialized
+/// ops as `tag`'s at `rid`; returns the cycles they cost.
+fn flush_it(
+    lgt: &mut LgThread,
+    reason: FlushReason,
+    tag: usize,
+    mem: &mut MemorySystem,
+    cost: &CostModel,
+    rid: Rid,
+    violations: &mut Vec<Violation>,
+) -> u64 {
+    let ops = lgt.it.flush_all(reason);
+    deliver_ops(lgt, tag, mem, cost, true, &ops, rid, &None, violations)
+}
+
+/// Delivers each of `ops` in turn ([`deliver_op`]); returns the cycles they
+/// cost.
+#[allow(clippy::too_many_arguments)] // mirrors the hardware ports it models
+fn deliver_ops(
+    lgt: &mut LgThread,
+    tag: usize,
+    mem: &mut MemorySystem,
+    cost: &CostModel,
+    accel: bool,
+    ops: &[MetaOp],
+    rid: Rid,
+    versioned: &Option<(AddrRange, Vec<u8>)>,
+    violations: &mut Vec<Violation>,
+) -> u64 {
+    let mut cycles = 0;
+    for op in ops {
+        cycles += deliver_op(lgt, tag, mem, cost, accel, op, rid, versioned, violations);
+    }
+    cycles
 }
 
 /// Delivers one metadata op to the lifeguard: dispatch + handler cost,

@@ -256,7 +256,7 @@ fn replay_streams(
                     }
                     break;
                 };
-                if matches!(lane.enforcer.regate(head, &progress), Gate::Blocked { .. })
+                if matches!(lane.enforcer.gate(head, &progress), Gate::Blocked { .. })
                     || ca_gate_unmet(head, t, &ca_policy, |src, rid| progress.get(src) >= rid)
                 {
                     stalls += 1;

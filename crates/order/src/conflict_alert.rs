@@ -191,7 +191,6 @@ pub struct CaBarrier {
     expected: HashMap<u64, usize>,
     arrived: HashMap<u64, Vec<ThreadId>>,
     update_applied: HashMap<u64, bool>,
-    completed: u64,
 }
 
 impl CaBarrier {
@@ -208,7 +207,6 @@ impl CaBarrier {
             expected: HashMap::new(),
             arrived: HashMap::new(),
             update_applied: HashMap::new(),
-            completed: 0,
         }
     }
 
@@ -257,24 +255,6 @@ impl CaBarrier {
             return false;
         }
         thread == issuer || self.is_applied(seq)
-    }
-
-    /// Garbage-collects a completed barrier.
-    pub fn retire(&mut self, seq: u64) {
-        if self.arrived.remove(&seq).is_some() {
-            self.completed += 1;
-        }
-        self.update_applied.remove(&seq);
-    }
-
-    /// Barriers fully completed and retired.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Outstanding (non-retired) barriers — diagnostic.
-    pub fn outstanding(&self) -> usize {
-        self.arrived.len()
     }
 }
 
@@ -374,9 +354,6 @@ mod tests {
         b.mark_applied(7);
         assert!(b.may_pass(7, ThreadId(1), issuer));
         assert!(b.may_pass(7, ThreadId(2), issuer));
-        b.retire(7);
-        assert_eq!(b.completed(), 1);
-        assert_eq!(b.outstanding(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! which is where the *Waiting for Dependence* time of Figure 7 comes from.
 
 use crate::progress::ProgressTable;
-use paralog_events::{DependenceArc, EventRecord, Rid, ThreadId};
+use paralog_events::{EventRecord, Rid, ThreadId};
 
 /// Result of gating one record against the progress table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,21 +26,13 @@ pub enum Gate {
 
 /// Per-lifeguard order-enforcing frontend with stall statistics.
 ///
-/// Stall polls are O(1): the index of the first unmet arc is cached when a
-/// record blocks, and — because progress counters are monotonic — arcs
-/// before it can never become unmet again, so a re-check resumes at the
-/// cached index instead of re-scanning the full arc list.
+/// A gate rescans the record's arcs from the first on every poll: a record
+/// rarely carries more than its two inline arcs, and progress counters are
+/// monotone, so the verdict of a rescan never differs from resuming where
+/// the last poll stopped.
 #[derive(Debug, Clone, Default)]
 pub struct OrderEnforcer {
-    checks: u64,
-    immediate: u64,
     stalls: u64,
-    stall_cycles: u64,
-    arc_probes: u64,
-    /// `(rid, arc index)` of the currently blocked record's first unmet arc.
-    /// Valid only while that record stays at the head of the stream (it is
-    /// cleared the moment a gate reports `Ready`).
-    cursor: Option<(Rid, usize)>,
 }
 
 impl OrderEnforcer {
@@ -49,108 +41,37 @@ impl OrderEnforcer {
         OrderEnforcer::default()
     }
 
-    /// Scans `arcs` from `start`, counting probes; returns the first unmet
-    /// arc's index.
-    fn scan(
-        &mut self,
-        arcs: &[DependenceArc],
-        progress: &ProgressTable,
-        start: usize,
-    ) -> Option<(usize, DependenceArc)> {
-        for (i, a) in arcs.iter().enumerate().skip(start) {
-            self.arc_probes += 1;
-            if !progress.satisfies(a.src, a.src_rid) {
-                return Some((i, *a));
-            }
-        }
-        None
-    }
-
-    fn gate_from(&mut self, record: &EventRecord, progress: &ProgressTable, start: usize) -> Gate {
-        match self.scan(&record.arcs, progress, start) {
-            None => {
-                self.cursor = None;
-                Gate::Ready
-            }
-            Some((i, arc)) => {
-                self.cursor = Some((record.rid, i));
-                Gate::Blocked {
-                    src: arc.src,
-                    needed: arc.src_rid,
-                }
-            }
-        }
-    }
-
     /// Gates `record` against `progress`. The first failing arc is reported;
-    /// re-check after the producer advances.
+    /// gate again after the producer advances.
     pub fn gate(&mut self, record: &EventRecord, progress: &ProgressTable) -> Gate {
-        self.checks += 1;
-        let gate = self.gate_from(record, progress, 0);
-        if gate == Gate::Ready {
-            self.immediate += 1;
+        match record
+            .arcs
+            .iter()
+            .find(|a| !progress.satisfies(a.src, a.src_rid))
+        {
+            None => Gate::Ready,
+            Some(arc) => Gate::Blocked {
+                src: arc.src,
+                needed: arc.src_rid,
+            },
         }
-        gate
     }
 
-    /// Re-checks a previously blocked record without counting a new check,
-    /// resuming at the cached first-unmet arc when the record matches.
-    pub fn regate(&mut self, record: &EventRecord, progress: &ProgressTable) -> Gate {
-        let start = match self.cursor {
-            Some((rid, i)) if rid == record.rid && i < record.arcs.len() => i,
-            _ => 0,
-        };
-        self.gate_from(record, progress, start)
-    }
-
-    /// Accounts `cycles` of dependence-stall time (one stall episode).
-    pub fn record_stall(&mut self, cycles: u64) {
+    /// Accounts one dependence-stall episode.
+    pub fn record_stall(&mut self) {
         self.stalls += 1;
-        self.stall_cycles += cycles;
-    }
-
-    /// Total gate checks.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Records whose arcs were satisfied on first check — the common case
-    /// the paper notes ("most of the time ... the dependence has already
-    /// been satisfied").
-    pub fn immediate(&self) -> u64 {
-        self.immediate
     }
 
     /// Stall episodes.
     pub fn stalls(&self) -> u64 {
         self.stalls
     }
-
-    /// Total individual arc checks performed across all gates and re-gates
-    /// (the quantity the O(1)-stall-poll cursor keeps small).
-    pub fn arc_probes(&self) -> u64 {
-        self.arc_probes
-    }
-
-    /// Total cycles spent in dependence stalls.
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
-    }
-
-    /// Fraction of records delivered without stalling.
-    pub fn immediate_rate(&self) -> f64 {
-        if self.checks == 0 {
-            1.0
-        } else {
-            self.immediate as f64 / self.checks as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paralog_events::{ArcKind, Instr};
+    use paralog_events::{ArcKind, DependenceArc, Instr};
 
     fn record_with_arcs(arcs: Vec<DependenceArc>) -> EventRecord {
         let mut r = EventRecord::instr(Rid(1), Instr::Nop);
@@ -163,8 +84,6 @@ mod tests {
         let mut e = OrderEnforcer::new();
         let p = ProgressTable::new(2);
         assert_eq!(e.gate(&record_with_arcs(vec![]), &p), Gate::Ready);
-        assert_eq!(e.immediate(), 1);
-        assert_eq!(e.immediate_rate(), 1.0);
     }
 
     #[test]
@@ -172,17 +91,15 @@ mod tests {
         let mut e = OrderEnforcer::new();
         let mut p = ProgressTable::new(2);
         let rec = record_with_arcs(vec![DependenceArc::new(ThreadId(0), Rid(5), ArcKind::Raw)]);
-        assert_eq!(
-            e.gate(&rec, &p),
-            Gate::Blocked {
-                src: ThreadId(0),
-                needed: Rid(5)
-            }
-        );
+        let blocked = Gate::Blocked {
+            src: ThreadId(0),
+            needed: Rid(5),
+        };
+        assert_eq!(e.gate(&rec, &p), blocked);
         p.advertise(ThreadId(0), Rid(4));
-        assert!(matches!(e.regate(&rec, &p), Gate::Blocked { .. }));
+        assert_eq!(e.gate(&rec, &p), blocked);
         p.advertise(ThreadId(0), Rid(5));
-        assert_eq!(e.regate(&rec, &p), Gate::Ready);
+        assert_eq!(e.gate(&rec, &p), Gate::Ready);
     }
 
     #[test]
@@ -193,6 +110,14 @@ mod tests {
             DependenceArc::new(ThreadId(0), Rid(2), ArcKind::War),
             DependenceArc::new(ThreadId(2), Rid(7), ArcKind::Waw),
         ]);
+        assert_eq!(
+            e.gate(&rec, &p),
+            Gate::Blocked {
+                src: ThreadId(0),
+                needed: Rid(2)
+            },
+            "the first unmet arc is reported"
+        );
         p.advertise(ThreadId(0), Rid(2));
         assert_eq!(
             e.gate(&rec, &p),
@@ -202,58 +127,14 @@ mod tests {
             }
         );
         p.advertise(ThreadId(2), Rid(9));
-        assert_eq!(e.regate(&rec, &p), Gate::Ready);
-    }
-
-    #[test]
-    fn stall_polls_probe_one_arc() {
-        let mut e = OrderEnforcer::new();
-        let mut p = ProgressTable::new(3);
-        // First two arcs already satisfied, third is not.
-        p.advertise(ThreadId(0), Rid(2));
-        p.advertise(ThreadId(1), Rid(3));
-        let rec = record_with_arcs(vec![
-            DependenceArc::new(ThreadId(0), Rid(2), ArcKind::Raw),
-            DependenceArc::new(ThreadId(1), Rid(3), ArcKind::War),
-            DependenceArc::new(ThreadId(2), Rid(9), ArcKind::Waw),
-        ]);
-        assert!(matches!(e.gate(&rec, &p), Gate::Blocked { .. }));
-        assert_eq!(e.arc_probes(), 3, "initial gate scans up to the block");
-        for _ in 0..5 {
-            assert!(matches!(e.regate(&rec, &p), Gate::Blocked { .. }));
-        }
-        assert_eq!(
-            e.arc_probes(),
-            8,
-            "each stall poll re-probes only the cached arc"
-        );
-        p.advertise(ThreadId(2), Rid(9));
-        assert_eq!(e.regate(&rec, &p), Gate::Ready);
-        assert_eq!(e.arc_probes(), 9, "release resumes at the cached index");
-        // A fresh record after delivery starts a full scan again.
-        let next = record_with_arcs(vec![DependenceArc::new(ThreadId(0), Rid(1), ArcKind::Raw)]);
-        assert_eq!(e.regate(&next, &p), Gate::Ready);
-        assert_eq!(e.arc_probes(), 10);
+        assert_eq!(e.gate(&rec, &p), Gate::Ready);
     }
 
     #[test]
     fn stall_accounting() {
         let mut e = OrderEnforcer::new();
-        e.record_stall(100);
-        e.record_stall(50);
+        e.record_stall();
+        e.record_stall();
         assert_eq!(e.stalls(), 2);
-        assert_eq!(e.stall_cycles(), 150);
-    }
-
-    #[test]
-    fn immediate_rate_mixes() {
-        let mut e = OrderEnforcer::new();
-        let p = ProgressTable::new(2);
-        e.gate(&record_with_arcs(vec![]), &p);
-        e.gate(
-            &record_with_arcs(vec![DependenceArc::new(ThreadId(1), Rid(1), ArcKind::Raw)]),
-            &p,
-        );
-        assert!((e.immediate_rate() - 0.5).abs() < 1e-9);
     }
 }

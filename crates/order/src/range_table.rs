@@ -27,8 +27,6 @@ pub struct RangeEntry {
 #[derive(Debug, Clone)]
 pub struct RangeTable {
     slots: Vec<Option<RangeEntry>>,
-    hits: u64,
-    checks: u64,
 }
 
 impl RangeTable {
@@ -36,8 +34,6 @@ impl RangeTable {
     pub fn new(cores: usize) -> Self {
         RangeTable {
             slots: vec![None; cores],
-            hits: 0,
-            checks: 0,
         }
     }
 
@@ -72,28 +68,12 @@ impl RangeTable {
     /// Checks an access against all in-flight ranges; returns the racing
     /// entry if the access overlaps one (excluding the accessor's own
     /// syscall, which is ordered by program order).
-    pub fn check(&mut self, accessor: ThreadId, access: AddrRange) -> Option<RangeEntry> {
-        self.checks += 1;
-        let hit = self
-            .slots
+    pub fn check(&self, accessor: ThreadId, access: AddrRange) -> Option<RangeEntry> {
+        self.slots
             .iter()
             .flatten()
             .find(|e| e.issuer != accessor && e.range.overlaps(&access))
-            .copied();
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
-    }
-
-    /// Accesses checked so far.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Races detected so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
+            .copied()
     }
 
     /// In-flight entries (diagnostic).
@@ -115,7 +95,6 @@ mod tests {
         t.insert(ThreadId(1), READ, AddrRange::new(0x1000, 0x100));
         let hit = t.check(ThreadId(0), AddrRange::new(0x1080, 4));
         assert_eq!(hit.map(|e| e.issuer), Some(ThreadId(1)));
-        assert_eq!(t.hits(), 1);
     }
 
     #[test]
@@ -130,8 +109,6 @@ mod tests {
         let mut t = RangeTable::new(4);
         t.insert(ThreadId(1), READ, AddrRange::new(0x1000, 0x100));
         assert!(t.check(ThreadId(0), AddrRange::new(0x2000, 4)).is_none());
-        assert_eq!(t.checks(), 1);
-        assert_eq!(t.hits(), 0);
     }
 
     #[test]

@@ -208,11 +208,7 @@ impl<'a> ThreadGen<'a> {
                     self.racy_write();
                 }
             }
-            if let Some(mix) = self.spec.op_mix {
-                self.op_mix_slot(mix);
-            } else {
-                self.idiom();
-            }
+            self.idiom();
         }
         // Close the parallel phase with one final barrier when phased.
         if self.spec.barrier_every.is_some() {
@@ -263,33 +259,6 @@ impl<'a> ThreadGen<'a> {
 
     fn reg(&mut self) -> Reg {
         Reg(DATA_REGS[self.rng.gen_range(0..DATA_REGS.len())])
-    }
-
-    /// One slot under an [`OpMix`](crate::spec::OpMix): draw a category, then emit a matching
-    /// idiom — read-leaning (load-use / pointer chase), write-leaning
-    /// (load-compute-store / copy), a malloc/free pair, or a full critical
-    /// section.
-    fn op_mix_slot(&mut self, mix: crate::spec::OpMix) {
-        let mut pick = self.rng.gen::<f64>() * mix.total();
-        pick -= mix.reads;
-        if pick < 0.0 {
-            if self.rng.gen_bool(0.3) {
-                return self.pointer_chase();
-            }
-            return self.load_use();
-        }
-        pick -= mix.writes;
-        if pick < 0.0 {
-            if self.rng.gen_bool(0.4) {
-                return self.copy_idiom();
-            }
-            return self.load_compute_store();
-        }
-        pick -= mix.alloc_free;
-        if pick < 0.0 {
-            return self.malloc_free_pair();
-        }
-        self.critical_section();
     }
 
     /// A deliberately unprotected write into the racy window at the head of
@@ -818,43 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn op_mix_shapes_category_traffic() {
-        use crate::spec::OpMix;
-        let count = |w: &Workload, f: &dyn Fn(&Op) -> bool| -> usize {
-            w.threads.iter().flatten().filter(|op| f(op)).count()
-        };
-        let stores = |w: &Workload| count(w, &|op| matches!(op, Op::Instr(Instr::Store { .. })));
-        let loads = |w: &Workload| count(w, &|op| matches!(op, Op::Instr(Instr::Load { .. })));
-        // LU has no malloc/lock schedule of its own, so category traffic is
-        // attributable to the mix alone.
-        let spec = |mix: OpMix| {
-            WorkloadSpec::benchmark(Benchmark::Lu, 2)
-                .scale(0.2)
-                .op_mix(mix)
-        };
-        let readers = spec(OpMix::read_heavy()).build();
-        let writers = spec(OpMix::write_heavy()).build();
-        let read_ratio = loads(&readers) as f64 / stores(&readers).max(1) as f64;
-        let write_ratio = loads(&writers) as f64 / stores(&writers).max(1) as f64;
-        assert!(
-            read_ratio > 2.0 * write_ratio,
-            "read-heavy mix must tilt load/store ratio: {read_ratio} vs {write_ratio}"
-        );
-        // Alloc-free weight produces churn in a benchmark with no
-        // malloc_every schedule, and lock weight produces lock pairs with
-        // no lock_every schedule.
-        let churny = spec(OpMix::balanced()).build();
-        assert!(count(&churny, &|op| matches!(op, Op::Malloc { .. })) > 20);
-        let lock_pairs = count(&churny, &|op| matches!(op, Op::Lock { .. }));
-        assert!(lock_pairs > 20, "lock weight emits critical sections");
-        assert_eq!(
-            lock_pairs,
-            count(&churny, &|op| matches!(op, Op::Unlock { .. })),
-            "critical sections stay balanced under the mix"
-        );
-    }
-
-    #[test]
     fn syscall_rate_injects_taint_sources() {
         let base = WorkloadSpec::benchmark(Benchmark::Lu, 2).scale(0.2);
         let reads = |w: &Workload| {
@@ -914,11 +846,9 @@ mod tests {
 
     #[test]
     fn injection_layers_are_deterministic() {
-        use crate::spec::OpMix;
         let spec = || {
             WorkloadSpec::benchmark(Benchmark::Barnes, 4)
                 .scale(0.1)
-                .op_mix(OpMix::write_heavy())
                 .syscall_rate(0.01)
                 .race_rate(0.01)
                 .zipf(0.9)

@@ -26,6 +26,5 @@ pub mod spec;
 pub use adversarial::AdversarialCapture;
 pub use gen::Workload;
 pub use spec::{
-    Benchmark, InstrMix, OpMix, WorkloadSpec, PRIVATE_BASE, PRIVATE_STRIDE, RACY_WINDOW_WORDS,
-    SHARED_BASE,
+    Benchmark, InstrMix, WorkloadSpec, PRIVATE_BASE, PRIVATE_STRIDE, RACY_WINDOW_WORDS, SHARED_BASE,
 };

@@ -166,72 +166,6 @@ impl InstrMix {
     }
 }
 
-/// Top-level operation-category mix — the shape of a key/value workload
-/// generator config (reads, writes, allocation churn, lock traffic) layered
-/// *above* the instruction-idiom mix.
-///
-/// When a spec carries an `OpMix`, every idiom slot first draws a category
-/// from these weights: `reads`/`writes` select read- or write-leaning
-/// dataflow idioms, `alloc_free` emits a malloc/free pair, and `locks` a
-/// full critical section. The schedule-based `malloc_every`/`lock_every`
-/// counters still fire independently, so an `OpMix` *adds* category
-/// pressure rather than replacing a benchmark's character.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpMix {
-    /// Weight of read-leaning idioms (load-use, pointer chase).
-    pub reads: f64,
-    /// Weight of write-leaning idioms (load-compute-store, copy).
-    pub writes: f64,
-    /// Weight of malloc/free pair slots.
-    pub alloc_free: f64,
-    /// Weight of lock-protected critical-section slots.
-    pub locks: f64,
-}
-
-impl OpMix {
-    /// Read-dominated mix (lookup-style traffic).
-    pub fn read_heavy() -> Self {
-        OpMix {
-            reads: 0.80,
-            writes: 0.15,
-            alloc_free: 0.03,
-            locks: 0.02,
-        }
-    }
-
-    /// Write-dominated mix (ingest-style traffic).
-    pub fn write_heavy() -> Self {
-        OpMix {
-            reads: 0.25,
-            writes: 0.60,
-            alloc_free: 0.10,
-            locks: 0.05,
-        }
-    }
-
-    /// Evenly contended mix.
-    pub fn balanced() -> Self {
-        OpMix {
-            reads: 0.40,
-            writes: 0.40,
-            alloc_free: 0.10,
-            locks: 0.10,
-        }
-    }
-
-    /// Total weight (for normalization; weights need not sum to one).
-    pub fn total(&self) -> f64 {
-        self.reads + self.writes + self.alloc_free + self.locks
-    }
-
-    /// `true` when every weight is finite, non-negative, and at least one
-    /// is positive.
-    pub fn is_valid(&self) -> bool {
-        let ws = [self.reads, self.writes, self.alloc_free, self.locks];
-        ws.iter().all(|w| w.is_finite() && *w >= 0.0) && self.total() > 0.0
-    }
-}
-
 /// Full generator parameterization for one benchmark run.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
@@ -273,11 +207,6 @@ pub struct WorkloadSpec {
     /// a hot head of the shared region — the contention knob
     /// (`theta ≈ 0.6` mild, `0.99` classic YCSB-style skew).
     pub zipf_theta: Option<f64>,
-    /// Operation-category mix layered above the instruction-idiom mix.
-    /// `None` keeps the historical pure-idiom slot loop (byte-identical
-    /// RNG sequence to older captures); `Some(mix)` draws a category per
-    /// slot from the mix's read/write/alloc-free/lock weights.
-    pub op_mix: Option<OpMix>,
     /// Per-slot probability of injecting a `read()` syscall (the canonical
     /// taint source) *in addition to* the `syscall_every` schedule. `None`
     /// draws nothing and keeps the historical RNG sequence.
@@ -316,7 +245,6 @@ impl WorkloadSpec {
             syscall_every: Some(6000),
             inject_bugs: false,
             zipf_theta: None,
-            op_mix: None,
             syscall_rate: None,
             race_rate: None,
         };
@@ -443,23 +371,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Layers an operation-category mix above the instruction-idiom mix:
-    /// each slot first draws read/write/alloc-free/lock from `mix`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the mix has a negative, non-finite, or all-zero weight
-    /// vector.
-    #[must_use]
-    pub fn op_mix(mut self, mix: OpMix) -> Self {
-        assert!(
-            mix.is_valid(),
-            "op mix weights must be finite, non-negative, and not all zero"
-        );
-        self.op_mix = Some(mix);
-        self
-    }
-
     /// Injects `read()` syscalls with per-slot probability `rate`, in
     /// addition to any `syscall_every` schedule.
     ///
@@ -567,42 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn op_mix_presets_are_valid() {
-        for mix in [OpMix::read_heavy(), OpMix::write_heavy(), OpMix::balanced()] {
-            assert!(mix.is_valid());
-            assert!(
-                mix.total() > 0.99 && mix.total() < 1.01,
-                "presets normalized"
-            );
-        }
-        assert!(!OpMix {
-            reads: 0.0,
-            writes: 0.0,
-            alloc_free: 0.0,
-            locks: 0.0,
-        }
-        .is_valid());
-        assert!(!OpMix {
-            reads: -1.0,
-            writes: 2.0,
-            alloc_free: 0.0,
-            locks: 0.0,
-        }
-        .is_valid());
-    }
-
-    #[test]
-    #[should_panic(expected = "not all zero")]
-    fn degenerate_op_mix_rejected() {
-        let _ = WorkloadSpec::benchmark(Benchmark::Lu, 2).op_mix(OpMix {
-            reads: 0.0,
-            writes: 0.0,
-            alloc_free: 0.0,
-            locks: 0.0,
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "probability")]
     fn out_of_range_syscall_rate_rejected() {
         let _ = WorkloadSpec::benchmark(Benchmark::Lu, 2).syscall_rate(1.5);
@@ -618,7 +493,6 @@ mod tests {
     fn injection_knobs_default_off() {
         for b in Benchmark::all() {
             let s = WorkloadSpec::benchmark(b, 4);
-            assert!(s.op_mix.is_none());
             assert!(s.syscall_rate.is_none());
             assert!(s.race_rate.is_none());
         }

@@ -128,7 +128,7 @@ fn wire_replay_matches_raw_analysis_and_pays_transport() {
 }
 
 #[test]
-fn coop_lanes_report_the_same_payload_phases() {
+fn coop_lanes_model_no_phases() {
     let w = workload(Benchmark::Swaptions, 4);
     let (streams, live_fp) = capture(LifeguardKind::TaintCheck, &w);
 

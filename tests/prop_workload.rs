@@ -1,7 +1,7 @@
 //! Property test for the workload engine's purity contract: generation is
 //! a pure function of (spec, seed). Two `build()` calls on an equal spec —
-//! across every op-mix shape, injection-rate corner, Zipf setting, and
-//! bug-injection flag — must produce identical per-thread operation
+//! across every injection-rate corner, Zipf setting, and bug-injection
+//! flag — must produce identical per-thread operation
 //! streams, and replaying those streams must land on identical monitoring
 //! fingerprints. The captured-stream replay path (and every checked-in
 //! bench baseline) depends on this: a generator that consulted ambient
@@ -9,7 +9,7 @@
 
 use paralog::core::{MonitorConfig, MonitoringMode, Platform};
 use paralog::lifeguards::LifeguardKind;
-use paralog::workloads::{Benchmark, OpMix, WorkloadSpec};
+use paralog::workloads::{Benchmark, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Keep generated programs small: purity does not depend on length, and
@@ -22,29 +22,6 @@ fn benchmark_strategy() -> impl Strategy<Value = Benchmark> {
         Just(Benchmark::Fmm),
         Just(Benchmark::Swaptions),
         Just(Benchmark::Fluidanimate),
-    ]
-}
-
-/// Every op-mix shape: absent (the historical RNG sequence), the three
-/// presets, single-category corners, and arbitrary valid weight vectors.
-fn op_mix_strategy() -> impl Strategy<Value = Option<OpMix>> {
-    let corner = |reads: f64, writes: f64, alloc_free: f64, locks: f64| OpMix {
-        reads,
-        writes,
-        alloc_free,
-        locks,
-    };
-    prop_oneof![
-        Just(None),
-        Just(Some(OpMix::read_heavy())),
-        Just(Some(OpMix::write_heavy())),
-        Just(Some(OpMix::balanced())),
-        Just(Some(corner(1.0, 0.0, 0.0, 0.0))),
-        Just(Some(corner(0.0, 1.0, 0.0, 0.0))),
-        Just(Some(corner(0.0, 0.0, 1.0, 0.0))),
-        Just(Some(corner(0.0, 0.0, 0.0, 1.0))),
-        (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.01f64..1.0)
-            .prop_map(move |(r, w, a, l)| Some(corner(r, w, a, l))),
     ]
 }
 
@@ -63,7 +40,6 @@ struct SpecParams {
     benchmark: Benchmark,
     threads: usize,
     seed: u64,
-    op_mix: Option<OpMix>,
     syscall_rate: Option<f64>,
     race_rate: Option<f64>,
     zipf: Option<f64>,
@@ -75,24 +51,20 @@ fn spec_strategy() -> impl Strategy<Value = SpecParams> {
         benchmark_strategy(),
         1usize..=4,
         any::<u64>(),
-        op_mix_strategy(),
         rate_strategy(),
         rate_strategy(),
         prop_oneof![Just(None), (0.0f64..1.5).prop_map(Some)],
         any::<bool>(),
     )
         .prop_map(
-            |(benchmark, threads, seed, op_mix, syscall_rate, race_rate, zipf, inject_bugs)| {
-                SpecParams {
-                    benchmark,
-                    threads,
-                    seed,
-                    op_mix,
-                    syscall_rate,
-                    race_rate,
-                    zipf,
-                    inject_bugs,
-                }
+            |(benchmark, threads, seed, syscall_rate, race_rate, zipf, inject_bugs)| SpecParams {
+                benchmark,
+                threads,
+                seed,
+                syscall_rate,
+                race_rate,
+                zipf,
+                inject_bugs,
             },
         )
 }
@@ -102,9 +74,6 @@ fn build_spec(p: &SpecParams) -> WorkloadSpec {
         .scale(SCALE)
         .seed(p.seed)
         .inject_bugs(p.inject_bugs);
-    if let Some(mix) = p.op_mix {
-        spec = spec.op_mix(mix);
-    }
     if let Some(rate) = p.syscall_rate {
         spec = spec.syscall_rate(rate);
     }
@@ -153,44 +122,34 @@ proptest! {
 }
 
 /// The enumerated corner grid, kept outside proptest so every corner runs
-/// on every test invocation: each preset × each injection-rate corner
-/// builds twice to identical streams, and the always-inject corners
-/// demonstrably inject.
+/// on every test invocation: each injection-rate corner builds twice to
+/// identical streams, and the always-inject corners demonstrably inject.
 #[test]
 fn every_op_mix_and_rate_corner_is_deterministic() {
     use paralog::events::Op;
-    let mixes: [Option<OpMix>; 4] = [
-        None,
-        Some(OpMix::read_heavy()),
-        Some(OpMix::write_heavy()),
-        Some(OpMix::balanced()),
-    ];
-    for mix in mixes {
-        for syscall_rate in [None, Some(0.0), Some(1.0)] {
-            for race_rate in [None, Some(0.0), Some(1.0)] {
-                let p = SpecParams {
-                    benchmark: Benchmark::Swaptions,
-                    threads: 2,
-                    seed: 7,
-                    op_mix: mix,
-                    syscall_rate,
-                    race_rate,
-                    zipf: None,
-                    inject_bugs: false,
-                };
-                let a = build_spec(&p).build();
-                let b = build_spec(&p).build();
-                assert_eq!(a.threads, b.threads, "corner {p:?} is not deterministic");
-                if syscall_rate == Some(1.0) {
-                    let syscalls = a.threads[0]
-                        .iter()
-                        .filter(|op| matches!(op, Op::Syscall { .. }))
-                        .count();
-                    assert!(
-                        syscalls > 1,
-                        "always-inject syscall corner emitted no injected syscalls"
-                    );
-                }
+    for syscall_rate in [None, Some(0.0), Some(1.0)] {
+        for race_rate in [None, Some(0.0), Some(1.0)] {
+            let p = SpecParams {
+                benchmark: Benchmark::Swaptions,
+                threads: 2,
+                seed: 7,
+                syscall_rate,
+                race_rate,
+                zipf: None,
+                inject_bugs: false,
+            };
+            let a = build_spec(&p).build();
+            let b = build_spec(&p).build();
+            assert_eq!(a.threads, b.threads, "corner {p:?} is not deterministic");
+            if syscall_rate == Some(1.0) {
+                let syscalls = a.threads[0]
+                    .iter()
+                    .filter(|op| matches!(op, Op::Syscall { .. }))
+                    .count();
+                assert!(
+                    syscalls > 1,
+                    "always-inject syscall corner emitted no injected syscalls"
+                );
             }
         }
     }

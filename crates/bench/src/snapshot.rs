@@ -9,7 +9,7 @@
 //! non-blocking `::warning::` machinery, and a later run always has a
 //! checked-in reading to be compared against.
 
-use paralog_core::{CoopSession, LaneSet, RecordStream, SessionError, StreamStatus};
+use paralog_core::{CoopSession, LaneSet, RecordStream, SessionError, StreamStatus, LANE_BUDGET};
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
     ThreadId, VersionId,
@@ -449,7 +449,7 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
                         let (session, set) = (&session, &set);
                         scope.spawn(move || {
                             while !session.is_complete() {
-                                if set.sweep(home, 512).delivered == 0 {
+                                if set.sweep(home, LANE_BUDGET) == 0 {
                                     std::thread::yield_now();
                                 }
                             }

@@ -12,16 +12,17 @@
 //!   charged under the cost model and the run reports a
 //!   [`PhaseBreakdown`]. This is also the one route for a factory with no
 //!   concurrent form;
-//! * [`ThreadedBackend`] — real OS threads replaying the streams against the
-//!   lifeguard's `Send + Sync` concurrent form: one
-//!   [`CoopLane`](super::coop::CoopLane) per stream, pooled in a [`LaneSet`] that
-//!   one thread per lane (at most one per processor) sweeps to completion
-//!   behind a small wait loop. The ordering rules (§5.2 arcs on the atomic
-//!   progress table, the §5.4 range table and ConflictAlert serialisation,
-//!   §5.5 versions produced and consumed through the session's
-//!   [`VersionTable`](paralog_meta::VersionTable)) are the lane's; this
-//!   backend only decides how a thread waits, and it reports no modelled
-//!   time (`phases: None`). A factory without a concurrent form is refused
+//! * [`ThreadedBackend`] — the daemon's pool, in process: real OS threads
+//!   replaying the streams against the lifeguard's `Send + Sync` concurrent
+//!   form, one [`CoopLane`](super::coop::CoopLane) per stream, pooled in a
+//!   [`LaneSet`] whose lanes are swept by one task each on a
+//!   [`WorkerPool`] of `min(lanes, processors)` workers — the scheduler
+//!   `paralogd` runs. The ordering rules (§5.2 arcs on the atomic progress
+//!   table, the §5.4 range table and ConflictAlert serialisation, §5.5
+//!   versions produced and consumed through the session's
+//!   [`VersionTable`](paralog_meta::VersionTable)) are the lane's, the
+//!   waiting is the pool's, and the backend reports no modelled time
+//!   (`phases: None`). A factory without a concurrent form is refused
 //!   with [`SessionError::Unsupported`]. A workload input is first
 //!   captured deterministically; the deterministic fingerprint is recorded as
 //!   [`RunMetrics::reference_fingerprint`](crate::RunMetrics) so
@@ -37,8 +38,9 @@
 //! only when no thread can pull or deliver and some head record still waits
 //! on an unmet arc is the run declared a [`SessionError::Deadlock`].
 
-use super::coop::{CoopSession, LaneSet};
-use super::source::{LaneInput, RecordStream, Refill, INGEST_BATCH};
+use super::coop::{CoopSession, LaneSet, LANE_BUDGET};
+use super::pool::{PoolTask, TaskPoll, WorkerPool};
+use super::source::{LaneInput, RecordStream, Refill};
 use super::{SessionError, SessionPlan};
 use crate::config::{MonitorConfig, MonitoringMode};
 use crate::metrics::{PhaseBreakdown, RunMetrics};
@@ -53,6 +55,7 @@ use paralog_lifeguards::{
 use paralog_order::{Gate, OrderEnforcer, ProgressTable, RangeTable};
 use paralog_workloads::Workload;
 use std::fmt;
+use std::sync::Arc;
 
 /// Runs one resolved monitoring session.
 pub trait Backend: fmt::Debug {
@@ -332,14 +335,15 @@ fn replay_streams(
     })
 }
 
-/// The real-thread backend: `min(streams, processors)` OS threads sweeping
-/// the streams' [`LaneSet`] over lock-free shared metadata.
+/// The real-thread backend: the daemon's pool, in process — one task per
+/// stream sweeping the streams' [`LaneSet`] on a [`WorkerPool`] of
+/// `min(streams, processors)` workers. A worker's panic is resumed.
 ///
-/// A stream whose reader *blocks* holds its lane, and the thread stepping
+/// A stream whose reader *blocks* holds its lane, and the worker stepping
 /// it, for the length of the read. With fewer processors than streams give
 /// the source non-blocking readers (`WouldBlock` surfaces as
-/// [`Blocked`](super::StreamStatus::Blocked) and the thread moves on), or a
-/// producer that writes its streams in turn can wait on a lane no thread is
+/// [`Blocked`](super::StreamStatus::Blocked) and the worker moves on), or a
+/// producer that writes its streams in turn can wait on a lane no worker is
 /// free to read.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedBackend;
@@ -353,11 +357,6 @@ pub enum BackendMode {
     #[default]
     Auto,
 }
-
-/// Gated polls a lane's thread spins through before yielding its core: a
-/// peer usually advertises the awaited progress within microseconds, and a
-/// yield on an oversubscribed box hands that peer the processor.
-const GATED_SPINS: u32 = 1 << 10;
 
 impl Backend for ThreadedBackend {
     fn name(&self) -> &'static str {
@@ -387,19 +386,24 @@ impl Backend for ThreadedBackend {
             SourceInput::Streams(s) => (s, None),
         };
         let (session, lanes) = CoopSession::start(&*plan.factory, plan.heap, streams, None)?;
-        // A thread per lane up to the processors there are: past that, a
-        // thread gated on a lane whose thread is descheduled only spins on
-        // the processor that lane needs, while a sweep steps it directly.
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(lanes.len());
-        let lanes = LaneSet::new(lanes);
-        std::thread::scope(|scope| {
-            for home in 0..threads {
-                let (session, lanes) = (&session, &lanes);
-                scope.spawn(move || drive_lanes(session, lanes, home));
-            }
-        });
+        // A worker per lane up to the processors there are: past that, a
+        // worker only takes the processor a peer lane's worker needs, while
+        // a sweep steps that lane directly.
+        let homes = lanes.len();
+        let processors = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool = WorkerPool::new(processors.min(homes));
+        let lanes = Arc::new(LaneSet::new(lanes));
+        for home in 0..homes {
+            pool.submit(Box::new(LaneTask {
+                session: session.clone(),
+                lanes: Arc::clone(&lanes),
+                home,
+            }));
+        }
+        // Every task runs until the session completes: the join is the wait.
+        if let Some(panic) = pool.shutdown() {
+            std::panic::resume_unwind(panic);
+        }
         let metrics = session
             .report()
             .expect("every lane ran to a terminal state")?;
@@ -412,28 +416,23 @@ impl Backend for ThreadedBackend {
     }
 }
 
-/// One replay thread: sweep the session's lanes from `home` until every
-/// lane is terminal, waiting out what a sweep cannot — after a pass that
-/// delivered nothing, spin briefly then yield while gated on a lane a peer
-/// thread holds, back off while the producers lag.
-fn drive_lanes(session: &CoopSession, lanes: &LaneSet, home: usize) {
-    let mut gated_polls = 0u32;
-    let mut idle_polls = 0u32;
-    while !session.is_complete() {
-        let sweep = lanes.sweep(home, INGEST_BATCH);
-        if sweep.delivered > 0 {
-            gated_polls = 0;
-            idle_polls = 0;
-        } else if sweep.gated {
-            gated_polls += 1;
-            if gated_polls < GATED_SPINS {
-                std::hint::spin_loop();
-            } else {
-                gated_polls = 0;
-                std::thread::yield_now();
-            }
+/// One lane of a [`ThreadedBackend`] session: a slice sweeps the set from
+/// `home`, and the task is done once the session is.
+pub(crate) struct LaneTask {
+    pub(crate) session: CoopSession,
+    pub(crate) lanes: Arc<LaneSet>,
+    pub(crate) home: usize,
+}
+
+impl PoolTask for LaneTask {
+    fn run(&mut self) -> TaskPoll {
+        let delivered = self.lanes.sweep(self.home, LANE_BUDGET);
+        if self.session.is_complete() {
+            TaskPoll::Done
+        } else if delivered > 0 {
+            TaskPoll::Again
         } else {
-            wait_for_producer(&mut idle_polls);
+            TaskPoll::AgainIdle
         }
     }
 }

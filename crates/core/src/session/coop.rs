@@ -24,20 +24,19 @@
 //! Lanes that do not depend on each other lose nothing: K drivers with K
 //! distinct homes each find their own lane free and every sibling held, so
 //! a sweep is a run of steps of the home lane and K lanes still replay in
-//! parallel. Two drivers exist:
+//! parallel.
 //!
-//! * the `paralogd` worker pool runs one task per lane of each of N
-//!   sessions round-robin; a task's slice is one sweep of its session's
-//!   set, so a slice delivers at most the fairness budget however many
-//!   lanes it touched, and a session with nothing deliverable returns its
-//!   worker after one flat pass (a worker blocked inside session A's wait
-//!   is a worker session B never gets);
-//! * [`ThreadedBackend`](super::ThreadedBackend) gives one session the
-//!   machine: a thread per lane up to the processors there are, each
-//!   sweeping from its own home, spinning briefly after a flat pass that
-//!   met a gate and sleeping after one that only met lagging producers.
+//! One scheduler drives sweeps: the [`WorkerPool`](super::pool::WorkerPool)
+//! runs one task per lane round-robin, and a task's slice is one sweep of
+//! its session's set bounded by [`LANE_BUDGET`], so a slice delivers at
+//! most that fairness quantum however many lanes it touched, and a session
+//! with nothing deliverable returns its worker after one flat pass (a
+//! worker blocked inside session A's wait is a worker session B never
+//! gets). `paralogd` runs N sessions on one shared pool;
+//! [`ThreadedBackend`](super::ThreadedBackend) runs one session on a pool
+//! of its own, `min(lanes, processors)` workers.
 //!
-//! Either way a capture replayed through lanes produces the same
+//! A capture replayed through lanes produces the same
 //! fingerprint and violations as the sequential reference loop behind
 //! [`DeterministicBackend`](super::DeterministicBackend). What lanes do not
 //! produce is modelled time: they run on the wall clock, and a gated poll
@@ -64,8 +63,13 @@ use paralog_events::{AddrRange, ThreadId, VersionId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{CaPolicy, CachePadded, RangeTable, SharedProgressTable};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
+
+/// Records one [`LaneSet::sweep`] may deliver over all the lanes it
+/// touches: the pool's fairness quantum, measured on the daemon's
+/// `arc_storm` workload at 2.5 slices per 100 records.
+pub const LANE_BUDGET: usize = 512;
 
 /// Flat-run window once every lane is parked at a gate or finished: the
 /// only possible wakeup is internal (a parked lane noticing its gate
@@ -120,8 +124,9 @@ struct CoopShared {
     failure: Mutex<Option<SessionError>>,
     /// Flat-run detector state (armed only once every lane is exhausted).
     flat: Mutex<FlatWatch>,
-    /// Final report, composed exactly once by the last lane to finish.
-    report: Mutex<Option<Result<RunMetrics, SessionError>>>,
+    /// Final report, composed exactly once by the last lane to finish; its
+    /// presence is what makes the session complete.
+    report: OnceLock<Result<RunMetrics, SessionError>>,
 }
 
 struct FlatWatch {
@@ -198,13 +203,13 @@ impl CoopShared {
             Some(err) => Err(err),
             None => Ok(self.metrics()),
         };
-        *self.report.lock().expect("poisoned") = Some(result);
+        assert!(self.report.set(result).is_ok(), "one last lane");
     }
 }
 
 /// Handle to one cooperative replay session: clone freely, observe from any
 /// thread. The actual work happens in the session's [`CoopLane`]s, stepped
-/// by whoever schedules them (the `paralogd` worker pool, a test loop, ...).
+/// by whoever schedules them (a worker pool, a test loop, ...).
 #[derive(Clone)]
 pub struct CoopSession {
     shared: Arc<CoopShared>,
@@ -272,7 +277,7 @@ impl CoopSession {
                 last_applied: 0,
                 flat_since: None,
             }),
-            report: Mutex::new(None),
+            report: OnceLock::new(),
         });
         let lanes = streams
             .into_iter()
@@ -309,16 +314,17 @@ impl CoopSession {
         self.shared.fail(err);
     }
 
-    /// Whether every lane reached a terminal state (the report is ready).
+    /// Whether every lane reached a terminal state and the report is
+    /// stored: once this is true, [`report`](Self::report) is `Some`.
     pub fn is_complete(&self) -> bool {
-        self.shared.finished_lanes.load(Ordering::SeqCst) >= self.shared.lanes
+        self.shared.report.get().is_some()
     }
 
     /// The final result, once every lane finished: full [`RunMetrics`] on a
     /// clean drain (partial if the producers detached early — that is the
     /// graceful-shutdown contract), the first [`SessionError`] otherwise.
     pub fn report(&self) -> Option<Result<RunMetrics, SessionError>> {
-        self.shared.report.lock().expect("poisoned").clone()
+        self.shared.report.get().cloned()
     }
 
     /// Live metrics snapshot of a (possibly still-running) session.
@@ -595,20 +601,6 @@ impl CoopLane {
     }
 }
 
-/// What one [`LaneSet::sweep`] accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Sweep {
-    /// Records delivered, summed over every lane the sweep stepped.
-    pub delivered: usize,
-    /// Lanes this sweep took to [`LaneStep::Finished`] or
-    /// [`LaneStep::Failed`]. Every lane is counted by exactly one sweep.
-    pub finished: usize,
-    /// Whether some lane the sweep stepped stopped at an unmet gate — with
-    /// `delivered == 0`, what tells "waiting on a peer" from "waiting on
-    /// the producers".
-    pub gated: bool,
-}
-
 /// A session's lanes, each behind its own lock on a cache line of its own,
 /// shared by every driver working the session.
 ///
@@ -646,49 +638,46 @@ impl LaneSet {
     /// Runs the session forward without blocking, starting at lane `home`
     /// (modulo the lane count): steps a lane while it keeps delivering,
     /// moves to the next sibling when it stops at a gate, runs out of
-    /// input, ends, or is held by another driver, and returns once `budget`
-    /// records were delivered in total or one full pass over the set
-    /// delivered nothing. [`CoopSession::is_complete`] says when there is
-    /// nothing left to come back for.
+    /// input, ends, or is held by another driver, and returns the records
+    /// it delivered once that reaches `budget` or one full pass over the
+    /// set delivered nothing. [`CoopSession::is_complete`] says when there
+    /// is nothing left to come back for.
     ///
     /// # Panics
     ///
-    /// Panics on an empty set.
-    pub fn sweep(&self, home: usize, budget: usize) -> Sweep {
+    /// Panics on an empty set, and on a lane whose worker panicked.
+    pub fn sweep(&self, home: usize, budget: usize) -> usize {
         let budget = budget.max(1);
-        let mut out = Sweep::default();
+        let mut total = 0;
         let mut at = home % self.lanes.len();
         // Lanes visited in a row that delivered nothing.
         let mut flat = 0;
-        while flat < self.lanes.len() && out.delivered < budget {
+        while flat < self.lanes.len() && total < budget {
             let (mut delivered, mut stay) = (0, false);
             match self.lanes[at].try_lock() {
                 Ok(mut lane) if !lane.done => {
-                    match lane.advance(budget - out.delivered) {
-                        LaneStep::Progressed => stay = true,
-                        LaneStep::Gated => out.gated = true,
-                        LaneStep::Idle => {}
-                        LaneStep::Finished | LaneStep::Failed => out.finished += 1,
-                    }
+                    stay = lane.advance(budget - total) == LaneStep::Progressed;
                     delivered = lane.delivered;
                 }
                 // Terminal already, or a peer driver is on it.
                 Ok(_) | Err(TryLockError::WouldBlock) => {}
                 Err(TryLockError::Poisoned(_)) => panic!("poisoned"),
             }
-            out.delivered += delivered;
+            total += delivered;
             flat = if delivered > 0 { 0 } else { flat + 1 };
             if !stay {
                 at = (at + 1) % self.lanes.len();
             }
         }
-        out
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::backend::LaneTask;
+    use crate::session::pool::WorkerPool;
     use crate::session::{
         BufferedStream, DeterministicBackend, MonitorSession, RecordStream, ReplaySource,
         StreamStatus,
@@ -698,10 +687,7 @@ mod tests {
     use paralog_lifeguards::LifeguardKind;
     use paralog_workloads::adversarial;
     use paralog_workloads::{Benchmark, WorkloadSpec};
-    use std::collections::VecDeque;
 
-    /// The daemon's fairness quantum.
-    const BUDGET: usize = 512;
     /// ADDRCHECK flags every access of the storm (nothing is ever
     /// allocated), so violation parity is not vacuous.
     const KIND: LifeguardKind = LifeguardKind::AddrCheck;
@@ -798,73 +784,57 @@ mod tests {
         let case = Case::storm(2, 4_000);
         let lanes = case.streams.len();
         let (session, set) = start(&case);
-        let (mut slices, mut finished, mut delivered) = (0, 0, 0);
+        let (mut slices, mut delivered) = (0, 0);
         while !session.is_complete() {
-            let sweep = set.sweep(0, BUDGET);
-            assert!(sweep.delivered <= BUDGET, "a slice is bounded: {sweep:?}");
+            let swept = set.sweep(0, LANE_BUDGET);
+            assert!(swept <= LANE_BUDGET, "a slice is bounded: {swept}");
             assert!(
-                sweep.delivered > 0 || sweep.finished > 0,
-                "a lone driver over buffered streams never finds a flat pass: {sweep:?}"
+                swept > 0 || session.is_complete(),
+                "a lone driver over buffered streams never finds a flat pass"
             );
             slices += 1;
-            finished += sweep.finished;
             // Every step counts its deliveries as it ends, the one that
             // ends a lane included, so between sweeps the count is exact.
-            delivered += sweep.delivered as u64;
+            delivered += swept as u64;
             assert_eq!(session.records(), delivered, "after slice {slices}");
         }
-        assert_eq!(finished, lanes);
-        let bound = case.records() as usize / BUDGET + lanes + 2;
+        let bound = case.records() as usize / LANE_BUDGET + lanes + 2;
         assert!(
             slices <= bound,
             "{slices} slices for {} records",
             case.records()
         );
         assert_parity(&case, &session);
-        assert_eq!(
-            set.sweep(1, BUDGET),
-            Sweep::default(),
-            "terminal lanes are inert"
-        );
+        assert_eq!(set.sweep(1, LANE_BUDGET), 0, "terminal lanes are inert");
     }
 
-    /// Racing drivers hand lanes to each other between steps: on the storm
-    /// at nearly every record, on the tainted capture whenever a sweep finds
-    /// its home lane held. What travels with a lane — its cursor, its
+    /// Racing pool workers hand lanes to each other between steps: on the
+    /// storm at nearly every record, on the tainted capture whenever a sweep
+    /// finds its home lane held. What travels with a lane — its cursor, its
     /// stream's register slot — must arrive intact.
     #[test]
-    fn racing_sweeps_finish_every_lane_exactly_once() {
+    fn racing_pool_workers_replay_with_parity() {
         for case in [Case::storm(3, 3_000), Case::tainted()] {
-            let lanes = case.streams.len();
             for workers in [1, 2, 4] {
                 let (session, set) = start(&case);
-                // One task per lane on a FIFO, as the daemon's pool runs them.
-                let queue = Mutex::new((0..lanes).collect::<VecDeque<usize>>());
-                let finished = AtomicUsize::new(0);
+                let lanes = Arc::new(set);
+                let pool = WorkerPool::new(workers);
+                for home in 0..case.streams.len() {
+                    pool.submit(Box::new(LaneTask {
+                        session: session.clone(),
+                        lanes: Arc::clone(&lanes),
+                        home,
+                    }));
+                }
                 std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let home = queue.lock().expect("poisoned").pop_front();
-                            let Some(home) = home else {
-                                if session.is_complete() {
-                                    return;
-                                }
-                                std::thread::yield_now();
-                                continue;
-                            };
-                            let sweep = set.sweep(home, BUDGET);
-                            finished.fetch_add(sweep.finished, Ordering::Relaxed);
-                            if !session.is_complete() {
-                                queue.lock().expect("poisoned").push_back(home);
-                            }
-                        });
-                    }
+                    scope.spawn(|| {
+                        while !session.is_complete() {
+                            std::thread::yield_now();
+                        }
+                        assert!(session.report().is_some(), "complete without a report");
+                    });
+                    assert!(pool.shutdown().is_none(), "no worker panicked");
                 });
-                assert_eq!(
-                    finished.load(Ordering::Relaxed),
-                    lanes,
-                    "{workers} workers: each lane's end is reported by exactly one sweep"
-                );
                 assert_parity(&case, &session);
             }
         }
@@ -892,18 +862,14 @@ mod tests {
         let heap = AddrRange::new(0x1000_0000, 0x1000);
         let (session, lanes) = CoopSession::start(&KIND, heap, streams, None).unwrap();
         let set = LaneSet::new(lanes);
-        assert_eq!(set.sweep(2, BUDGET), Sweep::default(), "nothing to deliver");
+        assert_eq!(set.sweep(2, LANE_BUDGET), 0, "nothing to deliver");
         assert_eq!(
             session.blocked_polls(),
             4,
             "each lane polled once, then back"
         );
         session.abort("test over");
-        assert_eq!(
-            set.sweep(2, BUDGET).finished,
-            4,
-            "an abort folds every lane"
-        );
-        assert!(session.is_complete());
+        assert_eq!(set.sweep(2, LANE_BUDGET), 0);
+        assert!(session.is_complete(), "an abort folds every lane");
     }
 }

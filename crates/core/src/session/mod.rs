@@ -11,9 +11,9 @@
 //!   see [`source`](module@crate::session::source) for the
 //!   yielded/blocked/exhausted protocol;
 //! * **backends** ([`Backend`]) — the deterministic discrete-event simulator
-//!   or the real-thread executor;
+//!   or the real-thread executor on `paralogd`'s [`WorkerPool`](pool::WorkerPool);
 //! * **lifeguards** — any [`LifeguardFactory`], resolved directly, by
-//!   registry name, or via the [`LifeguardKind`] shorthand for the four
+//!   registry name, or via the [`LifeguardKind`] shorthand for the five
 //!   bundled analyses.
 //!
 //! This is ParaLog's §3 porting claim made concrete: an out-of-tree analysis
@@ -41,6 +41,7 @@
 mod backend;
 pub mod coop;
 pub mod fault;
+pub mod pool;
 pub mod source;
 
 pub use backend::{Backend, BackendMode, DeterministicBackend, ThreadedBackend};

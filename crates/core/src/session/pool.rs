@@ -1,15 +1,16 @@
-//! The shared worker pool every session's lanes are multiplexed over.
+//! The worker pool every session's lanes are scheduled on.
 //!
-//! `paralogd` runs N sessions × K threads of replay work on a *fixed* set
-//! of OS workers — not threads-per-session. The unit of scheduling is a
-//! [`PoolTask`] (in practice one home lane of a session's
-//! [`LaneSet`](paralog_core::LaneSet) wrapped with its session
-//! bookkeeping): a worker checks a task out of the global FIFO, runs one
-//! bounded [`PoolTask::run`] *slice* — one sweep of the session's lanes
-//! from the task's home, at most a fairness budget of records over all of
-//! them — and requeues it behind every other task. That round-robin is the
-//! isolation property the daemon suite asserts: a session whose producer
-//! stalls reports [`TaskPoll::AgainIdle`] after one pass over its lanes, in
+//! A *fixed* set of OS workers runs [`PoolTask`]s: `paralogd` multiplexes
+//! N sessions × K lanes over one pool, and
+//! [`ThreadedBackend`](super::ThreadedBackend) runs one session on a pool
+//! of its own. The unit of scheduling is one home lane of a session's
+//! [`LaneSet`](super::coop::LaneSet): a worker checks a task out of the
+//! global FIFO, runs one bounded [`PoolTask::run`] *slice* — one sweep of
+//! the session's lanes from the task's home, at most
+//! [`LANE_BUDGET`](super::coop::LANE_BUDGET) records over all of them — and
+//! requeues it behind every other task. That round-robin is the isolation
+//! property the daemon suite asserts: a session whose producer stalls
+//! reports [`TaskPoll::AgainIdle`] after one pass over its lanes, in
 //! microseconds, and goes to the back of the queue, so its lanes can never
 //! monopolize a worker that session B's runnable lanes are waiting for.
 //!
@@ -22,6 +23,7 @@
 //! records cost, and idle slices and sleeps say how much of the pool's
 //! time went to polling sessions with nothing to do.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -118,7 +120,7 @@ impl WorkerPool {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("paralogd-worker-{i}"))
+                    .name(format!("paralog-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
@@ -156,17 +158,20 @@ impl WorkerPool {
         self.shared.available.notify_one();
     }
 
-    /// Stops the workers and joins them. Queued tasks keep being polled
-    /// until they report [`TaskPoll::Done`] — the supervisor fails or
-    /// drains every session *before* calling this, so termination is
-    /// bounded.
-    pub fn shutdown(&self) {
+    /// Stops the workers and joins them: queued tasks keep being polled,
+    /// idle backoff included, until they report [`TaskPoll::Done`]. Returns
+    /// the payload of the first worker that panicked (it ran nothing more).
+    pub fn shutdown(&self) -> Option<Box<dyn Any + Send>> {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.available.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().expect("poisoned"));
+        let mut panic = None;
         for handle in workers {
-            let _ = handle.join();
+            if let Err(payload) = handle.join() {
+                panic.get_or_insert(payload);
+            }
         }
+        panic
     }
 }
 
@@ -207,7 +212,7 @@ fn worker_loop(shared: &PoolShared) {
                 // stalled producers don't turn the pool into a spin farm.
                 // (Runnable work still drains — other workers keep going,
                 // and Again resets the streak.)
-                if idle_streak >= IDLE_STREAK_BACKOFF && !shared.stop.load(Ordering::Acquire) {
+                if idle_streak >= IDLE_STREAK_BACKOFF {
                     shared.idle_sleeps.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(IDLE_SLEEP);
                 }
@@ -304,5 +309,30 @@ mod tests {
             std::thread::yield_now();
         }
         pool.shutdown();
+    }
+
+    #[test]
+    fn shutdown_right_after_submit_runs_every_task_to_done_backing_off_while_idle() {
+        // Shutdown is how a caller joins its tasks, so a task waiting on a
+        // lagging producer must not spin its worker meanwhile.
+        let pool = WorkerPool::new(1);
+        let n = Arc::new(AtomicU64::new(0));
+        let flag = Arc::new(AtomicBool::new(false));
+        pool.submit(Box::new(IdleUntil {
+            flag: Arc::clone(&flag),
+        }));
+        pool.submit(Box::new(CountTo {
+            n: Arc::clone(&n),
+            target: 100,
+        }));
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            flag.store(true, Ordering::Relaxed);
+        });
+        assert!(pool.shutdown().is_none(), "no task panicked");
+        producer.join().unwrap();
+        assert_eq!(pool.live_tasks(), 0, "every task ran to Done");
+        assert_eq!(n.load(Ordering::Relaxed), 100);
+        assert!(pool.counters().idle_sleeps > 0, "{:?}", pool.counters());
     }
 }

@@ -13,23 +13,23 @@
 //!   non-blocking `io::Read` bridge between the socket pump and a
 //!   session's incremental decoders (`WouldBlock` ⇒
 //!   `StreamStatus::Blocked`).
-//! * [`pool`] — the shared [`WorkerPool`](pool::WorkerPool): N sessions'
-//!   replay lanes multiplexed round-robin over one fixed set of workers.
 //! * [`supervisor`] — the [`Daemon`] itself: attach
 //!   handshakes, per-session lifecycle (attach → running → drain →
 //!   detach), the live violation/event feed, the admin surface, and
 //!   graceful shutdown with partial [`RunMetrics`](paralog_core::RunMetrics).
+//!   N sessions' replay lanes are multiplexed round-robin over one
+//!   [`WorkerPool`](paralog_core::WorkerPool), the scheduler
+//!   `ThreadedBackend` runs in process.
 //! * [`client`] — [`Producer`] and
 //!   [`Control`] helpers for the other end of both
 //!   sockets.
 //! * [`cli`] — the `paralogd serve` / `paralogd ctl` command surface.
 //!
-//! Everything socket-shaped is Unix-only; [`proto`], [`transport`], and
-//! [`pool`] are portable.
+//! Everything socket-shaped is Unix-only; [`proto`] and [`transport`] are
+//! portable.
 
 #![forbid(unsafe_code)]
 
-pub mod pool;
 pub mod proto;
 pub mod transport;
 

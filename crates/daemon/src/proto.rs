@@ -131,6 +131,9 @@ pub fn parse_attach(line: &str) -> Result<AttachRequest, String> {
                 };
                 let start: u64 = start.parse().map_err(|_| "heap start must be an integer")?;
                 let len: u64 = len.parse().map_err(|_| "heap len must be an integer")?;
+                if start.checked_add(len).is_none() {
+                    return Err("heap wraps the address space".into());
+                }
                 heap = Some(AddrRange::new(start, len));
             }
             other => return Err(format!("unknown field {other:?}")),
@@ -314,6 +317,8 @@ mod tests {
         assert!(
             parse_attach("PARALOG ATTACH v1 name=a;rm lifeguard=y threads=1 heap=0:1").is_err()
         );
+        let wraps = "PARALOG ATTACH v1 name=a lifeguard=y threads=1 heap=18446744073709551614:4";
+        assert!(parse_attach(wraps).is_err());
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //! on record boundaries with no dangling arcs, and a deterministic
 //! [`SessionError`] otherwise — never a wedged session.
 
-use crate::pool::{PoolTask, TaskPoll, WorkerPool};
 use crate::proto::{self, AttachRequest, FrameEvent, FrameParser};
 use crate::transport::{ByteFeed, FeedWriter, SessionBuffer};
 use paralog_core::{
-    CoopSession, EventSource, LaneSet, RunMetrics, SessionError, SourceInput, StreamingReplaySource,
+    CoopSession, EventSource, LaneSet, PoolTask, RunMetrics, SessionError, SourceInput,
+    StreamingReplaySource, TaskPoll, WorkerPool, LANE_BUDGET,
 };
 use paralog_lifeguards::{LifeguardRegistry, MetadataShape, SessionEventObserver};
 use std::collections::BTreeMap;
@@ -41,10 +41,6 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Records a session may deliver per pool slice, over all the lanes the
-/// slice's sweep touches — the fairness quantum.
-const LANE_BUDGET: usize = 512;
 
 /// How long graceful shutdown waits for draining sessions before aborting
 /// the stragglers.
@@ -164,7 +160,8 @@ struct SessionEntry {
     /// Producer-side feed writers, one per thread; cleared at finalize.
     feeds: Mutex<Vec<FeedWriter>>,
     buffered: Arc<SessionBuffer>,
-    lanes_done: AtomicUsize,
+    /// Set by the one lane task that finalizes the session.
+    finalized: AtomicBool,
     detaching: AtomicBool,
     report: Mutex<Option<Result<RunMetrics, SessionError>>>,
     watchers: Arc<Watchers>,
@@ -211,17 +208,14 @@ impl SessionEntry {
         }
     }
 
-    /// Called by a lane task for the lanes its slice took to their end;
-    /// whoever accounts for the last one composes the report, flushes the
-    /// live feed, and drops the heavy session state.
-    fn lanes_done(&self, lanes: usize, session: &CoopSession) {
-        let done = self.lanes_done.fetch_add(lanes, Ordering::SeqCst) + lanes;
-        if done < self.threads {
+    /// Called by every lane task that finds `session` complete; the first
+    /// stores the report, flushes the live feed, and drops the heavy
+    /// session state.
+    fn finalize(&self, session: &CoopSession) {
+        if self.finalized.swap(true, Ordering::AcqRel) {
             return;
         }
-        let result = session
-            .report()
-            .unwrap_or_else(|| Err(SessionError::Deadlock("session vanished".into())));
+        let result = session.report().expect("a complete session has its report");
         // Cursor lock serializes against WATCH subscription: a watcher
         // either registers before this flush (and gets the tail, then the
         // close) or after the report is stored (and reads it whole).
@@ -275,16 +269,14 @@ struct LaneTask {
 
 impl PoolTask for LaneTask {
     fn run(&mut self) -> TaskPoll {
-        let sweep = self.lanes.sweep(self.home, LANE_BUDGET);
-        if sweep.delivered > 0 {
+        let delivered = self.lanes.sweep(self.home, LANE_BUDGET);
+        if delivered > 0 {
             self.entry.publish_new_violations(&self.session);
         }
-        if sweep.finished > 0 {
-            self.entry.lanes_done(sweep.finished, &self.session);
-        }
         if self.session.is_complete() {
+            self.entry.finalize(&self.session);
             TaskPoll::Done
-        } else if sweep.delivered > 0 {
+        } else if delivered > 0 {
             TaskPoll::Again
         } else {
             TaskPoll::AgainIdle
@@ -358,7 +350,7 @@ impl DaemonInner {
             session: Mutex::new(Some(session.clone())),
             feeds: Mutex::new(writers),
             buffered,
-            lanes_done: AtomicUsize::new(0),
+            finalized: AtomicBool::new(false),
             detaching: AtomicBool::new(false),
             report: Mutex::new(None),
             watchers,
@@ -528,13 +520,12 @@ impl Daemon {
         for entry in &entries {
             entry.close_feeds();
         }
-        let drained = |entries: &[Arc<SessionEntry>]| {
-            entries
-                .iter()
-                .all(|e| e.report.lock().expect("poisoned").is_some())
-        };
         let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while !drained(&entries) && Instant::now() < deadline {
+        while entries
+            .iter()
+            .any(|e| e.report.lock().expect("poisoned").is_none())
+            && Instant::now() < deadline
+        {
             std::thread::sleep(Duration::from_millis(1));
         }
         for entry in &entries {
@@ -544,11 +535,9 @@ impl Daemon {
                 }
             }
         }
-        let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while !drained(&entries) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        inner.pool.shutdown();
+        // The join: an aborted lane folds on its next step, so every task
+        // finishes. A worker's panic has no caller to resume into here.
+        let _ = inner.pool.shutdown();
         inner.stop_threads.store(true, Ordering::Release);
         if let Some(pump) = self.pump.take() {
             let _ = pump.join();
@@ -797,8 +786,8 @@ fn control_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
     }
 }
 
-/// Serves one control connection: one command per line, each response
-/// terminated by a lone `.`.
+/// Serves one control connection: one command per line (at most
+/// [`proto::MAX_HANDSHAKE_BYTES`]), each response terminated by a lone `.`.
 fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut reader = std::io::BufReader::new(match stream.try_clone() {
@@ -806,14 +795,15 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
+    // A line read in part before a timeout is kept for the next read.
+    let mut line = Vec::new();
     loop {
         if inner.stop_threads.load(Ordering::Acquire) {
             return;
         }
-        line.clear();
-        match std::io::BufRead::read_line(&mut reader, &mut line) {
-            Ok(0) => return,
+        let room = proto::MAX_HANDSHAKE_BYTES + 1 - line.len();
+        match std::io::BufRead::read_until(&mut (&mut reader).take(room as u64), b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return,
             Ok(_) => {}
             Err(ref e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -823,7 +813,12 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
             }
             Err(_) => return,
         }
-        let command = line.trim();
+        if line.len() > proto::MAX_HANDSHAKE_BYTES {
+            let _ = respond_err(&mut writer, "line too long");
+            return;
+        }
+        let text = String::from_utf8_lossy(&std::mem::take(&mut line)).into_owned();
+        let command = text.trim();
         if command.is_empty() {
             continue;
         }

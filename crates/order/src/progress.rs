@@ -3,13 +3,12 @@
 //! Lifeguard threads share a memory-mapped table of progress counters indexed
 //! by thread id; `progress[t]` holds the record id up to which *every* piece
 //! of lifeguard work for thread `t` — including state still cached inside
-//! accelerators, per delayed advertising (§4.2) — has completed. Each entry
-//! lives on its own cache line ([`CachePadded`]) to avoid coherence
-//! ping-pong.
+//! accelerators, per delayed advertising (§4.2) — has completed.
 //!
 //! Two implementations: [`ProgressTable`] for the deterministic simulator and
-//! [`SharedProgressTable`] (atomics) for the real-thread demonstration
-//! executor.
+//! the sequential replay loop, and [`SharedProgressTable`] (atomics) for the
+//! replay lanes, each of whose entries lives on its own cache line
+//! ([`CachePadded`]) to avoid coherence ping-pong between workers.
 
 use paralog_events::{Rid, ThreadId};
 use std::ops::Deref;

@@ -11,8 +11,8 @@
 //! This facade crate re-exports the whole workspace under one name. Most
 //! users want [`core`] (the composable `MonitorSession` API, the `Platform`
 //! shim and the experiment runners), [`lifeguards`] (TaintCheck, AddrCheck,
-//! MemCheck, LockSet, plus the open `LifeguardRegistry` for out-of-tree
-//! analyses) and [`workloads`] (the synthetic SPLASH-2/PARSEC-like
+//! MemCheck, LockSet, HappensBefore, plus the open `LifeguardRegistry` for
+//! out-of-tree analyses) and [`workloads`] (the synthetic SPLASH-2/PARSEC-like
 //! benchmarks). See `examples/custom_lifeguard.rs` for the session-builder
 //! quickstart.
 //!

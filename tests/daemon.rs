@@ -849,3 +849,53 @@ fn oversized_frame_is_a_transport_protocol_fault() {
     hdr[2..].copy_from_slice(&(proto::MAX_FRAME_BYTES + 1).to_le_bytes());
     assert!(proto::FrameParser::new().feed(&hdr, |_| ()).is_err());
 }
+
+/// Reads one control response: its lines up to the terminating `.`.
+fn read_response(reader: &mut BufReader<&UnixStream>) -> Vec<String> {
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line).unwrap() == 0 {
+            return lines;
+        }
+        match line.trim_end() {
+            "." => return lines,
+            l => lines.push(l.to_string()),
+        }
+    }
+}
+
+#[test]
+fn a_control_command_split_across_the_read_timeout_is_kept_whole() {
+    let daemon = spawn_daemon("split");
+    let mut raw = UnixStream::connect(daemon.control_socket()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(b"PI").unwrap();
+    // Longer than the control connection's read timeout.
+    std::thread::sleep(Duration::from_millis(400));
+    raw.write_all(b"NG\n").unwrap();
+    assert_eq!(
+        read_response(&mut BufReader::new(&raw)),
+        vec!["OK pong".to_string()]
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn an_over_long_control_line_is_refused_and_the_daemon_keeps_serving() {
+    let daemon = spawn_daemon("long");
+    let mut raw = UnixStream::connect(daemon.control_socket()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // The daemon may close before reading it all; the reply is what counts.
+    let _ = raw.write_all(&vec![b'A'; proto::MAX_HANDSHAKE_BYTES + 1000]);
+    let mut reader = BufReader::new(&raw);
+    assert_eq!(
+        read_response(&mut reader),
+        vec!["ERR line too long".to_string()]
+    );
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0, "closed");
+    let mut ctl = Control::connect(daemon.control_socket()).unwrap();
+    assert_eq!(ctl.command("PING").unwrap(), vec!["OK pong".to_string()]);
+    daemon.shutdown();
+}

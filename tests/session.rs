@@ -839,3 +839,78 @@ fn shadowing_a_builtin_name_does_not_inherit_its_reference() {
     assert!(genuine.metrics.reference_fingerprint.is_some());
     assert!(genuine.metrics.matches_reference());
 }
+
+/// MEMCHECK whose concurrent form panics on its hundredth record.
+#[derive(Debug)]
+struct PanicsInApply;
+
+#[derive(Debug)]
+struct Bomb {
+    inner: Box<dyn paralog::lifeguards::ConcurrentLifeguard>,
+    applied: std::sync::atomic::AtomicU64,
+}
+
+impl paralog::lifeguards::ConcurrentLifeguard for Bomb {
+    fn apply(
+        &self,
+        tid: ThreadId,
+        rec: &EventRecord,
+        versioned: Option<&paralog::lifeguards::VersionedMeta>,
+    ) {
+        let n = self
+            .applied
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        assert!(n < 100, "the analysis blew up");
+        self.inner.apply(tid, rec, versioned);
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.inner.fingerprint()
+    }
+
+    fn violations(&self) -> Vec<Violation> {
+        self.inner.violations()
+    }
+}
+
+impl LifeguardFactory for PanicsInApply {
+    fn name(&self) -> &str {
+        "PanicsInApply"
+    }
+
+    fn build(&self, heap: AddrRange) -> LifeguardFamily {
+        LifeguardKind::MemCheck.build(heap)
+    }
+
+    fn concurrent(
+        &self,
+        heap: AddrRange,
+        threads: usize,
+    ) -> Option<Box<dyn paralog::lifeguards::ConcurrentLifeguard>> {
+        Some(Box::new(Bomb {
+            inner: LifeguardKind::MemCheck.concurrent(heap, threads)?,
+            applied: std::sync::atomic::AtomicU64::new(0),
+        }))
+    }
+}
+
+#[test]
+fn a_panicking_analysis_panics_out_of_threaded_run() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(|| {
+            MonitorSession::builder()
+                .source(workload(Benchmark::Lu, 2))
+                .lifeguard_factory(PanicsInApply)
+                .backend(ThreadedBackend)
+                .build()
+                .unwrap()
+                .run()
+        });
+        let _ = tx.send(run.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("a panicked worker must not hang the run");
+    assert!(panicked, "the worker's panic must reach the caller");
+}

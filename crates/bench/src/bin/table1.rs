@@ -1,7 +1,7 @@
 //! Prints Table 1: the simulated machine parameters and benchmark inputs.
 //!
-//! Usage: `cargo run --release -p paralog-bench --bin table1`
+//! Usage: `cargo run --release -p paralog-bench --bin table1 [--check FILE]`
 
 fn main() {
-    println!("{}", paralog_core::experiment::table1());
+    paralog_bench::emit(&format!("{}\n", paralog_core::experiment::table1()));
 }

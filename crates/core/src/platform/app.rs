@@ -628,9 +628,7 @@ impl<'w> Sim<'w> {
         let reader_tid = ThreadId(reader as u16);
         let mut produces = ProduceList::new();
         let mut annotate = |r: &mut EventRecord| -> bool {
-            if r.rid > last_rid || r.consume_version.is_some() || r.forwarded {
-                // Forwarded loads read their own store's metadata (enforced
-                // by stream order); a remote version would be stale.
+            if r.rid > last_rid || r.consume_version.is_some() {
                 return false;
             }
             let mem = match &r.payload {
@@ -653,24 +651,6 @@ impl<'w> Sim<'w> {
         }
         if self.config.mode == MonitoringMode::Parallel {
             self.rings[reader].annotate_matching(&mut annotate);
-        }
-        // Ring-resident records were cloned into the collected streams when
-        // they left staging; patch those clones with the same consume
-        // annotations so a TSO capture replays faithfully. (Staging-resident
-        // records are cloned later, annotation already in place.)
-        if let Some(collected) = self.collected.as_mut() {
-            let stream = &mut collected[reader];
-            for (vid, mem, _) in produces.iter() {
-                for rec in stream.iter_mut().rev() {
-                    if rec.rid == vid.consumer_rid {
-                        rec.consume_version = Some((*vid, *mem));
-                        break;
-                    }
-                    if rec.rid < vid.consumer_rid {
-                        break; // rid-ordered: not collected yet
-                    }
-                }
-            }
         }
         produces
     }
@@ -739,9 +719,6 @@ impl<'w> Sim<'w> {
                         break;
                     }
                     let rec = self.app[tid].staging.pop_front().expect("front exists");
-                    if let Some(collected) = self.collected.as_mut() {
-                        collected[tid].push(rec.clone());
-                    }
                     self.rings[tid].push(rec).expect("checked not full");
                 }
                 MonitoringMode::None => unreachable!("guarded by monitored()"),

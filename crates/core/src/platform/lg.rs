@@ -133,8 +133,17 @@ impl<'w> Sim<'w> {
             versions: &self.versions,
             violations: &mut self.metrics.violations,
         };
+        // Collection takes each record as its lifeguard does: every §5.5
+        // annotation lands while a record is staged or in its ring, so the
+        // one clone here is the finished record.
+        let collected = self.collected.as_mut();
         let cycles = self.rings[ring_idx]
-            .pop_with(|rec| ctx.process_record(li, tag, rec))
+            .pop_with(|rec| {
+                if let Some(collected) = collected {
+                    collected[li].push(rec.clone());
+                }
+                ctx.process_record(li, tag, rec)
+            })
             .expect("peeked");
         self.lgs[li].buckets.useful += cycles;
         self.sched.advance(entity, cycles);

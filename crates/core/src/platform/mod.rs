@@ -190,8 +190,8 @@ pub(crate) struct Sim<'w> {
     /// Timesliced-mode per-thread count of records still in the shared ring
     /// (damage-containment checks).
     ts_outstanding: Vec<u64>,
-    /// Stream collection (when configured): clone of every record released
-    /// to a ring, per thread.
+    /// Stream collection (parallel mode, when configured): a clone of every
+    /// record as its lifeguard takes it from the ring, per thread.
     collected: Option<Vec<Vec<EventRecord>>>,
 }
 
@@ -317,9 +317,6 @@ impl<'w> Sim<'w> {
             ts_current: 0,
             ts_quantum_left: app::TS_QUANTUM_OPS,
             ts_outstanding: vec![0; k],
-            // Under TSO, consume annotations can land on records already
-            // released to a ring; `annotate_block_readers` patches the
-            // collected clones too, so captures stay faithful.
             collected: if config.collect_streams && config.mode == MonitoringMode::Parallel {
                 Some(vec![Vec::new(); k])
             } else {

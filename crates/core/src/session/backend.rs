@@ -36,23 +36,23 @@
 //! chunk budget. A thread whose next record has not been produced yet
 //! ([`Blocked`](super::StreamStatus::Blocked)) is retried, never a failure;
 //! only when no thread can pull or deliver and some head record still waits
-//! on an unmet arc is the run declared a [`SessionError::Deadlock`].
+//! on an unmet gate is the run declared a [`SessionError::Deadlock`].
 
 use super::coop::{CoopSession, LaneSet, LANE_BUDGET};
 use super::pool::{PoolTask, TaskPoll, WorkerPool};
 use super::source::{LaneInput, RecordStream, Refill};
-use super::{SessionError, SessionPlan};
+use super::{stuck_head, Blocker, SessionError, SessionPlan};
 use crate::config::{MonitorConfig, MonitoringMode};
 use crate::metrics::{PhaseBreakdown, RunMetrics};
 use crate::platform::lg::deliver_ingested;
 use crate::platform::{RunOutcome, Sim};
 use crate::reference::Reference;
 use crate::session::SourceInput;
-use paralog_events::{EventRecord, ThreadId};
+use paralog_events::ThreadId;
 use paralog_lifeguards::{
     CostModel, Lifeguard, LifeguardFactory, LifeguardFamily, LifeguardKind, Violation,
 };
-use paralog_order::{Gate, OrderEnforcer, ProgressTable, RangeTable};
+use paralog_order::{replay_gate, Gate, ProgressTable, RangeTable};
 use paralog_workloads::Workload;
 use std::fmt;
 use std::sync::Arc;
@@ -143,38 +143,6 @@ fn run_deterministic(
     }
 }
 
-/// §5.4 ConflictAlert serialization for replay: a *non-issuer* copy of a
-/// broadcast CA record (barrier or syscall-range class) may not be
-/// delivered until the issuer's lifeguard has applied its own copy — the
-/// issuer's copy is the one that performs the metadata update (taint the
-/// read() buffer, clear the allocation, ...), and every remote stream's
-/// copy marks where that update is ordered relative to the remote thread's
-/// accesses. The live co-simulation enforces this through the `CaBarrier`
-/// and the application-side broadcast serialization; replay enforces it by
-/// gating on the issuer's advertised progress (`progress[issuer] >=
-/// issuer_rid` ⇔ the issuer applied its copy). Broadcasts are globally
-/// sequence-ordered, so these gates cannot cycle.
-///
-/// Returns whether `rec`'s gate is *unmet* (the caller must stall).
-pub(crate) fn ca_gate_unmet(
-    rec: &EventRecord,
-    tid: usize,
-    ca_policy: &paralog_order::CaPolicy,
-    satisfied: impl Fn(ThreadId, paralog_events::Rid) -> bool,
-) -> bool {
-    let paralog_events::EventPayload::Ca(ca) = &rec.payload else {
-        return false;
-    };
-    if ca.seq == u64::MAX || ca.issuer.index() == tid {
-        return false; // own-stream-only record, or the issuer's copy itself
-    }
-    let actions = ca_policy.actions(ca.what, ca.phase);
-    if !actions.barrier && !actions.track_range {
-        return false; // flush-only classes order via data arcs (§5.4)
-    }
-    !satisfied(ca.issuer, ca.issuer_rid)
-}
-
 /// One wait on a lagging producer: yield at first, then back off to short
 /// sleeps so an idle feed does not burn a core. The caller zeroes
 /// `idle_polls` once records flow again, resuming eagerly.
@@ -191,7 +159,6 @@ fn wait_for_producer(idle_polls: &mut u32) {
 struct IngestLane {
     /// The stream and the one batch pulled from it, delivered in place.
     input: LaneInput,
-    enforcer: OrderEnforcer,
     range_table: RangeTable,
 }
 
@@ -212,8 +179,9 @@ struct IngestLane {
 ///
 /// * its stream is [`Blocked`](super::StreamStatus::Blocked) — the producer
 ///   exists but has not caught up; the session parks and retries;
-/// * its head record's arc is unmet while **every** stream is exhausted —
-///   no producer can ever satisfy it: [`SessionError::Deadlock`].
+/// * its head record's [`replay_gate`] is unmet while **every** stream is
+///   exhausted — no producer can ever satisfy it:
+///   [`SessionError::Deadlock`], naming each stuck head's blocker.
 fn replay_streams(
     family: &LifeguardFamily,
     streams: Vec<Box<dyn RecordStream>>,
@@ -231,8 +199,7 @@ fn replay_streams(
     let mut lanes: Vec<IngestLane> = streams
         .into_iter()
         .map(|stream| IngestLane {
-            input: LaneInput::new(stream),
-            enforcer: OrderEnforcer::new(),
+            input: LaneInput::new(stream, k),
             range_table: RangeTable::new(k),
         })
         .collect();
@@ -259,8 +226,10 @@ fn replay_streams(
                     }
                     break;
                 };
-                if matches!(lane.enforcer.gate(head, &progress), Gate::Blocked { .. })
-                    || ca_gate_unmet(head, t, &ca_policy, |src, rid| progress.get(src) >= rid)
+                let tid = ThreadId(t as u16);
+                if replay_gate(head, tid, &ca_policy, |src, rid| {
+                    progress.satisfies(src, rid)
+                }) != Gate::Ready
                 {
                     stalls += 1;
                     break;
@@ -278,7 +247,7 @@ fn replay_streams(
                     &mut violations,
                     &mut delivered_ops,
                 )?;
-                progress.advertise(ThreadId(t as u16), head.rid);
+                progress.advertise(tid, head.rid);
                 lane.input.advance();
                 records += 1;
                 any_progress = true;
@@ -300,15 +269,22 @@ fn replay_streams(
                 .iter()
                 .enumerate()
                 .filter_map(|(t, lane)| {
-                    lane.input.head().map(|head| {
-                        format!(
-                            "thread {t} blocked at rid {} arcs {:?}",
-                            head.rid, head.arcs
-                        )
-                    })
+                    let head = lane.input.head()?;
+                    let tid = ThreadId(t as u16);
+                    match replay_gate(head, tid, &ca_policy, |src, rid| {
+                        progress.satisfies(src, rid)
+                    }) {
+                        Gate::Blocked { src, needed } => {
+                            Some(stuck_head(tid, head.rid, Blocker::Progress(src, needed)))
+                        }
+                        Gate::Ready => None,
+                    }
                 })
                 .collect();
-            return Err(SessionError::Deadlock(stuck.join("; ")));
+            return Err(SessionError::Deadlock(format!(
+                "no stream can advance: {}",
+                stuck.join("; ")
+            )));
         }
     }
 

@@ -55,13 +55,12 @@
 //! arcs drains clean; severed arcs fail within the `COOP_SEVERED_GRACE`
 //! window.
 
-use super::backend::ca_gate_unmet;
 use super::source::{LaneInput, RecordStream, Refill};
-use super::{produce_versions, SessionError};
+use super::{produce_versions, stuck_head, Blocker, SessionError};
 use crate::metrics::RunMetrics;
-use paralog_events::{AddrRange, ThreadId, VersionId};
+use paralog_events::{AddrRange, ThreadId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
-use paralog_order::{CaPolicy, CachePadded, RangeTable, SharedProgressTable};
+use paralog_order::{replay_gate, CaPolicy, CachePadded, Gate, RangeTable, SharedProgressTable};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
@@ -285,7 +284,7 @@ impl CoopSession {
             .map(|(t, stream)| CoopLane {
                 tid: ThreadId(t as u16),
                 shared: Arc::clone(&shared),
-                input: LaneInput::new(stream),
+                input: LaneInput::new(stream, k),
                 range_table: RangeTable::new(k),
                 head_produced: false,
                 parked: false,
@@ -468,18 +467,12 @@ impl CoopLane {
                 return LaneStep::Failed;
             }
             // §5.2 arcs and §5.4 CA serialization, checked without waiting.
-            let gated = head
-                .arcs
-                .iter()
-                .any(|arc| !self.shared.progress.satisfies(arc.src, arc.src_rid))
-                || ca_gate_unmet(
-                    head,
-                    self.tid.index(),
-                    &self.shared.ca_policy,
-                    |src, rid| self.shared.progress.satisfies(src, rid),
-                );
-            if gated {
-                return self.gated(None);
+            if let Gate::Blocked { src, needed } =
+                replay_gate(head, self.tid, &self.shared.ca_policy, |src, rid| {
+                    self.shared.progress.satisfies(src, rid)
+                })
+            {
+                return self.gated(Blocker::Progress(src, needed));
             }
             // §5.5 produce points: exactly once per head, even across
             // consume-gated re-steps.
@@ -502,7 +495,7 @@ impl CoopLane {
             let versioned = match head.consume_version {
                 Some((vid, _)) => match self.shared.versions.consume(vid) {
                     Some(v) => Some(v),
-                    None => return self.gated(Some(vid)),
+                    None => return self.gated(Blocker::Version(vid)),
                 },
                 None => None,
             };
@@ -542,12 +535,11 @@ impl CoopLane {
         LaneStep::Progressed
     }
 
-    /// Resolves a gated head (`unproduced` names the §5.5 version when that
-    /// is what it waits on). A lane that delivered on its way here is not
-    /// parked yet — what it just advertised may be what its peers wait on;
-    /// a hopeless gate (every lane parked or finished, session flat past
-    /// the grace window) fails the run.
-    fn gated(&mut self, unproduced: Option<VersionId>) -> LaneStep {
+    /// Resolves a head gated on `blocker`. A lane that delivered on its way
+    /// here is not parked yet — what it just advertised may be what its
+    /// peers wait on; a hopeless gate (every lane parked or finished,
+    /// session flat past the grace window) fails the run.
+    fn gated(&mut self, blocker: Blocker) -> LaneStep {
         self.shared.stalls.fetch_add(1, Ordering::Relaxed);
         if self.delivered > 0 {
             return LaneStep::Gated;
@@ -558,15 +550,10 @@ impl CoopLane {
         }
         if self.shared.gate_is_deadlock() {
             let head = self.input.head().expect("gated head");
-            let waits_on = match unproduced {
-                Some(vid) => format!("unproduced version {vid}"),
-                None => format!("arcs {:?}", head.arcs),
-            };
             self.shared.fail(SessionError::Deadlock(format!(
-                "thread {} gated at rid {} ({waits_on}) with every peer parked or \
-                 finished; nothing can ever satisfy it (truncated capture or \
-                 dropped producer)",
-                self.tid.0, head.rid
+                "{} with every peer parked or finished; nothing can ever satisfy \
+                 it (truncated capture or dropped producer)",
+                stuck_head(self.tid, head.rid, blocker)
             )));
             self.finish();
             return LaneStep::Failed;

@@ -136,6 +136,35 @@ pub(crate) fn produce_versions(
     Ok(())
 }
 
+/// What a stuck head record waits on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Blocker {
+    /// Thread `.0`'s progress must reach rid `.1`: the unmet §5.2 arc or
+    /// §5.4 issuer rule that [`replay_gate`](paralog_order::replay_gate)
+    /// reported.
+    Progress(paralog_events::ThreadId, paralog_events::Rid),
+    /// A §5.5 version no peer has produced (lanes only: the sequential loop
+    /// bypasses a missing version).
+    Version(paralog_events::VersionId),
+}
+
+/// Names thread `tid`'s stuck head at `rid` and what it waits on — the one
+/// description of a blocker in both replay loops' [`SessionError::Deadlock`].
+pub(crate) fn stuck_head(
+    tid: paralog_events::ThreadId,
+    rid: paralog_events::Rid,
+    blocker: Blocker,
+) -> String {
+    match blocker {
+        Blocker::Progress(src, needed) => {
+            format!("{tid} gated at {rid} waiting on {src} reaching {needed}")
+        }
+        Blocker::Version(vid) => {
+            format!("{tid} gated at {rid} waiting on unproduced version {vid}")
+        }
+    }
+}
+
 /// A fully resolved session handed to a [`Backend`].
 pub struct SessionPlan {
     /// Run configuration (mode, machine, accelerator and capture knobs).

@@ -39,7 +39,7 @@
 //! which holds the only reading of the three states.
 
 use paralog_events::codec::{decode, DecodeError, StreamDecoder};
-use paralog_events::{AddrRange, EventRecord, Instr, Rid};
+use paralog_events::{AddrRange, EventPayload, EventRecord, Instr, Rid};
 use paralog_workloads::Workload;
 use std::fmt;
 use std::io::Read;
@@ -196,8 +196,14 @@ pub(crate) enum Refill {
 /// how far into the batch the lane has got. The stream writes a record into
 /// the batch once and every later stage — gate, produce, consume, police,
 /// apply — reads it there through [`head`](Self::head).
+///
+/// Every pulled record's arc sources and ConflictAlert issuer are checked
+/// against the session's thread count here, so the progress and range
+/// tables those index never see a thread outside the session.
 pub(crate) struct LaneInput {
     stream: Box<dyn RecordStream>,
+    /// Threads in the session: the bound on every thread a record names.
+    threads: usize,
     batch: Vec<EventRecord>,
     /// Index in `batch` of the next record to deliver.
     head: usize,
@@ -206,9 +212,10 @@ pub(crate) struct LaneInput {
 }
 
 impl LaneInput {
-    pub(crate) fn new(stream: Box<dyn RecordStream>) -> Self {
+    pub(crate) fn new(stream: Box<dyn RecordStream>, threads: usize) -> Self {
         LaneInput {
             stream,
+            threads,
             batch: Vec::with_capacity(INGEST_BATCH),
             head: 0,
             eof: false,
@@ -246,6 +253,12 @@ impl LaneInput {
         self.head = 0;
         let status = self.stream.next_batch(&mut self.batch, INGEST_BATCH)?;
         self.eof = matches!(status, StreamStatus::Exhausted);
+        // Most records carry no arc and no ConflictAlert: nothing to check.
+        for rec in &self.batch {
+            if !rec.arcs.is_empty() || matches!(rec.payload, EventPayload::Ca(_)) {
+                self.check_threads(rec)?;
+            }
+        }
         // What arrived counts whatever the status: a stream may deliver a
         // partial batch and *then* report `Blocked` or `Exhausted`. Nothing
         // from a live stream (`WouldBlock` behind a non-blocking reader, or
@@ -257,6 +270,23 @@ impl LaneInput {
         } else {
             Refill::Lagging
         })
+    }
+
+    /// Refuses `rec` if an arc source or its ConflictAlert issuer is not a
+    /// thread of the session.
+    fn check_threads(&self, rec: &EventRecord) -> Result<(), SessionError> {
+        let issuer = match &rec.payload {
+            EventPayload::Ca(ca) => Some(("ConflictAlert issuer", ca.issuer)),
+            EventPayload::Instr(_) => None,
+        };
+        let named = rec.arcs.iter().map(|arc| ("arc source", arc.src));
+        match named.chain(issuer).find(|(_, t)| t.index() >= self.threads) {
+            None => Ok(()),
+            Some((what, t)) => Err(SessionError::MalformedStream(format!(
+                "record {} names {what} {t}, outside the session's {} threads",
+                rec.rid, self.threads
+            ))),
+        }
     }
 }
 
@@ -905,7 +935,7 @@ mod tests {
             ((1, Ok(Exhausted)), Ok(Refill::Ready)),
         ];
         let script: Vec<_> = ladder.iter().map(|(pull, _)| pull.clone()).collect();
-        let mut input = LaneInput::new(Box::new(Scripted(script.into_iter())));
+        let mut input = LaneInput::new(Box::new(Scripted(script.into_iter())), 1);
         assert!(input.head().is_none() && !input.ended());
         for ((records, _), want) in ladder {
             assert_eq!(input.refill(), want);
@@ -922,7 +952,7 @@ mod tests {
         assert_eq!(input.refill(), Ok(Refill::Ended));
 
         let bare = vec![(0, Ok(Exhausted))];
-        let mut input = LaneInput::new(Box::new(Scripted(bare.into_iter())));
+        let mut input = LaneInput::new(Box::new(Scripted(bare.into_iter())), 1);
         assert_eq!(input.refill(), Ok(Refill::Ended), "no records, no batch");
         assert!(input.ended());
     }

@@ -72,7 +72,9 @@ const OP_CA: u8 = 10;
 const FLAG_ARCS: u8 = 0x10;
 const FLAG_PRODUCE: u8 = 0x20;
 const FLAG_CONSUME: u8 = 0x40;
-const FLAG_FORWARDED: u8 = 0x80;
+/// Every flag bit a record may carry; the rest of the high nibble is
+/// reserved and refused.
+const FLAGS_KNOWN: u8 = FLAG_ARCS | FLAG_PRODUCE | FLAG_CONSUME;
 
 /// Odd multiplier of the checksum fold (odd ⇒ the multiply is a bijection
 /// on `u8`, so the whole fold is a bijection in the folded byte).
@@ -146,9 +148,6 @@ impl Encoder {
         }
         if rec.consume_version.is_some() {
             flags |= FLAG_CONSUME;
-        }
-        if rec.forwarded {
-            flags |= FLAG_FORWARDED;
         }
         match &rec.payload {
             EventPayload::Instr(i) => self.encode_instr(i, flags),
@@ -379,6 +378,14 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// A varint that must fit `T` (a thread id, a count, a lock id): a value
+    /// past `T`'s range is refused as `what`, never truncated into a
+    /// different, valid-looking value.
+    fn read_narrow<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, Fault> {
+        let wide = self.read_uvarint(what)?;
+        T::try_from(wide).map_err(|_| self.err(what))
+    }
+
     fn read_addr(&mut self) -> Result<u64, Fault> {
         let delta = zigzag_decode(self.read_uvarint("addr delta")?);
         let addr = self.last_addr.wrapping_add(delta as u64);
@@ -418,6 +425,9 @@ impl<'a> Decoder<'a> {
         let head = self.read_byte("opcode")?;
         let opcode = head & 0x0f;
         let flags = head & 0xf0;
+        if flags & !FLAGS_KNOWN != 0 {
+            return Err(self.err("reserved flag"));
+        }
         let payload = if opcode == OP_CA {
             EventPayload::Ca(self.read_ca()?)
         } else {
@@ -429,14 +439,13 @@ impl<'a> Decoder<'a> {
             arcs: crate::record::ArcList::new(),
             produce_versions: crate::record::ProduceList::new(),
             consume_version: None,
-            forwarded: flags & FLAG_FORWARDED != 0,
         };
         if flags & FLAG_ARCS != 0 {
             let n = self.read_uvarint("arc count")?;
             for _ in 0..n {
                 let kind =
                     decode_arc_kind(self.read_byte("arc kind")?).ok_or(self.err("bad arc"))?;
-                let src = ThreadId(self.read_uvarint("arc src")? as u16);
+                let src = ThreadId(self.read_narrow("arc src out of range")?);
                 let src_rid = Rid(self.read_uvarint("arc rid")?);
                 rec.arcs.push(DependenceArc::new(src, src_rid, kind));
             }
@@ -446,7 +455,7 @@ impl<'a> Decoder<'a> {
             for _ in 0..n {
                 let v = self.read_version()?;
                 let m = self.read_memref()?;
-                let consumers = self.read_uvarint("consumer count")? as u32;
+                let consumers = self.read_narrow("consumer count out of range")?;
                 rec.produce_versions.push((v, m, consumers));
             }
         }
@@ -460,7 +469,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn read_version(&mut self) -> Result<VersionId, Fault> {
-        let consumer = ThreadId(self.read_uvarint("version tid")? as u16);
+        let consumer = ThreadId(self.read_narrow("version thread out of range")?);
         let consumer_rid = Rid(self.read_uvarint("version rid")?);
         Ok(VersionId {
             consumer,
@@ -527,14 +536,15 @@ impl<'a> Decoder<'a> {
     fn read_ca(&mut self) -> Result<CaRecord, Fault> {
         let tag = self.read_byte("ca tag")?;
         let err = self.err("bad CA kind");
-        let what = decode_high_level(tag >> 2, || self.read_uvarint("ca payload"))?.ok_or(err)?;
+        let what =
+            decode_high_level(tag >> 2, || self.read_narrow("ca id out of range"))?.ok_or(err)?;
         let phase = if tag & 0b01 != 0 {
             CaPhase::End
         } else {
             CaPhase::Begin
         };
         let has_range = tag & 0b10 != 0;
-        let issuer = ThreadId(self.read_uvarint("ca issuer")? as u16);
+        let issuer = ThreadId(self.read_narrow("ca issuer out of range")?);
         let issuer_rid = Rid(self.read_uvarint("ca issuer rid")?);
         let seq = self.read_uvarint("ca seq")?;
         let range = if has_range {
@@ -768,7 +778,7 @@ fn high_level_code(h: HighLevelKind) -> (u8, Option<u64>) {
 
 fn decode_high_level(
     b: u8,
-    payload: impl FnOnce() -> Result<u64, Fault>,
+    payload: impl FnOnce() -> Result<u32, Fault>,
 ) -> Result<Option<HighLevelKind>, Fault> {
     Ok(match b {
         0 => Some(HighLevelKind::Malloc),
@@ -776,11 +786,9 @@ fn decode_high_level(
         2 => Some(HighLevelKind::Syscall(SyscallKind::ReadInput)),
         3 => Some(HighLevelKind::Syscall(SyscallKind::WriteOutput)),
         4 => Some(HighLevelKind::Syscall(SyscallKind::Other)),
-        5 => Some(HighLevelKind::Lock(crate::isa::LockId(payload()? as u32))),
-        6 => Some(HighLevelKind::Unlock(crate::isa::LockId(payload()? as u32))),
-        7 => Some(HighLevelKind::Barrier(crate::isa::BarrierId(
-            payload()? as u32
-        ))),
+        5 => Some(HighLevelKind::Lock(crate::isa::LockId(payload()?))),
+        6 => Some(HighLevelKind::Unlock(crate::isa::LockId(payload()?))),
+        7 => Some(HighLevelKind::Barrier(crate::isa::BarrierId(payload()?))),
         _ => None,
     })
 }
@@ -956,6 +964,63 @@ mod tests {
     fn corrupt_opcode_errors() {
         let bytes = vec![0x00, 0x0f]; // rid base 0, opcode 0x0f = unknown
         assert!(decode(&bytes).is_err());
+        // A `NOP` whose framing and checksum hold but whose head byte sets
+        // the reserved flag bit.
+        let err = decode(&sealed(&[OP_NOP | 0x80])).expect_err("reserved flag");
+        assert!(err.to_string().contains("reserved flag"), "{err}");
+    }
+
+    /// One hand-built record after a zero rid base, sealed with its chained
+    /// checksum, so only the field under test can be wrong.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut wire = vec![0x00];
+        wire.extend_from_slice(body);
+        let check = wire.iter().fold(0, |state, &b| fold_check(state, b));
+        wire.push(check);
+        wire
+    }
+
+    #[test]
+    fn out_of_range_ids_and_counts_are_corrupt_not_truncated() {
+        let varint = |v: u64| {
+            let mut out = Vec::new();
+            write_uvarint(&mut out, v);
+            out
+        };
+        let memref = [2, 0]; // four bytes at address delta 0
+                             // Each record names a thread id through `thread` or a 32-bit id or
+                             // count through `wide`, and says which field that is.
+        let records = |thread: &[u8], wide: &[u8]| {
+            [
+                (
+                    [&[OP_NOP | FLAG_ARCS, 1, 1][..], thread, &[1]].concat(),
+                    "arc src",
+                ),
+                (
+                    [&[OP_NOP | FLAG_PRODUCE, 1, 0, 1][..], &memref, wide].concat(),
+                    "consumer count",
+                ),
+                (
+                    [&[OP_NOP | FLAG_CONSUME][..], thread, &[1], &memref].concat(),
+                    "version thread",
+                ),
+                ([&[OP_CA, 0][..], thread, &[1, 0]].concat(), "ca issuer"),
+                ([&[OP_CA, 5 << 2][..], wide, &[0, 1, 0]].concat(), "ca id"),
+                ([&[OP_CA, 6 << 2][..], wide, &[0, 1, 0]].concat(), "ca id"),
+                ([&[OP_CA, 7 << 2][..], wide, &[0, 1, 0]].concat(), "ca id"),
+            ]
+        };
+        for (body, what) in records(&varint(7), &varint(7)) {
+            decode(&sealed(&body)).unwrap_or_else(|err| panic!("{what}: {err}"));
+        }
+        // 65,543 is thread 7 and 2^32 + 7 is id 7 once cast with `as`.
+        for (body, what) in records(&varint(65_543), &varint((1 << 32) + 7)) {
+            let err = decode(&sealed(&body)).expect_err(what);
+            assert!(
+                err.to_string().contains(&format!("{what} out of range")),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -144,14 +144,10 @@ pub struct EventRecord {
     /// TSO annotation: version this record's lifeguard must *consume*
     /// (read versioned metadata instead of current) when processing.
     pub consume_version: Option<(VersionId, MemRef)>,
-    /// Whether this load was satisfied by store-to-load forwarding: its
-    /// metadata read follows the forwarding store in its own stream and must
-    /// never be redirected to a remote writer's version (§5.5).
-    pub forwarded: bool,
 }
 
 // Every replay lane holds a batch of 256 of these (62 KiB) and each byte of
-// one is written once per record replayed — 248 B for ~4 B of wire — so
+// one is written once per record replayed — 240 B for ~4 B of wire — so
 // growing the record is a deliberate act, not a side effect of a new field.
 const _: () = assert!(std::mem::size_of::<EventRecord>() <= 256);
 
@@ -164,7 +160,6 @@ impl EventRecord {
             arcs: ArcList::new(),
             produce_versions: ProduceList::new(),
             consume_version: None,
-            forwarded: false,
         }
     }
 
@@ -176,7 +171,6 @@ impl EventRecord {
             arcs: ArcList::new(),
             produce_versions: ProduceList::new(),
             consume_version: None,
-            forwarded: false,
         }
     }
 

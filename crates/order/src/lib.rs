@@ -12,9 +12,11 @@
 //!   per-lifeguard progress counters (§5.2), and [`CachePadded`], which
 //!   keeps each of them — and each lane and register slot of the replay
 //!   path — on a cache line of its own;
-//! * [`OrderEnforcer`] — gates record delivery on arc satisfaction, with
-//!   dependence-stall accounting (the *Waiting for Dependence* bucket of
-//!   Figure 7);
+//! * [`replay_gate`] — the one replay gate: a head's arcs, then §5.4
+//!   ConflictAlert serialization, reporting the first unmet condition; and
+//!   [`OrderEnforcer`], the co-simulation's arc gate over the same scan,
+//!   with dependence-stall accounting (the *Waiting for Dependence* bucket
+//!   of Figure 7);
 //! * [`CaBroadcaster`] / [`CaPolicy`] / [`CaBarrier`] — the ConflictAlert
 //!   mechanism for high-level events and logical races (§4.3, §5.4);
 //! * [`RangeTable`] — syscall race detection from CA memory-range
@@ -48,6 +50,6 @@ pub mod range_table;
 
 pub use capture::{CapturePolicy, CaptureStats, OrderCapture, Reduction};
 pub use conflict_alert::{CaActions, CaBarrier, CaBroadcaster, CaPolicy};
-pub use enforce::{Gate, OrderEnforcer};
+pub use enforce::{replay_gate, Gate, OrderEnforcer};
 pub use progress::{CachePadded, ProgressTable, SharedProgressTable};
 pub use range_table::{RangeEntry, RangeTable};

@@ -12,7 +12,8 @@
 //! * a §5.5 versioned capture (the Figure 5 Dekker pattern) replays on
 //!   `ThreadedBackend` — raw or through the codec wire form — with
 //!   fingerprints, violations and version traffic identical to the live
-//!   deterministic run;
+//!   deterministic run — including a capture whose consume annotations
+//!   land on records already in a ring;
 //! * a TSO capture truncated before its produce point deadlocks the
 //!   threaded replay loudly (the gated consumer lane's flat-run
 //!   detector) instead of hanging or silently bypassing.
@@ -207,16 +208,23 @@ proptest! {
 /// clean, and reads the other's — with `pad` spacers controlling how the
 /// stores sit in the store buffers (some pads manifest the SC violation).
 fn dekker(pad: usize) -> Workload {
-    let a = MemRef::new(0x2000_0000, 8);
-    let b = MemRef::new(0x2000_0100, 8);
-    let side = |mine: MemRef, theirs: MemRef, buf: AddrRange| {
+    dekker_after(|_, buf| {
         let mut ops = vec![Op::Syscall {
             kind: SyscallKind::ReadInput,
             buf: Some(buf),
         }];
-        for _ in 0..pad {
-            ops.push(Op::Instr(Instr::Nop));
-        }
+        ops.extend((0..pad).map(|_| Op::Instr(Instr::Nop)));
+        ops
+    })
+}
+
+/// The Dekker pattern with each thread running `prelude(theirs, buf)`
+/// before it writes its own flag.
+fn dekker_after(prelude: impl Fn(MemRef, AddrRange) -> Vec<Op>) -> Workload {
+    let a = MemRef::new(0x2000_0000, 8);
+    let b = MemRef::new(0x2000_0100, 8);
+    let side = |mine: MemRef, theirs: MemRef, buf: AddrRange| {
+        let mut ops = prelude(theirs, buf);
         ops.push(Op::Instr(Instr::MovRI { dst: Reg(0) }));
         ops.push(Op::Instr(Instr::Store {
             dst: mine,
@@ -259,93 +267,122 @@ fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {
 /// version traffic matches the live run's.
 #[test]
 fn tso_capture_replays_identically_on_both_backends() {
-    let mut any_versions = 0u64;
-    for pad in [0usize, 1, 2, 3, 5, 8] {
-        let w = dekker(pad);
-        let mut cfg =
-            MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck).with_tso();
-        cfg.collect_streams = true;
-        let live = Platform::run(&w, &cfg).metrics;
-        let streams = live.streams.clone().expect("collection enabled");
-
-        // The collected capture must carry every §5.5 annotation the live
-        // run acted on (the TSO collection fix this PR lands).
-        let produces: u64 = streams
-            .iter()
-            .flatten()
-            .map(|r| r.produce_versions.len() as u64)
-            .sum();
-        let consumes: u64 = streams
-            .iter()
-            .flatten()
-            .filter(|r| r.consume_version.is_some())
-            .count() as u64;
-        assert_eq!(produces, live.versions_produced, "pad={pad}: lost produce");
-        assert_eq!(consumes, live.versions_consumed, "pad={pad}: lost consume");
-        any_versions += produces;
-
-        // Deterministic lifeguard-only ingestion of the raw capture.
-        let det = MonitorSession::builder()
-            .source(ReplaySource::new(streams.clone(), w.heap))
-            .lifeguard(LifeguardKind::TaintCheck)
-            .backend(DeterministicBackend)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(
-            det.metrics.fingerprint, live.fingerprint,
-            "pad={pad}: deterministic ingestion diverged from the live run"
-        );
-
-        // Threaded replay of the raw capture.
-        let thr = MonitorSession::builder()
-            .source(ReplaySource::new(streams.clone(), w.heap))
-            .lifeguard(LifeguardKind::TaintCheck)
-            .backend(ThreadedBackend)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(
-            thr.metrics.fingerprint, det.metrics.fingerprint,
-            "pad={pad}: threaded replay diverged from deterministic"
-        );
-        assert_eq!(
-            violation_keys(&thr.metrics.violations),
-            violation_keys(&det.metrics.violations),
-            "pad={pad}: violations diverged"
-        );
-        assert_eq!(thr.metrics.versions_produced, live.versions_produced);
-        assert_eq!(thr.metrics.versions_consumed, live.versions_consumed);
-
-        // Threaded replay of the codec-encoded wire form, streamed in tiny
-        // chunks (the decode path must deliver annotations intact too).
-        let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
-        let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(64);
-        let wire = MonitorSession::builder()
-            .source(src)
-            .lifeguard(LifeguardKind::TaintCheck)
-            .backend(ThreadedBackend)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(
-            wire.metrics.fingerprint, det.metrics.fingerprint,
-            "pad={pad}: codec-decoded threaded replay diverged"
-        );
-        assert_eq!(
-            violation_keys(&wire.metrics.violations),
-            violation_keys(&det.metrics.violations),
-            "pad={pad}: codec-decoded violations diverged"
-        );
-    }
+    let any_versions: u64 = [0usize, 1, 2, 3, 5, 8]
+        .into_iter()
+        .map(|pad| assert_replays_like_the_live_run(&dekker(pad), &format!("pad={pad}")))
+        .sum();
     assert!(
         any_versions > 0,
         "at least one pad must manifest the SC violation, or the versioned \
          replay path went untested"
     );
+}
+
+/// A capture whose consume annotations land on records already in a ring:
+/// each thread loads the other's flag four times before it writes its own,
+/// and those loads leave staging at once (no older store of theirs is
+/// buffered), so the flag store that drains later versions them where they
+/// wait for their lifeguard. A capture that cloned records as they left
+/// staging kept only the one annotation on the staged load.
+#[test]
+fn consume_annotations_on_ring_resident_records_are_captured() {
+    let early_loads = |theirs, _| {
+        (0..4)
+            .map(|_| {
+                Op::Instr(Instr::Load {
+                    dst: Reg(2),
+                    src: theirs,
+                })
+            })
+            .collect()
+    };
+    let versions = assert_replays_like_the_live_run(&dekker_after(early_loads), "early loads");
+    assert!(versions > 1, "only the staged load was versioned");
+}
+
+/// Asserts `w`'s TSO capture carries every §5.5 annotation its live run
+/// acted on and replays like it on both backends — raw, and on
+/// `ThreadedBackend` through the codec wire form too. Returns the versions
+/// the capture produces.
+fn assert_replays_like_the_live_run(w: &Workload, case: &str) -> u64 {
+    let mut cfg =
+        MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck).with_tso();
+    cfg.collect_streams = true;
+    let live = Platform::run(w, &cfg).metrics;
+    let streams = live.streams.clone().expect("collection enabled");
+
+    // The collected capture must carry every §5.5 annotation the live
+    // run acted on.
+    let produces: u64 = streams
+        .iter()
+        .flatten()
+        .map(|r| r.produce_versions.len() as u64)
+        .sum();
+    let consumes: u64 = streams
+        .iter()
+        .flatten()
+        .filter(|r| r.consume_version.is_some())
+        .count() as u64;
+    assert_eq!(produces, live.versions_produced, "{case}: lost produce");
+    assert_eq!(consumes, live.versions_consumed, "{case}: lost consume");
+
+    // Deterministic lifeguard-only ingestion of the raw capture.
+    let det = MonitorSession::builder()
+        .source(ReplaySource::new(streams.clone(), w.heap))
+        .lifeguard(LifeguardKind::TaintCheck)
+        .backend(DeterministicBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        det.metrics.fingerprint, live.fingerprint,
+        "{case}: deterministic ingestion diverged from the live run"
+    );
+
+    // Threaded replay of the raw capture.
+    let thr = MonitorSession::builder()
+        .source(ReplaySource::new(streams.clone(), w.heap))
+        .lifeguard(LifeguardKind::TaintCheck)
+        .backend(ThreadedBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        thr.metrics.fingerprint, det.metrics.fingerprint,
+        "{case}: threaded replay diverged from deterministic"
+    );
+    assert_eq!(
+        violation_keys(&thr.metrics.violations),
+        violation_keys(&det.metrics.violations),
+        "{case}: violations diverged"
+    );
+    assert_eq!(thr.metrics.versions_produced, live.versions_produced);
+    assert_eq!(thr.metrics.versions_consumed, live.versions_consumed);
+
+    // Threaded replay of the codec-encoded wire form, streamed in tiny
+    // chunks (the decode path must deliver annotations intact too).
+    let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
+    let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(64);
+    let wire = MonitorSession::builder()
+        .source(src)
+        .lifeguard(LifeguardKind::TaintCheck)
+        .backend(ThreadedBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        wire.metrics.fingerprint, det.metrics.fingerprint,
+        "{case}: codec-decoded threaded replay diverged"
+    );
+    assert_eq!(
+        violation_keys(&wire.metrics.violations),
+        violation_keys(&det.metrics.violations),
+        "{case}: codec-decoded violations diverged"
+    );
+    produces
 }
 
 /// A consume annotation whose producer never reaches its produce point (a

@@ -24,7 +24,7 @@ use paralog::daemon::client::{Control, Producer};
 use paralog::daemon::proto::{self, AttachRequest};
 use paralog::daemon::supervisor::{Daemon, DaemonConfig};
 use paralog::events::codec::encode;
-use paralog::events::{AddrRange, EventRecord, Instr, Rid};
+use paralog::events::{AddrRange, ArcKind, DependenceArc, EventRecord, Instr, Rid, ThreadId};
 use paralog::lifeguards::{LifeguardKind, Violation};
 use paralog::workloads::{Benchmark, Workload, WorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -506,6 +506,57 @@ fn a_record_that_never_ends_fails_its_session_and_spares_its_neighbour() {
     attack.join().expect("attacker thread");
 
     let status = await_done(&daemon, neighbour_id);
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(
+        field(&status, "fingerprint"),
+        Some(format!("{fingerprint:016x}"))
+    );
+    assert_eq!(violation_keys_of(&status), violation_keys(&violations));
+    daemon.shutdown();
+}
+
+#[test]
+fn a_record_naming_a_thread_outside_its_session_fails_it_and_spares_the_pool() {
+    // Thread 1 of a 2-thread session names thread 7 as an arc source. Were
+    // the record gated, it would index the progress table out of bounds and
+    // panic a pool worker (then, on the poisoned lane lock, the next one):
+    // with two workers, no session after it would ever run.
+    let mut config = DaemonConfig::new(sock_path("oobd"), sock_path("oobc"));
+    config.workers = 2;
+    let daemon = Daemon::spawn(config).expect("daemon spawns");
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let t0: Vec<EventRecord> = (1..=4)
+        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+        .collect();
+    let mut hostile = EventRecord::instr(Rid(1), Instr::Nop);
+    hostile
+        .arcs
+        .push(DependenceArc::new(ThreadId(7), Rid(1), ArcKind::Raw));
+    let mut attacker = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("oob", LifeguardKind::TaintCheck, 2, heap),
+    )
+    .expect("attaches");
+    let hostile_id = attacker.session_id();
+    // The daemon may hang up once the session fails.
+    let _ = attacker.send_capture(&[encode(&t0), encode(&[hostile])], 64);
+    let status = await_done(&daemon, hostile_id);
+    assert_eq!(field(&status, "state").as_deref(), Some("failed"));
+    let error = field(&status, "error").expect("failed sessions carry the error");
+    assert!(
+        error.contains("malformed") && error.contains("arc source T7"),
+        "unexpected error: {error}"
+    );
+
+    let (w, encoded, fingerprint, violations) =
+        capture(Benchmark::Lu, 2, LifeguardKind::TaintCheck);
+    let mut neighbour = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("lu", LifeguardKind::TaintCheck, 2, w.heap),
+    )
+    .expect("attaches after the hostile session");
+    neighbour.send_capture(&encoded, 512).expect("streams");
+    let status = await_done(&daemon, neighbour.session_id());
     assert_eq!(field(&status, "state").as_deref(), Some("done"));
     assert_eq!(
         field(&status, "fingerprint"),

@@ -10,8 +10,8 @@
 //! * truncation mid-record is `MalformedStream`; truncation at a record
 //!   boundary that severs dependence arcs is `Deadlock`;
 //! * semantically invalid TSO annotations inside a well-framed stream
-//!   (duplicate produce, zero consumers) are `MalformedStream`, not a
-//!   worker panic;
+//!   (duplicate produce, zero consumers), and a record naming a thread
+//!   outside its session, are `MalformedStream`, not a worker panic;
 //! * transient stalls and arbitrary fragmentation change *nothing*: the
 //!   run completes with the same fingerprint and violations as a clean
 //!   transport.
@@ -206,6 +206,44 @@ fn boundary_truncation_severing_arcs_is_deadlock_on_both_backends() {
             "threaded={threaded}: deadlock took {:?}",
             started.elapsed()
         );
+    }
+}
+
+#[test]
+fn a_record_naming_a_thread_outside_its_session_is_malformed_on_both_backends() {
+    // A 2-thread capture whose thread 1 names thread 7 as an arc source, or
+    // carries a ConflictAlert copy issued by thread 9. Either would index
+    // the progress or range table out of bounds and panic the replay; the
+    // lane's input refuses the record instead.
+    let t0: Vec<EventRecord> = (1..=4)
+        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+        .collect();
+    let mut arc = EventRecord::instr(Rid(1), Instr::Nop);
+    arc.arcs
+        .push(DependenceArc::new(ThreadId(7), Rid(1), ArcKind::Raw));
+    let ca = EventRecord::ca(
+        Rid(1),
+        CaRecord {
+            what: HighLevelKind::Syscall(SyscallKind::ReadInput),
+            phase: CaPhase::Begin,
+            range: Some(AddrRange::new(HEAP.start, 64)),
+            issuer: ThreadId(9),
+            issuer_rid: Rid(3),
+            seq: 0,
+        },
+    );
+    for (rec, named) in [(arc, "arc source T7"), (ca, "ConflictAlert issuer T9")] {
+        let encoded = vec![encode(&t0), encode(&[rec])];
+        for threaded in [false, true] {
+            let err = run_faulty(&encoded, threaded, |r, _| r).err();
+            match err {
+                Some(SessionError::MalformedStream(detail)) => assert!(
+                    detail.contains("record #1") && detail.contains(named),
+                    "threaded={threaded}: unexpected detail {detail:?}"
+                ),
+                other => panic!("threaded={threaded}: expected MalformedStream, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -603,25 +603,26 @@ fn truncated_streams_are_reported_as_deadlock() {
         paralog::events::ArcKind::Raw,
     ));
     src.push(1, dependent);
-    let err = MonitorSession::builder()
-        .source(src.clone())
-        .lifeguard(LifeguardKind::TaintCheck)
-        .build()
-        .unwrap()
-        .run()
-        .err();
-    assert!(matches!(err, Some(SessionError::Deadlock(_))));
     // The threaded backend must report the same condition (after the
-    // lanes' flat-run grace window) instead of hanging forever.
-    let err = MonitorSession::builder()
-        .source(src)
-        .lifeguard(LifeguardKind::TaintCheck)
-        .backend(ThreadedBackend)
-        .build()
-        .unwrap()
-        .run()
-        .err();
-    assert!(matches!(err, Some(SessionError::Deadlock(_))));
+    // lanes' flat-run grace window) instead of hanging forever, and both
+    // name the stuck head's blocker the same way.
+    for threaded in [false, true] {
+        let builder = MonitorSession::builder()
+            .source(src.clone())
+            .lifeguard(LifeguardKind::TaintCheck);
+        let builder = if threaded {
+            builder.backend(ThreadedBackend)
+        } else {
+            builder.backend(DeterministicBackend)
+        };
+        match builder.build().unwrap().run().err() {
+            Some(SessionError::Deadlock(detail)) => assert!(
+                detail.contains("T1 gated at #1 waiting on T0 reaching #99"),
+                "threaded={threaded}: {detail}"
+            ),
+            other => panic!("threaded={threaded}: expected Deadlock, got {other:?}"),
+        }
+    }
 }
 
 #[test]

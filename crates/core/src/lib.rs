@@ -4,8 +4,8 @@
 //! This crate assembles the whole system of Figure 2:
 //!
 //! * [`MonitorSession`] composes one monitored run from pluggable seams:
-//!   an event source (simulated workload, replay of captured logs, or a
-//!   programmatic push feed), a backend (the deterministic simulator or the
+//!   an event source (simulated workload, or replay of captured logs,
+//!   buffered or decoded from a live byte stream), a backend (the deterministic simulator or the
 //!   real-thread executor), and any lifeguard — bundled shorthand, registry
 //!   name, or an out-of-tree [`LifeguardFactory`](paralog_lifeguards::LifeguardFactory);
 //! * [`Platform::run`] — a thin shim over a workload session — simulates a
@@ -59,7 +59,6 @@ pub use session::coop::{CoopLane, CoopSession, LaneSet, LaneStep, LANE_BUDGET};
 pub use session::pool::{PoolCounters, PoolTask, TaskPoll, WorkerPool};
 pub use session::{
     Backend, BackendMode, BufferedStream, DeterministicBackend, EventSource, FaultyReader,
-    LivePushSource, MonitorSession, MonitorSessionBuilder, PushFeed, PushRefused, PushSource,
-    RecordStream, ReplaySource, SessionError, SessionPlan, SourceInput, SourceStats, StreamStatus,
-    StreamingReplaySource, ThreadedBackend,
+    MonitorSession, MonitorSessionBuilder, RecordStream, ReplaySource, SessionError, SessionPlan,
+    SourceInput, SourceStats, StreamStatus, StreamingReplaySource, ThreadedBackend,
 };

@@ -313,14 +313,17 @@ fn replay_streams(
 
 /// The real-thread backend: the daemon's pool, in process — one task per
 /// stream sweeping the streams' [`LaneSet`] on a [`WorkerPool`] of
-/// `min(streams, processors)` workers. A worker's panic is resumed.
+/// `min(streams, processors)` workers. A lane that panics fails the run
+/// with [`SessionError::LanePanicked`]; a panic elsewhere in a worker is
+/// resumed.
 ///
 /// A stream whose reader *blocks* holds its lane, and the worker stepping
 /// it, for the length of the read. With fewer processors than streams give
 /// the source non-blocking readers (`WouldBlock` surfaces as
 /// [`Blocked`](super::StreamStatus::Blocked) and the worker moves on), or a
 /// producer that writes its streams in turn can wait on a lane no worker is
-/// free to read.
+/// free to read. An in-process live producer writes into the daemon
+/// crate's `ByteFeed`, whose reader never blocks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedBackend;
 

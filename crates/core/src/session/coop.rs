@@ -54,6 +54,11 @@
 //! deterministically: `Exhausted` at a record boundary with no dangling
 //! arcs drains clean; severed arcs fail within the `COOP_SEVERED_GRACE`
 //! window.
+//!
+//! A lane step that panics (a lifeguard's `apply`, a stream's pull) is
+//! caught by the sweep with the lane's lock still held, so nothing is
+//! poisoned: the session fails with [`SessionError::LanePanicked`], that
+//! lane finishes, and the driver goes on serving other sessions.
 
 use super::source::{LaneInput, RecordStream, Refill};
 use super::{produce_versions, stuck_head, Blocker, SessionError};
@@ -61,6 +66,7 @@ use crate::metrics::RunMetrics;
 use paralog_events::{AddrRange, ThreadId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{replay_gate, CaPolicy, CachePadded, Gate, RangeTable, SharedProgressTable};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
@@ -570,6 +576,22 @@ impl CoopLane {
         }
     }
 
+    /// Fails the session on a step that panicked with `payload`, and ends
+    /// the lane.
+    fn panicked(&mut self, payload: &(dyn std::any::Any + Send)) {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string panic payload");
+        self.shared.fail(SessionError::LanePanicked {
+            tid: self.tid,
+            // The daemon reports errors one per line.
+            message: message.replace('\n', " "),
+        });
+        self.finish();
+    }
+
     /// Terminal transition, runs exactly once: counts the ending step's
     /// deliveries and, as the last lane out, composes the session report.
     fn finish(&mut self) {
@@ -630,9 +652,11 @@ impl LaneSet {
     /// set delivered nothing. [`CoopSession::is_complete`] says when there
     /// is nothing left to come back for.
     ///
+    /// A step that panics fails the session (see the module docs).
+    ///
     /// # Panics
     ///
-    /// Panics on an empty set, and on a lane whose worker panicked.
+    /// Panics on an empty set.
     pub fn sweep(&self, home: usize, budget: usize) -> usize {
         let budget = budget.max(1);
         let mut total = 0;
@@ -643,8 +667,16 @@ impl LaneSet {
             let (mut delivered, mut stay) = (0, false);
             match self.lanes[at].try_lock() {
                 Ok(mut lane) if !lane.done => {
-                    stay = lane.advance(budget - total) == LaneStep::Progressed;
-                    delivered = lane.delivered;
+                    // Caught while the guard is held: the lock stays clean.
+                    match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        lane.advance(budget - total)
+                    })) {
+                        Ok(step) => {
+                            stay = step == LaneStep::Progressed;
+                            delivered = lane.delivered;
+                        }
+                        Err(payload) => lane.panicked(&*payload),
+                    }
                 }
                 // Terminal already, or a peer driver is on it.
                 Ok(_) | Err(TryLockError::WouldBlock) => {}

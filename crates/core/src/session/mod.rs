@@ -3,12 +3,12 @@
 //! [`MonitorSession`] replaces the closed `Platform::run(workload, config)`
 //! batch call with a builder over three pluggable seams:
 //!
-//! * **event sources** ([`EventSource`]) — the simulated workload, replay of
-//!   pre-captured streams (buffered, or decoded incrementally from the codec
-//!   wire form with bounded memory via [`StreamingReplaySource`]), or a
-//!   programmatic push feed (buffered, or bounded and back-pressured).
-//!   Sources resolve to per-thread [`RecordStream`]s pulled batch-by-batch —
-//!   see [`source`](module@crate::session::source) for the
+//! * **event sources** ([`EventSource`]) — the simulated workload, or replay
+//!   of pre-captured streams: buffered ([`ReplaySource`]), or decoded
+//!   incrementally from the codec wire form with bounded memory
+//!   ([`StreamingReplaySource`], also the live path). Sources resolve to
+//!   per-thread [`RecordStream`]s pulled batch-by-batch — see
+//!   [`source`](module@crate::session::source) for the
 //!   yielded/blocked/exhausted protocol;
 //! * **backends** ([`Backend`]) — the deterministic discrete-event simulator
 //!   or the real-thread executor on `paralogd`'s [`WorkerPool`](pool::WorkerPool);
@@ -47,9 +47,8 @@ pub mod source;
 pub use backend::{Backend, BackendMode, DeterministicBackend, ThreadedBackend};
 pub use fault::FaultyReader;
 pub use source::{
-    BufferedStream, EventSource, LivePushSource, PushFeed, PushRefused, PushSource, RecordStream,
-    ReplaySource, SourceInput, SourceStats, StreamStatus, StreamingReplaySource,
-    DEFAULT_CHUNK_BYTES,
+    BufferedStream, EventSource, RecordStream, ReplaySource, SourceInput, SourceStats,
+    StreamStatus, StreamingReplaySource, DEFAULT_CHUNK_BYTES,
 };
 
 pub(crate) use backend::run_platform;
@@ -81,6 +80,14 @@ pub enum SessionError {
     /// (corrupt wire data, a transport truncated mid-record, or a failing
     /// reader).
     MalformedStream(String),
+    /// A replay lane panicked while stepping thread `tid` (in the analysis,
+    /// or in the stream's pull); `message` is the panic's, on one line.
+    LanePanicked {
+        /// The thread whose lane panicked.
+        tid: paralog_events::ThreadId,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -97,6 +104,9 @@ impl fmt::Display for SessionError {
             }
             SessionError::MalformedStream(detail) => {
                 write!(f, "malformed event stream: {detail}")
+            }
+            SessionError::LanePanicked { tid, message } => {
+                write!(f, "replay lane {tid} panicked: {message}")
             }
         }
     }

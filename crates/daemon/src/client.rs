@@ -95,8 +95,15 @@ impl Producer {
 
     /// Convenience: streams a whole pre-encoded capture (one wire stream
     /// per thread, as [`paralog_events::codec::encode`] produces),
-    /// interleaving `chunk`-byte frames round-robin across threads — the
-    /// shape a live multi-core producer generates — then finishes.
+    /// interleaving `chunk`-byte frames round-robin across threads, then
+    /// finishes.
+    ///
+    /// Byte-chunked round-robin is not a causal order. A lane can park on a
+    /// record whose arc source is still in the socket while the session is
+    /// over its buffering cap; the pump then stops reading the connection
+    /// and this call never returns (`benchmark/FINDINGS.md`, finding 3).
+    /// Keep whole captures under the cap, or cut frames on record
+    /// boundaries in a causal order.
     ///
     /// # Errors
     ///

@@ -8,6 +8,27 @@
 //! spills to the heap beyond that, making the common capture/deliver cycle
 //! allocation-free.
 //!
+//! # Why the slots stay inline
+//!
+//! The inline slots are most of `EventRecord`'s size, and moving them out of
+//! line was measured. With `ArcList` and `ProduceList` as plain `Vec`s,
+//! every call site compiled unchanged, the release test suite passed, and
+//! `size_of::<EventRecord>()` fell from 240 to 152 B. The end-to-end
+//! benchmark (two processors, alternated pairs, inline | `Vec`) then split
+//! by workload:
+//!
+//! * `taint_sat` (0.36 arcs per 1000 records, 3 pairs) gained:
+//!   `records_per_s` 11.81 12.24 12.67 | 13.19 14.09 13.57 M (median
+//!   +11 %), `peak_rss_mb` 203–205 → 142.
+//! * `arc_storm` (968 arcs per 1000 records, 5 pairs) lost, because nearly
+//!   every decoded record then allocates: `records_per_s` 4.68 4.39 4.31
+//!   4.62 4.45 | 3.85 3.70 3.64 3.71 3.63 M (median −17 %), `drain_ms`
+//!   26.4 26.8 27.6 26.6 26.8 | 32.3 33.8 34.4 33.1 33.0 (median +24 %,
+//!   against a 25 % bound), `detect_latency_p50_ms` median 28.6 → 34.1.
+//!
+//! So a smaller record is worth having only in a form that does not cost
+//! an allocation per decoded record.
+//!
 //! The element type must be `Copy + Default`: events are plain-old-data,
 //! and the inline buffer is a plain `[T; N]` whose unused tail holds
 //! `T::default()` fillers that are never read — no `unsafe` anywhere.

@@ -4,21 +4,24 @@
 //! form, then monitors them three ways and checks all agree:
 //!
 //! 1. buffered `ReplaySource` (the baseline: whole streams in memory);
-//! 2. `StreamingReplaySource` — decode-as-you-go from byte readers with a
-//!    4 KiB chunk cap — on the deterministic backend;
+//! 2. `StreamingReplaySource` — decode-as-you-go from byte readers, one
+//!    8 KiB transport chunk at a time — on the deterministic backend;
 //! 3. the same streaming source on the real-thread backend;
 //!
-//! and finally drives a live, back-pressured `PushSource::bounded` feed
-//! from a producer thread. Run with `cargo run --release --example
+//! and finally drives a live session from a producer thread writing into a
+//! `ByteFeed`, back-pressured on the session's buffered bytes the way
+//! `paralogd`'s pump is. Run with `cargo run --release --example
 //! streaming_ingestion`.
 
+use paralog::core::session::DEFAULT_CHUNK_BYTES;
 use paralog::core::{MonitorConfig, MonitoringMode, Platform};
-use paralog::core::{
-    MonitorSession, PushSource, ReplaySource, StreamingReplaySource, ThreadedBackend,
-};
+use paralog::core::{MonitorSession, ReplaySource, StreamingReplaySource, ThreadedBackend};
+use paralog::daemon::transport::{ByteFeed, SessionBuffer};
 use paralog::events::codec::encode;
+use paralog::events::{EventRecord, Instr, MemRef, Reg, Rid};
 use paralog::lifeguards::LifeguardKind;
 use paralog::workloads::{Benchmark, WorkloadSpec};
+use std::sync::Arc;
 
 fn main() {
     // 1. Capture + compress.
@@ -48,10 +51,8 @@ fn main() {
         .run()
         .unwrap();
 
-    // 3. Streaming, deterministic backend, 4 KiB cap.
-    const CAP: usize = 4096;
-    let src =
-        StreamingReplaySource::from_encoded(encoded.clone(), workload.heap).with_chunk_bytes(CAP);
+    // 3. Streaming, deterministic backend.
+    let src = StreamingReplaySource::from_encoded(encoded.clone(), workload.heap);
     let stats = src.stats();
     let streamed = MonitorSession::builder()
         .source(src)
@@ -61,19 +62,19 @@ fn main() {
         .run()
         .unwrap();
     println!(
-        "streamed (deterministic): fingerprint match: {}, peak decode residency {} B of {} wire B (cap {} B)",
+        "streamed (deterministic): fingerprint match: {}, peak decode residency {} B of {} wire B (chunk {} B)",
         streamed.metrics.fingerprint == buffered.metrics.fingerprint,
         stats.peak_buffered_bytes(),
         wire_bytes,
-        CAP,
+        DEFAULT_CHUNK_BYTES,
     );
     assert!(
-        stats.peak_buffered_bytes() <= 2 * CAP,
+        stats.peak_buffered_bytes() <= 2 * DEFAULT_CHUNK_BYTES,
         "residency blew the cap"
     );
 
     // 4. Streaming, real-thread backend.
-    let src = StreamingReplaySource::from_encoded(encoded, workload.heap).with_chunk_bytes(CAP);
+    let src = StreamingReplaySource::from_encoded(encoded, workload.heap);
     let threaded = MonitorSession::builder()
         .source(src)
         .lifeguard(LifeguardKind::TaintCheck)
@@ -88,35 +89,58 @@ fn main() {
         threaded.metrics.dependence_stalls,
     );
 
-    // 5. A live feed: the producer thread pushes through a capacity-64
-    // channel and is throttled whenever the monitor falls behind.
+    // 5. A live feed: the producer thread writes the wire bytes of a
+    // 20 000-record stream into a `ByteFeed` and waits whenever the session
+    // holds more than 4 KiB it has not read yet.
+    const CAP: usize = 4096;
     let heap = workload.heap;
-    let (mut feed, source) = PushSource::bounded(1, heap, 64);
-    let producer = std::thread::spawn(move || {
-        use paralog::events::{EventRecord, Instr, MemRef, Reg, Rid};
-        for i in 0..20_000u64 {
-            let rec = EventRecord::instr(
+    let live: Vec<EventRecord> = (0..20_000u64)
+        .map(|i| {
+            EventRecord::instr(
                 Rid(i + 1),
                 Instr::Load {
                     dst: Reg::new((i % 8) as u8),
                     src: MemRef::new(heap.start + (i % 512) * 8, 8),
                 },
-            );
-            feed.push(0, rec).expect("session alive");
+            )
+        })
+        .collect();
+    let wire = encode(&live);
+    let total = Arc::new(SessionBuffer::default());
+    let (writer, reader) = ByteFeed::pair(Arc::clone(&total));
+    let producer = std::thread::spawn(move || {
+        let mut waits = 0u32;
+        for piece in wire.chunks(512) {
+            while total.bytes() > CAP {
+                waits += 1;
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            }
+            writer.write(piece);
         }
+        // Dropping the writer ends the stream.
+        waits
     });
     let online = MonitorSession::builder()
-        .source(source)
+        .source(StreamingReplaySource::new(vec![Box::new(reader)], heap))
         .lifeguard(LifeguardKind::TaintCheck)
         .build()
         .unwrap()
         .run()
         .unwrap();
-    producer.join().expect("producer");
+    let waits = producer.join().expect("producer");
     println!(
-        "live push feed          : {} records monitored online through a 64-record channel",
-        online.metrics.records
+        "live byte feed          : {} records monitored online, the producer waited {} times on the {} B cap",
+        online.metrics.records, waits, CAP
     );
+    let reference = MonitorSession::builder()
+        .source(ReplaySource::new(vec![live], heap))
+        .lifeguard(LifeguardKind::TaintCheck)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(online.metrics.records, reference.metrics.records);
+    assert_eq!(online.metrics.fingerprint, reference.metrics.fingerprint);
 
     assert_eq!(streamed.metrics.fingerprint, buffered.metrics.fingerprint);
     assert_eq!(threaded.metrics.fingerprint, buffered.metrics.fingerprint);

@@ -99,7 +99,7 @@ fn wire_replay_matches_raw_analysis_and_pays_transport() {
         .unwrap()
         .metrics;
     let wire = MonitorSession::builder()
-        .source(StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(512))
+        .source(StreamingReplaySource::from_encoded(encoded, w.heap))
         .lifeguard(LifeguardKind::TaintCheck)
         .backend(DeterministicBackend)
         .build()

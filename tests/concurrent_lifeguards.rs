@@ -14,6 +14,8 @@
 //!   lock-free fast paths converge to the sequential analyses' metadata
 //!   and never double-report.
 
+mod common;
+
 use paralog::core::{
     DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, ReplaySource,
     SessionError, StreamingReplaySource, ThreadedBackend,
@@ -249,9 +251,9 @@ fn sc_captures_replay_identically_on_both_backends() {
             "{kind}/{bench}: threaded replay diverged on violations"
         );
 
-        // Threaded replay of the codec wire form, streamed in small chunks.
+        // Threaded replay of the codec wire form, read a few bytes at a time.
         let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
-        let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(256);
+        let src = StreamingReplaySource::new(common::short_reads(encoded), w.heap);
         let wire = MonitorSession::builder()
             .source(src)
             .lifeguard(kind)
@@ -364,7 +366,7 @@ fn dekker_tso_capture_replays_identically_on_both_backends(kind: LifeguardKind) 
         assert_eq!(thr.metrics.versions_consumed, live.versions_consumed);
 
         let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
-        let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(64);
+        let src = StreamingReplaySource::new(common::short_reads(encoded), w.heap);
         let wire = MonitorSession::builder()
             .source(src)
             .lifeguard(kind)
@@ -606,7 +608,10 @@ fn lockset_race_capture_agrees_across_backends() {
     // Codec wire form through the threaded backend.
     let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
     let wire = MonitorSession::builder()
-        .source(StreamingReplaySource::from_encoded(encoded, heap).with_chunk_bytes(32))
+        .source(StreamingReplaySource::new(
+            common::short_reads(encoded),
+            heap,
+        ))
         .lifeguard(LifeguardKind::LockSet)
         .backend(ThreadedBackend)
         .build()
@@ -711,7 +716,10 @@ fn happensbefore_race_capture_agrees_across_backends() {
     // Codec wire form through the threaded backend.
     let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
     let wire = MonitorSession::builder()
-        .source(StreamingReplaySource::from_encoded(encoded, heap).with_chunk_bytes(32))
+        .source(StreamingReplaySource::new(
+            common::short_reads(encoded),
+            heap,
+        ))
         .lifeguard(LifeguardKind::HappensBefore)
         .backend(ThreadedBackend)
         .build()

@@ -18,6 +18,8 @@
 //!   threaded replay loudly (the gated consumer lane's flat-run
 //!   detector) instead of hanging or silently bypassing.
 
+mod common;
+
 use paralog::core::{
     DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, ReplaySource,
     SessionError, StreamingReplaySource, ThreadedBackend,
@@ -361,10 +363,10 @@ fn assert_replays_like_the_live_run(w: &Workload, case: &str) -> u64 {
     assert_eq!(thr.metrics.versions_produced, live.versions_produced);
     assert_eq!(thr.metrics.versions_consumed, live.versions_consumed);
 
-    // Threaded replay of the codec-encoded wire form, streamed in tiny
-    // chunks (the decode path must deliver annotations intact too).
+    // Threaded replay of the codec-encoded wire form, read a few bytes at a
+    // time (the decode path must deliver annotations intact too).
     let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
-    let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(64);
+    let src = StreamingReplaySource::new(common::short_reads(encoded), w.heap);
     let wire = MonitorSession::builder()
         .source(src)
         .lifeguard(LifeguardKind::TaintCheck)

@@ -5,8 +5,8 @@
 //!
 //! * two *concurrent* sessions with different lifeguards, each fed by its
 //!   own producer process-alike over the data socket, finish with
-//!   fingerprints and violations **identical** to in-process
-//!   `ReplaySource` runs of the same captures;
+//!   fingerprints and violations **identical** to in-process replays of
+//!   the same captures;
 //! * a session detached while its producer is mid-stream drains what
 //!   arrived and reports partial (but valid) metrics;
 //! * a stalled producer on session A never delays session B (shared-pool
@@ -14,23 +14,29 @@
 //!   `WouldBlock` → `Blocked` path while stalled;
 //! * a malformed handshake and mid-stream corruption surface as errors on
 //!   the control surface without taking the daemon down;
+//! * an analysis that panics fails its own session, naming the panic, and
+//!   costs the pool no worker;
 //! * graceful shutdown drains live sessions to partial metrics — no
 //!   hangs, no poisoned locks.
 
 #![cfg(unix)]
 
-use paralog::core::{MonitorConfig, MonitorSession, MonitoringMode, Platform, ReplaySource};
+use paralog::core::{
+    MonitorConfig, MonitorSession, MonitoringMode, Platform, StreamingReplaySource,
+};
 use paralog::daemon::client::{Control, Producer};
 use paralog::daemon::proto::{self, AttachRequest};
 use paralog::daemon::supervisor::{Daemon, DaemonConfig};
 use paralog::events::codec::encode;
 use paralog::events::{AddrRange, ArcKind, DependenceArc, EventRecord, Instr, Rid, ThreadId};
-use paralog::lifeguards::{LifeguardKind, Violation};
+use paralog::lifeguards::{
+    ConcurrentLifeguard, LifeguardFactory, LifeguardFamily, LifeguardKind, VersionedMeta, Violation,
+};
 use paralog::workloads::{Benchmark, Workload, WorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Unique, short socket paths (the `sun_path` limit is ~108 bytes).
@@ -152,7 +158,7 @@ fn two_concurrent_sessions_match_in_process_replay() {
 
     // In-process references over the same encoded bytes.
     let ref_a = MonitorSession::builder()
-        .source(ReplaySource::from_encoded(&enc_a, wa.heap).expect("valid capture"))
+        .source(StreamingReplaySource::from_encoded(enc_a.clone(), wa.heap))
         .lifeguard(LifeguardKind::TaintCheck)
         .build()
         .unwrap()
@@ -563,6 +569,103 @@ fn a_record_naming_a_thread_outside_its_session_fails_it_and_spares_the_pool() {
         Some(format!("{fingerprint:016x}"))
     );
     assert_eq!(violation_keys_of(&status), violation_keys(&violations));
+    daemon.shutdown();
+}
+
+/// TAINTCHECK whose concurrent form panics on the session's 100th record.
+#[derive(Debug)]
+struct PanicsInApply;
+
+#[derive(Debug)]
+struct Bomb {
+    inner: Box<dyn ConcurrentLifeguard>,
+    applied: AtomicU64,
+}
+
+impl ConcurrentLifeguard for Bomb {
+    fn apply(&self, tid: ThreadId, rec: &EventRecord, versioned: Option<&VersionedMeta>) {
+        let n = self.applied.fetch_add(1, Ordering::Relaxed);
+        assert!(n < 100, "the analysis blew up");
+        self.inner.apply(tid, rec, versioned);
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.inner.fingerprint()
+    }
+
+    fn violations(&self) -> Vec<Violation> {
+        self.inner.violations()
+    }
+}
+
+impl LifeguardFactory for PanicsInApply {
+    fn name(&self) -> &str {
+        "panics-in-apply"
+    }
+
+    fn build(&self, heap: AddrRange) -> LifeguardFamily {
+        LifeguardKind::TaintCheck.build(heap)
+    }
+
+    fn concurrent(&self, heap: AddrRange, threads: usize) -> Option<Box<dyn ConcurrentLifeguard>> {
+        Some(Box::new(Bomb {
+            inner: LifeguardKind::TaintCheck.concurrent(heap, threads)?,
+            applied: AtomicU64::new(0),
+        }))
+    }
+}
+
+#[test]
+fn a_panicking_analysis_fails_its_session_and_keeps_the_pool() {
+    // Two workers. Were the panic to unwind out of the sweep, it would take
+    // the worker with it and poison the lane's lock, and the next sweep of
+    // that session would take the other: nothing after it would ever run.
+    let mut config = DaemonConfig::new(sock_path("bombd"), sock_path("bombc"));
+    config.workers = 2;
+    config.registry.register(PanicsInApply);
+    let daemon = Daemon::spawn(config).expect("daemon spawns");
+    let (w, encoded, fingerprint, violations) =
+        capture(Benchmark::Lu, 2, LifeguardKind::TaintCheck);
+
+    let mut request = attach_request("bomb", LifeguardKind::TaintCheck, 2, w.heap);
+    request.lifeguard = PanicsInApply.name().into();
+    let mut bomb = Producer::attach(daemon.data_socket(), &request).expect("attaches");
+    let mut neighbour = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("lu", LifeguardKind::TaintCheck, 2, w.heap),
+    )
+    .expect("attaches");
+    // The daemon may hang up once the session fails.
+    let _ = bomb.send_capture(&encoded, 512);
+    neighbour.send_capture(&encoded, 512).expect("streams");
+
+    let status = await_done(&daemon, bomb.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("failed"));
+    let error = field(&status, "error").expect("failed sessions carry the error");
+    assert!(
+        error.contains("panicked") && error.contains("the analysis blew up"),
+        "unexpected error: {error}"
+    );
+
+    let status = await_done(&daemon, neighbour.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(
+        field(&status, "fingerprint"),
+        Some(format!("{fingerprint:016x}"))
+    );
+    assert_eq!(violation_keys_of(&status), violation_keys(&violations));
+
+    let (heap, later) = independent_capture(2, 500);
+    let mut after = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("after", LifeguardKind::TaintCheck, 2, heap),
+    )
+    .expect("attaches after the panic");
+    after.send_capture(&later, 256).expect("streams");
+    let status = await_done(&daemon, after.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(field(&status, "records").as_deref(), Some("1000"));
+    assert_eq!(pool_counters(&daemon)["workers"], 2);
     daemon.shutdown();
 }
 

@@ -50,7 +50,7 @@ fn run_faulty(
             Box::new(configure(reader, i)) as Box<dyn Read + Send>
         })
         .collect();
-    let src = StreamingReplaySource::new(readers, HEAP).with_chunk_bytes(64);
+    let src = StreamingReplaySource::new(readers, HEAP);
     let builder = MonitorSession::builder()
         .source(src)
         .lifeguard(LifeguardKind::TaintCheck);
@@ -383,7 +383,7 @@ fn transient_stalls_and_fragmentation_change_nothing() {
                 ) as Box<dyn Read + Send>
             })
             .collect();
-        let src = StreamingReplaySource::new(readers, w.heap).with_chunk_bytes(64);
+        let src = StreamingReplaySource::new(readers, w.heap);
         let builder = MonitorSession::builder()
             .source(src)
             .lifeguard(LifeguardKind::TaintCheck);

@@ -15,8 +15,8 @@
 
 use paralog::core::{
     Backend, BufferedStream, CoopSession, DeterministicBackend, LaneStep, MonitorConfig,
-    MonitorSession, MonitoringMode, Platform, PushSource, RecordStream, Reference, ReplaySource,
-    RunMetrics, SessionError, ThreadedBackend,
+    MonitorSession, MonitoringMode, Platform, RecordStream, Reference, ReplaySource, RunMetrics,
+    SessionError, StreamingReplaySource, ThreadedBackend,
 };
 use paralog::events::codec::encode;
 use paralog::events::{
@@ -332,7 +332,7 @@ fn replay_source_reproduces_live_capture() {
     // The same streams through the codec wire form.
     let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
     let decoded = MonitorSession::builder()
-        .source(ReplaySource::from_encoded(&encoded, w.heap).expect("lossless codec"))
+        .source(StreamingReplaySource::from_encoded(encoded, w.heap))
         .lifeguard(LifeguardKind::TaintCheck)
         .build()
         .unwrap()
@@ -354,13 +354,13 @@ fn replay_source_reproduces_live_capture() {
 
 #[test]
 fn push_source_feeds_an_online_session() {
+    use paralog::daemon::transport::ByteFeed;
+
     let heap = AddrRange::new(0x1000_0000, 0x1000);
     let buf = AddrRange::new(0x1000_0000, 16);
-    let mut src = PushSource::new(1, heap);
     // An online feed: unverified input arrives, flows into a register, and
     // is used as a jump target.
-    src.push(
-        0,
+    let records = [
         EventRecord::ca(
             Rid(1),
             CaRecord {
@@ -372,28 +372,39 @@ fn push_source_feeds_an_online_session() {
                 seq: u64::MAX,
             },
         ),
-    );
-    src.emit(
-        0,
-        Instr::Load {
-            dst: Reg::new(0),
-            src: MemRef::new(buf.start, 4),
-        },
-    );
-    src.emit(
-        0,
-        Instr::JmpReg {
-            target: Reg::new(0),
-        },
-    );
+        EventRecord::instr(
+            Rid(2),
+            Instr::Load {
+                dst: Reg::new(0),
+                src: MemRef::new(buf.start, 4),
+            },
+        ),
+        EventRecord::instr(
+            Rid(3),
+            Instr::JmpReg {
+                target: Reg::new(0),
+            },
+        ),
+    ];
+    // The producer pushes the wire bytes a few at a time while the session
+    // runs; dropping the writer ends the stream.
+    let wire = encode(&records);
+    let (writer, reader) = ByteFeed::pair(std::sync::Arc::default());
+    let producer = std::thread::spawn(move || {
+        for piece in wire.chunks(3) {
+            writer.write(piece);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    });
 
     let out = MonitorSession::builder()
-        .source(src)
+        .source(StreamingReplaySource::new(vec![Box::new(reader)], heap))
         .lifeguard(LifeguardKind::TaintCheck)
         .build()
         .unwrap()
         .run()
         .unwrap();
+    producer.join().expect("producer");
     assert_eq!(out.metrics.records, 3);
     assert_eq!(out.metrics.violations.len(), 1);
     assert_eq!(out.metrics.violations[0].kind, ViolationKind::TaintedJump);
@@ -494,12 +505,10 @@ fn syscall_race_violations_agree_across_backends() {
             },
         )
     };
-    let mut src = PushSource::new(2, heap);
     // Thread 0's stream: the broadcast CA window around a racing load, and
     // a jump consuming the (conservatively tainted) loaded value.
-    src.push(0, ca(CaPhase::Begin, 1));
-    src.push(
-        0,
+    let t0 = vec![
+        ca(CaPhase::Begin, 1),
         EventRecord::instr(
             Rid(2),
             Instr::Load {
@@ -507,20 +516,17 @@ fn syscall_race_violations_agree_across_backends() {
                 src: MemRef::new(buf.start + 4, 4),
             },
         ),
-    );
-    src.push(0, ca(CaPhase::End, 3));
-    src.push(
-        0,
+        ca(CaPhase::End, 3),
         EventRecord::instr(
             Rid(4),
             Instr::JmpReg {
                 target: Reg::new(0),
             },
         ),
-    );
+    ];
     // Thread 1's stream: its own copies of the CA records.
-    src.push(1, ca(CaPhase::Begin, 1));
-    src.push(1, ca(CaPhase::End, 2));
+    let t1 = vec![ca(CaPhase::Begin, 1), ca(CaPhase::End, 2)];
+    let src = ReplaySource::new(vec![t0, t1], heap);
 
     let det = MonitorSession::builder()
         .source(src.clone())
@@ -588,8 +594,6 @@ fn truncated_streams_are_reported_as_deadlock() {
     // Thread 1's record depends on a producer record that never appears
     // (truncated capture): ingestion must fail loudly, not hang.
     let heap = AddrRange::new(0x1000_0000, 0x1000);
-    let mut src = PushSource::new(2, heap);
-    src.emit(0, Instr::Nop);
     let mut dependent = EventRecord::instr(
         Rid(1),
         Instr::Load {
@@ -602,7 +606,13 @@ fn truncated_streams_are_reported_as_deadlock() {
         Rid(99),
         paralog::events::ArcKind::Raw,
     ));
-    src.push(1, dependent);
+    let src = ReplaySource::new(
+        vec![
+            vec![EventRecord::instr(Rid(1), Instr::Nop)],
+            vec![dependent],
+        ],
+        heap,
+    );
     // The threaded backend must report the same condition (after the
     // lanes' flat-run grace window) instead of hanging forever, and both
     // name the stuck head's blocker the same way.
@@ -895,23 +905,57 @@ impl LifeguardFactory for PanicsInApply {
     }
 }
 
-#[test]
-fn a_panicking_analysis_panics_out_of_threaded_run() {
+/// Runs `source` under [`PanicsInApply`] on the threaded backend and
+/// returns the run's error, failing if the run panics, hangs or succeeds.
+fn threaded_run_error(source: impl paralog::core::EventSource + Send + 'static) -> SessionError {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let run = std::panic::catch_unwind(|| {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             MonitorSession::builder()
-                .source(workload(Benchmark::Lu, 2))
+                .source(source)
                 .lifeguard_factory(PanicsInApply)
                 .backend(ThreadedBackend)
                 .build()
                 .unwrap()
                 .run()
-        });
-        let _ = tx.send(run.is_err());
+                .map(|out| out.metrics.records)
+        }));
+        let _ = tx.send(run);
     });
-    let panicked = rx
+    let run = rx
         .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("a panicked worker must not hang the run");
-    assert!(panicked, "the worker's panic must reach the caller");
+        .expect("a panicking lane must not hang the run");
+    match run {
+        Ok(Err(err)) => err,
+        Ok(Ok(records)) => panic!("the run succeeded with {records} records"),
+        Err(_) => panic!("the lane's panic escaped the run"),
+    }
+}
+
+#[test]
+fn a_panicking_analysis_fails_the_threaded_run() {
+    // One lane, then a two-lane workload: either way the lane's panic comes
+    // back as the run's error, naming the thread and the message.
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let one_lane = ReplaySource::new(
+        vec![(1..=200)
+            .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+            .collect()],
+        heap,
+    );
+    let errors = [
+        (1, threaded_run_error(one_lane)),
+        (2, threaded_run_error(workload(Benchmark::Lu, 2))),
+    ];
+    for (lanes, err) in errors {
+        let SessionError::LanePanicked { tid, message } = &err else {
+            panic!("{lanes} lanes: expected LanePanicked, got {err:?}");
+        };
+        assert!(tid.index() < lanes, "{lanes} lanes: {tid}");
+        assert!(
+            message.contains("the analysis blew up") && !message.contains('\n'),
+            "{lanes} lanes: {message:?}"
+        );
+        assert!(err.to_string().contains("panicked"), "{err}");
+    }
 }

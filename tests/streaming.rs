@@ -5,20 +5,23 @@
 //! * streaming a codec-encoded log through `StreamingReplaySource` on both
 //!   backends produces fingerprints and violations **identical** to the
 //!   buffered `ReplaySource` path;
-//! * source-side resident buffering stays within the configured chunk
-//!   budget even for large streams (asserted against the source's
-//!   high-water stats);
+//! * source-side resident buffering stays within two transport chunks even
+//!   for large streams (asserted against the source's high-water stats);
 //! * the incremental decoder is split-point oblivious (property test over
 //!   random chunkings);
 //! * a stream truncated at a record boundary still reports `Deadlock`
 //!   rather than hanging, on both backends; one truncated mid-record
 //!   reports `MalformedStream`;
-//! * a bounded, back-pressured push feed drives a live session from a
-//!   producer thread and matches the equivalent buffered run.
+//! * a producer thread writing into `ByteFeed`s, waiting while the
+//!   session's buffered bytes are over a cap, drives a live session on both
+//!   backends and matches the equivalent buffered run.
 
+mod common;
+
+use paralog::core::session::DEFAULT_CHUNK_BYTES;
 use paralog::core::{
-    DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, PushSource,
-    ReplaySource, SessionError, StreamingReplaySource, ThreadedBackend,
+    DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, ReplaySource,
+    SessionError, StreamingReplaySource, ThreadedBackend,
 };
 use paralog::events::codec::{encode, StreamDecoder};
 use paralog::events::{
@@ -71,8 +74,8 @@ fn streaming_replay_matches_buffered_on_both_backends() {
         .unwrap();
     assert_eq!(buffered.metrics.fingerprint, live_fp);
 
-    // Streaming through the deterministic backend, small chunks.
-    let src = StreamingReplaySource::from_encoded(encoded.clone(), w.heap).with_chunk_bytes(512);
+    // Streaming through the deterministic backend.
+    let src = StreamingReplaySource::from_encoded(encoded.clone(), w.heap);
     let stats = src.stats();
     let det = MonitorSession::builder()
         .source(src)
@@ -89,13 +92,13 @@ fn streaming_replay_matches_buffered_on_both_backends() {
         violation_keys(&live_violations)
     );
     assert!(
-        stats.peak_buffered_bytes() <= 2 * 512,
-        "decode residency {} blew the 512-byte chunk budget",
+        stats.peak_buffered_bytes() <= 2 * DEFAULT_CHUNK_BYTES,
+        "decode residency {} blew the two-chunk budget",
         stats.peak_buffered_bytes()
     );
 
-    // Streaming through the real-thread backend.
-    let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(512);
+    // Streaming through the real-thread backend, a few bytes per read.
+    let src = StreamingReplaySource::new(common::short_reads(encoded), w.heap);
     let thr = MonitorSession::builder()
         .source(src)
         .lifeguard(LifeguardKind::TaintCheck)
@@ -113,8 +116,8 @@ fn streaming_replay_matches_buffered_on_both_backends() {
 
 #[test]
 fn large_stream_stays_within_memory_cap() {
-    // ~200k records in one thread: far larger than the 4 KiB cap, so the
-    // bound only holds if decoding is genuinely incremental.
+    // ~200k records in one thread: far larger than the transport chunk, so
+    // the bound only holds if decoding is genuinely incremental.
     let n = 200_000u64;
     let stream: Vec<EventRecord> = (0..n)
         .map(|i| {
@@ -129,10 +132,13 @@ fn large_stream_stays_within_memory_cap() {
         .collect();
     let encoded = encode(&stream);
     let wire_len = encoded.len();
-    let cap = 4096usize;
-    assert!(wire_len > 32 * cap, "stream must dwarf the cap");
+    let cap = 2 * DEFAULT_CHUNK_BYTES;
+    assert!(
+        wire_len >= 8 * DEFAULT_CHUNK_BYTES,
+        "stream must dwarf the chunk"
+    );
     let heap = AddrRange::new(0x1000_0000, 0x1000_0000);
-    let src = StreamingReplaySource::from_encoded(vec![encoded], heap).with_chunk_bytes(cap);
+    let src = StreamingReplaySource::from_encoded(vec![encoded], heap);
     let stats = src.stats();
     let out = MonitorSession::builder()
         .source(src)
@@ -143,7 +149,7 @@ fn large_stream_stays_within_memory_cap() {
         .unwrap();
     assert_eq!(out.metrics.records, n);
     assert!(
-        stats.peak_buffered_bytes() <= 2 * cap,
+        stats.peak_buffered_bytes() <= cap,
         "peak residency {} for a {} byte wire stream exceeds the {} byte cap",
         stats.peak_buffered_bytes(),
         wire_len,
@@ -225,108 +231,141 @@ fn mid_record_truncation_is_malformed_not_deadlock() {
 }
 
 #[test]
-fn bounded_push_feed_drives_a_live_session() {
-    // The reference: the same records through the buffered PushSource.
+fn byte_feed_drives_a_live_session_on_both_backends() {
+    use paralog::daemon::transport::{ByteFeed, SessionBuffer};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    // Thread 0 reads unverified input and stores it to a shared word;
+    // thread 1 loads that word behind a RAW arc and jumps through it.
     let heap = AddrRange::new(0x1000_0000, 0x1000);
-    let buf = AddrRange::new(0x1000_0000, 16);
-    let records: Vec<EventRecord> = {
-        let mut recs = vec![EventRecord::ca(
+    let input = AddrRange::new(heap.start, 16);
+    let shared = MemRef::new(heap.start + 0x100, 4);
+    let mut t0 = vec![
+        EventRecord::ca(
             Rid(1),
             CaRecord {
                 what: HighLevelKind::Syscall(SyscallKind::ReadInput),
                 phase: CaPhase::End,
-                range: Some(buf),
+                range: Some(input),
                 issuer: ThreadId(0),
                 issuer_rid: Rid(1),
                 seq: u64::MAX,
             },
-        )];
-        recs.push(EventRecord::instr(
+        ),
+        EventRecord::instr(
             Rid(2),
             Instr::Load {
                 dst: Reg::new(0),
-                src: MemRef::new(buf.start, 4),
+                src: MemRef::new(input.start, 4),
             },
-        ));
-        recs.push(EventRecord::instr(
+        ),
+        EventRecord::instr(
             Rid(3),
-            Instr::JmpReg {
-                target: Reg::new(0),
+            Instr::Store {
+                dst: shared,
+                src: Reg::new(0),
             },
-        ));
-        for i in 4..=64 {
-            recs.push(EventRecord::instr(Rid(i), Instr::Nop));
-        }
-        recs
-    };
-    let mut buffered = PushSource::new(1, heap);
-    for rec in &records {
-        buffered.push(0, rec.clone());
-    }
-    let reference = MonitorSession::builder()
-        .source(buffered)
-        .lifeguard(LifeguardKind::TaintCheck)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(reference.metrics.violations.len(), 1);
-
-    // Live: a producer thread feeds through a capacity-4 channel, so it is
-    // back-pressured dozens of times while the monitor ingests online.
-    let (mut feed, source) = PushSource::bounded(1, heap, 4);
-    let producer = std::thread::spawn({
-        let records = records.clone();
-        move || {
-            for rec in records {
-                feed.push(0, rec).expect("session alive");
-            }
-            // Dropping the feed ends the stream.
-        }
-    });
-    let live = MonitorSession::builder()
-        .source(source)
-        .lifeguard(LifeguardKind::TaintCheck)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    producer.join().expect("producer");
-    assert_eq!(live.metrics.records, records.len() as u64);
-    assert_eq!(live.metrics.fingerprint, reference.metrics.fingerprint);
-    assert_eq!(
-        violation_keys(&live.metrics.violations),
-        violation_keys(&reference.metrics.violations)
+        ),
+    ];
+    t0.extend((4..=400).map(|i| {
+        EventRecord::instr(
+            Rid(i),
+            Instr::Load {
+                dst: Reg::new(2),
+                src: MemRef::new(heap.start + 0x200 + (i % 64) * 4, 4),
+            },
+        )
+    }));
+    let mut t1: Vec<EventRecord> = (1..=50)
+        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+        .collect();
+    let mut dependent = EventRecord::instr(
+        Rid(51),
+        Instr::Load {
+            dst: Reg::new(1),
+            src: shared,
+        },
     );
-}
+    dependent
+        .arcs
+        .push(DependenceArc::new(ThreadId(0), Rid(3), ArcKind::Raw));
+    t1.push(dependent);
+    t1.push(EventRecord::instr(
+        Rid(52),
+        Instr::JmpReg {
+            target: Reg::new(1),
+        },
+    ));
+    t1.extend((53..=100).map(|i| EventRecord::instr(Rid(i), Instr::Nop)));
+    let wire = [encode(&t0), encode(&t1)];
 
-#[test]
-fn live_push_feed_drives_the_threaded_backend() {
-    // Two producer threads feed two monitored streams with a cross-thread
-    // arc; the real-thread backend ingests them online.
-    let heap = AddrRange::new(0x1000_0000, 0x1000);
-    let (mut feed, source) = PushSource::bounded(2, heap, 8);
-    let producer = std::thread::spawn(move || {
-        for i in 1..=100u64 {
-            feed.push(0, EventRecord::instr(Rid(i), Instr::Nop))
-                .expect("alive");
-        }
-        let mut dependent = EventRecord::instr(Rid(1), Instr::Nop);
-        dependent
-            .arcs
-            .push(DependenceArc::new(ThreadId(0), Rid(100), ArcKind::Sync));
-        feed.push(1, dependent).expect("alive");
-    });
-    let out = MonitorSession::builder()
-        .source(source)
+    let reference = MonitorSession::builder()
+        .source(ReplaySource::new(vec![t0, t1], heap))
         .lifeguard(LifeguardKind::TaintCheck)
-        .backend(ThreadedBackend)
         .build()
         .unwrap()
         .run()
         .unwrap();
-    producer.join().expect("producer");
-    assert_eq!(out.metrics.records, 101);
+    assert_eq!(
+        violation_keys(&reference.metrics.violations),
+        vec![(1, 52, ViolationKind::TaintedJump)],
+        "the taint crosses the arc to thread 1's jump"
+    );
+
+    // The producer writes both streams in 24-byte pieces, round-robin, and
+    // waits while the session holds more than `CAP` unread bytes: the
+    // daemon pump's back-pressure rule.
+    const CAP: usize = 64;
+    for threaded in [false, true] {
+        let total = Arc::new(SessionBuffer::default());
+        let (writers, readers): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| ByteFeed::pair(Arc::clone(&total))).unzip();
+        let producer = std::thread::spawn({
+            let wire = wire.clone();
+            move || {
+                let mut pieces = [wire[0].chunks(24), wire[1].chunks(24)];
+                let mut wrote = true;
+                while wrote {
+                    wrote = false;
+                    for (writer, pieces) in writers.iter().zip(&mut pieces) {
+                        let Some(piece) = pieces.next() else { continue };
+                        while total.bytes() > CAP {
+                            std::thread::sleep(Duration::from_micros(100));
+                        }
+                        writer.write(piece);
+                        wrote = true;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // Dropping the writers ends the streams.
+            }
+        });
+        let readers = readers
+            .into_iter()
+            .map(|r| Box::new(r) as Box<dyn std::io::Read + Send>)
+            .collect();
+        let builder = MonitorSession::builder()
+            .source(StreamingReplaySource::new(readers, heap))
+            .lifeguard(LifeguardKind::TaintCheck);
+        let builder = if threaded {
+            builder.backend(ThreadedBackend)
+        } else {
+            builder.backend(DeterministicBackend)
+        };
+        let live = builder.build().unwrap().run().unwrap();
+        producer.join().expect("producer");
+        assert_eq!(live.metrics.records, 500, "threaded={threaded}");
+        assert_eq!(
+            live.metrics.fingerprint, reference.metrics.fingerprint,
+            "threaded={threaded}"
+        );
+        assert_eq!(
+            violation_keys(&live.metrics.violations),
+            violation_keys(&reference.metrics.violations),
+            "threaded={threaded}"
+        );
+    }
 }
 
 // --- producer-drop determinism ----------------------------------------------
@@ -434,46 +473,6 @@ fn dropped_producer_at_record_boundary_drains_clean() {
         producer.join().expect("producer");
         assert_eq!(out.metrics.records, 80, "threaded={threaded}");
     }
-}
-
-/// The push-feed flavor of the same contract: a `PushFeed` dropped after
-/// pushing a record whose arc target was never pushed resolves to
-/// `Deadlock`, not a hang.
-#[test]
-fn dropped_push_feed_with_severed_arc_deadlocks() {
-    let heap = AddrRange::new(0x1000_0000, 0x1000);
-    let (mut feed, source) = PushSource::bounded(2, heap, 8);
-    let producer = std::thread::spawn(move || {
-        for i in 1..=5u64 {
-            feed.push(0, EventRecord::instr(Rid(i), Instr::Nop))
-                .expect("alive");
-        }
-        let mut dependent = EventRecord::instr(Rid(1), Instr::Nop);
-        dependent
-            .arcs
-            .push(DependenceArc::new(ThreadId(0), Rid(50), ArcKind::Sync));
-        feed.push(1, dependent).expect("alive");
-        // Drop the feed with thread 0 stopped at #5: arc to #50 is severed.
-    });
-    let started = std::time::Instant::now();
-    let err = MonitorSession::builder()
-        .source(source)
-        .lifeguard(LifeguardKind::TaintCheck)
-        .backend(ThreadedBackend)
-        .build()
-        .unwrap()
-        .run()
-        .err();
-    let elapsed = started.elapsed();
-    producer.join().expect("producer");
-    assert!(
-        matches!(err, Some(SessionError::Deadlock(_))),
-        "expected Deadlock, got {err:?}"
-    );
-    assert!(
-        elapsed < std::time::Duration::from_millis(1500),
-        "severed push feed took {elapsed:?}"
-    );
 }
 
 // --- incremental decoder property tests ------------------------------------

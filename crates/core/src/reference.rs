@@ -20,8 +20,8 @@
 //! equivalent legal schedules may legitimately differ; HappensBefore keeps
 //! word-table metadata (epochs and vector clocks) with no byte-shadow
 //! form for this oracle to mirror — its cross-backend determinism is
-//! checked by the dedicated parity suite instead
-//! (`tests/concurrent_lifeguards.rs`).
+//! checked by the parity table's race rows instead
+//! (`tests/common/parity.rs`).
 
 use paralog_events::{Addr, AddrRange, HighLevelKind, Instr, MemRef, Rid, SyscallKind, NUM_REGS};
 use paralog_lifeguards::{Fingerprint, LifeguardKind, TAINTED, UNDEFINED};

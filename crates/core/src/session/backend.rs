@@ -88,7 +88,7 @@ impl Backend for DeterministicBackend {
                 w,
                 &plan.config,
                 plan.factory.build(plan.heap),
-                plan.shorthand,
+                plan.factory.builtin_kind(),
             )),
             SourceInput::Streams(streams) => {
                 let family = plan.factory.build(plan.heap);
@@ -352,9 +352,9 @@ impl Backend for ThreadedBackend {
                 let mut cfg = plan.config.clone();
                 cfg.mode = MonitoringMode::Parallel;
                 cfg.collect_streams = true;
+                let family = plan.factory.build(plan.heap);
                 let metrics =
-                    run_deterministic(w, &cfg, plan.factory.build(plan.heap), plan.shorthand)
-                        .metrics;
+                    run_deterministic(w, &cfg, family, plan.factory.builtin_kind()).metrics;
                 let streams = metrics.streams.expect("collect_streams was set");
                 let fingerprint = metrics.fingerprint;
                 match SourceInput::from_buffered(streams) {

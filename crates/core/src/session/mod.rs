@@ -179,11 +179,11 @@ pub(crate) fn stuck_head(
 pub struct SessionPlan {
     /// Run configuration (mode, machine, accelerator and capture knobs).
     pub config: MonitorConfig,
-    /// Builds the analysis for this run.
+    /// Builds the analysis for this run. Its
+    /// [`builtin_kind`](LifeguardFactory::builtin_kind) says whether it is a
+    /// bundled analysis, which enables the in-line sequential reference for
+    /// equivalence checking.
     pub factory: Arc<dyn LifeguardFactory>,
-    /// Bundled-analysis shorthand, when the factory is one ( enables the
-    /// in-line sequential reference for equivalence checking).
-    pub shorthand: Option<LifeguardKind>,
     /// The monitored application's heap region.
     pub heap: AddrRange,
     /// Resolved source input.
@@ -205,7 +205,6 @@ pub struct MonitorSession {
     source: Box<dyn EventSource>,
     backend: Box<dyn Backend>,
     factory: Arc<dyn LifeguardFactory>,
-    shorthand: Option<LifeguardKind>,
     config: MonitorConfig,
 }
 
@@ -237,7 +236,6 @@ impl MonitorSession {
         let plan = SessionPlan {
             config: self.config,
             factory: self.factory,
-            shorthand: self.shorthand,
             heap,
             input: self.source.open(),
         };
@@ -251,7 +249,6 @@ enum LifeguardChoice {
     /// Fall back to `config.lifeguard` (the shim path).
     #[default]
     FromConfig,
-    Kind(LifeguardKind),
     Named(String),
     Factory(Arc<dyn LifeguardFactory>),
 }
@@ -293,7 +290,7 @@ impl MonitorSessionBuilder {
     /// Selects a bundled analysis by shorthand.
     #[must_use]
     pub fn lifeguard(mut self, kind: LifeguardKind) -> Self {
-        self.choice = LifeguardChoice::Kind(kind);
+        self.choice = LifeguardChoice::Factory(Arc::new(kind));
         self
     }
 
@@ -344,31 +341,20 @@ impl MonitorSessionBuilder {
                 LifeguardKind::TaintCheck,
             )
         });
-        let (factory, shorthand): (Arc<dyn LifeguardFactory>, Option<LifeguardKind>) =
-            match self.choice {
-                LifeguardChoice::FromConfig => (Arc::new(config.lifeguard), Some(config.lifeguard)),
-                LifeguardChoice::Kind(kind) => (Arc::new(kind), Some(kind)),
-                LifeguardChoice::Named(name) => {
-                    let registry = self.registry.unwrap_or_default();
-                    let factory = registry
-                        .get(&name)
-                        .ok_or(SessionError::UnknownLifeguard(name))?;
-                    // Only the factory itself knows whether it is a bundled
-                    // analysis — a custom factory shadowing a bundled *name*
-                    // must not inherit that analysis' sequential reference.
-                    let shorthand = factory.builtin_kind();
-                    (factory, shorthand)
-                }
-                LifeguardChoice::Factory(factory) => {
-                    let shorthand = factory.builtin_kind();
-                    (factory, shorthand)
-                }
-            };
+        let factory: Arc<dyn LifeguardFactory> = match self.choice {
+            LifeguardChoice::FromConfig => Arc::new(config.lifeguard),
+            LifeguardChoice::Named(name) => {
+                let registry = self.registry.unwrap_or_default();
+                registry
+                    .get(&name)
+                    .ok_or(SessionError::UnknownLifeguard(name))?
+            }
+            LifeguardChoice::Factory(factory) => factory,
+        };
         Ok(MonitorSession {
             source,
             backend: self.backend.unwrap_or(Box::new(DeterministicBackend)),
             factory,
-            shorthand,
             config,
         })
     }

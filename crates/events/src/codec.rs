@@ -24,7 +24,7 @@
 //! keeps the stream within the paper's compactness envelope.
 
 use crate::arc::{ArcKind, DependenceArc};
-use crate::isa::{Instr, MemRef, Reg, SyscallKind};
+use crate::isa::{Instr, MemRef, Reg, SyscallKind, NUM_REGS};
 use crate::record::{CaPhase, CaRecord, EventPayload, EventRecord, HighLevelKind, VersionId};
 use crate::types::{AddrRange, Rid, ThreadId};
 use std::fmt;
@@ -386,6 +386,17 @@ impl<'a> Decoder<'a> {
         T::try_from(wide).map_err(|_| self.err(what))
     }
 
+    /// A register named by a whole byte; every other register is a 4-bit
+    /// field and so always in range.
+    fn read_reg(&mut self, what: &'static str) -> Result<Reg, Fault> {
+        let idx = self.read_byte(what)?;
+        if usize::from(idx) < NUM_REGS {
+            Ok(Reg(idx))
+        } else {
+            Err(self.err("register out of range"))
+        }
+    }
+
     fn read_addr(&mut self) -> Result<u64, Fault> {
         let delta = zigzag_decode(self.read_uvarint("addr delta")?);
         let addr = self.last_addr.wrapping_add(delta as u64);
@@ -498,7 +509,7 @@ impl<'a> Decoder<'a> {
                 Instr::MovRR { dst, src }
             }
             OP_MOV_RI => Instr::MovRI {
-                dst: Reg(self.read_byte("reg")?),
+                dst: self.read_reg("reg")?,
             },
             OP_ALU1 => {
                 let (dst, a) = unpack_regs(self.read_byte("regs")?);
@@ -506,7 +517,7 @@ impl<'a> Decoder<'a> {
             }
             OP_ALU2 => {
                 let (dst, a) = unpack_regs(self.read_byte("regs")?);
-                let b = Reg(self.read_byte("reg b")?);
+                let b = self.read_reg("reg b")?;
                 Instr::Alu2 { dst, a, b }
             }
             OP_ALU_MEM => {
@@ -519,7 +530,7 @@ impl<'a> Decoder<'a> {
                 }
             }
             OP_JMP => Instr::JmpReg {
-                target: Reg(self.read_byte("reg")?),
+                target: self.read_reg("reg")?,
             },
             OP_RMW => {
                 let (reg, size) = unpack_reg_size(self.read_byte("reg")?);
@@ -1020,6 +1031,28 @@ mod tests {
                 err.to_string().contains(&format!("{what} out of range")),
                 "{what}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn whole_byte_registers_out_of_range_are_corrupt() {
+        // `MovRI.dst`, `Alu2.b` and `JmpReg.target` each take a byte of
+        // their own; register 15 is the last one the machine has.
+        let records = |reg: u8| {
+            [
+                vec![OP_MOV_RI, reg],
+                vec![OP_ALU2, 0x01, reg],
+                vec![OP_JMP, reg],
+            ]
+        };
+        for body in records(NUM_REGS as u8 - 1) {
+            decode(&sealed(&body)).unwrap_or_else(|err| panic!("{body:?}: {err}"));
+        }
+        for reg in [NUM_REGS as u8, 200] {
+            for body in records(reg) {
+                let err = decode(&sealed(&body)).expect_err("register 16 and up");
+                assert!(err.to_string().contains("register out of range"), "{err}");
+            }
         }
     }
 

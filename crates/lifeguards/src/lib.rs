@@ -31,8 +31,8 @@
 //! and AddrCheck's two thin forms call one check and one malloc/free update.
 //! The two race detectors keep a sequential `HashMap` model beside their CAS
 //! form ([`LockSetConcurrent`], [`HappensBeforeConcurrent`]) on purpose: no
-//! sequential reference covers them, so the model is what the parity suites
-//! check the CAS form against. An out-of-tree analysis reaches the lanes by
+//! sequential reference covers them, so the model is what the parity table
+//! checks the CAS form against. An out-of-tree analysis reaches the lanes by
 //! implementing [`ConcurrentLifeguard`] itself (worked example on
 //! [`factory::LifeguardFactory::concurrent`]); without one it stays on the
 //! sequential loop.

@@ -112,16 +112,6 @@ impl MemorySystem {
         self.core_rid[core] = rid;
     }
 
-    /// L1 statistics for `core`.
-    pub fn l1_stats(&self, core: usize) -> crate::cache::CacheStats {
-        self.l1[core].stats()
-    }
-
-    /// Shared L2 statistics.
-    pub fn l2_stats(&self) -> crate::cache::CacheStats {
-        self.l2.stats()
-    }
-
     /// Coherence statistics for `core`.
     pub fn coherence_stats(&self, core: usize) -> CoherenceStats {
         self.stats[core]

@@ -63,11 +63,6 @@ impl Scheduler {
         self.done[entity] = true;
     }
 
-    /// Whether `entity` has finished.
-    pub fn is_finished(&self, entity: usize) -> bool {
-        self.done[entity]
-    }
-
     /// Whether every entity has finished.
     pub fn all_finished(&self) -> bool {
         self.done.iter().all(|&d| d)

@@ -1,18 +1,19 @@
 //! Helpers shared by the integration suites.
 
-use paralog::core::FaultyReader;
-use std::io::{Cursor, Read};
+// Each suite compiles its own copy and uses a different part of it.
+#![allow(dead_code)]
 
-/// One reader per wire stream that hands out 1–7 bytes per `read`, so
-/// nearly every record splits across reads and the decoder's partial-record
-/// path runs on every stream.
-pub fn short_reads(encoded: Vec<Vec<u8>>) -> Vec<Box<dyn Read + Send>> {
-    encoded
-        .into_iter()
-        .enumerate()
-        .map(|(i, bytes)| {
-            Box::new(FaultyReader::new(Cursor::new(bytes), i as u64).short_reads())
-                as Box<dyn Read + Send>
-        })
-        .collect()
+pub mod parity;
+
+use paralog::lifeguards::{Violation, ViolationKind};
+
+/// `(tid, rid, kind)` of every violation, sorted by thread then record: the
+/// form in which two runs' reports are compared.
+pub fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {
+    let mut keys: Vec<_> = violations
+        .iter()
+        .map(|v| (v.tid.0, v.rid.0, v.kind))
+        .collect();
+    keys.sort_by_key(|&(tid, rid, _)| (tid, rid));
+    keys
 }

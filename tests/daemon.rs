@@ -128,7 +128,7 @@ fn field(lines: &[String], key: &str) -> Option<String> {
 }
 
 /// `(tid, rid)` keys of `violation <tid> <rid> ...` status lines, sorted.
-fn violation_keys_of(lines: &[String]) -> Vec<(u16, u64)> {
+fn status_violation_ids(lines: &[String]) -> Vec<(u16, u64)> {
     let mut keys: Vec<(u16, u64)> = lines
         .iter()
         .filter_map(|l| l.strip_prefix("violation "))
@@ -143,7 +143,7 @@ fn violation_keys_of(lines: &[String]) -> Vec<(u16, u64)> {
     keys
 }
 
-fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64)> {
+fn violation_ids(violations: &[Violation]) -> Vec<(u16, u64)> {
     let mut keys: Vec<(u16, u64)> = violations.iter().map(|v| (v.tid.0, v.rid.0)).collect();
     keys.sort_unstable();
     keys
@@ -206,8 +206,8 @@ fn two_concurrent_sessions_match_in_process_replay() {
         Some(format!("{fp_b:016x}")),
         "session B fingerprint diverged from the in-process run"
     );
-    assert_eq!(violation_keys_of(&status_a), violation_keys(&viol_a));
-    assert_eq!(violation_keys_of(&status_b), violation_keys(&viol_b));
+    assert_eq!(status_violation_ids(&status_a), violation_ids(&viol_a));
+    assert_eq!(status_violation_ids(&status_b), violation_ids(&viol_b));
 
     // STATUS surfaces the metadata substrate and a throughput figure.
     assert!(
@@ -517,7 +517,7 @@ fn a_record_that_never_ends_fails_its_session_and_spares_its_neighbour() {
         field(&status, "fingerprint"),
         Some(format!("{fingerprint:016x}"))
     );
-    assert_eq!(violation_keys_of(&status), violation_keys(&violations));
+    assert_eq!(status_violation_ids(&status), violation_ids(&violations));
     daemon.shutdown();
 }
 
@@ -568,7 +568,7 @@ fn a_record_naming_a_thread_outside_its_session_fails_it_and_spares_the_pool() {
         field(&status, "fingerprint"),
         Some(format!("{fingerprint:016x}"))
     );
-    assert_eq!(violation_keys_of(&status), violation_keys(&violations));
+    assert_eq!(status_violation_ids(&status), violation_ids(&violations));
     daemon.shutdown();
 }
 
@@ -653,7 +653,7 @@ fn a_panicking_analysis_fails_its_session_and_keeps_the_pool() {
         field(&status, "fingerprint"),
         Some(format!("{fingerprint:016x}"))
     );
-    assert_eq!(violation_keys_of(&status), violation_keys(&violations));
+    assert_eq!(status_violation_ids(&status), violation_ids(&violations));
 
     let (heap, later) = independent_capture(2, 500);
     let mut after = Producer::attach(

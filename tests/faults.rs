@@ -7,26 +7,31 @@
 //! * corruption anywhere in the wire stream is reported as
 //!   `MalformedStream` (the codec's chained per-record checksum), never a
 //!   panic, a poisoned lock or a hung worker;
-//! * truncation mid-record is `MalformedStream`; truncation at a record
-//!   boundary that severs dependence arcs is `Deadlock`;
-//! * semantically invalid TSO annotations inside a well-framed stream
-//!   (duplicate produce, zero consumers), and a record naming a thread
-//!   outside its session, are `MalformedStream`, not a worker panic;
-//! * transient stalls and arbitrary fragmentation change *nothing*: the
-//!   run completes with the same fingerprint and violations as a clean
-//!   transport.
+//! * truncation mid-record is `MalformedStream`;
+//! * an address range that wraps the address space is `MalformedStream`.
+//!
+//! The rows below run on every driver of the parity table
+//! (`common/parity.rs`), whose wire drivers all read through a fragmenting,
+//! stalling `FaultyReader`: truncation at a record boundary that severs
+//! dependence arcs is `Deadlock`; semantically invalid TSO annotations
+//! inside a well-framed stream (duplicate produce, zero or out-of-range
+//! consumers), and a record naming a thread outside its session, are
+//! `MalformedStream`; and transient stalls and fragmentation change
+//! *nothing*.
 
+mod common;
+
+use common::parity;
 use paralog::core::{
-    DeterministicBackend, FaultyReader, MonitorConfig, MonitorSession, MonitoringMode, Platform,
-    RunOutcome, SessionError, StreamingReplaySource, ThreadedBackend,
+    DeterministicBackend, FaultyReader, MonitorSession, RunOutcome, SessionError,
+    StreamingReplaySource, ThreadedBackend,
 };
 use paralog::events::codec::encode;
 use paralog::events::{
-    AddrRange, ArcKind, CaPhase, CaRecord, DependenceArc, EventRecord, HighLevelKind, Instr,
-    MemRef, Reg, Rid, SyscallKind, ThreadId, VersionId,
+    AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, MemRef, Reg, Rid, SyscallKind,
+    ThreadId, VersionId,
 };
-use paralog::lifeguards::{LifeguardKind, Violation, ViolationKind};
-use paralog::workloads::{Benchmark, WorkloadSpec};
+use paralog::lifeguards::LifeguardKind;
 use proptest::prelude::*;
 use std::io::{Cursor, Read};
 
@@ -167,147 +172,32 @@ fn mid_record_truncation_is_malformed_on_both_backends() {
 
 #[test]
 fn boundary_truncation_severing_arcs_is_deadlock_on_both_backends() {
-    // Thread 1's only record depends on thread 0's tail; cut thread 0's
-    // wire at a clean record boundary so the producer record never
-    // arrives. Workers must report Deadlock and exit, not hang.
-    let t0: Vec<EventRecord> = (1..=10)
-        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
-        .collect();
-    let mut dependent = EventRecord::instr(
-        Rid(1),
-        Instr::Load {
-            dst: Reg::new(0),
-            src: MemRef::new(HEAP.start, 4),
-        },
-    );
-    dependent
-        .arcs
-        .push(DependenceArc::new(ThreadId(0), Rid(9), ArcKind::Raw));
-    let boundary = encode(&t0[..5]).len() as u64;
-    let encoded = vec![encode(&t0), encode(&[dependent])];
-    for threaded in [false, true] {
-        let started = std::time::Instant::now();
-        let err = run_faulty(&encoded, threaded, |r, i| {
-            if i == 0 {
-                r.truncate_at(boundary)
-            } else {
-                r
-            }
-        })
-        .err();
-        assert!(
-            matches!(err, Some(SessionError::Deadlock(_))),
-            "threaded={threaded}: expected Deadlock, got {err:?}"
-        );
-        // The lanes' severed-input window is the only detector: nothing
-        // waits out a multi-second grace.
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(2),
-            "threaded={threaded}: deadlock took {:?}",
-            started.elapsed()
-        );
-    }
+    parity::severed_arc();
 }
 
 #[test]
 fn a_record_naming_a_thread_outside_its_session_is_malformed_on_both_backends() {
-    // A 2-thread capture whose thread 1 names thread 7 as an arc source, or
-    // carries a ConflictAlert copy issued by thread 9. Either would index
-    // the progress or range table out of bounds and panic the replay; the
-    // lane's input refuses the record instead.
-    let t0: Vec<EventRecord> = (1..=4)
-        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
-        .collect();
-    let mut arc = EventRecord::instr(Rid(1), Instr::Nop);
-    arc.arcs
-        .push(DependenceArc::new(ThreadId(7), Rid(1), ArcKind::Raw));
-    let ca = EventRecord::ca(
-        Rid(1),
-        CaRecord {
-            what: HighLevelKind::Syscall(SyscallKind::ReadInput),
-            phase: CaPhase::Begin,
-            range: Some(AddrRange::new(HEAP.start, 64)),
-            issuer: ThreadId(9),
-            issuer_rid: Rid(3),
-            seq: 0,
-        },
-    );
-    for (rec, named) in [(arc, "arc source T7"), (ca, "ConflictAlert issuer T9")] {
-        let encoded = vec![encode(&t0), encode(&[rec])];
-        for threaded in [false, true] {
-            let err = run_faulty(&encoded, threaded, |r, _| r).err();
-            match err {
-                Some(SessionError::MalformedStream(detail)) => assert!(
-                    detail.contains("record #1") && detail.contains(named),
-                    "threaded={threaded}: unexpected detail {detail:?}"
-                ),
-                other => panic!("threaded={threaded}: expected MalformedStream, got {other:?}"),
-            }
-        }
-    }
+    parity::thread_outside_session();
 }
 
 #[test]
 fn duplicate_produce_annotation_is_malformed_on_both_backends() {
-    // A well-framed stream (checksums intact) whose *semantics* are
-    // corrupt: two records publish the same version id. The platform must
-    // report the stream, not panic a worker or poison the version table.
-    let m = MemRef::new(HEAP.start + 0x20, 4);
-    let vid = VersionId {
-        consumer: ThreadId(0),
-        consumer_rid: Rid(9),
-    };
-    let mut recs: Vec<EventRecord> = (1..=4)
-        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
-        .collect();
-    recs[0].produce_versions.push((vid, m, 1));
-    recs[1].produce_versions.push((vid, m, 1));
-    let encoded = vec![encode(&recs)];
-    for threaded in [false, true] {
-        let err = run_faulty(&encoded, threaded, |r, _| r).err();
-        match err {
-            Some(SessionError::MalformedStream(detail)) => assert!(
-                detail.contains("produce annotation"),
-                "threaded={threaded}: unexpected detail {detail:?}"
-            ),
-            other => panic!("threaded={threaded}: expected MalformedStream, got {other:?}"),
-        }
-    }
-}
-
-/// Replays a one-thread stream of three `Nop`s whose first record produces
-/// version `<consumer, 2>` for `consumers` readers: both backends must call
-/// the stream malformed.
-fn assert_produce_annotation_is_malformed(consumer: u16, consumers: u32) {
-    let m = MemRef::new(HEAP.start + 0x20, 4);
-    let vid = VersionId {
-        consumer: ThreadId(consumer),
-        consumer_rid: Rid(2),
-    };
-    let mut recs: Vec<EventRecord> = (1..=3)
-        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
-        .collect();
-    recs[0].produce_versions.push((vid, m, consumers));
-    let encoded = vec![encode(&recs)];
-    for threaded in [false, true] {
-        let err = run_faulty(&encoded, threaded, |r, _| r).err();
-        assert!(
-            matches!(err, Some(SessionError::MalformedStream(_))),
-            "threaded={threaded}: expected MalformedStream, got {err:?}"
-        );
-    }
+    parity::duplicate_produce();
 }
 
 #[test]
 fn zero_consumer_produce_annotation_is_malformed_on_both_backends() {
-    assert_produce_annotation_is_malformed(0, 0);
+    parity::zero_consumer_produce();
 }
 
 #[test]
 fn out_of_range_consumer_produce_annotation_is_malformed_on_both_backends() {
-    // Consumer thread 7 of a 1-thread session: no lane could ever consume
-    // the version, and both replay paths share the table that says so.
-    assert_produce_annotation_is_malformed(7, 1);
+    parity::out_of_range_consumer_produce();
+}
+
+#[test]
+fn transient_stalls_and_fragmentation_change_nothing() {
+    parity::lu_taintcheck();
 }
 
 #[test]
@@ -345,64 +235,5 @@ fn wrapping_address_range_is_malformed_on_both_backends() {
                 other => panic!("threaded={threaded}: expected MalformedStream, got {other:?}"),
             }
         }
-    }
-}
-
-fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {
-    let mut keys: Vec<_> = violations
-        .iter()
-        .map(|v| (v.tid.0, v.rid.0, v.kind))
-        .collect();
-    keys.sort_by_key(|&(tid, rid, _)| (tid, rid));
-    keys
-}
-
-#[test]
-fn transient_stalls_and_fragmentation_change_nothing() {
-    // A realistic multi-thread capture through a transport that stalls
-    // with WouldBlock every ~9 bytes and fragments every read: both
-    // backends must recover and match the clean run exactly.
-    let w = WorkloadSpec::benchmark(Benchmark::Lu, 2)
-        .scale(0.05)
-        .build();
-    let mut cfg = MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck);
-    cfg.collect_streams = true;
-    let live = Platform::run(&w, &cfg).metrics;
-    let streams = live.streams.clone().expect("collection enabled");
-    let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
-
-    for threaded in [false, true] {
-        let readers: Vec<Box<dyn Read + Send>> = encoded
-            .iter()
-            .enumerate()
-            .map(|(i, bytes)| {
-                Box::new(
-                    FaultyReader::new(Cursor::new(bytes.clone()), 0xF00 + i as u64)
-                        .short_reads()
-                        .stall_every(9),
-                ) as Box<dyn Read + Send>
-            })
-            .collect();
-        let src = StreamingReplaySource::new(readers, w.heap);
-        let builder = MonitorSession::builder()
-            .source(src)
-            .lifeguard(LifeguardKind::TaintCheck);
-        let builder = if threaded {
-            builder.backend(ThreadedBackend)
-        } else {
-            builder.backend(DeterministicBackend)
-        };
-        let outcome = builder.build().unwrap().run().unwrap_or_else(|e| {
-            panic!("threaded={threaded}: faulted transport should recover, got {e}")
-        });
-        assert_eq!(
-            outcome.metrics.fingerprint, live.fingerprint,
-            "threaded={threaded}: stalls changed the outcome"
-        );
-        assert_eq!(
-            violation_keys(&outcome.metrics.violations),
-            violation_keys(&live.violations),
-            "threaded={threaded}"
-        );
     }
 }

@@ -2,116 +2,38 @@
 //!
 //! The tentpole invariants:
 //!
-//! * streaming a codec-encoded log through `StreamingReplaySource` on both
-//!   backends produces fingerprints and violations **identical** to the
-//!   buffered `ReplaySource` path;
 //! * source-side resident buffering stays within two transport chunks even
 //!   for large streams (asserted against the source's high-water stats);
 //! * the incremental decoder is split-point oblivious (property test over
 //!   random chunkings);
-//! * a stream truncated at a record boundary still reports `Deadlock`
-//!   rather than hanging, on both backends; one truncated mid-record
-//!   reports `MalformedStream`;
 //! * a producer thread writing into `ByteFeed`s, waiting while the
 //!   session's buffered bytes are over a cap, drives a live session on both
-//!   backends and matches the equivalent buffered run.
+//!   backends and matches the equivalent buffered run;
+//! * a producer that drops mid-session resolves promptly: `Deadlock` when
+//!   it severs arcs, a clean drain at a record boundary.
+//!
+//! Streamed replay against buffered replay, and truncation at a record
+//! boundary, are rows of the parity table (`common/parity.rs`).
 
 mod common;
 
+use common::{parity, violation_keys};
 use paralog::core::session::DEFAULT_CHUNK_BYTES;
 use paralog::core::{
-    DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, ReplaySource,
-    SessionError, StreamingReplaySource, ThreadedBackend,
+    DeterministicBackend, MonitorSession, ReplaySource, SessionError, StreamingReplaySource,
+    ThreadedBackend,
 };
 use paralog::events::codec::{encode, StreamDecoder};
 use paralog::events::{
     AddrRange, ArcKind, CaPhase, CaRecord, DependenceArc, EventRecord, HighLevelKind, Instr,
     MemRef, Reg, Rid, SyscallKind, ThreadId,
 };
-use paralog::lifeguards::{LifeguardKind, Violation, ViolationKind};
-use paralog::workloads::{Benchmark, Workload, WorkloadSpec};
+use paralog::lifeguards::{LifeguardKind, ViolationKind};
 use proptest::prelude::*;
-
-fn workload(bench: Benchmark, threads: usize) -> Workload {
-    WorkloadSpec::benchmark(bench, threads).scale(0.05).build()
-}
-
-fn violation_keys(violations: &[Violation]) -> Vec<(u16, u64, ViolationKind)> {
-    let mut keys: Vec<_> = violations
-        .iter()
-        .map(|v| (v.tid.0, v.rid.0, v.kind))
-        .collect();
-    keys.sort_by_key(|&(tid, rid, _)| (tid, rid));
-    keys
-}
-
-/// Captures a workload's annotated streams plus the live run's metrics.
-fn capture(
-    bench: Benchmark,
-    threads: usize,
-) -> (Workload, Vec<Vec<EventRecord>>, u64, Vec<Violation>) {
-    let w = workload(bench, threads);
-    let mut cfg = MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck);
-    cfg.collect_streams = true;
-    let live = Platform::run(&w, &cfg).metrics;
-    let streams = live.streams.clone().expect("collection enabled");
-    (w, streams, live.fingerprint, live.violations)
-}
 
 #[test]
 fn streaming_replay_matches_buffered_on_both_backends() {
-    let (w, streams, live_fp, live_violations) = capture(Benchmark::Barnes, 4);
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
-
-    // Buffered baseline.
-    let buffered = MonitorSession::builder()
-        .source(ReplaySource::new(streams, w.heap))
-        .lifeguard(LifeguardKind::TaintCheck)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(buffered.metrics.fingerprint, live_fp);
-
-    // Streaming through the deterministic backend.
-    let src = StreamingReplaySource::from_encoded(encoded.clone(), w.heap);
-    let stats = src.stats();
-    let det = MonitorSession::builder()
-        .source(src)
-        .lifeguard(LifeguardKind::TaintCheck)
-        .backend(DeterministicBackend)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(det.metrics.fingerprint, live_fp, "streamed != buffered");
-    assert_eq!(det.metrics.records, total as u64);
-    assert_eq!(
-        violation_keys(&det.metrics.violations),
-        violation_keys(&live_violations)
-    );
-    assert!(
-        stats.peak_buffered_bytes() <= 2 * DEFAULT_CHUNK_BYTES,
-        "decode residency {} blew the two-chunk budget",
-        stats.peak_buffered_bytes()
-    );
-
-    // Streaming through the real-thread backend, a few bytes per read.
-    let src = StreamingReplaySource::new(common::short_reads(encoded), w.heap);
-    let thr = MonitorSession::builder()
-        .source(src)
-        .lifeguard(LifeguardKind::TaintCheck)
-        .backend(ThreadedBackend)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(thr.metrics.fingerprint, live_fp, "threaded streamed replay");
-    assert_eq!(
-        violation_keys(&thr.metrics.violations),
-        violation_keys(&live_violations)
-    );
+    parity::barnes_taintcheck_wire();
 }
 
 #[test]
@@ -155,79 +77,6 @@ fn large_stream_stays_within_memory_cap() {
         wire_len,
         cap
     );
-}
-
-#[test]
-fn truncated_wire_stream_deadlocks_not_hangs() {
-    // Thread 1 depends on a record in thread 0's *tail*; cut thread 0's
-    // wire stream at a record boundary so the producer record never
-    // arrives. Ingestion must fail loudly with `Deadlock` on both backends.
-    let heap = AddrRange::new(0x1000_0000, 0x1000);
-    let t0: Vec<EventRecord> = (1..=10)
-        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
-        .collect();
-    let mut dependent = EventRecord::instr(
-        Rid(1),
-        Instr::Load {
-            dst: Reg::new(0),
-            src: MemRef::new(heap.start, 4),
-        },
-    );
-    dependent
-        .arcs
-        .push(DependenceArc::new(ThreadId(0), Rid(9), ArcKind::Raw));
-    let t1 = vec![dependent];
-
-    // Encode only thread 0's first five records (clean truncation).
-    let truncated = encode(&t0[..5]);
-    let whole_t1 = encode(&t1);
-    for threaded in [false, true] {
-        let src =
-            StreamingReplaySource::from_encoded(vec![truncated.clone(), whole_t1.clone()], heap);
-        let builder = MonitorSession::builder()
-            .source(src)
-            .lifeguard(LifeguardKind::TaintCheck);
-        let builder = if threaded {
-            builder.backend(ThreadedBackend)
-        } else {
-            builder.backend(DeterministicBackend)
-        };
-        let err = builder.build().unwrap().run().err();
-        assert!(
-            matches!(err, Some(SessionError::Deadlock(_))),
-            "threaded={threaded}: expected Deadlock, got {err:?}"
-        );
-    }
-}
-
-#[test]
-fn mid_record_truncation_is_malformed_not_deadlock() {
-    let heap = AddrRange::new(0x1000_0000, 0x1000);
-    let stream = vec![EventRecord::instr(
-        Rid(1),
-        Instr::Load {
-            dst: Reg::new(0),
-            src: MemRef::new(0x7777_7777, 4),
-        },
-    )];
-    let mut bytes = encode(&stream);
-    bytes.truncate(bytes.len() - 1); // cut inside the last record
-    for threaded in [false, true] {
-        let src = StreamingReplaySource::from_encoded(vec![bytes.clone()], heap);
-        let builder = MonitorSession::builder()
-            .source(src)
-            .lifeguard(LifeguardKind::TaintCheck);
-        let builder = if threaded {
-            builder.backend(ThreadedBackend)
-        } else {
-            builder.backend(DeterministicBackend)
-        };
-        let err = builder.build().unwrap().run().err();
-        assert!(
-            matches!(err, Some(SessionError::MalformedStream(_))),
-            "threaded={threaded}: expected MalformedStream, got {err:?}"
-        );
-    }
 }
 
 #[test]

@@ -7,6 +7,8 @@
 //!   through `MonitorSession` (directly and via the registry) with no edits
 //!   to platform code, and never inherits a bundled analysis' reference;
 //! * a panicking analysis fails its threaded run with `LanePanicked`;
+//! * a wire stream pushed into a `ByteFeed` while the session runs is
+//!   monitored online;
 //! * the rows below replay their captures on every driver of
 //!   `common/parity.rs`, the one definition of cross-driver agreement.
 
@@ -15,9 +17,13 @@ mod common;
 use common::parity;
 use paralog::core::{
     MonitorConfig, MonitorSession, MonitoringMode, Platform, ReplaySource, SessionError,
-    ThreadedBackend,
+    StreamingReplaySource, ThreadedBackend,
 };
-use paralog::events::{AccessKind, AddrRange, CaRecord, EventRecord, Instr, MetaOp, Rid, ThreadId};
+use paralog::events::codec::encode;
+use paralog::events::{
+    AccessKind, AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, MemRef, MetaOp,
+    Reg, Rid, SyscallKind, ThreadId,
+};
 use paralog::lifeguards::{
     EventView, Fingerprint, HandlerCtx, Lifeguard, LifeguardFactory, LifeguardFamily,
     LifeguardKind, LifeguardRegistry, LifeguardSpec, Violation, ViolationKind,
@@ -71,6 +77,70 @@ fn syscall_race_violations_agree_across_backends() {
 #[test]
 fn empty_sources_are_rejected_by_both_backends() {
     parity::empty_source();
+}
+
+#[test]
+fn truncated_streams_are_reported_as_deadlock() {
+    parity::severed_arc();
+}
+
+#[test]
+fn push_source_feeds_an_online_session() {
+    use paralog::daemon::transport::ByteFeed;
+
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let buf = AddrRange::new(0x1000_0000, 16);
+    // An online feed: unverified input arrives, flows into a register, and
+    // is used as a jump target.
+    let records = [
+        EventRecord::ca(
+            Rid(1),
+            CaRecord {
+                what: HighLevelKind::Syscall(SyscallKind::ReadInput),
+                phase: CaPhase::End,
+                range: Some(buf),
+                issuer: ThreadId(0),
+                issuer_rid: Rid(1),
+                seq: u64::MAX,
+            },
+        ),
+        EventRecord::instr(
+            Rid(2),
+            Instr::Load {
+                dst: Reg::new(0),
+                src: MemRef::new(buf.start, 4),
+            },
+        ),
+        EventRecord::instr(
+            Rid(3),
+            Instr::JmpReg {
+                target: Reg::new(0),
+            },
+        ),
+    ];
+    // The producer pushes the wire bytes a few at a time while the session
+    // runs; dropping the writer ends the stream.
+    let wire = encode(&records);
+    let (writer, reader) = ByteFeed::pair(std::sync::Arc::default());
+    let producer = std::thread::spawn(move || {
+        for piece in wire.chunks(3) {
+            writer.write(piece);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    });
+
+    let out = MonitorSession::builder()
+        .source(StreamingReplaySource::new(vec![Box::new(reader)], heap))
+        .lifeguard(LifeguardKind::TaintCheck)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    producer.join().expect("producer");
+    assert_eq!(out.metrics.records, 3);
+    assert_eq!(out.metrics.violations.len(), 1);
+    assert_eq!(out.metrics.violations[0].kind, ViolationKind::TaintedJump);
+    assert_eq!(out.metrics.violations[0].rid, Rid(3));
 }
 
 // --- a custom lifeguard defined entirely outside `crates/lifeguards` -------

@@ -9,11 +9,14 @@
 //! * a producer thread writing into `ByteFeed`s, waiting while the
 //!   session's buffered bytes are over a cap, drives a live session on both
 //!   backends and matches the equivalent buffered run;
+//! * a wire stream truncated at a record boundary reports `Deadlock`
+//!   rather than hanging, on both backends; one truncated mid-record
+//!   reports `MalformedStream`;
 //! * a producer that drops mid-session resolves promptly: `Deadlock` when
 //!   it severs arcs, a clean drain at a record boundary.
 //!
-//! Streamed replay against buffered replay, and truncation at a record
-//! boundary, are rows of the parity table (`common/parity.rs`).
+//! Streamed replay against buffered replay, and a severed arc on every
+//! driver, are rows of the parity table (`common/parity.rs`).
 
 mod common;
 
@@ -77,6 +80,79 @@ fn large_stream_stays_within_memory_cap() {
         wire_len,
         cap
     );
+}
+
+#[test]
+fn truncated_wire_stream_deadlocks_not_hangs() {
+    // Thread 1 depends on a record in thread 0's *tail*; cut thread 0's
+    // wire stream at a record boundary so the producer record never
+    // arrives. Ingestion must fail loudly with `Deadlock` on both backends.
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let t0: Vec<EventRecord> = (1..=10)
+        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+        .collect();
+    let mut dependent = EventRecord::instr(
+        Rid(1),
+        Instr::Load {
+            dst: Reg::new(0),
+            src: MemRef::new(heap.start, 4),
+        },
+    );
+    dependent
+        .arcs
+        .push(DependenceArc::new(ThreadId(0), Rid(9), ArcKind::Raw));
+    let t1 = vec![dependent];
+
+    // Encode only thread 0's first five records (clean truncation).
+    let truncated = encode(&t0[..5]);
+    let whole_t1 = encode(&t1);
+    for threaded in [false, true] {
+        let src =
+            StreamingReplaySource::from_encoded(vec![truncated.clone(), whole_t1.clone()], heap);
+        let builder = MonitorSession::builder()
+            .source(src)
+            .lifeguard(LifeguardKind::TaintCheck);
+        let builder = if threaded {
+            builder.backend(ThreadedBackend)
+        } else {
+            builder.backend(DeterministicBackend)
+        };
+        let err = builder.build().unwrap().run().err();
+        assert!(
+            matches!(err, Some(SessionError::Deadlock(_))),
+            "threaded={threaded}: expected Deadlock, got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn mid_record_truncation_is_malformed_not_deadlock() {
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let stream = vec![EventRecord::instr(
+        Rid(1),
+        Instr::Load {
+            dst: Reg::new(0),
+            src: MemRef::new(0x7777_7777, 4),
+        },
+    )];
+    let mut bytes = encode(&stream);
+    bytes.truncate(bytes.len() - 1); // cut inside the last record
+    for threaded in [false, true] {
+        let src = StreamingReplaySource::from_encoded(vec![bytes.clone()], heap);
+        let builder = MonitorSession::builder()
+            .source(src)
+            .lifeguard(LifeguardKind::TaintCheck);
+        let builder = if threaded {
+            builder.backend(ThreadedBackend)
+        } else {
+            builder.backend(DeterministicBackend)
+        };
+        let err = builder.build().unwrap().run().err();
+        assert!(
+            matches!(err, Some(SessionError::MalformedStream(_))),
+            "threaded={threaded}: expected MalformedStream, got {err:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Helpers shared by the integration suites.
 
-// Each suite compiles its own copy and uses a different part of it.
-#![allow(dead_code)]
-
+// Each suite compiles its own copy of the table and runs a few of its rows.
+#[allow(dead_code)]
 pub mod parity;
 
 use paralog::lifeguards::{Violation, ViolationKind};

@@ -12,7 +12,8 @@
 //! * `ThreadedBackend`'s pool lanes, over the raw records and over the
 //!   codec wire;
 //! * `CoopSession` lanes stepped on the calling thread, round-robin over
-//!   the raw records and run-to-block over the wire.
+//!   the raw records, and over the wire each run to its next gate (through
+//!   the wire's stalls) before the next lane runs.
 //!
 //! Every wire driver reads each thread's encoding through
 //! `FaultyReader::short_reads().stall_every(9)`, so every row also crosses a
@@ -59,7 +60,9 @@
 //! | [`dekker_taintcheck_pads`] | `concurrent_versions::tso_capture_replays_identically_on_both_backends` |
 //! | [`ring_resident_consumes`] | `concurrent_versions::consume_annotations_on_ring_resident_records_are_captured` |
 //! | [`unproduced_consume`] | `concurrent_versions::truncated_tso_capture_deadlocks_threaded_replay` |
-//! | [`severed_arc`] | `faults::boundary_truncation_severing_arcs_is_deadlock_on_both_backends` |
+//! | [`severed_arc`], raw drivers | `session::truncated_streams_are_reported_as_deadlock` |
+//! | [`severed_arc`], sequential and pool wire drivers | `faults::boundary_truncation_severing_arcs_is_deadlock_on_both_backends` |
+//! | [`severed_arc`], lanes wire driver | `streaming::truncated_wire_stream_deadlocks_not_hangs` |
 //! | [`thread_outside_session`] | `faults::a_record_naming_a_thread_outside_its_session_is_malformed_on_both_backends` |
 //! | [`duplicate_produce`] | `faults::duplicate_produce_annotation_is_malformed_on_both_backends` |
 //! | [`zero_consumer_produce`] | `faults::zero_consumer_produce_annotation_is_malformed_on_both_backends` |
@@ -68,7 +71,8 @@
 //! | [`register_out_of_range`] | `parity::a_register_byte_out_of_range_is_malformed_on_every_wire_driver` |
 //!
 //! The Barnes capture's six drivers are split over two rows, raw and wire,
-//! so that no pair of capture and driver runs twice.
+//! and the severed arc's over three tests, so that no pair of capture and
+//! driver runs twice.
 
 use super::violation_keys;
 use paralog::core::{
@@ -137,8 +141,8 @@ pub enum Driver {
     /// `CoopSession` lanes stepped round-robin on the calling thread over
     /// the raw records.
     Lanes,
-    /// `CoopSession` lanes each run until they block, over the stalling
-    /// wire.
+    /// `CoopSession` lanes each run until gated or finished, over the
+    /// stalling wire (a lane reads through the wire's stalls).
     LanesWire,
 }
 
@@ -245,10 +249,18 @@ fn on_lanes(
     while !session.is_complete() {
         let mut progressed = false;
         for lane in &mut lanes {
-            while lane.step(64) == LaneStep::Progressed {
-                progressed = true;
-                if !run_to_block {
-                    break;
+            loop {
+                match lane.step(64) {
+                    LaneStep::Progressed => {
+                        progressed = true;
+                        if !run_to_block {
+                            break;
+                        }
+                    }
+                    // The wire's bytes are all in memory, so its stalls
+                    // pass: a run-to-block lane reads on to its next gate.
+                    LaneStep::Idle if run_to_block => {}
+                    _ => break,
                 }
             }
         }
@@ -423,11 +435,13 @@ pub fn barnes_taintcheck_raw() {
 }
 
 /// The same Barnes capture on the wire drivers: streamed decoding matches
-/// the buffered replay.
-pub fn barnes_taintcheck_wire() {
+/// the buffered replay. Returns the capture and the live run's key.
+pub fn barnes_taintcheck_wire() -> (Case, Key) {
     let w = workload(Benchmark::Barnes, 4);
     let (case, live) = capture("Barnes", &w, sc(LifeguardKind::TaintCheck));
-    assert_parity(&case, &Driver::WIRE, &Key::of(&live));
+    let reference = Key::of(&live);
+    assert_parity(&case, &Driver::WIRE, &reference);
+    (case, reference)
 }
 
 /// A small Lu capture, all six drivers: every wire driver's stalls and
@@ -1097,8 +1111,9 @@ pub fn empty_source() {
 /// Thread 1's record depends on a producer record that never appears: a
 /// capture truncated at a record boundary, as a transport that dropped
 /// thread 0's tail leaves it. Every driver fails loudly, not by hanging,
-/// and names the stuck head's blocker the same way.
-pub fn severed_arc() {
+/// and names the stuck head's blocker the same way. Three suites name this
+/// check, so each runs it on its own share of the drivers.
+pub fn severed_arc(drivers: &[Driver]) {
     let dependent = with_arc(load(1, 0, HEAP.start), 0, 99, ArcKind::Raw);
     let case = Case::new(
         "severed arc",
@@ -1108,7 +1123,7 @@ pub fn severed_arc() {
     );
     assert_refused(
         &case,
-        &Driver::ALL,
+        drivers,
         deadlock("T1 gated at #1 waiting on T0 reaching #99"),
     );
 }

@@ -9,8 +9,9 @@
 //! * a panicking analysis fails its threaded run with `LanePanicked`;
 //! * a wire stream pushed into a `ByteFeed` while the session runs is
 //!   monitored online;
-//! * the rows below replay their captures on every driver of
-//!   `common/parity.rs`, the one definition of cross-driver agreement.
+//! * the rows below replay their captures on the drivers of
+//!   `common/parity.rs`, the one definition of cross-driver agreement
+//!   (every driver, except a severed arc: the raw drivers here).
 
 mod common;
 
@@ -81,7 +82,7 @@ fn empty_sources_are_rejected_by_both_backends() {
 
 #[test]
 fn truncated_streams_are_reported_as_deadlock() {
-    parity::severed_arc();
+    parity::severed_arc(&parity::Driver::RAW);
 }
 
 #[test]

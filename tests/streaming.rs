@@ -9,14 +9,15 @@
 //! * a producer thread writing into `ByteFeed`s, waiting while the
 //!   session's buffered bytes are over a cap, drives a live session on both
 //!   backends and matches the equivalent buffered run;
-//! * a wire stream truncated at a record boundary reports `Deadlock`
-//!   rather than hanging, on both backends; one truncated mid-record
-//!   reports `MalformedStream`;
+//! * a wire stream truncated mid-record reports `MalformedStream`;
 //! * a producer that drops mid-session resolves promptly: `Deadlock` when
 //!   it severs arcs, a clean drain at a record boundary.
 //!
-//! Streamed replay against buffered replay, and a severed arc on every
-//! driver, are rows of the parity table (`common/parity.rs`).
+//! Two tests run rows of the parity table (`common/parity.rs`): streamed
+//! replay against the live capture on the wire drivers, plus the two-chunk
+//! residency bound on that capture; and a wire stream severed at a record
+//! boundary, which the hand-stepped lanes report as `Deadlock` rather than
+//! hanging (`session` and `faults` run it on the other drivers).
 
 mod common;
 
@@ -36,7 +37,25 @@ use proptest::prelude::*;
 
 #[test]
 fn streaming_replay_matches_buffered_on_both_backends() {
-    parity::barnes_taintcheck_wire();
+    let (case, reference) = parity::barnes_taintcheck_wire();
+    // The same capture read a whole chunk at a time decodes within two.
+    let encoded = case.streams.iter().map(|s| encode(s)).collect();
+    let src = StreamingReplaySource::from_encoded(encoded, case.heap);
+    let stats = src.stats();
+    let out = MonitorSession::builder()
+        .source(src)
+        .lifeguard(case.lifeguard)
+        .backend(DeterministicBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(parity::Key::of(&out.metrics), reference, "streamed != live");
+    assert!(
+        stats.peak_buffered_bytes() <= 2 * DEFAULT_CHUNK_BYTES,
+        "decode residency {} blew the two-chunk budget",
+        stats.peak_buffered_bytes()
+    );
 }
 
 #[test]
@@ -84,45 +103,7 @@ fn large_stream_stays_within_memory_cap() {
 
 #[test]
 fn truncated_wire_stream_deadlocks_not_hangs() {
-    // Thread 1 depends on a record in thread 0's *tail*; cut thread 0's
-    // wire stream at a record boundary so the producer record never
-    // arrives. Ingestion must fail loudly with `Deadlock` on both backends.
-    let heap = AddrRange::new(0x1000_0000, 0x1000);
-    let t0: Vec<EventRecord> = (1..=10)
-        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
-        .collect();
-    let mut dependent = EventRecord::instr(
-        Rid(1),
-        Instr::Load {
-            dst: Reg::new(0),
-            src: MemRef::new(heap.start, 4),
-        },
-    );
-    dependent
-        .arcs
-        .push(DependenceArc::new(ThreadId(0), Rid(9), ArcKind::Raw));
-    let t1 = vec![dependent];
-
-    // Encode only thread 0's first five records (clean truncation).
-    let truncated = encode(&t0[..5]);
-    let whole_t1 = encode(&t1);
-    for threaded in [false, true] {
-        let src =
-            StreamingReplaySource::from_encoded(vec![truncated.clone(), whole_t1.clone()], heap);
-        let builder = MonitorSession::builder()
-            .source(src)
-            .lifeguard(LifeguardKind::TaintCheck);
-        let builder = if threaded {
-            builder.backend(ThreadedBackend)
-        } else {
-            builder.backend(DeterministicBackend)
-        };
-        let err = builder.build().unwrap().run().err();
-        assert!(
-            matches!(err, Some(SessionError::Deadlock(_))),
-            "threaded={threaded}: expected Deadlock, got {err:?}"
-        );
-    }
+    parity::severed_arc(&[parity::Driver::LanesWire]);
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //! checked-in reading to be compared against.
 
 use paralog_core::{CoopSession, LaneSet, RecordStream, SessionError, StreamStatus, LANE_BUDGET};
+use paralog_events::codec::{encode, StreamDecoder};
 use paralog_events::{
     AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
     ThreadId, VersionId,
@@ -396,6 +397,10 @@ impl RecordStream for SharedStream {
 ///   produce→consume hand-off through [`VersionTable`]'s one mutex, per
 ///   version (`records / 2` of them): one thread doing the whole lifecycle,
 ///   and a producer thread racing a polling consumer.
+/// * `decode/{plain,tso_annotated}` — the check stream's wire turned back
+///   into records by [`StreamDecoder::decode_into`] in a lane's 256-record
+///   batches, per record; in the annotated stream every 16th record carries
+///   a §5.5 produce and consume note, which costs its record an allocation.
 pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
     type Stream = fn(u16, u64) -> Vec<EventRecord>;
     let replays: [(&str, LifeguardKind, Stream); 4] = [
@@ -502,11 +507,41 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
         }),
     );
 
+    let plain = check_stream(0, records);
+    let mut annotated = plain.clone();
+    let mem = MemRef::new(HEAP.start, 8);
+    for rec in annotated.iter_mut().step_by(16) {
+        rec.push_produce_version(vid(rec.rid.0), mem, 1);
+        rec.set_consume_version(vid(rec.rid.0 + 1), mem);
+    }
+    for (name, recs) in [("decode/plain", plain), ("decode/tso_annotated", annotated)] {
+        let wire = encode(&recs);
+        let mut batch = Vec::with_capacity(DECODE_BATCH);
+        series.insert(
+            name.to_string(),
+            best_of(recs.len() as u64, iters, || {
+                let mut stream = StreamDecoder::new();
+                stream.feed(&wire);
+                loop {
+                    batch.clear();
+                    let got = stream.decode_into(&mut batch, DECODE_BATCH);
+                    if got.expect("own encoding decodes") == 0 {
+                        break;
+                    }
+                    black_box(&batch);
+                }
+            }),
+        );
+    }
+
     MatrixResult {
         records_per_thread: records,
         series,
     }
 }
+
+/// Records a replay lane pulls per refill.
+const DECODE_BATCH: usize = 256;
 
 /// Best-of window of a full run, which rewrites the checked-in baseline.
 const FULL_ITERS: usize = 7;

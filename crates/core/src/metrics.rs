@@ -84,7 +84,8 @@ impl PhaseBreakdown {
         };
         // Publishing: one propagation-handler body per §5.5 version
         // snapshot produced, plus the progress-advertisement store.
-        let publish = cost.propagation_handler * rec.produce_versions.len() as u64 + cost.dispatch;
+        let publish =
+            cost.propagation_handler * rec.produce_versions().len() as u64 + cost.dispatch;
         (analysis, publish)
     }
 

@@ -603,7 +603,9 @@ impl<'w> Sim<'w> {
             if !arcs.is_empty() || !produces.is_empty() {
                 let ok = self.annotate_staged(tid, store.rid, |r| {
                     r.arcs.extend(arcs.iter().copied());
-                    r.produce_versions.extend(produces.iter().copied());
+                    for &(vid, mem, consumers) in &produces {
+                        r.push_produce_version(vid, mem, consumers);
+                    }
                     true
                 });
                 assert!(ok, "store record must still be staged while undrained");
@@ -628,7 +630,7 @@ impl<'w> Sim<'w> {
         let reader_tid = ThreadId(reader as u16);
         let mut produces = ProduceList::new();
         let mut annotate = |r: &mut EventRecord| -> bool {
-            if r.rid > last_rid || r.consume_version.is_some() {
+            if r.rid > last_rid || r.consume_version().is_some() {
                 return false;
             }
             let mem = match &r.payload {
@@ -642,7 +644,7 @@ impl<'w> Sim<'w> {
                 consumer: reader_tid,
                 consumer_rid: r.rid,
             };
-            r.consume_version = Some((vid, mem));
+            r.set_consume_version(vid, mem);
             produces.push((vid, mem, 1));
             true
         };

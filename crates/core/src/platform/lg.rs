@@ -231,7 +231,7 @@ impl<'a> DeliveryCtx<'a> {
         self.lgs[li].last_tag = Some(tag);
 
         // TSO: produce versions before the record's own effect (§5.5).
-        for (vid, mem, consumers) in &rec.produce_versions {
+        for (vid, mem, consumers) in rec.produce_versions() {
             if accel {
                 let flushed = self.lgs[li].it.flush_overlapping_public(*mem);
                 cycles += deliver_ops(
@@ -256,7 +256,7 @@ impl<'a> DeliveryCtx<'a> {
         // version means the producer has not reached its store yet: the live
         // shadow is still pre-store, so reading it directly is correct (the
         // bypass is recorded so the eventual snapshot retires properly).
-        let versioned: Option<(AddrRange, Vec<u8>)> = rec.consume_version.and_then(|(vid, _)| {
+        let versioned: Option<(AddrRange, Vec<u8>)> = rec.consume_version().and_then(|(vid, _)| {
             let got = self.versions.consume(vid);
             if got.is_none() {
                 self.versions.bypass(vid);
@@ -293,7 +293,7 @@ impl<'a> DeliveryCtx<'a> {
                 match view {
                     EventView::Dataflow => {
                         if accel && uses_it {
-                            if let Some((_, mem)) = rec.consume_version {
+                            if let Some((_, mem)) = rec.consume_version() {
                                 // §5.5: deliver versioned accesses directly,
                                 // materializing same-address rows first. The
                                 // delivery bypasses the IT table, so (i)
@@ -324,7 +324,7 @@ impl<'a> DeliveryCtx<'a> {
                     }
                     EventView::Check => {
                         if let Some(op) = check_view(&instr) {
-                            let filtered = if accel && uses_if && rec.consume_version.is_none() {
+                            let filtered = if accel && uses_if && rec.consume_version().is_none() {
                                 if let MetaOp::CheckAccess { mem, kind } = op {
                                     self.lgs[li].ifilter.filter(mem, kind)
                                 } else {
@@ -483,7 +483,7 @@ pub(crate) fn deliver_ingested(
     let lg = &mut lgs[t];
     let rid = rec.rid;
     crate::session::produce_versions(versions, t, rec, |range| lg.snapshot_meta(range))?;
-    let versioned: Option<(AddrRange, Vec<u8>)> = rec.consume_version.and_then(|(vid, _)| {
+    let versioned: Option<(AddrRange, Vec<u8>)> = rec.consume_version().and_then(|(vid, _)| {
         let got = versions.consume(vid);
         if got.is_none() {
             versions.bypass(vid);

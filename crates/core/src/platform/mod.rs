@@ -424,7 +424,7 @@ impl<'w> Sim<'w> {
                 ring.peek().map(|r| (
                     r.rid,
                     r.arcs.clone(),
-                    r.consume_version,
+                    r.consume_version(),
                     match &r.payload {
                         paralog_events::EventPayload::Ca(ca) => format!(
                             "CA {} {:?} seq={} issuer={}",

@@ -498,7 +498,7 @@ impl CoopLane {
             // version is *not* a bypass here — reading the live shadow would
             // race the producer's store on real threads — so an unproduced
             // version gates the lane.
-            let versioned = match head.consume_version {
+            let versioned = match head.consume_version() {
                 Some((vid, _)) => match self.shared.versions.consume(vid) {
                     Some(v) => Some(v),
                     None => return self.gated(Blocker::Version(vid)),

@@ -133,7 +133,7 @@ pub(crate) fn produce_versions(
     rec: &paralog_events::EventRecord,
     snapshot: impl Fn(AddrRange) -> Vec<u8>,
 ) -> Result<(), SessionError> {
-    for (vid, mem, consumers) in &rec.produce_versions {
+    for (vid, mem, consumers) in rec.produce_versions() {
         let range = mem.range();
         versions
             .try_produce(*vid, range, snapshot(range), *consumers)

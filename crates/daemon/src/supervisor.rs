@@ -38,7 +38,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -151,9 +151,12 @@ struct SessionEntry {
     /// `STATUS` surfaces it so operators can see which tier a session's
     /// footprint lives in.
     shape: MetadataShape,
-    /// When the handshake completed — the denominator of the
-    /// applied-record throughput `STATUS` reports.
+    /// When the handshake completed — where the applied-record throughput
+    /// `STATUS` reports is measured from.
     attached_at: Instant,
+    /// When the session finished — where that throughput is measured to,
+    /// once it has; stamped once, by [`finalize`](Self::finalize).
+    finished_at: OnceLock<Instant>,
     /// The live session handle; taken (dropped) once the report is
     /// composed so finished sessions do not pin multi-megabyte metadata.
     session: Mutex<Option<CoopSession>>,
@@ -215,6 +218,7 @@ impl SessionEntry {
         if self.finalized.swap(true, Ordering::AcqRel) {
             return;
         }
+        let _ = self.finished_at.set(Instant::now());
         let result = session.report().expect("a complete session has its report");
         // Cursor lock serializes against WATCH subscription: a watcher
         // either registers before this flush (and gets the tail, then the
@@ -347,6 +351,7 @@ impl DaemonInner {
             tso: req.tso,
             shape: factory.metadata_shape(),
             attached_at: Instant::now(),
+            finished_at: OnceLock::new(),
             session: Mutex::new(Some(session.clone())),
             feeds: Mutex::new(writers),
             buffered,
@@ -933,7 +938,15 @@ fn status_lines(entry: &Arc<SessionEntry>) -> Vec<String> {
         .map(|s| s.records())
         .or_else(|| entry.report_for().and_then(|r| r.ok().map(|m| m.records)))
         .unwrap_or(0);
-    let elapsed = entry.attached_at.elapsed().as_secs_f64().max(1e-6);
+    let end = entry
+        .finished_at
+        .get()
+        .copied()
+        .unwrap_or_else(Instant::now);
+    let elapsed = end
+        .duration_since(entry.attached_at)
+        .as_secs_f64()
+        .max(1e-6);
     lines.push(format!("records_per_sec {:.0}", applied as f64 / elapsed));
     let report = entry.report_for();
     match (&report, entry.session_handle()) {

@@ -143,10 +143,10 @@ impl Encoder {
         if !rec.arcs.is_empty() {
             flags |= FLAG_ARCS;
         }
-        if !rec.produce_versions.is_empty() {
+        if !rec.produce_versions().is_empty() {
             flags |= FLAG_PRODUCE;
         }
-        if rec.consume_version.is_some() {
+        if rec.consume_version().is_some() {
             flags |= FLAG_CONSUME;
         }
         match &rec.payload {
@@ -162,15 +162,15 @@ impl Encoder {
             }
         }
         if flags & FLAG_PRODUCE != 0 {
-            write_uvarint(&mut self.out, rec.produce_versions.len() as u64);
-            for (v, m, consumers) in &rec.produce_versions {
+            write_uvarint(&mut self.out, rec.produce_versions().len() as u64);
+            for (v, m, consumers) in rec.produce_versions() {
                 write_uvarint(&mut self.out, v.consumer.0 as u64);
                 write_uvarint(&mut self.out, v.consumer_rid.0);
                 self.encode_memref(*m);
                 write_uvarint(&mut self.out, u64::from(*consumers));
             }
         }
-        if let Some((v, m)) = rec.consume_version {
+        if let Some((v, m)) = rec.consume_version() {
             write_uvarint(&mut self.out, v.consumer.0 as u64);
             write_uvarint(&mut self.out, v.consumer_rid.0);
             self.encode_memref(m);
@@ -277,10 +277,10 @@ impl Encoder {
     }
 }
 
-/// Headroom covering any record with inline-capacity annotation lists (the
-/// overwhelmingly common case) at full-width varints. Records spilling past
-/// it are still encoded correctly — `Vec` grows — just without the
-/// pre-reserved fast path.
+/// Headroom covering any record with at most two arcs, one produce note
+/// and a consume note (the overwhelmingly common case) at full-width
+/// varints. Records running past it are still encoded correctly — `Vec`
+/// grows — just without the pre-reserved fast path.
 const MAX_RECORD_BYTES: usize = 256;
 
 /// Encodes a whole slice of records (convenience wrapper over [`Encoder`]).
@@ -444,13 +444,7 @@ impl<'a> Decoder<'a> {
         } else {
             EventPayload::Instr(self.read_instr(opcode)?)
         };
-        let mut rec = EventRecord {
-            rid,
-            payload,
-            arcs: crate::record::ArcList::new(),
-            produce_versions: crate::record::ProduceList::new(),
-            consume_version: None,
-        };
+        let mut rec = EventRecord::new(rid, payload);
         if flags & FLAG_ARCS != 0 {
             let n = self.read_uvarint("arc count")?;
             for _ in 0..n {
@@ -467,13 +461,13 @@ impl<'a> Decoder<'a> {
                 let v = self.read_version()?;
                 let m = self.read_memref()?;
                 let consumers = self.read_narrow("consumer count out of range")?;
-                rec.produce_versions.push((v, m, consumers));
+                rec.push_produce_version(v, m, consumers);
             }
         }
         if flags & FLAG_CONSUME != 0 {
             let v = self.read_version()?;
             let m = self.read_memref()?;
-            rec.consume_version = Some((v, m));
+            rec.set_consume_version(v, m);
         }
         self.read_check()?;
         Ok(rec)
@@ -906,22 +900,126 @@ mod tests {
         recs[2]
             .arcs
             .push(DependenceArc::new(ThreadId(2), Rid(4), ArcKind::War));
-        recs[0].consume_version = Some((
+        recs[0].set_consume_version(
             VersionId {
                 consumer: ThreadId(0),
                 consumer_rid: Rid(1),
             },
             m,
-        ));
-        recs[3].produce_versions.push((
+        );
+        recs[3].push_produce_version(
             VersionId {
                 consumer: ThreadId(2),
                 consumer_rid: Rid(42),
             },
             n,
             2,
-        ));
+        );
         recs
+    }
+
+    /// One record per opcode (both CA encodings), carrying 0–3 arcs (the
+    /// third spills), a two-entry produce list and a consume note.
+    fn golden_records() -> Vec<EventRecord> {
+        use crate::isa::LockId;
+        let m = MemRef::new(0x1000, 4);
+        let n = MemRef::new(0x0ff8, 8);
+        let ca = |what, phase, range, seq| {
+            EventPayload::Ca(CaRecord {
+                what,
+                phase,
+                range,
+                issuer: ThreadId(1),
+                issuer_rid: Rid(40),
+                seq,
+            })
+        };
+        let instrs = [
+            Instr::Load { dst: r(0), src: m },
+            Instr::Store { dst: n, src: r(1) },
+            Instr::MovRR {
+                dst: r(2),
+                src: r(3),
+            },
+            Instr::MovRI { dst: r(4) },
+            Instr::Alu1 { dst: r(5), a: r(6) },
+            Instr::Alu2 {
+                dst: r(7),
+                a: r(8),
+                b: r(9),
+            },
+            Instr::AluMem {
+                dst: r(10),
+                a: r(11),
+                src: MemRef::new(0x2001, 1),
+            },
+            Instr::JmpReg { target: r(12) },
+            Instr::Rmw {
+                mem: MemRef::new(0x3000, 8),
+                reg: r(13),
+            },
+            Instr::Nop,
+        ];
+        let read = HighLevelKind::Syscall(SyscallKind::ReadInput);
+        let cas = [
+            ca(read, CaPhase::Begin, Some(AddrRange::new(0x4000, 256)), 7),
+            ca(HighLevelKind::Unlock(LockId(3)), CaPhase::End, None, 8),
+        ];
+        let mut recs: Vec<EventRecord> = instrs
+            .into_iter()
+            .map(EventPayload::Instr)
+            .chain(cas)
+            .zip(100..)
+            .map(|(payload, rid)| EventRecord::new(Rid(rid), payload))
+            .collect();
+        let arc = |t, rid, kind| DependenceArc::new(ThreadId(t), Rid(rid), kind);
+        recs[1].arcs.push(arc(2, 90, ArcKind::Raw));
+        recs[2]
+            .arcs
+            .extend([arc(3, 91, ArcKind::War), arc(0, 300, ArcKind::Waw)]);
+        recs[3].arcs.extend([
+            arc(1, 5, ArcKind::Sync),
+            arc(2, 92, ArcKind::Raw),
+            arc(3, 93, ArcKind::War),
+        ]);
+        let vid = |t, rid| VersionId {
+            consumer: ThreadId(t),
+            consumer_rid: Rid(rid),
+        };
+        recs[4].push_produce_version(vid(2, 17), m, 1);
+        recs[4].push_produce_version(vid(3, 18), n, 2);
+        recs[5].set_consume_version(vid(0, 105), m);
+        recs
+    }
+
+    /// The wire bytes of [`golden_records`], captured before the in-memory
+    /// record was shrunk to 128 B. Neither a layout change nor anything
+    /// else may move one: a stream written by an older producer must still
+    /// decode.
+    const GOLDEN_WIRE: [u8; 93] = [
+        0x64, 0x00, 0x02, 0x80, 0x40, 0x94, 0x11, 0x13, 0x0f, 0x01, 0x00, 0x02, 0x5a, 0xc2, 0x12,
+        0x23, 0x02, 0x01, 0x03, 0x5b, 0x02, 0x00, 0xac, 0x02, 0xc3, 0x13, 0x04, 0x03, 0x03, 0x01,
+        0x05, 0x00, 0x02, 0x5c, 0x01, 0x03, 0x5d, 0x51, 0x24, 0x56, 0x02, 0x02, 0x11, 0x02, 0x10,
+        0x01, 0x03, 0x12, 0x03, 0x0f, 0x02, 0xef, 0x45, 0x78, 0x09, 0x00, 0x69, 0x02, 0x10, 0xa9,
+        0x06, 0xab, 0x00, 0x82, 0x40, 0x50, 0x07, 0x0c, 0xdd, 0x08, 0xd3, 0xfe, 0x3f, 0xda, 0x09,
+        0x0e, 0x0a, 0x0a, 0x01, 0x28, 0x07, 0x80, 0x40, 0x80, 0x02, 0x6a, 0x0a, 0x19, 0x03, 0x01,
+        0x28, 0x08, 0x99,
+    ];
+
+    #[test]
+    fn wire_format_is_pinned() {
+        let recs = golden_records();
+        assert_eq!(encode(&recs), GOLDEN_WIRE, "a wire byte moved");
+        assert_eq!(decode(&GOLDEN_WIRE).unwrap(), recs);
+    }
+
+    #[test]
+    fn decoding_the_common_case_allocates_nothing() {
+        for rec in decode(&GOLDEN_WIRE).unwrap() {
+            let annotated = !rec.produce_versions().is_empty() || rec.consume_version().is_some();
+            assert_eq!(rec.has_tso_notes(), annotated, "rid {}", rec.rid);
+            assert_eq!(rec.arcs.is_spilled(), rec.arcs.len() > 2, "rid {}", rec.rid);
+        }
     }
 
     #[test]

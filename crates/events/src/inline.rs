@@ -27,7 +27,24 @@
 //!   against a 25 % bound), `detect_latency_p50_ms` median 28.6 → 34.1.
 //!
 //! So a smaller record is worth having only in a form that does not cost
-//! an allocation per decoded record.
+//! an allocation per decoded record. That form is the one used now: the
+//! slots stay inline, the spill shrinks from a 24 B `Vec` to one thin
+//! pointer (`Option<Box<Vec<T>>>`, so `ArcList` is 48 B, not 64, with both
+//! arcs still inline), and the §5.5 notes, which only SC-violating records
+//! of TSO captures carry, move behind one pointer of their own. The record
+//! is 120 B and a 256-record lane batch 30 KiB, inside a 48 KiB L1d.
+//! Against the 240 B layout (same two-processor box, alternated pairs,
+//! 10 s windows, 240 B → 120 B medians; 120 B had the higher
+//! `records_per_s` in every pair):
+//!
+//! * `taint_sat`, seed 1, 10 pairs: `records_per_s` 13.9 → 16.2 M
+//!   (+17 %, 240 B IQR 13.6–14.2), `drain_ms` 21.6 → 18.5,
+//!   `peak_rss_mb` 203 → 120; seed 2, 5 pairs: 14.2 → 16.7 M.
+//! * `arc_storm`, 5 pairs: `records_per_s` 5.68 → 6.29 M (+11 %),
+//!   `drain_ms` 21.5 → 19.4, `peak_rss_mb` 125 → 80.
+//! * `race_sat`, 5 pairs: 10.0 → 11.5 M (+15 %), RSS 365 → 214 MB.
+//! * `cosim_fig6`, 5 pairs: 13.9 → 16.0 M (+15 %), `setup_s` 5.23 →
+//!   4.67, RSS 845 → 487 MB.
 //!
 //! The element type must be `Copy + Default`: events are plain-old-data,
 //! and the inline buffer is a plain `[T; N]` whose unused tail holds
@@ -41,12 +58,14 @@ use std::ops::Deref;
 /// A small-vector holding up to `N` elements inline before spilling.
 pub struct InlineVec<T: Copy, const N: usize> {
     /// Inline storage; the first `len` slots are the elements iff `spill`
-    /// is empty, the rest is filler.
+    /// is `None`, the rest is filler.
     inline: [T; N],
     /// Element count of `inline` (unused once spilled).
     len: u8,
-    /// Heap storage holding *all* elements once length exceeds `N`.
-    spill: Vec<T>,
+    /// Heap storage holding *all* elements once length exceeds `N`: one
+    /// thin pointer, so an unspilled list pays 8 B for it, not a `Vec`'s 24.
+    #[allow(clippy::box_collection)] // the box is what makes it thin
+    spill: Option<Box<Vec<T>>>,
 }
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
@@ -61,25 +80,16 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         InlineVec {
             inline: [T::default(); N],
             len: 0,
-            spill: Vec::new(),
+            spill: None,
         }
     }
 }
 
 impl<T: Copy, const N: usize> InlineVec<T, N> {
-    #[inline]
-    fn spilled(&self) -> bool {
-        !self.spill.is_empty()
-    }
-
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        if self.spilled() {
-            self.spill.len()
-        } else {
-            self.len as usize
-        }
+        self.as_slice().len()
     }
 
     /// Whether the vector holds no elements.
@@ -90,23 +100,22 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
 
     /// Whether elements currently live on the heap (diagnostic aid).
     pub fn is_spilled(&self) -> bool {
-        self.spilled()
+        self.spill.is_some()
     }
 
     /// All elements as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        if self.spilled() {
-            &self.spill
-        } else {
-            &self.inline[..self.len as usize]
+        match &self.spill {
+            Some(spill) => spill,
+            None => &self.inline[..self.len as usize],
         }
     }
 
     /// Appends an element, spilling to the heap past `N`.
     pub fn push(&mut self, value: T) {
-        if self.spilled() {
-            self.spill.push(value);
+        if let Some(spill) = &mut self.spill {
+            spill.push(value);
             return;
         }
         let len = self.len as usize;
@@ -115,18 +124,19 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
             self.len += 1;
             return;
         }
-        // First spill: move the inline prefix to the heap, reusing any
-        // capacity a previous `clear` retained.
-        self.spill.reserve(N * 2);
-        self.spill.extend_from_slice(&self.inline);
-        self.spill.push(value);
+        // First spill: move the inline prefix to the heap.
+        let mut spill = Vec::with_capacity(N * 2);
+        spill.extend_from_slice(&self.inline);
+        spill.push(value);
+        self.spill = Some(Box::new(spill));
         self.len = 0;
     }
 
-    /// Drops all elements (retains any heap capacity already paid for).
+    /// Drops all elements and any heap storage, so the next push is
+    /// inline again.
     pub fn clear(&mut self) {
         self.len = 0;
-        self.spill.clear();
+        self.spill = None;
     }
 
     /// Iterates the elements.
@@ -167,8 +177,12 @@ impl<T: Copy + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
-    fn eq(&self, other: &Self) -> bool {
+/// Equal when the elements are, whichever tier (or inline capacity) holds
+/// them.
+impl<T: Copy + PartialEq, const N: usize, const M: usize> PartialEq<InlineVec<T, M>>
+    for InlineVec<T, N>
+{
+    fn eq(&self, other: &InlineVec<T, M>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
@@ -258,6 +272,39 @@ mod tests {
         assert!(v.is_empty());
         v.push(9);
         assert_eq!(v.as_slice(), &[9]);
+    }
+
+    #[test]
+    fn clear_after_a_spill_pushes_inline_again() {
+        let mut v: InlineVec<u32, 2> = [1, 2, 3].into_iter().collect();
+        assert!(v.is_spilled());
+        v.clear();
+        assert!(!v.is_spilled(), "clear frees the heap tier");
+        v.push(4);
+        v.push(5);
+        assert!(!v.is_spilled(), "refills up to capacity stay inline");
+        assert_eq!(v.as_slice(), &[4, 5]);
+    }
+
+    #[test]
+    fn clone_of_a_spilled_list_owns_its_heap() {
+        let mut a: InlineVec<u32, 2> = [1, 2, 3].into_iter().collect();
+        let b = a.clone();
+        assert!(b.is_spilled());
+        a.push(4);
+        assert_eq!(b.as_slice(), &[1, 2, 3], "the clone's spill is its own");
+        assert_eq!(a.as_slice(), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn spilled_and_unspilled_lists_with_the_same_elements_are_equal() {
+        let spilled: InlineVec<u32, 2> = [1, 2, 3].into_iter().collect();
+        let inline: InlineVec<u32, 4> = [1, 2, 3].into_iter().collect();
+        assert!(spilled.is_spilled() && !inline.is_spilled());
+        assert_eq!(spilled, inline);
+        assert_eq!(inline, spilled);
+        let shorter: InlineVec<u32, 4> = [1, 2].into_iter().collect();
+        assert_ne!(spilled, shorter);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::fmt;
 pub type ArcList = InlineVec<DependenceArc, 2>;
 
 /// Inline-capacity produce-version list (one entry per SC-violating remote
-/// reader — almost always zero or one).
+/// reader — almost always one).
 pub type ProduceList = InlineVec<(VersionId, MemRef, u32), 1>;
 
 /// Identifier of a TSO metadata version: the paper combines the *consumer*
@@ -136,42 +136,82 @@ pub struct EventRecord {
     /// Inter-thread dependence arcs that must be satisfied before delivery.
     /// Inline up to two arcs, so capturing the common case never allocates.
     pub arcs: ArcList,
-    /// TSO annotation: versions this record's lifeguard must *produce*
-    /// (copy current metadata) before processing the record, together with
-    /// the number of reader records that will consume each (§5.5). Inline
-    /// one entry, so annotation of the common case never allocates.
-    pub produce_versions: ProduceList,
-    /// TSO annotation: version this record's lifeguard must *consume*
-    /// (read versioned metadata instead of current) when processing.
-    pub consume_version: Option<(VersionId, MemRef)>,
+    /// The §5.5 TSO notes, out of line: only SC-violating records of TSO
+    /// captures carry any, so every other record pays one null pointer for
+    /// them. `Some` only while it holds a note, so derived equality holds.
+    tso: Option<Box<TsoNotes>>,
 }
 
-// Every replay lane holds a batch of 256 of these (62 KiB) and each byte of
-// one is written once per record replayed — 240 B for ~4 B of wire — so
-// growing the record is a deliberate act, not a side effect of a new field.
-const _: () = assert!(std::mem::size_of::<EventRecord>() <= 256);
+/// The TSO annotations of one record (§5.5).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct TsoNotes {
+    /// Versions the record's lifeguard must *produce* (copy current
+    /// metadata) before processing the record, each with the number of
+    /// reader records that will consume it.
+    produce: ProduceList,
+    /// Version the record's lifeguard must *consume* (read versioned
+    /// metadata instead of current) when processing it.
+    consume: Option<(VersionId, MemRef)>,
+}
+
+// Every replay lane holds a batch of 256 of these (30 KiB at 120 B, inside
+// a 48 KiB L1d) and each byte of one is written once per record replayed —
+// for ~4 B of wire — so growing the record is a deliberate act, not a side
+// effect of a new field.
+const _: () = assert!(std::mem::size_of::<EventRecord>() <= 128);
 
 impl EventRecord {
-    /// Creates a plain instruction record with no arcs or annotations.
-    pub fn instr(rid: Rid, instr: Instr) -> Self {
+    /// Creates a record with no arcs or annotations.
+    pub(crate) fn new(rid: Rid, payload: EventPayload) -> Self {
         EventRecord {
             rid,
-            payload: EventPayload::Instr(instr),
+            payload,
             arcs: ArcList::new(),
-            produce_versions: ProduceList::new(),
-            consume_version: None,
+            tso: None,
         }
+    }
+
+    /// Creates a plain instruction record with no arcs or annotations.
+    pub fn instr(rid: Rid, instr: Instr) -> Self {
+        EventRecord::new(rid, EventPayload::Instr(instr))
     }
 
     /// Creates a ConflictAlert record.
     pub fn ca(rid: Rid, ca: CaRecord) -> Self {
-        EventRecord {
-            rid,
-            payload: EventPayload::Ca(ca),
-            arcs: ArcList::new(),
-            produce_versions: ProduceList::new(),
-            consume_version: None,
-        }
+        EventRecord::new(rid, EventPayload::Ca(ca))
+    }
+
+    /// TSO annotation: the versions this record's lifeguard must produce
+    /// before processing it, with each one's consumer count (§5.5).
+    pub fn produce_versions(&self) -> &[(VersionId, MemRef, u32)] {
+        self.tso.as_ref().map_or(&[], |notes| &notes.produce)
+    }
+
+    /// TSO annotation: the version this record's lifeguard must consume
+    /// when processing it (§5.5).
+    pub fn consume_version(&self) -> Option<(VersionId, MemRef)> {
+        self.tso.as_ref().and_then(|notes| notes.consume)
+    }
+
+    /// Whether the record carries any TSO annotation (and so owns a heap
+    /// allocation for it).
+    #[cfg(test)]
+    pub(crate) fn has_tso_notes(&self) -> bool {
+        self.tso.is_some()
+    }
+
+    /// Adds a version this record's lifeguard must produce.
+    pub fn push_produce_version(&mut self, version: VersionId, mem: MemRef, consumers: u32) {
+        self.notes_mut().produce.push((version, mem, consumers));
+    }
+
+    /// Sets the version this record's lifeguard must consume.
+    pub fn set_consume_version(&mut self, version: VersionId, mem: MemRef) {
+        self.notes_mut().consume = Some((version, mem));
+    }
+
+    fn notes_mut(&mut self) -> &mut TsoNotes {
+        self.tso.get_or_insert_with(Box::default)
     }
 
     /// The instruction payload, if this is an instruction record.
@@ -282,7 +322,8 @@ mod tests {
         let rec = EventRecord::instr(Rid(4), i);
         assert_eq!(rec.as_instr(), Some(&i));
         assert!(rec.arcs.is_empty());
-        assert!(rec.consume_version.is_none());
+        assert!(rec.consume_version().is_none());
+        assert!(!rec.has_tso_notes());
     }
 
     #[test]

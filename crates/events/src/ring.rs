@@ -319,11 +319,11 @@ mod tests {
             consumer_rid: Rid(3),
         };
         let m = MemRef::new(0x40, 4);
-        assert!(ring.annotate(Rid(3), |r| r.consume_version = Some((v, m))));
+        assert!(ring.annotate(Rid(3), |r| r.set_consume_version(v, m)));
         ring.pop();
         ring.pop();
         let third = ring.pop().unwrap();
-        assert_eq!(third.consume_version, Some((v, m)));
+        assert_eq!(third.consume_version(), Some((v, m)));
     }
 
     #[test]
@@ -345,14 +345,14 @@ mod tests {
         ring.push(rec(1)).unwrap(); // duplicate rid on purpose
         ring.push(rec(3)).unwrap();
         assert!(ring.annotate(Rid(3), |r| {
-            r.produce_versions.push((
+            r.push_produce_version(
                 VersionId {
                     consumer: ThreadId(1),
                     consumer_rid: Rid(3),
                 },
                 MemRef::new(0, 4),
                 1,
-            ));
+            );
         }));
     }
 

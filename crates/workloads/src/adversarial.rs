@@ -207,10 +207,10 @@ pub fn rid_sweep(versions: u64, stride: u64) -> AdversarialCapture {
             consumer_rid,
         };
         let mut prod = access(r0.next(), shared, true);
-        prod.produce_versions.push((vid, mem, 1));
+        prod.push_produce_version(vid, mem, 1);
         t0.push(prod);
         let mut cons = access(consumer_rid, shared, false);
-        cons.consume_version = Some((vid, mem));
+        cons.set_consume_version(vid, mem);
         t1.push(cons);
     }
     AdversarialCapture {
@@ -339,11 +339,11 @@ mod tests {
         let cap = rid_sweep(32, 128);
         let produced: Vec<VersionId> = cap.streams[0]
             .iter()
-            .flat_map(|r| r.produce_versions.iter().map(|(v, _, _)| *v))
+            .flat_map(|r| r.produce_versions().iter().map(|(v, _, _)| *v))
             .collect();
         let consumed: Vec<VersionId> = cap.streams[1]
             .iter()
-            .filter_map(|r| r.consume_version.map(|(v, _)| v))
+            .filter_map(|r| r.consume_version().map(|(v, _)| v))
             .collect();
         assert_eq!(produced, consumed, "every version has exactly one consumer");
         assert_eq!(produced.len(), 32);

@@ -620,13 +620,13 @@ fn tso_capture_row(name: &str, w: &Workload, kind: LifeguardKind) -> u64 {
         .streams
         .iter()
         .flatten()
-        .map(|r| r.produce_versions.len() as u64)
+        .map(|r| r.produce_versions().len() as u64)
         .sum();
     let consumes = case
         .streams
         .iter()
         .flatten()
-        .filter(|r| r.consume_version.is_some())
+        .filter(|r| r.consume_version().is_some())
         .count() as u64;
     assert_eq!(produces, live.versions_produced, "{name}: lost produce");
     assert_eq!(consumes, live.versions_consumed, "{name}: lost consume");
@@ -936,7 +936,7 @@ pub fn addrcheck_versioned_read() {
         consumer_rid: Rid(1),
     };
     let mut produce = store(1, x.addr);
-    produce.produce_versions.push((version, x, 1));
+    produce.push_produce_version(version, x, 1);
     let malloc = ca(
         2,
         0,
@@ -945,7 +945,7 @@ pub fn addrcheck_versioned_read() {
         Some(AddrRange::new(heap.start, 0x100)),
     );
     let mut consume = with_arc(load(1, 0, x.addr), 0, 2, ArcKind::Raw);
-    consume.consume_version = Some((version, x));
+    consume.set_consume_version(version, x);
     let case = Case::new(
         "versioned read",
         LifeguardKind::AddrCheck,
@@ -1149,7 +1149,7 @@ pub fn unproduced_consume() {
         consumer: ThreadId(0),
         consumer_rid: Rid(1),
     };
-    consumer.consume_version = Some((vid, mem));
+    consumer.set_consume_version(vid, mem);
     // Thread 1 (the would-be producer) is already exhausted: nothing will
     // ever produce v<T0,#1>.
     let case = Case::new(
@@ -1203,8 +1203,8 @@ pub fn duplicate_produce() {
         consumer_rid: Rid(9),
     };
     let mut recs = nops(4);
-    recs[0].produce_versions.push((vid, m, 1));
-    recs[1].produce_versions.push((vid, m, 1));
+    recs[0].push_produce_version(vid, m, 1);
+    recs[1].push_produce_version(vid, m, 1);
     let case = Case::new(
         "duplicate produce",
         LifeguardKind::TaintCheck,
@@ -1223,7 +1223,7 @@ fn produce_annotation(consumer: u16, consumers: u32) -> Case {
         consumer_rid: Rid(2),
     };
     let mut recs = nops(3);
-    recs[0].produce_versions.push((vid, m, consumers));
+    recs[0].push_produce_version(vid, m, consumers);
     let name = format!("produce for T{consumer} x{consumers}");
     Case::new(name, LifeguardKind::TaintCheck, HEAP, vec![recs])
 }

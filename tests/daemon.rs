@@ -766,6 +766,31 @@ fn live_watch_streams_violations_and_the_end_line() {
     daemon.shutdown();
 }
 
+#[test]
+fn a_finished_sessions_throughput_stays_at_its_final_average() {
+    let (heap, encoded) = independent_capture(2, 2000);
+    let daemon = spawn_daemon("rate");
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("rate", LifeguardKind::AddrCheck, 2, heap),
+    )
+    .expect("attaches");
+    let id = producer.session_id();
+    producer.send_capture(&encoded, 512).expect("streams");
+    let first = await_done(&daemon, id);
+    assert_eq!(field(&first, "state").as_deref(), Some("done"));
+    std::thread::sleep(Duration::from_millis(150));
+    let mut ctl = Control::connect(daemon.control_socket()).expect("control connects");
+    let second = ctl.status(id).expect("status");
+    let rate = |lines: &[String]| field(lines, "records_per_sec").expect("records_per_sec line");
+    assert_eq!(
+        rate(&first),
+        rate(&second),
+        "a finished session's rate is measured attach to finish, not to now"
+    );
+    daemon.shutdown();
+}
+
 /// The `<key>=<value>` fields of `LIST`'s closing `pool` line, from one
 /// reading.
 fn pool_counters(daemon: &Daemon) -> std::collections::BTreeMap<String, u64> {

@@ -109,8 +109,8 @@ fn annotated_stream() -> Vec<EventRecord> {
         ),
         EventRecord::instr(Rid(6), Instr::Nop),
     ];
-    recs[2].produce_versions.push((vid, m, 1));
-    recs[4].consume_version = Some((vid, m));
+    recs[2].push_produce_version(vid, m, 1);
+    recs[4].set_consume_version(vid, m);
     recs
 }
 

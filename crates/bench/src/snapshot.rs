@@ -9,11 +9,14 @@
 //! non-blocking `::warning::` machinery, and a later run always has a
 //! checked-in reading to be compared against.
 
-use paralog_core::{CoopSession, LaneSet, RecordStream, SessionError, StreamStatus, LANE_BUDGET};
+use paralog_core::{
+    CoopSession, EventSource, LaneSet, MonitorSession, RecordStream, SessionError, SourceInput,
+    StreamStatus, ThreadedBackend, LANE_BUDGET,
+};
 use paralog_events::codec::{encode, StreamDecoder};
 use paralog_events::{
-    AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
-    ThreadId, VersionId,
+    AddrRange, ArcKind, CaPhase, CaRecord, DependenceArc, EventRecord, HighLevelKind, Instr,
+    LockId, MemRef, Reg, Rid, ThreadId, VersionId,
 };
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind};
 use paralog_meta::{AtomicShadow, VersionTable};
@@ -381,6 +384,48 @@ impl RecordStream for SharedStream {
     }
 }
 
+/// A capture whose streams every round replays afresh.
+#[derive(Debug)]
+struct SharedCapture(Vec<Arc<[EventRecord]>>);
+
+impl EventSource for SharedCapture {
+    fn thread_count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn heap(&self) -> AddrRange {
+        HEAP
+    }
+
+    fn open(self: Box<Self>) -> SourceInput {
+        SourceInput::Streams(
+            self.0
+                .into_iter()
+                .map(|records| Box::new(SharedStream { records, at: 0 }) as Box<dyn RecordStream>)
+                .collect(),
+        )
+    }
+}
+
+/// Records between two arcs of a [`handoff_stream`].
+const HANDOFF_ARC_EVERY: usize = 64;
+
+/// [`check_stream`] with a sparse arc to the sibling of a two-lane capture:
+/// every 64th record waits for the sibling's previous rid, lane 1 half a
+/// period after lane 0, so each lane is now and then gated on the other.
+/// Every arc points at a smaller rid, so the capture cannot deadlock.
+fn handoff_stream(tid: u16, records: u64) -> Vec<EventRecord> {
+    let mut recs = check_stream(tid, records);
+    let sibling = ThreadId(1 - tid);
+    let first = HANDOFF_ARC_EVERY / 2 * usize::from(tid) + HANDOFF_ARC_EVERY;
+    for rec in recs.iter_mut().skip(first).step_by(HANDOFF_ARC_EVERY) {
+        let needed = Rid(rec.rid.0 - 1);
+        rec.arcs
+            .push(DependenceArc::new(sibling, needed, ArcKind::Sync));
+    }
+    recs
+}
+
 /// The concurrency suite, on real OS threads — the timing of §5.3's claim
 /// that lifeguard fast paths need no synchronisation across lifeguard
 /// threads. `records` records per thread are timed per round.
@@ -393,6 +438,11 @@ impl RecordStream for SharedStream {
 ///   session's [`LaneSet`], swept by one driver and by two, per record.
 ///   Two drivers must be no slower than one: if they are, the lanes share a
 ///   cache line they write per record.
+/// * `lane_handoff/threaded/2` — two MemCheck lanes on a
+///   [`ThreadedBackend`] (two pool workers on a two-processor machine),
+///   each gated every 64 records on the sibling lane the other worker
+///   holds, per record: what handing lanes between the workers costs,
+///   idle waits and wakes included, pool start and join too.
 /// * `concurrent_versions/{uncontended,handoff}` — the §5.5
 ///   produce→consume hand-off through [`VersionTable`]'s one mutex, per
 ///   version (`records / 2` of them): one thread doing the whole lifecycle,
@@ -454,7 +504,7 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
                         let (session, set) = (&session, &set);
                         scope.spawn(move || {
                             while !session.is_complete() {
-                                if set.sweep(home, LANE_BUDGET) == 0 {
+                                if set.sweep(home, LANE_BUDGET).delivered == 0 {
                                     std::thread::yield_now();
                                 }
                             }
@@ -465,6 +515,23 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
             }),
         );
     }
+
+    let handoff: Vec<Arc<[EventRecord]>> = (0..LANES)
+        .map(|t| handoff_stream(t, records).into())
+        .collect();
+    series.insert(
+        "lane_handoff/threaded/2".to_string(),
+        best_of(u64::from(LANES) * records, iters, || {
+            let outcome = MonitorSession::builder()
+                .source(SharedCapture(handoff.clone()))
+                .lifeguard(LifeguardKind::MemCheck)
+                .backend(ThreadedBackend)
+                .build()
+                .and_then(MonitorSession::run)
+                .expect("the hand-off capture replays clean");
+            black_box(outcome.metrics.fingerprint);
+        }),
+    );
 
     let versions = records / 2;
     let vid = |r: u64| VersionId {

@@ -55,7 +55,7 @@ pub use metrics::{AppBuckets, LgBuckets, PhaseBreakdown, RunMetrics, TRANSPORT_B
 pub use paralog_lifeguards::{SessionEvent, SessionEventObserver};
 pub use platform::{Platform, RunOutcome};
 pub use reference::Reference;
-pub use session::coop::{CoopLane, CoopSession, LaneSet, LaneStep, LANE_BUDGET};
+pub use session::coop::{CoopLane, CoopSession, LaneSet, LaneStep, Sweep, LANE_BUDGET};
 pub use session::pool::{PoolCounters, PoolTask, TaskPoll, WorkerPool};
 pub use session::{
     Backend, BackendMode, BufferedStream, DeterministicBackend, EventSource, FaultyReader,

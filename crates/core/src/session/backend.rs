@@ -38,7 +38,7 @@
 //! only when no thread can pull or deliver and some head record still waits
 //! on an unmet gate is the run declared a [`SessionError::Deadlock`].
 
-use super::coop::{CoopSession, LaneSet, LANE_BUDGET};
+use super::coop::{CoopSession, LaneSet};
 use super::pool::{PoolTask, TaskPoll, WorkerPool};
 use super::source::{LaneInput, RecordStream, Refill};
 use super::{stuck_head, Blocker, SessionError, SessionPlan};
@@ -395,8 +395,8 @@ impl Backend for ThreadedBackend {
     }
 }
 
-/// One lane of a [`ThreadedBackend`] session: a slice sweeps the set from
-/// `home`, and the task is done once the session is.
+/// One lane of a [`ThreadedBackend`] session: a slice is
+/// [`LaneSet::slice`] from `home`, and the task is done once the session is.
 pub(crate) struct LaneTask {
     pub(crate) session: CoopSession,
     pub(crate) lanes: Arc<LaneSet>,
@@ -405,13 +405,6 @@ pub(crate) struct LaneTask {
 
 impl PoolTask for LaneTask {
     fn run(&mut self) -> TaskPoll {
-        let delivered = self.lanes.sweep(self.home, LANE_BUDGET);
-        if self.session.is_complete() {
-            TaskPoll::Done
-        } else if delivered > 0 {
-            TaskPoll::Again
-        } else {
-            TaskPoll::AgainIdle
-        }
+        self.lanes.slice(&self.session, self.home)
     }
 }

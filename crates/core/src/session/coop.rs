@@ -60,6 +60,7 @@
 //! poisoned: the session fails with [`SessionError::LanePanicked`], that
 //! lane finishes, and the driver goes on serving other sessions.
 
+use super::pool::TaskPoll;
 use super::source::{LaneInput, RecordStream, Refill};
 use super::{produce_versions, stuck_head, Blocker, SessionError};
 use crate::metrics::RunMetrics;
@@ -647,32 +648,33 @@ impl LaneSet {
     /// Runs the session forward without blocking, starting at lane `home`
     /// (modulo the lane count): steps a lane while it keeps delivering,
     /// moves to the next sibling when it stops at a gate, runs out of
-    /// input, ends, or is held by another driver, and returns the records
-    /// it delivered once that reaches `budget` or one full pass over the
-    /// set delivered nothing. [`CoopSession::is_complete`] says when there
-    /// is nothing left to come back for.
+    /// input, ends, or is held by another driver, and returns once the
+    /// records it delivered reach `budget` or one full pass over the set
+    /// delivered nothing. [`CoopSession::is_complete`] says when there is
+    /// nothing left to come back for.
     ///
     /// A step that panics fails the session (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics on an empty set.
-    pub fn sweep(&self, home: usize, budget: usize) -> usize {
+    pub fn sweep(&self, home: usize, budget: usize) -> Sweep {
         let budget = budget.max(1);
-        let mut total = 0;
+        let mut swept = Sweep::default();
         let mut at = home % self.lanes.len();
         // Lanes visited in a row that delivered nothing.
         let mut flat = 0;
-        while flat < self.lanes.len() && total < budget {
+        while flat < self.lanes.len() && swept.delivered < budget {
             let (mut delivered, mut stay) = (0, false);
             match self.lanes[at].try_lock() {
                 Ok(mut lane) if !lane.done => {
                     // Caught while the guard is held: the lock stays clean.
                     match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        lane.advance(budget - total)
+                        lane.advance(budget - swept.delivered)
                     })) {
                         Ok(step) => {
                             stay = step == LaneStep::Progressed;
+                            swept.gated |= step == LaneStep::Gated;
                             delivered = lane.delivered;
                         }
                         Err(payload) => lane.panicked(&*payload),
@@ -682,14 +684,45 @@ impl LaneSet {
                 Ok(_) | Err(TryLockError::WouldBlock) => {}
                 Err(TryLockError::Poisoned(_)) => panic!("poisoned"),
             }
-            total += delivered;
+            swept.delivered += delivered;
             flat = if delivered > 0 { 0 } else { flat + 1 };
             if !stay {
                 at = (at + 1) % self.lanes.len();
             }
         }
-        total
+        swept
     }
+
+    /// One pool slice of `session`'s lanes from `home`: a
+    /// [`sweep`](Self::sweep) of [`LANE_BUDGET`] records, and what the
+    /// worker should do next. A slice that delivered without meeting a gate
+    /// asks for an idle worker ([`TaskPoll::AgainWake`]): its session's
+    /// lanes are flowing, and a sibling it skipped may be runnable too. A
+    /// slice that met one wakes nobody — coupled lanes hand off inside a
+    /// sweep, and waking a second worker on them only trades the lanes
+    /// between cores.
+    pub fn slice(&self, session: &CoopSession, home: usize) -> TaskPoll {
+        let swept = self.sweep(home, LANE_BUDGET);
+        if session.is_complete() {
+            TaskPoll::Done
+        } else if swept.delivered == 0 {
+            TaskPoll::AgainIdle
+        } else if swept.gated {
+            TaskPoll::Again
+        } else {
+            TaskPoll::AgainWake
+        }
+    }
+}
+
+/// What one [`LaneSet::sweep`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sweep {
+    /// Records delivered over every lane the sweep stepped.
+    pub delivered: usize,
+    /// Some lane stopped at an unmet gate (§5.2 arc, §5.4 CA serialisation,
+    /// §5.5 version) on the way.
+    pub gated: bool,
 }
 
 #[cfg(test)]
@@ -805,7 +838,7 @@ mod tests {
         let (session, set) = start(&case);
         let (mut slices, mut delivered) = (0, 0);
         while !session.is_complete() {
-            let swept = set.sweep(0, LANE_BUDGET);
+            let swept = set.sweep(0, LANE_BUDGET).delivered;
             assert!(swept <= LANE_BUDGET, "a slice is bounded: {swept}");
             assert!(
                 swept > 0 || session.is_complete(),
@@ -824,7 +857,11 @@ mod tests {
             case.records()
         );
         assert_parity(&case, &session);
-        assert_eq!(set.sweep(1, LANE_BUDGET), 0, "terminal lanes are inert");
+        assert_eq!(
+            set.sweep(1, LANE_BUDGET),
+            Sweep::default(),
+            "terminal lanes are inert"
+        );
     }
 
     /// Racing pool workers hand lanes to each other between steps: on the
@@ -881,14 +918,14 @@ mod tests {
         let heap = AddrRange::new(0x1000_0000, 0x1000);
         let (session, lanes) = CoopSession::start(&KIND, heap, streams, None).unwrap();
         let set = LaneSet::new(lanes);
-        assert_eq!(set.sweep(2, LANE_BUDGET), 0, "nothing to deliver");
+        assert_eq!(set.sweep(2, LANE_BUDGET).delivered, 0, "nothing to deliver");
         assert_eq!(
             session.blocked_polls(),
             4,
             "each lane polled once, then back"
         );
         session.abort("test over");
-        assert_eq!(set.sweep(2, LANE_BUDGET), 0);
+        assert_eq!(set.sweep(2, LANE_BUDGET).delivered, 0);
         assert!(session.is_complete(), "an abort folds every lane");
     }
 }

@@ -14,27 +14,44 @@
 //! microseconds, and goes to the back of the queue, so its lanes can never
 //! monopolize a worker that session B's runnable lanes are waiting for.
 //!
-//! Workers that see only idle polls back off to short sleeps (the pool has
-//! nothing runnable — burning cores polling stalled producers would starve
-//! the *host*), waking immediately when new work is submitted.
+//! Workers that see only idle polls back off into an *idle wait* (the pool
+//! has nothing runnable — burning cores polling stalled producers would
+//! starve the *host*): a condvar wait on the pool's wake generation, which
+//! three things bump — [`submit`](WorkerPool::submit), an outside
+//! [`wake`](WorkerPool::wake) (`paralogd`'s reader threads call it after
+//! every feed write or close), and a slice that reports
+//! [`TaskPoll::AgainWake`] because it left work another worker can take. A
+//! wait ends on the first bump after the slice that started it, so bytes
+//! that arrive, or a lane made runnable by a peer, are picked up at once
+//! rather than after a sleep. The wait still times out after `IDLE_SLEEP`:
+//! a gate on a coupled lane clears without a wake (a gated slice wakes
+//! nobody, or three coupled lanes on two workers would ping-pong between
+//! cores), and a session's flat-run deadlock window is only measured while
+//! its lanes are polled. Stopping the pool does not end a wait either —
+//! [`shutdown`](WorkerPool::shutdown) is how a caller joins its tasks, and
+//! a task waiting on a lagging producer must keep backing off meanwhile.
 //!
 //! The pool counts what it does ([`PoolCounters`], the `pool` line of
 //! `ctl LIST`): slices per record says how much scheduling a session's
-//! records cost, and idle slices and sleeps say how much of the pool's
-//! time went to polling sessions with nothing to do.
+//! records cost, idle slices and waits say how much of the pool's time
+//! went to polling sessions with nothing to do, and wakes how many of
+//! those waits an event cut short.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a [`PoolTask::run`] slice reports back to its worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskPoll {
     /// Made progress and has more to do: requeue (behind everyone else).
     Again,
+    /// [`Again`](Self::Again), and the slice left work another worker can
+    /// take: also wake an idle worker.
+    AgainWake,
     /// Runnable but found nothing to do (producer lagging, gate unmet):
     /// requeue, and let the worker back off if the whole pool looks idle.
     AgainIdle,
@@ -56,10 +73,63 @@ struct PoolShared {
     stop: AtomicBool,
     /// Live (submitted, not yet `Done`) tasks — the idle-backoff signal.
     live: AtomicUsize,
+    /// Bumped by every wake; an idle wait ends once it moves past the value
+    /// read before the slice that started the wait.
+    wake_gen: AtomicU64,
+    /// Workers inside an idle wait: a wake takes `idle` to notify only
+    /// when there is one.
+    waiting: AtomicUsize,
+    idle: Mutex<()>,
+    woken: Condvar,
     /// Statistics only (`Relaxed`): they publish no other data.
     slices: AtomicU64,
     idle_slices: AtomicU64,
     idle_sleeps: AtomicU64,
+    wakes: AtomicU64,
+}
+
+impl PoolShared {
+    fn wake(&self) {
+        // `SeqCst` on both sides, against the waiter's `waiting` increment
+        // then `wake_gen` load: either this load sees the waiter, or the
+        // waiter sees this bump and never waits.
+        self.wake_gen.fetch_add(1, Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            // Under `idle`, so a waiter between its check and its wait
+            // cannot miss the notification.
+            let _idle = self.idle.lock().expect("poisoned");
+            self.woken.notify_all();
+        }
+    }
+
+    /// Waits out an idle streak: until the wake generation moves past
+    /// `seen` (at once if it already has), or `IDLE_SLEEP` passes.
+    fn idle_wait(&self, seen: u64) {
+        self.idle_sleeps.fetch_add(1, Ordering::Relaxed);
+        let deadline = Instant::now() + IDLE_SLEEP;
+        let mut idle = self.idle.lock().expect("poisoned");
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        // Counted only when a notification ended a wait that blocked.
+        let mut blocked = false;
+        let woken = loop {
+            if self.wake_gen.load(Ordering::SeqCst) != seen {
+                break blocked;
+            }
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                break false;
+            };
+            let (guard, waited) = self.woken.wait_timeout(idle, left).expect("poisoned");
+            idle = guard;
+            if waited.timed_out() {
+                break false;
+            }
+            blocked = true;
+        };
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        if woken {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// What the pool has done since it started.
@@ -69,8 +139,11 @@ pub struct PoolCounters {
     pub slices: u64,
     /// Slices that reported [`TaskPoll::AgainIdle`].
     pub idle_slices: u64,
-    /// Times a worker slept out an idle streak.
+    /// Idle waits: times a worker backed off after an idle streak.
     pub idle_sleeps: u64,
+    /// Idle waits a wake ended while the worker was blocked in them (the
+    /// rest ran to the backstop, or found a wake already landed).
+    pub wakes: u64,
 }
 
 /// A fixed-size worker pool over [`PoolTask`]s.
@@ -91,8 +164,8 @@ impl std::fmt::Debug for WorkerPool {
 
 /// Consecutive idle polls before a worker starts sleeping between slices.
 const IDLE_STREAK_BACKOFF: u32 = 8;
-/// Sleep once backing off — short enough that a producer catching up is
-/// picked up promptly, long enough to not burn a core.
+/// Backstop of an idle wait, for what no wake announces: a gate on a
+/// coupled lane clearing, a flat-run window running out.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 impl WorkerPool {
@@ -112,9 +185,14 @@ impl WorkerPool {
             available: Condvar::new(),
             stop: AtomicBool::new(false),
             live: AtomicUsize::new(0),
+            wake_gen: AtomicU64::new(0),
+            waiting: AtomicUsize::new(0),
+            idle: Mutex::new(()),
+            woken: Condvar::new(),
             slices: AtomicU64::new(0),
             idle_slices: AtomicU64::new(0),
             idle_sleeps: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
         });
         let workers = (0..count)
             .map(|i| {
@@ -148,18 +226,27 @@ impl WorkerPool {
             slices: self.shared.slices.load(Ordering::Relaxed),
             idle_slices: self.shared.idle_slices.load(Ordering::Relaxed),
             idle_sleeps: self.shared.idle_sleeps.load(Ordering::Relaxed),
+            wakes: self.shared.wakes.load(Ordering::Relaxed),
         }
     }
 
-    /// Enqueues a task.
+    /// Enqueues a task, and wakes idle workers to poll it.
     pub fn submit(&self, task: Box<dyn PoolTask>) {
         self.shared.live.fetch_add(1, Ordering::Relaxed);
         self.shared.queue.lock().expect("poisoned").push_back(task);
         self.shared.available.notify_one();
+        self.shared.wake();
+    }
+
+    /// Ends every idle wait under way, and the next one of every worker
+    /// polling now: something a task waits on happened (bytes arrived, a
+    /// feed closed). Cheap when no worker waits.
+    pub fn wake(&self) {
+        self.shared.wake();
     }
 
     /// Stops the workers and joins them: queued tasks keep being polled,
-    /// idle backoff included, until they report [`TaskPoll::Done`]. Returns
+    /// idle waits included, until they report [`TaskPoll::Done`]. Returns
     /// the payload of the first worker that panicked (it ran nothing more).
     pub fn shutdown(&self) -> Option<Box<dyn Any + Send>> {
         self.shared.stop.store(true, Ordering::Release);
@@ -198,23 +285,27 @@ fn worker_loop(shared: &PoolShared) {
             return; // stopped with an empty queue
         };
         shared.slices.fetch_add(1, Ordering::Relaxed);
+        // Read before the slice: a wake during it ends the wait it may end in.
+        let seen = shared.wake_gen.load(Ordering::SeqCst);
         match task.run() {
-            TaskPoll::Again => {
+            poll @ (TaskPoll::Again | TaskPoll::AgainWake) => {
                 idle_streak = 0;
                 shared.queue.lock().expect("poisoned").push_back(task);
                 shared.available.notify_one();
+                if poll == TaskPoll::AgainWake {
+                    shared.wake();
+                }
             }
             TaskPoll::AgainIdle => {
                 idle_streak += 1;
                 shared.idle_slices.fetch_add(1, Ordering::Relaxed);
                 shared.queue.lock().expect("poisoned").push_back(task);
-                // Everything this worker touches is idle: sleep a slice so
-                // stalled producers don't turn the pool into a spin farm.
+                // Everything this worker touches is idle: wait for a wake
+                // so stalled producers don't turn the pool into a spin farm.
                 // (Runnable work still drains — other workers keep going,
                 // and Again resets the streak.)
                 if idle_streak >= IDLE_STREAK_BACKOFF {
-                    shared.idle_sleeps.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(IDLE_SLEEP);
+                    shared.idle_wait(seen);
                 }
             }
             TaskPoll::Done => {
@@ -334,5 +425,35 @@ mod tests {
         assert_eq!(pool.live_tasks(), 0, "every task ran to Done");
         assert_eq!(n.load(Ordering::Relaxed), 100);
         assert!(pool.counters().idle_sleeps > 0, "{:?}", pool.counters());
+    }
+
+    #[test]
+    fn a_wake_cuts_an_idle_wait_short() {
+        let pool = WorkerPool::new(1);
+        let flag = Arc::new(AtomicBool::new(false));
+        pool.submit(Box::new(IdleUntil {
+            flag: Arc::clone(&flag),
+        }));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while pool.counters().idle_sleeps == 0 {
+            assert!(std::time::Instant::now() < deadline, "never backed off");
+            std::thread::yield_now();
+        }
+        // Nothing else wakes a lone idle task, and the backstop ends its
+        // waits uncounted: a counted wake is one of these, notified.
+        assert_eq!(pool.counters().wakes, 0, "{:?}", pool.counters());
+        let mut sent = 0u64;
+        while pool.counters().wakes == 0 {
+            assert!(std::time::Instant::now() < deadline, "a wake never landed");
+            pool.wake();
+            sent += 1;
+            std::thread::yield_now();
+        }
+        let counters = pool.counters();
+        assert!(counters.wakes <= sent, "{counters:?} after {sent} wakes");
+        assert!(counters.wakes <= counters.idle_sleeps, "{counters:?}");
+        flag.store(true, Ordering::Relaxed);
+        assert!(pool.shutdown().is_none());
+        assert_eq!(pool.live_tasks(), 0);
     }
 }

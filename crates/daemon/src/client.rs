@@ -100,7 +100,7 @@ impl Producer {
     ///
     /// Byte-chunked round-robin is not a causal order. A lane can park on a
     /// record whose arc source is still in the socket while the session is
-    /// over its buffering cap; the pump then stops reading the connection
+    /// over its buffering cap; the connection's reader then stops reading
     /// and this call never returns (`benchmark/FINDINGS.md`, finding 3).
     /// Keep whole captures under the cap, or cut frames on record
     /// boundaries in a causal order.

@@ -10,7 +10,7 @@
 //!   binary frames carrying each thread's chained-checksum codec stream;
 //!   plus the line-oriented control protocol.
 //! * [`transport`] — [`ByteFeed`](transport::ByteFeed): the genuinely
-//!   non-blocking `io::Read` bridge between the socket pump and a
+//!   non-blocking `io::Read` bridge between a connection's reader thread and a
 //!   session's incremental decoders (`WouldBlock` ⇒
 //!   `StreamStatus::Blocked`).
 //! * [`supervisor`] — the [`Daemon`] itself: attach

@@ -4,17 +4,25 @@
 //! One daemon owns two Unix-domain listeners and one shared
 //! [`WorkerPool`]:
 //!
-//! * the **data socket** accepts producer connections. Each connection
-//!   handshakes ([`proto::AttachRequest`]), then streams frames; the pump
-//!   thread (non-blocking, one for all connections) splits frame payloads
-//!   into per-thread [`ByteFeed`]s, behind which a
-//!   [`StreamingReplaySource`] decodes records incrementally. The session
-//!   itself is a [`CoopSession`] whose lanes, pooled in one [`LaneSet`],
-//!   are swept by one task per lane on the shared pool — N sessions
-//!   multiplex over one fixed set of workers;
+//! * the **data socket** accepts producer connections, one blocking reader
+//!   thread each. A connection handshakes ([`proto::AttachRequest`]), then
+//!   streams frames; its reader splits frame payloads into per-thread
+//!   [`ByteFeed`]s, behind which a [`StreamingReplaySource`] decodes
+//!   records incrementally, and [`wake`](WorkerPool::wake)s the pool after
+//!   every read it fed, so the bytes are analysed as soon as they land.
+//!   Above the session's buffer cap the reader stops reading and waits on
+//!   the session's [`SessionBuffer`] until lanes drain it back under; the
+//!   kernel's socket buffer pushes back on the producer meanwhile. The
+//!   session itself is a [`CoopSession`] whose lanes, pooled in one
+//!   [`LaneSet`], are swept by one task per lane on the shared pool — N
+//!   sessions multiplex over one fixed set of workers;
 //! * the **control socket** serves the line protocol (`LIST`, `STATUS`,
 //!   `DETACH`, `WATCH`, `SHUTDOWN`, `PING`), one handler thread per
 //!   connection.
+//!
+//! Both listeners block in `accept`; [`Daemon::shutdown`] wakes each with a
+//! connection of its own, and wakes a blocked reader by shutting its socket
+//! down — no thread on the data path sleeps on a clock.
 //!
 //! Lifecycle per session: **attach** (handshake, lanes submitted) →
 //! **running** → **draining** (producer finished, detached, or daemon
@@ -29,7 +37,7 @@ use crate::proto::{self, AttachRequest, FrameEvent, FrameParser};
 use crate::transport::{ByteFeed, FeedWriter, SessionBuffer};
 use paralog_core::{
     CoopSession, EventSource, LaneSet, PoolTask, RunMetrics, SessionError, SourceInput,
-    StreamingReplaySource, TaskPoll, WorkerPool, LANE_BUDGET,
+    StreamingReplaySource, TaskPoll, WorkerPool,
 };
 use paralog_lifeguards::{LifeguardRegistry, MetadataShape, SessionEventObserver};
 use std::collections::BTreeMap;
@@ -57,9 +65,8 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Lifeguard resolution for handshakes.
     pub registry: LifeguardRegistry,
-    /// Per-session buffered-byte cap: past it the pump stops reading that
-    /// session's connection and the kernel socket buffer back-pressures
-    /// the producer.
+    /// Per-session buffered-byte cap: past it the connection's reader stops
+    /// reading and the kernel socket buffer back-pressures the producer.
     pub session_buffer_bytes: usize,
 }
 
@@ -180,7 +187,8 @@ impl SessionEntry {
         }
     }
 
-    /// Closes every feed: lanes drain what is buffered, then finish.
+    /// Closes every feed: lanes drain what is buffered, then finish. The
+    /// caller wakes the pool.
     fn close_feeds(&self) {
         for feed in self.feeds.lock().expect("poisoned").iter() {
             feed.close();
@@ -234,6 +242,8 @@ impl SessionEntry {
             *report = Some(result);
         }
         self.watchers.close();
+        // A reader parked above the cap answers its producer now.
+        self.buffered.release();
     }
 
     fn report_for(&self) -> Option<Result<RunMetrics, SessionError>> {
@@ -262,8 +272,8 @@ fn end_line(result: &Result<RunMetrics, SessionError>) -> String {
 }
 
 /// One session's lanes as seen from one of them: a pool task whose slice
-/// sweeps the whole set starting at `home`. A session submits one per lane,
-/// so as many workers can serve it as it has lanes.
+/// is [`LaneSet::slice`] from `home`. A session submits one per lane, so
+/// as many workers can serve it as it has lanes.
 struct LaneTask {
     lanes: Arc<LaneSet>,
     home: usize,
@@ -273,18 +283,15 @@ struct LaneTask {
 
 impl PoolTask for LaneTask {
     fn run(&mut self) -> TaskPoll {
-        let delivered = self.lanes.sweep(self.home, LANE_BUDGET);
-        if delivered > 0 {
-            self.entry.publish_new_violations(&self.session);
+        let poll = self.lanes.slice(&self.session, self.home);
+        match poll {
+            TaskPoll::Done => self.entry.finalize(&self.session),
+            TaskPoll::AgainIdle => {}
+            TaskPoll::Again | TaskPoll::AgainWake => {
+                self.entry.publish_new_violations(&self.session);
+            }
         }
-        if self.session.is_complete() {
-            self.entry.finalize(&self.session);
-            TaskPoll::Done
-        } else if delivered > 0 {
-            TaskPoll::Again
-        } else {
-            TaskPoll::AgainIdle
-        }
+        poll
     }
 }
 
@@ -298,8 +305,12 @@ struct DaemonInner {
     next_id: AtomicU64,
     /// Refuse new attaches (set at the start of shutdown).
     shutting_down: AtomicBool,
-    /// Tells the pump and control threads to exit.
+    /// Tells the accept, reader and control threads to exit.
     stop_threads: AtomicBool,
+    /// A clone of every producer connection a reader thread serves, by
+    /// connection number, so shutdown can end a blocking read; the reader
+    /// removes its own as it exits.
+    producers: Mutex<BTreeMap<u64, UnixStream>>,
     /// `SHUTDOWN` over the control socket parks here for the owner of the
     /// [`Daemon`] handle to act on.
     shutdown_requested: (Mutex<bool>, Condvar),
@@ -323,7 +334,7 @@ impl DaemonInner {
             .registry
             .get(&req.lifeguard)
             .ok_or_else(|| format!("unknown lifeguard {:?}", req.lifeguard))?;
-        let buffered = Arc::new(SessionBuffer::default());
+        let buffered = Arc::new(SessionBuffer::with_cap(self.session_buffer_bytes));
         let mut writers = Vec::with_capacity(req.threads);
         let mut readers: Vec<Box<dyn Read + Send>> = Vec::with_capacity(req.threads);
         for _ in 0..req.threads {
@@ -386,7 +397,8 @@ impl DaemonInner {
 /// per-session reports.
 pub struct Daemon {
     inner: Arc<DaemonInner>,
-    pump: Option<JoinHandle<()>>,
+    /// The data socket's accept loop; it returns its live reader threads.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     control: Option<JoinHandle<()>>,
     finished: bool,
 }
@@ -402,7 +414,7 @@ impl std::fmt::Debug for Daemon {
 }
 
 impl Daemon {
-    /// Binds both sockets (replacing stale files) and starts the pump,
+    /// Binds both sockets (replacing stale files) and starts the accept,
     /// control, and pool threads.
     ///
     /// # Errors
@@ -412,9 +424,7 @@ impl Daemon {
         let _ = std::fs::remove_file(&config.data_socket);
         let _ = std::fs::remove_file(&config.control_socket);
         let data = UnixListener::bind(&config.data_socket)?;
-        data.set_nonblocking(true)?;
         let control = UnixListener::bind(&config.control_socket)?;
-        control.set_nonblocking(true)?;
         let inner = Arc::new(DaemonInner {
             data_socket: config.data_socket,
             control_socket: config.control_socket,
@@ -425,13 +435,14 @@ impl Daemon {
             next_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
             stop_threads: AtomicBool::new(false),
+            producers: Mutex::new(BTreeMap::new()),
             shutdown_requested: (Mutex::new(false), Condvar::new()),
         });
-        let pump = {
+        let accept = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name("paralogd-pump".into())
-                .spawn(move || pump_loop(&inner, &data))?
+                .name("paralogd-accept".into())
+                .spawn(move || data_loop(&inner, &data))?
         };
         let ctl = {
             let inner = Arc::clone(&inner);
@@ -441,7 +452,7 @@ impl Daemon {
         };
         Ok(Daemon {
             inner,
-            pump: Some(pump),
+            accept: Some(accept),
             control: Some(ctl),
             finished: false,
         })
@@ -525,6 +536,7 @@ impl Daemon {
         for entry in &entries {
             entry.close_feeds();
         }
+        inner.pool.wake();
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         while entries
             .iter()
@@ -544,12 +556,18 @@ impl Daemon {
         // finishes. A worker's panic has no caller to resume into here.
         let _ = inner.pool.shutdown();
         inner.stop_threads.store(true, Ordering::Release);
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
+        // Joined before the readers are woken, so none can register after.
+        let readers = join_accept_loop(self.accept.take(), &inner.data_socket);
+        for conn in inner.producers.lock().expect("poisoned").values() {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        if let Some(control) = self.control.take() {
-            let _ = control.join();
+        for entry in inner.sessions.lock().expect("poisoned").values() {
+            entry.buffered.release();
         }
+        for reader in readers.into_iter().flatten() {
+            let _ = reader.join();
+        }
+        let _ = join_accept_loop(self.control.take(), &inner.control_socket);
         let _ = std::fs::remove_file(&inner.data_socket);
         let _ = std::fs::remove_file(&inner.control_socket);
         entries
@@ -576,8 +594,77 @@ impl Drop for Daemon {
 }
 
 // ---------------------------------------------------------------------------
-// Data-plane pump
+// Data plane: one blocking reader thread per producer connection
 // ---------------------------------------------------------------------------
+
+/// Wakes the accept loop blocked on the listener at `path` with a
+/// connection of its own, and joins it. A loop that cannot be reached (its
+/// socket file is gone) is left to the process rather than waited for.
+fn join_accept_loop<T>(handle: Option<JoinHandle<T>>, path: &Path) -> Option<T> {
+    let handle = handle?;
+    if UnixStream::connect(path).is_err() && !handle.is_finished() {
+        return None;
+    }
+    handle.join().ok()
+}
+
+/// Blocks in `accept` and hands each connection to `serve` until the daemon
+/// stops; [`join_accept_loop`]'s own connection is what wakes it then.
+fn accept_until_stopped(
+    inner: &DaemonInner,
+    listener: &UnixListener,
+    mut serve: impl FnMut(UnixStream),
+) {
+    loop {
+        let accepted = listener.accept();
+        if inner.stop_threads.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => serve(stream),
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Out of fds or the like: let connections close before retrying.
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
+
+/// The data socket's accept loop: one reader thread per producer
+/// connection, each registered (a clone of its socket) so shutdown can end
+/// its read. Returns the readers still running when the daemon stopped.
+fn data_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) -> Vec<JoinHandle<()>> {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_conn = 0u64;
+    accept_until_stopped(inner, listener, |stream| {
+        readers.retain(|r| !r.is_finished());
+        let Ok(clone) = stream.try_clone() else {
+            return;
+        };
+        let conn = next_conn;
+        next_conn += 1;
+        inner
+            .producers
+            .lock()
+            .expect("poisoned")
+            .insert(conn, clone);
+        let spawned = {
+            let inner = Arc::clone(inner);
+            std::thread::Builder::new()
+                .name("paralogd-reader".into())
+                .spawn(move || {
+                    read_producer(&inner, stream);
+                    inner.producers.lock().expect("poisoned").remove(&conn);
+                })
+        };
+        match spawned {
+            Ok(reader) => readers.push(reader),
+            Err(_) => {
+                inner.producers.lock().expect("poisoned").remove(&conn);
+            }
+        }
+    });
+    readers
+}
 
 enum ConnState {
     Handshaking {
@@ -594,67 +681,48 @@ struct Conn {
     state: ConnState,
 }
 
-/// The single non-blocking pump over every producer connection: accepts,
-/// handshakes, and shovels frame payloads into session feeds. Per-session
-/// backpressure is applied here by *not reading* a connection whose
-/// session sits on more than the configured buffered-byte cap.
-fn pump_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
-    let mut conns: Vec<Conn> = Vec::new();
+/// Serves one producer connection with blocking reads: handshakes, then
+/// shovels frame payloads into the session's feeds and wakes the pool after
+/// each read. Back-pressure is applied here by *not reading* while the
+/// session sits above its buffered-byte cap.
+fn read_producer(inner: &Arc<DaemonInner>, stream: UnixStream) {
+    let mut conn = Conn {
+        stream,
+        state: ConnState::Handshaking { line: Vec::new() },
+    };
     let mut buf = vec![0u8; 64 * 1024];
-    while !inner.stop_threads.load(Ordering::Acquire) {
-        let mut progressed = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    progressed = true;
-                    conns.push(Conn {
-                        stream,
-                        state: ConnState::Handshaking { line: Vec::new() },
-                    });
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        conns.retain_mut(|conn| {
-            if let ConnState::Streaming { entry, .. } = &conn.state {
-                if entry.buffered.bytes() > inner.session_buffer_bytes {
-                    // Back-pressure: skip this round — unless the session
-                    // is over, when nothing will ever drain its buffer and
-                    // the producer would sit in `write` for good.
-                    let Some(result) = entry.report_for() else {
-                        return true;
-                    };
+    loop {
+        if let ConnState::Streaming { entry, .. } = &conn.state {
+            if !entry.buffered.wait_under_cap() {
+                // Released above the cap: the session is over, so nothing
+                // will ever drain its buffer and the producer would sit in
+                // `write` for good — or the daemon is stopping.
+                if let Some(result) = entry.report_for() {
                     let reason = match result {
                         Ok(_) => "session already ended".to_string(),
                         Err(e) => format!("session failed: {e}"),
                     };
                     let _ = conn.stream.write_all(format!("ERR {reason}\n").as_bytes());
-                    return false;
                 }
+                return;
             }
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    pump_eof(conn);
-                    false
-                }
-                Ok(n) => {
-                    progressed = true;
-                    pump_bytes(inner, conn, &buf[..n])
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => true,
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => true,
-                Err(_) => {
-                    pump_eof(conn);
-                    false
-                }
+        }
+        let alive = match conn.stream.read(&mut buf) {
+            Ok(0) => {
+                conn_ended(&mut conn);
+                false
             }
-        });
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
+            Ok(n) => conn_bytes(inner, &mut conn, &buf[..n]),
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                conn_ended(&mut conn);
+                false
+            }
+        };
+        // Whatever the read fed or closed, a lane may now run.
+        inner.pool.wake();
+        if !alive {
+            return;
         }
     }
 }
@@ -663,7 +731,7 @@ fn pump_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
 /// its lanes drain and report. A mid-frame cut is a transport fault the
 /// session fails on explicitly (the feed bytes alone might happen to end
 /// on a record boundary and mask the truncation).
-fn pump_eof(conn: &mut Conn) {
+fn conn_ended(conn: &mut Conn) {
     if let ConnState::Streaming { entry, parser } = &conn.state {
         if !parser.at_boundary() {
             if let Some(session) = entry.session_handle() {
@@ -678,7 +746,7 @@ fn pump_eof(conn: &mut Conn) {
 
 /// Feeds freshly read bytes through the connection's state machine.
 /// Returns whether the connection stays alive.
-fn pump_bytes(inner: &Arc<DaemonInner>, conn: &mut Conn, mut bytes: &[u8]) -> bool {
+fn conn_bytes(inner: &Arc<DaemonInner>, conn: &mut Conn, mut bytes: &[u8]) -> bool {
     if let ConnState::Handshaking { line } = &mut conn.state {
         let nl = bytes.iter().position(|&b| b == b'\n');
         match nl {
@@ -775,20 +843,12 @@ fn pump_bytes(inner: &Arc<DaemonInner>, conn: &mut Conn, mut bytes: &[u8]) -> bo
 // ---------------------------------------------------------------------------
 
 fn control_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
-    while !inner.stop_threads.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                let _ = std::thread::Builder::new()
-                    .name("paralogd-ctl-conn".into())
-                    .spawn(move || control_conn(&inner, stream));
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
+    accept_until_stopped(inner, listener, |stream| {
+        let inner = Arc::clone(inner);
+        let _ = std::thread::Builder::new()
+            .name("paralogd-ctl-conn".into())
+            .spawn(move || control_conn(&inner, stream));
+    });
 }
 
 /// Serves one control connection: one command per line (at most
@@ -856,12 +916,13 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
                 drop(sessions);
                 let pool = inner.pool.counters();
                 lines.push(format!(
-                    "pool workers={} live_tasks={} slices={} idle_slices={} idle_sleeps={}",
+                    "pool workers={} live_tasks={} slices={} idle_slices={} idle_sleeps={} wakes={}",
                     inner.pool.worker_count(),
                     inner.pool.live_tasks(),
                     pool.slices,
                     pool.idle_slices,
-                    pool.idle_sleeps
+                    pool.idle_sleeps,
+                    pool.wakes
                 ));
                 respond(&mut writer, &lines)
             }
@@ -876,6 +937,7 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
                 Some(id) => match inner.entry(id) {
                     Some(entry) => {
                         entry.close_feeds();
+                        inner.pool.wake();
                         respond(&mut writer, &[format!("OK detaching {id}")])
                     }
                     None => respond_err(&mut writer, &format!("no session {id}")),

@@ -1,9 +1,9 @@
-//! The genuinely non-blocking byte path between the socket pump and a
-//! session's decoding streams.
+//! The genuinely non-blocking byte path between a producer connection's
+//! reader thread and a session's decoding streams.
 //!
 //! [`ByteFeed::pair`] returns a ([`FeedWriter`], [`FeedReader`]) couple over
-//! one shared buffer. The pump thread writes each frame's payload through
-//! the writer; the session's
+//! one shared buffer. The connection's reader thread writes each frame's
+//! payload through the writer; the session's
 //! [`StreamingReplaySource`](paralog_core::StreamingReplaySource) reads
 //! through the reader, which
 //! implements [`io::Read`] with **real `WouldBlock` semantics**: an empty
@@ -18,15 +18,20 @@
 //! `Exhausted` at a record boundary or `MalformedStream` mid-record —
 //! producer-drop is always deterministic, never a hang.
 //!
-//! All feeds of one session share a byte counter so the supervisor can
-//! apply a per-session buffering cap: past the cap it simply stops reading
-//! that session's socket and the kernel's socket buffer pushes back on the
-//! producer.
+//! All feeds of one session share a [`SessionBuffer`], which counts their
+//! bytes against the session's cap. Back-pressure is the reader thread's:
+//! above the cap it stops reading its socket and
+//! [`wait_under_cap`](SessionBuffer::wait_under_cap)s, so the kernel's
+//! socket buffer pushes back on the producer. A feed read that brings the
+//! total back under the cap wakes it, and so does
+//! [`release`](SessionBuffer::release) once the session is over or the
+//! daemon stops — no poll interval sits between a drained feed and the
+//! next socket read.
 
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 struct FeedInner {
     buf: Mutex<VecDeque<u8>>,
@@ -37,14 +42,74 @@ struct FeedInner {
     total: Arc<SessionBuffer>,
 }
 
-/// Bytes a session currently holds across all its feeds.
-#[derive(Debug, Default)]
-pub struct SessionBuffer(std::sync::atomic::AtomicUsize);
+/// Bytes a session currently holds across all its feeds, and the cap its
+/// producer connection is held to.
+#[derive(Debug)]
+pub struct SessionBuffer {
+    bytes: AtomicUsize,
+    cap: usize,
+    /// Latched by [`release`](Self::release): nothing waits any more.
+    released: Mutex<bool>,
+    under_cap: Condvar,
+}
+
+impl Default for SessionBuffer {
+    /// An uncapped buffer: it counts bytes, and nothing ever waits on it.
+    fn default() -> Self {
+        SessionBuffer::with_cap(usize::MAX)
+    }
+}
 
 impl SessionBuffer {
+    /// A buffer whose [`wait_under_cap`](Self::wait_under_cap) waits while
+    /// it holds more than `cap` bytes.
+    pub fn with_cap(cap: usize) -> Self {
+        SessionBuffer {
+            bytes: AtomicUsize::new(0),
+            cap,
+            released: Mutex::new(false),
+            under_cap: Condvar::new(),
+        }
+    }
+
     /// Current buffered bytes.
     pub fn bytes(&self) -> usize {
-        self.0.load(Ordering::Relaxed)
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    fn over_cap(&self) -> bool {
+        self.bytes() > self.cap
+    }
+
+    /// Blocks while the buffer is over its cap and not
+    /// [`release`](Self::release)d. Returns whether it is under the cap.
+    pub fn wait_under_cap(&self) -> bool {
+        let mut released = self.released.lock().expect("poisoned");
+        while self.over_cap() && !*released {
+            released = self.under_cap.wait(released).expect("poisoned");
+        }
+        !self.over_cap()
+    }
+
+    /// Ends every wait, now and to come: the session is over, or the
+    /// daemon is stopping.
+    pub fn release(&self) {
+        *self.released.lock().expect("poisoned") = true;
+        self.under_cap.notify_all();
+    }
+
+    fn add(&self, n: usize) {
+        self.bytes.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn sub(&self, n: usize) {
+        let before = self.bytes.fetch_sub(n, Ordering::Relaxed);
+        if before > self.cap && before - n <= self.cap {
+            // Under the lock, so a waiter between its check and its wait
+            // cannot miss the notification.
+            let _released = self.released.lock().expect("poisoned");
+            self.under_cap.notify_all();
+        }
     }
 }
 
@@ -102,7 +167,7 @@ impl FeedWriter {
             return false;
         }
         buf.extend(bytes);
-        self.inner.total.0.fetch_add(bytes.len(), Ordering::Relaxed);
+        self.inner.total.add(bytes.len());
         true
     }
 
@@ -157,7 +222,7 @@ impl io::Read for FeedReader {
         // One `copy_from_slice` out of the ring's front slice and one
         // `drain`; a read that meets the ring's wrap-around point is short.
         let n = io::Read::read(&mut *buf, out)?;
-        self.inner.total.0.fetch_sub(n, Ordering::Relaxed);
+        self.inner.total.sub(n);
         Ok(n)
     }
 }
@@ -217,5 +282,36 @@ mod tests {
         w1.write(&[0; 10]);
         w2.write(&[0; 5]);
         assert_eq!(total.bytes(), 15);
+    }
+
+    #[test]
+    fn a_read_back_under_the_cap_ends_the_wait() {
+        let total = Arc::new(SessionBuffer::with_cap(4));
+        let (writer, mut reader) = ByteFeed::pair(Arc::clone(&total));
+        writer.write(b"abcdef");
+        assert!(total.over_cap());
+        let waiter = std::thread::spawn({
+            let total = Arc::clone(&total);
+            move || total.wait_under_cap()
+        });
+        let mut buf = [0u8; 1];
+        reader.read_exact(&mut buf).unwrap();
+        assert!(total.over_cap(), "five bytes are still over four");
+        reader.read_exact(&mut buf).unwrap();
+        assert!(waiter.join().unwrap(), "woken under the cap");
+    }
+
+    #[test]
+    fn release_ends_a_wait_over_the_cap_for_good() {
+        let total = Arc::new(SessionBuffer::with_cap(1));
+        let (writer, _reader) = ByteFeed::pair(Arc::clone(&total));
+        writer.write(b"abc");
+        let waiter = std::thread::spawn({
+            let total = Arc::clone(&total);
+            move || total.wait_under_cap()
+        });
+        total.release();
+        assert!(!waiter.join().unwrap(), "released, still over the cap");
+        assert!(!total.wait_under_cap(), "a released buffer never waits");
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! and finally drives a live session from a producer thread writing into a
 //! `ByteFeed`, back-pressured on the session's buffered bytes the way
-//! `paralogd`'s pump is. Run with `cargo run --release --example
+//! `paralogd`'s connection readers are. Run with `cargo run --release --example
 //! streaming_ingestion`.
 
 use paralog::core::session::DEFAULT_CHUNK_BYTES;

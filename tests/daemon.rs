@@ -17,7 +17,8 @@
 //! * an analysis that panics fails its own session, naming the panic, and
 //!   costs the pool no worker;
 //! * graceful shutdown drains live sessions to partial metrics — no
-//!   hangs, no poisoned locks.
+//!   hangs, no poisoned locks — and wakes every blocked connection reader,
+//!   whether it waits on a silent producer or above its session's cap.
 
 #![cfg(unix)]
 
@@ -235,7 +236,7 @@ fn two_concurrent_sessions_match_in_process_replay() {
     let pool = pool_counters(&daemon);
     assert_eq!(pool["workers"], 4);
     assert!(
-        pool["slices"] > 0 && pool.contains_key("idle_sleeps"),
+        pool["slices"] > 0 && pool.contains_key("idle_sleeps") && pool.contains_key("wakes"),
         "{pool:?}"
     );
     for report in daemon.shutdown() {
@@ -844,6 +845,10 @@ fn stalled_many_lane_session_costs_a_one_worker_pool_idle_slices_only() {
         "{pool:?}"
     );
     assert!(
+        pool["wakes"] <= pool["idle_sleeps"],
+        "a wake cuts an idle wait short: {pool:?}"
+    );
+    assert!(
         pool["slices"] > pool["idle_slices"],
         "B's slices ran: {pool:?}"
     );
@@ -854,14 +859,13 @@ fn stalled_many_lane_session_costs_a_one_worker_pool_idle_slices_only() {
     daemon.shutdown();
 }
 
-#[test]
-fn producer_of_a_failed_session_above_its_buffer_cap_gets_an_error_not_a_wedge() {
-    use paralog::events::{ArcKind, DependenceArc, ThreadId};
-    use std::io::Read;
+/// The per-session buffer cap of the back-pressure tests.
+const SMALL_CAP: usize = 64 * 1024;
 
-    // Thread 1 opens with a record gated on a thread-0 record that never
-    // comes, so everything sent behind it piles up in the session's feeds.
-    let heap = AddrRange::new(0x1000_0000, 0x1000);
+/// Thread 1's wire for a two-thread session: a first record gated on a
+/// thread-0 record that never comes, so everything behind it piles up in
+/// the session's feeds — far more than [`SMALL_CAP`] and a socket buffer.
+fn gated_backlog() -> Vec<u8> {
     let mut gated = EventRecord::instr(Rid(1), Instr::Nop);
     gated
         .arcs
@@ -869,27 +873,27 @@ fn producer_of_a_failed_session_above_its_buffer_cap_gets_an_error_not_a_wedge()
     let mut t1 = vec![gated];
     t1.extend((2..=600_000u64).map(|i| EventRecord::instr(Rid(i), Instr::Nop)));
     let wire = encode(&t1);
-
-    let mut config = DaemonConfig::new(sock_path("capd"), sock_path("capc"));
-    config.workers = 2;
-    config.session_buffer_bytes = 64 * 1024;
-    let cap = config.session_buffer_bytes;
     assert!(
-        wire.len() > 8 * cap,
+        wire.len() > 8 * SMALL_CAP,
         "the backlog must outgrow cap and socket"
     );
-    let daemon = Daemon::spawn(config).expect("daemon spawns");
+    wire
+}
 
-    // A raw connection, for its write timeout: this test must fail, not
-    // hang, if the daemon leaves the producer wedged.
+/// Attaches a two-thread TAINTCHECK session `name` over a raw connection
+/// whose timeouts make a daemon that wedges its producer fail the test
+/// rather than hang it. Returns the connection, a reader on it, and the
+/// session id.
+fn attach_raw(
+    daemon: &Daemon,
+    name: &str,
+    heap: AddrRange,
+    timeout: Duration,
+) -> (UnixStream, BufReader<UnixStream>, u64) {
     let mut stream = UnixStream::connect(daemon.data_socket()).unwrap();
-    stream
-        .set_write_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let request = attach_request("wedged", LifeguardKind::TaintCheck, 2, heap);
+    stream.set_write_timeout(Some(timeout)).unwrap();
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    let request = attach_request(name, LifeguardKind::TaintCheck, 2, heap);
     stream
         .write_all(format!("{}\n", request.to_line()).as_bytes())
         .unwrap();
@@ -902,6 +906,39 @@ fn producer_of_a_failed_session_above_its_buffer_cap_gets_an_error_not_a_wedge()
         .unwrap_or_else(|| panic!("attach refused: {reply:?}"))
         .parse()
         .unwrap();
+    (stream, reader, id)
+}
+
+/// Polls `STATUS <id>` until the session buffers more than `cap` bytes:
+/// its connection's reader has stopped reading.
+fn await_above_cap(daemon: &Daemon, id: u64, cap: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut ctl = Control::connect(daemon.control_socket()).unwrap();
+    loop {
+        let status = ctl.status(id).unwrap();
+        let buffered: usize = field(&status, "buffered_bytes").unwrap().parse().unwrap();
+        if buffered > cap {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "never back-pressured: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn producer_of_a_failed_session_above_its_buffer_cap_gets_an_error_not_a_wedge() {
+    use std::io::Read;
+
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let wire = gated_backlog();
+    let mut config = DaemonConfig::new(sock_path("capd"), sock_path("capc"));
+    config.workers = 2;
+    config.session_buffer_bytes = SMALL_CAP;
+    let daemon = Daemon::spawn(config).expect("daemon spawns");
+    let (mut stream, mut reader, id) = attach_raw(&daemon, "wedged", heap, Duration::from_secs(10));
 
     let (failed_tx, failed_rx) = std::sync::mpsc::channel();
     let producer = std::thread::spawn(move || {
@@ -916,22 +953,10 @@ fn producer_of_a_failed_session_above_its_buffer_cap_gets_an_error_not_a_wedge()
         panic!("the daemon swallowed a backlog it should have pushed back on");
     });
 
-    // Once the session sits above its cap the pump has stopped reading the
+    // Once the session sits above its cap its reader has stopped reading the
     // connection; now fail it (the detach severs the awaited arc).
-    let deadline = Instant::now() + Duration::from_secs(30);
+    await_above_cap(&daemon, id, SMALL_CAP);
     let mut ctl = Control::connect(daemon.control_socket()).unwrap();
-    loop {
-        let status = ctl.status(id).unwrap();
-        let buffered: usize = field(&status, "buffered_bytes").unwrap().parse().unwrap();
-        if buffered > cap {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "never back-pressured: {status:?}"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
     ctl.detach(id).unwrap();
     let status = await_done(&daemon, id);
     let failed_at = Instant::now();
@@ -1077,4 +1102,81 @@ fn an_over_long_control_line_is_refused_and_the_daemon_keeps_serving() {
     let mut ctl = Control::connect(daemon.control_socket()).unwrap();
     assert_eq!(ctl.command("PING").unwrap(), vec!["OK pong".to_string()]);
     daemon.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_a_silent_reader_and_one_parked_above_its_cap() {
+    use std::io::Read;
+
+    let (w, encoded, fingerprint, violations) = capture(Benchmark::Lu, 2, LifeguardKind::MemCheck);
+    let mut config = DaemonConfig::new(sock_path("wakd"), sock_path("wakc"));
+    config.workers = 2;
+    config.session_buffer_bytes = SMALL_CAP;
+    let daemon = Daemon::spawn(config).expect("daemon spawns");
+
+    // A producer that attaches and never sends: its reader blocks in `read`.
+    let silent = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("silent", LifeguardKind::TaintCheck, 2, w.heap),
+    )
+    .expect("attaches");
+
+    // A producer that outgrows the cap behind an arc that never comes: its
+    // reader parks on the session's buffer.
+    let wire = gated_backlog();
+    let (mut stream, mut reader, parked_id) =
+        attach_raw(&daemon, "parked", w.heap, Duration::from_secs(30));
+    let parked = std::thread::spawn(move || {
+        for chunk in wire.chunks(32 * 1024) {
+            if stream.write_all(&proto::data_frame(1, chunk)).is_err() {
+                break;
+            }
+        }
+        let mut rest = String::new();
+        let _ = reader.read_to_string(&mut rest);
+        rest
+    });
+    await_above_cap(&daemon, parked_id, SMALL_CAP);
+
+    // A healthy session replays on the same pool past both blocked readers.
+    let mut healthy = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("healthy", LifeguardKind::MemCheck, 2, w.heap),
+    )
+    .expect("attaches");
+    healthy.send_capture(&encoded, 512).expect("streams");
+    let status = await_done(&daemon, healthy.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(
+        field(&status, "fingerprint"),
+        Some(format!("{fingerprint:016x}")),
+        "the healthy session diverged from its in-process run"
+    );
+    assert_eq!(status_violation_ids(&status), violation_ids(&violations));
+
+    // Both readers are still blocked when the daemon shuts down.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(daemon.shutdown()).unwrap());
+    let reports = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown must wake both blocked readers, not wait on them");
+    let result = |name: &str| {
+        &reports
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("no report for {name}"))
+            .result
+    };
+    assert_eq!(result("silent").as_ref().expect("drains empty").records, 0);
+    assert!(result("parked").is_err(), "its arc was severed");
+    assert_eq!(
+        result("healthy").as_ref().expect("finished").fingerprint,
+        fingerprint
+    );
+    let said = parked.join().expect("parked producer");
+    assert!(
+        said.starts_with("ERR session failed:"),
+        "the parked producer is told why: {said:?}"
+    );
+    drop(silent);
 }

@@ -437,11 +437,32 @@ fn open_fds() -> Option<usize> {
     std::fs::read_dir("/proc/self/fd").ok().map(|d| d.count())
 }
 
+/// This process's threads serving a daemon connection — one reader per
+/// producer connection, one handler per control connection — from
+/// `/proc/self/task`; `None` where that is not readable. Counted by name
+/// (a thread's `comm` is its name cut to 15 bytes) because the harness
+/// runs other tests' threads beside the churn.
+#[cfg(unix)]
+fn connection_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm")).is_ok_and(|name| {
+                    name.starts_with("paralogd-reader") || name.starts_with("paralogd-ctl-co")
+                })
+            })
+            .count(),
+    )
+}
+
 /// Attach/detach churn against one long-lived daemon: every iteration
 /// attaches two sessions over fresh Unix-socket connections, streams one
 /// to completion and detaches the other mid-stream, then waits for both
 /// to settle. Session state must fully drain (`resident_sessions` back to
-/// zero) and the process must not leak fds across the churn.
+/// zero) and the process must leak neither fds nor threads across the
+/// churn: every connection's reader thread exits with its connection.
 #[cfg(unix)]
 #[test]
 fn daemon_attach_detach_churn_leaves_no_residue() {
@@ -473,6 +494,8 @@ fn daemon_attach_detach_churn_leaves_no_residue() {
 
     let iterations = if full_profile() { 400 } else { 25 };
     let mut baseline_fds = None;
+    // Before any connection: none.
+    let baseline_threads = connection_threads();
     for i in 0..iterations {
         let attach = |name: &str, kind: LifeguardKind| AttachRequest {
             name: name.into(),
@@ -500,8 +523,8 @@ fn daemon_attach_detach_churn_leaves_no_residue() {
         cut.send(0, &prefix).unwrap();
 
         let mut ctl = Control::connect(daemon.control_socket()).unwrap();
-        // Wait for the prefix to be pumped and applied before detaching —
-        // detach closes the feeds wherever the pump got to, and cutting
+        // Wait for the prefix to be fed and applied before detaching —
+        // detach closes the feeds wherever the reader got to, and cutting
         // mid-record is (correctly) a MalformedStream failure, which is
         // the corruption suite's territory, not the churn's.
         let applied = Instant::now() + Duration::from_secs(30);
@@ -556,6 +579,21 @@ fn daemon_attach_detach_churn_leaves_no_residue() {
     if let Some(base) = baseline_fds {
         let now = open_fds().expect("fd table readable once it was before");
         assert!(now <= base + 8, "fd growth across churn: {base} -> {now}");
+    }
+    if let Some(base) = baseline_threads {
+        // Connections close as their handles drop; their threads follow.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let now = connection_threads().expect("task list readable once it was before");
+            if now <= base {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "connection threads across churn: {base} -> {now}"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
     }
     let reports = daemon.shutdown();
     assert_eq!(reports.len(), 2 * iterations);

@@ -221,7 +221,7 @@ fn byte_feed_drives_a_live_session_on_both_backends() {
 
     // The producer writes both streams in 24-byte pieces, round-robin, and
     // waits while the session holds more than `CAP` unread bytes: the
-    // daemon pump's back-pressure rule.
+    // daemon's back-pressure rule.
     const CAP: usize = 64;
     for threaded in [false, true] {
         let total = Arc::new(SessionBuffer::default());

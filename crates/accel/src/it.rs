@@ -97,6 +97,15 @@ pub struct ItStats {
 #[derive(Debug)]
 pub struct InheritanceTracker {
     rows: [Option<ItEntry>; NUM_REGS],
+    /// Per row, the rid of a memory-inheriting row and [`NO_MEM_ROW`]
+    /// otherwise: the fold [`advertisable_progress`] takes, kept beside
+    /// `rows` by [`set_row`] and [`take_row`], the only two writers of
+    /// either array.
+    ///
+    /// [`advertisable_progress`]: InheritanceTracker::advertisable_progress
+    /// [`set_row`]: InheritanceTracker::set_row
+    /// [`take_row`]: InheritanceTracker::take_row
+    mem_rids: [u64; NUM_REGS],
     /// Record id of the last event processed through the tracker.
     last_processed: Rid,
     /// Optional bound on `last_processed - advertised progress` (§4.2).
@@ -104,12 +113,17 @@ pub struct InheritanceTracker {
     stats: ItStats,
 }
 
+/// [`InheritanceTracker::mem_rids`]'s entry for a row that defers no
+/// memory read; above every real rid, so it never wins the minimum.
+const NO_MEM_ROW: u64 = u64::MAX;
+
 impl InheritanceTracker {
     /// Creates an empty tracker with the given advertising-lag threshold
     /// (`None` disables threshold flushes).
     pub fn new(threshold: Option<u64>) -> Self {
         InheritanceTracker {
             rows: [None; NUM_REGS],
+            mem_rids: [NO_MEM_ROW; NUM_REGS],
             last_processed: Rid::ZERO,
             threshold,
             stats: ItStats::default(),
@@ -133,11 +147,7 @@ impl InheritanceTracker {
 
     /// Number of rows deferring a memory read (the ones flushes target).
     pub fn live_mem_rows(&self) -> usize {
-        self.rows
-            .iter()
-            .flatten()
-            .filter(|e| e.mem().is_some())
-            .count()
+        self.mem_rids.iter().filter(|&&r| r != NO_MEM_ROW).count()
     }
 
     /// The progress this lifeguard may advertise: the youngest record id such
@@ -146,59 +156,78 @@ impl InheritanceTracker {
     pub fn advertisable_progress(&self) -> Rid {
         // Only memory-inheriting rows defer a metadata read; clean rows hold
         // no remote-visible state and do not delay advertising.
-        let min_mem = self
-            .rows
-            .iter()
-            .flatten()
-            .filter(|e| e.mem().is_some())
-            .map(|e| e.rid)
-            .min();
-        match min_mem {
-            Some(min_held) => Rid(min_held.0.saturating_sub(1)).min(self.last_processed),
-            None => self.last_processed,
+        match self.mem_rids.iter().copied().min() {
+            Some(min_held) if min_held != NO_MEM_ROW => {
+                Rid(min_held.saturating_sub(1)).min(self.last_processed)
+            }
+            _ => self.last_processed,
         }
     }
 
-    /// Processes one instruction event. Returns the metadata ops to deliver
-    /// to the lifeguard, in order (flushes first); an empty vector means the
-    /// event was fully absorbed into the table.
-    pub fn process(&mut self, instr: &Instr, rid: Rid) -> Vec<MetaOp> {
-        let mut out = Vec::new();
+    /// Writes row `idx`, keeping [`InheritanceTracker::mem_rids`] in step.
+    fn set_row(&mut self, idx: usize, row: Option<ItEntry>) {
+        self.mem_rids[idx] = match row {
+            Some(ItEntry {
+                src: ItSource::Mem(_),
+                rid,
+            }) => rid.0,
+            _ => NO_MEM_ROW,
+        };
+        self.rows[idx] = row;
+    }
+
+    /// Empties row `idx`, returning what it held.
+    fn take_row(&mut self, idx: usize) -> Option<ItEntry> {
+        self.mem_rids[idx] = NO_MEM_ROW;
+        self.rows[idx].take()
+    }
+
+    /// Processes one instruction event, appending the metadata ops to
+    /// deliver to the lifeguard to `out`, in order (flushes first); appending
+    /// nothing means the event was fully absorbed into the table.
+    pub fn process(&mut self, instr: &Instr, rid: Rid, out: &mut Vec<MetaOp>) {
+        let start = out.len();
         // Local-conflict detection: a memory write may overwrite an
         // inherits-from location; affected rows must be delivered *before*
         // the write's own metadata effect (Figure 3's sequential rule).
         if let Some((mem, kind)) = instr.mem_access() {
             if kind.writes() {
-                self.flush_overlapping(mem, &mut out, FlushReason::LocalConflict);
+                self.flush_overlapping(mem, out, FlushReason::LocalConflict);
             }
         }
         match *instr {
             Instr::Load { dst, src } => {
-                self.rows[dst.index()] = Some(ItEntry {
-                    src: ItSource::Mem(src),
-                    rid,
-                });
+                self.set_row(
+                    dst.index(),
+                    Some(ItEntry {
+                        src: ItSource::Mem(src),
+                        rid,
+                    }),
+                );
                 self.stats.absorbed += 1;
             }
             Instr::MovRR { dst, src } | Instr::Alu1 { dst, a: src } => {
                 match self.rows[src.index()] {
                     Some(entry) => {
                         // Copy the row, RID included (Figure 3, event i+1).
-                        self.rows[dst.index()] = Some(entry);
+                        self.set_row(dst.index(), Some(entry));
                         self.stats.absorbed += 1;
                     }
                     None => {
-                        self.rows[dst.index()] = None;
+                        self.take_row(dst.index());
                         out.push(MetaOp::RegToReg { dst, src });
                     }
                 }
             }
             Instr::MovRI { dst } => {
                 // Immediates are clean sources: absorb (deliver lazily).
-                self.rows[dst.index()] = Some(ItEntry {
-                    src: ItSource::Clean,
-                    rid,
-                });
+                self.set_row(
+                    dst.index(),
+                    Some(ItEntry {
+                        src: ItSource::Clean,
+                        rid,
+                    }),
+                );
                 self.stats.absorbed += 1;
             }
             Instr::Alu2 { dst, a, b } => {
@@ -209,32 +238,35 @@ impl InheritanceTracker {
                 let rb = self.rows[b.index()];
                 match (ra.map(|e| e.src), rb.map(|e| e.src)) {
                     (Some(ItSource::Clean), Some(ItSource::Clean)) => {
-                        self.rows[dst.index()] = Some(ItEntry {
-                            src: ItSource::Clean,
-                            rid,
-                        });
+                        self.set_row(
+                            dst.index(),
+                            Some(ItEntry {
+                                src: ItSource::Clean,
+                                rid,
+                            }),
+                        );
                         self.stats.absorbed += 1;
                     }
                     (Some(ItSource::Mem(_)), Some(ItSource::Clean)) => {
-                        self.rows[dst.index()] = ra;
+                        self.set_row(dst.index(), ra);
                         self.stats.absorbed += 1;
                     }
                     (Some(ItSource::Clean), Some(ItSource::Mem(_))) => {
-                        self.rows[dst.index()] = rb;
+                        self.set_row(dst.index(), rb);
                         self.stats.absorbed += 1;
                     }
                     (Some(ItSource::Clean), None) => {
-                        self.rows[dst.index()] = None;
+                        self.take_row(dst.index());
                         out.push(MetaOp::RegToReg { dst, src: b });
                     }
                     (None, Some(ItSource::Clean)) => {
-                        self.rows[dst.index()] = None;
+                        self.take_row(dst.index());
                         out.push(MetaOp::RegToReg { dst, src: a });
                     }
                     _ => {
-                        self.flush_reg(a, &mut out);
-                        self.flush_reg(b, &mut out);
-                        self.rows[dst.index()] = None;
+                        self.flush_reg(a, out);
+                        self.flush_reg(b, out);
+                        self.take_row(dst.index());
                         out.push(MetaOp::AluRR { dst, a, b: Some(b) });
                     }
                 }
@@ -243,15 +275,18 @@ impl InheritanceTracker {
                 match self.rows[a.index()].map(|e| e.src) {
                     Some(ItSource::Clean) => {
                         // clean ⊔ mem = mem: behaves like a load of `src`.
-                        self.rows[dst.index()] = Some(ItEntry {
-                            src: ItSource::Mem(src),
-                            rid,
-                        });
+                        self.set_row(
+                            dst.index(),
+                            Some(ItEntry {
+                                src: ItSource::Mem(src),
+                                rid,
+                            }),
+                        );
                         self.stats.absorbed += 1;
                     }
                     _ => {
-                        self.flush_reg(a, &mut out);
-                        self.rows[dst.index()] = None;
+                        self.flush_reg(a, out);
+                        self.take_row(dst.index());
                         out.push(MetaOp::AluRM { dst, a, src });
                     }
                 }
@@ -275,42 +310,40 @@ impl InheritanceTracker {
                         self.stats.absorbed += 1;
                     }
                     Some(ItSource::Mem(_)) => {
-                        self.flush_reg(target, &mut out);
+                        self.flush_reg(target, out);
                         out.push(MetaOp::CheckJmp { target });
                     }
                     None => out.push(MetaOp::CheckJmp { target }),
                 }
             }
             Instr::Rmw { mem, reg } => {
-                self.flush_reg(reg, &mut out);
+                self.flush_reg(reg, out);
                 out.push(MetaOp::RmwOp { mem, reg });
             }
             Instr::Nop => {}
         }
         self.last_processed = rid;
-        self.stats.delivered += out.len() as u64;
+        self.stats.delivered += (out.len() - start) as u64;
         // Threshold rule: never let advertising lag exceed the bound.
         if let Some(limit) = self.threshold {
             if self.last_processed.0 - self.advertisable_progress().0 > limit {
-                let mut flushed = self.flush_all(FlushReason::Threshold);
-                out.append(&mut flushed);
+                self.flush_all(FlushReason::Threshold, out);
             }
         }
-        out
     }
 
-    /// Flushes deferred rows: each deferred load is delivered as an explicit
-    /// `MemToReg`. Used on dependence stalls, ConflictAlerts and threshold
-    /// overruns.
+    /// Flushes deferred rows, appending each deferred load to `out` as an
+    /// explicit `MemToReg`. Used on dependence stalls, ConflictAlerts and
+    /// threshold overruns.
     ///
     /// Clean rows hold no deferred *memory* state — they neither conflict
     /// with remote events nor delay advertised progress — so they survive
     /// every flush except a context switch (where the physical registers
     /// change identity and the rows must be materialized for the old
     /// thread's lifeguard).
-    pub fn flush_all(&mut self, reason: FlushReason) -> Vec<MetaOp> {
+    pub fn flush_all(&mut self, reason: FlushReason, out: &mut Vec<MetaOp>) {
         let flush_clean = reason == FlushReason::ContextSwitch;
-        let mut out = Vec::new();
+        let start = out.len();
         for idx in 0..NUM_REGS {
             let keep_clean = matches!(
                 self.rows[idx],
@@ -322,7 +355,7 @@ impl InheritanceTracker {
             if keep_clean {
                 continue;
             }
-            if let Some(entry) = self.rows[idx].take() {
+            if let Some(entry) = self.take_row(idx) {
                 out.push(match entry.src {
                     ItSource::Mem(src) => MetaOp::MemToReg {
                         dst: Reg(idx as u8),
@@ -340,8 +373,7 @@ impl InheritanceTracker {
             FlushReason::Threshold => self.stats.threshold_flushes += 1,
             FlushReason::LocalConflict | FlushReason::Versioned | FlushReason::ContextSwitch => {}
         }
-        self.stats.delivered += out.len() as u64;
-        out
+        self.stats.delivered += (out.len() - start) as u64;
     }
 
     /// Notes that record `rid` was processed outside [`process`]
@@ -359,28 +391,26 @@ impl InheritanceTracker {
     ///
     /// [`process`]: InheritanceTracker::process
     pub fn clear_reg(&mut self, reg: Reg) {
-        self.rows[reg.index()] = None;
+        self.take_row(reg.index());
     }
 
-    /// Materializes `reg`'s row (if any) as a delivered op — used by events
-    /// that bypass [`process`] but read the register, whose lifeguard-side
-    /// state is stale while a row is held (§5.5).
+    /// Materializes `reg`'s row (if any) as an op appended to `out` — used
+    /// by events that bypass [`process`] but read the register, whose
+    /// lifeguard-side state is stale while a row is held (§5.5).
     ///
     /// [`process`]: InheritanceTracker::process
-    pub fn flush_reg_public(&mut self, reg: Reg) -> Vec<MetaOp> {
-        let mut out = Vec::new();
-        self.flush_reg(reg, &mut out);
-        self.stats.delivered += out.len() as u64;
-        out
+    pub fn flush_reg_public(&mut self, reg: Reg, out: &mut Vec<MetaOp>) {
+        let start = out.len();
+        self.flush_reg(reg, out);
+        self.stats.delivered += (out.len() - start) as u64;
     }
 
-    /// Flushes rows whose inherits-from operand overlaps `mem` (TSO versioned
-    /// accesses and selective CA ranges).
-    pub fn flush_overlapping_public(&mut self, mem: MemRef) -> Vec<MetaOp> {
-        let mut out = Vec::new();
-        self.flush_overlapping(mem, &mut out, FlushReason::Versioned);
-        self.stats.delivered += out.len() as u64;
-        out
+    /// Flushes rows whose inherits-from operand overlaps `mem` into `out`
+    /// (TSO versioned accesses and selective CA ranges).
+    pub fn flush_overlapping_public(&mut self, mem: MemRef, out: &mut Vec<MetaOp>) {
+        let start = out.len();
+        self.flush_overlapping(mem, out, FlushReason::Versioned);
+        self.stats.delivered += (out.len() - start) as u64;
     }
 
     fn flush_overlapping(&mut self, mem: MemRef, out: &mut Vec<MetaOp>, reason: FlushReason) {
@@ -389,7 +419,7 @@ impl InheritanceTracker {
             if let Some(entry) = self.rows[idx] {
                 let Some(src) = entry.mem() else { continue };
                 if src.range().overlaps(&range) {
-                    self.rows[idx] = None;
+                    self.take_row(idx);
                     out.push(MetaOp::MemToReg {
                         dst: Reg(idx as u8),
                         src,
@@ -403,7 +433,7 @@ impl InheritanceTracker {
     }
 
     fn flush_reg(&mut self, reg: Reg, out: &mut Vec<MetaOp>) {
-        if let Some(entry) = self.rows[reg.index()].take() {
+        if let Some(entry) = self.take_row(reg.index()) {
             out.push(match entry.src {
                 ItSource::Mem(src) => MetaOp::MemToReg { dst: reg, src },
                 ItSource::Clean => MetaOp::ImmToReg { dst: reg },
@@ -430,6 +460,24 @@ mod tests {
         MemRef::new(addr, 4)
     }
 
+    fn process(it: &mut InheritanceTracker, instr: &Instr, rid: Rid) -> Vec<MetaOp> {
+        let mut out = Vec::new();
+        it.process(instr, rid, &mut out);
+        out
+    }
+
+    fn flush_all(it: &mut InheritanceTracker, reason: FlushReason) -> Vec<MetaOp> {
+        let mut out = Vec::new();
+        it.flush_all(reason, &mut out);
+        out
+    }
+
+    fn flush_overlapping(it: &mut InheritanceTracker, mem: MemRef) -> Vec<MetaOp> {
+        let mut out = Vec::new();
+        it.flush_overlapping_public(mem, &mut out);
+        out
+    }
+
     #[test]
     fn figure3_coalescing_chain() {
         // i:   mov r0 <- A      (absorbed)
@@ -438,18 +486,16 @@ mod tests {
         let mut it = InheritanceTracker::new(None);
         let a = m(0x100);
         let b = m(0x200);
-        assert!(it
-            .process(&Instr::Load { dst: r(0), src: a }, Rid(10))
-            .is_empty());
-        assert!(it
-            .process(
-                &Instr::MovRR {
-                    dst: r(1),
-                    src: r(0)
-                },
-                Rid(11)
-            )
-            .is_empty());
+        assert!(process(&mut it, &Instr::Load { dst: r(0), src: a }, Rid(10)).is_empty());
+        assert!(process(
+            &mut it,
+            &Instr::MovRR {
+                dst: r(1),
+                src: r(0)
+            },
+            Rid(11)
+        )
+        .is_empty());
         assert_eq!(
             it.row(r(1)),
             Some(ItEntry {
@@ -457,7 +503,7 @@ mod tests {
                 rid: Rid(10)
             })
         );
-        let ops = it.process(&Instr::Store { dst: b, src: r(1) }, Rid(12));
+        let ops = process(&mut it, &Instr::Store { dst: b, src: r(1) }, Rid(12));
         assert_eq!(ops, vec![MetaOp::MemToMem { dst: b, src: a }]);
         // Row survives the store (Figure 3 keeps %ebx = (A, i)).
         assert_eq!(
@@ -477,9 +523,10 @@ mod tests {
         let c = m(0x300);
         let d = m(0x400);
         let i = 10u64;
-        it.process(&Instr::Load { dst: r(0), src: a }, Rid(i)); // i
+        process(&mut it, &Instr::Load { dst: r(0), src: a }, Rid(i)); // i
         assert_eq!(it.advertisable_progress(), Rid(i - 1));
-        it.process(
+        process(
+            &mut it,
             &Instr::MovRR {
                 dst: r(1),
                 src: r(0),
@@ -487,7 +534,8 @@ mod tests {
             Rid(i + 1),
         ); // i+1
         assert_eq!(it.advertisable_progress(), Rid(i - 1));
-        it.process(
+        process(
+            &mut it,
             &Instr::Store {
                 dst: m(0x200),
                 src: r(1),
@@ -499,15 +547,15 @@ mod tests {
             Rid(i - 1),
             "rows still hold rid i"
         );
-        it.process(&Instr::Load { dst: r(0), src: c }, Rid(i + 3)); // i+3 overwrites r0
+        process(&mut it, &Instr::Load { dst: r(0), src: c }, Rid(i + 3)); // i+3 overwrites r0
         assert_eq!(
             it.advertisable_progress(),
             Rid(i - 1),
             "r1 still holds rid i"
         );
-        it.process(&Instr::Load { dst: r(1), src: d }, Rid(i + 4)); // i+4 overwrites r1
-                                                                    // Now the oldest held rid is i+3 → progress = i+2 >= i, so the remote
-                                                                    // write j to A may finally be delivered.
+        process(&mut it, &Instr::Load { dst: r(1), src: d }, Rid(i + 4)); // i+4 overwrites r1
+                                                                          // Now the oldest held rid is i+3 → progress = i+2 >= i, so the remote
+                                                                          // write j to A may finally be delivered.
         assert_eq!(it.advertisable_progress(), Rid(i + 2));
     }
 
@@ -516,8 +564,8 @@ mod tests {
         // Sequential rule: store to A flushes rows inheriting from A first.
         let mut it = InheritanceTracker::new(None);
         let a = m(0x100);
-        it.process(&Instr::Load { dst: r(0), src: a }, Rid(1));
-        let ops = it.process(&Instr::Store { dst: a, src: r(5) }, Rid(2));
+        process(&mut it, &Instr::Load { dst: r(0), src: a }, Rid(1));
+        let ops = process(&mut it, &Instr::Store { dst: a, src: r(5) }, Rid(2));
         assert_eq!(
             ops,
             vec![
@@ -533,14 +581,16 @@ mod tests {
     #[test]
     fn partial_overlap_also_conflicts() {
         let mut it = InheritanceTracker::new(None);
-        it.process(
+        process(
+            &mut it,
             &Instr::Load {
                 dst: r(0),
                 src: MemRef::new(0x100, 8),
             },
             Rid(1),
         );
-        let ops = it.process(
+        let ops = process(
+            &mut it,
             &Instr::Store {
                 dst: MemRef::new(0x104, 4),
                 src: r(2),
@@ -556,9 +606,10 @@ mod tests {
         let mut it = InheritanceTracker::new(None);
         let a = m(0x100);
         let b = m(0x200);
-        it.process(&Instr::Load { dst: r(0), src: a }, Rid(1));
-        it.process(&Instr::Load { dst: r(1), src: b }, Rid(2));
-        let ops = it.process(
+        process(&mut it, &Instr::Load { dst: r(0), src: a }, Rid(1));
+        process(&mut it, &Instr::Load { dst: r(1), src: b }, Rid(2));
+        let ops = process(
+            &mut it,
             &Instr::Alu2 {
                 dst: r(2),
                 a: r(0),
@@ -585,10 +636,8 @@ mod tests {
     fn unary_alu_absorbs_like_mov() {
         let mut it = InheritanceTracker::new(None);
         let a = m(0x100);
-        it.process(&Instr::Load { dst: r(0), src: a }, Rid(1));
-        assert!(it
-            .process(&Instr::Alu1 { dst: r(3), a: r(0) }, Rid(2))
-            .is_empty());
+        process(&mut it, &Instr::Load { dst: r(0), src: a }, Rid(1));
+        assert!(process(&mut it, &Instr::Alu1 { dst: r(3), a: r(0) }, Rid(2)).is_empty());
         assert_eq!(
             it.row(r(3)),
             Some(ItEntry {
@@ -601,7 +650,8 @@ mod tests {
     #[test]
     fn mov_from_untracked_reg_delivers() {
         let mut it = InheritanceTracker::new(None);
-        let ops = it.process(
+        let ops = process(
+            &mut it,
             &Instr::MovRR {
                 dst: r(1),
                 src: r(0),
@@ -621,8 +671,8 @@ mod tests {
     fn jmp_materializes_target_then_checks() {
         let mut it = InheritanceTracker::new(None);
         let a = m(0x100);
-        it.process(&Instr::Load { dst: r(0), src: a }, Rid(1));
-        let ops = it.process(&Instr::JmpReg { target: r(0) }, Rid(2));
+        process(&mut it, &Instr::Load { dst: r(0), src: a }, Rid(1));
+        let ops = process(&mut it, &Instr::JmpReg { target: r(0) }, Rid(2));
         assert_eq!(
             ops,
             vec![
@@ -635,21 +685,23 @@ mod tests {
     #[test]
     fn flush_all_delivers_every_row() {
         let mut it = InheritanceTracker::new(None);
-        it.process(
+        process(
+            &mut it,
             &Instr::Load {
                 dst: r(0),
                 src: m(0x100),
             },
             Rid(1),
         );
-        it.process(
+        process(
+            &mut it,
             &Instr::Load {
                 dst: r(1),
                 src: m(0x200),
             },
             Rid(2),
         );
-        let ops = it.flush_all(FlushReason::DependenceStall);
+        let ops = flush_all(&mut it, FlushReason::DependenceStall);
         assert_eq!(ops.len(), 2);
         assert_eq!(it.live_rows(), 0);
         assert_eq!(it.stats().stall_flushes, 1);
@@ -659,7 +711,8 @@ mod tests {
     #[test]
     fn threshold_forces_refresh() {
         let mut it = InheritanceTracker::new(Some(5));
-        it.process(
+        process(
+            &mut it,
             &Instr::Load {
                 dst: r(0),
                 src: m(0x100),
@@ -668,12 +721,12 @@ mod tests {
         );
         for i in 2..=5u64 {
             assert!(
-                it.process(&Instr::Nop, Rid(i)).is_empty(),
+                process(&mut it, &Instr::Nop, Rid(i)).is_empty(),
                 "lag within threshold at {i}"
             );
         }
         // At rid 6 the lag is 6 - 0 = 6 > 5: the event triggers a flush.
-        let ops = it.process(&Instr::Nop, Rid(6));
+        let ops = process(&mut it, &Instr::Nop, Rid(6));
         assert_eq!(ops.len(), 1);
         assert_eq!(it.stats().threshold_flushes, 1);
         assert_eq!(it.advertisable_progress(), Rid(6));
@@ -682,21 +735,23 @@ mod tests {
     #[test]
     fn versioned_flush_targets_one_address() {
         let mut it = InheritanceTracker::new(None);
-        it.process(
+        process(
+            &mut it,
             &Instr::Load {
                 dst: r(0),
                 src: m(0x100),
             },
             Rid(1),
         );
-        it.process(
+        process(
+            &mut it,
             &Instr::Load {
                 dst: r(1),
                 src: m(0x200),
             },
             Rid(2),
         );
-        let ops = it.flush_overlapping_public(m(0x100));
+        let ops = flush_overlapping(&mut it, m(0x100));
         assert_eq!(
             ops,
             vec![MetaOp::MemToReg {
@@ -710,14 +765,16 @@ mod tests {
     #[test]
     fn absorbed_and_delivered_counters() {
         let mut it = InheritanceTracker::new(None);
-        it.process(
+        process(
+            &mut it,
             &Instr::Load {
                 dst: r(0),
                 src: m(0x100),
             },
             Rid(1),
         );
-        it.process(
+        process(
+            &mut it,
             &Instr::Store {
                 dst: m(0x200),
                 src: r(0),
@@ -727,5 +784,73 @@ mod tests {
         let s = it.stats();
         assert_eq!(s.absorbed, 1);
         assert_eq!(s.delivered, 1);
+    }
+
+    /// One step of the property below: `kind` 0–9 an instruction through
+    /// `process`, 10–14 one of the entry points that bypass it.
+    type Step = (u8, u8, u8, u8, u64);
+
+    fn step_instr((kind, d, a, b, slot): Step) -> Instr {
+        // Operands 2 bytes apart and 4 wide, so stores partly overlap rows.
+        let mem = MemRef::new(0x100 + slot * 2, 4);
+        let (dst, a, b) = (r(d), r(a), r(b));
+        match kind {
+            0 => Instr::Load { dst, src: mem },
+            1 => Instr::Store { dst: mem, src: a },
+            2 => Instr::MovRR { dst, src: a },
+            3 => Instr::MovRI { dst },
+            4 => Instr::Alu1 { dst, a },
+            5 => Instr::Alu2 { dst, a, b },
+            6 => Instr::AluMem { dst, a, src: mem },
+            7 => Instr::JmpReg { target: a },
+            8 => Instr::Rmw { mem, reg: a },
+            _ => Instr::Nop,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The per-row rid array answers exactly what folding the rows
+        /// answered before it existed, after every kind of row write.
+        #[test]
+        fn advertisable_progress_equals_the_row_fold(
+            steps in proptest::collection::vec(
+                (0u8..15, 0u8..16, 0u8..16, 0u8..16, 0u64..6),
+                1..200,
+            ),
+            threshold in 0usize..3,
+        ) {
+            let mut it = InheritanceTracker::new([None, Some(4), Some(16)][threshold]);
+            let mut last_processed = Rid::ZERO;
+            let mut out = Vec::new();
+            for (i, &step) in steps.iter().enumerate() {
+                let rid = Rid(i as u64 + 1);
+                let (kind, d, a, _, slot) = step;
+                match kind {
+                    0..=9 => {
+                        it.process(&step_instr(step), rid, &mut out);
+                        last_processed = rid;
+                    }
+                    10 => it.flush_all(FlushReason::DependenceStall, &mut out),
+                    11 => it.flush_all(FlushReason::ContextSwitch, &mut out),
+                    12 => it.clear_reg(r(d)),
+                    13 => it.flush_reg_public(r(a), &mut out),
+                    _ => {
+                        it.flush_overlapping_public(MemRef::new(0x100 + slot * 2, 4), &mut out);
+                        it.note_processed(rid);
+                        last_processed = last_processed.max(rid);
+                    }
+                }
+                let rows: Vec<ItEntry> = (0..NUM_REGS as u8).filter_map(|i| it.row(r(i))).collect();
+                let held = rows.iter().filter(|e| e.mem().is_some());
+                let fold = match held.clone().map(|e| e.rid).min() {
+                    Some(min_held) => Rid(min_held.0.saturating_sub(1)).min(last_processed),
+                    None => last_processed,
+                };
+                proptest::prop_assert_eq!(it.advertisable_progress(), fold);
+                proptest::prop_assert_eq!(it.live_mem_rows(), held.count());
+            }
+        }
     }
 }

@@ -20,9 +20,11 @@
 //! let a = MemRef::new(0x100, 4);
 //! let b = MemRef::new(0x200, 4);
 //! // load r0 <- A; mov r1 <- r0; store B <- r1
-//! assert!(it.process(&Instr::Load { dst: Reg::new(0), src: a }, Rid(10)).is_empty());
-//! assert!(it.process(&Instr::MovRR { dst: Reg::new(1), src: Reg::new(0) }, Rid(11)).is_empty());
-//! let ops = it.process(&Instr::Store { dst: b, src: Reg::new(1) }, Rid(12));
+//! let mut ops = Vec::new();
+//! it.process(&Instr::Load { dst: Reg::new(0), src: a }, Rid(10), &mut ops);
+//! it.process(&Instr::MovRR { dst: Reg::new(1), src: Reg::new(0) }, Rid(11), &mut ops);
+//! assert!(ops.is_empty(), "both absorbed");
+//! it.process(&Instr::Store { dst: b, src: Reg::new(1) }, Rid(12), &mut ops);
 //! assert_eq!(ops, vec![MetaOp::MemToMem { dst: b, src: a }]);
 //! // Delayed advertising: progress stays before rid 10 while rows hold it.
 //! assert_eq!(it.advertisable_progress(), Rid(9));

@@ -1,25 +1,28 @@
 //! Checked-in benchmark snapshots, the repository's one microbenchmark
 //! harness: the byte-shadow suite (`BENCH_shadow.json`), the version-table
-//! suite (`BENCH_versions.json`) and the concurrency suite
-//! (`BENCH_concurrent.json`).
+//! suite (`BENCH_versions.json`), the concurrency suite
+//! (`BENCH_concurrent.json`) and the co-simulation suite
+//! (`BENCH_sim.json`).
 //!
-//! All three share one schema — [`MatrixResult`] plus
+//! All four share one schema — [`MatrixResult`] plus
 //! [`to_json`]/[`parse_json`] — one timer ([`best_of`]) and one command line
 //! ([`run_bin`]), so the CI bench-smoke step diffs every file with the same
 //! non-blocking `::warning::` machinery, and a later run always has a
 //! checked-in reading to be compared against.
 
 use paralog_core::{
-    CoopSession, EventSource, LaneSet, MonitorSession, RecordStream, SessionError, SourceInput,
-    StreamStatus, ThreadedBackend, LANE_BUDGET,
+    CoopSession, EventSource, LaneSet, MonitorConfig, MonitorSession, MonitoringMode, Platform,
+    RecordStream, SessionError, SourceInput, StreamStatus, ThreadedBackend, LANE_BUDGET,
 };
 use paralog_events::codec::{encode, StreamDecoder};
 use paralog_events::{
     AddrRange, ArcKind, CaPhase, CaRecord, DependenceArc, EventRecord, HighLevelKind, Instr,
-    LockId, MemRef, Reg, Rid, ThreadId, VersionId,
+    LockId, MemRef, Op, Reg, Rid, ThreadId, VersionId,
 };
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind};
 use paralog_meta::{AtomicShadow, VersionTable};
+use paralog_sim::{MachineConfig, MemorySystem};
+use paralog_workloads::{Benchmark, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -33,12 +36,52 @@ pub struct MatrixResult {
     pub records_per_thread: u64,
     /// Series key → best-of-iters ns per work unit.
     pub series: BTreeMap<String, f64>,
+    /// The machine the series were measured on: set by [`run_bin`] when it
+    /// writes a baseline; `None` in a baseline written before the field
+    /// existed.
+    pub machine: Option<Machine>,
+}
+
+/// The host a snapshot ran on, written beside its series so a reading is
+/// never compared with one from another machine unawares.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Machine {
+    /// Processors available to the process.
+    pub cores: usize,
+    /// The processor's model name (`/proc/cpuinfo`), `unknown` elsewhere.
+    pub cpu: String,
+}
+
+impl Machine {
+    /// Describes this host.
+    pub fn detect() -> Machine {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        Machine {
+            cores: std::thread::available_parallelism().map_or(0, |n| n.get()),
+            // The schema's strings are unescaped.
+            cpu: cpu.replace(['"', '\\'], ""),
+        }
+    }
 }
 
 /// Serializes a result as the checked-in `BENCH_*.json` schema.
 pub fn to_json(result: &MatrixResult) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": 1,\n");
+    if let Some(machine) = &result.machine {
+        out.push_str(&format!(
+            "  \"machine\": {{\"cores\": {}, \"cpu\": \"{}\"}},\n",
+            machine.cores, machine.cpu
+        ));
+    }
     out.push_str(&format!(
         "  \"records_per_thread\": {},\n",
         result.records_per_thread
@@ -87,9 +130,28 @@ pub fn parse_json(text: &str) -> Option<MatrixResult> {
     if series.is_empty() {
         return None;
     }
+    let machine = match field("machine") {
+        None => None,
+        Some(rest) => {
+            let block = rest.strip_prefix('{')?.split('}').next()?;
+            let cores = block
+                .split_once("\"cores\":")?
+                .1
+                .split(',')
+                .next()?
+                .trim()
+                .parse()
+                .ok()?;
+            // The last field: a model name may hold a comma.
+            let cpu = block.split_once("\"cpu\":")?.1.trim();
+            let cpu = cpu.strip_prefix('"')?.strip_suffix('"')?.to_string();
+            Some(Machine { cores, cpu })
+        }
+    };
     Some(MatrixResult {
         records_per_thread,
         series,
+        machine,
     })
 }
 
@@ -165,6 +227,7 @@ pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
     MatrixResult {
         records_per_thread: reps,
         series,
+        machine: None,
     }
 }
 
@@ -254,6 +317,7 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     MatrixResult {
         records_per_thread: ops,
         series,
+        machine: None,
     }
 }
 
@@ -604,6 +668,86 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
     MatrixResult {
         records_per_thread: records,
         series,
+        machine: None,
+    }
+}
+
+/// The co-simulation suite: what [`Platform::run`] costs the host, the
+/// work behind every figure and every benchmark set-up. One fixed
+/// application — Barnes ×4 under TaintCheck with injected bugs, seed 1,
+/// `slots` generator slots per thread — is co-simulated in each mode the
+/// way the end-to-end benchmark's set-up runs it (the parallel run collects
+/// its streams and checks equivalence). `cosim/none` is ns per application
+/// op (that run captures no records), `cosim/timesliced` and
+/// `cosim/parallel` ns per record their run captured. `coherence/access`
+/// replays the application's memory accesses, round-robin over its
+/// threads, through a fresh [`MemorySystem`] of the parallel run's machine:
+/// ns per access, the system's construction included.
+pub fn sim_matrix(slots: u64, iters: usize) -> MatrixResult {
+    let mut spec = WorkloadSpec::benchmark(Benchmark::Barnes, 4)
+        .inject_bugs(true)
+        .seed(1);
+    spec.ops_per_thread = slots as usize;
+    let workload = spec.build();
+    let mut series = BTreeMap::new();
+    for (key, mode) in [
+        ("cosim/none", MonitoringMode::None),
+        ("cosim/timesliced", MonitoringMode::Timesliced),
+        ("cosim/parallel", MonitoringMode::Parallel),
+    ] {
+        let mut config = MonitorConfig::new(mode, LifeguardKind::TaintCheck);
+        if mode == MonitoringMode::Parallel {
+            config.collect_streams = true;
+            config = config.with_equivalence_check();
+        }
+        let units = match mode {
+            MonitoringMode::None => workload.total_ops() as u64,
+            _ => Platform::run(&workload, &config).metrics.records,
+        };
+        series.insert(
+            key.to_string(),
+            best_of(units, iters, || {
+                black_box(Platform::run(&workload, &config));
+            }),
+        );
+    }
+
+    let mut streams: Vec<_> = workload
+        .threads
+        .iter()
+        .map(|ops| {
+            ops.iter().filter_map(|op| match op {
+                Op::Instr(instr) => instr.mem_access(),
+                _ => None,
+            })
+        })
+        .collect();
+    let mut trace = Vec::new();
+    loop {
+        let before = trace.len();
+        for (core, stream) in streams.iter_mut().enumerate() {
+            trace.extend(stream.next().map(|access| (core, access)));
+        }
+        if trace.len() == before {
+            break;
+        }
+    }
+    let machine = MachineConfig::paper(2 * workload.thread_count());
+    series.insert(
+        "coherence/access".to_string(),
+        best_of(trace.len() as u64, iters, || {
+            let mut mem = MemorySystem::new(&machine);
+            for (i, &(core, (at, kind))) in trace.iter().enumerate() {
+                let rid = Rid(i as u64 + 1);
+                black_box(mem.access(core, rid, at.addr, u64::from(at.size), kind));
+            }
+        }),
+    );
+
+    MatrixResult {
+        records_per_thread: slots,
+        series,
+        machine: None,
     }
 }
 
@@ -627,7 +771,8 @@ fn baseline_path(file_name: &str) -> PathBuf {
 
 /// The whole `main` of a snapshot bin: runs `matrix(units, iters)`, prints
 /// it under `title` in ns per `unit`, then either rewrites the checked-in
-/// `file_name` at the repository root (`--out <path>` overrides where) or,
+/// `file_name` at the repository root, with the [`Machine`] it ran on
+/// (`--out <path>` overrides where) or,
 /// under `--check`, diffs a quick profile against it and exits 0 whatever
 /// it finds (non-blocking). An unknown flag exits 2.
 pub fn run_bin(
@@ -651,8 +796,13 @@ pub fn run_bin(
         }
     }
     let iters = if checking { QUICK_ITERS } else { FULL_ITERS };
-    let result = matrix(units, iters);
-    println!("{title} ({units} {unit}s/round, ns/{unit}, best of {iters}):");
+    let mut result = matrix(units, iters);
+    let machine = Machine::detect();
+    println!(
+        "{title} ({units} {unit}s/round, ns/{unit}, best of {iters}; {} × {}):",
+        machine.cores, machine.cpu
+    );
+    result.machine = Some(machine);
     for (key, ns) in &result.series {
         println!("  {key:<32} {ns:10.1}");
     }
@@ -694,8 +844,11 @@ fn check_against(name: &str, path: &Path, fresh: &MatrixResult) -> i32 {
             );
         }
     }
+    let measured_on = baseline.machine.map_or(String::new(), |m| {
+        format!(" (baseline measured on {} × {})", m.cores, m.cpu)
+    });
     println!(
-        "bench-smoke: {name}: {} series checked, {regressed} regressed past the {REGRESSION_TOLERANCE}x tolerance (non-blocking)",
+        "bench-smoke: {name}{measured_on}: {} series checked, {regressed} regressed past the {REGRESSION_TOLERANCE}x tolerance (non-blocking)",
         fresh.series.len()
     );
     0
@@ -707,12 +860,19 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let result = MatrixResult {
+        let mut result = MatrixResult {
             records_per_thread: 4096,
             series: [("fill_range/4", 12.5), ("churn/w32", 0.1)]
                 .map(|(key, ns)| (key.to_string(), ns))
                 .into(),
+            machine: None,
         };
+        let parsed = parse_json(&to_json(&result)).expect("own output parses");
+        assert_eq!(parsed, result);
+        result.machine = Some(Machine {
+            cores: 2,
+            cpu: "Intel(R) Xeon(R) CPU @ 2.10GHz, stepping 7".into(),
+        });
         let parsed = parse_json(&to_json(&result)).expect("own output parses");
         assert_eq!(parsed, result);
     }
@@ -750,11 +910,28 @@ mod tests {
     }
 
     #[test]
+    fn sim_matrix_times_every_mode_and_the_memory_system() {
+        let result = sim_matrix(100, 1);
+        let keys: Vec<&str> = result.series.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "coherence/access",
+                "cosim/none",
+                "cosim/parallel",
+                "cosim/timesliced"
+            ]
+        );
+        assert!(result.series.values().all(|ns| ns.is_finite() && *ns > 0.0));
+    }
+
+    #[test]
     fn checked_in_baselines_cover_every_series() {
-        let suites: [(&str, MatrixResult); 3] = [
+        let suites: [(&str, MatrixResult); 4] = [
             ("BENCH_shadow.json", shadow_matrix(4, 1)),
             ("BENCH_versions.json", versions_matrix(64, 1)),
             ("BENCH_concurrent.json", concurrent_matrix(64, 1)),
+            ("BENCH_sim.json", sim_matrix(100, 1)),
         ];
         for (file_name, fresh) in suites {
             let text = std::fs::read_to_string(baseline_path(file_name))

@@ -197,6 +197,24 @@ impl<'w> Sim<'w> {
     }
 }
 
+impl LgThread {
+    /// The engine's ops buffer, empty; [`LgThread::restore_ops`] gives it
+    /// back so its capacity serves the next record.
+    fn take_ops(&mut self) -> Vec<MetaOp> {
+        std::mem::take(&mut self.ops)
+    }
+
+    fn restore_ops(&mut self, mut ops: Vec<MetaOp>) {
+        ops.clear();
+        self.ops = ops;
+    }
+
+    /// The engine's handler context, clear; [`charge_ctx`] gives it back.
+    fn take_ctx(&mut self) -> HandlerCtx {
+        std::mem::take(&mut self.ctx)
+    }
+}
+
 impl<'a> DeliveryCtx<'a> {
     /// Processes one ring-resident record (borrowed, never copied); returns
     /// the cycles it cost.
@@ -233,7 +251,8 @@ impl<'a> DeliveryCtx<'a> {
         // TSO: produce versions before the record's own effect (§5.5).
         for (vid, mem, consumers) in rec.produce_versions() {
             if accel {
-                let flushed = self.lgs[li].it.flush_overlapping_public(*mem);
+                let mut flushed = self.lgs[li].take_ops();
+                self.lgs[li].it.flush_overlapping_public(*mem, &mut flushed);
                 cycles += deliver_ops(
                     &mut self.lgs[li],
                     tag,
@@ -245,6 +264,7 @@ impl<'a> DeliveryCtx<'a> {
                     &None,
                     self.violations,
                 );
+                self.lgs[li].restore_ops(flushed);
             }
             let range = mem.range();
             let snapshot = self.lgs[li].lg(tag).snapshot_meta(range);
@@ -272,7 +292,7 @@ impl<'a> DeliveryCtx<'a> {
                         .range_table
                         .check(ThreadId(tag as u16), mem.range());
                     if let Some(entry) = hit {
-                        let mut ctx = HandlerCtx::new();
+                        let mut ctx = self.lgs[li].take_ctx();
                         self.lgs[li]
                             .lg(tag)
                             .on_syscall_race(mem.range(), &entry, rid, &mut ctx);
@@ -289,7 +309,7 @@ impl<'a> DeliveryCtx<'a> {
                 let view = self.lgs[li].lg_ref(tag).spec().view;
                 let uses_it = self.lgs[li].lg_ref(tag).spec().uses_it;
                 let uses_if = self.lgs[li].lg_ref(tag).spec().uses_if;
-                let mut ops: Vec<MetaOp> = Vec::new();
+                let mut ops = self.lgs[li].take_ops();
                 match view {
                     EventView::Dataflow => {
                         if accel && uses_it {
@@ -303,9 +323,9 @@ impl<'a> DeliveryCtx<'a> {
                                 // and (ii) the destination's stale row must
                                 // be dropped — the direct delivery updates
                                 // the lifeguard's register state.
-                                ops.extend(self.lgs[li].it.flush_overlapping_public(mem));
+                                self.lgs[li].it.flush_overlapping_public(mem, &mut ops);
                                 for src in instr.src_regs().into_iter().flatten() {
-                                    ops.extend(self.lgs[li].it.flush_reg_public(src));
+                                    self.lgs[li].it.flush_reg_public(src, &mut ops);
                                 }
                                 ops.extend(dataflow_view(&instr));
                                 if let Some(dst) = instr.dst_reg() {
@@ -313,7 +333,7 @@ impl<'a> DeliveryCtx<'a> {
                                 }
                                 self.lgs[li].it.note_processed(rid);
                             } else {
-                                ops = self.lgs[li].it.process(&instr, rid);
+                                self.lgs[li].it.process(&instr, rid, &mut ops);
                                 if ops.is_empty() {
                                     cycles += cost.it_absorb;
                                 }
@@ -355,6 +375,7 @@ impl<'a> DeliveryCtx<'a> {
                     &versioned,
                     self.violations,
                 );
+                self.lgs[li].restore_ops(ops);
             }
             EventPayload::Ca(ca) => {
                 cycles += self.process_ca(li, tag, rid, ca);
@@ -426,7 +447,7 @@ impl<'a> DeliveryCtx<'a> {
         }
 
         let own = ca.issuer.index() == tag;
-        let mut ctx = HandlerCtx::new();
+        let mut ctx = self.lgs[li].take_ctx();
         self.lgs[li].lg(tag).handle_ca(&ca, own, rid, &mut ctx);
         if own {
             if let Some(range) = ca.range {
@@ -547,8 +568,11 @@ fn flush_it(
     rid: Rid,
     violations: &mut Vec<Violation>,
 ) -> u64 {
-    let ops = lgt.it.flush_all(reason);
-    deliver_ops(lgt, tag, mem, cost, true, &ops, rid, &None, violations)
+    let mut ops = lgt.take_ops();
+    lgt.it.flush_all(reason, &mut ops);
+    let cycles = deliver_ops(lgt, tag, mem, cost, true, &ops, rid, &None, violations);
+    lgt.restore_ops(ops);
+    cycles
 }
 
 /// Delivers each of `ops` in turn ([`deliver_op`]); returns the cycles they
@@ -589,7 +613,7 @@ fn deliver_op(
 ) -> u64 {
     let mut cycles = cost.op_cost(op);
     let uses_mtlb = lgt.lg_ref(tag).spec().uses_mtlb;
-    let mut ctx = HandlerCtx::new();
+    let mut ctx = lgt.take_ctx();
     // Only the op reading the versioned location uses the snapshot.
     ctx.inject_versioned(op, versioned.as_ref());
     lgt.lg(tag).handle(op, rid, &mut ctx);
@@ -617,13 +641,14 @@ fn deliver_op(
 }
 
 /// Charges a handler context's side effects: metadata cache traffic,
-/// slow-path synchronization, and collects violations.
+/// slow-path synchronization, and collects violations. Gives `ctx` back to
+/// `lgt` for its next delivery.
 fn charge_ctx(
     lgt: &mut LgThread,
     mem: &mut MemorySystem,
     cost: &CostModel,
     rid: Rid,
-    ctx: HandlerCtx,
+    mut ctx: HandlerCtx,
     violations: &mut Vec<Violation>,
 ) -> u64 {
     let mut cycles = 0;
@@ -639,6 +664,8 @@ fn charge_ctx(
     if ctx.slow_path {
         cycles += cost.slow_path_sync;
     }
-    violations.extend(ctx.violations);
+    violations.append(&mut ctx.violations);
+    ctx.clear();
+    lgt.ctx = ctx;
     cycles
 }

@@ -19,8 +19,8 @@ use crate::config::{MonitorConfig, MonitoringMode};
 use crate::metrics::{AppBuckets, LgBuckets, RunMetrics};
 use crate::reference::Reference;
 use paralog_accel::{IdempotentFilter, InheritanceTracker, MetadataTlb};
-use paralog_events::{EventRecord, LogRing, Rid, ThreadId};
-use paralog_lifeguards::{Lifeguard, LifeguardFamily, Violation};
+use paralog_events::{EventRecord, LogRing, MetaOp, Rid, ThreadId};
+use paralog_lifeguards::{HandlerCtx, Lifeguard, LifeguardFamily, Violation};
 use paralog_order::{
     CaBarrier, CaBroadcaster, CaPolicy, OrderCapture, OrderEnforcer, ProgressTable, RangeTable,
 };
@@ -125,6 +125,12 @@ struct LgThread {
     /// Timesliced: the application thread of the last processed record
     /// (context-switch detection for IT flushes).
     last_tag: Option<usize>,
+    /// The one metadata-op buffer every record and flush of this engine
+    /// fills and delivers; empty between uses, capacity kept.
+    ops: Vec<MetaOp>,
+    /// The one handler context every delivery of this engine uses; cleared
+    /// between uses, capacity kept.
+    ctx: HandlerCtx,
 }
 
 impl LgThread {
@@ -280,6 +286,8 @@ impl<'w> Sim<'w> {
                     delivered_ops: 0,
                     skip_credit: 0,
                     last_tag: None,
+                    ops: Vec::new(),
+                    ctx: HandlerCtx::new(),
                 }
             })
             .collect();

@@ -112,6 +112,15 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// All elements as a mutable slice.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        match &mut self.spill {
+            Some(spill) => spill,
+            None => &mut self.inline[..self.len as usize],
+        }
+    }
+
     /// Appends an element, spilling to the heap past `N`.
     pub fn push(&mut self, value: T) {
         if let Some(spill) = &mut self.spill {

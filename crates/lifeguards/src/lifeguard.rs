@@ -244,6 +244,16 @@ impl HandlerCtx {
         HandlerCtx::default()
     }
 
+    /// Empties the context for its next delivery, keeping its buffers'
+    /// capacity: a caller delivering many ops reuses one context instead
+    /// of allocating a fresh one per op.
+    pub fn clear(&mut self) {
+        self.versioned = None;
+        self.meta_touches.clear();
+        self.violations.clear();
+        self.slow_path = false;
+    }
+
     /// Records a metadata read footprint.
     pub fn touch_read(&mut self, range: AddrRange) {
         self.meta_touches.push((range, false));

@@ -5,6 +5,13 @@
 //! array exists. Each L1 line carries the FDR-style per-block timestamps
 //! (§5.1): the record id of the owning core's last access and last write,
 //! which get piggy-backed on coherence acknowledgements.
+//!
+//! A cache is one flat array of `sets × assoc` lines with a fill count per
+//! set, not a `Vec` per set: a lookup scans the set's resident prefix in
+//! place, a fill writes the next free slot or overwrites the victim, and an
+//! invalidation moves the set's last line into the hole. Victims are chosen
+//! by the smallest LRU stamp, and stamps are unique per cache, so where a
+//! line sits inside its set never changes which one is evicted.
 
 use crate::config::CacheConfig;
 use paralog_events::{BlockId, Rid};
@@ -20,11 +27,25 @@ pub struct LineInfo {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Line {
     block: BlockId,
     lru: u64,
     info: LineInfo,
+}
+
+impl Line {
+    /// What an unused slot holds; only slots below their set's length are
+    /// ever read.
+    const EMPTY: Line = Line {
+        block: BlockId(0),
+        lru: 0,
+        info: LineInfo {
+            last_access: Rid::ZERO,
+            last_write: Rid::ZERO,
+            dirty: false,
+        },
+    };
 }
 
 /// Hit/miss/eviction counters for one cache.
@@ -51,9 +72,13 @@ impl CacheStats {
 }
 
 /// A set-associative, LRU, tag-only cache.
+///
+/// Set `s` owns slots `s * assoc ..` of the flat line array, of which the
+/// first `len[s]` are resident.
 #[derive(Debug)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    len: Vec<usize>,
     assoc: usize,
     set_mask: u64,
     tick: u64,
@@ -74,9 +99,8 @@ impl SetAssocCache {
             "set count must be a power of two, got {sets}"
         );
         SetAssocCache {
-            sets: (0..sets)
-                .map(|_| Vec::with_capacity(config.assoc))
-                .collect(),
+            lines: vec![Line::EMPTY; sets * config.assoc],
+            len: vec![0; sets],
             assoc: config.assoc,
             set_mask: sets as u64 - 1,
             tick: 0,
@@ -84,8 +108,21 @@ impl SetAssocCache {
         }
     }
 
-    fn set_of(&self, block: BlockId) -> usize {
-        (block.0 & self.set_mask) as usize
+    /// The set `block` maps to and the slot range of its resident lines.
+    fn set_of(&self, block: BlockId) -> (usize, std::ops::Range<usize>) {
+        let set = (block.0 & self.set_mask) as usize;
+        let base = set * self.assoc;
+        (set, base..base + self.len[set])
+    }
+
+    /// The slot holding `block`, if resident.
+    fn slot(&self, block: BlockId) -> Option<usize> {
+        let (_, range) = self.set_of(block);
+        let start = range.start;
+        self.lines[range]
+            .iter()
+            .position(|l| l.block == block)
+            .map(|i| start + i)
     }
 
     /// Counter statistics.
@@ -95,21 +132,18 @@ impl SetAssocCache {
 
     /// Whether `block` is resident (does not touch LRU or stats).
     pub fn contains(&self, block: BlockId) -> bool {
-        let set = self.set_of(block);
-        self.sets[set].iter().any(|l| l.block == block)
+        self.slot(block).is_some()
     }
 
     /// Looks up `block`, updating LRU and hit/miss counters. Returns the
     /// line's bookkeeping for in-place update on a hit.
     pub fn probe(&mut self, block: BlockId) -> Option<&mut LineInfo> {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(block);
-        let found = self.sets[set].iter_mut().find(|l| l.block == block);
-        match found {
-            Some(line) => {
+        match self.slot(block) {
+            Some(at) => {
                 self.stats.hits += 1;
-                line.lru = tick;
+                let line = &mut self.lines[at];
+                line.lru = self.tick;
                 Some(&mut line.info)
             }
             None => {
@@ -121,11 +155,7 @@ impl SetAssocCache {
 
     /// Inspects a resident line without touching LRU or counters.
     pub fn peek(&self, block: BlockId) -> Option<&LineInfo> {
-        let set = self.set_of(block);
-        self.sets[set]
-            .iter()
-            .find(|l| l.block == block)
-            .map(|l| &l.info)
+        self.slot(block).map(|at| &self.lines[at].info)
     }
 
     /// Inserts `block` (after a miss), evicting the LRU line of its set if
@@ -138,49 +168,48 @@ impl SetAssocCache {
     pub fn insert(&mut self, block: BlockId, info: LineInfo) -> Option<(BlockId, LineInfo)> {
         debug_assert!(!self.contains(block), "insert of resident block {block}");
         self.tick += 1;
-        let tick = self.tick;
-        let assoc = self.assoc;
-        let set_idx = self.set_of(block);
-        let set = &mut self.sets[set_idx];
-        let mut evicted = None;
-        if set.len() >= assoc {
-            let victim_idx = set
+        let line = Line {
+            block,
+            lru: self.tick,
+            info,
+        };
+        let (set, range) = self.set_of(block);
+        if range.len() < self.assoc {
+            self.lines[range.end] = line;
+            self.len[set] += 1;
+            return None;
+        }
+        let start = range.start;
+        let victim = start
+            + self.lines[range]
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.lru)
                 .map(|(i, _)| i)
                 .expect("non-empty set");
-            let victim = set.swap_remove(victim_idx);
-            self.stats.evictions += 1;
-            evicted = Some((victim.block, victim.info));
-        }
-        set.push(Line {
-            block,
-            lru: tick,
-            info,
-        });
-        evicted
+        let evicted = std::mem::replace(&mut self.lines[victim], line);
+        self.stats.evictions += 1;
+        Some((evicted.block, evicted.info))
     }
 
     /// Removes `block` if resident, returning its bookkeeping.
     pub fn invalidate(&mut self, block: BlockId) -> Option<LineInfo> {
-        let set = self.set_of(block);
-        let idx = self.sets[set].iter().position(|l| l.block == block)?;
-        Some(self.sets[set].swap_remove(idx).info)
+        let (set, range) = self.set_of(block);
+        let at = self.slot(block)?;
+        let info = self.lines[at].info;
+        self.lines[at] = self.lines[range.end - 1];
+        self.len[set] -= 1;
+        Some(info)
     }
 
     /// Mutable access to a resident line without touching LRU or counters.
     pub fn peek_mut(&mut self, block: BlockId) -> Option<&mut LineInfo> {
-        let set = self.set_of(block);
-        self.sets[set]
-            .iter_mut()
-            .find(|l| l.block == block)
-            .map(|l| &mut l.info)
+        self.slot(block).map(|at| &mut self.lines[at].info)
     }
 
     /// Number of resident lines (test/debug aid).
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.len.iter().sum()
     }
 }
 
@@ -260,6 +289,135 @@ mod tests {
         }
         assert_eq!(c.resident(), 8);
         assert_eq!(c.stats().evictions, 0);
+    }
+
+    /// The layout the flat tag array replaced — a `Vec` per set, victims
+    /// `swap_remove`d and fills pushed at the end — kept as the model the
+    /// flat one must agree with.
+    struct VecPerSet {
+        sets: Vec<Vec<(BlockId, u64, LineInfo)>>,
+        tick: u64,
+    }
+
+    impl VecPerSet {
+        fn new(sets: usize) -> Self {
+            VecPerSet {
+                sets: vec![Vec::new(); sets],
+                tick: 0,
+            }
+        }
+
+        fn set(&mut self, block: BlockId) -> &mut Vec<(BlockId, u64, LineInfo)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(block.0 % n) as usize]
+        }
+
+        fn probe(&mut self, block: BlockId) -> Option<LineInfo> {
+            self.tick += 1;
+            let tick = self.tick;
+            let line = self.set(block).iter_mut().find(|l| l.0 == block)?;
+            line.1 = tick;
+            Some(line.2)
+        }
+
+        fn insert(&mut self, block: BlockId, info: LineInfo, ways: usize) -> Option<BlockId> {
+            self.tick += 1;
+            let tick = self.tick;
+            let set = self.set(block);
+            let mut evicted = None;
+            if set.len() >= ways {
+                let at = (0..set.len()).min_by_key(|&i| set[i].1).expect("full set");
+                evicted = Some(set.swap_remove(at).0);
+            }
+            set.push((block, tick, info));
+            evicted
+        }
+
+        fn invalidate(&mut self, block: BlockId) -> Option<LineInfo> {
+            let set = self.set(block);
+            let at = set.iter().position(|l| l.0 == block)?;
+            Some(set.swap_remove(at).2)
+        }
+
+        fn resident(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    fn info(rid: u64) -> LineInfo {
+        LineInfo {
+            last_access: Rid(rid),
+            last_write: Rid(rid / 2),
+            dirty: rid % 2 == 1,
+        }
+    }
+
+    #[test]
+    fn invalidating_a_middle_way_keeps_the_old_victim_order() {
+        let mut c = SetAssocCache::new(&CacheConfig {
+            size_bytes: 1024,
+            line_bytes: 64,
+            assoc: 4,
+            latency: 1,
+        });
+        let mut model = VecPerSet::new(4);
+        // Set 0 holds blocks 0, 4, 8, …: fill it past its four ways.
+        for b in [0, 4, 8, 12, 16] {
+            assert_eq!(
+                c.insert(BlockId(b), info(b)).map(|(v, _)| v),
+                model.insert(BlockId(b), info(b), 4)
+            );
+        }
+        assert_eq!(c.invalidate(BlockId(8)), model.invalidate(BlockId(8)));
+        assert_eq!(c.resident(), model.resident());
+        assert!(c.probe(BlockId(12)).is_some());
+        model.probe(BlockId(12));
+        for b in [20, 24, 28, 32] {
+            assert_eq!(
+                c.insert(BlockId(b), info(b)).map(|(v, _)| v),
+                model.insert(BlockId(b), info(b), 4),
+                "victim for block {b}"
+            );
+            assert_eq!(c.resident(), model.resident());
+        }
+    }
+
+    #[test]
+    fn flat_layout_agrees_with_a_vec_per_set_on_a_long_mixed_run() {
+        let config = CacheConfig {
+            size_bytes: 8 * 4 * 64,
+            line_bytes: 64,
+            assoc: 4,
+            latency: 1,
+        };
+        let mut c = SetAssocCache::new(&config);
+        let mut model = VecPerSet::new(config.sets());
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let block = BlockId(x % 96);
+            match (x >> 32) % 4 {
+                0 | 1 => {
+                    let got = c.probe(block).map(|i| *i);
+                    assert_eq!(got, model.probe(block), "probe {block} at {step}");
+                    if got.is_none() {
+                        assert_eq!(
+                            c.insert(block, info(step)).map(|(v, _)| v),
+                            model.insert(block, info(step), 4),
+                            "fill {block} at {step}"
+                        );
+                    }
+                }
+                2 => assert_eq!(c.invalidate(block), model.invalidate(block)),
+                _ => assert_eq!(c.peek(block).copied(), {
+                    let set = model.set(block);
+                    set.iter().find(|l| l.0 == block).map(|l| l.2)
+                }),
+            }
+            assert_eq!(c.resident(), model.resident(), "at {step}");
+        }
     }
 
     #[test]

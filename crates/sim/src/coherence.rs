@@ -10,11 +10,26 @@
 //! evictions lose the per-line timestamp; the directory keeps a conservative
 //! fallback so no ordering is ever missed (arcs may only be conservative,
 //! never absent).
+//!
+//! # Layout
+//!
+//! Every access of the co-simulation probes the directory, so its layout is
+//! chosen for the host. Block states sit in pages of 64 adjacent blocks
+//! (4 KiB of address space), found through a `HashMap` keyed by page number
+//! under a one-multiply hasher (`PageHasher`) instead of SipHash, so a
+//! streaming walk re-probes a page already in the host's cache, and pages
+//! are 85–97 % full on the Figure 6 applications, so they cost no memory a
+//! per-block map did not. A block's sharers keep their insertion order — it
+//! orders the [`RemoteTouch`]es, and those become arcs and wire bytes — and
+//! up to two of them sit inline in the block's entry, enough for all but a
+//! few percent of those applications' blocks. Nothing is indexed by core,
+//! so a machine may have any number of cores.
 
 use crate::cache::{LineInfo, SetAssocCache};
 use crate::config::MachineConfig;
-use paralog_events::{blocks_of, AccessKind, Addr, ArcKind, BlockId, Rid};
+use paralog_events::{blocks_of, AccessKind, Addr, ArcKind, BlockId, InlineVec, Rid};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A coherence action some remote core suffered because of a local access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +66,9 @@ pub struct AccessResult {
 /// Directory state for one block.
 #[derive(Debug, Clone, Default)]
 struct BlockDir {
-    /// Sharer cores and the rid of their last directory-visible read.
-    readers: Vec<(usize, Rid)>,
+    /// Sharer cores and the rid of their last directory-visible read, in
+    /// the order they joined; two fit inline.
+    readers: InlineVec<(usize, Rid), 2>,
     /// Owning core (Modified) and the rid of its last directory-visible write.
     writer: Option<(usize, Rid)>,
     /// The block's most recent writer ever, kept after downgrades: FDR
@@ -60,6 +76,62 @@ struct BlockDir {
     /// not just the one that forced the downgrade — receives the RAW
     /// ordering when it pulls the block in.
     last_writer: Option<(usize, Rid)>,
+}
+
+/// Blocks per directory page: 64 blocks of 64 bytes cover 4 KiB of
+/// address space.
+const PAGE_BLOCKS: u64 = 64;
+
+/// The coherence directory: the state of every block ever touched, held in
+/// pages of [`PAGE_BLOCKS`] adjacent blocks keyed by page number. A block
+/// nobody touched holds [`BlockDir::default`].
+#[derive(Debug, Default)]
+struct Directory {
+    pages: HashMap<u64, Box<[BlockDir]>, BuildHasherDefault<PageHasher>>,
+}
+
+impl Directory {
+    /// `block`'s state, created (empty) on first touch.
+    fn block_mut(&mut self, block: BlockId) -> &mut BlockDir {
+        let page = self
+            .pages
+            .entry(block.0 / PAGE_BLOCKS)
+            .or_insert_with(|| (0..PAGE_BLOCKS).map(|_| BlockDir::default()).collect());
+        &mut page[(block.0 % PAGE_BLOCKS) as usize]
+    }
+
+    /// `block`'s state, if its page was ever touched.
+    fn block(&self, block: BlockId) -> Option<&BlockDir> {
+        let page = self.pages.get(&(block.0 / PAGE_BLOCKS))?;
+        Some(&page[(block.0 % PAGE_BLOCKS) as usize])
+    }
+}
+
+/// Hashes a page number with one folded 64 × 64 → 128-bit multiply: both
+/// halves of the product feed the result, so the low bits the table indexes
+/// by depend on every bit of the key (pages a power-of-two stride apart do
+/// not share a bucket), at a fraction of SipHash's cost. Keys are local
+/// addresses, not attacker-chosen, so no per-process seed is needed.
+#[derive(Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Per-core counters of coherence activity.
@@ -78,7 +150,7 @@ pub struct CoherenceStats {
 pub struct MemorySystem {
     l1: Vec<SetAssocCache>,
     l2: SetAssocCache,
-    dir: HashMap<BlockId, BlockDir>,
+    dir: Directory,
     /// Latest retirement counter per core, used for the conservative capture
     /// policy and for directory fallback timestamps.
     core_rid: Vec<Rid>,
@@ -94,7 +166,7 @@ impl MemorySystem {
                 .map(|_| SetAssocCache::new(&config.l1d))
                 .collect(),
             l2: SetAssocCache::new(&config.l2),
-            dir: HashMap::new(),
+            dir: Directory::default(),
             core_rid: vec![Rid::ZERO; config.cores],
             stats: vec![CoherenceStats::default(); config.cores],
             config: *config,
@@ -151,7 +223,7 @@ impl MemorySystem {
         let reads = kind.reads();
 
         // --- Directory actions & remote touches -------------------------
-        let dir = self.dir.entry(block).or_default();
+        let dir = self.dir.block_mut(block);
         let mut needs_remote = false;
 
         if writes {
@@ -160,22 +232,21 @@ impl MemorySystem {
             //
             // Timestamps are monotone: under TSO a store *drains* with a rid
             // older than reads the same core retired meanwhile, so every
-            // update below takes the maximum of old and new rids.
-            let readers = std::mem::take(&mut dir.readers);
+            // update below takes the maximum of old and new rids. Sharers
+            // are acknowledged in the order they joined: that order is the
+            // order of the touches.
             let writer = dir.writer.take();
             // The core's own reader entry survives its write (its rid may be
             // a younger load that must stay visible to later invalidation
             // acks); writer rids stay write-only so WAW arcs follow the
             // total drain order.
             let mut own_reads = Rid::ZERO;
-            let mut touched = [false; 64];
-            for (o, dir_rid) in &readers {
+            for (o, dir_rid) in &dir.readers {
                 if *o == core {
                     own_reads = own_reads.max(*dir_rid);
                     continue;
                 }
                 needs_remote = true;
-                touched[*o] = true;
                 let line = self.l1[*o].invalidate(block);
                 let mut block_rid = line
                     .map(|l| l.last_access)
@@ -205,7 +276,7 @@ impl MemorySystem {
                 // A core that is both owner and sharer was already touched
                 // via the reader path; its `last_access` timestamp covers the
                 // write as well.
-                if o != core && !touched[o] {
+                if o != core && !dir.readers.iter().any(|(r, _)| *r == o) {
                     needs_remote = true;
                     let line = self.l1[o].invalidate(block);
                     let block_rid = line.map(|l| l.last_access).unwrap_or(dir_rid).max(dir_rid);
@@ -287,7 +358,12 @@ impl MemorySystem {
                     }
                 }
             }
-            match dir.readers.iter_mut().find(|(r, _)| *r == core) {
+            match dir
+                .readers
+                .as_mut_slice()
+                .iter_mut()
+                .find(|(r, _)| *r == core)
+            {
                 Some(entry) => entry.1 = entry.1.max(rid),
                 None => dir.readers.push((core, rid)),
             }
@@ -365,13 +441,14 @@ impl MemorySystem {
     /// is charged and hit/miss statistics are not touched.
     pub fn warm_access(&mut self, core: usize, addr: Addr, size: u64, kind: AccessKind) {
         for block in blocks_of(addr, size) {
-            let dir = self.dir.entry(block).or_default();
+            let dir = self.dir.block_mut(block);
             if kind.writes() {
-                for (o, _) in std::mem::take(&mut dir.readers) {
+                for &(o, _) in dir.readers.iter() {
                     if o != core {
                         self.l1[o].invalidate(block);
                     }
                 }
+                dir.readers.clear();
                 if let Some((o, _)) = dir.writer.take() {
                     if o != core {
                         self.l1[o].invalidate(block);
@@ -424,7 +501,7 @@ impl MemorySystem {
 
     /// Test/diagnostic helper: current sharers of a block (directory view).
     pub fn sharers(&self, block: BlockId) -> Vec<usize> {
-        match self.dir.get(&block) {
+        match self.dir.block(block) {
             Some(d) => {
                 let mut v: Vec<usize> = d.readers.iter().map(|(c, _)| *c).collect();
                 if let Some((o, _)) = d.writer {
@@ -610,6 +687,82 @@ mod tests {
         assert_eq!(r.touches[0].kind, ArcKind::War);
         assert!(r.touches[0].block_rid >= Rid(7), "{:?}", r.touches[0]);
         assert_eq!(r.touches[0].block_write_rid, Rid(7));
+    }
+
+    #[test]
+    fn more_than_64_cores_keep_their_sharers() {
+        // Core 65 reads, then core 0 writes: the write acknowledges a sharer
+        // past the 64th core, so no directory state may be sized by cores.
+        let mut m = machine(70);
+        m.access(65, Rid(3), 0x1000, 4, AccessKind::Read);
+        let r = m.access(0, Rid(5), 0x1000, 4, AccessKind::Write);
+        assert_eq!(r.touches.len(), 1);
+        assert_eq!(r.touches[0].remote_core, 65);
+        assert_eq!(r.touches[0].kind, ArcKind::War);
+        assert_eq!(m.sharers(BlockId::containing(0x1000)), vec![0]);
+        // Core 69 reads and then writes, so it is both sharer and owner: the
+        // next remote write acknowledges it once, through the reader path.
+        m.access(69, Rid(7), 0x2000, 4, AccessKind::Read);
+        m.access(69, Rid(8), 0x2000, 4, AccessKind::Write);
+        let r = m.access(1, Rid(2), 0x2000, 4, AccessKind::Write);
+        assert_eq!(r.touches.len(), 1, "{:?}", r.touches);
+        assert_eq!(r.touches[0].remote_core, 69);
+        assert_eq!(r.touches[0].kind, ArcKind::War);
+        assert_eq!(r.touches[0].block_write_rid, Rid(8));
+    }
+
+    #[test]
+    fn blocks_on_both_sides_of_a_page_seam_are_independent() {
+        let last = (PAGE_BLOCKS - 1) * 64;
+        let first_of_next = PAGE_BLOCKS * 64;
+        let mut m = machine(2);
+        m.access(0, Rid(1), last, 4, AccessKind::Write);
+        m.access(1, Rid(1), first_of_next, 4, AccessKind::Read);
+        assert_eq!(m.sharers(BlockId::containing(last)), vec![0]);
+        assert_eq!(m.sharers(BlockId::containing(first_of_next)), vec![1]);
+        // A write to one side conflicts with its own sharer only.
+        let r = m.access(1, Rid(2), first_of_next, 4, AccessKind::Write);
+        assert!(r.touches.is_empty(), "{:?}", r.touches);
+        let r = m.access(1, Rid(3), last, 4, AccessKind::Write);
+        assert_eq!(r.touches.len(), 1);
+        assert_eq!(
+            (r.touches[0].remote_core, r.touches[0].kind),
+            (0, ArcKind::Waw)
+        );
+        // One access spanning the seam touches both pages' blocks.
+        let r = m.access(0, Rid(4), first_of_next - 4, 8, AccessKind::Write);
+        assert_eq!(r.touches.len(), 2);
+    }
+
+    #[test]
+    fn metadata_blocks_keep_state_apart_from_application_blocks() {
+        // The lifeguard cores' metadata lives far above the application's
+        // addresses; a block there shares its page offset with application
+        // blocks but none of their state.
+        let app = 0x4000;
+        let meta = paralog_meta::meta_addr(2, app);
+        assert_ne!(BlockId::containing(meta), BlockId::containing(app));
+        let mut m = machine(4);
+        m.access(0, Rid(1), app, 4, AccessKind::Write);
+        m.access(2, Rid(1), meta, 1, AccessKind::Write);
+        assert_eq!(m.sharers(BlockId::containing(app)), vec![0]);
+        assert_eq!(m.sharers(BlockId::containing(meta)), vec![2]);
+        let r = m.access(3, Rid(2), meta, 1, AccessKind::Read);
+        assert_eq!(r.touches.len(), 1);
+        assert_eq!(r.touches[0].remote_core, 2);
+        assert_eq!(m.sharers(BlockId::containing(app)), vec![0]);
+    }
+
+    #[test]
+    fn untouched_blocks_have_no_sharers() {
+        let mut m = machine(2);
+        assert!(m.sharers(BlockId(7)).is_empty(), "page never touched");
+        m.access(0, Rid(1), 7 * 64, 4, AccessKind::Read);
+        assert_eq!(m.sharers(BlockId(7)), vec![0]);
+        assert!(m.sharers(BlockId(8)).is_empty(), "neighbour in a live page");
+        m.warm_access(1, 9 * 64, 4, AccessKind::Write);
+        assert_eq!(m.sharers(BlockId(9)), vec![1]);
+        assert!(m.sharers(BlockId(10)).is_empty());
     }
 
     #[test]

@@ -71,20 +71,20 @@ impl Scheduler {
     /// Picks the unfinished entity with the smallest clock (smallest index on
     /// ties) and counts the step. Returns `None` when all are finished.
     pub fn pick_next(&mut self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, (&t, &d)) in self.clocks.iter().zip(self.done.iter()).enumerate() {
-            if d {
-                continue;
-            }
-            match best {
-                Some(b) if self.clocks[b] <= t => {}
-                _ => best = Some(i),
+        // One pass with no data-dependent branch: a finished entity's key
+        // is `u64::MAX`, and a strict `<` keeps the first (smallest-index)
+        // minimum. A live clock never reaches `u64::MAX`.
+        let mut best = (0, u64::MAX);
+        for (i, (&t, &d)) in self.clocks.iter().zip(&self.done).enumerate() {
+            let key = if d { u64::MAX } else { t };
+            if key < best.1 {
+                best = (i, key);
             }
         }
-        if best.is_some() {
+        (best.1 != u64::MAX).then(|| {
             self.steps += 1;
-        }
-        best
+            best.0
+        })
     }
 
     /// Total steps taken.

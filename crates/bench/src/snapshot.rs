@@ -22,7 +22,7 @@ use paralog_events::{
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, LifeguardKind};
 use paralog_meta::{AtomicShadow, VersionTable};
 use paralog_sim::{MachineConfig, MemorySystem};
-use paralog_workloads::{Benchmark, WorkloadSpec};
+use paralog_workloads::{adversarial, Benchmark, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -471,6 +471,39 @@ impl EventSource for SharedCapture {
     }
 }
 
+/// Replays one session over `captures` under `kind` to completion, its
+/// [`LaneSet`] swept by `drivers` threads, each from its own home lane.
+fn sweep_session(
+    kind: LifeguardKind,
+    heap: AddrRange,
+    captures: &[Arc<[EventRecord]>],
+    drivers: usize,
+) {
+    let streams = captures
+        .iter()
+        .map(|records| {
+            let records = Arc::clone(records);
+            Box::new(SharedStream { records, at: 0 }) as Box<dyn RecordStream>
+        })
+        .collect();
+    let (session, lanes) =
+        CoopSession::start(&kind, heap, streams, None).expect("bundled kinds replay on lanes");
+    let set = LaneSet::new(lanes);
+    std::thread::scope(|scope| {
+        for home in 0..drivers {
+            let (session, set) = (&session, &set);
+            scope.spawn(move || {
+                while !session.is_complete() {
+                    if set.sweep(home, LANE_BUDGET).delivered == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+    });
+    black_box(session.report());
+}
+
 /// Records between two arcs of a [`handoff_stream`].
 const HANDOFF_ARC_EVERY: usize = 64;
 
@@ -502,6 +535,11 @@ fn handoff_stream(tid: u16, records: u64) -> Vec<EventRecord> {
 ///   session's [`LaneSet`], swept by one driver and by two, per record.
 ///   Two drivers must be no slower than one: if they are, the lanes share a
 ///   cache line they write per record.
+/// * `lane_sweep/arc_fanout` — [`adversarial::arc_fanout`]'s hub and two
+///   spokes under TaintCheck, swept by one driver, per record: nearly every
+///   record carries an arc, so a lane's plain runs are about one record
+///   long and this is what the gate and the hand-off between lanes cost
+///   when runs buy nothing.
 /// * `lane_handoff/threaded/2` — two MemCheck lanes on a
 ///   [`ThreadedBackend`] (two pool workers on a two-processor machine),
 ///   each gated every 64 records on the sibling lane the other worker
@@ -552,33 +590,19 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
         series.insert(
             format!("lane_sweep/drivers/{drivers}"),
             best_of(u64::from(LANES) * records, iters, || {
-                let streams = captures
-                    .iter()
-                    .map(|records| {
-                        let records = Arc::clone(records);
-                        Box::new(SharedStream { records, at: 0 }) as Box<dyn RecordStream>
-                    })
-                    .collect();
-                let (session, lanes) =
-                    CoopSession::start(&LifeguardKind::MemCheck, HEAP, streams, None)
-                        .expect("MemCheck replays on lanes");
-                let set = LaneSet::new(lanes);
-                std::thread::scope(|scope| {
-                    for home in 0..drivers {
-                        let (session, set) = (&session, &set);
-                        scope.spawn(move || {
-                            while !session.is_complete() {
-                                if set.sweep(home, LANE_BUDGET).delivered == 0 {
-                                    std::thread::yield_now();
-                                }
-                            }
-                        });
-                    }
-                });
-                black_box(session.report());
+                sweep_session(LifeguardKind::MemCheck, HEAP, &captures, drivers);
             }),
         );
     }
+    let storm = adversarial::arc_fanout(2, records);
+    let storm_records = storm.streams.iter().map(|s| s.len() as u64).sum();
+    let storm_streams: Vec<Arc<[EventRecord]>> = storm.streams.into_iter().map(Arc::from).collect();
+    series.insert(
+        "lane_sweep/arc_fanout".to_string(),
+        best_of(storm_records, iters, || {
+            sweep_session(LifeguardKind::TaintCheck, storm.heap, &storm_streams, 1);
+        }),
+    );
 
     let handoff: Vec<Arc<[EventRecord]>> = (0..LANES)
         .map(|t| handoff_stream(t, records).into())

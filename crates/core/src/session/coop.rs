@@ -11,6 +11,17 @@
 //! [`LaneStep::Gated`] or [`LaneStep::Idle`], so the ordering rules live
 //! here exactly once and how to wait is the caller's business.
 //!
+//! A lane delivers *runs*. While its §5.4 range table has no syscall range
+//! in flight, the longest prefix of *plain* records at the head —
+//! instructions with no §5.5 note whose every §5.2 arc is already met — is
+//! applied in one pass and advertised once, at its last rid (§4.2:
+//! advertised progress may lag applied progress but never lead it). Every
+//! other head takes the per-record path: a gated head, a ConflictAlert
+//! (it may gate on its issuer and changes the range table), a produce or
+//! consume point, and any access while a syscall range is in flight (it is
+//! checked against the range table first). A run is bounded by the batch
+//! and by the step's budget.
+//!
 //! Drivers do not step lanes one by one; they pool a session's lanes in a
 //! [`LaneSet`] and [`sweep`](LaneSet::sweep) it. A sweep starts at the
 //! driver's *home* lane and keeps stepping it while it delivers; when the
@@ -64,7 +75,7 @@ use super::pool::TaskPoll;
 use super::source::{LaneInput, RecordStream, Refill};
 use super::{produce_versions, stuck_head, Blocker, SessionError};
 use crate::metrics::RunMetrics;
-use paralog_events::{AddrRange, ThreadId};
+use paralog_events::{AddrRange, EventPayload, EventRecord, ThreadId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{replay_gate, CaPolicy, CachePadded, Gate, RangeTable, SharedProgressTable};
 use std::panic::AssertUnwindSafe;
@@ -465,7 +476,8 @@ impl CoopLane {
                 }
             }
         }
-        while self.delivered < budget.max(1) {
+        let budget = budget.max(1);
+        while self.delivered < budget {
             let Some(head) = self.input.head() else {
                 break;
             };
@@ -473,12 +485,22 @@ impl CoopLane {
                 self.finish();
                 return LaneStep::Failed;
             }
+            match self.run_len(budget - self.delivered) {
+                (0, Gate::Ready) => {}
+                (run, stop) => {
+                    if run > 0 {
+                        self.deliver_run(run);
+                    }
+                    if let Gate::Blocked { src, needed } = stop {
+                        return self.gated(Blocker::Progress(src, needed));
+                    }
+                    continue;
+                }
+            }
+            // The head is not plain, or a syscall range is in flight: every
+            // gate and check, one record.
             // §5.2 arcs and §5.4 CA serialization, checked without waiting.
-            if let Gate::Blocked { src, needed } =
-                replay_gate(head, self.tid, &self.shared.ca_policy, |src, rid| {
-                    self.shared.progress.satisfies(src, rid)
-                })
-            {
+            if let Gate::Blocked { src, needed } = self.gate(head) {
                 return self.gated(Blocker::Progress(src, needed));
             }
             // §5.5 produce points: exactly once per head, even across
@@ -510,7 +532,7 @@ impl CoopLane {
             self.unpark();
             let rec = self.input.head().expect("every gate passed on it");
             // §5.4: police the range table before applying.
-            if let paralog_events::EventPayload::Instr(instr) = &rec.payload {
+            if let EventPayload::Instr(instr) = &rec.payload {
                 if let Some((mem, _)) = instr.mem_access() {
                     if let Some(entry) = self.range_table.check(self.tid, mem.range()) {
                         self.shared.lifeguard.on_syscall_race(
@@ -525,7 +547,7 @@ impl CoopLane {
             self.shared
                 .lifeguard
                 .apply(self.tid, rec, versioned.as_ref());
-            if let paralog_events::EventPayload::Ca(ca) = &rec.payload {
+            if let EventPayload::Ca(ca) = &rec.payload {
                 let actions = self.shared.ca_policy.actions(ca.what, ca.phase);
                 if actions.track_range {
                     self.range_table.on_ca(ca);
@@ -540,6 +562,57 @@ impl CoopLane {
             return LaneStep::Finished;
         }
         LaneStep::Progressed
+    }
+
+    /// The replay gate of `rec`, a record of this lane: §5.2 arcs, then
+    /// §5.4 ConflictAlert serialization, against advertised progress.
+    /// Inlined: a run's scan calls it on every record.
+    #[inline]
+    fn gate(&self, rec: &EventRecord) -> Gate {
+        replay_gate(rec, self.tid, &self.shared.ca_policy, |src, rid| {
+            self.shared.progress.satisfies(src, rid)
+        })
+    }
+
+    /// How many records from the head form a *run*, at most `budget`, and
+    /// why it stops. A run is the longest prefix of the batch whose records
+    /// are all plain — an instruction (a ConflictAlert may gate on its
+    /// issuer and changes the range table) with no §5.5 note to produce or
+    /// consume — and ready, every §5.2 arc met by advertised progress,
+    /// while no syscall range is in flight in the lane's §5.4 range table.
+    /// The gate comes back [`Gate::Blocked`] when the run stops at a plain
+    /// record whose arcs are unmet, so each record's arcs are read once per
+    /// pass; a gated head makes a run of 0.
+    fn run_len(&self, budget: usize) -> (usize, Gate) {
+        if self.range_table.in_flight() > 0 {
+            return (0, Gate::Ready);
+        }
+        let mut run = 0;
+        for rec in self.input.pending().iter().take(budget) {
+            if !matches!(rec.payload, EventPayload::Instr(_)) || rec.has_tso_notes() {
+                break;
+            }
+            if let gate @ Gate::Blocked { .. } = self.gate(rec) {
+                return (run, gate);
+            }
+            run += 1;
+        }
+        (run, Gate::Ready)
+    }
+
+    /// Delivers the `n`-record run at the head: applies every record, then
+    /// advertises the last one's rid once. §4.2: advertised progress may
+    /// lag applied progress but never lead it, and the release store
+    /// publishes the whole run's metadata to any peer whose arc it meets.
+    fn deliver_run(&mut self, n: usize) {
+        self.unpark();
+        let run = &self.input.pending()[..n];
+        for rec in run {
+            self.shared.lifeguard.apply(self.tid, rec, None);
+        }
+        self.shared.progress.advertise(self.tid, run[n - 1].rid);
+        self.input.advance_by(n);
+        self.delivered += n;
     }
 
     /// Resolves a head gated on `blocker`. A lane that delivered on its way
@@ -730,12 +803,13 @@ mod tests {
     use super::*;
     use crate::session::backend::LaneTask;
     use crate::session::pool::WorkerPool;
+    use crate::session::source::INGEST_BATCH;
     use crate::session::{
         BufferedStream, DeterministicBackend, MonitorSession, RecordStream, ReplaySource,
         StreamStatus,
     };
     use crate::{MonitorConfig, MonitoringMode, Platform};
-    use paralog_events::EventRecord;
+    use paralog_events::{ArcKind, DependenceArc, Instr, Rid};
     use paralog_lifeguards::LifeguardKind;
     use paralog_workloads::adversarial;
     use paralog_workloads::{Benchmark, WorkloadSpec};
@@ -894,6 +968,87 @@ mod tests {
                 assert_parity(&case, &session);
             }
         }
+    }
+
+    /// `n` plain records, rids 1 to `n`: no arc, no ConflictAlert, no note.
+    fn plain(n: u64) -> Vec<EventRecord> {
+        (1..=n)
+            .map(|rid| EventRecord::instr(Rid(rid), Instr::Nop))
+            .collect()
+    }
+
+    fn lanes_over(streams: Vec<Vec<EventRecord>>) -> (CoopSession, Vec<CoopLane>) {
+        let streams = streams
+            .into_iter()
+            .map(|s| Box::new(BufferedStream::new(s)) as Box<dyn RecordStream>)
+            .collect();
+        let heap = AddrRange::new(0x1000_0000, 0x1000);
+        CoopSession::start(&KIND, heap, streams, None).unwrap()
+    }
+
+    #[test]
+    fn a_budget_smaller_than_the_run_clips_it() {
+        let (session, mut lanes) = lanes_over(vec![plain(300)]);
+        let lane = &mut lanes[0];
+        assert_eq!(lane.step(10), LaneStep::Progressed);
+        assert_eq!(lane.delivered, 10, "the run stops at the budget");
+        assert_eq!(session.shared.progress.get(lane.tid), Rid(10));
+        // A step delivers at most one batch: the rest of the first pull.
+        assert_eq!(lane.step(LANE_BUDGET), LaneStep::Progressed);
+        assert_eq!(lane.delivered, INGEST_BATCH - 10);
+        while lane.step(LANE_BUDGET) != LaneStep::Finished {}
+        assert_eq!(session.records(), 300);
+
+        // Two lanes of nothing but runs: a sweep still stops at its budget.
+        let (session, lanes) = lanes_over(vec![plain(3_000), plain(3_000)]);
+        let set = LaneSet::new(lanes);
+        while !session.is_complete() {
+            let swept = set.sweep(0, LANE_BUDGET).delivered;
+            assert!(swept <= LANE_BUDGET, "a slice is bounded: {swept}");
+        }
+        assert_eq!(session.records(), 6_000);
+    }
+
+    #[test]
+    fn a_run_only_step_advertises_its_last_rid() {
+        let (session, mut lanes) = lanes_over(vec![plain(1_000)]);
+        let lane = &mut lanes[0];
+        // The third step ends with the first pull's batch, at rid 256.
+        for last in [100, 200, 256, 356] {
+            assert_eq!(lane.step(100), LaneStep::Progressed);
+            assert_eq!(session.shared.progress.get(lane.tid), Rid(last));
+        }
+    }
+
+    #[test]
+    fn a_parked_lane_with_a_gated_head_never_enters_the_run_path() {
+        let mut t0 = plain(300);
+        t0[0]
+            .arcs
+            .push(DependenceArc::new(ThreadId(1), Rid(5), ArcKind::Raw));
+        let (session, mut lanes) = lanes_over(vec![t0, plain(10)]);
+        for _ in 0..3 {
+            assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Gated);
+            assert!(lanes[0].parked, "counted once among the gated lanes");
+            let gate = Gate::Blocked {
+                src: ThreadId(1),
+                needed: Rid(5),
+            };
+            assert_eq!(
+                lanes[0].run_len(LANE_BUDGET),
+                (0, gate),
+                "a gated head starts no run"
+            );
+            assert_eq!(session.shared.progress.get(ThreadId(0)), Rid::ZERO);
+        }
+        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 1);
+        assert_eq!(lanes[1].step(5), LaneStep::Progressed);
+        // The arc is met: the whole first batch goes as one run.
+        assert_eq!(lanes[0].run_len(LANE_BUDGET), (INGEST_BATCH, Gate::Ready));
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
+        assert!(!lanes[0].parked);
+        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 0);
+        assert_eq!(session.shared.progress.get(ThreadId(0)), Rid(256));
     }
 
     /// A stream whose producer never catches up.

@@ -230,9 +230,20 @@ impl LaneInput {
         self.batch.get(self.head)
     }
 
+    /// The batch's undelivered records, the head first.
+    pub(crate) fn pending(&self) -> &[EventRecord] {
+        &self.batch[self.head..]
+    }
+
     /// Steps past the head record (it was delivered).
     pub(crate) fn advance(&mut self) {
-        self.head += 1;
+        self.advance_by(1);
+    }
+
+    /// Steps past the `n` records from the head (they were delivered).
+    pub(crate) fn advance_by(&mut self, n: usize) {
+        debug_assert!(n <= self.pending().len(), "past the batch");
+        self.head += n;
     }
 
     /// Whether the stream ended and its last record was delivered.

@@ -558,8 +558,11 @@ impl Daemon {
         inner.stop_threads.store(true, Ordering::Release);
         // Joined before the readers are woken, so none can register after.
         let readers = join_accept_loop(self.accept.take(), &inner.data_socket);
+        // The read half only: a reader blocked in `read` wakes to its end,
+        // and one a session's end woke above the cap can still write its
+        // `ERR` line. Each connection closes as its reader returns.
         for conn in inner.producers.lock().expect("poisoned").values() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
+            let _ = conn.shutdown(std::net::Shutdown::Read);
         }
         for entry in inner.sessions.lock().expect("poisoned").values() {
             entry.buffered.release();

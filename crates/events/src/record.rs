@@ -195,8 +195,7 @@ impl EventRecord {
 
     /// Whether the record carries any TSO annotation (and so owns a heap
     /// allocation for it).
-    #[cfg(test)]
-    pub(crate) fn has_tso_notes(&self) -> bool {
+    pub fn has_tso_notes(&self) -> bool {
         self.tso.is_some()
     }
 

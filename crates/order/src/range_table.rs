@@ -76,7 +76,8 @@ impl RangeTable {
             .copied()
     }
 
-    /// In-flight entries (diagnostic).
+    /// In-flight entries. A replay lane delivers a run of records without
+    /// [`check`](Self::check)ing each only while this is 0.
     pub fn in_flight(&self) -> usize {
         self.slots.iter().flatten().count()
     }

@@ -49,6 +49,8 @@
 //! | [`tso_taintcheck_workloads`] | `session::threaded_backend_replays_tso_workloads` |
 //! | [`fluidanimate_lock_free_forms`] | `session::every_bundled_lifeguard_replays_threaded_lock_free` |
 //! | [`syscall_race`] | `session::syscall_race_violations_agree_across_backends` |
+//! | [`syscall_race_mid_run`] | `session::a_run_never_crosses_an_in_flight_syscall_range` |
+//! | [`arc_into_a_run`] | `session::an_arc_into_a_run_waits_for_the_whole_run` |
 //! | [`empty_source`] | `session::empty_sources_are_rejected_by_both_backends` |
 //! | [`sc_lifeguard_workloads`] | `concurrent_lifeguards::sc_captures_replay_identically_on_both_backends` |
 //! | [`dekker_malloc_pads`] | `concurrent_lifeguards::memcheck_tso_capture_replays_identically_on_both_backends` |
@@ -920,6 +922,148 @@ pub fn syscall_race() {
         ..case
     };
     assert_parity(&case, &Driver::ALL, &case.sequential());
+}
+
+/// `n` plain records of thread-private work from rid `first` on: loads into
+/// and stores from register 1 over a 256-byte area at `area`, none carrying
+/// an arc, a ConflictAlert or a §5.5 note, so a lane delivers them as runs.
+fn plain_work(first: u64, n: u64, area: u64) -> Vec<EventRecord> {
+    (first..first + n)
+        .map(|rid| {
+            let mem = MemRef::new(area + 4 * (rid % 64), 4);
+            let instr = if rid % 2 == 0 {
+                Instr::Load {
+                    dst: Reg::new(1),
+                    src: mem,
+                }
+            } else {
+                Instr::Store {
+                    dst: mem,
+                    src: Reg::new(1),
+                }
+            };
+            EventRecord::instr(Rid(rid), instr)
+        })
+        .collect()
+}
+
+/// [`syscall_race`] with the racing load in the middle of a lane's runs:
+/// thread 0 does ~300 plain records before thread 1's read() CA-Begin
+/// reaches its stream, and the racing load sits 50 plain records into the
+/// window, 50 before its CA-End and a jump on the loaded register. A lane
+/// delivers plain records as one run without checking each against the
+/// §5.4 range table, so a run must not start while a range is in flight;
+/// if it did, no lane driver would report the race or the taint it leaves.
+pub fn syscall_race_mid_run() {
+    let heap = AddrRange::new(0x1000_0000, 0x10000);
+    let buf = AddrRange::new(heap.start + 0x100, 32);
+    let private = heap.start + 0x1000;
+    let read = |phase, rid| {
+        ca(
+            rid,
+            1,
+            HighLevelKind::Syscall(SyscallKind::ReadInput),
+            phase,
+            Some(buf),
+        )
+    };
+    let mut t0 = plain_work(1, 300, private);
+    t0.push(read(CaPhase::Begin, 301));
+    t0.extend(plain_work(302, 50, private));
+    t0.push(load(352, 0, buf.start + 4));
+    t0.extend(plain_work(353, 50, private));
+    t0.push(read(CaPhase::End, 403));
+    t0.push(EventRecord::instr(
+        Rid(404),
+        Instr::JmpReg {
+            target: Reg::new(0),
+        },
+    ));
+    t0.extend(plain_work(405, 100, private));
+    let t1 = vec![read(CaPhase::Begin, 1), read(CaPhase::End, 2)];
+    let case = Case::new(
+        "syscall race mid-run",
+        LifeguardKind::TaintCheck,
+        heap,
+        vec![t0, t1],
+    );
+
+    let reference = case.sequential();
+    assert_eq!(
+        reference.violations,
+        vec![
+            (0, 352, ViolationKind::SyscallRace),
+            (0, 404, ViolationKind::TaintedJump)
+        ],
+        "the racing load, and the jump on the value it loaded"
+    );
+    assert_parity(&case, &Driver::ALL, &reference);
+}
+
+/// §4.2's rule for a run: thread 0 advertises a run's progress once, after
+/// the run is applied, and never before. Every round, thread 0 loads a
+/// tainted input word and then does 256 plain records with a store of the
+/// tainted register in the middle; thread 1 loads that word behind a RAW
+/// arc to the store, in the middle of the run, and jumps on it. Thread 1
+/// reports a tainted jump every round only if no driver lets it read the
+/// word before thread 0's run applied the store. Only the pool drivers,
+/// with a worker on each lane, could let it, and only by timing, hence
+/// the 256 rounds.
+pub fn arc_into_a_run() {
+    const ROUNDS: u64 = 256;
+    const RUN: u64 = 256;
+    let heap = AddrRange::new(0x1000_0000, 0x10000);
+    let input = AddrRange::new(heap.start, 8);
+    let private = heap.start + 0x1000;
+    let words = heap.start + 0x2000;
+    let mut t0 = vec![ca(
+        1,
+        0,
+        HighLevelKind::Syscall(SyscallKind::ReadInput),
+        CaPhase::End,
+        Some(input),
+    )];
+    let mut t1 = Vec::new();
+    for round in 0..ROUNDS {
+        let rid = t0.len() as u64 + 1;
+        t0.push(load(rid, 0, input.start));
+        let mut run = plain_work(rid + 1, RUN, private);
+        let middle = RUN as usize / 2;
+        let word = words + 8 * round;
+        run[middle] = EventRecord::instr(
+            run[middle].rid,
+            Instr::Store {
+                dst: MemRef::new(word, 4),
+                src: Reg::new(0),
+            },
+        );
+        let stored = run[middle].rid.0;
+        t0.extend(run);
+        let rid = t1.len() as u64 + 1;
+        t1.push(with_arc(load(rid, 0, word), 0, stored, ArcKind::Raw));
+        t1.push(EventRecord::instr(
+            Rid(rid + 1),
+            Instr::JmpReg {
+                target: Reg::new(0),
+            },
+        ));
+    }
+    let case = Case::new(
+        "arc into a run",
+        LifeguardKind::TaintCheck,
+        heap,
+        vec![t0, t1],
+    );
+
+    let reference = case.sequential();
+    let jumps: Vec<_> = (0..ROUNDS)
+        .map(|round| (1, 2 * round + 2, ViolationKind::TaintedJump))
+        .collect();
+    assert_eq!(
+        reference.violations, jumps,
+        "every round's jump reads the word the run stored"
+    );
+    assert_parity(&case, &Driver::ALL, &reference);
 }
 
 /// A consumed §5.5 version is the metadata the consumer *logically* read:

@@ -76,6 +76,16 @@ fn syscall_race_violations_agree_across_backends() {
 }
 
 #[test]
+fn a_run_never_crosses_an_in_flight_syscall_range() {
+    parity::syscall_race_mid_run();
+}
+
+#[test]
+fn an_arc_into_a_run_waits_for_the_whole_run() {
+    parity::arc_into_a_run();
+}
+
+#[test]
 fn empty_sources_are_rejected_by_both_backends() {
     parity::empty_source();
 }

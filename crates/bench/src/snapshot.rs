@@ -5,7 +5,7 @@
 //! (`BENCH_sim.json`).
 //!
 //! All four share one schema — [`MatrixResult`] plus
-//! [`to_json`]/[`parse_json`] — one timer ([`best_of`]) and one command line
+//! [`to_json`]/[`parse_json`] — one timer ([`Rounds`]) and one command line
 //! ([`run_bin`]), so the CI bench-smoke step diffs every file with the same
 //! non-blocking `::warning::` machinery, and a later run always has a
 //! checked-in reading to be compared against.
@@ -159,20 +159,64 @@ pub fn parse_json(text: &str) -> Option<MatrixResult> {
 /// before a snapshot `--check` warns (>30% regression).
 pub const REGRESSION_TOLERANCE: f64 = 1.3;
 
-/// Best-of-`iters` nanoseconds per work unit, with one *discarded* warm-up
-/// round first. The first round after process start pays allocator and
-/// page-fault warm-up that the checked-in baselines (measured hot, late in
-/// a full run) never see; discarding it keeps quick-profile `--check` runs
-/// comparable to the committed numbers.
-pub fn best_of(units: u64, iters: usize, mut run: impl FnMut()) -> f64 {
-    run();
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos() as f64 / units as f64);
+/// The series of one suite, timed together so that their rounds
+/// interleave: a shared or frequency-scaled host can change speed for
+/// seconds at a time, and a series whose rounds ran back to back could land
+/// wholly in a slow phase that its neighbours never saw.
+#[derive(Default)]
+pub struct Rounds<'a> {
+    series: Vec<Series<'a>>,
+}
+
+/// One series of a [`Rounds`] and its best round so far.
+struct Series<'a> {
+    key: String,
+    /// Work units one round does.
+    units: u64,
+    run: Box<dyn FnMut() + 'a>,
+    /// Fewest nanoseconds per unit of any timed round.
+    best: f64,
+}
+
+impl<'a> Rounds<'a> {
+    /// Adds series `key`, whose `run` does `units` work units per round.
+    pub fn add(&mut self, key: impl Into<String>, units: u64, run: impl FnMut() + 'a) {
+        self.series.push(Series {
+            key: key.into(),
+            units,
+            run: Box::new(run),
+            best: f64::INFINITY,
+        });
     }
-    best
+
+    /// Best-of-`iters` nanoseconds per work unit of every series. One
+    /// *discarded* warm-up round of each series comes first: the first
+    /// round after process start pays allocator and page-fault warm-up that
+    /// the checked-in baselines (measured hot, late in a full run) never
+    /// see, and discarding it keeps quick-profile `--check` runs comparable
+    /// to the committed numbers. Then each of the `iters` passes runs every
+    /// series once, in turn.
+    pub fn run(mut self, iters: usize) -> BTreeMap<String, f64> {
+        for series in &mut self.series {
+            (series.run)();
+        }
+        for _ in 0..iters.max(1) {
+            for series in &mut self.series {
+                let start = Instant::now();
+                (series.run)();
+                let ns = start.elapsed().as_nanos() as f64 / series.units as f64;
+                series.best = series.best.min(ns);
+            }
+        }
+        self.series.into_iter().map(|s| (s.key, s.best)).collect()
+    }
+}
+
+/// [`Rounds::run`] of one series.
+pub fn best_of(units: u64, iters: usize, run: impl FnMut()) -> f64 {
+    let mut rounds = Rounds::default();
+    rounds.add("", units, run);
+    rounds.run(iters)[""]
 }
 
 /// Unaligned base, so no range starts or ends on a word boundary.
@@ -185,48 +229,37 @@ const SHADOW_BASE: u64 = 0x1000_0003;
 /// byte), so the series diff catches fast-path regressions that per-byte
 /// throughput would hide at large lengths. `reps` calls are timed per round.
 pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
-    let mut series = BTreeMap::new();
     let shadow = AtomicShadow::new();
     shadow.fill_range(SHADOW_BASE, 8192, 1);
+    let shadow = &shadow;
+    let mut rounds = Rounds::default();
     for len in [4u64, 64, 4096] {
-        series.insert(
-            format!("fill_range/{len}"),
-            best_of(reps, iters, || {
-                for _ in 0..reps {
-                    shadow.fill_range(black_box(SHADOW_BASE), len, 1);
-                }
-            }),
-        );
-        series.insert(
-            format!("join_range/{len}"),
-            best_of(reps, iters, || {
-                for _ in 0..reps {
-                    black_box(shadow.join_range(black_box(SHADOW_BASE), len));
-                }
-            }),
-        );
-        series.insert(
-            format!("eq_range/{len}"),
-            best_of(reps, iters, || {
-                for _ in 0..reps {
-                    black_box(shadow.eq_range(black_box(SHADOW_BASE), len, 1));
-                }
-            }),
-        );
-    }
-    series.insert(
-        "first_touch".to_string(),
-        best_of(reps, iters, || {
+        rounds.add(format!("fill_range/{len}"), reps, move || {
             for _ in 0..reps {
-                let fresh = AtomicShadow::new();
-                fresh.fill_range(black_box(SHADOW_BASE), 4, 1);
-                black_box(&fresh);
+                shadow.fill_range(black_box(SHADOW_BASE), len, 1);
             }
-        }),
-    );
+        });
+        rounds.add(format!("join_range/{len}"), reps, move || {
+            for _ in 0..reps {
+                black_box(shadow.join_range(black_box(SHADOW_BASE), len));
+            }
+        });
+        rounds.add(format!("eq_range/{len}"), reps, move || {
+            for _ in 0..reps {
+                black_box(shadow.eq_range(black_box(SHADOW_BASE), len, 1));
+            }
+        });
+    }
+    rounds.add("first_touch", reps, || {
+        for _ in 0..reps {
+            let fresh = AtomicShadow::new();
+            fresh.fill_range(black_box(SHADOW_BASE), 4, 1);
+            black_box(&fresh);
+        }
+    });
     MatrixResult {
         records_per_thread: reps,
-        series,
+        series: rounds.run(iters),
         machine: None,
     }
 }
@@ -244,79 +277,67 @@ pub fn versions_matrix(ops: u64, iters: usize) -> MatrixResult {
     };
     let range = AddrRange::new(0x1000, 16);
     let snapshot = || vec![0b01u8; 16];
-    let mut series = BTreeMap::new();
-
-    let churn_ops = ops * u64::from(THREADS) * 2;
-    series.insert(
-        format!("churn/w{WINDOW}"),
-        best_of(churn_ops, iters, || {
-            let table = VersionTable::new(THREADS.into());
-            for r in 1..=ops {
-                for t in 0..THREADS {
-                    table.produce(vid(t, r), range, snapshot(), 1);
-                    if r > WINDOW {
-                        black_box(table.consume(vid(t, r - WINDOW)));
-                    }
-                }
-            }
-            for r in (ops - WINDOW + 1).max(1)..=ops {
-                for t in 0..THREADS {
-                    black_box(table.consume(vid(t, r)));
-                }
-            }
-            black_box(table.peak_outstanding());
-        }),
-    );
-
     let polled = VersionTable::new(THREADS.into());
     for t in 0..THREADS {
         for r in 1..=WINDOW {
             polled.produce(vid(t, r), range, snapshot(), 1);
         }
     }
-    series.insert(
-        "poll".to_string(),
-        best_of(ops, iters, || {
-            let mut hits = 0u64;
-            for r in 1..=ops {
-                hits += u64::from(polled.is_available(vid((r % 4) as u16, r % (WINDOW * 2) + 1)));
-            }
-            black_box(hits);
-        }),
-    );
+    let mut rounds = Rounds::default();
 
-    series.insert(
-        "bypass".to_string(),
-        best_of(ops, iters, || {
-            let table = VersionTable::new(1);
-            for r in 1..=ops {
-                let id = vid(0, r);
-                table.bypass(id);
-                table.produce(id, range, snapshot(), 1);
+    let churn_ops = ops * u64::from(THREADS) * 2;
+    rounds.add(format!("churn/w{WINDOW}"), churn_ops, || {
+        let table = VersionTable::new(THREADS.into());
+        for r in 1..=ops {
+            for t in 0..THREADS {
+                table.produce(vid(t, r), range, snapshot(), 1);
+                if r > WINDOW {
+                    black_box(table.consume(vid(t, r - WINDOW)));
+                }
             }
-            black_box(table.outstanding());
-        }),
-    );
+        }
+        for r in (ops - WINDOW + 1).max(1)..=ops {
+            for t in 0..THREADS {
+                black_box(table.consume(vid(t, r)));
+            }
+        }
+        black_box(table.peak_outstanding());
+    });
+
+    rounds.add("poll", ops, || {
+        let mut hits = 0u64;
+        for r in 1..=ops {
+            hits += u64::from(polled.is_available(vid((r % 4) as u16, r % (WINDOW * 2) + 1)));
+        }
+        black_box(hits);
+    });
+
+    rounds.add("bypass", ops, || {
+        let table = VersionTable::new(1);
+        for r in 1..=ops {
+            let id = vid(0, r);
+            table.bypass(id);
+            table.produce(id, range, snapshot(), 1);
+        }
+        black_box(table.outstanding());
+    });
 
     // One version per 128 rids, produced and consumed in turn: the stride
     // that cost the removed chunked layout a chunk per version.
     let sweep = ops.min(2048);
-    series.insert(
-        "sparse_rids".to_string(),
-        best_of(sweep, iters, || {
-            let table = VersionTable::new(1);
-            for c in 0..sweep {
-                let id = vid(0, c * 128 + 1);
-                table.produce(id, range, snapshot(), 1);
-                black_box(table.consume(id));
-            }
-            black_box(table.peak_outstanding());
-        }),
-    );
+    rounds.add("sparse_rids", sweep, || {
+        let table = VersionTable::new(1);
+        for c in 0..sweep {
+            let id = vid(0, c * 128 + 1);
+            table.produce(id, range, snapshot(), 1);
+            black_box(table.consume(id));
+        }
+        black_box(table.peak_outstanding());
+    });
 
     MatrixResult {
         records_per_thread: ops,
-        series,
+        series: rounds.run(iters),
         machine: None,
     }
 }
@@ -549,10 +570,12 @@ fn handoff_stream(tid: u16, records: u64) -> Vec<EventRecord> {
 ///   produce→consume hand-off through [`VersionTable`]'s one mutex, per
 ///   version (`records / 2` of them): one thread doing the whole lifecycle,
 ///   and a producer thread racing a polling consumer.
-/// * `decode/{plain,tso_annotated}` — the check stream's wire turned back
-///   into records by [`StreamDecoder::decode_into`] in a lane's 256-record
-///   batches, per record; in the annotated stream every 16th record carries
-///   a §5.5 produce and consume note, which costs its record an allocation.
+/// * `decode/{plain,tso_annotated,capture}` — a wire turned back into
+///   records by [`StreamDecoder::decode_into`] in a lane's 256-record
+///   batches, per record: the check stream's loads and stores; the same
+///   with a §5.5 produce and consume note on every 16th record, which costs
+///   its record an allocation; and `ocean_capture`'s two streams, the mix
+///   of opcodes, address deltas and arcs the daemon decodes on `taint_sat`.
 pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
     type Stream = fn(u16, u64) -> Vec<EventRecord>;
     let replays: [(&str, LifeguardKind, Stream); 4] = [
@@ -565,19 +588,20 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
             happensbefore_stream,
         ),
     ];
-    let mut series = BTreeMap::new();
+    let mut rounds = Rounds::default();
     for (name, kind, stream) in replays {
         for threads in [2u16, 4] {
             let streams: Vec<_> = (0..threads).map(|t| stream(t, records)).collect();
             let conc = kind
                 .concurrent(HEAP, threads.into())
                 .expect("bundled kinds replay");
-            series.insert(
+            rounds.add(
                 format!("{name}/lockfree/{threads}"),
-                best_of(u64::from(threads) * records, iters, || {
+                u64::from(threads) * records,
+                move || {
                     replay(&*conc, &streams);
                     black_box(conc.fingerprint());
-                }),
+                },
             );
         }
     }
@@ -587,29 +611,27 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
         .map(|t| check_stream(t, records).into())
         .collect();
     for drivers in [1, 2] {
-        series.insert(
+        let captures = captures.clone();
+        rounds.add(
             format!("lane_sweep/drivers/{drivers}"),
-            best_of(u64::from(LANES) * records, iters, || {
-                sweep_session(LifeguardKind::MemCheck, HEAP, &captures, drivers);
-            }),
+            u64::from(LANES) * records,
+            move || sweep_session(LifeguardKind::MemCheck, HEAP, &captures, drivers),
         );
     }
     let storm = adversarial::arc_fanout(2, records);
     let storm_records = storm.streams.iter().map(|s| s.len() as u64).sum();
     let storm_streams: Vec<Arc<[EventRecord]>> = storm.streams.into_iter().map(Arc::from).collect();
-    series.insert(
-        "lane_sweep/arc_fanout".to_string(),
-        best_of(storm_records, iters, || {
-            sweep_session(LifeguardKind::TaintCheck, storm.heap, &storm_streams, 1);
-        }),
-    );
+    rounds.add("lane_sweep/arc_fanout", storm_records, move || {
+        sweep_session(LifeguardKind::TaintCheck, storm.heap, &storm_streams, 1);
+    });
 
     let handoff: Vec<Arc<[EventRecord]>> = (0..LANES)
         .map(|t| handoff_stream(t, records).into())
         .collect();
-    series.insert(
-        "lane_handoff/threaded/2".to_string(),
-        best_of(u64::from(LANES) * records, iters, || {
+    rounds.add(
+        "lane_handoff/threaded/2",
+        u64::from(LANES) * records,
+        move || {
             let outcome = MonitorSession::builder()
                 .source(SharedCapture(handoff.clone()))
                 .lifeguard(LifeguardKind::MemCheck)
@@ -618,7 +640,7 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
                 .and_then(MonitorSession::run)
                 .expect("the hand-off capture replays clean");
             black_box(outcome.metrics.fingerprint);
-        }),
+        },
     );
 
     let versions = records / 2;
@@ -628,39 +650,33 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
     };
     let range = AddrRange::new(0x1000, 16);
     let snapshot = || vec![0b01u8; 16];
-    series.insert(
-        "concurrent_versions/uncontended".to_string(),
-        best_of(versions, iters, || {
-            let table = VersionTable::new(2);
-            for r in 1..=versions {
-                table.produce(vid(r), range, snapshot(), 1);
-                black_box(table.consume(vid(r)));
-            }
-            black_box(table.outstanding());
-        }),
-    );
-    series.insert(
-        "concurrent_versions/handoff".to_string(),
-        best_of(versions, iters, || {
-            let table = VersionTable::new(1);
-            std::thread::scope(|scope| {
-                let t = &table;
-                scope.spawn(move || {
-                    for r in 1..=versions {
-                        t.produce(vid(r), range, snapshot(), 1);
-                    }
-                });
-                scope.spawn(move || {
-                    for r in 1..=versions {
-                        while t.consume(vid(r)).map(black_box).is_none() {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
+    rounds.add("concurrent_versions/uncontended", versions, move || {
+        let table = VersionTable::new(2);
+        for r in 1..=versions {
+            table.produce(vid(r), range, snapshot(), 1);
+            black_box(table.consume(vid(r)));
+        }
+        black_box(table.outstanding());
+    });
+    rounds.add("concurrent_versions/handoff", versions, move || {
+        let table = VersionTable::new(1);
+        std::thread::scope(|scope| {
+            let t = &table;
+            scope.spawn(move || {
+                for r in 1..=versions {
+                    t.produce(vid(r), range, snapshot(), 1);
+                }
             });
-            black_box(table.peak_outstanding());
-        }),
-    );
+            scope.spawn(move || {
+                for r in 1..=versions {
+                    while t.consume(vid(r)).map(black_box).is_none() {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        });
+        black_box(table.peak_outstanding());
+    });
 
     let plain = check_stream(0, records);
     let mut annotated = plain.clone();
@@ -669,14 +685,18 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
         rec.push_produce_version(vid(rec.rid.0), mem, 1);
         rec.set_consume_version(vid(rec.rid.0 + 1), mem);
     }
-    for (name, recs) in [("decode/plain", plain), ("decode/tso_annotated", annotated)] {
-        let wire = encode(&recs);
+    for (name, streams) in [
+        ("decode/plain", vec![plain]),
+        ("decode/tso_annotated", vec![annotated]),
+        ("decode/capture", ocean_capture(records)),
+    ] {
+        let units = streams.iter().map(|s| s.len() as u64).sum();
+        let wires: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
         let mut batch = Vec::with_capacity(DECODE_BATCH);
-        series.insert(
-            name.to_string(),
-            best_of(recs.len() as u64, iters, || {
+        rounds.add(name, units, move || {
+            for wire in &wires {
                 let mut stream = StreamDecoder::new();
-                stream.feed(&wire);
+                stream.feed(wire);
                 loop {
                     batch.clear();
                     let got = stream.decode_into(&mut batch, DECODE_BATCH);
@@ -685,15 +705,31 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
                     }
                     black_box(&batch);
                 }
-            }),
-        );
+            }
+        });
     }
 
     MatrixResult {
         records_per_thread: records,
-        series,
+        series: rounds.run(iters),
         machine: None,
     }
+}
+
+/// The streams of a co-simulated Ocean ×2 under TaintCheck, `slots`
+/// generator slots per thread: the end-to-end `taint_sat` workload's
+/// application at a small scale, so its opcode mix and its arcs.
+fn ocean_capture(slots: u64) -> Vec<Vec<EventRecord>> {
+    let mut spec = WorkloadSpec::benchmark(Benchmark::Ocean, 2)
+        .inject_bugs(true)
+        .seed(1);
+    spec.ops_per_thread = slots as usize;
+    let mut config = MonitorConfig::new(MonitoringMode::Parallel, LifeguardKind::TaintCheck);
+    config.collect_streams = true;
+    Platform::run(&spec.build(), &config)
+        .metrics
+        .streams
+        .expect("streams were collected")
 }
 
 /// The co-simulation suite: what [`Platform::run`] costs the host, the
@@ -712,8 +748,8 @@ pub fn sim_matrix(slots: u64, iters: usize) -> MatrixResult {
         .inject_bugs(true)
         .seed(1);
     spec.ops_per_thread = slots as usize;
-    let workload = spec.build();
-    let mut series = BTreeMap::new();
+    let workload = &spec.build();
+    let mut rounds = Rounds::default();
     for (key, mode) in [
         ("cosim/none", MonitoringMode::None),
         ("cosim/timesliced", MonitoringMode::Timesliced),
@@ -726,14 +762,11 @@ pub fn sim_matrix(slots: u64, iters: usize) -> MatrixResult {
         }
         let units = match mode {
             MonitoringMode::None => workload.total_ops() as u64,
-            _ => Platform::run(&workload, &config).metrics.records,
+            _ => Platform::run(workload, &config).metrics.records,
         };
-        series.insert(
-            key.to_string(),
-            best_of(units, iters, || {
-                black_box(Platform::run(&workload, &config));
-            }),
-        );
+        rounds.add(key, units, move || {
+            black_box(Platform::run(workload, &config));
+        });
     }
 
     let mut streams: Vec<_> = workload
@@ -757,20 +790,17 @@ pub fn sim_matrix(slots: u64, iters: usize) -> MatrixResult {
         }
     }
     let machine = MachineConfig::paper(2 * workload.thread_count());
-    series.insert(
-        "coherence/access".to_string(),
-        best_of(trace.len() as u64, iters, || {
-            let mut mem = MemorySystem::new(&machine);
-            for (i, &(core, (at, kind))) in trace.iter().enumerate() {
-                let rid = Rid(i as u64 + 1);
-                black_box(mem.access(core, rid, at.addr, u64::from(at.size), kind));
-            }
-        }),
-    );
+    rounds.add("coherence/access", trace.len() as u64, move || {
+        let mut mem = MemorySystem::new(&machine);
+        for (i, &(core, (at, kind))) in trace.iter().enumerate() {
+            let rid = Rid(i as u64 + 1);
+            black_box(mem.access(core, rid, at.addr, u64::from(at.size), kind));
+        }
+    });
 
     MatrixResult {
         records_per_thread: slots,
-        series,
+        series: rounds.run(iters),
         machine: None,
     }
 }

@@ -323,6 +323,104 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<EventRecord>, DecodeError> {
     Ok(out)
 }
 
+/// Bytes [`read_plain`] sees past a record boundary: the longest record it
+/// recognises (head, packed registers, size code, a 9-byte address delta
+/// and the check byte) is 13.
+const WINDOW: usize = 16;
+
+/// A plain record [`read_plain`] recognised, with the decode state after it.
+struct Plain {
+    instr: Instr,
+    /// Wire bytes of the record, its check byte included.
+    len: usize,
+    last_addr: u64,
+    check: u8,
+}
+
+/// The window path of [`StreamDecoder::decode_into`]: parses the record at
+/// the head of `w` at fixed offsets when it is a plain instruction (no flag
+/// bit, not a ConflictAlert) and its chained checksum holds. It recognises
+/// records and never refuses one: anything else — a flag, a CA, an unknown
+/// opcode, an out-of-range whole-byte register, a bad size code, a wrapping
+/// address range, an address delta past 9 varint bytes, a checksum
+/// mismatch — is `None`, and [`Decoder::read_record`] re-parses the record
+/// from its first byte, so every error and its offset come from there.
+fn read_plain(w: &[u8; WINDOW], last_addr: u64, check: u8) -> Option<Plain> {
+    let mut addr = last_addr;
+    // The memory operand at `w[at..]` and the offset past its address delta.
+    let mut operand = |at: usize, size: u8| -> Option<(MemRef, usize)> {
+        let mut raw = 0u64;
+        for (i, &b) in w[at..at + 9].iter().enumerate() {
+            raw |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                addr = last_addr.wrapping_add(zigzag_decode(raw) as u64);
+                addr.checked_add(u64::from(size))?;
+                return Some((MemRef::new(addr, size), at + i + 1));
+            }
+        }
+        None
+    };
+    let whole_reg = |b: u8| (usize::from(b) < NUM_REGS).then_some(Reg(b));
+    let (instr, end) = match w[0] {
+        OP_LOAD => {
+            let (dst, size) = unpack_reg_size(w[1]);
+            let (src, end) = operand(2, size)?;
+            (Instr::Load { dst, src }, end)
+        }
+        OP_STORE => {
+            let (src, size) = unpack_reg_size(w[1]);
+            let (dst, end) = operand(2, size)?;
+            (Instr::Store { dst, src }, end)
+        }
+        OP_MOV_RR => {
+            let (dst, src) = unpack_regs(w[1]);
+            (Instr::MovRR { dst, src }, 2)
+        }
+        OP_MOV_RI => (
+            Instr::MovRI {
+                dst: whole_reg(w[1])?,
+            },
+            2,
+        ),
+        OP_ALU1 => {
+            let (dst, a) = unpack_regs(w[1]);
+            (Instr::Alu1 { dst, a }, 2)
+        }
+        OP_ALU2 => {
+            let (dst, a) = unpack_regs(w[1]);
+            let b = whole_reg(w[2])?;
+            (Instr::Alu2 { dst, a, b }, 3)
+        }
+        OP_ALU_MEM => {
+            let (dst, a) = unpack_regs(w[1]);
+            let (src, end) = operand(3, decode_size(w[2])?)?;
+            (Instr::AluMem { dst, a, src }, end)
+        }
+        OP_JMP => (
+            Instr::JmpReg {
+                target: whole_reg(w[1])?,
+            },
+            2,
+        ),
+        OP_RMW => {
+            let (reg, size) = unpack_reg_size(w[1]);
+            let (mem, end) = operand(2, size)?;
+            (Instr::Rmw { mem, reg }, end)
+        }
+        OP_NOP => (Instr::Nop, 1),
+        _ => return None,
+    };
+    let state = w[..end]
+        .iter()
+        .fold(check, |state, &b| fold_check(state, b));
+    (state == w[end]).then_some(Plain {
+        instr,
+        len: end + 1,
+        last_addr: addr,
+        check: state,
+    })
+}
+
 struct Decoder<'a> {
     /// The buffered wire, cut at [`MAX_RECORD_WIRE_BYTES`] past `fold_from`.
     bytes: &'a [u8],
@@ -424,6 +522,28 @@ impl<'a> Decoder<'a> {
         let size =
             decode_size(self.read_byte("memref size")?).ok_or_else(|| self.err("bad size"))?;
         self.read_operand(size)
+    }
+
+    /// The window path: decodes records while [`read_plain`] recognises the
+    /// one at the head of the next [`WINDOW`] bytes and `out` is shorter
+    /// than `limit`, and returns the rid of the record it stopped at.
+    fn read_plain_run(&mut self, mut rid: Rid, out: &mut Vec<EventRecord>, limit: usize) -> Rid {
+        while out.len() < limit {
+            let Some(window) = self.bytes.get(self.fold_from..self.fold_from + WINDOW) else {
+                break;
+            };
+            let window: [u8; WINDOW] = window.try_into().expect("a window's length");
+            let Some(plain) = read_plain(&window, self.last_addr, self.check) else {
+                break;
+            };
+            out.push(EventRecord::instr(rid, plain.instr));
+            rid = rid.next();
+            self.fold_from += plain.len;
+            self.last_addr = plain.last_addr;
+            self.check = plain.check;
+        }
+        self.pos = self.fold_from;
+        rid
     }
 
     /// `rid` is `None` for the stream's first record, which the rid-base
@@ -661,9 +781,15 @@ impl StreamDecoder {
         };
         let before = out.len();
         let fault = loop {
+            // The window path first: past the first record, whose rid base
+            // only the general path reads.
+            if let Some(rid) = self.next_rid {
+                self.next_rid = Some(d.read_plain_run(rid, out, before.saturating_add(max)));
+            }
             // State is committed at record boundaries only (`d.fold_from`
-            // and `d.check` never move anywhere else), so a partial or
-            // faulty record rewinds to its first byte.
+            // and `d.check` move only past a whole record, on either
+            // path), so a partial or faulty record rewinds to its first
+            // byte.
             self.last_addr = d.last_addr;
             if out.len() - before == max || d.fold_from == wire.len() {
                 break None;
@@ -1073,20 +1199,45 @@ mod tests {
     fn corrupt_opcode_errors() {
         let bytes = vec![0x00, 0x0f]; // rid base 0, opcode 0x0f = unknown
         assert!(decode(&bytes).is_err());
+        let err = decode(&amid(&[0x0f])).expect_err("unknown opcode");
+        assert!(err.to_string().contains("unknown opcode"), "{err}");
         // A `NOP` whose framing and checksum hold but whose head byte sets
-        // the reserved flag bit.
-        let err = decode(&sealed(&[OP_NOP | 0x80])).expect_err("reserved flag");
-        assert!(err.to_string().contains("reserved flag"), "{err}");
+        // the reserved flag bit, first and amid valid records.
+        for wire in [sealed(&[OP_NOP | 0x80]), amid(&[OP_NOP | 0x80])] {
+            let err = decode(&wire).expect_err("reserved flag");
+            assert!(err.to_string().contains("reserved flag"), "{err}");
+        }
     }
 
     /// One hand-built record after a zero rid base, sealed with its chained
     /// checksum, so only the field under test can be wrong.
     fn sealed(body: &[u8]) -> Vec<u8> {
-        let mut wire = vec![0x00];
-        wire.extend_from_slice(body);
-        let check = wire.iter().fold(0, |state, &b| fold_check(state, b));
-        wire.push(check);
+        sealed_all(&[body])
+    }
+
+    /// Hand-built records after a zero rid base, each sealed with its
+    /// chained checksum.
+    fn sealed_all(bodies: &[&[u8]]) -> Vec<u8> {
+        let (mut wire, mut check, mut folded) = (vec![0x00], 0, 0);
+        for body in bodies {
+            wire.extend_from_slice(body);
+            check = wire[folded..]
+                .iter()
+                .fold(check, |state, &b| fold_check(state, b));
+            wire.push(check);
+            folded = wire.len();
+        }
         wire
+    }
+
+    /// Eight `Alu1` records: 24 wire bytes, more than a window.
+    const TAIL: [&[u8]; 8] = [&[OP_ALU1, 0x12]; 8];
+
+    /// `body` sealed between a first `NOP` and [`TAIL`]: past the first
+    /// record and with a whole window buffered, where the window path sees
+    /// it before the general path does.
+    fn amid(body: &[u8]) -> Vec<u8> {
+        sealed_all(&[&[&[OP_NOP][..], body][..], &TAIL].concat())
     }
 
     #[test]
@@ -1120,15 +1271,19 @@ mod tests {
             ]
         };
         for (body, what) in records(&varint(7), &varint(7)) {
-            decode(&sealed(&body)).unwrap_or_else(|err| panic!("{what}: {err}"));
+            for wire in [sealed(&body), amid(&body)] {
+                decode(&wire).unwrap_or_else(|err| panic!("{what}: {err}"));
+            }
         }
         // 65,543 is thread 7 and 2^32 + 7 is id 7 once cast with `as`.
         for (body, what) in records(&varint(65_543), &varint((1 << 32) + 7)) {
-            let err = decode(&sealed(&body)).expect_err(what);
-            assert!(
-                err.to_string().contains(&format!("{what} out of range")),
-                "{what}: {err}"
-            );
+            for wire in [sealed(&body), amid(&body)] {
+                let err = decode(&wire).expect_err(what);
+                assert!(
+                    err.to_string().contains(&format!("{what} out of range")),
+                    "{what}: {err}"
+                );
+            }
         }
     }
 
@@ -1144,12 +1299,16 @@ mod tests {
             ]
         };
         for body in records(NUM_REGS as u8 - 1) {
-            decode(&sealed(&body)).unwrap_or_else(|err| panic!("{body:?}: {err}"));
+            for wire in [sealed(&body), amid(&body)] {
+                decode(&wire).unwrap_or_else(|err| panic!("{body:?}: {err}"));
+            }
         }
         for reg in [NUM_REGS as u8, 200] {
             for body in records(reg) {
-                let err = decode(&sealed(&body)).expect_err("register 16 and up");
-                assert!(err.to_string().contains("register out of range"), "{err}");
+                for wire in [sealed(&body), amid(&body)] {
+                    let err = decode(&wire).expect_err("register 16 and up");
+                    assert!(err.to_string().contains("register out of range"), "{err}");
+                }
             }
         }
     }
@@ -1178,9 +1337,21 @@ mod tests {
                 },
             )
         };
+        // Each record first, and amid valid ones.
+        let amid = |recs: &[EventRecord]| {
+            let nop = EventRecord::instr(Rid(0), Instr::Nop);
+            let alu = EventRecord::instr(Rid(0), Instr::Alu1 { dst: r(1), a: r(2) });
+            let mut all: Vec<_> = [&[nop][..], recs, &vec![alu; 8]].concat();
+            for (rid, rec) in all.iter_mut().enumerate() {
+                rec.rid = Rid(rid as u64 + 1);
+            }
+            all
+        };
         for rec in [store(1, u64::MAX - 1), input(1, u64::MAX - 8, 64)] {
-            let err = decode(&encode(&[rec])).expect_err("range wraps");
-            assert!(err.to_string().contains("address range wraps"), "{err}");
+            for recs in [vec![rec.clone()], amid(&[rec])] {
+                let err = decode(&encode(&recs)).expect_err("range wraps");
+                assert!(err.to_string().contains("address range wraps"), "{err}");
+            }
         }
         // The last bytes of the address space are addressable, and a delta
         // across its middle is not an overflow.
@@ -1189,6 +1360,8 @@ mod tests {
             input(2, i64::MAX as u64, 1),
             input(3, 0, 8),
         ];
+        assert_eq!(decode(&encode(&top)).expect("no range wraps"), top);
+        let top = amid(&top);
         assert_eq!(decode(&encode(&top)).expect("no range wraps"), top);
     }
 
@@ -1294,6 +1467,186 @@ mod tests {
             }
         }
         assert_eq!(decode(&streams[0]).unwrap(), sample_records());
+    }
+
+    /// Decodes `bytes` fed in `chunk`-byte pieces, pulling after each: the
+    /// records decoded ahead of any fault, and the fault (a tail left over
+    /// is a truncated record, as in [`decode`]).
+    fn decode_in_chunks(bytes: &[u8], chunk: usize) -> (Vec<EventRecord>, Option<DecodeError>) {
+        let mut sd = StreamDecoder::new();
+        let mut out = Vec::new();
+        for piece in bytes.chunks(chunk.max(1)) {
+            sd.feed(piece);
+            if let Err(err) = sd.decode_into(&mut out, usize::MAX) {
+                return (out, Some(err));
+            }
+        }
+        let truncated = (!sd.is_clean()).then_some(DecodeError {
+            at: bytes.len(),
+            what: "truncated record",
+        });
+        (out, truncated)
+    }
+
+    /// Per record of `wire` a whole-buffer decode meets, the faulty one
+    /// included, whether the window path recognises it there.
+    fn window_verdicts(wire: &[u8]) -> Vec<bool> {
+        let mut sd = StreamDecoder::new();
+        sd.feed(wire);
+        let mut verdicts = Vec::new();
+        while !sd.is_clean() {
+            let window = wire.get(sd.pos..sd.pos + WINDOW);
+            verdicts.push(match (sd.next_rid, window) {
+                (Some(_), Some(w)) => {
+                    read_plain(w.try_into().unwrap(), sd.last_addr, sd.check).is_some()
+                }
+                _ => false,
+            });
+            if sd.decode_into(&mut Vec::new(), 1) != Ok(1) {
+                break;
+            }
+        }
+        verdicts
+    }
+
+    #[test]
+    fn window_path_matches_the_general_path() {
+        let mem = |addr, size| MemRef::new(addr, size);
+        let load = |addr, size| Instr::Load {
+            dst: r(1),
+            src: mem(addr, size),
+        };
+        let store = |addr, size| Instr::Store {
+            dst: mem(addr, size),
+            src: r(15),
+        };
+        let alu_mem = |size| Instr::AluMem {
+            dst: r(10),
+            a: r(11),
+            src: mem(0x2000 + u64::from(size), size),
+        };
+        let (alu1, wide) = (Instr::Alu1 { dst: r(6), a: r(7) }, r(15));
+        // Every plain opcode and size, the widest whole-byte registers, a
+        // 6-byte address delta, a 10-byte one there and back, an arc, a CA
+        // and a tail: each with whether the window path takes it.
+        let (near, far) = (0x1000 + (1 << 40), 0x1000 + (1 << 40) + (1 << 62));
+        let instrs = [
+            (Instr::Nop, false), // the first record
+            (load(0x1000, 1), true),
+            (load(0x1008, 2), true),
+            (store(0x1010, 4), true),
+            (store(0x0ff0, 8), true),
+            (
+                Instr::MovRR {
+                    dst: r(4),
+                    src: r(5),
+                },
+                true,
+            ),
+            (Instr::MovRI { dst: wide }, true),
+            (alu1, true),
+            (
+                Instr::Alu2 {
+                    dst: r(8),
+                    a: r(9),
+                    b: wide,
+                },
+                true,
+            ),
+            (alu_mem(1), true),
+            (alu_mem(2), true),
+            (alu_mem(4), true),
+            (alu_mem(8), true),
+            (Instr::JmpReg { target: wide }, true),
+            (
+                Instr::Rmw {
+                    mem: mem(0x3000, 8),
+                    reg: r(12),
+                },
+                true,
+            ),
+            (load(near, 4), true),
+            (load(far, 4), false),
+            (load(0x1000, 4), false),
+            (Instr::Nop, true),
+            (store(0x1010, 4), false), // gets an arc
+            (Instr::Nop, false),       // becomes a CA
+            (alu1, true),
+            (alu1, true),
+            (alu1, true),
+            (alu1, true),
+            // The last five have less than a window after them.
+            (alu1, false),
+            (alu1, false),
+            (alu1, false),
+            (alu1, false),
+            (alu1, false),
+        ];
+        let mut recs: Vec<_> = instrs
+            .iter()
+            .zip(1..)
+            .map(|(&(instr, _), rid)| EventRecord::instr(Rid(rid), instr))
+            .collect();
+        recs[19]
+            .arcs
+            .push(DependenceArc::new(ThreadId(1), Rid(9), ArcKind::Raw));
+        recs[20].payload = EventPayload::Ca(CaRecord {
+            what: HighLevelKind::Lock(crate::isa::LockId(3)),
+            phase: CaPhase::Begin,
+            range: None,
+            issuer: ThreadId(0),
+            issuer_rid: Rid(21),
+            seq: 4,
+        });
+        let good = encode(&recs);
+        let expected: Vec<bool> = instrs.iter().map(|&(_, window)| window).collect();
+        assert_eq!(window_verdicts(&good), expected);
+        assert_eq!(decode(&good).unwrap(), recs);
+
+        // Records the window path steps aside for, each amid valid ones:
+        // the general path refuses all but the 10-byte delta.
+        let ten_byte_delta = [&[OP_LOAD, 0x02][..], &[0x80; 9], &[0x01]].concat();
+        let eleven_byte_delta = [&[OP_LOAD, 0x02][..], &[0x80; 10], &[0x01]].concat();
+        let mut flipped_check = amid(&[OP_ALU1, 0x34]);
+        flipped_check[5] ^= 0x01; // rid base, NOP, its check, ALU1 body
+        let stepped_aside = [
+            amid(&[OP_MOV_RI, NUM_REGS as u8]),
+            amid(&[OP_ALU2, 0x01, NUM_REGS as u8]),
+            amid(&[OP_JMP, 200]),
+            amid(&[OP_ALU_MEM, 0x12, 4, 0]),
+            amid(&[OP_STORE, 0x02, 3]), // 4 bytes at u64::MAX - 1
+            amid(&ten_byte_delta),
+            amid(&eleven_byte_delta),
+            amid(&[OP_NOP | 0x80]),
+            flipped_check,
+        ];
+        for wire in &stepped_aside {
+            assert_eq!(window_verdicts(wire)[..2], [false, false], "{wire:?}");
+            let valid = wire == &stepped_aside[5];
+            assert_eq!(decode(wire).is_ok(), valid, "{wire:?}");
+        }
+
+        // Every single-byte flip and every truncation: a whole-buffer decode
+        // (window path engaged) and a byte-at-a-time one (where the window
+        // path takes no record: a plain record is complete before 16 bytes
+        // past its start have arrived) agree on the records and on the
+        // error, offset included.
+        for wire in std::iter::once(&good).chain(&stepped_aside) {
+            let mut variants: Vec<Vec<u8>> = (0..=wire.len()).map(|n| wire[..n].to_vec()).collect();
+            for at in 0..wire.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut bad = wire.clone();
+                    bad[at] ^= mask;
+                    variants.push(bad);
+                }
+            }
+            for bytes in &variants {
+                let whole = decode_in_chunks(bytes, bytes.len());
+                assert_eq!(decode_in_chunks(bytes, 1), whole, "{bytes:?}");
+                let (recs, fault) = whole;
+                assert_eq!(decode(bytes), fault.map_or(Ok(recs), Err));
+            }
+        }
     }
 
     /// `NOP|FLAG_ARCS` claiming 2⁴⁰ arcs, then valid 3-byte arcs without

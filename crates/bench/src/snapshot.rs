@@ -12,7 +12,8 @@
 
 use paralog_core::{
     CoopSession, EventSource, LaneSet, MonitorConfig, MonitorSession, MonitoringMode, Platform,
-    RecordStream, SessionError, SourceInput, StreamStatus, ThreadedBackend, LANE_BUDGET,
+    PoolTask, RecordStream, SessionError, SourceInput, StreamStatus, TaskPoll, ThreadedBackend,
+    WorkerPool, LANE_BUDGET,
 };
 use paralog_events::codec::{encode, StreamDecoder};
 use paralog_events::{
@@ -492,14 +493,12 @@ impl EventSource for SharedCapture {
     }
 }
 
-/// Replays one session over `captures` under `kind` to completion, its
-/// [`LaneSet`] swept by `drivers` threads, each from its own home lane.
-fn sweep_session(
+/// A session over `captures` under `kind`, its lanes pooled in one set.
+fn lane_session(
     kind: LifeguardKind,
     heap: AddrRange,
     captures: &[Arc<[EventRecord]>],
-    drivers: usize,
-) {
+) -> (CoopSession, LaneSet) {
     let streams = captures
         .iter()
         .map(|records| {
@@ -509,7 +508,18 @@ fn sweep_session(
         .collect();
     let (session, lanes) =
         CoopSession::start(&kind, heap, streams, None).expect("bundled kinds replay on lanes");
-    let set = LaneSet::new(lanes);
+    (session, LaneSet::new(lanes))
+}
+
+/// Replays one session over `captures` under `kind` to completion, its
+/// [`LaneSet`] swept by `drivers` threads, each from its own home lane.
+fn sweep_session(
+    kind: LifeguardKind,
+    heap: AddrRange,
+    captures: &[Arc<[EventRecord]>],
+    drivers: usize,
+) {
+    let (session, set) = lane_session(kind, heap, captures);
     std::thread::scope(|scope| {
         for home in 0..drivers {
             let (session, set) = (&session, &set);
@@ -522,6 +532,44 @@ fn sweep_session(
             });
         }
     });
+    black_box(session.report());
+}
+
+/// One home lane of a session as the pool runs it: a slice is
+/// [`LaneSet::slice`] from `home`.
+struct SliceTask {
+    session: CoopSession,
+    lanes: Arc<LaneSet>,
+    home: usize,
+}
+
+impl PoolTask for SliceTask {
+    fn run(&mut self) -> TaskPoll {
+        self.lanes.slice(&self.session, self.home)
+    }
+}
+
+/// Replays one session over `captures` under `kind` to completion on a
+/// fresh [`WorkerPool`] of `workers`, one task per lane, as `paralogd`
+/// schedules a session; the pool's start and join are in it.
+fn pool_session(
+    kind: LifeguardKind,
+    heap: AddrRange,
+    captures: &[Arc<[EventRecord]>],
+    workers: usize,
+) {
+    let (session, set) = lane_session(kind, heap, captures);
+    let lanes = Arc::new(set);
+    let pool = WorkerPool::new(workers);
+    for home in 0..captures.len() {
+        pool.submit(Box::new(SliceTask {
+            session: session.clone(),
+            lanes: Arc::clone(&lanes),
+            home,
+        }));
+    }
+    // Every task runs until the session completes: the join is the wait.
+    assert!(pool.shutdown().is_none(), "no slice panicked");
     black_box(session.report());
 }
 
@@ -561,6 +609,12 @@ fn handoff_stream(tid: u16, records: u64) -> Vec<EventRecord> {
 ///   record carries an arc, so a lane's plain runs are about one record
 ///   long and this is what the gate and the hand-off between lanes cost
 ///   when runs buy nothing.
+/// * `lane_pool/arc_fanout/{1,2}` — the same storm on a [`WorkerPool`] of
+///   one worker and of two, one task per lane as `paralogd` runs a
+///   session, per record, pool start and join included. Two workers must
+///   be no slower than one: a sweep holds a chain of coupled lanes, so the
+///   second worker finds it held instead of trading the lanes between
+///   cores.
 /// * `lane_handoff/threaded/2` — two MemCheck lanes on a
 ///   [`ThreadedBackend`] (two pool workers on a two-processor machine),
 ///   each gated every 64 records on the sibling lane the other worker
@@ -621,8 +675,24 @@ pub fn concurrent_matrix(records: u64, iters: usize) -> MatrixResult {
     let storm = adversarial::arc_fanout(2, records);
     let storm_records = storm.streams.iter().map(|s| s.len() as u64).sum();
     let storm_streams: Vec<Arc<[EventRecord]>> = storm.streams.into_iter().map(Arc::from).collect();
+    let storm_heap = storm.heap;
+    for workers in [1, 2] {
+        let storm_streams = storm_streams.clone();
+        rounds.add(
+            format!("lane_pool/arc_fanout/{workers}"),
+            storm_records,
+            move || {
+                pool_session(
+                    LifeguardKind::TaintCheck,
+                    storm_heap,
+                    &storm_streams,
+                    workers,
+                )
+            },
+        );
+    }
     rounds.add("lane_sweep/arc_fanout", storm_records, move || {
-        sweep_session(LifeguardKind::TaintCheck, storm.heap, &storm_streams, 1);
+        sweep_session(LifeguardKind::TaintCheck, storm_heap, &storm_streams, 1);
     });
 
     let handoff: Vec<Arc<[EventRecord]>> = (0..LANES)

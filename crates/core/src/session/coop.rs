@@ -25,17 +25,27 @@
 //! Drivers do not step lanes one by one; they pool a session's lanes in a
 //! [`LaneSet`] and [`sweep`](LaneSet::sweep) it. A sweep starts at the
 //! driver's *home* lane and keeps stepping it while it delivers; when the
-//! lane stops — at a gate, out of input, ended, or held by another driver
-//! (each lane sits behind its own `try_lock`) — the sweep moves to the next
-//! sibling, and it returns once `budget` records were delivered over all
-//! lanes or one full pass delivered nothing. So the peer a gated record
-//! waits on is stepped in the same call, on the same core, at the cost of
-//! a single-threaded cooperative replay; a chain A→B→C of arc-coupled
-//! lanes advances inside one sweep instead of through three reschedules.
-//! Lanes that do not depend on each other lose nothing: K drivers with K
-//! distinct homes each find their own lane free and every sibling held, so
-//! a sweep is a run of steps of the home lane and K lanes still replay in
-//! parallel.
+//! lane runs out of input, ends, or is held by another driver (each lane
+//! sits behind its own `try_lock`), the sweep moves to the next sibling,
+//! and it returns once `budget` records were delivered over all lanes or
+//! one full pass delivered nothing. A lane that stops at a §5.2/§5.4 gate
+//! names the peer it waits on, and the sweep *holds the chain*: if it
+//! holds that peer already, or no other driver does, it keeps the waiting
+//! lane locked and steps the peer next — following the peer's own gate
+//! the same way — and once the peer delivered it returns to the most
+//! recent lane that waits on it. A lane stays kept while it waits on a lane
+//! the sweep holds, until the sweep steps it again. So a chain
+//! A→B→C of arc-coupled lanes advances inside one sweep, on one core, at
+//! the cost of a single-threaded cooperative replay, and another driver's
+//! sweep finds the chain held, goes flat and backs off, instead of taking
+//! one link of it and trading the lanes between cores record by record. A
+//! gate on a peer another driver holds, a §5.5 version gate (a `VersionId`
+//! does not name its producer), and every other stop end the chain: the
+//! sweep lets go of the lane and of every lane it keeps, and moves on.
+//! Lanes that do not depend on each other lose nothing: K drivers
+//! with K distinct homes each find their own lane free and every sibling
+//! held, so a sweep is a run of steps of the home lane and K lanes still
+//! replay in parallel. Every lane a sweep keeps is let go when it returns.
 //!
 //! One scheduler drives sweeps: the [`WorkerPool`](super::pool::WorkerPool)
 //! runs one task per lane round-robin, and a task's slice is one sweep of
@@ -80,7 +90,7 @@ use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObse
 use paralog_order::{replay_gate, CaPolicy, CachePadded, Gate, RangeTable, SharedProgressTable};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::Instant;
 
 /// Records one [`LaneSet::sweep`] may deliver over all the lanes it
@@ -306,6 +316,7 @@ impl CoopSession {
                 range_table: RangeTable::new(k),
                 head_produced: false,
                 parked: false,
+                waits_on: None,
                 delivered: 0,
                 done: false,
             })
@@ -391,6 +402,10 @@ pub struct CoopLane {
     head_produced: bool,
     /// Whether this lane is counted in the session's `gated_lanes`.
     parked: bool,
+    /// The peer lane the latest unmet gate waits on: `Some` for a §5.2 arc
+    /// or §5.4 issuer, `None` for a §5.5 version, whose id does not name
+    /// its producer. Read by [`LaneSet::sweep`] after a `Gated` step.
+    waits_on: Option<ThreadId>,
     /// Records delivered by the latest step; added to the session's
     /// `applied` once, when the step ends ([`flush`](Self::flush)).
     delivered: usize,
@@ -427,8 +442,8 @@ impl CoopLane {
 
     /// [`step`](Self::step) for [`LaneSet::sweep`], which reads the count
     /// in `self.delivered` afterwards. Unlike `step`, a lane that delivered
-    /// and *then* met an unmet gate reports `Gated`, so the sweep moves
-    /// straight on to the peers it waits on.
+    /// and *then* met an unmet gate reports `Gated`, so the sweep goes
+    /// straight on to the peer it waits on.
     fn advance(&mut self, budget: usize) -> LaneStep {
         self.delivered = 0;
         if self.done {
@@ -440,6 +455,20 @@ impl CoopLane {
             self.flush();
         }
         step
+    }
+
+    /// [`advance`](Self::advance) with a panic caught while the caller
+    /// still holds the lane, so its lock stays clean: the step fails the
+    /// session and the lane ([`panicked`](Self::panicked)). Returns the
+    /// step and what it delivered (nothing, for a step that panicked).
+    fn advance_caught(&mut self, budget: usize) -> (LaneStep, usize) {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| self.advance(budget))) {
+            Ok(step) => (step, self.delivered),
+            Err(payload) => {
+                self.panicked(&*payload);
+                (LaneStep::Failed, 0)
+            }
+        }
     }
 
     /// Adds the step's deliveries to the session's count.
@@ -621,6 +650,10 @@ impl CoopLane {
     /// session flat past the grace window) fails the run.
     fn gated(&mut self, blocker: Blocker) -> LaneStep {
         self.shared.stalls.fetch_add(1, Ordering::Relaxed);
+        self.waits_on = match blocker {
+            Blocker::Progress(src, _) => Some(src),
+            Blocker::Version(_) => None,
+        };
         if self.delivered > 0 {
             return LaneStep::Gated;
         }
@@ -720,11 +753,21 @@ impl LaneSet {
 
     /// Runs the session forward without blocking, starting at lane `home`
     /// (modulo the lane count): steps a lane while it keeps delivering,
-    /// moves to the next sibling when it stops at a gate, runs out of
-    /// input, ends, or is held by another driver, and returns once the
-    /// records it delivered reach `budget` or one full pass over the set
-    /// delivered nothing. [`CoopSession::is_complete`] says when there is
-    /// nothing left to come back for.
+    /// moves to the next sibling when it runs out of input, ends, is held
+    /// by another driver, or stops at a gate the sweep cannot follow, and
+    /// returns once the records it delivered reach `budget` or one full
+    /// pass over the set delivered nothing. [`CoopSession::is_complete`]
+    /// says when there is nothing left to come back for.
+    ///
+    /// A lane that stops at a §5.2/§5.4 gate on a peer this sweep holds, or
+    /// can take, is *kept*: the sweep keeps its lock and steps the peer
+    /// next, and once the peer delivered it returns to the most recent lane
+    /// that waits on it. A kept lane stays locked until the sweep steps it
+    /// again, so a chain of coupled lanes stays on one core and other
+    /// drivers find it held. A gate on a peer another driver holds, a §5.5
+    /// version gate (a `VersionId` does not name its producer), and every
+    /// other stop end the chain: the sweep lets go of the lane and of every
+    /// lane it keeps, and moves on.
     ///
     /// A step that panics fails the session (see the module docs).
     ///
@@ -732,38 +775,70 @@ impl LaneSet {
     ///
     /// Panics on an empty set.
     pub fn sweep(&self, home: usize, budget: usize) -> Sweep {
+        let n = self.lanes.len();
         let budget = budget.max(1);
         let mut swept = Sweep::default();
-        let mut at = home % self.lanes.len();
+        let mut kept = Kept::default();
+        // The walk's position, and the lane to step next: the position, or
+        // a lane of the chain behind it.
+        let mut at = home % n;
+        let mut next = at;
         // Lanes visited in a row that delivered nothing.
         let mut flat = 0;
-        while flat < self.lanes.len() && swept.delivered < budget {
-            let (mut delivered, mut stay) = (0, false);
-            match self.lanes[at].try_lock() {
-                Ok(mut lane) if !lane.done => {
-                    // Caught while the guard is held: the lock stays clean.
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        lane.advance(budget - swept.delivered)
-                    })) {
-                        Ok(step) => {
-                            stay = step == LaneStep::Progressed;
-                            swept.gated |= step == LaneStep::Gated;
-                            delivered = lane.delivered;
-                        }
-                        Err(payload) => lane.panicked(&*payload),
+        while flat < n && swept.delivered < budget {
+            let Some(mut lane) = kept.take(next).or_else(|| self.try_hold(next)) else {
+                // Terminal already, or a peer driver is on it.
+                flat += 1;
+                at = (at + 1) % n;
+                next = at;
+                continue;
+            };
+            let (step, delivered) = lane.advance_caught(budget - swept.delivered);
+            swept.delivered += delivered;
+            swept.gated |= step == LaneStep::Gated;
+            flat = if delivered > 0 { 0 } else { flat + 1 };
+            let returning = delivered > 0 && !kept.waiting.is_empty();
+            // The peer a gated lane waits on, if this sweep holds it or,
+            // when the lane is to be stepped next, can take it.
+            let peer = match (step, lane.waits_on) {
+                (LaneStep::Gated, Some(src)) => kept
+                    .take(src.index())
+                    .or_else(|| (!returning).then(|| self.try_hold(src.index())).flatten())
+                    .map(|peer| (src.index(), peer)),
+                _ => None,
+            };
+            let stopped = next;
+            next = match peer {
+                Some((src, peer)) => {
+                    kept.keep(stopped, lane, n);
+                    kept.keep(src, peer, n);
+                    if returning {
+                        kept.waiting.pop().expect("a lane waits")
+                    } else {
+                        kept.waiting.push(stopped);
+                        src
                     }
                 }
-                // Terminal already, or a peer driver is on it.
-                Ok(_) | Err(TryLockError::WouldBlock) => {}
-                Err(TryLockError::Poisoned(_)) => panic!("poisoned"),
-            }
-            swept.delivered += delivered;
-            flat = if delivered > 0 { 0 } else { flat + 1 };
-            if !stay {
-                at = (at + 1) % self.lanes.len();
-            }
+                None if returning => kept.waiting.pop().expect("a lane waits"),
+                None if step == LaneStep::Progressed => stopped,
+                None => {
+                    kept = Kept::default();
+                    at = (at + 1) % n;
+                    at
+                }
+            };
         }
         swept
+    }
+
+    /// Lane `at`, unless it is terminal or a driver holds it (this sweep
+    /// included: a lane it keeps is taken from [`Kept`]).
+    fn try_hold(&self, at: usize) -> Option<MutexGuard<'_, CoopLane>> {
+        match self.lanes[at].try_lock() {
+            Ok(lane) if !lane.done => Some(lane),
+            Ok(_) | Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("poisoned"),
+        }
     }
 
     /// One pool slice of `session`'s lanes from `home`: a
@@ -796,6 +871,32 @@ pub struct Sweep {
     /// Some lane stopped at an unmet gate (§5.2 arc, §5.4 CA serialisation,
     /// §5.5 version) on the way.
     pub gated: bool,
+}
+
+/// The lanes one [`LaneSet::sweep`] keeps locked between its steps: the
+/// chain it holds, each lane stopped at a gate on a lane of it. Allocated
+/// at the first lane kept, so a sweep that never follows a gate allocates
+/// nothing.
+#[derive(Default)]
+struct Kept<'a> {
+    /// By lane index.
+    guards: Vec<Option<MutexGuard<'a, CoopLane>>>,
+    /// The lanes that wait on the one being stepped, most recent last.
+    waiting: Vec<usize>,
+}
+
+impl<'a> Kept<'a> {
+    fn take(&mut self, at: usize) -> Option<MutexGuard<'a, CoopLane>> {
+        self.guards.get_mut(at)?.take()
+    }
+
+    /// Keeps lane `at` of a set of `lanes`.
+    fn keep(&mut self, at: usize, lane: MutexGuard<'a, CoopLane>, lanes: usize) {
+        if self.guards.is_empty() {
+            self.guards.resize_with(lanes, || None);
+        }
+        self.guards[at] = Some(lane);
+    }
 }
 
 #[cfg(test)]
@@ -1049,6 +1150,147 @@ mod tests {
         assert!(!lanes[0].parked);
         assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 0);
         assert_eq!(session.shared.progress.get(ThreadId(0)), Rid(256));
+    }
+
+    /// Per pull of a [`Probe`], whether each probed lane was held.
+    type Seen = Arc<Mutex<Vec<Vec<bool>>>>;
+
+    /// A stream that, on every pull, notes which of lanes `probe` of its
+    /// own set are held at that moment, then yields `records`.
+    #[derive(Debug)]
+    struct Probe {
+        set: Arc<OnceLock<std::sync::Weak<LaneSet>>>,
+        probe: Vec<usize>,
+        seen: Seen,
+        records: BufferedStream,
+    }
+
+    impl RecordStream for Probe {
+        fn next_batch(
+            &mut self,
+            out: &mut Vec<EventRecord>,
+            max: usize,
+        ) -> Result<StreamStatus, SessionError> {
+            let set = self.set.get().and_then(std::sync::Weak::upgrade);
+            let set = set.expect("the set is built before its first sweep");
+            let held = self
+                .probe
+                .iter()
+                .map(|&at| matches!(set.lanes[at].try_lock(), Err(TryLockError::WouldBlock)))
+                .collect();
+            self.seen.lock().unwrap().push(held);
+            self.records.next_batch(out, max)
+        }
+    }
+
+    /// `plain(n)` whose head waits on `(src, needed)`.
+    fn gated_on(n: u64, src: u16, needed: u64) -> Vec<EventRecord> {
+        let mut records = plain(n);
+        records[0]
+            .arcs
+            .push(DependenceArc::new(ThreadId(src), Rid(needed), ArcKind::Raw));
+        records
+    }
+
+    /// A set over `streams` whose last lane is a [`Probe`] of lanes
+    /// `probe`, and what that probe saw, one entry per pull.
+    fn probed(
+        mut streams: Vec<Vec<EventRecord>>,
+        probe: Vec<usize>,
+    ) -> (CoopSession, Arc<LaneSet>, Seen) {
+        let cell = Arc::new(OnceLock::new());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let last = Box::new(Probe {
+            set: Arc::clone(&cell),
+            probe,
+            seen: Arc::clone(&seen),
+            records: BufferedStream::new(streams.pop().expect("a probe lane")),
+        }) as Box<dyn RecordStream>;
+        let mut streams: Vec<Box<dyn RecordStream>> = streams
+            .into_iter()
+            .map(|s| Box::new(BufferedStream::new(s)) as Box<dyn RecordStream>)
+            .collect();
+        streams.push(last);
+        let heap = AddrRange::new(0x1000_0000, 0x1000);
+        let (session, lanes) = CoopSession::start(&KIND, heap, streams, None).unwrap();
+        let set = Arc::new(LaneSet::new(lanes));
+        cell.set(Arc::downgrade(&set)).unwrap();
+        (session, set, seen)
+    }
+
+    #[test]
+    fn a_sweep_keeps_each_waiting_lane_while_it_steps_the_chain_behind_it() {
+        // 0 waits on 1, 1 waits on 2, and 2 is free: while 2 pulls, the
+        // sweep holds both lanes that wait on it.
+        let (session, set, seen) = probed(
+            vec![gated_on(10, 1, 5), gated_on(10, 2, 5), plain(10)],
+            vec![0, 1],
+        );
+        let swept = set.sweep(0, LANE_BUDGET);
+        assert_eq!(seen.lock().unwrap()[0], [true, true], "the chain is held");
+        // Back down the chain once each blocker delivered: every lane ran
+        // its whole stream in the one sweep.
+        assert_eq!(swept.delivered, 30);
+        assert!(swept.gated);
+        for tid in 0..3 {
+            assert_eq!(session.shared.progress.get(ThreadId(tid)), Rid(10));
+        }
+        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_blocker_that_delivered_stays_kept_while_it_waits_on_its_waiter() {
+        // 1 waits on 0's first record, and 0's second waits on 1's last.
+        // Once 0 delivered, the sweep returns to 1 and keeps 0, which now
+        // waits on 1: 1's second pull, a batch later, finds 0 still held.
+        let mut t0 = plain(2);
+        t0[1]
+            .arcs
+            .push(DependenceArc::new(ThreadId(1), Rid(300), ArcKind::Raw));
+        let (session, set, seen) = probed(vec![t0, gated_on(300, 0, 1)], vec![0]);
+        let swept = set.sweep(1, LANE_BUDGET);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen[..2], [[false], [true]], "0 kept across 1's pull");
+        assert_eq!(swept.delivered, 302, "one sweep, both lanes to their end");
+        assert!(session.is_complete());
+    }
+
+    #[test]
+    fn a_waiting_lane_whose_blocker_another_driver_holds_is_let_go() {
+        // 0 waits on 1, which this thread holds: the sweep moves on to 2,
+        // and 0 is free by the time 2 pulls.
+        let (session, set, seen) = probed(vec![gated_on(10, 1, 5), plain(10), plain(10)], vec![0]);
+        let held = set.lanes[1].lock().unwrap();
+        let swept = set.sweep(0, LANE_BUDGET);
+        assert_eq!(seen.lock().unwrap()[0], [false], "0 was let go");
+        assert_eq!(swept.delivered, 10, "lane 2's stream only");
+        assert!(set.lanes[0].try_lock().is_ok(), "and stays free");
+        drop(held);
+        while !session.is_complete() {
+            set.sweep(0, LANE_BUDGET);
+        }
+        assert_eq!(session.records(), 30);
+    }
+
+    #[test]
+    fn a_version_gate_is_never_held() {
+        // 0 consumes a version nobody produced: its id does not name a
+        // producer, so the sweep lets 0 go and moves on to 1.
+        let mut t0 = plain(10);
+        let version = paralog_events::VersionId {
+            consumer: ThreadId(0),
+            consumer_rid: Rid(1),
+        };
+        t0[0].set_consume_version(version, paralog_events::MemRef::new(0x1000_0000, 4));
+        let (session, set, seen) = probed(vec![t0, plain(10)], vec![0]);
+        let swept = set.sweep(0, LANE_BUDGET);
+        assert_eq!(seen.lock().unwrap()[0], [false], "0 was let go");
+        assert_eq!(swept.delivered, 10);
+        assert!(swept.gated);
+        assert_eq!(session.shared.progress.get(ThreadId(0)), Rid::ZERO);
+        session.abort("test over");
+        set.sweep(0, LANE_BUDGET);
+        assert!(session.is_complete());
     }
 
     /// A stream whose producer never catches up.

@@ -27,15 +27,21 @@
 //! a gate on a coupled lane clears without a wake (a gated slice wakes
 //! nobody, or three coupled lanes on two workers would ping-pong between
 //! cores), and a session's flat-run deadlock window is only measured while
-//! its lanes are polled. Stopping the pool does not end a wait either —
+//! its lanes are polled. Coupled lanes mostly do not need the pool to meet
+//! again: a sweep keeps a gated lane while it steps that lane's blocker
+//! ([`LaneSet::sweep`](super::coop::LaneSet::sweep)), so a chain of them
+//! stays on the worker that holds it, and another worker's slices on the
+//! same session find the chain held, go flat and back off into the wait.
+//! Stopping the pool does not end a wait either —
 //! [`shutdown`](WorkerPool::shutdown) is how a caller joins its tasks, and
 //! a task waiting on a lagging producer must keep backing off meanwhile.
 //!
 //! The pool counts what it does ([`PoolCounters`], the `pool` line of
 //! `ctl LIST`): slices per record says how much scheduling a session's
 //! records cost, idle slices and waits say how much of the pool's time
-//! went to polling sessions with nothing to do, and wakes how many of
-//! those waits an event cut short.
+//! went to polling sessions with nothing to do, wakes how many of those
+//! waits an event cut short, and backstops how many ran to `IDLE_SLEEP`
+//! because nothing announced what they waited for.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -86,6 +92,7 @@ struct PoolShared {
     idle_slices: AtomicU64,
     idle_sleeps: AtomicU64,
     wakes: AtomicU64,
+    backstops: AtomicU64,
 }
 
 impl PoolShared {
@@ -109,25 +116,26 @@ impl PoolShared {
         let deadline = Instant::now() + IDLE_SLEEP;
         let mut idle = self.idle.lock().expect("poisoned");
         self.waiting.fetch_add(1, Ordering::SeqCst);
-        // Counted only when a notification ended a wait that blocked.
+        // A wake counts only when a notification ended a wait that
+        // blocked; a wake that had already landed counts as neither.
         let mut blocked = false;
-        let woken = loop {
+        let ended = loop {
             if self.wake_gen.load(Ordering::SeqCst) != seen {
-                break blocked;
+                break blocked.then_some(&self.wakes);
             }
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break false;
+                break Some(&self.backstops);
             };
             let (guard, waited) = self.woken.wait_timeout(idle, left).expect("poisoned");
             idle = guard;
             if waited.timed_out() {
-                break false;
+                break Some(&self.backstops);
             }
             blocked = true;
         };
         self.waiting.fetch_sub(1, Ordering::SeqCst);
-        if woken {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
+        if let Some(count) = ended {
+            count.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -141,9 +149,12 @@ pub struct PoolCounters {
     pub idle_slices: u64,
     /// Idle waits: times a worker backed off after an idle streak.
     pub idle_sleeps: u64,
-    /// Idle waits a wake ended while the worker was blocked in them (the
-    /// rest ran to the backstop, or found a wake already landed).
+    /// Idle waits a wake ended while the worker was blocked in them.
     pub wakes: u64,
+    /// Idle waits that ran to the `IDLE_SLEEP` backstop: nothing announced
+    /// what ended them. The rest of the idle waits found a wake already
+    /// landed.
+    pub backstops: u64,
 }
 
 /// A fixed-size worker pool over [`PoolTask`]s.
@@ -193,6 +204,7 @@ impl WorkerPool {
             idle_slices: AtomicU64::new(0),
             idle_sleeps: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
+            backstops: AtomicU64::new(0),
         });
         let workers = (0..count)
             .map(|i| {
@@ -227,6 +239,7 @@ impl WorkerPool {
             idle_slices: self.shared.idle_slices.load(Ordering::Relaxed),
             idle_sleeps: self.shared.idle_sleeps.load(Ordering::Relaxed),
             wakes: self.shared.wakes.load(Ordering::Relaxed),
+            backstops: self.shared.backstops.load(Ordering::Relaxed),
         }
     }
 
@@ -435,13 +448,19 @@ mod tests {
             flag: Arc::clone(&flag),
         }));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while pool.counters().idle_sleeps == 0 {
+        while pool.counters().backstops < 2 {
             assert!(std::time::Instant::now() < deadline, "never backed off");
             std::thread::yield_now();
         }
-        // Nothing else wakes a lone idle task, and the backstop ends its
-        // waits uncounted: a counted wake is one of these, notified.
-        assert_eq!(pool.counters().wakes, 0, "{:?}", pool.counters());
+        // Nothing else wakes a lone idle task: every wait but the one under
+        // way ran to the backstop, and a counted wake is one of these,
+        // notified.
+        let counters = pool.counters();
+        assert_eq!(counters.wakes, 0, "{counters:?}");
+        assert!(
+            counters.idle_sleeps.saturating_sub(counters.backstops) <= 1,
+            "{counters:?}"
+        );
         let mut sent = 0u64;
         while pool.counters().wakes == 0 {
             assert!(std::time::Instant::now() < deadline, "a wake never landed");
@@ -451,7 +470,10 @@ mod tests {
         }
         let counters = pool.counters();
         assert!(counters.wakes <= sent, "{counters:?} after {sent} wakes");
-        assert!(counters.wakes <= counters.idle_sleeps, "{counters:?}");
+        assert!(
+            counters.wakes + counters.backstops <= counters.idle_sleeps,
+            "{counters:?}"
+        );
         flag.store(true, Ordering::Relaxed);
         assert!(pool.shutdown().is_none());
         assert_eq!(pool.live_tasks(), 0);

@@ -919,13 +919,15 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
                 drop(sessions);
                 let pool = inner.pool.counters();
                 lines.push(format!(
-                    "pool workers={} live_tasks={} slices={} idle_slices={} idle_sleeps={} wakes={}",
+                    "pool workers={} live_tasks={} slices={} idle_slices={} idle_sleeps={} wakes={} \
+                     backstops={}",
                     inner.pool.worker_count(),
                     inner.pool.live_tasks(),
                     pool.slices,
                     pool.idle_slices,
                     pool.idle_sleeps,
-                    pool.wakes
+                    pool.wakes,
+                    pool.backstops
                 ));
                 respond(&mut writer, &lines)
             }

@@ -16,6 +16,9 @@
 //! directory (`chunks.rs`): hot-path accesses after the first touch are two
 //! array indexes and an atomic byte access, and `join`/`fill` run
 //! chunk-resident slice loops instead of re-walking the index per byte.
+//! Each chunk's head is one word with a bit per 1 KiB block that ever held
+//! a non-zero byte, so [`AtomicShadow::fingerprint`] reads only those
+//! blocks instead of the whole materialized footprint.
 //!
 //! The paper's §6 metadata widths (2 bits per byte for TAINTCHECK, 1 for
 //! ADDRCHECK) live where they matter to the results — in the *modelled*
@@ -27,7 +30,8 @@
 use crate::chunks::ChunkDir;
 use crate::fingerprint::Fingerprint;
 use paralog_events::{Addr, AddrRange, MemRef};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Base virtual address of the metadata space (far above application space).
 const META_BASE: Addr = 0x4000_0000_0000;
@@ -71,7 +75,9 @@ const DENSE_CHUNKS: u64 = 1 << 17;
 /// lazily materialized 64 KiB chunks. Untouched bytes read clean (0).
 #[derive(Debug)]
 pub struct AtomicShadow {
-    chunks: ChunkDir<AtomicU8>,
+    /// Each chunk's head: bit `i` is set once block `i` (see [`blocks`])
+    /// held a non-zero byte, and is never cleared.
+    chunks: ChunkDir<AtomicU8, AtomicU64>,
 }
 
 impl Default for AtomicShadow {
@@ -97,6 +103,19 @@ fn segments(addr: u64, len: u64) -> impl Iterator<Item = (u64, std::ops::Range<u
     })
 }
 
+/// Bytes per block of a chunk's head: one bit of a 64-bit word each.
+fn block_len() -> usize {
+    CHUNK as usize / u64::BITS as usize
+}
+
+/// The head bits of the blocks that `seg`, a non-empty byte range of one
+/// chunk, touches.
+#[inline]
+fn blocks(seg: &Range<usize>) -> u64 {
+    let (first, last) = (seg.start / block_len(), (seg.end - 1) / block_len());
+    (u64::MAX >> (u64::BITS as usize - 1 - last)) & (u64::MAX << first)
+}
+
 impl AtomicShadow {
     /// An empty shadow; chunks materialize on first write.
     pub fn new() -> Self {
@@ -119,10 +138,22 @@ impl AtomicShadow {
     }
 
     /// Chunk-resident ranged store. Writing clean (zero) metadata to a
-    /// never-touched chunk is skipped entirely, preserving sparsity.
+    /// never-touched chunk is skipped entirely, preserving sparsity. A
+    /// non-zero store marks its blocks in the chunk's head first, with a
+    /// read-modify-write only for a block not marked yet.
     pub fn fill_range(&self, addr: u64, len: u64, v: u8) {
         for (ci, seg) in segments(addr, len) {
-            self.chunks.with(ci, v != 0, |c| {
+            self.chunks.with_head(ci, v != 0, |written, c| {
+                // Relaxed: a fingerprint taken once the writers finished
+                // sees every mark through the session's own
+                // synchronisation; one taken mid-run is a racy snapshot
+                // either way.
+                if v != 0 {
+                    let bits = blocks(&seg);
+                    if written.load(Ordering::Relaxed) & bits != bits {
+                        written.fetch_or(bits, Ordering::Relaxed);
+                    }
+                }
                 for byte in &c[seg] {
                     byte.store(v, Ordering::Release);
                 }
@@ -172,15 +203,21 @@ impl AtomicShadow {
     }
 
     /// Order-insensitive fingerprint: every non-clean byte mixed in as
-    /// `(application address, value)`.
+    /// `(application address, value)`. Only blocks that ever held a
+    /// non-zero byte are read.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
-        self.chunks.for_each(|ci, data| {
-            let chunk_base = ci * CHUNK;
-            for (off, byte) in data.iter().enumerate() {
-                let v = byte.load(Ordering::Acquire);
-                if v != 0 {
-                    fp.mix(chunk_base + off as u64, u64::from(v));
+        self.chunks.for_each_head(|ci, written, data| {
+            let mut marked = written.load(Ordering::Relaxed);
+            while marked != 0 {
+                let start = marked.trailing_zeros() as usize * block_len();
+                marked &= marked - 1;
+                let block = &data[start..start + block_len()];
+                for (off, byte) in (start..).zip(block) {
+                    let v = byte.load(Ordering::Acquire);
+                    if v != 0 {
+                        fp.mix(ci * CHUNK + off as u64, u64::from(v));
+                    }
                 }
             }
         });
@@ -276,6 +313,49 @@ mod tests {
         assert_ne!(shadow.fingerprint(), before);
         shadow.fill(MemRef::new(0x2000, 4), 0);
         assert_eq!(shadow.fingerprint(), before);
+
+        // Bytes over several blocks and chunks: the first and last byte of
+        // a chunk, both sides of a block seam, a range over three blocks,
+        // and the spill tier; write `i` stores `i + 1`.
+        let block = block_len() as u64;
+        let far = (DENSE_CHUNKS + 3) * CHUNK + 5 * block;
+        let writes = [
+            (CHUNK, 1),
+            (2 * CHUNK - 1, 1),
+            (3 * CHUNK + block - 2, 4),
+            (4 * CHUNK + 7 * block - 10, 2 * block + 20),
+            (far, 8),
+        ];
+        let of = |writes: &[(u64, u64)]| {
+            let mut fp = Fingerprint::new();
+            for (i, &(addr, len)) in writes.iter().enumerate() {
+                for a in addr..addr + len {
+                    fp.mix(a, i as u64 + 1);
+                }
+            }
+            fp.finish()
+        };
+        for (i, &(addr, len)) in writes.iter().enumerate() {
+            shadow.fill_range(addr, len, i as u8 + 1);
+        }
+        assert_eq!(shadow.fingerprint(), of(&writes));
+        // A zeroed block keeps its mark; what it holds decides.
+        for k in (0..writes.len()).rev() {
+            let (addr, len) = writes[k];
+            shadow.fill_range(addr, len, 0);
+            assert_eq!(shadow.fingerprint(), of(&writes[..k]), "write {k} zeroed");
+        }
+        assert_eq!(shadow.fingerprint(), before, "every byte zeroed back");
+    }
+
+    #[test]
+    fn blocks_cover_exactly_the_touched_blocks() {
+        let block = block_len();
+        assert_eq!(blocks(&(0..1)), 1);
+        assert_eq!(blocks(&(block - 1..block + 1)), 0b11);
+        assert_eq!(blocks(&(3 * block..4 * block)), 0b1000);
+        assert_eq!(blocks(&(0..CHUNK as usize)), u64::MAX);
+        assert_eq!(blocks(&(CHUNK as usize - 1..CHUNK as usize)), 1 << 63);
     }
 
     #[test]

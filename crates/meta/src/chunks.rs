@@ -12,6 +12,11 @@
 //! 26 byte-shadow chunks and 100 word-table chunks, so a flat first level
 //! over the same span (131,072 and 262,144 slots) would be 3 MiB and 6 MiB
 //! of `OnceLock`s faulted in per session to hold a few dozen pointers.
+//!
+//! Each chunk carries a *head* of type `H` beside its elements, in the same
+//! slot, for a summary its owner keeps: the byte shadow's record of which
+//! of a chunk's blocks ever held a non-zero byte. The word table keeps
+//! none (`H = ()`).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -19,20 +24,28 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Chunks per second-level table.
 const TABLE_SLOTS: u64 = 512;
 
-type Table<T> = Box<[OnceLock<Box<[T]>>]>;
-
-/// `chunk index → chunk of T` with lazily materialized chunks.
+/// One materialized chunk: its owner's summary and its elements.
 #[derive(Debug)]
-pub(crate) struct ChunkDir<T> {
+struct Chunk<T, H> {
+    head: H,
+    data: Box<[T]>,
+}
+
+type Table<T, H> = Box<[OnceLock<Chunk<T, H>>]>;
+
+/// `chunk index → chunk of T` with lazily materialized chunks, each with a
+/// head `H`.
+#[derive(Debug)]
+pub(crate) struct ChunkDir<T, H = ()> {
     /// Dense span: table `ci / TABLE_SLOTS`, slot `ci % TABLE_SLOTS`.
-    tables: Box<[OnceLock<Table<T>>]>,
+    tables: Box<[OnceLock<Table<T, H>>]>,
     /// Outlier chunks beyond the dense span. `Arc` lets an accessor clone a
     /// handle out of the lock and work without holding it.
-    spill: Mutex<BTreeMap<u64, Arc<[T]>>>,
+    spill: Mutex<BTreeMap<u64, Arc<Chunk<T, H>>>>,
     chunk_len: usize,
 }
 
-impl<T: Default> ChunkDir<T> {
+impl<T: Default, H: Default> ChunkDir<T, H> {
     /// An empty directory of `chunk_len`-element chunks whose dense span
     /// covers chunk indices below `dense_chunks` (a multiple of
     /// [`TABLE_SLOTS`]).
@@ -47,8 +60,11 @@ impl<T: Default> ChunkDir<T> {
         }
     }
 
-    fn new_chunk(&self) -> Box<[T]> {
-        (0..self.chunk_len).map(|_| T::default()).collect()
+    fn new_chunk(&self) -> Chunk<T, H> {
+        Chunk {
+            head: H::default(),
+            data: (0..self.chunk_len).map(|_| T::default()).collect(),
+        }
     }
 
     /// Runs `f` over chunk `ci`. With `create` unset, an untouched chunk is
@@ -56,6 +72,17 @@ impl<T: Default> ChunkDir<T> {
     /// initialized race-free first.
     #[inline]
     pub(crate) fn with<R>(&self, ci: u64, create: bool, f: impl FnOnce(&[T]) -> R) -> Option<R> {
+        self.with_head(ci, create, |_, data| f(data))
+    }
+
+    /// [`with`](Self::with), `f` also given the chunk's head.
+    #[inline]
+    pub(crate) fn with_head<R>(
+        &self,
+        ci: u64,
+        create: bool,
+        f: impl FnOnce(&H, &[T]) -> R,
+    ) -> Option<R> {
         let slot = (ci % TABLE_SLOTS) as usize;
         if let Some(table) = self.tables.get((ci / TABLE_SLOTS) as usize) {
             let chunk = if create {
@@ -64,41 +91,50 @@ impl<T: Default> ChunkDir<T> {
             } else {
                 table.get()?[slot].get()?
             };
-            return Some(f(chunk));
+            return Some(f(&chunk.head, &chunk.data));
         }
         let chunk = {
             let mut spill = self.spill.lock().expect("poisoned");
             match spill.get(&ci) {
                 Some(chunk) => Arc::clone(chunk),
                 None if create => {
-                    let chunk: Arc<[T]> = self.new_chunk().into();
+                    let chunk = Arc::new(self.new_chunk());
                     spill.insert(ci, Arc::clone(&chunk));
                     chunk
                 }
                 None => return None,
             }
         };
-        Some(f(&chunk))
+        Some(f(&chunk.head, &chunk.data))
     }
 
     /// Calls `f(chunk index, chunk)` for every materialized chunk in
     /// ascending index order (the dense span, then the spill tier).
     pub(crate) fn for_each(&self, mut f: impl FnMut(u64, &[T])) {
+        self.for_each_head(|ci, _, data| f(ci, data));
+    }
+
+    /// [`for_each`](Self::for_each), `f` also given each chunk's head.
+    pub(crate) fn for_each_head(&self, mut f: impl FnMut(u64, &H, &[T])) {
         for (ti, table) in self.tables.iter().enumerate() {
             let Some(table) = table.get() else { continue };
             for (slot, chunk) in table.iter().enumerate() {
                 if let Some(chunk) = chunk.get() {
-                    f(ti as u64 * TABLE_SLOTS + slot as u64, chunk);
+                    f(
+                        ti as u64 * TABLE_SLOTS + slot as u64,
+                        &chunk.head,
+                        &chunk.data,
+                    );
                 }
             }
         }
         // Handles out, lock dropped: `f` may come back through `with`.
-        let spill: Vec<(u64, Arc<[T]>)> = {
+        let spill: Vec<(u64, Arc<Chunk<T, H>>)> = {
             let spill = self.spill.lock().expect("poisoned");
             spill.iter().map(|(ci, c)| (*ci, Arc::clone(c))).collect()
         };
         for (ci, chunk) in &spill {
-            f(*ci, chunk);
+            f(*ci, &chunk.head, &chunk.data);
         }
     }
 

@@ -71,6 +71,7 @@
 //! | [`out_of_range_consumer_produce`] | `faults::out_of_range_consumer_produce_annotation_is_malformed_on_both_backends` |
 //! | [`lu_taintcheck`] | `faults::transient_stalls_and_fragmentation_change_nothing` |
 //! | [`register_out_of_range`] | `parity::a_register_byte_out_of_range_is_malformed_on_every_wire_driver` |
+//! | [`arc_fanout`] | `parity::an_arc_storm_replays_alike_on_every_driver` |
 //!
 //! The Barnes capture's six drivers are split over two rows, raw and wire,
 //! and the severed arc's over three tests, so that no pair of capture and
@@ -88,7 +89,7 @@ use paralog::events::{
     Instr, LockId, MemRef, Op, Reg, Rid, SyscallKind, ThreadId, VersionId,
 };
 use paralog::lifeguards::{LifeguardKind, ViolationKind};
-use paralog::workloads::{Benchmark, Workload, WorkloadSpec};
+use paralog::workloads::{adversarial, Benchmark, Workload, WorkloadSpec};
 use std::io::{Cursor, Read};
 use std::time::{Duration, Instant};
 
@@ -1063,6 +1064,29 @@ pub fn arc_into_a_run() {
         reference.violations, jumps,
         "every round's jump reads the word the run stored"
     );
+    assert_parity(&case, &Driver::ALL, &reference);
+}
+
+/// §5.2's arc storm, small: `adversarial::arc_fanout`'s hub and three
+/// spokes, every spoke read gated on the hub's write of its round and every
+/// hub write on two spokes' reads of the round before. Nearly every record
+/// waits on a peer, so the lane drivers hand the storm across lanes at
+/// nearly every record, and the pool drivers' sweeps hold chains of coupled
+/// lanes: a gated lane stays locked while its sweep steps the lane it waits
+/// on, and the sweep returns to it once that lane delivered. ADDRCHECK
+/// flags every access (nothing is ever allocated), so the violations say
+/// something.
+pub fn arc_fanout() {
+    let storm = adversarial::arc_fanout(3, 400);
+    let case = Case::new(
+        "arc fanout",
+        LifeguardKind::AddrCheck,
+        storm.heap,
+        storm.streams,
+    );
+    let reference = case.sequential();
+    assert_eq!(reference.records, 1_600);
+    assert_eq!(reference.violations.len(), 1_600, "every access is flagged");
     assert_parity(&case, &Driver::ALL, &reference);
 }
 

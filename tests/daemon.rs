@@ -236,7 +236,10 @@ fn two_concurrent_sessions_match_in_process_replay() {
     let pool = pool_counters(&daemon);
     assert_eq!(pool["workers"], 4);
     assert!(
-        pool["slices"] > 0 && pool.contains_key("idle_sleeps") && pool.contains_key("wakes"),
+        pool["slices"] > 0
+            && ["idle_sleeps", "wakes", "backstops"]
+                .iter()
+                .all(|key| pool.contains_key(*key)),
         "{pool:?}"
     );
     for report in daemon.shutdown() {
@@ -845,8 +848,8 @@ fn stalled_many_lane_session_costs_a_one_worker_pool_idle_slices_only() {
         "{pool:?}"
     );
     assert!(
-        pool["wakes"] <= pool["idle_sleeps"],
-        "a wake cuts an idle wait short: {pool:?}"
+        pool["wakes"] + pool["backstops"] <= pool["idle_sleeps"],
+        "an idle wait ends on a wake, on the backstop, or at once: {pool:?}"
     );
     assert!(
         pool["slices"] > pool["idle_slices"],

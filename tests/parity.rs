@@ -13,3 +13,8 @@ use common::parity;
 fn a_register_byte_out_of_range_is_malformed_on_every_wire_driver() {
     parity::register_out_of_range();
 }
+
+#[test]
+fn an_arc_storm_replays_alike_on_every_driver() {
+    parity::arc_fanout();
+}

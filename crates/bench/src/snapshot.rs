@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One measured suite plus the parameters it ran with.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,13 +195,18 @@ impl<'a> Rounds<'a> {
     /// round after process start pays allocator and page-fault warm-up that
     /// the checked-in baselines (measured hot, late in a full run) never
     /// see, and discarding it keeps quick-profile `--check` runs comparable
-    /// to the committed numbers. Then each of the `iters` passes runs every
-    /// series once, in turn.
+    /// to the committed numbers. Then each pass runs every series once, in
+    /// turn: `iters` passes, and a full run ([`FULL_ITERS`] or more) keeps
+    /// passing until [`FULL_WINDOW`] has gone by.
     pub fn run(mut self, iters: usize) -> BTreeMap<String, f64> {
         for series in &mut self.series {
             (series.run)();
         }
-        for _ in 0..iters.max(1) {
+        let window = FULL_WINDOW * u32::from(iters >= FULL_ITERS);
+        let started = Instant::now();
+        let mut passes = 0;
+        while passes < iters.max(1) || started.elapsed() < window {
+            passes += 1;
             for series in &mut self.series {
                 let start = Instant::now();
                 (series.run)();
@@ -880,6 +885,9 @@ const DECODE_BATCH: usize = 256;
 
 /// Best-of window of a full run, which rewrites the checked-in baseline.
 const FULL_ITERS: usize = 7;
+/// Least time the passes of a full run take, so that a short suite's
+/// baseline does not land wholly in one of a shared host's speed phases.
+const FULL_WINDOW: Duration = Duration::from_secs(1);
 /// Best-of window of a `--check` run. The quick profile keeps the full unit
 /// count (so per-unit numbers stay comparable to the committed baseline —
 /// fixed per-round overhead amortizes identically) and only cuts the
@@ -923,7 +931,7 @@ pub fn run_bin(
     let mut result = matrix(units, iters);
     let machine = Machine::detect();
     println!(
-        "{title} ({units} {unit}s/round, ns/{unit}, best of {iters}; {} × {}):",
+        "{title} ({units} {unit}s/round, ns/{unit}, best of ≥{iters}; {} × {}):",
         machine.cores, machine.cpu
     );
     result.machine = Some(machine);

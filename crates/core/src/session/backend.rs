@@ -41,7 +41,7 @@
 use super::coop::{CoopSession, LaneSet};
 use super::pool::{PoolTask, TaskPoll, WorkerPool};
 use super::source::{LaneInput, RecordStream, Refill};
-use super::{stuck_head, Blocker, SessionError, SessionPlan};
+use super::{deadlock, Blocker, SessionError, SessionPlan};
 use crate::config::{MonitorConfig, MonitoringMode};
 use crate::metrics::{PhaseBreakdown, RunMetrics};
 use crate::platform::lg::deliver_ingested;
@@ -265,25 +265,19 @@ fn replay_streams(
                 wait_for_producer(&mut idle_rounds);
                 continue;
             }
-            let stuck: Vec<String> = lanes
-                .iter()
-                .enumerate()
-                .filter_map(|(t, lane)| {
+            return Err(deadlock(lanes.iter().enumerate().filter_map(
+                |(t, lane)| {
                     let head = lane.input.head()?;
                     let tid = ThreadId(t as u16);
                     match replay_gate(head, tid, &ca_policy, |src, rid| {
                         progress.satisfies(src, rid)
                     }) {
                         Gate::Blocked { src, needed } => {
-                            Some(stuck_head(tid, head.rid, Blocker::Progress(src, needed)))
+                            Some((tid, head.rid, Blocker::Progress(src, needed)))
                         }
                         Gate::Ready => None,
                     }
-                })
-                .collect();
-            return Err(SessionError::Deadlock(format!(
-                "no stream can advance: {}",
-                stuck.join("; ")
+                },
             )));
         }
     }

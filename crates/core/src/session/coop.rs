@@ -65,16 +65,17 @@
 //! session's [`RunMetrics`] carry `phases: None` and `lg_finish: 0` — the
 //! cycle model is the sequential loop's.
 //!
-//! Deadlock has one rule: a lane gated while *some* lane can still pull or
-//! apply records is simply re-stepped (`Blocked` is not deadlock, and a
-//! lane inside a blocking stream read is neither gated nor finished); only
-//! once **every** lane is parked at a gate or finished — so no lane will
-//! ever advertise the progress a gate waits on — does a flat-run window
-//! (no record applied session-wide) resolve to [`SessionError::Deadlock`].
-//! A producer that vanishes mid-session therefore resolves
+//! Deadlock is decided, not timed. A lane gated while *some* lane can
+//! still pull or apply records is simply re-stepped (a lane polling a
+//! `Blocked` stream is neither gated nor finished). Once **every** lane is
+//! parked at a gate or finished, a parked lane's step records its head and
+//! [`Blocker`] in the session's registry and re-checks every recorded
+//! blocker: a met one is a peer's gate that just cleared, which its next
+//! step picks up; none met means no lane can ever advertise or produce
+//! again, and the session fails with [`SessionError::Deadlock`] naming
+//! every parked lane. So a producer that vanishes mid-session resolves
 //! deterministically: `Exhausted` at a record boundary with no dangling
-//! arcs drains clean; severed arcs fail within the `COOP_SEVERED_GRACE`
-//! window.
+//! arcs drains clean; severed arcs fail.
 //!
 //! A lane step that panics (a lifeguard's `apply`, a stream's pull) is
 //! caught by the sweep with the lane's lock still held, so nothing is
@@ -83,27 +84,19 @@
 
 use super::pool::TaskPoll;
 use super::source::{LaneInput, RecordStream, Refill};
-use super::{produce_versions, stuck_head, Blocker, SessionError};
+use super::{deadlock, produce_versions, Blocker, SessionError};
 use crate::metrics::RunMetrics;
-use paralog_events::{AddrRange, EventPayload, EventRecord, ThreadId};
+use paralog_events::{AddrRange, EventPayload, EventRecord, Rid, ThreadId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{replay_gate, CaPolicy, CachePadded, Gate, RangeTable, SharedProgressTable};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
-use std::time::Instant;
 
 /// Records one [`LaneSet::sweep`] may deliver over all the lanes it
 /// touches: the pool's fairness quantum, measured on the daemon's
 /// `arc_storm` workload at 2.5 slices per 100 records.
 pub const LANE_BUDGET: usize = 512;
-
-/// Flat-run window once every lane is parked at a gate or finished: the
-/// only possible wakeup is internal (a parked lane noticing its gate
-/// already cleared on its next step), so a quarter second of zero applied
-/// records is decisive. A window rather than an instant check because a
-/// parked peer whose gate *just* cleared may yet resume and advertise.
-const COOP_SEVERED_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
 
 /// What one [`CoopLane::step`] call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,9 +125,9 @@ struct CoopShared {
     progress: SharedProgressTable,
     versions: paralog_meta::VersionTable,
     lanes: usize,
-    /// Records applied session-wide — the liveness signal. Each lane adds
-    /// its step's deliveries once, as the step ends, so the lanes write
-    /// this line once per step rather than once per record.
+    /// Records applied session-wide. Each lane adds its step's deliveries
+    /// once, as the step ends, so the lanes write this line once per step
+    /// rather than once per record.
     applied: AtomicU64,
     /// Times a lane found its head record gated on a peer.
     stalls: AtomicU64,
@@ -142,23 +135,22 @@ struct CoopShared {
     /// non-blocking reader path actually exercised `WouldBlock`.
     blocked_polls: AtomicU64,
     /// Lanes currently parked at an unmet gate (head record waiting on a
-    /// peer). With `gated + finished == lanes`, no lane can ever advertise
-    /// the progress a gate waits on.
+    /// peer): whether [`deadlock`](Self::deadlock) need read the registry,
+    /// which decides (two counters read in turn are no snapshot).
     gated_lanes: AtomicUsize,
-    /// Lanes that ran [`CoopLane`] to a terminal state.
+    /// Lanes that ran [`CoopLane`] to a terminal state, each counted after
+    /// it cleared its registry slot.
     finished_lanes: AtomicUsize,
+    /// The blocker registry: per lane, the head rid and [`Blocker`] it last
+    /// recorded in [`deadlock`](Self::deadlock), cleared when it finishes.
+    /// A slot is its lane's current blocker or a met one: progress only
+    /// grows, and [`CoopLane::consume`] clears a slot it retires.
+    blockers: Mutex<Vec<Option<(Rid, Blocker)>>>,
     abort: AtomicBool,
     failure: Mutex<Option<SessionError>>,
-    /// Flat-run detector state (armed only once every lane is exhausted).
-    flat: Mutex<FlatWatch>,
     /// Final report, composed exactly once by the last lane to finish; its
     /// presence is what makes the session complete.
     report: OnceLock<Result<RunMetrics, SessionError>>,
-}
-
-struct FlatWatch {
-    last_applied: u64,
-    flat_since: Option<Instant>,
 }
 
 impl CoopShared {
@@ -175,29 +167,35 @@ impl CoopShared {
         self.abort.load(Ordering::Acquire)
     }
 
-    /// Called by a lane whose head is gated (the caller has already parked
-    /// itself). Returns `true` when the gate is hopeless: every lane is
-    /// parked at a gate or finished — so nothing can ever advertise the
-    /// progress a gate waits on — and the whole session has been flat for
-    /// `COOP_SEVERED_GRACE`. Stream exhaustion is deliberately *not*
-    /// part of the condition: a lane parked mid-batch never re-polls its
-    /// stream, so a dropped producer behind a gated head would otherwise
-    /// go unnoticed.
-    fn gate_is_deadlock(&self) -> bool {
+    /// Called by lane `tid`, parked with head `head` on `blocker`: once
+    /// every lane is parked or finished, records its slot, and returns the
+    /// deadlock if every lane has a slot or finished and no slot's blocker
+    /// is met. Stream exhaustion is deliberately *not* part of this: a lane
+    /// parked mid-batch never re-polls its stream, so a dropped producer
+    /// behind a gated head would otherwise go unnoticed.
+    fn deadlock(&self, tid: ThreadId, head: Rid, blocker: Blocker) -> Option<SessionError> {
         if self.gated_lanes.load(Ordering::SeqCst) + self.finished_lanes.load(Ordering::SeqCst)
             < self.lanes
         {
-            return false; // some lane can still pull or apply
+            return None; // some lane can still pull or apply
         }
-        let mut watch = self.flat.lock().expect("poisoned");
-        let now = self.applied.load(Ordering::Relaxed);
-        if now != watch.last_applied {
-            watch.last_applied = now;
-            watch.flat_since = None;
-            return false;
+        let mut blockers = self.blockers.lock().expect("poisoned");
+        blockers[tid.index()] = Some((head, blocker));
+        let mut parked = blockers.iter().flatten();
+        // A lane with a slot has not counted itself finished yet, so no
+        // lane is counted twice.
+        if parked.clone().count() + self.finished_lanes.load(Ordering::SeqCst) < self.lanes
+            || parked.any(|&(_, blocker)| match blocker {
+                Blocker::Progress(src, needed) => self.progress.satisfies(src, needed),
+                Blocker::Version(vid) => self.versions.is_available(vid),
+            })
+        {
+            return None;
         }
-        let t0 = *watch.flat_since.get_or_insert_with(Instant::now);
-        t0.elapsed() > COOP_SEVERED_GRACE
+        let stuck = blockers.iter().enumerate();
+        Some(deadlock(stuck.filter_map(|(t, slot)| {
+            slot.map(|(rid, blocker)| (ThreadId(t as u16), rid, blocker))
+        })))
     }
 
     /// Live metrics snapshot (also the body of the final report). Lanes run
@@ -298,12 +296,9 @@ impl CoopSession {
             blocked_polls: AtomicU64::new(0),
             gated_lanes: AtomicUsize::new(0),
             finished_lanes: AtomicUsize::new(0),
+            blockers: Mutex::new(vec![None; k]),
             abort: AtomicBool::new(false),
             failure: Mutex::new(None),
-            flat: Mutex::new(FlatWatch {
-                last_applied: 0,
-                flat_since: None,
-            }),
             report: OnceLock::new(),
         });
         let lanes = streams
@@ -316,7 +311,7 @@ impl CoopSession {
                 range_table: RangeTable::new(k),
                 head_produced: false,
                 parked: false,
-                waits_on: None,
+                blocker: None,
                 delivered: 0,
                 done: false,
             })
@@ -402,10 +397,10 @@ pub struct CoopLane {
     head_produced: bool,
     /// Whether this lane is counted in the session's `gated_lanes`.
     parked: bool,
-    /// The peer lane the latest unmet gate waits on: `Some` for a §5.2 arc
-    /// or §5.4 issuer, `None` for a §5.5 version, whose id does not name
-    /// its producer. Read by [`LaneSet::sweep`] after a `Gated` step.
-    waits_on: Option<ThreadId>,
+    /// What the latest unmet gate waits on. Read by [`LaneSet::sweep`]
+    /// after a `Gated` step: a §5.2 arc or §5.4 issuer names the peer, a
+    /// §5.5 version does not name its producer.
+    blocker: Option<Blocker>,
     /// Records delivered by the latest step; added to the session's
     /// `applied` once, when the step ends ([`flush`](Self::flush)).
     delivered: usize,
@@ -551,7 +546,7 @@ impl CoopLane {
             // race the producer's store on real threads — so an unproduced
             // version gates the lane.
             let versioned = match head.consume_version() {
-                Some((vid, _)) => match self.shared.versions.consume(vid) {
+                Some((vid, _)) => match self.consume(vid) {
                     Some(v) => Some(v),
                     None => return self.gated(Blocker::Version(vid)),
                 },
@@ -646,14 +641,11 @@ impl CoopLane {
 
     /// Resolves a head gated on `blocker`. A lane that delivered on its way
     /// here is not parked yet — what it just advertised may be what its
-    /// peers wait on; a hopeless gate (every lane parked or finished,
-    /// session flat past the grace window) fails the run.
+    /// peers wait on; a hopeless gate ([`CoopShared::deadlock`]) fails the
+    /// run.
     fn gated(&mut self, blocker: Blocker) -> LaneStep {
         self.shared.stalls.fetch_add(1, Ordering::Relaxed);
-        self.waits_on = match blocker {
-            Blocker::Progress(src, _) => Some(src),
-            Blocker::Version(_) => None,
-        };
+        self.blocker = Some(blocker);
         if self.delivered > 0 {
             return LaneStep::Gated;
         }
@@ -661,17 +653,23 @@ impl CoopLane {
             self.parked = true;
             self.shared.gated_lanes.fetch_add(1, Ordering::SeqCst);
         }
-        if self.shared.gate_is_deadlock() {
-            let head = self.input.head().expect("gated head");
-            self.shared.fail(SessionError::Deadlock(format!(
-                "{} with every peer parked or finished; nothing can ever satisfy \
-                 it (truncated capture or dropped producer)",
-                stuck_head(self.tid, head.rid, blocker)
-            )));
+        let head = self.input.head().expect("gated head").rid;
+        if let Some(err) = self.shared.deadlock(self.tid, head, blocker) {
+            self.shared.fail(err);
             self.finish();
             return LaneStep::Failed;
         }
         LaneStep::Gated
+    }
+
+    /// Consumes version `vid` for the head. The lane's slot may name `vid`,
+    /// so it consumes under the registry lock and clears the slot: no
+    /// deadlock check finds the version gone and the slot waiting on it.
+    fn consume(&self, vid: paralog_events::VersionId) -> Option<(AddrRange, Vec<u8>)> {
+        let mut blockers = self.shared.blockers.lock().expect("poisoned");
+        let versioned = self.shared.versions.consume(vid)?;
+        blockers[self.tid.index()] = None;
+        Some(versioned)
     }
 
     /// Leaves the parked-at-gate state (the gate cleared or the lane is
@@ -710,6 +708,7 @@ impl CoopLane {
         // report reads every lane's final flush.
         self.flush();
         self.unpark();
+        self.shared.blockers.lock().expect("poisoned")[self.tid.index()] = None;
         let finished = self.shared.finished_lanes.fetch_add(1, Ordering::SeqCst) + 1;
         if finished == self.shared.lanes {
             self.shared.finalize();
@@ -800,8 +799,8 @@ impl LaneSet {
             let returning = delivered > 0 && !kept.waiting.is_empty();
             // The peer a gated lane waits on, if this sweep holds it or,
             // when the lane is to be stepped next, can take it.
-            let peer = match (step, lane.waits_on) {
-                (LaneStep::Gated, Some(src)) => kept
+            let peer = match (step, lane.blocker) {
+                (LaneStep::Gated, Some(Blocker::Progress(src, _))) => kept
                     .take(src.index())
                     .or_else(|| (!returning).then(|| self.try_hold(src.index())).flatten())
                     .map(|peer| (src.index(), peer)),
@@ -964,13 +963,17 @@ mod tests {
     }
 
     fn start(case: &Case) -> (CoopSession, LaneSet) {
+        let (session, lanes) = lanes_of(case);
+        (session, LaneSet::new(lanes))
+    }
+
+    fn lanes_of(case: &Case) -> (CoopSession, Vec<CoopLane>) {
         let streams = case
             .streams
             .iter()
             .map(|s| Box::new(BufferedStream::new(s.clone())) as Box<dyn RecordStream>)
             .collect();
-        let (session, lanes) = CoopSession::start(&case.kind, case.heap, streams, None).unwrap();
-        (session, LaneSet::new(lanes))
+        CoopSession::start(&case.kind, case.heap, streams, None).unwrap()
     }
 
     fn keys(metrics: &RunMetrics) -> Vec<(u16, u64)> {
@@ -1185,7 +1188,11 @@ mod tests {
 
     /// `plain(n)` whose head waits on `(src, needed)`.
     fn gated_on(n: u64, src: u16, needed: u64) -> Vec<EventRecord> {
-        let mut records = plain(n);
+        head_waits(plain(n), src, needed)
+    }
+
+    /// `records` whose head waits on `(src, needed)`.
+    fn head_waits(mut records: Vec<EventRecord>, src: u16, needed: u64) -> Vec<EventRecord> {
         records[0]
             .arcs
             .push(DependenceArc::new(ThreadId(src), Rid(needed), ArcKind::Raw));
@@ -1291,6 +1298,156 @@ mod tests {
         session.abort("test over");
         set.sweep(0, LANE_BUDGET);
         assert!(session.is_complete());
+    }
+
+    /// `n` loads of one unallocated word, rids 1 to `n`: ADDRCHECK flags
+    /// each, so a parity check on them says something.
+    fn loads(n: u64) -> Vec<EventRecord> {
+        (1..=n)
+            .map(|rid| {
+                let src = paralog_events::MemRef::new(0x1000_0000, 4);
+                let load = Instr::Load {
+                    dst: paralog_events::Reg(0),
+                    src,
+                };
+                EventRecord::instr(Rid(rid), load)
+            })
+            .collect()
+    }
+
+    /// Hand-built streams of two lanes, replayed under ADDRCHECK.
+    fn pair(t0: Vec<EventRecord>, t1: Vec<EventRecord>) -> Case {
+        Case {
+            kind: KIND,
+            streams: vec![t0, t1],
+            heap: AddrRange::new(0x1000_0000, 0x1000),
+        }
+    }
+
+    /// Steps every live lane in turn until the session completes.
+    fn run_out(session: &CoopSession, lanes: &mut [CoopLane]) {
+        while !session.is_complete() {
+            for lane in lanes.iter_mut() {
+                lane.step(LANE_BUDGET);
+            }
+        }
+    }
+
+    /// The detail of the session's `Deadlock`.
+    fn deadlock_detail(session: &CoopSession) -> String {
+        match session.report() {
+            Some(Err(SessionError::Deadlock(detail))) => detail,
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_lane_parked_is_no_deadlock_while_a_recorded_blocker_is_met() {
+        // 0 delivers #1, then waits on 1 reaching #2; 1 waits on 0 reaching
+        // #1, delivers #1 and #2, then waits on 0 reaching #3.
+        let mut t0 = loads(3);
+        t0[1]
+            .arcs
+            .push(DependenceArc::new(ThreadId(1), Rid(2), ArcKind::Raw));
+        let mut t1 = head_waits(loads(3), 0, 1);
+        t1[2]
+            .arcs
+            .push(DependenceArc::new(ThreadId(0), Rid(3), ArcKind::Raw));
+        let case = pair(t0, t1);
+        let (session, mut lanes) = lanes_of(&case);
+        assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
+        // Both lanes parked: 0 records its slot.
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Gated);
+        assert!(session.shared.blockers.lock().unwrap()[0].is_some());
+        assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Progressed);
+        // Both parked again, but 0's recorded gate cleared: it stays
+        // parked, and its next step goes on.
+        assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
+        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 2);
+        assert!(!session.is_complete());
+        run_out(&session, &mut lanes);
+        assert_parity(&case, &session);
+    }
+
+    #[test]
+    fn a_severed_arc_deadlocks_on_the_step_its_lane_parks() {
+        // 1 finishes at #2, short of the #5 that 0 waits on.
+        let case = pair(head_waits(loads(2), 1, 5), loads(2));
+        let (session, mut lanes) = lanes_of(&case);
+        while lanes[1].step(LANE_BUDGET) != LaneStep::Finished {}
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Failed);
+        assert!(session.is_complete());
+        let detail = deadlock_detail(&session);
+        assert!(
+            detail.contains("T0 gated at #1 waiting on T1 reaching #5"),
+            "{detail}"
+        );
+
+        // 0 parks first: its next step, after 1 finished, decides.
+        let (session, mut lanes) = lanes_of(&case);
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Gated);
+        while lanes[1].step(LANE_BUDGET) != LaneStep::Finished {}
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Failed);
+        assert_eq!(deadlock_detail(&session), detail);
+    }
+
+    #[test]
+    fn a_version_gate_deadlocks_once_nothing_can_produce_it() {
+        let vid = paralog_events::VersionId {
+            consumer: ThreadId(0),
+            consumer_rid: Rid(1),
+        };
+        let mem = paralog_events::MemRef::new(0x1000_0000, 4);
+        let mut t0 = loads(2);
+        t0[0].set_consume_version(vid, mem);
+
+        // 1 ends without producing it.
+        let case = pair(t0.clone(), loads(2));
+        let (session, mut lanes) = lanes_of(&case);
+        while lanes[1].step(LANE_BUDGET) != LaneStep::Finished {}
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Failed);
+        let detail = deadlock_detail(&session);
+        assert!(
+            detail.contains("T0 gated at #1 waiting on unproduced version v<T0,#1>"),
+            "{detail}"
+        );
+
+        // 0 parks on a version that 1 produces once 0 delivered #1: the
+        // consume that retires it clears the slot naming it.
+        let vid = paralog_events::VersionId {
+            consumer: ThreadId(0),
+            consumer_rid: Rid(2),
+        };
+        let mut t0 = loads(3);
+        t0[1].set_consume_version(vid, mem);
+        // Keeps 0 from finishing, and clearing its slot, in the step that
+        // consumes.
+        t0[2]
+            .arcs
+            .push(DependenceArc::new(ThreadId(1), Rid(2), ArcKind::Raw));
+        let mut t1 = head_waits(loads(2), 0, 1);
+        t1[0].push_produce_version(vid, mem, 1);
+        t1[1]
+            .arcs
+            .push(DependenceArc::new(ThreadId(0), Rid(2), ArcKind::Raw));
+        let case = pair(t0, t1);
+        let (session, mut lanes) = lanes_of(&case);
+        assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
+        // Both parked: 0 records its slot, and 1's cleared gate keeps the
+        // session going.
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Gated);
+        let slot = session.shared.blockers.lock().unwrap()[0];
+        assert!(matches!(slot, Some((Rid(2), Blocker::Version(_)))));
+        // 1 produces it and parks again: the version is available, so no
+        // deadlock.
+        assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Progressed);
+        assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
+        assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
+        assert!(session.shared.blockers.lock().unwrap()[0].is_none());
+        run_out(&session, &mut lanes);
+        assert_parity(&case, &session);
     }
 
     /// A stream whose producer never catches up.

@@ -158,21 +158,22 @@ pub(crate) enum Blocker {
     Version(paralog_events::VersionId),
 }
 
-/// Names thread `tid`'s stuck head at `rid` and what it waits on — the one
-/// description of a blocker in both replay loops' [`SessionError::Deadlock`].
-pub(crate) fn stuck_head(
-    tid: paralog_events::ThreadId,
-    rid: paralog_events::Rid,
-    blocker: Blocker,
-) -> String {
-    match blocker {
-        Blocker::Progress(src, needed) => {
-            format!("{tid} gated at {rid} waiting on {src} reaching {needed}")
-        }
-        Blocker::Version(vid) => {
-            format!("{tid} gated at {rid} waiting on unproduced version {vid}")
-        }
-    }
+/// Both replay loops' [`SessionError::Deadlock`]: no stream can advance,
+/// and each `(thread, head rid, blocker)` of `stuck` says why.
+pub(crate) fn deadlock(
+    stuck: impl Iterator<Item = (paralog_events::ThreadId, paralog_events::Rid, Blocker)>,
+) -> SessionError {
+    let stuck: Vec<String> = stuck
+        .map(|(tid, rid, blocker)| match blocker {
+            Blocker::Progress(src, needed) => {
+                format!("{tid} gated at {rid} waiting on {src} reaching {needed}")
+            }
+            Blocker::Version(vid) => {
+                format!("{tid} gated at {rid} waiting on unproduced version {vid}")
+            }
+        })
+        .collect();
+    SessionError::Deadlock(format!("no stream can advance: {}", stuck.join("; ")))
 }
 
 /// A fully resolved session handed to a [`Backend`].

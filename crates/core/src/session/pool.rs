@@ -23,12 +23,12 @@
 //! [`TaskPoll::AgainWake`] because it left work another worker can take. A
 //! wait ends on the first bump after the slice that started it, so bytes
 //! that arrive, or a lane made runnable by a peer, are picked up at once
-//! rather than after a sleep. The wait still times out after `IDLE_SLEEP`:
-//! a gate on a coupled lane clears without a wake (a gated slice wakes
-//! nobody, or three coupled lanes on two workers would ping-pong between
-//! cores), and a session's flat-run deadlock window is only measured while
-//! its lanes are polled. Coupled lanes mostly do not need the pool to meet
-//! again: a sweep keeps a gated lane while it steps that lane's blocker
+//! rather than after a sleep. The wait still times out after `IDLE_SLEEP`,
+//! for the one thing no wake announces: a gate on a coupled lane clearing
+//! (a gated slice wakes nobody, or three coupled lanes on two workers would
+//! ping-pong between cores); deadlock is decided on a lane's step. Coupled
+//! lanes mostly do not need the pool to meet again: a sweep keeps a gated
+//! lane while it steps that lane's blocker
 //! ([`LaneSet::sweep`](super::coop::LaneSet::sweep)), so a chain of them
 //! stays on the worker that holds it, and another worker's slices on the
 //! same session find the chain held, go flat and back off into the wait.
@@ -176,7 +176,7 @@ impl std::fmt::Debug for WorkerPool {
 /// Consecutive idle polls before a worker starts sleeping between slices.
 const IDLE_STREAK_BACKOFF: u32 = 8;
 /// Backstop of an idle wait, for what no wake announces: a gate on a
-/// coupled lane clearing, a flat-run window running out.
+/// coupled lane clearing.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 impl WorkerPool {

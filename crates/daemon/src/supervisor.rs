@@ -162,7 +162,8 @@ struct SessionEntry {
     /// `STATUS` reports is measured from.
     attached_at: Instant,
     /// When the session finished — where that throughput is measured to,
-    /// once it has; stamped once, by [`finalize`](Self::finalize).
+    /// once it has. Stamped by [`finalize`](Self::finalize), whose
+    /// exactly-once latch it is.
     finished_at: OnceLock<Instant>,
     /// The live session handle; taken (dropped) once the report is
     /// composed so finished sessions do not pin multi-megabyte metadata.
@@ -170,8 +171,6 @@ struct SessionEntry {
     /// Producer-side feed writers, one per thread; cleared at finalize.
     feeds: Mutex<Vec<FeedWriter>>,
     buffered: Arc<SessionBuffer>,
-    /// Set by the one lane task that finalizes the session.
-    finalized: AtomicBool,
     detaching: AtomicBool,
     report: Mutex<Option<Result<RunMetrics, SessionError>>>,
     watchers: Arc<Watchers>,
@@ -223,10 +222,9 @@ impl SessionEntry {
     /// stores the report, flushes the live feed, and drops the heavy
     /// session state.
     fn finalize(&self, session: &CoopSession) {
-        if self.finalized.swap(true, Ordering::AcqRel) {
+        if self.finished_at.set(Instant::now()).is_err() {
             return;
         }
-        let _ = self.finished_at.set(Instant::now());
         let result = session.report().expect("a complete session has its report");
         // Cursor lock serializes against WATCH subscription: a watcher
         // either registers before this flush (and gets the tail, then the
@@ -366,7 +364,6 @@ impl DaemonInner {
             session: Mutex::new(Some(session.clone())),
             feeds: Mutex::new(writers),
             buffered,
-            finalized: AtomicBool::new(false),
             detaching: AtomicBool::new(false),
             report: Mutex::new(None),
             watchers,

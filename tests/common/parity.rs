@@ -33,8 +33,9 @@
 //! completes on the two sequential drivers (the §5.5 bypass: the sequential
 //! loop has already applied every older record, so nothing can still
 //! produce it) and is `Deadlock` on the four lane drivers (a lane cannot
-//! know that no peer will produce it, so it waits until the lanes'
-//! severed-input window calls the session stuck).
+//! bypass a version a peer may still produce, so it parks on it, and the
+//! session is stuck once every other lane finished and the version is
+//! still unproduced).
 //!
 //! Each row is one `pub fn` here; the suites that named these checks before
 //! the table existed keep those names as one-line tests that run the row:
@@ -309,8 +310,9 @@ pub fn assert_parity(case: &Case, drivers: &[Driver], reference: &Key) {
 }
 
 /// Asserts that every one of `drivers` fails `case` within two seconds
-/// with an error `matches` accepts. The drivers run at once: a lane driver
-/// waits out its severed-input window before it calls a session stuck.
+/// with an error `matches` accepts. The drivers run at once. A lane driver
+/// decides a deadlock on the step its last lane parks, so two seconds is
+/// a bound on a hang, not on a wait.
 pub fn assert_refused(case: &Case, drivers: &[Driver], matches: impl Fn(&SessionError) -> bool) {
     let runs = in_parallel(drivers, |&driver| {
         let started = Instant::now();
@@ -1298,11 +1300,11 @@ pub fn severed_arc(drivers: &[Driver]) {
 
 /// A consume annotation whose producer never reaches its produce point (a
 /// truncated TSO capture). The sequential drivers bypass it (§5.5): every
-/// older record is applied, so nothing can still produce it. The lane
-/// drivers cannot know that, so the gated consumer lane's flat-run
-/// detector reports `Deadlock` naming the version wait — instead of
-/// hanging, and instead of silently bypassing, which would race the
-/// producer's store on real threads.
+/// older record is applied, so nothing can still produce it. A lane parks
+/// on the version instead, and once its peer finished with the version
+/// unproduced, the session reports `Deadlock` naming the version wait —
+/// instead of hanging, and instead of silently bypassing, which would race
+/// the producer's store on real threads.
 pub fn unproduced_consume() {
     let heap = AddrRange::new(0x1000_0000, 0x1000_0000);
     let mem = MemRef::new(0x2000_0000, 8);

@@ -15,8 +15,9 @@
 //!   deterministic run — including a capture whose consume annotations
 //!   land on records already in a ring;
 //! * a TSO capture truncated before its produce point deadlocks every lane
-//!   driver loudly (the gated consumer lane's flat-run detector) instead of
-//!   hanging or silently bypassing, while the sequential drivers bypass it.
+//!   driver loudly (the consumer lane parks on a version no lane can
+//!   produce, once its peer finished) instead of hanging or silently
+//!   bypassing, while the sequential drivers bypass it.
 
 mod common;
 

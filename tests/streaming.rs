@@ -10,8 +10,9 @@
 //!   session's buffered bytes are over a cap, drives a live session on both
 //!   backends and matches the equivalent buffered run;
 //! * a wire stream truncated mid-record reports `MalformedStream`;
-//! * a producer that drops mid-session resolves promptly: `Deadlock` when
-//!   it severs arcs, a clean drain at a record boundary.
+//! * a producer that drops mid-session resolves as soon as its lanes run
+//!   out: `Deadlock` when it severs arcs, on the step the last lane parks,
+//!   and a clean drain at a record boundary.
 //!
 //! Two tests run rows of the parity table (`common/parity.rs`): streamed
 //! replay against the live capture on the wire drivers, plus the two-chunk
@@ -278,10 +279,9 @@ fn byte_feed_drives_a_live_session_on_both_backends() {
 
 /// A producer that vanishes mid-session with *severed* dependence arcs
 /// (a consumer's producer record can never arrive) must resolve to
-/// `Deadlock` promptly — on the threaded backend via the severed-input
-/// fast path (a fraction of the normal no-progress grace), on the
-/// deterministic backend structurally. Never a parked worker waiting out
-/// the full grace window, and never a hang.
+/// `Deadlock` promptly — on the threaded backend when the gated lane parks
+/// with its peer finished and its blocker unmet, on the deterministic
+/// backend when no stream can advance. Never a hang.
 #[test]
 fn dropped_producer_with_severed_arcs_deadlocks_fast() {
     use paralog::daemon::transport::ByteFeed;
@@ -334,7 +334,7 @@ fn dropped_producer_with_severed_arcs_deadlocks_fast() {
         assert!(
             elapsed < std::time::Duration::from_millis(1500),
             "threaded={threaded}: severed input took {elapsed:?} to resolve \
-             (the fast path should undercut the 2 s no-progress grace)"
+             (it is decided once the input ends)"
         );
     }
 }

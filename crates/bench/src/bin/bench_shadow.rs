@@ -1,6 +1,7 @@
 //! Regenerates (or checks) the checked-in `BENCH_shadow.json`: the
 //! byte-shadow suite — `AtomicShadow`'s range primitives at 4 B, 64 B and
-//! 4 KiB, and the cost of a session's first touch.
+//! 4 KiB, the cost of a session's first touch, and the fingerprint of a
+//! paced TaintCheck session's shadow.
 //!
 //! Usage:
 //!

@@ -228,16 +228,36 @@ pub fn best_of(units: u64, iters: usize, run: impl FnMut()) -> f64 {
 /// Unaligned base, so no range starts or ends on a word boundary.
 const SHADOW_BASE: u64 = 0x1000_0003;
 
+/// A byte shadow shaped like a paced TaintCheck session's at its end
+/// (`taint_paced`: about 1.5 k written lines in 628 written 1 KiB blocks,
+/// 23.5 k non-zero bytes): 628 blocks over 20 chunks, two or three written
+/// lines in each (1,570), 15 non-zero bytes in each line (23,550).
+fn paced_footprint() -> AtomicShadow {
+    const CHUNK: u64 = 64 * 1024;
+    let shadow = AtomicShadow::new();
+    for block in 0..628u64 {
+        let base = 0x2000_0000 + block / 32 * CHUNK + block % 32 * 2048;
+        for line in 0..2 + block % 2 {
+            shadow.fill_range(base + line * 320 + block % 4 * 4, 15, 1);
+        }
+    }
+    shadow
+}
+
 /// The byte-shadow suite: [`AtomicShadow`]'s range primitives at 4 B (the
 /// co-simulation's typical operation), 64 B and 4 KiB, plus `first_touch` —
 /// construct, one 4-byte fill, drop: what a session pays before its first
-/// record. Keys are `"<op>/<len>"`; values are ns per *call* (not per
-/// byte), so the series diff catches fast-path regressions that per-byte
-/// throughput would hide at large lengths. `reps` calls are timed per round.
+/// record — and `fingerprint/taint_paced`, the verdict a paced session pays
+/// at its end ([`paced_footprint`]). Keys are `"<op>/<len>"`; values are ns
+/// per *call* (not per byte), so the series diff catches fast-path
+/// regressions that per-byte throughput would hide at large lengths. `reps`
+/// calls are timed per round, `reps / 256` (at least one) of the
+/// fingerprint.
 pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
     let shadow = AtomicShadow::new();
     shadow.fill_range(SHADOW_BASE, 8192, 1);
     let shadow = &shadow;
+    let paced = paced_footprint();
     let mut rounds = Rounds::default();
     for len in [4u64, 64, 4096] {
         rounds.add(format!("fill_range/{len}"), reps, move || {
@@ -261,6 +281,12 @@ pub fn shadow_matrix(reps: u64, iters: usize) -> MatrixResult {
             let fresh = AtomicShadow::new();
             fresh.fill_range(black_box(SHADOW_BASE), 4, 1);
             black_box(&fresh);
+        }
+    });
+    let fingerprints = (reps / 256).max(1);
+    rounds.add("fingerprint/taint_paced", fingerprints, || {
+        for _ in 0..fingerprints {
+            black_box(black_box(&paced).fingerprint());
         }
     });
     MatrixResult {
@@ -1021,8 +1047,9 @@ mod tests {
     #[test]
     fn shadow_matrix_round_trips_through_the_snapshot_schema() {
         let result = shadow_matrix(4, 1);
-        assert_eq!(result.series.len(), 3 * 3 + 1);
+        assert_eq!(result.series.len(), 3 * 3 + 2);
         assert!(result.series.contains_key("first_touch"));
+        assert!(result.series.contains_key("fingerprint/taint_paced"));
         let parsed = parse_json(&to_json(&result)).expect("own output parses");
         assert_eq!(parsed.series.len(), result.series.len());
         assert!(result

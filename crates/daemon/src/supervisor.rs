@@ -247,6 +247,21 @@ impl SessionEntry {
     fn report_for(&self) -> Option<Result<RunMetrics, SessionError>> {
         self.report.lock().expect("poisoned").clone()
     }
+
+    /// Runs `f` over the stored report under its lock, for a reader that
+    /// needs a line or a count of it and not a clone of its violations and
+    /// events.
+    fn with_report<R>(&self, f: impl FnOnce(Option<&Result<RunMetrics, SessionError>>) -> R) -> R {
+        f(self.report.lock().expect("poisoned").as_ref())
+    }
+
+    /// The records a successful session's report counts.
+    fn reported_records(&self) -> Option<u64> {
+        self.with_report(|report| match report {
+            Some(Ok(m)) => Some(m.records),
+            _ => None,
+        })
+    }
 }
 
 fn violation_line(v: &paralog_lifeguards::Violation) -> String {
@@ -697,11 +712,13 @@ fn read_producer(inner: &Arc<DaemonInner>, stream: UnixStream) {
                 // Released above the cap: the session is over, so nothing
                 // will ever drain its buffer and the producer would sit in
                 // `write` for good — or the daemon is stopping.
-                if let Some(result) = entry.report_for() {
-                    let reason = match result {
+                let reason = entry.with_report(|report| {
+                    report.map(|result| match result {
                         Ok(_) => "session already ended".to_string(),
                         Err(e) => format!("session failed: {e}"),
-                    };
+                    })
+                });
+                if let Some(reason) = reason {
                     let _ = conn.stream.write_all(format!("ERR {reason}\n").as_bytes());
                 }
                 return;
@@ -900,7 +917,7 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
                         let records = e
                             .session_handle()
                             .map(|s| s.records())
-                            .or_else(|| e.report_for().and_then(|r| r.ok().map(|m| m.records)))
+                            .or_else(|| e.reported_records())
                             .unwrap_or(0);
                         format!(
                             "session {} name={} lifeguard={} threads={} state={} records={}",
@@ -1000,7 +1017,7 @@ fn status_lines(entry: &Arc<SessionEntry>) -> Vec<String> {
     let applied = entry
         .session_handle()
         .map(|s| s.records())
-        .or_else(|| entry.report_for().and_then(|r| r.ok().map(|m| m.records)))
+        .or_else(|| entry.reported_records())
         .unwrap_or(0);
     let end = entry
         .finished_at
@@ -1050,14 +1067,19 @@ fn watch_conn(inner: &Arc<DaemonInner>, entry: &Arc<SessionEntry>, writer: &mut 
         // session is already over (report the whole thing) or we register
         // before any further line is published.
         let cursor = entry.watchers.cursor.lock().expect("poisoned");
-        if let Some(result) = entry.report_for() {
+        let over = entry.with_report(|report| {
+            report.map(|result| {
+                let mut lines = Vec::new();
+                if let Ok(m) = result {
+                    lines.extend(m.violations.iter().map(violation_line));
+                    lines.extend(m.events.iter().map(|ev| format!("event {ev}")));
+                }
+                lines.push(end_line(result));
+                lines
+            })
+        });
+        if let Some(lines) = over {
             drop(cursor);
-            let mut lines = Vec::new();
-            if let Ok(m) = &result {
-                lines.extend(m.violations.iter().map(violation_line));
-                lines.extend(m.events.iter().map(|ev| format!("event {ev}")));
-            }
-            lines.push(end_line(&result));
             let _ = respond(writer, &lines);
             return;
         }
@@ -1097,7 +1119,7 @@ fn watch_conn(inner: &Arc<DaemonInner>, entry: &Arc<SessionEntry>, writer: &mut 
                     0 => {}
                     lost => lines.push(format!("lost {lost}")),
                 }
-                lines.extend(entry.report_for().as_ref().map(end_line));
+                lines.extend(entry.with_report(|report| report.map(end_line)));
                 let _ = respond(writer, &lines);
                 return;
             }

@@ -16,9 +16,12 @@
 //! directory (`chunks.rs`): hot-path accesses after the first touch are two
 //! array indexes and an atomic byte access, and `join`/`fill` run
 //! chunk-resident slice loops instead of re-walking the index per byte.
-//! Each chunk's head is one word with a bit per 1 KiB block that ever held
-//! a non-zero byte, so [`AtomicShadow::fingerprint`] reads only those
-//! blocks instead of the whole materialized footprint.
+//! Each chunk's head marks, one bit per 64 B line (sixteen words per
+//! chunk, boxed so the directory's slots stay small), the lines that ever
+//! held a non-zero byte, so [`AtomicShadow::fingerprint`] reads only those
+//! lines instead of the whole materialized footprint: a session's
+//! footprint is a few thousand written lines spread over hundreds of KiB
+//! of chunks.
 //!
 //! The paper's §6 metadata widths (2 bits per byte for TAINTCHECK, 1 for
 //! ADDRCHECK) live where they matter to the results — in the *modelled*
@@ -71,13 +74,23 @@ const CHUNK: u64 = 64 * 1024;
 /// ranges only).
 const DENSE_CHUNKS: u64 = 1 << 17;
 
+/// Application bytes per marked line of a chunk: one cache line.
+const LINE: usize = 64;
+
+/// Mark words per chunk, one bit per line.
+const MARK_WORDS: usize = CHUNK as usize / LINE / u64::BITS as usize;
+
+/// A chunk's line marks, boxed so that a directory table slot holds one
+/// pointer of them instead of 128 bytes.
+type Marks = Box<[AtomicU64; MARK_WORDS]>;
+
 /// A lock-free shadow memory: one `AtomicU8` per application byte in
 /// lazily materialized 64 KiB chunks. Untouched bytes read clean (0).
 #[derive(Debug)]
 pub struct AtomicShadow {
-    /// Each chunk's head: bit `i` is set once block `i` (see [`blocks`])
-    /// held a non-zero byte, and is never cleared.
-    chunks: ChunkDir<AtomicU8, AtomicU64>,
+    /// Each chunk's head: bit `i % 64` of word `i / 64` is set once line
+    /// `i` (see [`line_marks`]) held a non-zero byte, and is never cleared.
+    chunks: ChunkDir<AtomicU8, Marks>,
 }
 
 impl Default for AtomicShadow {
@@ -103,17 +116,46 @@ fn segments(addr: u64, len: u64) -> impl Iterator<Item = (u64, std::ops::Range<u
     })
 }
 
-/// Bytes per block of a chunk's head: one bit of a 64-bit word each.
-fn block_len() -> usize {
-    CHUNK as usize / u64::BITS as usize
+/// Marks the lines that `seg`, a non-empty byte range of one chunk,
+/// touches, with a read-modify-write only for a mark word missing one of
+/// its bits. A range inside one line (any access that crosses no 64 B
+/// boundary) costs one relaxed load and a bit test.
+#[inline]
+fn mark_lines(marks: &[AtomicU64; MARK_WORDS], seg: &Range<usize>) {
+    let (first, last) = (seg.start / LINE, (seg.end - 1) / LINE);
+    if first == last {
+        let bit = 1 << (first % u64::BITS as usize);
+        let word = &marks[first / u64::BITS as usize];
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+    } else {
+        mark_wide(marks, seg);
+    }
 }
 
-/// The head bits of the blocks that `seg`, a non-empty byte range of one
-/// chunk, touches.
+/// [`mark_lines`] over several lines, out of line so that the one-line
+/// case stays small enough to inline into `fill_range`.
+#[inline(never)]
+fn mark_wide(marks: &[AtomicU64; MARK_WORDS], seg: &Range<usize>) {
+    for (w, bits) in line_marks(seg) {
+        if marks[w].load(Ordering::Relaxed) & bits != bits {
+            marks[w].fetch_or(bits, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The marks of the lines that `seg`, a non-empty byte range of one
+/// chunk, touches: `(mark word, bits of that word)`, ascending.
 #[inline]
-fn blocks(seg: &Range<usize>) -> u64 {
-    let (first, last) = (seg.start / block_len(), (seg.end - 1) / block_len());
-    (u64::MAX >> (u64::BITS as usize - 1 - last)) & (u64::MAX << first)
+fn line_marks(seg: &Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    const BITS: usize = u64::BITS as usize;
+    let (first, last) = (seg.start / LINE, (seg.end - 1) / LINE);
+    (first / BITS..last / BITS + 1).map(move |w| {
+        let lo = first.max(w * BITS) - w * BITS;
+        let hi = last.min(w * BITS + BITS - 1) - w * BITS;
+        (w, (u64::MAX >> (BITS - 1 - hi)) & (u64::MAX << lo))
+    })
 }
 
 impl AtomicShadow {
@@ -139,20 +181,17 @@ impl AtomicShadow {
 
     /// Chunk-resident ranged store. Writing clean (zero) metadata to a
     /// never-touched chunk is skipped entirely, preserving sparsity. A
-    /// non-zero store marks its blocks in the chunk's head first, with a
-    /// read-modify-write only for a block not marked yet.
+    /// non-zero store marks its lines in the chunk's head first (see
+    /// [`mark_lines`]).
     pub fn fill_range(&self, addr: u64, len: u64, v: u8) {
         for (ci, seg) in segments(addr, len) {
-            self.chunks.with_head(ci, v != 0, |written, c| {
+            self.chunks.with_head(ci, v != 0, |marks, c| {
                 // Relaxed: a fingerprint taken once the writers finished
                 // sees every mark through the session's own
                 // synchronisation; one taken mid-run is a racy snapshot
                 // either way.
                 if v != 0 {
-                    let bits = blocks(&seg);
-                    if written.load(Ordering::Relaxed) & bits != bits {
-                        written.fetch_or(bits, Ordering::Relaxed);
-                    }
+                    mark_lines(marks, &seg);
                 }
                 for byte in &c[seg] {
                     byte.store(v, Ordering::Release);
@@ -203,25 +242,45 @@ impl AtomicShadow {
     }
 
     /// Order-insensitive fingerprint: every non-clean byte mixed in as
-    /// `(application address, value)`. Only blocks that ever held a
+    /// `(application address, value)`. Only lines that ever held a
     /// non-zero byte are read.
     pub fn fingerprint(&self) -> u64 {
+        // One byte of every marked line first. These loads do not depend on
+        // each other, so the cache misses of lines last written on another
+        // core overlap; the scan below would take them one line at a time
+        // (`taint_paced`'s cold fingerprint: 328 -> 254 µs).
+        let mut touched = 0;
+        self.chunks.for_each_head(|_, marks, data| {
+            for_each_marked_line(marks, |line| {
+                touched |= data[line * LINE].load(Ordering::Relaxed);
+            });
+        });
+        std::hint::black_box(touched);
         let mut fp = Fingerprint::new();
-        self.chunks.for_each_head(|ci, written, data| {
-            let mut marked = written.load(Ordering::Relaxed);
-            while marked != 0 {
-                let start = marked.trailing_zeros() as usize * block_len();
-                marked &= marked - 1;
-                let block = &data[start..start + block_len()];
-                for (off, byte) in (start..).zip(block) {
+        self.chunks.for_each_head(|ci, marks, data| {
+            for_each_marked_line(marks, |line| {
+                let start = line * LINE;
+                for (off, byte) in (start..).zip(&data[start..start + LINE]) {
                     let v = byte.load(Ordering::Acquire);
                     if v != 0 {
                         fp.mix(ci * CHUNK + off as u64, u64::from(v));
                     }
                 }
-            }
+            });
         });
         fp.finish()
+    }
+}
+
+/// Calls `f(line)` for every line `marks` has set, ascending.
+#[inline]
+fn for_each_marked_line(marks: &[AtomicU64; MARK_WORDS], mut f: impl FnMut(usize)) {
+    for (w, word) in marks.iter().enumerate() {
+        let mut marked = word.load(Ordering::Relaxed);
+        while marked != 0 {
+            f(w * u64::BITS as usize + marked.trailing_zeros() as usize);
+            marked &= marked - 1;
+        }
     }
 }
 
@@ -314,16 +373,19 @@ mod tests {
         shadow.fill(MemRef::new(0x2000, 4), 0);
         assert_eq!(shadow.fingerprint(), before);
 
-        // Bytes over several blocks and chunks: the first and last byte of
-        // a chunk, both sides of a block seam, a range over three blocks,
-        // and the spill tier; write `i` stores `i + 1`.
-        let block = block_len() as u64;
-        let far = (DENSE_CHUNKS + 3) * CHUNK + 5 * block;
+        // Bytes over several lines and chunks: the first and last byte of
+        // a chunk, both sides of a line seam, a range over four lines, a
+        // write straddling a 4 KiB seam (two mark words), one over three
+        // mark words, and the spill tier; write `i` stores `i + 1`.
+        let line = LINE as u64;
+        let far = (DENSE_CHUNKS + 3) * CHUNK + 5 * line;
         let writes = [
             (CHUNK, 1),
             (2 * CHUNK - 1, 1),
-            (3 * CHUNK + block - 2, 4),
-            (4 * CHUNK + 7 * block - 10, 2 * block + 20),
+            (3 * CHUNK + line - 2, 4),
+            (4 * CHUNK + 7 * line - 10, 2 * line + 20),
+            (5 * CHUNK + 4096 - 6, 12),
+            (6 * CHUNK + 1000, 8000),
             (far, 8),
         ];
         let of = |writes: &[(u64, u64)]| {
@@ -339,7 +401,7 @@ mod tests {
             shadow.fill_range(addr, len, i as u8 + 1);
         }
         assert_eq!(shadow.fingerprint(), of(&writes));
-        // A zeroed block keeps its mark; what it holds decides.
+        // A zeroed line keeps its mark; what it holds decides.
         for k in (0..writes.len()).rev() {
             let (addr, len) = writes[k];
             shadow.fill_range(addr, len, 0);
@@ -349,13 +411,53 @@ mod tests {
     }
 
     #[test]
-    fn blocks_cover_exactly_the_touched_blocks() {
-        let block = block_len();
-        assert_eq!(blocks(&(0..1)), 1);
-        assert_eq!(blocks(&(block - 1..block + 1)), 0b11);
-        assert_eq!(blocks(&(3 * block..4 * block)), 0b1000);
-        assert_eq!(blocks(&(0..CHUNK as usize)), u64::MAX);
-        assert_eq!(blocks(&(CHUNK as usize - 1..CHUNK as usize)), 1 << 63);
+    fn line_marks_cover_exactly_the_touched_lines() {
+        let marks = |seg: Range<usize>| line_marks(&seg).collect::<Vec<_>>();
+        let chunk = CHUNK as usize;
+        // One line, whole or in part, and a line seam.
+        assert_eq!(marks(0..1), [(0, 1)]);
+        assert_eq!(marks(5 * LINE..6 * LINE), [(0, 1 << 5)]);
+        assert_eq!(marks(LINE - 1..LINE + 1), [(0, 0b11)]);
+        // A 4 KiB seam: the last line of word 0 and the first of word 1.
+        assert_eq!(marks(4096 - 2..4096 + 2), [(0, 1 << 63), (1, 1)]);
+        // Lines 15 through 140: the top of word 0, all of 1, 13 bits of 2.
+        assert_eq!(
+            marks(1000..9000),
+            [(0, u64::MAX << 15), (1, u64::MAX), (2, (1 << 13) - 1)]
+        );
+        // The whole chunk fills all sixteen words.
+        let whole: Vec<_> = (0..MARK_WORDS).map(|w| (w, u64::MAX)).collect();
+        assert_eq!(MARK_WORDS, 16);
+        assert_eq!(marks(0..chunk), whole);
+        // The chunk's last byte: word 15, bit 63.
+        assert_eq!(marks(chunk - 1..chunk), [(15, 1 << 63)]);
+
+        // `fill_range` sets exactly those bits, in one line or over a mark
+        // word seam, keeps them through a clean store, and a clean store
+        // marks nothing.
+        let shadow = AtomicShadow::new();
+        shadow.fill_range(CHUNK + 3 * LINE as u64 + 8, 4, 1);
+        shadow.fill_range(CHUNK + 4096 - 2, 4, 1);
+        shadow.fill_range(CHUNK + 2 * chunk as u64 - 1, 1, 1);
+        shadow.fill_range(CHUNK + 4096 - 2, 4, 0);
+        shadow.fill_range(CHUNK + 5000, 64, 0);
+        let head = |ci| {
+            shadow
+                .chunks
+                .with_head(ci, false, |marks, _| {
+                    marks
+                        .iter()
+                        .map(|w| w.load(Ordering::Relaxed))
+                        .collect::<Vec<_>>()
+                })
+                .expect("materialized")
+        };
+        let mut want = vec![0; MARK_WORDS];
+        (want[0], want[1]) = (1 << 63 | 1 << 3, 1);
+        assert_eq!(head(1), want);
+        want = vec![0; MARK_WORDS];
+        want[15] = 1 << 63;
+        assert_eq!(head(2), want);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The lazily grown chunk directory under [`AtomicShadow`](crate::AtomicShadow)
-//! and [`PackedWordTable`](crate::PackedWordTable).
+//! and [`PackedWordTable`](crate::PackedWordTable), each chunk with a head
+//! its owner keeps beside the elements: the byte shadow's marks of the
+//! 64 B lines that ever held a non-zero byte.
 //!
 //! A replayed stream's footprint is unknown until its tail arrives, so the
 //! index grows on demand: a top level of [`OnceLock`]ed tables, each
@@ -13,10 +15,10 @@
 //! over the same span (131,072 and 262,144 slots) would be 3 MiB and 6 MiB
 //! of `OnceLock`s faulted in per session to hold a few dozen pointers.
 //!
-//! Each chunk carries a *head* of type `H` beside its elements, in the same
-//! slot, for a summary its owner keeps: the byte shadow's record of which
-//! of a chunk's blocks ever held a non-zero byte. The word table keeps
-//! none (`H = ()`).
+//! Each chunk carries its *head* of type `H` in its table slot, so every
+//! slot of a materialized table pays for one: the byte shadow boxes its
+//! sixteen mark words (a 512-slot table stays 16 KiB instead of 76 KiB),
+//! and the word table keeps none (`H = ()`).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};

@@ -1,8 +1,10 @@
 //! Property test for the byte shadow: random interleavings of
 //! `fill_range`/`join_range`/`eq_range`/`snapshot` on `AtomicShadow` must
-//! agree with a naive `BTreeMap<Addr, u8>` reference model, and the final
-//! `fingerprint` with the model's, on an address domain that hugs every
-//! seam of the chunk directory underneath.
+//! agree with a naive `BTreeMap<Addr, u8>` reference model, and
+//! `fingerprint`, taken at random points and at the end, with the model's,
+//! on an address domain that hugs every seam of the chunk directory
+//! underneath. A fingerprint mid-run reads lines that were marked, zeroed
+//! and perhaps refilled since.
 
 use paralog::meta::{AtomicShadow, Fingerprint};
 use proptest::prelude::*;
@@ -31,6 +33,7 @@ enum ShadowOp {
     JoinRange { start: u64, len: u64 },
     EqRange { start: u64, len: u64, value: u8 },
     Snapshot { start: u64, len: u64 },
+    Fingerprint,
 }
 
 fn op_strategy() -> impl Strategy<Value = ShadowOp> {
@@ -47,15 +50,18 @@ fn op_strategy() -> impl Strategy<Value = ShadowOp> {
             1 => 256u64..8192,
         ]
     };
+    // Clean stores a quarter of the time, so lines are zeroed and refilled.
+    let value = || prop_oneof![1 => Just(0u8), 3 => 0u8..=255];
     prop_oneof![
-        3 => (addr(), 0u8..=255).prop_map(|(addr, value)| ShadowOp::Set { addr, value }),
-        3 => (addr(), len(), 0u8..=255)
+        3 => (addr(), value()).prop_map(|(addr, value)| ShadowOp::Set { addr, value }),
+        3 => (addr(), len(), value())
             .prop_map(|(start, len, value)| ShadowOp::SetRange { start, len, value }),
         2 => addr().prop_map(|addr| ShadowOp::Get { addr }),
         2 => (addr(), len()).prop_map(|(start, len)| ShadowOp::JoinRange { start, len }),
         1 => (addr(), len(), 0u8..=255)
             .prop_map(|(start, len, value)| ShadowOp::EqRange { start, len, value }),
         1 => (addr(), len()).prop_map(|(start, len)| ShadowOp::Snapshot { start, len }),
+        1 => Just(ShadowOp::Fingerprint),
     ]
 }
 
@@ -80,6 +86,15 @@ impl Model {
 
     fn join(&self, start: u64, len: u64) -> u8 {
         (start..start + len).fold(0, |a, addr| a | self.get(addr))
+    }
+
+    /// Every nonzero byte, and nothing else.
+    fn fingerprint(&self) -> u64 {
+        let mut fp = Fingerprint::new();
+        for (&addr, &v) in &self.bytes {
+            fp.mix(addr, u64::from(v));
+        }
+        fp.finish()
     }
 }
 
@@ -117,14 +132,13 @@ fn run_ops(ops: &[ShadowOp]) -> Result<(), TestCaseError> {
                 let want: Vec<u8> = (start..start + len).map(|a| model.get(a)).collect();
                 prop_assert_eq!(shadow.snapshot(start, len), want, "op#{}", i);
             }
+            ShadowOp::Fingerprint => {
+                prop_assert_eq!(shadow.fingerprint(), model.fingerprint(), "op#{}", i);
+            }
         }
     }
-    // Final full-state agreement: every nonzero byte, and nothing else.
-    let mut want = Fingerprint::new();
-    for (&addr, &v) in &model.bytes {
-        want.mix(addr, u64::from(v));
-    }
-    prop_assert_eq!(shadow.fingerprint(), want.finish());
+    // Final full-state agreement.
+    prop_assert_eq!(shadow.fingerprint(), model.fingerprint());
     Ok(())
 }
 

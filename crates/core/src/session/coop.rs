@@ -90,7 +90,7 @@ use paralog_events::{AddrRange, EventPayload, EventRecord, Rid, ThreadId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{replay_gate, CaPolicy, CachePadded, Gate, RangeTable, SharedProgressTable};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// Records one [`LaneSet::sweep`] may deliver over all the lanes it
@@ -146,8 +146,8 @@ struct CoopShared {
     /// A slot is its lane's current blocker or a met one: progress only
     /// grows, and [`CoopLane::consume`] clears a slot it retires.
     blockers: Mutex<Vec<Option<(Rid, Blocker)>>>,
-    abort: AtomicBool,
-    failure: Mutex<Option<SessionError>>,
+    /// The first failure; once set, every lane stops on its next step.
+    failure: OnceLock<SessionError>,
     /// Final report, composed exactly once by the last lane to finish; its
     /// presence is what makes the session complete.
     report: OnceLock<Result<RunMetrics, SessionError>>,
@@ -156,15 +156,12 @@ struct CoopShared {
 impl CoopShared {
     /// Records the first failure and tells every lane to stop.
     fn fail(&self, err: SessionError) {
-        let mut failure = self.failure.lock().expect("poisoned");
-        if failure.is_none() {
-            *failure = Some(err);
-        }
-        self.abort.store(true, Ordering::Release);
+        let _ = self.failure.set(err);
     }
 
+    /// One acquire load: whether a failure is recorded.
     fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
+        self.failure.get().is_some()
     }
 
     /// Called by lane `tid`, parked with head `head` on `blocker`: once
@@ -223,9 +220,8 @@ impl CoopShared {
 
     /// The last lane to finish composes the report.
     fn finalize(&self) {
-        let failure = self.failure.lock().expect("poisoned").clone();
-        let result = match failure {
-            Some(err) => Err(err),
+        let result = match self.failure.get() {
+            Some(err) => Err(err.clone()),
             None => Ok(self.metrics()),
         };
         assert!(self.report.set(result).is_ok(), "one last lane");
@@ -297,8 +293,7 @@ impl CoopSession {
             gated_lanes: AtomicUsize::new(0),
             finished_lanes: AtomicUsize::new(0),
             blockers: Mutex::new(vec![None; k]),
-            abort: AtomicBool::new(false),
-            failure: Mutex::new(None),
+            failure: OnceLock::new(),
             report: OnceLock::new(),
         });
         let lanes = streams

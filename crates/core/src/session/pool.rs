@@ -32,9 +32,11 @@
 //! ([`LaneSet::sweep`](super::coop::LaneSet::sweep)), so a chain of them
 //! stays on the worker that holds it, and another worker's slices on the
 //! same session find the chain held, go flat and back off into the wait.
-//! Stopping the pool does not end a wait either —
-//! [`shutdown`](WorkerPool::shutdown) is how a caller joins its tasks, and
-//! a task waiting on a lagging producer must keep backing off meanwhile.
+//! Stopping the pool ends only the other wait, an untimed one on an empty
+//! queue: [`shutdown`](WorkerPool::shutdown) sets `stop` under the queue
+//! lock, as `submit` pushes, so no worker misses either. It is how a caller
+//! joins its tasks, and a task waiting on a lagging producer keeps backing
+//! off meanwhile.
 //!
 //! The pool counts what it does ([`PoolCounters`], the `pool` line of
 //! `ctl LIST`): slices per record says how much scheduling a session's
@@ -262,8 +264,11 @@ impl WorkerPool {
     /// idle waits included, until they report [`TaskPoll::Done`]. Returns
     /// the payload of the first worker that panicked (it ran nothing more).
     pub fn shutdown(&self) -> Option<Box<dyn Any + Send>> {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.available.notify_all();
+        {
+            let _queue = self.shared.queue.lock().expect("poisoned");
+            self.shared.stop.store(true, Ordering::Release);
+            self.shared.available.notify_all();
+        }
         let workers = std::mem::take(&mut *self.workers.lock().expect("poisoned"));
         let mut panic = None;
         for handle in workers {
@@ -287,11 +292,7 @@ fn worker_loop(shared: &PoolShared) {
                 if shared.stop.load(Ordering::Acquire) {
                     break None;
                 }
-                let (q, _timeout) = shared
-                    .available
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .expect("poisoned");
-                queue = q;
+                queue = shared.available.wait(queue).expect("poisoned");
             }
         };
         let Some(mut task) = task else {
@@ -477,5 +478,23 @@ mod tests {
         flag.store(true, Ordering::Relaxed);
         assert!(pool.shutdown().is_none());
         assert_eq!(pool.live_tasks(), 0);
+    }
+
+    #[test]
+    fn an_idle_pool_stops_at_once_every_time() {
+        // A worker that checked `stop` and has not yet waited must still
+        // see the shutdown: the queue wait has no clock to fall back on.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..200 {
+                let pool = WorkerPool::new(2);
+                assert!(pool.shutdown().is_none());
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("an idle pool's shutdown was lost");
+        cycles.join().expect("every cycle stopped cleanly");
     }
 }

@@ -20,9 +20,13 @@
 //!   `DETACH`, `WATCH`, `SHUTDOWN`, `PING`), one handler thread per
 //!   connection.
 //!
-//! Both listeners block in `accept`; [`Daemon::shutdown`] wakes each with a
-//! connection of its own, and wakes a blocked reader by shutting its socket
-//! down — no thread on the data path sleeps on a clock.
+//! Every daemon wait ends on its event. Both listeners block in `accept`,
+//! and [`Daemon::shutdown`] wakes each with a connection of its own, ends
+//! every connection thread's blocking `read` through the clone registered
+//! at accept, and waits for each session's end on the condvar that end
+//! notifies; a `WATCH` ends when that end closes its channel. The only
+//! clocks bound waits that might never end: the drain deadline and the
+//! pause after a failed `accept`.
 //!
 //! Lifecycle per session: **attach** (handshake, lanes submitted) →
 //! **running** → **draining** (producer finished, detached, or daemon
@@ -31,7 +35,8 @@
 //! `SessionEntry` that remains is bookkeeping only). A dropped producer
 //! therefore yields *partial but valid* `RunMetrics` when its streams end
 //! on record boundaries with no dangling arcs, and a deterministic
-//! [`SessionError`] otherwise — never a wedged session.
+//! [`SessionError`] otherwise — never a wedged session. The entry's one
+//! lifecycle field is its [`Phase`]: `Live` until done or failed, then `Over`.
 
 use crate::proto::{self, AttachRequest, FrameEvent, FrameParser};
 use crate::transport::{ByteFeed, FeedWriter, SessionBuffer};
@@ -46,7 +51,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,6 +150,29 @@ impl Watchers {
     }
 }
 
+/// Where a session is in its life. The move from `Live` to `Over` is the
+/// session's exactly-once end: it stores the report and drops the heavy
+/// session state in one step, so whoever reads the session as over finds
+/// that state already gone.
+#[allow(clippy::large_enum_variant)] // one per session, never moved
+enum Phase {
+    Live {
+        /// The live session handle; dropped with the phase, so finished
+        /// sessions do not pin multi-megabyte metadata.
+        session: CoopSession,
+        /// Producer-side feed writers, one per thread.
+        feeds: Vec<FeedWriter>,
+        /// The feeds were closed: lanes deliver what is buffered, then end.
+        draining: bool,
+    },
+    Over {
+        /// When the session finished — where the throughput `STATUS`
+        /// reports is measured to.
+        at: Instant,
+        result: Result<RunMetrics, SessionError>,
+    },
+}
+
 /// One attached session as the daemon tracks it.
 struct SessionEntry {
     id: u64,
@@ -161,48 +189,86 @@ struct SessionEntry {
     /// When the handshake completed — where the applied-record throughput
     /// `STATUS` reports is measured from.
     attached_at: Instant,
-    /// When the session finished — where that throughput is measured to,
-    /// once it has. Stamped by [`finalize`](Self::finalize), whose
-    /// exactly-once latch it is.
-    finished_at: OnceLock<Instant>,
-    /// The live session handle; taken (dropped) once the report is
-    /// composed so finished sessions do not pin multi-megabyte metadata.
-    session: Mutex<Option<CoopSession>>,
-    /// Producer-side feed writers, one per thread; cleared at finalize.
-    feeds: Mutex<Vec<FeedWriter>>,
+    /// The connection's reader feeds frames under this lock; `STATUS` and
+    /// `LIST` clone the session handle out of it before calling into it.
+    phase: Mutex<Phase>,
+    /// Notified when `phase` moves to `Over`.
+    over: Condvar,
     buffered: Arc<SessionBuffer>,
-    detaching: AtomicBool,
-    report: Mutex<Option<Result<RunMetrics, SessionError>>>,
     watchers: Arc<Watchers>,
 }
 
 impl SessionEntry {
+    fn phase(&self) -> MutexGuard<'_, Phase> {
+        self.phase.lock().expect("poisoned")
+    }
+
     fn state(&self) -> &'static str {
-        match &*self.report.lock().expect("poisoned") {
-            Some(Ok(_)) => "done",
-            Some(Err(_)) => "failed",
-            None if self.detaching.load(Ordering::Relaxed) => "draining",
-            None => "running",
+        match &*self.phase() {
+            Phase::Over { result: Ok(_), .. } => "done",
+            Phase::Over { result: Err(_), .. } => "failed",
+            Phase::Live { draining: true, .. } => "draining",
+            Phase::Live { .. } => "running",
         }
     }
 
     /// Closes every feed: lanes drain what is buffered, then finish. The
     /// caller wakes the pool.
     fn close_feeds(&self) {
-        for feed in self.feeds.lock().expect("poisoned").iter() {
-            feed.close();
+        if let Phase::Live {
+            feeds, draining, ..
+        } = &mut *self.phase()
+        {
+            feeds.iter().for_each(FeedWriter::close);
+            *draining = true;
         }
-        self.detaching.store(true, Ordering::Relaxed);
     }
 
-    fn session_handle(&self) -> Option<CoopSession> {
-        self.session.lock().expect("poisoned").clone()
+    /// Reads the phase: `live` gets the session handle, cloned out of the
+    /// lock so that nothing it calls into holds up the connection's reader;
+    /// `over` reads the report in place.
+    fn read<R>(
+        &self,
+        live: impl FnOnce(CoopSession) -> R,
+        over: impl FnOnce(Instant, &Result<RunMetrics, SessionError>) -> R,
+    ) -> R {
+        let phase = self.phase();
+        match &*phase {
+            Phase::Live { session, .. } => {
+                let session = session.clone();
+                drop(phase);
+                live(session)
+            }
+            Phase::Over { at, result } => over(*at, result),
+        }
+    }
+
+    /// Fails a live session with `err` and closes its feeds.
+    fn fail(&self, err: SessionError) {
+        if let Phase::Live { session, .. } = &*self.phase() {
+            session.fail(err);
+        }
+        self.close_feeds();
+    }
+
+    /// Waits for the phase to move to `Over`, up to `deadline`; returns the
+    /// session handle if it is still live then.
+    fn wait_over(&self, deadline: Instant) -> Option<CoopSession> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (phase, _) = self
+            .over
+            .wait_timeout_while(self.phase(), left, |p| matches!(p, Phase::Live { .. }))
+            .expect("poisoned");
+        match &*phase {
+            Phase::Live { session, .. } => Some(session.clone()),
+            Phase::Over { .. } => None,
+        }
     }
 
     /// Pushes violations the live feed has not seen yet — only those: the
     /// read past the cursor touches no lock when nothing is new. `session`
     /// is the caller's own handle (lane tasks hold one) so this never
-    /// touches the entry's session lock.
+    /// touches the entry's phase lock.
     fn publish_new_violations(&self, session: &CoopSession) {
         if self.watchers.subscribers.load(Ordering::Relaxed) == 0 {
             return;
@@ -219,48 +285,27 @@ impl SessionEntry {
     }
 
     /// Called by every lane task that finds `session` complete; the first
-    /// stores the report, flushes the live feed, and drops the heavy
-    /// session state.
+    /// flushes the live feed and moves the phase to `Over`.
     fn finalize(&self, session: &CoopSession) {
-        if self.finished_at.set(Instant::now()).is_err() {
-            return;
-        }
-        let result = session.report().expect("a complete session has its report");
         // Cursor lock serializes against WATCH subscription: a watcher
         // either registers before this flush (and gets the tail, then the
-        // close) or after the report is stored (and reads it whole).
+        // close) or after the phase moved (and reads the report whole).
         let mut cursor = self.watchers.cursor.lock().expect("poisoned");
-        self.publish_past(&mut cursor, session);
-        {
-            // The report goes in last and under its own lock: whoever reads
-            // the session as over finds its heavy state already gone.
-            let mut report = self.report.lock().expect("poisoned");
-            self.feeds.lock().expect("poisoned").clear();
-            *self.session.lock().expect("poisoned") = None;
-            *report = Some(result);
+        let mut phase = self.phase();
+        if let Phase::Over { .. } = *phase {
+            return;
         }
+        self.publish_past(&mut cursor, session);
+        *phase = Phase::Over {
+            at: Instant::now(),
+            result: session.report().expect("a complete session has its report"),
+        };
+        drop(phase);
+        drop(cursor);
+        self.over.notify_all();
         self.watchers.close();
         // A reader parked above the cap answers its producer now.
         self.buffered.release();
-    }
-
-    fn report_for(&self) -> Option<Result<RunMetrics, SessionError>> {
-        self.report.lock().expect("poisoned").clone()
-    }
-
-    /// Runs `f` over the stored report under its lock, for a reader that
-    /// needs a line or a count of it and not a clone of its violations and
-    /// events.
-    fn with_report<R>(&self, f: impl FnOnce(Option<&Result<RunMetrics, SessionError>>) -> R) -> R {
-        f(self.report.lock().expect("poisoned").as_ref())
-    }
-
-    /// The records a successful session's report counts.
-    fn reported_records(&self) -> Option<u64> {
-        self.with_report(|report| match report {
-            Some(Ok(m)) => Some(m.records),
-            _ => None,
-        })
     }
 }
 
@@ -318,12 +363,13 @@ struct DaemonInner {
     next_id: AtomicU64,
     /// Refuse new attaches (set at the start of shutdown).
     shutting_down: AtomicBool,
-    /// Tells the accept, reader and control threads to exit.
+    /// Tells the accept loops to exit.
     stop_threads: AtomicBool,
-    /// A clone of every producer connection a reader thread serves, by
-    /// connection number, so shutdown can end a blocking read; the reader
+    /// A clone of every connection a reader or control thread serves, by
+    /// connection number, so shutdown can end a blocking read; the thread
     /// removes its own as it exits.
-    producers: Mutex<BTreeMap<u64, UnixStream>>,
+    conns: Mutex<BTreeMap<u64, UnixStream>>,
+    next_conn: AtomicU64,
     /// `SHUTDOWN` over the control socket parks here for the owner of the
     /// [`Daemon`] handle to act on.
     shutdown_requested: (Mutex<bool>, Condvar),
@@ -340,9 +386,6 @@ impl DaemonInner {
     /// back to the producer as `ERR <reason>` — the daemon itself is
     /// unaffected.
     fn attach(self: &Arc<Self>, req: &AttachRequest) -> Result<Arc<SessionEntry>, String> {
-        if self.shutting_down.load(Ordering::Acquire) {
-            return Err("daemon is shutting down".into());
-        }
         let factory = self
             .registry
             .get(&req.lifeguard)
@@ -375,18 +418,23 @@ impl DaemonInner {
             tso: req.tso,
             shape: factory.metadata_shape(),
             attached_at: Instant::now(),
-            finished_at: OnceLock::new(),
-            session: Mutex::new(Some(session.clone())),
-            feeds: Mutex::new(writers),
+            phase: Mutex::new(Phase::Live {
+                session: session.clone(),
+                feeds: writers,
+                draining: false,
+            }),
+            over: Condvar::new(),
             buffered,
-            detaching: AtomicBool::new(false),
-            report: Mutex::new(None),
             watchers,
         });
-        self.sessions
-            .lock()
-            .expect("poisoned")
-            .insert(id, Arc::clone(&entry));
+        {
+            // Under the lock shutdown sets it under: refused, or drained.
+            let mut sessions = self.sessions.lock().expect("poisoned");
+            if self.shutting_down.load(Ordering::Acquire) {
+                return Err("daemon is shutting down".into());
+            }
+            sessions.insert(id, Arc::clone(&entry));
+        }
         let lanes = Arc::new(LaneSet::new(lanes));
         for home in 0..req.threads {
             self.pool.submit(Box::new(LaneTask {
@@ -411,7 +459,9 @@ pub struct Daemon {
     inner: Arc<DaemonInner>,
     /// The data socket's accept loop; it returns its live reader threads.
     accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    control: Option<JoinHandle<()>>,
+    /// The control socket's accept loop; its connection threads are not
+    /// joined, as a `WATCH` may be writing to a client that never reads.
+    control: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     finished: bool,
 }
 
@@ -447,20 +497,25 @@ impl Daemon {
             next_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
             stop_threads: AtomicBool::new(false),
-            producers: Mutex::new(BTreeMap::new()),
+            conns: Mutex::new(BTreeMap::new()),
+            next_conn: AtomicU64::new(0),
             shutdown_requested: (Mutex::new(false), Condvar::new()),
         });
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("paralogd-accept".into())
-                .spawn(move || data_loop(&inner, &data))?
+                .spawn(move || {
+                    accept_until_stopped(&inner, &data, "paralogd-reader", read_producer)
+                })?
         };
         let ctl = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("paralogd-control".into())
-                .spawn(move || control_loop(&inner, &control))?
+                .spawn(move || {
+                    accept_until_stopped(&inner, &control, "paralogd-ctl-conn", control_conn)
+                })?
         };
         Ok(Daemon {
             inner,
@@ -500,7 +555,7 @@ impl Daemon {
             .lock()
             .expect("poisoned")
             .values()
-            .filter(|e| e.session.lock().expect("poisoned").is_some())
+            .filter(|e| matches!(*e.phase(), Phase::Live { .. }))
             .count()
     }
 
@@ -537,43 +592,35 @@ impl Daemon {
         }
         self.finished = true;
         let inner = &self.inner;
-        inner.shutting_down.store(true, Ordering::Release);
-        let entries: Vec<Arc<SessionEntry>> = inner
-            .sessions
-            .lock()
-            .expect("poisoned")
-            .values()
-            .cloned()
-            .collect();
+        let entries: Vec<Arc<SessionEntry>> = {
+            let sessions = inner.sessions.lock().expect("poisoned");
+            inner.shutting_down.store(true, Ordering::Release);
+            sessions.values().cloned().collect()
+        };
         for entry in &entries {
             entry.close_feeds();
         }
         inner.pool.wake();
         let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while entries
-            .iter()
-            .any(|e| e.report.lock().expect("poisoned").is_none())
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         for entry in &entries {
-            if entry.report.lock().expect("poisoned").is_none() {
-                if let Some(session) = entry.session_handle() {
-                    session.abort("daemon shutdown with the session still wedged");
-                }
+            if let Some(session) = entry.wait_over(deadline) {
+                session.abort("daemon shutdown with the session still wedged");
             }
         }
         // The join: an aborted lane folds on its next step, so every task
-        // finishes. A worker's panic has no caller to resume into here.
+        // finishes, and each session's phase is `Over`, its watchers closed.
+        // A worker's panic has no caller to resume into here.
         let _ = inner.pool.shutdown();
         inner.stop_threads.store(true, Ordering::Release);
-        // Joined before the readers are woken, so none can register after.
+        // Both joined before any connection is ended, so none can register
+        // after.
         let readers = join_accept_loop(self.accept.take(), &inner.data_socket);
-        // The read half only: a reader blocked in `read` wakes to its end,
-        // and one a session's end woke above the cap can still write its
-        // `ERR` line. Each connection closes as its reader returns.
-        for conn in inner.producers.lock().expect("poisoned").values() {
+        let _ = join_accept_loop(self.control.take(), &inner.control_socket);
+        // The read half only: a thread blocked in `read` wakes to its end,
+        // a reader a session's end woke above the cap can still write its
+        // `ERR` line, and a watcher its `end` line. Each connection closes
+        // as its thread returns.
+        for conn in inner.conns.lock().expect("poisoned").values() {
             let _ = conn.shutdown(std::net::Shutdown::Read);
         }
         for entry in inner.sessions.lock().expect("poisoned").values() {
@@ -582,7 +629,6 @@ impl Daemon {
         for reader in readers.into_iter().flatten() {
             let _ = reader.join();
         }
-        let _ = join_accept_loop(self.control.take(), &inner.control_socket);
         let _ = std::fs::remove_file(&inner.data_socket);
         let _ = std::fs::remove_file(&inner.control_socket);
         entries
@@ -592,11 +638,12 @@ impl Daemon {
                 name: e.name.clone(),
                 lifeguard: e.lifeguard.clone(),
                 threads: e.threads,
-                result: e.report_for().unwrap_or_else(|| {
-                    Err(SessionError::Deadlock(
+                result: match &*e.phase() {
+                    Phase::Over { result, .. } => result.clone(),
+                    Phase::Live { .. } => Err(SessionError::Deadlock(
                         "session never drained before daemon teardown".into(),
-                    ))
-                }),
+                    )),
+                },
             })
             .collect()
     }
@@ -623,20 +670,27 @@ fn join_accept_loop<T>(handle: Option<JoinHandle<T>>, path: &Path) -> Option<T> 
     handle.join().ok()
 }
 
-/// Blocks in `accept` and hands each connection to `serve` until the daemon
-/// stops; [`join_accept_loop`]'s own connection is what wakes it then.
+/// Blocks in `accept` until the daemon stops ([`join_accept_loop`]'s own
+/// connection is what wakes it then), serving each connection on a thread
+/// of its own named `name`. Returns the threads still running when the
+/// daemon stopped.
 fn accept_until_stopped(
-    inner: &DaemonInner,
+    inner: &Arc<DaemonInner>,
     listener: &UnixListener,
-    mut serve: impl FnMut(UnixStream),
-) {
+    name: &str,
+    serve: fn(&Arc<DaemonInner>, UnixStream),
+) -> Vec<JoinHandle<()>> {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let accepted = listener.accept();
         if inner.stop_threads.load(Ordering::Acquire) {
-            return;
+            return threads;
         }
         match accepted {
-            Ok((stream, _)) => serve(stream),
+            Ok((stream, _)) => {
+                threads.retain(|t| !t.is_finished());
+                threads.extend(serve_conn(inner, stream, name, serve));
+            }
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             // Out of fds or the like: let connections close before retrying.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
@@ -644,41 +698,29 @@ fn accept_until_stopped(
     }
 }
 
-/// The data socket's accept loop: one reader thread per producer
-/// connection, each registered (a clone of its socket) so shutdown can end
-/// its read. Returns the readers still running when the daemon stopped.
-fn data_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) -> Vec<JoinHandle<()>> {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_conn = 0u64;
-    accept_until_stopped(inner, listener, |stream| {
-        readers.retain(|r| !r.is_finished());
-        let Ok(clone) = stream.try_clone() else {
-            return;
-        };
-        let conn = next_conn;
-        next_conn += 1;
-        inner
-            .producers
-            .lock()
-            .expect("poisoned")
-            .insert(conn, clone);
-        let spawned = {
-            let inner = Arc::clone(inner);
-            std::thread::Builder::new()
-                .name("paralogd-reader".into())
-                .spawn(move || {
-                    read_producer(&inner, stream);
-                    inner.producers.lock().expect("poisoned").remove(&conn);
-                })
-        };
-        match spawned {
-            Ok(reader) => readers.push(reader),
-            Err(_) => {
-                inner.producers.lock().expect("poisoned").remove(&conn);
-            }
+/// Registers a clone of `stream`, so shutdown can end a blocking read on
+/// it, and serves it on a new thread, which removes the clone as it exits.
+fn serve_conn(
+    inner: &Arc<DaemonInner>,
+    stream: UnixStream,
+    name: &str,
+    serve: fn(&Arc<DaemonInner>, UnixStream),
+) -> Option<JoinHandle<()>> {
+    let clone = stream.try_clone().ok()?;
+    let conn = inner.next_conn.fetch_add(1, Ordering::Relaxed);
+    inner.conns.lock().expect("poisoned").insert(conn, clone);
+    let spawned = std::thread::Builder::new().name(name.into()).spawn({
+        let inner = Arc::clone(inner);
+        move || {
+            serve(&inner, stream);
+            inner.conns.lock().expect("poisoned").remove(&conn);
         }
     });
-    readers
+    if spawned.is_err() {
+        // A thread that never started cannot remove its clone.
+        inner.conns.lock().expect("poisoned").remove(&conn);
+    }
+    spawned.ok()
 }
 
 enum ConnState {
@@ -712,12 +754,13 @@ fn read_producer(inner: &Arc<DaemonInner>, stream: UnixStream) {
                 // Released above the cap: the session is over, so nothing
                 // will ever drain its buffer and the producer would sit in
                 // `write` for good — or the daemon is stopping.
-                let reason = entry.with_report(|report| {
-                    report.map(|result| match result {
-                        Ok(_) => "session already ended".to_string(),
-                        Err(e) => format!("session failed: {e}"),
-                    })
-                });
+                let reason = entry.read(
+                    |_| None,
+                    |_, result| match result {
+                        Ok(_) => Some("session already ended".to_string()),
+                        Err(e) => Some(format!("session failed: {e}")),
+                    },
+                );
                 if let Some(reason) = reason {
                     let _ = conn.stream.write_all(format!("ERR {reason}\n").as_bytes());
                 }
@@ -750,14 +793,13 @@ fn read_producer(inner: &Arc<DaemonInner>, stream: UnixStream) {
 /// on a record boundary and mask the truncation).
 fn conn_ended(conn: &mut Conn) {
     if let ConnState::Streaming { entry, parser } = &conn.state {
-        if !parser.at_boundary() {
-            if let Some(session) = entry.session_handle() {
-                session.fail(SessionError::MalformedStream(
-                    "producer connection ended mid-frame".into(),
-                ));
-            }
+        if parser.at_boundary() {
+            entry.close_feeds();
+        } else {
+            entry.fail(SessionError::MalformedStream(
+                "producer connection ended mid-frame".into(),
+            ));
         }
-        entry.close_feeds();
     }
 }
 
@@ -813,87 +855,63 @@ fn conn_bytes(inner: &Arc<DaemonInner>, conn: &mut Conn, mut bytes: &[u8]) -> bo
     if bytes.is_empty() {
         return true;
     }
-    let feeds = entry.feeds.lock().expect("poisoned").clone();
-    if feeds.is_empty() {
-        return false; // session already finalized; drop the producer
-    }
+    let phase = entry.phase();
+    let Phase::Live { feeds, .. } = &*phase else {
+        return false; // session already over; drop the producer
+    };
     let threads = entry.threads;
     let mut fault: Option<String> = None;
-    let fed = parser.feed(bytes, |event| match event {
-        FrameEvent::Data { tid, payload } => {
-            let Some(feed) = feeds.get(tid as usize) else {
-                if fault.is_none() {
-                    fault = Some(format!(
-                        "frame for thread {tid} but the session declared {threads}"
-                    ));
-                }
+    let fed = parser.feed(bytes, |event| {
+        let (tid, payload) = match event {
+            FrameEvent::Data { tid, payload } => (tid, Some(payload)),
+            FrameEvent::EndThread { tid } => (tid, None),
+            FrameEvent::EndAll => {
+                feeds.iter().for_each(FeedWriter::close);
                 return;
-            };
-            feed.write(payload);
-        }
-        FrameEvent::EndThread { tid } => {
-            if let Some(feed) = feeds.get(tid as usize) {
-                feed.close();
             }
-        }
-        FrameEvent::EndAll => {
-            for feed in &feeds {
-                feed.close();
+        };
+        match (feeds.get(tid as usize), payload) {
+            (Some(feed), Some(payload)) => {
+                feed.write(payload);
+            }
+            (Some(feed), None) => feed.close(),
+            (None, _) => {
+                fault.get_or_insert_with(|| {
+                    format!("frame for thread {tid} but the session declared {threads}")
+                });
             }
         }
     });
-    let fault = fault.or(fed.err());
-    if let Some(detail) = fault {
-        // Mid-stream protocol corruption: fail *this* session on the
-        // control surface, drain it, drop the producer — daemon lives on.
-        if let Some(session) = entry.session_handle() {
-            session.fail(SessionError::MalformedStream(detail));
-        }
-        entry.close_feeds();
-        return false;
-    }
-    true
+    drop(phase);
+    let Some(detail) = fault.or(fed.err()) else {
+        return true;
+    };
+    // Mid-stream protocol corruption: fail *this* session on the control
+    // surface, drain it, drop the producer — daemon lives on.
+    entry.fail(SessionError::MalformedStream(detail));
+    false
 }
 
 // ---------------------------------------------------------------------------
 // Control plane
 // ---------------------------------------------------------------------------
 
-fn control_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
-    accept_until_stopped(inner, listener, |stream| {
-        let inner = Arc::clone(inner);
-        let _ = std::thread::Builder::new()
-            .name("paralogd-ctl-conn".into())
-            .spawn(move || control_conn(&inner, stream));
-    });
-}
-
 /// Serves one control connection: one command per line (at most
 /// [`proto::MAX_HANDSHAKE_BYTES`]), each response terminated by a lone `.`.
+/// Each read blocks until a line, the client's hangup, or shutdown ending
+/// the read half.
 fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut reader = std::io::BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
     let mut writer = stream;
-    // A line read in part before a timeout is kept for the next read.
     let mut line = Vec::new();
     loop {
-        if inner.stop_threads.load(Ordering::Acquire) {
-            return;
-        }
-        let room = proto::MAX_HANDSHAKE_BYTES + 1 - line.len();
-        match std::io::BufRead::read_until(&mut (&mut reader).take(room as u64), b'\n', &mut line) {
-            Ok(0) if line.is_empty() => return,
+        let room = proto::MAX_HANDSHAKE_BYTES as u64 + 1;
+        match std::io::BufRead::read_until(&mut (&mut reader).take(room), b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
         }
         if line.len() > proto::MAX_HANDSHAKE_BYTES {
             let _ = respond_err(&mut writer, "line too long");
@@ -914,11 +932,6 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
                 let mut lines: Vec<String> = sessions
                     .values()
                     .map(|e| {
-                        let records = e
-                            .session_handle()
-                            .map(|s| s.records())
-                            .or_else(|| e.reported_records())
-                            .unwrap_or(0);
                         format!(
                             "session {} name={} lifeguard={} threads={} state={} records={}",
                             e.id,
@@ -926,7 +939,10 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
                             e.lifeguard,
                             e.threads,
                             e.state(),
-                            records
+                            e.read(
+                                |session| session.records(),
+                                |_, result| result.as_ref().map_or(0, |m| m.records),
+                            )
                         )
                     })
                     .collect();
@@ -966,7 +982,7 @@ fn control_conn(inner: &Arc<DaemonInner>, stream: UnixStream) {
             "WATCH" => match arg.and_then(|a| a.parse::<u64>().ok()) {
                 Some(id) => match inner.entry(id) {
                     Some(entry) => {
-                        watch_conn(inner, &entry, &mut writer);
+                        watch_conn(&entry, &mut writer);
                         return; // a watch consumes the connection
                     }
                     None => respond_err(&mut writer, &format!("no session {id}")),
@@ -1014,34 +1030,28 @@ fn status_lines(entry: &Arc<SessionEntry>) -> Vec<String> {
     ];
     // Applied-record throughput over the session's wall-clock lifetime so
     // far (finished sessions keep reporting their final average).
-    let applied = entry
-        .session_handle()
-        .map(|s| s.records())
-        .or_else(|| entry.reported_records())
-        .unwrap_or(0);
-    let end = entry
-        .finished_at
-        .get()
-        .copied()
-        .unwrap_or_else(Instant::now);
-    let elapsed = end
-        .duration_since(entry.attached_at)
-        .as_secs_f64()
-        .max(1e-6);
-    lines.push(format!("records_per_sec {:.0}", applied as f64 / elapsed));
-    let report = entry.report_for();
-    match (&report, entry.session_handle()) {
-        (Some(Err(err)), _) => {
-            lines.push(format!("error {err}"));
-        }
-        (Some(Ok(metrics)), _) => push_metrics_lines(&mut lines, metrics),
-        (None, Some(session)) => {
-            lines.push(format!("blocked_polls {}", session.blocked_polls()));
-            let metrics = session.snapshot_metrics();
-            push_metrics_lines(&mut lines, &metrics);
-        }
-        (None, None) => lines.push("error session state unavailable".into()),
-    }
+    let rate = |records: u64, end: Instant| {
+        let elapsed = end.duration_since(entry.attached_at).as_secs_f64();
+        format!("records_per_sec {:.0}", records as f64 / elapsed.max(1e-6))
+    };
+    lines.extend(entry.read(
+        |session| {
+            let mut lines = vec![
+                rate(session.records(), Instant::now()),
+                format!("blocked_polls {}", session.blocked_polls()),
+            ];
+            push_metrics_lines(&mut lines, &session.snapshot_metrics());
+            lines
+        },
+        |at, result| match result {
+            Ok(metrics) => {
+                let mut lines = vec![rate(metrics.records, at)];
+                push_metrics_lines(&mut lines, metrics);
+                lines
+            }
+            Err(err) => vec![rate(0, at), format!("error {err}")],
+        },
+    ));
     lines
 }
 
@@ -1059,70 +1069,60 @@ fn push_metrics_lines(lines: &mut Vec<String>, metrics: &RunMetrics) {
 
 /// Streams a session's live feed over the control connection until the
 /// session ends (`lost <n>` if the subscribers' channels ever overflowed,
-/// the `end` line, then `.`), the subscriber disconnects, or the daemon
-/// stops.
-fn watch_conn(inner: &Arc<DaemonInner>, entry: &Arc<SessionEntry>, writer: &mut UnixStream) {
+/// the `end` line, then `.`) or the subscriber disconnects. The daemon's
+/// shutdown ends every session, so it ends every feed too.
+fn watch_conn(entry: &SessionEntry, writer: &mut UnixStream) {
     let rx = {
         // Serialized against the publisher via the cursor lock: either the
         // session is already over (report the whole thing) or we register
         // before any further line is published.
-        let cursor = entry.watchers.cursor.lock().expect("poisoned");
-        let over = entry.with_report(|report| {
-            report.map(|result| {
-                let mut lines = Vec::new();
-                if let Ok(m) = result {
-                    lines.extend(m.violations.iter().map(violation_line));
-                    lines.extend(m.events.iter().map(|ev| format!("event {ev}")));
-                }
-                lines.push(end_line(result));
-                lines
-            })
-        });
-        if let Some(lines) = over {
-            drop(cursor);
-            let _ = respond(writer, &lines);
-            return;
-        }
-        // Backlog: everything published so far, straight from the session.
-        if let Some(session) = entry.session_handle() {
-            let mut out = String::new();
-            for v in session.violations_since(0).iter().take(*cursor) {
-                out.push_str(&violation_line(v));
-                out.push('\n');
+        let mut cursor = entry.watchers.cursor.lock().expect("poisoned");
+        let over = |_, result: &Result<RunMetrics, SessionError>| {
+            let mut lines = Vec::new();
+            if let Ok(m) = result {
+                lines.extend(m.violations.iter().map(violation_line));
+                lines.extend(m.events.iter().map(|ev| format!("event {ev}")));
             }
-            if !out.is_empty() && writer.write_all(out.as_bytes()).is_err() {
+            lines.push(end_line(result));
+            Err(lines)
+        };
+        let session = match entry.read(Ok, over) {
+            Ok(session) => session,
+            Err(lines) => {
+                drop(cursor);
+                let _ = respond(writer, &lines);
                 return;
             }
+        };
+        // Violations found while nobody watched were never published: do
+        // it now, so the backlog holds every one found so far.
+        entry.publish_past(&mut cursor, &session);
+        // Backlog: everything published so far, straight from the session.
+        let mut out = String::new();
+        for v in session.violations_since(0).iter().take(*cursor) {
+            out.push_str(&violation_line(v));
+            out.push('\n');
+        }
+        if !out.is_empty() && writer.write_all(out.as_bytes()).is_err() {
+            return;
         }
         let (tx, rx) = sync_channel::<String>(1024);
         entry.watchers.senders.lock().expect("poisoned").push(tx);
         entry.watchers.subscribers.fetch_add(1, Ordering::Relaxed);
         rx
     };
-    loop {
-        if inner.stop_threads.load(Ordering::Acquire) {
-            let _ = writer.write_all(b".\n");
+    while let Ok(mut line) = rx.recv() {
+        line.push('\n');
+        if writer.write_all(line.as_bytes()).is_err() {
             return;
         }
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(mut line) => {
-                line.push('\n');
-                if writer.write_all(line.as_bytes()).is_err() {
-                    return;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                // The session ended and everything queued went out.
-                let mut lines = Vec::new();
-                match entry.watchers.lines_lost() {
-                    0 => {}
-                    lost => lines.push(format!("lost {lost}")),
-                }
-                lines.extend(entry.with_report(|report| report.map(end_line)));
-                let _ = respond(writer, &lines);
-                return;
-            }
-        }
     }
+    // The session ended and everything queued went out.
+    let mut lines = Vec::new();
+    match entry.watchers.lines_lost() {
+        0 => {}
+        lost => lines.push(format!("lost {lost}")),
+    }
+    lines.extend(entry.read(|_| None, |_, result| Some(end_line(result))));
+    let _ = respond(writer, &lines);
 }

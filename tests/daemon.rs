@@ -576,6 +576,78 @@ fn a_record_naming_a_thread_outside_its_session_fails_it_and_spares_the_pool() {
     daemon.shutdown();
 }
 
+#[test]
+fn a_thread_ended_early_leaves_its_session_to_finish_clean() {
+    let (w, encoded, fingerprint, violations) =
+        capture(Benchmark::Lu, 2, LifeguardKind::TaintCheck);
+    assert!(
+        encoded[0].len() < 1 << 20,
+        "thread 0's whole stream fits under the session's buffer cap"
+    );
+    let daemon = spawn_daemon("endt");
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("lu", LifeguardKind::TaintCheck, 2, w.heap),
+    )
+    .expect("attaches");
+    // Thread 0 streams to its end and is ended alone; thread 1 streams on.
+    for chunk in encoded[0].chunks(512) {
+        producer.send(0, chunk).expect("thread 0 streams");
+    }
+    producer.finish_thread(0).expect("ends thread 0");
+    for chunk in encoded[1].chunks(512) {
+        producer.send(1, chunk).expect("thread 1 streams on");
+    }
+    producer.finish().expect("ends the rest");
+    let status = await_done(&daemon, producer.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(
+        field(&status, "fingerprint"),
+        Some(format!("{fingerprint:016x}"))
+    );
+    assert_eq!(status_violation_ids(&status), violation_ids(&violations));
+    daemon.shutdown();
+}
+
+#[test]
+fn ending_a_thread_outside_its_session_fails_it_and_spares_its_neighbour() {
+    let (w, encoded, fingerprint, violations) =
+        capture(Benchmark::Lu, 2, LifeguardKind::TaintCheck);
+    let daemon = spawn_daemon("endx");
+    let mut neighbour = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("lu", LifeguardKind::TaintCheck, 2, w.heap),
+    )
+    .expect("attaches");
+    let (heap, prefix) = independent_capture(2, 16);
+    let mut hostile = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("endx", LifeguardKind::TaintCheck, 2, heap),
+    )
+    .expect("attaches");
+    hostile.send(0, &prefix[0]).expect("streams");
+    // The daemon may hang up once the session fails.
+    let _ = hostile.finish_thread(7);
+    let status = await_done(&daemon, hostile.session_id());
+    assert_eq!(field(&status, "name").as_deref(), Some("endx"));
+    assert_eq!(field(&status, "state").as_deref(), Some("failed"));
+    let error = field(&status, "error").expect("failed sessions carry the error");
+    assert!(
+        error.contains("malformed") && error.contains("thread 7"),
+        "unexpected error: {error}"
+    );
+
+    neighbour.send_capture(&encoded, 512).expect("streams");
+    let status = await_done(&daemon, neighbour.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(
+        field(&status, "fingerprint"),
+        Some(format!("{fingerprint:016x}"))
+    );
+    assert_eq!(status_violation_ids(&status), violation_ids(&violations));
+    daemon.shutdown();
+}
+
 /// TAINTCHECK whose concurrent form panics on the session's 100th record.
 #[derive(Debug)]
 struct PanicsInApply;
@@ -1078,7 +1150,8 @@ fn a_control_command_split_across_the_read_timeout_is_kept_whole() {
     let mut raw = UnixStream::connect(daemon.control_socket()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     raw.write_all(b"PI").unwrap();
-    // Longer than the control connection's read timeout.
+    // The command arrives in two reads: the handler keeps the first half
+    // while it blocks for the rest.
     std::thread::sleep(Duration::from_millis(400));
     raw.write_all(b"NG\n").unwrap();
     assert_eq!(
@@ -1182,4 +1255,76 @@ fn shutdown_wakes_a_silent_reader_and_one_parked_above_its_cap() {
         "the parked producer is told why: {said:?}"
     );
     drop(silent);
+}
+
+#[test]
+fn shutdown_ends_an_idle_control_connection_and_an_open_watch() {
+    // ADDRCHECK flags a load of the unallocated heap: one violation line
+    // shows the watch is open on a session that is still live.
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let load = EventRecord::instr(
+        Rid(1),
+        Instr::Load {
+            dst: paralog::events::Reg::new(0),
+            src: paralog::events::MemRef::new(heap.start + 16, 4),
+        },
+    );
+    let daemon = spawn_daemon("idle");
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("idle", LifeguardKind::AddrCheck, 1, heap),
+    )
+    .expect("attaches");
+    let id = producer.session_id();
+    // Every read below is bounded by this watchdog, not paced by a sleep.
+    let watchdog = Some(Duration::from_secs(10));
+
+    let mut watch = UnixStream::connect(daemon.control_socket()).unwrap();
+    watch.set_read_timeout(watchdog).unwrap();
+    watch.write_all(format!("WATCH {id}\n").as_bytes()).unwrap();
+    let mut watch = BufReader::new(watch);
+    producer.send(0, &encode(&[load])).unwrap();
+    let mut line = String::new();
+    watch.read_line(&mut line).expect("the violation arrives");
+    assert!(line.starts_with("violation 0 1 "), "{line:?}");
+
+    // An idle connection whose handler is in its read loop.
+    let idle = UnixStream::connect(daemon.control_socket()).unwrap();
+    idle.set_read_timeout(watchdog).unwrap();
+    let mut idle_reader = BufReader::new(&idle);
+    (&idle).write_all(b"PING\n").unwrap();
+    assert_eq!(read_response(&mut idle_reader), vec!["OK pong".to_string()]);
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(daemon.shutdown()).unwrap());
+    let reports = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown must not wait on an idle connection or a watch");
+    assert_eq!(reports[0].result.as_ref().expect("drains").records, 1);
+
+    let mut rest = String::new();
+    assert_eq!(
+        idle_reader
+            .read_line(&mut rest)
+            .expect("EOF, not the watchdog"),
+        0,
+        "the idle connection is closed: {rest:?}"
+    );
+    let mut tail = Vec::new();
+    loop {
+        let mut line = String::new();
+        if watch
+            .read_line(&mut line)
+            .expect("the watch ends, not the watchdog")
+            == 0
+        {
+            break;
+        }
+        tail.push(line.trim_end().to_string());
+    }
+    assert!(
+        matches!(tail.as_slice(), [end, dot] if end.starts_with("end ok records=1 violations=1 ") && dot == "."),
+        "the watch ends with its end line, then `.`: {tail:?}"
+    );
+    drop(producer);
 }

@@ -12,8 +12,8 @@
 
 use paralog_core::{
     CoopSession, EventSource, LaneSet, MonitorConfig, MonitorSession, MonitoringMode, Platform,
-    PoolTask, RecordStream, SessionError, SourceInput, StreamStatus, TaskPoll, ThreadedBackend,
-    WorkerPool, LANE_BUDGET,
+    RecordStream, SessionError, SourceInput, StreamStatus, ThreadedBackend, WorkerPool,
+    LANE_BUDGET,
 };
 use paralog_events::codec::{encode, StreamDecoder};
 use paralog_events::{
@@ -566,20 +566,6 @@ fn sweep_session(
     black_box(session.report());
 }
 
-/// One home lane of a session as the pool runs it: a slice is
-/// [`LaneSet::slice`] from `home`.
-struct SliceTask {
-    session: CoopSession,
-    lanes: Arc<LaneSet>,
-    home: usize,
-}
-
-impl PoolTask for SliceTask {
-    fn run(&mut self) -> TaskPoll {
-        self.lanes.slice(&self.session, self.home)
-    }
-}
-
 /// Replays one session over `captures` under `kind` to completion on a
 /// fresh [`WorkerPool`] of `workers`, one task per lane, as `paralogd`
 /// schedules a session; the pool's start and join are in it.
@@ -590,15 +576,8 @@ fn pool_session(
     workers: usize,
 ) {
     let (session, set) = lane_session(kind, heap, captures);
-    let lanes = Arc::new(set);
     let pool = WorkerPool::new(workers);
-    for home in 0..captures.len() {
-        pool.submit(Box::new(SliceTask {
-            session: session.clone(),
-            lanes: Arc::clone(&lanes),
-            home,
-        }));
-    }
+    set.submit(&session, &pool);
     // Every task runs until the session completes: the join is the wait.
     assert!(pool.shutdown().is_none(), "no slice panicked");
     black_box(session.report());

@@ -39,7 +39,7 @@
 //! on an unmet gate is the run declared a [`SessionError::Deadlock`].
 
 use super::coop::{CoopSession, LaneSet};
-use super::pool::{PoolTask, TaskPoll, WorkerPool};
+use super::pool::WorkerPool;
 use super::source::{LaneInput, RecordStream, Refill};
 use super::{deadlock, Blocker, SessionError, SessionPlan};
 use crate::config::{MonitorConfig, MonitoringMode};
@@ -55,7 +55,6 @@ use paralog_lifeguards::{
 use paralog_order::{replay_gate, Gate, ProgressTable, RangeTable};
 use paralog_workloads::Workload;
 use std::fmt;
-use std::sync::Arc;
 
 /// Runs one resolved monitoring session.
 pub trait Backend: fmt::Debug {
@@ -365,14 +364,7 @@ impl Backend for ThreadedBackend {
         let homes = lanes.len();
         let processors = std::thread::available_parallelism().map_or(1, |n| n.get());
         let pool = WorkerPool::new(processors.min(homes));
-        let lanes = Arc::new(LaneSet::new(lanes));
-        for home in 0..homes {
-            pool.submit(Box::new(LaneTask {
-                session: session.clone(),
-                lanes: Arc::clone(&lanes),
-                home,
-            }));
-        }
+        LaneSet::new(lanes).submit(&session, &pool);
         // Every task runs until the session completes: the join is the wait.
         if let Some(panic) = pool.shutdown() {
             std::panic::resume_unwind(panic);
@@ -386,19 +378,5 @@ impl Backend for ThreadedBackend {
                 ..metrics
             },
         })
-    }
-}
-
-/// One lane of a [`ThreadedBackend`] session: a slice is
-/// [`LaneSet::slice`] from `home`, and the task is done once the session is.
-pub(crate) struct LaneTask {
-    pub(crate) session: CoopSession,
-    pub(crate) lanes: Arc<LaneSet>,
-    pub(crate) home: usize,
-}
-
-impl PoolTask for LaneTask {
-    fn run(&mut self) -> TaskPoll {
-        self.lanes.slice(&self.session, self.home)
     }
 }

@@ -23,31 +23,16 @@
 //! and by the step's budget.
 //!
 //! Drivers do not step lanes one by one; they pool a session's lanes in a
-//! [`LaneSet`] and [`sweep`](LaneSet::sweep) it. A sweep starts at the
-//! driver's *home* lane and keeps stepping it while it delivers; when the
-//! lane runs out of input, ends, or is held by another driver (each lane
-//! sits behind its own `try_lock`), the sweep moves to the next sibling,
-//! and it returns once `budget` records were delivered over all lanes or
-//! one full pass delivered nothing. A lane that stops at a §5.2/§5.4 gate
-//! names the peer it waits on, and the sweep *holds the chain*: if it
-//! holds that peer already, or no other driver does, it keeps the waiting
-//! lane locked and steps the peer next — following the peer's own gate
-//! the same way — and once the peer delivered it returns to the most
-//! recent lane that waits on it. A lane stays kept while it waits on a lane
-//! the sweep holds, until the sweep steps it again. So a chain
-//! A→B→C of arc-coupled lanes advances inside one sweep, on one core, at
-//! the cost of a single-threaded cooperative replay, and another driver's
-//! sweep finds the chain held, goes flat and backs off, instead of taking
-//! one link of it and trading the lanes between cores record by record. A
-//! gate on a peer another driver holds, a §5.5 version gate (a `VersionId`
-//! does not name its producer), and every other stop end the chain: the
-//! sweep lets go of the lane and of every lane it keeps, and moves on.
-//! Lanes that do not depend on each other lose nothing: K drivers
-//! with K distinct homes each find their own lane free and every sibling
-//! held, so a sweep is a run of steps of the home lane and K lanes still
-//! replay in parallel. Every lane a sweep keeps is let go when it returns.
+//! [`LaneSet`] and [`sweep`](LaneSet::sweep) it from a *home* lane. A sweep
+//! follows a lane's §5.2/§5.4 gate to the peer it waits on and *holds the
+//! chain*, so a chain A→B→C of arc-coupled lanes advances inside one sweep,
+//! on one core, at the cost of a single-threaded cooperative replay, and
+//! another driver's sweep finds the chain held and backs off instead of
+//! trading the lanes between cores record by record. Lanes that do not
+//! depend on each other lose nothing: K drivers with K distinct homes still
+//! replay K lanes in parallel.
 //!
-//! One scheduler drives sweeps: the [`WorkerPool`](super::pool::WorkerPool)
+//! One scheduler drives sweeps: the [`WorkerPool`]
 //! runs one task per lane round-robin, and a task's slice is one sweep of
 //! its session's set bounded by [`LANE_BUDGET`], so a slice delivers at
 //! most that fairness quantum however many lanes it touched, and a session
@@ -65,32 +50,28 @@
 //! session's [`RunMetrics`] carry `phases: None` and `lg_finish: 0` — the
 //! cycle model is the sequential loop's.
 //!
-//! Deadlock is decided, not timed. A lane gated while *some* lane can
-//! still pull or apply records is simply re-stepped (a lane polling a
-//! `Blocked` stream is neither gated nor finished). Once **every** lane is
-//! parked at a gate or finished, a parked lane's step records its head and
-//! [`Blocker`] in the session's registry and re-checks every recorded
-//! blocker: a met one is a peer's gate that just cleared, which its next
-//! step picks up; none met means no lane can ever advertise or produce
-//! again, and the session fails with [`SessionError::Deadlock`] naming
-//! every parked lane. So a producer that vanishes mid-session resolves
-//! deterministically: `Exhausted` at a record boundary with no dangling
-//! arcs drains clean; severed arcs fail.
+//! Deadlock is decided, not timed: each lane publishes in a slot of its own
+//! whether it runs, has finished, or is parked and on what `Blocker`, and
+//! a lane that parks decides from the slots (see `CoopShared`). So a
+//! producer that vanishes mid-session resolves deterministically:
+//! `Exhausted` at a record boundary with no dangling arcs drains clean;
+//! severed arcs fail with [`SessionError::Deadlock`] naming every parked
+//! lane.
 //!
 //! A lane step that panics (a lifeguard's `apply`, a stream's pull) is
 //! caught by the sweep with the lane's lock still held, so nothing is
 //! poisoned: the session fails with [`SessionError::LanePanicked`], that
 //! lane finishes, and the driver goes on serving other sessions.
 
-use super::pool::TaskPoll;
+use super::pool::{PoolTask, TaskPoll, WorkerPool};
 use super::source::{LaneInput, RecordStream, Refill};
-use super::{deadlock, produce_versions, Blocker, SessionError};
+use super::{deadlock, produce_versions, waiting, Blocker, SessionError};
 use crate::metrics::RunMetrics;
-use paralog_events::{AddrRange, EventPayload, EventRecord, Rid, ThreadId};
+use paralog_events::{AddrRange, EventPayload, EventRecord, Rid, ThreadId, VersionId};
 use paralog_lifeguards::{ConcurrentLifeguard, LifeguardFactory, SessionEventObserver, Violation};
 use paralog_order::{replay_gate, CaPolicy, CachePadded, Gate, RangeTable, SharedProgressTable};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// Records one [`LaneSet::sweep`] may deliver over all the lanes it
@@ -119,6 +100,25 @@ pub enum LaneStep {
 }
 
 /// Shared state of one cooperative replay session.
+///
+/// The deadlock decision reads the lanes' [`LaneSlot`]s, and four rules
+/// make it sound:
+/// - A slot's sequence number is stored and loaded `SeqCst`: of two lanes
+///   that park at once, the later one sees the other parked, so the last
+///   lane to park decides.
+/// - A slot's words are read with the seqlock pattern, between two loads of
+///   its sequence number; a read that a write overlapped is retried, or,
+///   in the decision, decides nothing.
+/// - A lane changes shared state (advertise, produce, consume, apply) only
+///   while its slot says running or names a blocker that is met. Progress
+///   only grows, so a met `Progress` blocker stays met.
+/// - A lane marks itself running before it consumes a §5.5 version: a
+///   consumed version stops being available, so a `Version` blocker could
+///   otherwise look unmet again after it was met.
+///
+/// A lane that delivered and then met a gate names its blocker for the
+/// sweep but stays running, since what it just advertised may be what its
+/// peers wait on; its next step parks it.
 struct CoopShared {
     lifeguard: Box<dyn ConcurrentLifeguard>,
     ca_policy: CaPolicy,
@@ -134,18 +134,11 @@ struct CoopShared {
     /// Times a lane polled a `Blocked` stream and got nothing — proof the
     /// non-blocking reader path actually exercised `WouldBlock`.
     blocked_polls: AtomicU64,
-    /// Lanes currently parked at an unmet gate (head record waiting on a
-    /// peer): whether [`deadlock`](Self::deadlock) need read the registry,
-    /// which decides (two counters read in turn are no snapshot).
-    gated_lanes: AtomicUsize,
-    /// Lanes that ran [`CoopLane`] to a terminal state, each counted after
-    /// it cleared its registry slot.
+    /// Lanes that ran [`CoopLane`] to a terminal state: the last one out
+    /// composes the report.
     finished_lanes: AtomicUsize,
-    /// The blocker registry: per lane, the head rid and [`Blocker`] it last
-    /// recorded in [`deadlock`](Self::deadlock), cleared when it finishes.
-    /// A slot is its lane's current blocker or a met one: progress only
-    /// grows, and [`CoopLane::consume`] clears a slot it retires.
-    blockers: Mutex<Vec<Option<(Rid, Blocker)>>>,
+    /// Each lane's published state, on a line only that lane writes.
+    slots: Vec<CachePadded<LaneSlot>>,
     /// The first failure; once set, every lane stops on its next step.
     failure: OnceLock<SessionError>,
     /// Final report, composed exactly once by the last lane to finish; its
@@ -164,35 +157,48 @@ impl CoopShared {
         self.failure.get().is_some()
     }
 
-    /// Called by lane `tid`, parked with head `head` on `blocker`: once
-    /// every lane is parked or finished, records its slot, and returns the
-    /// deadlock if every lane has a slot or finished and no slot's blocker
-    /// is met. Stream exhaustion is deliberately *not* part of this: a lane
-    /// parked mid-batch never re-polls its stream, so a dropped producer
-    /// behind a gated head would otherwise go unnoticed.
-    fn deadlock(&self, tid: ThreadId, head: Rid, blocker: Blocker) -> Option<SessionError> {
-        if self.gated_lanes.load(Ordering::SeqCst) + self.finished_lanes.load(Ordering::SeqCst)
-            < self.lanes
-        {
-            return None; // some lane can still pull or apply
+    /// Called by a lane that just parked: the deadlock, if (1) every slot
+    /// reads parked or finished, (2) no parked lane's blocker is met, and
+    /// (3) a second read finds no sequence number moved (they only grow, so
+    /// equal sums are equal numbers). Stream exhaustion is deliberately
+    /// *not* part of this: a lane parked mid-batch never re-polls its
+    /// stream, so a dropped producer behind a gated head would otherwise go
+    /// unnoticed.
+    fn deadlock(&self) -> Option<SessionError> {
+        let mut before = 0u64;
+        for slot in &self.slots {
+            let seq = slot.load();
+            if Phase::of(seq) == Phase::Running {
+                return None; // some lane can still pull or apply
+            }
+            before = before.wrapping_add(seq);
         }
-        let mut blockers = self.blockers.lock().expect("poisoned");
-        blockers[tid.index()] = Some((head, blocker));
-        let mut parked = blockers.iter().flatten();
-        // A lane with a slot has not counted itself finished yet, so no
-        // lane is counted twice.
-        if parked.clone().count() + self.finished_lanes.load(Ordering::SeqCst) < self.lanes
-            || parked.any(|&(_, blocker)| match blocker {
-                Blocker::Progress(src, needed) => self.progress.satisfies(src, needed),
-                Blocker::Version(vid) => self.versions.is_available(vid),
-            })
-        {
-            return None;
+        for slot in &self.slots {
+            let can_move = match (Phase::of(slot.load()), slot.named().1) {
+                (Phase::Running, _) => true,
+                (Phase::Parked, Blocker::Progress(src, rid)) => self.progress.satisfies(src, rid),
+                (Phase::Parked, Blocker::Version(vid)) => self.versions.is_available(vid),
+                (Phase::Finished, _) => false,
+            };
+            if can_move {
+                return None;
+            }
         }
-        let stuck = blockers.iter().enumerate();
-        Some(deadlock(stuck.filter_map(|(t, slot)| {
-            slot.map(|(rid, blocker)| (ThreadId(t as u16), rid, blocker))
-        })))
+        fence(Ordering::Acquire);
+        let after = self
+            .slots
+            .iter()
+            .fold(0, |sum: u64, s| sum.wrapping_add(s.load()));
+        (after == before).then(|| deadlock(self.parked()))
+    }
+
+    /// Every parked lane's thread, head rid and blocker.
+    fn parked(&self) -> impl Iterator<Item = (ThreadId, Rid, Blocker)> + '_ {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(t, slot)| {
+            let (head, blocker) = slot.parked()?;
+            Some((ThreadId(t as u16), head, blocker))
+        })
     }
 
     /// Live metrics snapshot (also the body of the final report). Lanes run
@@ -290,9 +296,8 @@ impl CoopSession {
             applied: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
             blocked_polls: AtomicU64::new(0),
-            gated_lanes: AtomicUsize::new(0),
             finished_lanes: AtomicUsize::new(0),
-            blockers: Mutex::new(vec![None; k]),
+            slots: (0..k).map(|_| CachePadded::default()).collect(),
             failure: OnceLock::new(),
             report: OnceLock::new(),
         });
@@ -305,8 +310,6 @@ impl CoopSession {
                 input: LaneInput::new(stream, k),
                 range_table: RangeTable::new(k),
                 head_produced: false,
-                parked: false,
-                blocker: None,
                 delivered: 0,
                 done: false,
             })
@@ -376,6 +379,114 @@ impl CoopSession {
     pub fn violations_since(&self, from: usize) -> Vec<Violation> {
         self.shared.lifeguard.violations_since(from)
     }
+
+    /// What each parked lane waits on, in the words of its
+    /// [`SessionError::Deadlock`]: `T1 gated at #412 waiting on T0 reaching
+    /// #399`, or `... waiting on unproduced version v<T1,#7>`.
+    pub fn parked_lanes(&self) -> Vec<String> {
+        let parked = self.shared.parked();
+        parked
+            .map(|(tid, rid, blocker)| waiting(tid, rid, blocker))
+            .collect()
+    }
+}
+
+/// A [`LaneSlot`]'s phase: the low two bits of its sequence number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Running,
+    Parked,
+    Finished,
+}
+
+impl Phase {
+    fn of(seq: u64) -> Phase {
+        [Phase::Running, Phase::Parked, Phase::Finished][(seq & 3) as usize]
+    }
+}
+
+/// One lane's published state (see [`CoopShared`]). Only its lane writes
+/// it, with stores: `seq` as it changes [`Phase`], and while it runs, its
+/// head rid and its blocker's thread (`on`, with bit 16 set for a
+/// `Version`'s consumer) and rid (`at`).
+#[derive(Debug, Default)]
+struct LaneSlot {
+    seq: AtomicU64,
+    head: AtomicU64,
+    on: AtomicU64,
+    at: AtomicU64,
+}
+
+impl LaneSlot {
+    /// The phase the lane last entered: exact for the lane itself.
+    fn phase(&self) -> Phase {
+        Phase::of(self.seq.load(Ordering::Relaxed))
+    }
+
+    fn enter(&self, phase: Phase) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq
+            .store((seq | 3) + 1 + phase as u64, Ordering::SeqCst);
+    }
+
+    fn unpark(&self) {
+        if self.phase() == Phase::Parked {
+            self.enter(Phase::Running);
+        }
+    }
+
+    /// Writes the words while the lane runs; the fence orders them after
+    /// the store that left the parked phase, for a reader that sees them.
+    fn name(&self, head: Rid, blocker: Blocker) {
+        let (on, at) = match blocker {
+            Blocker::Progress(src, needed) => (u64::from(src.0), needed),
+            Blocker::Version(vid) => (1 << 16 | u64::from(vid.consumer.0), vid.consumer_rid),
+        };
+        fence(Ordering::Release);
+        for (word, value) in [(&self.head, head.0), (&self.on, on), (&self.at, at.0)] {
+            word.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Parks the lane on `blocker` at `head`, unless it is parked there.
+    fn park(&self, head: Rid, blocker: Blocker) {
+        if self.phase() != Phase::Parked || self.named() != (head, blocker) {
+            self.unpark();
+            self.name(head, blocker);
+            self.enter(Phase::Parked);
+        }
+    }
+
+    /// The words as they stand: the lane's own, or torn under a write.
+    fn named(&self) -> (Rid, Blocker) {
+        let [head, on, at] = [&self.head, &self.on, &self.at].map(|w| w.load(Ordering::Relaxed));
+        let (tid, rid) = (ThreadId(on as u16), Rid(at));
+        let blocker = match on >> 16 {
+            0 => Blocker::Progress(tid, rid),
+            _ => Blocker::Version(VersionId {
+                consumer: tid,
+                consumer_rid: rid,
+            }),
+        };
+        (Rid(head), blocker)
+    }
+
+    /// The sequence number, as anyone but the lane reads it.
+    fn load(&self) -> u64 {
+        self.seq.load(Ordering::SeqCst)
+    }
+
+    /// The head and blocker of a parked lane, read until no write overlaps.
+    fn parked(&self) -> Option<(Rid, Blocker)> {
+        loop {
+            let seq = self.load();
+            let named = self.named();
+            fence(Ordering::Acquire);
+            if self.load() == seq {
+                return (Phase::of(seq) == Phase::Parked).then_some(named);
+            }
+        }
+    }
 }
 
 /// One thread's stream as a pool-schedulable task. Exclusive (`&mut`)
@@ -390,12 +501,6 @@ pub struct CoopLane {
     /// Whether the head record's §5.5 produce annotations were already
     /// published (a consume-gated head must not re-produce on re-step).
     head_produced: bool,
-    /// Whether this lane is counted in the session's `gated_lanes`.
-    parked: bool,
-    /// What the latest unmet gate waits on. Read by [`LaneSet::sweep`]
-    /// after a `Gated` step: a §5.2 arc or §5.4 issuer names the peer, a
-    /// §5.5 version does not name its producer.
-    blocker: Option<Blocker>,
     /// Records delivered by the latest step; added to the session's
     /// `applied` once, when the step ends ([`flush`](Self::flush)).
     delivered: usize,
@@ -416,6 +521,10 @@ impl CoopLane {
     /// The lane's thread id.
     pub fn tid(&self) -> ThreadId {
         self.tid
+    }
+
+    fn slot(&self) -> &LaneSlot {
+        &self.shared.slots[self.tid.index()]
     }
 
     /// Runs the lane forward without blocking: pulls at most one batch and
@@ -548,7 +657,7 @@ impl CoopLane {
                 None => None,
             };
             self.head_produced = false;
-            self.unpark();
+            self.slot().unpark();
             let rec = self.input.head().expect("every gate passed on it");
             // §5.4: police the range table before applying.
             if let EventPayload::Instr(instr) = &rec.payload {
@@ -624,7 +733,7 @@ impl CoopLane {
     /// lag applied progress but never lead it, and the release store
     /// publishes the whole run's metadata to any peer whose arc it meets.
     fn deliver_run(&mut self, n: usize) {
-        self.unpark();
+        self.slot().unpark();
         let run = &self.input.pending()[..n];
         for rec in run {
             self.shared.lifeguard.apply(self.tid, rec, None);
@@ -634,22 +743,19 @@ impl CoopLane {
         self.delivered += n;
     }
 
-    /// Resolves a head gated on `blocker`. A lane that delivered on its way
-    /// here is not parked yet — what it just advertised may be what its
-    /// peers wait on; a hopeless gate ([`CoopShared::deadlock`]) fails the
-    /// run.
+    /// Resolves a head gated on `blocker`: names it in the lane's slot for
+    /// the sweep, and parks there unless the lane delivered on its way here
+    /// (see [`CoopShared`]); a hopeless gate ([`CoopShared::deadlock`])
+    /// fails the run.
     fn gated(&mut self, blocker: Blocker) -> LaneStep {
         self.shared.stalls.fetch_add(1, Ordering::Relaxed);
-        self.blocker = Some(blocker);
+        let head = self.input.head().expect("gated head").rid;
         if self.delivered > 0 {
+            self.slot().name(head, blocker);
             return LaneStep::Gated;
         }
-        if !self.parked {
-            self.parked = true;
-            self.shared.gated_lanes.fetch_add(1, Ordering::SeqCst);
-        }
-        let head = self.input.head().expect("gated head").rid;
-        if let Some(err) = self.shared.deadlock(self.tid, head, blocker) {
+        self.slot().park(head, blocker);
+        if let Some(err) = self.shared.deadlock() {
             self.shared.fail(err);
             self.finish();
             return LaneStep::Failed;
@@ -657,23 +763,14 @@ impl CoopLane {
         LaneStep::Gated
     }
 
-    /// Consumes version `vid` for the head. The lane's slot may name `vid`,
-    /// so it consumes under the registry lock and clears the slot: no
-    /// deadlock check finds the version gone and the slot waiting on it.
-    fn consume(&self, vid: paralog_events::VersionId) -> Option<(AddrRange, Vec<u8>)> {
-        let mut blockers = self.shared.blockers.lock().expect("poisoned");
-        let versioned = self.shared.versions.consume(vid)?;
-        blockers[self.tid.index()] = None;
-        Some(versioned)
-    }
-
-    /// Leaves the parked-at-gate state (the gate cleared or the lane is
-    /// going terminal).
-    fn unpark(&mut self) {
-        if self.parked {
-            self.parked = false;
-            self.shared.gated_lanes.fetch_sub(1, Ordering::SeqCst);
+    /// Consumes version `vid` for the head once it is available, running
+    /// first (see [`CoopShared`]).
+    fn consume(&self, vid: VersionId) -> Option<(AddrRange, Vec<u8>)> {
+        if !self.shared.versions.is_available(vid) {
+            return None;
         }
+        self.slot().unpark();
+        self.shared.versions.consume(vid)
     }
 
     /// Fails the session on a step that panicked with `payload`, and ends
@@ -702,8 +799,7 @@ impl CoopLane {
         // Before the `SeqCst` count below, so the lane that composes the
         // report reads every lane's final flush.
         self.flush();
-        self.unpark();
-        self.shared.blockers.lock().expect("poisoned")[self.tid.index()] = None;
+        self.slot().enter(Phase::Finished);
         let finished = self.shared.finished_lanes.fetch_add(1, Ordering::SeqCst) + 1;
         if finished == self.shared.lanes {
             self.shared.finalize();
@@ -794,8 +890,9 @@ impl LaneSet {
             let returning = delivered > 0 && !kept.waiting.is_empty();
             // The peer a gated lane waits on, if this sweep holds it or,
             // when the lane is to be stepped next, can take it.
-            let peer = match (step, lane.blocker) {
-                (LaneStep::Gated, Some(Blocker::Progress(src, _))) => kept
+            let blocker = (step == LaneStep::Gated).then(|| lane.slot().named().1);
+            let peer = match blocker {
+                Some(Blocker::Progress(src, _)) => kept
                     .take(src.index())
                     .or_else(|| (!returning).then(|| self.try_hold(src.index())).flatten())
                     .map(|peer| (src.index(), peer)),
@@ -855,6 +952,35 @@ impl LaneSet {
             TaskPoll::AgainWake
         }
     }
+
+    /// Puts the set on `pool` as `paralogd` schedules a session: one task
+    /// per lane, each a [`slice`](Self::slice) from its own home, done once
+    /// `session` is complete.
+    pub fn submit(self, session: &CoopSession, pool: &WorkerPool) {
+        let lanes = Arc::new(self);
+        for home in 0..lanes.lanes.len() {
+            let (session, lanes) = (session.clone(), Arc::clone(&lanes));
+            pool.submit(Box::new(LaneTask {
+                session,
+                lanes,
+                home,
+            }));
+        }
+    }
+}
+
+/// One home lane of a session on a [`WorkerPool`]: a slice is
+/// [`LaneSet::slice`] from `home`.
+struct LaneTask {
+    session: CoopSession,
+    lanes: Arc<LaneSet>,
+    home: usize,
+}
+
+impl PoolTask for LaneTask {
+    fn run(&mut self) -> TaskPoll {
+        self.lanes.slice(&self.session, self.home)
+    }
 }
 
 /// What one [`LaneSet::sweep`] did.
@@ -896,8 +1022,6 @@ impl<'a> Kept<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::backend::LaneTask;
-    use crate::session::pool::WorkerPool;
     use crate::session::source::INGEST_BATCH;
     use crate::session::{
         BufferedStream, DeterministicBackend, MonitorSession, RecordStream, ReplaySource,
@@ -983,7 +1107,12 @@ mod tests {
 
     /// Asserts `session`'s report equals the sequential reference loop's.
     fn assert_parity(case: &Case, session: &CoopSession) {
-        let reference = MonitorSession::builder()
+        assert_reference(case, &reference(case), session);
+    }
+
+    /// The sequential reference loop's run of `case`.
+    fn reference(case: &Case) -> RunMetrics {
+        MonitorSession::builder()
             .source(ReplaySource::new(case.streams.clone(), case.heap))
             .lifeguard(case.kind)
             .backend(DeterministicBackend)
@@ -991,7 +1120,12 @@ mod tests {
             .unwrap()
             .run()
             .unwrap()
-            .metrics;
+            .metrics
+    }
+
+    /// Asserts `session`'s report equals `reference`, `case`'s run on the
+    /// sequential reference loop.
+    fn assert_reference(case: &Case, reference: &RunMetrics, session: &CoopSession) {
         let swept = session.report().expect("complete").expect("replays clean");
         assert_eq!(swept.records, case.records());
         assert_eq!(swept.fingerprint, reference.fingerprint);
@@ -999,7 +1133,7 @@ mod tests {
             !reference.violations.is_empty(),
             "parity must say something"
         );
-        assert_eq!(keys(&swept), keys(&reference));
+        assert_eq!(keys(&swept), keys(reference));
     }
 
     #[test]
@@ -1046,15 +1180,8 @@ mod tests {
         for case in [Case::storm(3, 3_000), Case::tainted()] {
             for workers in [1, 2, 4] {
                 let (session, set) = start(&case);
-                let lanes = Arc::new(set);
                 let pool = WorkerPool::new(workers);
-                for home in 0..case.streams.len() {
-                    pool.submit(Box::new(LaneTask {
-                        session: session.clone(),
-                        lanes: Arc::clone(&lanes),
-                        home,
-                    }));
-                }
+                set.submit(&session, &pool);
                 std::thread::scope(|scope| {
                     scope.spawn(|| {
                         while !session.is_complete() {
@@ -1128,7 +1255,7 @@ mod tests {
         let (session, mut lanes) = lanes_over(vec![t0, plain(10)]);
         for _ in 0..3 {
             assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Gated);
-            assert!(lanes[0].parked, "counted once among the gated lanes");
+            assert_eq!(lanes[0].slot().phase(), Phase::Parked);
             let gate = Gate::Blocked {
                 src: ThreadId(1),
                 needed: Rid(5),
@@ -1140,13 +1267,13 @@ mod tests {
             );
             assert_eq!(session.shared.progress.get(ThreadId(0)), Rid::ZERO);
         }
-        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 1);
+        assert_eq!(session.shared.parked().count(), 1);
         assert_eq!(lanes[1].step(5), LaneStep::Progressed);
         // The arc is met: the whole first batch goes as one run.
         assert_eq!(lanes[0].run_len(LANE_BUDGET), (INGEST_BATCH, Gate::Ready));
         assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
-        assert!(!lanes[0].parked);
-        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 0);
+        assert_eq!(lanes[0].slot().phase(), Phase::Running);
+        assert_eq!(session.shared.parked().count(), 0);
         assert_eq!(session.shared.progress.get(ThreadId(0)), Rid(256));
     }
 
@@ -1237,7 +1364,7 @@ mod tests {
         for tid in 0..3 {
             assert_eq!(session.shared.progress.get(ThreadId(tid)), Rid(10));
         }
-        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 0);
+        assert_eq!(session.shared.parked().count(), 0);
     }
 
     #[test]
@@ -1352,14 +1479,14 @@ mod tests {
         let (session, mut lanes) = lanes_of(&case);
         assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
         assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
-        // Both lanes parked: 0 records its slot.
+        // Both lanes parked.
         assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Gated);
-        assert!(session.shared.blockers.lock().unwrap()[0].is_some());
+        assert!(session.shared.slots[0].parked().is_some());
         assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Progressed);
         // Both parked again, but 0's recorded gate cleared: it stays
         // parked, and its next step goes on.
         assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
-        assert_eq!(session.shared.gated_lanes.load(Ordering::SeqCst), 2);
+        assert_eq!(session.shared.parked().count(), 2);
         assert!(!session.is_complete());
         run_out(&session, &mut lanes);
         assert_parity(&case, &session);
@@ -1408,16 +1535,15 @@ mod tests {
             "{detail}"
         );
 
-        // 0 parks on a version that 1 produces once 0 delivered #1: the
-        // consume that retires it clears the slot naming it.
+        // 0 parks on a version that 1 produces once 0 delivered #1: it
+        // leaves the slot naming it before the consume that retires it.
         let vid = paralog_events::VersionId {
             consumer: ThreadId(0),
             consumer_rid: Rid(2),
         };
         let mut t0 = loads(3);
         t0[1].set_consume_version(vid, mem);
-        // Keeps 0 from finishing, and clearing its slot, in the step that
-        // consumes.
+        // Keeps 0 from finishing in the step that consumes.
         t0[2]
             .arcs
             .push(DependenceArc::new(ThreadId(1), Rid(2), ArcKind::Raw));
@@ -1430,17 +1556,16 @@ mod tests {
         let (session, mut lanes) = lanes_of(&case);
         assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
         assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
-        // Both parked: 0 records its slot, and 1's cleared gate keeps the
-        // session going.
+        // Both parked, and 1's cleared gate keeps the session going.
         assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Gated);
-        let slot = session.shared.blockers.lock().unwrap()[0];
+        let slot = session.shared.slots[0].parked();
         assert!(matches!(slot, Some((Rid(2), Blocker::Version(_)))));
         // 1 produces it and parks again: the version is available, so no
         // deadlock.
         assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Progressed);
         assert_eq!(lanes[1].step(LANE_BUDGET), LaneStep::Gated);
         assert_eq!(lanes[0].step(LANE_BUDGET), LaneStep::Progressed);
-        assert!(session.shared.blockers.lock().unwrap()[0].is_none());
+        assert!(session.shared.slots[0].parked().is_none());
         run_out(&session, &mut lanes);
         assert_parity(&case, &session);
     }
@@ -1476,5 +1601,86 @@ mod tests {
         session.abort("test over");
         assert_eq!(set.sweep(2, LANE_BUDGET).delivered, 0);
         assert!(session.is_complete(), "an abort folds every lane");
+    }
+
+    /// Steps each of `lanes` on an OS thread of its own, in a loop with no
+    /// [`LaneSet`] and no sleep (a lane that did not progress yields its
+    /// processor), until the session completes, or fails the test if that
+    /// takes ten seconds.
+    fn race(session: &CoopSession, lanes: Vec<CoopLane>) {
+        let watchdog = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        std::thread::scope(|scope| {
+            for mut lane in lanes {
+                scope.spawn(move || loop {
+                    match lane.step(LANE_BUDGET) {
+                        LaneStep::Finished | LaneStep::Failed => break,
+                        LaneStep::Progressed => {}
+                        LaneStep::Gated | LaneStep::Idle => std::thread::yield_now(),
+                    }
+                });
+            }
+            while !session.is_complete() {
+                if std::time::Instant::now() > watchdog {
+                    session.abort("watchdog");
+                    panic!("the lanes neither completed nor decided a deadlock");
+                }
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+        });
+    }
+
+    /// The deadlock decision raced by lanes on real threads: every park and
+    /// unpark of the storm's hub and spokes crosses another lane's decision.
+    /// A clean storm must never read as a deadlock, and a severed one must
+    /// always be decided, naming every parked lane.
+    #[test]
+    fn lanes_on_their_own_threads_deadlock_exactly_when_severed() {
+        let case = Case::storm(2, 1_000);
+        let clean = reference(&case);
+        for _ in 0..200 {
+            let (session, lanes) = lanes_of(&case);
+            race(&session, lanes);
+            assert_reference(&case, &clean, &session);
+        }
+
+        // §5.5 hand-offs: T1 consumes each version T0 produces, and T0
+        // produces the next only once T1 consumed the one before. So T1
+        // parks on a version while T0 parks on T1, and T0's decisions race
+        // T1's consumes.
+        let sweep = adversarial::rid_sweep(500, 1);
+        let mut handoff = Case {
+            kind: KIND,
+            streams: sweep.streams,
+            heap: sweep.heap,
+        };
+        for (c, rec) in handoff.streams[0].iter_mut().enumerate().skip(1) {
+            rec.arcs
+                .push(DependenceArc::new(ThreadId(1), Rid(c as u64), ArcKind::Raw));
+        }
+        let clean = reference(&handoff);
+        for _ in 0..200 {
+            let (session, lanes) = lanes_of(&handoff);
+            race(&session, lanes);
+            assert_reference(&handoff, &clean, &session);
+        }
+
+        // The hub's write of round 500 (#501) also waits on a rid spoke T1
+        // never reaches: the hub parks there, and both spokes on that write.
+        let mut severed = Case::storm(2, 1_000);
+        severed.streams[0][500].arcs.push(DependenceArc::new(
+            ThreadId(1),
+            Rid(10_000),
+            ArcKind::War,
+        ));
+        for _ in 0..200 {
+            let (session, lanes) = lanes_of(&severed);
+            race(&session, lanes);
+            assert_eq!(
+                deadlock_detail(&session),
+                "no stream can advance: T0 gated at #501 waiting on T1 reaching #10000; \
+                 T1 gated at #501 waiting on T0 reaching #501; \
+                 T2 gated at #501 waiting on T0 reaching #501"
+            );
+        }
     }
 }

@@ -147,7 +147,7 @@ pub(crate) fn produce_versions(
 }
 
 /// What a stuck head record waits on.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Blocker {
     /// Thread `.0`'s progress must reach rid `.1`: the unmet §5.2 arc or
     /// §5.4 issuer rule that [`replay_gate`](paralog_order::replay_gate)
@@ -158,21 +158,30 @@ pub(crate) enum Blocker {
     Version(paralog_events::VersionId),
 }
 
+/// Thread `tid`'s head `rid` stuck on `blocker`, in the words of both
+/// replay loops' [`deadlock`] and of a live lane session's
+/// [`parked_lanes`](coop::CoopSession::parked_lanes).
+pub(crate) fn waiting(
+    tid: paralog_events::ThreadId,
+    rid: paralog_events::Rid,
+    blocker: Blocker,
+) -> String {
+    match blocker {
+        Blocker::Progress(src, needed) => {
+            format!("{tid} gated at {rid} waiting on {src} reaching {needed}")
+        }
+        Blocker::Version(vid) => {
+            format!("{tid} gated at {rid} waiting on unproduced version {vid}")
+        }
+    }
+}
+
 /// Both replay loops' [`SessionError::Deadlock`]: no stream can advance,
 /// and each `(thread, head rid, blocker)` of `stuck` says why.
 pub(crate) fn deadlock(
     stuck: impl Iterator<Item = (paralog_events::ThreadId, paralog_events::Rid, Blocker)>,
 ) -> SessionError {
-    let stuck: Vec<String> = stuck
-        .map(|(tid, rid, blocker)| match blocker {
-            Blocker::Progress(src, needed) => {
-                format!("{tid} gated at {rid} waiting on {src} reaching {needed}")
-            }
-            Blocker::Version(vid) => {
-                format!("{tid} gated at {rid} waiting on unproduced version {vid}")
-            }
-        })
-        .collect();
+    let stuck: Vec<String> = stuck.map(|(t, rid, b)| waiting(t, rid, b)).collect();
     SessionError::Deadlock(format!("no stream can advance: {}", stuck.join("; ")))
 }
 

@@ -30,7 +30,7 @@ SERVE:
 
 CTL COMMANDS:
     LIST               one line per session, then the pool's counters
-    STATUS <id>        session detail (state, metrics, violations)
+    STATUS <id>        session detail (state, metrics, violations, parked lanes)
     DETACH <id>        close a session's inputs; it drains to a report
     WATCH <id>         stream the session's live violation/event feed
     SHUTDOWN           drain every session and exit

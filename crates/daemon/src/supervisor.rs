@@ -1041,6 +1041,8 @@ fn status_lines(entry: &Arc<SessionEntry>) -> Vec<String> {
                 format!("blocked_polls {}", session.blocked_polls()),
             ];
             push_metrics_lines(&mut lines, &session.snapshot_metrics());
+            let parked = session.parked_lanes().into_iter();
+            lines.extend(parked.map(|waits| format!("lane {waits}")));
             lines
         },
         |at, result| match result {

@@ -5,7 +5,7 @@
 //! through arcs, ConflictAlerts and versions reach the same metadata as one
 //! sequential analysis in a legal order. Each row below is a capture (a
 //! live workload run's collected streams, or a hand-built stream whose doc
-//! says why it is shaped that way) replayed on the six [`Driver`]s:
+//! says why it is shaped that way) replayed on the [`Driver`]s:
 //!
 //! * `DeterministicBackend`'s sequential loop, over the raw records and
 //!   over the codec wire;
@@ -13,7 +13,10 @@
 //!   codec wire;
 //! * `CoopSession` lanes stepped on the calling thread, round-robin over
 //!   the raw records, and over the wire each run to its next gate (through
-//!   the wire's stalls) before the next lane runs.
+//!   the wire's stalls) before the next lane runs;
+//! * the same lanes over the raw records in an order drawn from a seed
+//!   ([`explore`]), with each step's budget drawn too: four fixed seeds,
+//!   run by every row that runs the round-robin lanes.
 //!
 //! Every wire driver reads each thread's encoding through
 //! `FaultyReader::short_reads().stall_every(9)`, so every row also crosses a
@@ -74,15 +77,15 @@
 //! | [`register_out_of_range`] | `parity::a_register_byte_out_of_range_is_malformed_on_every_wire_driver` |
 //! | [`arc_fanout`] | `parity::an_arc_storm_replays_alike_on_every_driver` |
 //!
-//! The Barnes capture's six drivers are split over two rows, raw and wire,
+//! The Barnes capture's drivers are split over two rows, raw and wire,
 //! and the severed arc's over three tests, so that no pair of capture and
 //! driver runs twice.
 
 use super::violation_keys;
 use paralog::core::{
-    CoopSession, DeterministicBackend, EventSource, FaultyReader, LaneStep, MonitorConfig,
-    MonitorSession, MonitoringMode, Platform, Reference, ReplaySource, RunMetrics, SessionError,
-    SourceInput, StreamingReplaySource, ThreadedBackend,
+    CoopLane, CoopSession, DeterministicBackend, EventSource, FaultyReader, LaneStep,
+    MonitorConfig, MonitorSession, MonitoringMode, Platform, Reference, ReplaySource, RunMetrics,
+    SessionError, SourceInput, StreamingReplaySource, ThreadedBackend, LANE_BUDGET,
 };
 use paralog::events::codec::encode;
 use paralog::events::{
@@ -91,6 +94,7 @@ use paralog::events::{
 };
 use paralog::lifeguards::{LifeguardKind, ViolationKind};
 use paralog::workloads::{adversarial, Benchmark, Workload, WorkloadSpec};
+use proptest::test_runner::TestRng;
 use std::io::{Cursor, Read};
 use std::time::{Duration, Instant};
 
@@ -148,25 +152,44 @@ pub enum Driver {
     /// `CoopSession` lanes each run until gated or finished, over the
     /// stalling wire (a lane reads through the wire's stalls).
     LanesWire,
+    /// `CoopSession` lanes stepped on the calling thread in an order drawn
+    /// from `seed`, over the raw records ([`explore`]).
+    Explored { seed: u64 },
 }
 
 impl Driver {
-    pub const ALL: [Driver; 6] = [
+    pub const ALL: [Driver; 10] = [
         Driver::Sequential,
         Driver::SequentialWire,
         Driver::Pool,
         Driver::PoolWire,
         Driver::Lanes,
         Driver::LanesWire,
+        Driver::Explored { seed: 1 },
+        Driver::Explored { seed: 2 },
+        Driver::Explored { seed: 3 },
+        Driver::Explored { seed: 4 },
     ];
-    pub const RAW: [Driver; 3] = [Driver::Sequential, Driver::Pool, Driver::Lanes];
+    pub const RAW: [Driver; 7] = [
+        Driver::Sequential,
+        Driver::Pool,
+        Driver::Lanes,
+        Driver::Explored { seed: 1 },
+        Driver::Explored { seed: 2 },
+        Driver::Explored { seed: 3 },
+        Driver::Explored { seed: 4 },
+    ];
     pub const WIRE: [Driver; 3] = [Driver::SequentialWire, Driver::PoolWire, Driver::LanesWire];
     pub const SEQUENTIAL: [Driver; 2] = [Driver::Sequential, Driver::SequentialWire];
-    pub const LANES: [Driver; 4] = [
+    pub const LANES: [Driver; 8] = [
         Driver::Pool,
         Driver::PoolWire,
         Driver::Lanes,
         Driver::LanesWire,
+        Driver::Explored { seed: 1 },
+        Driver::Explored { seed: 2 },
+        Driver::Explored { seed: 3 },
+        Driver::Explored { seed: 4 },
     ];
 }
 
@@ -221,6 +244,7 @@ pub fn replay(case: &Case, driver: Driver) -> Result<RunMetrics, SessionError> {
         Driver::PoolWire => on_backend(case, case.wire(), true),
         Driver::Lanes => on_lanes(case, Box::new(raw()), false),
         Driver::LanesWire => on_lanes(case, Box::new(case.wire()), true),
+        Driver::Explored { seed } => explore(case, seed).result,
     }
 }
 
@@ -241,15 +265,23 @@ fn on_backend(
     session.run().map(|outcome| outcome.metrics)
 }
 
+/// `case`'s lanes, each reading its stream of `source`.
+fn lanes(
+    case: &Case,
+    source: Box<dyn EventSource>,
+) -> Result<(CoopSession, Vec<CoopLane>), SessionError> {
+    let SourceInput::Streams(streams) = source.open() else {
+        unreachable!("replay sources open to streams")
+    };
+    CoopSession::start(&case.lifeguard, case.heap, streams, None)
+}
+
 fn on_lanes(
     case: &Case,
     source: Box<dyn EventSource>,
     run_to_block: bool,
 ) -> Result<RunMetrics, SessionError> {
-    let SourceInput::Streams(streams) = source.open() else {
-        unreachable!("replay sources open to streams")
-    };
-    let (session, mut lanes) = CoopSession::start(&case.lifeguard, case.heap, streams, None)?;
+    let (session, mut lanes) = lanes(case, source)?;
     while !session.is_complete() {
         let mut progressed = false;
         for lane in &mut lanes {
@@ -274,6 +306,84 @@ fn on_lanes(
         }
     }
     session.report().expect("complete")
+}
+
+/// One [`explore`]d schedule and where it led.
+#[derive(Debug)]
+pub struct Explored {
+    /// Each step's lane and budget, in the order taken.
+    pub steps: Vec<(usize, usize)>,
+    /// The index in `steps` of the first step that failed the session.
+    pub failed_at: Option<usize>,
+    pub result: Result<RunMetrics, SessionError>,
+}
+
+/// Replays `case`'s raw records on `CoopSession` lanes stepped on the
+/// calling thread in an order drawn from `seed`: each step picks a lane
+/// that has not finished, and a budget of 1, a random clip below
+/// `LANE_BUDGET`, or `LANE_BUDGET`. The lane core reads no clock, so one
+/// seed takes one schedule, and a refused case fails on one step.
+pub fn explore(case: &Case, seed: u64) -> Explored {
+    let raw = ReplaySource::new(case.streams.clone(), case.heap);
+    let (session, mut lanes) = match lanes(case, Box::new(raw)) {
+        Ok(started) => started,
+        Err(err) => {
+            return Explored {
+                steps: Vec::new(),
+                failed_at: None,
+                result: Err(err),
+            };
+        }
+    };
+    let (mut steps, mut failed_at) = (Vec::new(), None);
+    let mut rng = TestRng::from_seed(seed);
+    let mut live: Vec<usize> = (0..lanes.len()).collect();
+    while !session.is_complete() {
+        let at = rng.below(live.len() as u64) as usize;
+        let budget = match rng.below(3) {
+            0 => 1,
+            1 => 1 + rng.below(LANE_BUDGET as u64) as usize,
+            _ => LANE_BUDGET,
+        };
+        steps.push((live[at], budget));
+        match lanes[live[at]].step(budget) {
+            LaneStep::Failed => {
+                failed_at.get_or_insert(steps.len() - 1);
+                live.swap_remove(at);
+            }
+            LaneStep::Finished => {
+                live.swap_remove(at);
+            }
+            LaneStep::Progressed | LaneStep::Gated | LaneStep::Idle => {}
+        }
+    }
+    let result = session.report().expect("complete");
+    Explored {
+        steps,
+        failed_at,
+        result,
+    }
+}
+
+/// Asserts that every explored driver of `drivers` fails `case` on the
+/// same step each time its seed is replayed.
+fn assert_explored_alike(case: &Case, drivers: &[Driver]) {
+    for &driver in drivers {
+        if let Driver::Explored { seed } = driver {
+            let (first, again) = (explore(case, seed), explore(case, seed));
+            assert!(
+                first.failed_at.is_some(),
+                "{}/{driver:?}: no step failed",
+                case.name
+            );
+            assert_eq!(
+                (&first.steps, first.failed_at),
+                (&again.steps, again.failed_at),
+                "{}/{driver:?}: a replayed schedule failed elsewhere",
+                case.name
+            );
+        }
+    }
 }
 
 /// Runs `row` on every one of `items` at once, one thread each; returns
@@ -1296,6 +1406,7 @@ pub fn severed_arc(drivers: &[Driver]) {
         drivers,
         deadlock("T1 gated at #1 waiting on T0 reaching #99"),
     );
+    assert_explored_alike(&case, drivers);
 }
 
 /// A consume annotation whose producer never reaches its produce point (a
@@ -1330,6 +1441,7 @@ pub fn unproduced_consume() {
     );
     assert_parity(&case, &Driver::SEQUENTIAL, &case.sequential());
     assert_refused(&case, &Driver::LANES, deadlock("version"));
+    assert_explored_alike(&case, &Driver::LANES);
 }
 
 /// A 2-thread capture whose thread 1 names thread 7 as an arc source, or

@@ -381,6 +381,72 @@ fn dropped_producer_with_severed_arcs_fails_the_session_promptly() {
 }
 
 #[test]
+fn status_names_what_each_parked_lane_waits_on() {
+    // Thread 1's first record waits on thread 0's #5, and at first only
+    // thread 1's frames arrive: its lane parks there, and STATUS says so.
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    let nops = || -> Vec<EventRecord> {
+        (1..=10u64)
+            .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+            .collect()
+    };
+    let mut t1 = nops();
+    t1[0]
+        .arcs
+        .push(DependenceArc::new(ThreadId(0), Rid(5), ArcKind::Raw));
+    let encoded = vec![encode(&nops()), encode(&t1)];
+    let reference = MonitorSession::builder()
+        .source(StreamingReplaySource::from_encoded(encoded.clone(), heap))
+        .lifeguard(LifeguardKind::TaintCheck)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .metrics
+        .fingerprint;
+
+    let daemon = spawn_daemon("lane");
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("parked", LifeguardKind::TaintCheck, 2, heap),
+    )
+    .expect("attaches");
+    let id = producer.session_id();
+    producer.send(1, &encoded[1]).expect("thread 1 streams");
+    let lanes = |status: &[String]| -> Vec<String> {
+        let lanes = status.iter().filter(|l| l.starts_with("lane "));
+        lanes.cloned().collect()
+    };
+    let watchdog = Instant::now() + Duration::from_secs(10);
+    let mut ctl = Control::connect(daemon.control_socket()).unwrap();
+    loop {
+        let status = ctl.status(id).unwrap();
+        if lanes(&status) == ["lane T1 gated at #1 waiting on T0 reaching #5"] {
+            break;
+        }
+        assert!(
+            Instant::now() < watchdog,
+            "no parked lane named: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    producer.send(0, &encoded[0]).expect("thread 0 streams");
+    producer.finish().expect("ends every thread");
+    let status = await_done(&daemon, id);
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(
+        field(&status, "fingerprint"),
+        Some(format!("{reference:016x}"))
+    );
+    assert_eq!(
+        lanes(&status),
+        Vec::<String>::new(),
+        "an ended session parks no lane"
+    );
+    daemon.shutdown();
+}
+
+#[test]
 fn malformed_handshake_is_rejected_without_killing_the_daemon() {
     let daemon = spawn_daemon("hs");
 
